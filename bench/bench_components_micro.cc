@@ -75,6 +75,40 @@ BENCHMARK(BM_BuildComponentsTwoScan)
     ->Args({2000, 128})
     ->Args({8000, 32});
 
+// Component assembly alone on the OECD analogue (6823 x 519, 513
+// numeric): sketches are built once outside the timed loop, so the loop
+// times BuildComponentsFromSketches with the rank-shift gather on (1) and
+// off (0). The difference is the rank-shift cost per query.
+void BM_BuildFromSketchesWide(benchmark::State& state) {
+  static const SyntheticDataset* ds =
+      new SyntheticDataset(MakeOecdDataset().ValueOrDie());
+  static const TableProfile* profile =
+      new TableProfile(TableProfile::Compute(ds->table).ValueOrDie());
+  static const SelectionSketches* inside = new SelectionSketches(
+      SelectionSketches::Build(ds->table, *profile, ds->planted));
+  static const SelectionSketches* outside = [] {
+    auto* out = new SelectionSketches();
+    out->InitShapes(ds->table, *profile);
+    out->DeriveAsComplement(*profile, *inside);
+    return out;
+  }();
+  ComponentBuildOptions opts;
+  opts.enable_rank_shift = state.range(0) != 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        BuildComponentsFromSketches(ds->table, *profile, ds->planted, *inside,
+                                    *outside, opts)
+            .ValueOrDie());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(ds->table.num_columns()));
+}
+BENCHMARK(BM_BuildFromSketchesWide)
+    ->ArgName("rank_shift")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
+
 void BM_CompleteLinkage(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   Rng rng(3);

@@ -106,7 +106,7 @@ JsonValue RunKernelAB() {
   spec.seed = 2024;
   SyntheticDataset ds = GenerateSynthetic(spec).ValueOrDie();
   ProfileOptions po;
-  po.cache_sort_orders = false;  // isolate the accumulation kernel
+  po.cache_ranks = false;  // isolate the accumulation kernel
   TableProfile profile = TableProfile::Compute(ds.table, po).ValueOrDie();
   const size_t n = ds.table.num_rows();
 

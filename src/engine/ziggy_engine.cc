@@ -76,8 +76,8 @@ Result<ZiggyEngine> ZiggyEngine::CreateShared(
   if (table->num_rows() == 0) {
     return Status::InvalidArgument("cannot characterize an empty table");
   }
-  if (profile->num_columns() != table->num_columns()) {
-    return Status::InvalidArgument("shared profile does not match table shape");
+  if (Status shape = profile->CheckShape(*table); !shape.ok()) {
+    return Status::InvalidArgument("shared " + shape.message());
   }
   return ZiggyEngine(std::move(table), std::move(profile), std::move(dendrogram),
                      std::move(options));
@@ -106,9 +106,16 @@ Result<Characterization> ZiggyEngine::Characterize(const Selection& selection) {
   if (options_.cache_queries) {
     auto it = component_cache_.find(fp);
     if (it != component_cache_.end()) {
-      components = TouchCacheEntry(it);
-      out.cache_hit = true;
-      ++cache_hits_;
+      if (it->second.selection == selection) {
+        components = TouchCacheEntry(it);
+        out.cache_hit = true;
+        ++cache_hits_;
+      } else {
+        // Fingerprint collision: another selection holds this key. Drop
+        // it so the fresh build below takes its slot.
+        cache_order_.erase(it->second.order);
+        component_cache_.erase(it);
+      }
     }
   }
   if (components == nullptr) {
@@ -149,7 +156,7 @@ Result<Characterization> ZiggyEngine::Characterize(const Selection& selection) {
     }
     ++cache_misses_;
     if (options_.cache_queries) {
-      components = InsertCacheEntry(fp, std::move(freshly_built));
+      components = InsertCacheEntry(fp, selection, std::move(freshly_built));
     } else {
       components = &freshly_built;
     }
@@ -187,12 +194,15 @@ const ComponentTable* ZiggyEngine::TouchCacheEntry(
 }
 
 const ComponentTable* ZiggyEngine::InsertCacheEntry(uint64_t fingerprint,
+                                                    const Selection& selection,
                                                     ComponentTable components) {
   // Only reached on a confirmed miss (Characterize looked the fingerprint
-  // up under the same lock), so this is always a fresh insertion.
+  // up under the same lock and evicted any colliding entry), so this is
+  // always a fresh insertion.
   cache_order_.push_front(fingerprint);
   auto [it, inserted] = component_cache_.emplace(
-      fingerprint, CachedComponents{std::move(components), cache_order_.begin()});
+      fingerprint,
+      CachedComponents{selection, std::move(components), cache_order_.begin()});
   ZIGGY_DCHECK(inserted);
   const size_t cap = options_.max_cached_queries;
   while (cap > 0 && component_cache_.size() > cap) {

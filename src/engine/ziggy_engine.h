@@ -202,9 +202,12 @@ class ZiggyEngine {
   std::unique_ptr<Preparer> preparer_;
   ComponentBuildOptions preparer_options_;
   SketchProvider sketch_provider_;
-  // Component cache: fingerprint -> (table, position in the recency list).
-  // Bounded by options_.max_cached_queries; cache_order_ front = MRU.
+  // Component cache: fingerprint -> (selection, table, position in the
+  // recency list). The fingerprint can collide, so a hit also compares the
+  // stored selection. Bounded by options_.max_cached_queries;
+  // cache_order_ front = MRU.
   struct CachedComponents {
+    Selection selection;
     ComponentTable components;
     std::list<uint64_t>::iterator order;
   };
@@ -213,6 +216,7 @@ class ZiggyEngine {
   const ComponentTable* TouchCacheEntry(
       std::unordered_map<uint64_t, CachedComponents>::iterator it);
   const ComponentTable* InsertCacheEntry(uint64_t fingerprint,
+                                         const Selection& selection,
                                          ComponentTable components);
   std::unordered_map<uint64_t, CachedComponents> component_cache_;
   std::list<uint64_t> cache_order_;

@@ -497,9 +497,8 @@ Result<StoredTable> ZiggyStore::LoadTable(const std::string& name,
   ZIGGY_ASSIGN_OR_RETURN(
       stored.profile,
       TableProfile::LoadFromFile(ProfilePath(name, entry.generation)));
-  if (stored.profile.num_columns() != stored.table.num_columns()) {
-    return Status::ParseError(
-        "stored profile column count disagrees with the table");
+  if (Status shape = stored.profile.CheckShape(stored.table); !shape.ok()) {
+    return Status::ParseError("stored " + shape.message());
   }
 
   if (entry.has_sketches) {

@@ -16,10 +16,13 @@ size_t EntryBytes(const Selection& selection,
 
 }  // namespace
 
-std::shared_ptr<const CachedSketches> SketchCache::FindExact(uint64_t fingerprint,
-                                                             uint64_t generation) {
+std::shared_ptr<const CachedSketches> SketchCache::FindExact(
+    const Selection& selection, uint64_t fingerprint, uint64_t generation) {
   std::shared_ptr<const CachedSketches> hit = cache_.Get(fingerprint);
-  if (hit != nullptr && hit->generation != generation) return nullptr;
+  if (hit == nullptr || hit->generation != generation ||
+      !(hit->selection == selection)) {
+    return nullptr;
+  }
   return hit;
 }
 

@@ -4,7 +4,7 @@
 // Why cache sketches and not component tables: sketches are the expensive
 // artifact (one blocked scan over the selected rows of every column) AND
 // they compose — a cached sketch serves
-//   * the identical selection (exact fingerprint hit, zero work),
+//   * the identical selection (exact hit, zero work),
 //   * any *overlapping* selection, by patching the XOR delta row-by-row
 //     through the existing incremental machinery (AddRow/RemoveRow are
 //     exact inverses), and
@@ -58,11 +58,13 @@ class SketchCache {
       : options_(options),
         cache_(options.shards, options.budget_bytes, options.shared_budget) {}
 
-  /// Exact fingerprint lookup, gated on the requester's generation: an
-  /// entry inserted by a request that was still running against an older
-  /// (since-flushed) generation must never serve a newer one — its
-  /// histograms were binned with that generation's edges.
-  std::shared_ptr<const CachedSketches> FindExact(uint64_t fingerprint,
+  /// Exact lookup of `selection` under its `fingerprint`. A hit must hold
+  /// the identical bitmap (fingerprints collide), and is gated on the
+  /// requester's generation: an entry inserted by a request that was still
+  /// running against an older (since-flushed) generation must never serve
+  /// a newer one — its histograms were binned with that generation's edges.
+  std::shared_ptr<const CachedSketches> FindExact(const Selection& selection,
+                                                  uint64_t fingerprint,
                                                   uint64_t generation);
 
   /// Cheapest patch base for `wanted`: scans the MRU prefix of every shard

@@ -41,10 +41,7 @@ Result<std::unique_ptr<ZiggyServer>> ZiggyServer::CreateFromState(
   if (table.num_rows() == 0) {
     return Status::InvalidArgument("cannot serve an empty table");
   }
-  if (profile.num_columns() != table.num_columns()) {
-    return Status::InvalidArgument(
-        "profile column count does not match the table");
-  }
+  ZIGGY_RETURN_NOT_OK(profile.CheckShape(table));
   ZIGGY_ASSIGN_OR_RETURN(Dendrogram dendrogram, BuildColumnDendrogram(profile));
   auto state = std::make_shared<ServingState>();
   state->snapshot = TableSnapshot(std::move(table), generation);
@@ -190,8 +187,8 @@ std::optional<ProvidedSketches> ZiggyServer::ProvideSketches(
     // an early return (hit) and a fall-through (miss) both close it
     // before any scan starts.
     obs::TraceSpan lookup_span("sketch_lookup", clock, sketch_lookup_us_);
-    if (auto hit = cache_.FindExact(fingerprint, state.generation());
-        hit != nullptr && hit->selection.num_rows() == selection.num_rows()) {
+    if (auto hit = cache_.FindExact(selection, fingerprint, state.generation());
+        hit != nullptr) {
       sketch_exact_hits_.fetch_add(1, std::memory_order_relaxed);
       out.inside = hit->inside;
       out.source = SketchSource::kCacheExact;

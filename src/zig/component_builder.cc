@@ -76,48 +76,67 @@ double CramersVFromTable(const std::vector<int64_t>& table, size_t rows, size_t 
   return std::sqrt(std::clamp(chi2 / (static_cast<double>(n) * k), 0.0, 1.0));
 }
 
-// Mann-Whitney U (pairs where inside > outside, ties = 1/2) computed in one
-// walk over the profile-cached ascending sort order.
-void MannWhitneyU(const std::vector<double>& data, const std::vector<uint32_t>& order,
-                  const Selection& selection, double* u, int64_t* n_in,
-                  int64_t* n_out) {
-  *u = 0.0;
-  *n_in = 0;
-  *n_out = 0;
-  int64_t outside_before = 0;
-  size_t i = 0;
-  while (i < order.size()) {
-    size_t j = i;
-    while (j + 1 < order.size() && data[order[j + 1]] == data[order[i]]) ++j;
-    int64_t g_in = 0;
-    int64_t g_out = 0;
-    for (size_t k = i; k <= j; ++k) {
-      if (selection.Contains(order[k])) {
-        ++g_in;
-      } else {
-        ++g_out;
-      }
+}  // namespace
+
+RankSumSide RankSumSide::Of(const Selection& selection) {
+  const size_t n = selection.num_rows();
+  const size_t selected = selection.Count();
+  RankSumSide side;
+  side.is_inside = selected <= n - selected;
+  side.rows.reserve(side.is_inside ? selected : n - selected);
+  const auto& words = selection.words();
+  for (size_t w = 0; w < words.size(); ++w) {
+    uint64_t word = side.is_inside ? words[w] : ~words[w];
+    const size_t base = w * Selection::kWordBits;
+    if (!side.is_inside && base + Selection::kWordBits > n) {
+      word &= (uint64_t{1} << (n - base)) - 1;  // drop the tail word's padding
     }
-    *u += static_cast<double>(g_in) * static_cast<double>(outside_before) +
-          0.5 * static_cast<double>(g_in) * static_cast<double>(g_out);
-    outside_before += g_out;
-    *n_in += g_in;
-    *n_out += g_out;
-    i = j + 1;
+    while (word != 0) {
+      const auto bit = static_cast<size_t>(std::countr_zero(word));
+      side.rows.push_back(static_cast<uint32_t>(base + bit));
+      word &= word - 1;
+    }
   }
+  return side;
 }
 
-}  // namespace
+MannWhitneyCounts MannWhitneyFromRanks(const std::vector<uint32_t>& rank2,
+                                       int64_t non_null,
+                                       const RankSumSide& side) {
+  // Branch-free gather: NULL rows hold rank 0, so they add nothing to the
+  // sum and are excluded from the count by the comparison.
+  int64_t r2_sum = 0;
+  int64_t n_side = 0;
+  for (const uint32_t row : side.rows) {
+    const uint32_t r2 = rank2[row];
+    r2_sum += r2;
+    n_side += static_cast<int64_t>(r2 != 0);
+  }
+  const int64_t u2_side = r2_sum - n_side * (n_side + 1);
+  const int64_t n_other = non_null - n_side;
+  MannWhitneyCounts out;
+  out.n_in = side.is_inside ? n_side : n_other;
+  out.n_out = side.is_inside ? n_other : n_side;
+  const int64_t u2_in =
+      side.is_inside ? u2_side : 2 * n_side * n_other - u2_side;
+  out.u = 0.5 * static_cast<double>(u2_in);
+  return out;
+}
 
 Result<ComponentTable> BuildComponentsFromSketches(
     const Table& table, const TableProfile& profile, const Selection& selection,
     const SelectionSketches& inside, const SelectionSketches& outside,
     const ComponentBuildOptions& options) {
+  // The rank gather indexes the profile's rank arrays by row id.
+  ZIGGY_RETURN_NOT_OK(ValidateCharacterizationInput(table, profile, selection));
   ComponentTable out;
   const size_t inside_n = selection.Count();
   out.set_counts(static_cast<int64_t>(inside_n),
                  static_cast<int64_t>(table.num_rows() - inside_n));
   const int64_t kMin = options.min_side_rows;
+  // Decoded once, then gathered against every numeric column's ranks.
+  RankSumSide rank_side;
+  if (options.enable_rank_shift) rank_side = RankSumSide::Of(selection);
 
   // ---- Unary components ---------------------------------------------------
   for (size_t c = 0; c < table.num_columns(); ++c) {
@@ -150,12 +169,9 @@ Result<ComponentTable> BuildComponentsFromSketches(
       disp_c.p_value = VarianceFTest(in_s, out_s).p_value;
       out.Add(std::move(disp_c));
 
-      if (options.enable_rank_shift && !profile.SortOrder(c).empty()) {
-        double u = 0.0;
-        int64_t rn_in = 0;
-        int64_t rn_out = 0;
-        MannWhitneyU(col.numeric_data(), profile.SortOrder(c), selection, &u, &rn_in,
-                     &rn_out);
+      if (options.enable_rank_shift && !profile.Rank2(c).empty()) {
+        const auto [u, rn_in, rn_out] = MannWhitneyFromRanks(
+            profile.Rank2(c), profile.ColumnSketch(c).count, rank_side);
         if (rn_in >= kMin && rn_out >= kMin) {
           ZigComponent rank_c;
           rank_c.kind = ComponentKind::kRankShift;
@@ -335,9 +351,7 @@ Status ValidateCharacterizationInput(const Table& table, const TableProfile& pro
   if (selection.num_rows() != table.num_rows()) {
     return Status::InvalidArgument("selection size does not match table row count");
   }
-  if (profile.num_columns() != table.num_columns()) {
-    return Status::InvalidArgument("profile does not match table (column count)");
-  }
+  ZIGGY_RETURN_NOT_OK(profile.CheckShape(table));
   const size_t inside_n = selection.Count();
   if (inside_n == 0) {
     return Status::FailedPrecondition(

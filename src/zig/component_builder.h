@@ -7,7 +7,9 @@
 //  * kSharedSketch (default, the full paper's optimization): one scan over
 //    the *selected* rows builds the inside sketches; outside statistics are
 //    derived by subtracting from the profile's global sketches. Cost is
-//    O(|selection| * M) regardless of table size.
+//    O(|selection| * M) regardless of table size. The rank-shift component
+//    sums the profile's cached midranks over the smaller of the selection
+//    and its complement, O(min(|S|, N - |S|)) per numeric column.
 //  * kTwoScan (baseline): both sides are scanned explicitly. Cost is
 //    O(N * M). Exists to quantify the sharing benefit (bench A1) and as a
 //    numerical cross-check in tests.
@@ -19,7 +21,9 @@
 #ifndef ZIGGY_ZIG_COMPONENT_BUILDER_H_
 #define ZIGGY_ZIG_COMPONENT_BUILDER_H_
 
+#include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "common/result.h"
 #include "storage/selection.h"
@@ -43,8 +47,8 @@ struct ComponentBuildOptions {
   /// (effect sizes on tiny samples are pure noise).
   int64_t min_side_rows = 3;
   /// Compute the rank-shift (Cliff's delta) component. Requires the
-  /// profile to cache sort orders; costs one O(N) pass per numeric column
-  /// per query.
+  /// profile to cache ranks; costs one O(min(|S|, N - |S|)) rank-sum
+  /// gather per numeric column per query.
   bool enable_rank_shift = true;
   /// Compute the distribution-shift (histogram TV) component. Requires
   /// profile histograms.
@@ -59,6 +63,33 @@ struct ComponentBuildOptions {
 
   bool operator==(const ComponentBuildOptions&) const = default;
 };
+
+/// \brief The side of a selection the rank-shift gather sums over: the
+/// selected rows, or the unselected ones when those are fewer.
+struct RankSumSide {
+  std::vector<uint32_t> rows;  ///< ascending row ids
+  bool is_inside = true;       ///< rows are the selection (else its complement)
+
+  static RankSumSide Of(const Selection& selection);
+};
+
+/// \brief Mann-Whitney U of the inside against the outside over one column's
+/// non-NULL values: pairs where the inside value is greater, ties counted
+/// 1/2.
+struct MannWhitneyCounts {
+  double u = 0.0;
+  int64_t n_in = 0;
+  int64_t n_out = 0;
+};
+
+/// \brief U from a column's doubled midranks (TableProfile::Rank2) and its
+/// non-NULL count, summing ranks over `side` only: with R2 the side's
+/// doubled rank sum over its n non-NULL rows, 2*U_side = R2 - n(n+1), and
+/// U_in = n_in*n_out - U_out when the side is the complement. Exact
+/// integer arithmetic; O(|side|).
+MannWhitneyCounts MannWhitneyFromRanks(const std::vector<uint32_t>& rank2,
+                                       int64_t non_null,
+                                       const RankSumSide& side);
 
 /// \brief Validates a (table, profile, selection) triple for
 /// characterization: matching shapes, and a selection that is neither
@@ -78,7 +109,7 @@ Result<ComponentTable> BuildComponents(const Table& table, const TableProfile& p
                                        const ComponentBuildOptions& options = {});
 
 /// \brief Core assembly: derives/accepts both sides and emits components.
-/// `selection` is still needed for the rank-shift pass. Exposed for the
+/// `selection` is still needed for the rank-shift gather. Exposed for the
 /// Preparer and for tests.
 Result<ComponentTable> BuildComponentsFromSketches(
     const Table& table, const TableProfile& profile, const Selection& selection,

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/logging.h"
 #include "common/parallel.h"
@@ -63,6 +66,79 @@ double EtaFromGroupMoments(const std::vector<MomentSketch>& groups) {
   return ss_total > 0.0 ? std::sqrt(std::clamp(ss_between / ss_total, 0.0, 1.0)) : 0.0;
 }
 
+// Doubled midranks of `data` (see TableProfile::Rank2): sorts the non-NULL
+// (value, row) pairs once, then gives every row of a run of k equal values
+// starting at sorted position i the same 2L + E + 1 = 2i + k + 1.
+std::vector<uint32_t> DoubledMidranks(const std::vector<double>& data) {
+  std::vector<std::pair<double, uint32_t>> sorted;
+  sorted.reserve(data.size());
+  for (size_t r = 0; r < data.size(); ++r) {
+    if (!IsNullNumeric(data[r])) {
+      sorted.emplace_back(data[r], static_cast<uint32_t>(r));
+    }
+  }
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<uint32_t> rank2(data.size(), 0);
+  for (size_t i = 0; i < sorted.size();) {
+    size_t j = i + 1;
+    while (j < sorted.size() && sorted[j].first == sorted[i].first) ++j;
+    const auto r2 = static_cast<uint32_t>(i + j + 1);
+    for (size_t k = i; k < j; ++k) rank2[sorted[k].second] = r2;
+    i = j;
+  }
+  return rank2;
+}
+
+// Shifts `rank2` (doubled midranks of data[0, old_rows)) in place to the
+// doubled midranks of all of `data`, whose rows from old_rows on are new.
+// An old row of value v gains 2*L_B(v) + E_B(v) from the batch's values
+// below and equal to v, found by binary search in the sorted batch. The
+// same pass tallies, per sorted batch slot, the old values below it and
+// equal to it (difference arrays), which completes each new row's rank.
+// O(N log b) for a batch of b rows.
+void ShiftMidranks(const std::vector<double>& data, size_t old_rows,
+                   std::vector<uint32_t>* rank2) {
+  std::vector<double> batch;
+  for (size_t r = old_rows; r < data.size(); ++r) {
+    if (!IsNullNumeric(data[r])) batch.push_back(data[r]);
+  }
+  std::sort(batch.begin(), batch.end());
+  const size_t b = batch.size();
+  // old_below[k] / old_equal[k] first collect difference entries, then are
+  // prefix-summed into the old-value counts for batch slot k.
+  std::vector<int64_t> old_below(b + 1, 0);
+  std::vector<int64_t> old_equal(b + 1, 0);
+  // Slots [lo, hi) of the sorted batch hold the values equal to v.
+  const auto batch_slots = [&batch](double v) {
+    const auto [first, last] = std::equal_range(batch.begin(), batch.end(), v);
+    return std::pair<size_t, size_t>(
+        static_cast<size_t>(first - batch.begin()),
+        static_cast<size_t>(last - batch.begin()));
+  };
+  for (size_t r = 0; r < old_rows; ++r) {
+    const double v = data[r];
+    if (IsNullNumeric(v)) continue;
+    const auto [lo, hi] = batch_slots(v);
+    (*rank2)[r] += static_cast<uint32_t>(2 * lo + (hi - lo));
+    ++old_below[hi];  // v is below every batch value from slot hi on
+    ++old_equal[lo];  // ... and equal to slots [lo, hi)
+    --old_equal[hi];
+  }
+  for (size_t k = 1; k <= b; ++k) {
+    old_below[k] += old_below[k - 1];
+    old_equal[k] += old_equal[k - 1];
+  }
+  rank2->resize(data.size(), 0);
+  for (size_t r = old_rows; r < data.size(); ++r) {
+    const double v = data[r];
+    if (IsNullNumeric(v)) continue;
+    const auto [lo, hi] = batch_slots(v);
+    const int64_t below = old_below[lo] + static_cast<int64_t>(lo);
+    const int64_t equal = old_equal[lo] + static_cast<int64_t>(hi - lo);
+    (*rank2)[r] = static_cast<uint32_t>(2 * below + equal + 1);
+  }
+}
+
 }  // namespace
 
 size_t HistogramBinOf(double v, double lo, double hi, size_t bins) {
@@ -81,7 +157,7 @@ Result<TableProfile> TableProfile::Compute(const Table& table, ProfileOptions op
   p.column_sketches_.resize(m);
   p.category_counts_.resize(m);
   p.ranges_.assign(m, {0.0, 0.0});
-  p.sort_orders_.resize(m);
+  p.rank2_.resize(m);
   p.histograms_.resize(m);
   p.dependency_.assign(m * m, 0.0);
   p.numeric_pair_index_.assign(m * m, -1);
@@ -109,18 +185,7 @@ Result<TableProfile> TableProfile::Compute(const Table& table, ProfileOptions op
         if (!IsNullNumeric(v)) p.column_sketches_[c].Add(v);
       }
       const auto& data = col.numeric_data();
-      if (options.cache_sort_orders) {
-        auto& order = p.sort_orders_[c];
-        order.reserve(data.size());
-        for (size_t r = 0; r < data.size(); ++r) {
-          if (!IsNullNumeric(data[r])) order.push_back(static_cast<uint32_t>(r));
-        }
-        // Row-id tiebreak: ties sort deterministically, so the append
-        // path's sorted-run merge reproduces Compute's order exactly.
-        std::sort(order.begin(), order.end(), [&data](uint32_t a, uint32_t b) {
-          return data[a] < data[b] || (data[a] == data[b] && a < b);
-        });
-      }
+      if (options.cache_ranks) p.rank2_[c] = DoubledMidranks(data);
       if (options.histogram_bins > 0) {
         auto& hist = p.histograms_[c];
         hist.assign(options.histogram_bins, 0);
@@ -322,21 +387,7 @@ Result<ProfileAppendEffects> TableProfile::ApplyAppend(const Table& new_table,
         ranges_[c] = {lo, hi};
         fx.ranges_extended = true;
       }
-      if (options_.cache_sort_orders) {
-        auto& order = sort_orders_[c];
-        const size_t old_size = order.size();
-        for (size_t r = old_num_rows; r < new_rows; ++r) {
-          if (!IsNullNumeric(data[r])) order.push_back(static_cast<uint32_t>(r));
-        }
-        const auto by_value = [&data](uint32_t a, uint32_t b) {
-          return data[a] < data[b] || (data[a] == data[b] && a < b);
-        };
-        std::sort(order.begin() + static_cast<int64_t>(old_size), order.end(),
-                  by_value);
-        std::inplace_merge(order.begin(),
-                           order.begin() + static_cast<int64_t>(old_size),
-                           order.end(), by_value);
-      }
+      if (options_.cache_ranks) ShiftMidranks(data, old_num_rows, &rank2_[c]);
       if (!histograms_[c].empty()) {
         auto& hist = histograms_[c];
         const auto [rlo, rhi] = ranges_[c];
@@ -437,6 +488,22 @@ Result<ProfileAppendEffects> TableProfile::ApplyAppend(const Table& new_table,
   return fx;
 }
 
+Status TableProfile::CheckShape(const Table& table) const {
+  if (table.num_columns() != num_columns_) {
+    return Status::InvalidArgument(
+        "profile does not match table (column count)");
+  }
+  for (const auto& ranks : rank2_) {
+    if (!ranks.empty() && ranks.size() != table.num_rows()) {
+      return Status::InvalidArgument(
+          "profile does not match table (rank array of " +
+          std::to_string(ranks.size()) + " rows, table has " +
+          std::to_string(table.num_rows()) + ")");
+    }
+  }
+  return Status::OK();
+}
+
 double TableProfile::Dependency(size_t a, size_t b) const {
   ZIGGY_DCHECK(a < num_columns_ && b < num_columns_);
   if (a == b) return 1.0;
@@ -452,7 +519,7 @@ size_t TableProfile::MemoryUsageBytes() const {
   size_t bytes = 0;
   bytes += column_sketches_.capacity() * sizeof(MomentSketch);
   for (const auto& v : category_counts_) bytes += v.capacity() * sizeof(int64_t);
-  for (const auto& v : sort_orders_) bytes += v.capacity() * sizeof(uint32_t);
+  for (const auto& v : rank2_) bytes += v.capacity() * sizeof(uint32_t);
   for (const auto& v : histograms_) bytes += v.capacity() * sizeof(int64_t);
   bytes += dependency_.capacity() * sizeof(double);
   bytes += numeric_pair_index_.capacity() * sizeof(int64_t);

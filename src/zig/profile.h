@@ -36,9 +36,9 @@ struct ProfileOptions {
   /// Hard cap on tracked pairs (safety valve for very wide tables). Pairs
   /// with the highest dependency are kept.
   size_t max_tracked_pairs = 250000;
-  /// Cache the per-column sort order (row ids ascending by value). Needed
-  /// by the rank-shift component; costs ~4 bytes/cell.
-  bool cache_sort_orders = true;
+  /// Cache each numeric column's doubled midranks (see Rank2). Needed by
+  /// the rank-shift component; costs 4 bytes/cell.
+  bool cache_ranks = true;
   /// Bins of the per-column global histograms backing the
   /// distribution-shift component (0 disables).
   size_t histogram_bins = 16;
@@ -123,7 +123,8 @@ class TableProfile {
   /// a fresh Compute over the grown table: column/pair moment sketches
   /// (appended values extend the same ascending-row summation chains),
   /// category counts, histograms (rebuilt per column when its range grew),
-  /// cached sort orders (sorted appended run merged in), and the
+  /// cached midranks (old rows shift by the batch values below and equal
+  /// to theirs; O(N log b) for a batch of b rows), and the
   /// dependency entries + statistics of every *tracked* pair. Two things
   /// are frozen at build time, by design: the tracked-pair membership and
   /// the dependency entries of untracked pairs (refreshing those would
@@ -146,15 +147,23 @@ class TableProfile {
   /// Global [min, max] of numeric column `col`.
   std::pair<double, double> ColumnRange(size_t col) const { return ranges_[col]; }
 
-  /// Row ids of numeric column `col` sorted ascending by value, NULL rows
-  /// excluded. Empty when cache_sort_orders is off or `col` is categorical.
-  const std::vector<uint32_t>& SortOrder(size_t col) const { return sort_orders_[col]; }
+  /// Doubled midranks of numeric column `col`, one per row: 2L + E + 1,
+  /// where L counts the column's non-NULL values below the row's value and
+  /// E the values equal to it (the row included); 0 for a NULL row. Twice
+  /// the row's 1-based tie-averaged rank, so rank sums stay integral.
+  /// Empty when cache_ranks is off or `col` is categorical.
+  const std::vector<uint32_t>& Rank2(size_t col) const { return rank2_[col]; }
 
   /// Global equi-width histogram counts of numeric column `col` over
   /// ColumnRange(col); empty when histogram_bins == 0 or categorical.
   const std::vector<int64_t>& HistogramCountsOf(size_t col) const {
     return histograms_[col];
   }
+
+  /// OK when this profile describes `table`'s shape: the same column count,
+  /// and every cached rank array spans exactly the table's rows (the rank
+  /// gather indexes them by row id).
+  Status CheckShape(const Table& table) const;
 
   /// Dependency S(col_a, col_b) in [0, 1] (Eq. 2 measure).
   double Dependency(size_t a, size_t b) const;
@@ -209,7 +218,7 @@ class TableProfile {
   std::vector<MomentSketch> column_sketches_;
   std::vector<std::vector<int64_t>> category_counts_;
   std::vector<std::pair<double, double>> ranges_;
-  std::vector<std::vector<uint32_t>> sort_orders_;
+  std::vector<std::vector<uint32_t>> rank2_;
   std::vector<std::vector<int64_t>> histograms_;
   std::vector<double> dependency_;  // dense num_columns^2, symmetric
 

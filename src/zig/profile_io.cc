@@ -1,12 +1,16 @@
 // Binary serialization of TableProfile (see profile.h). Format:
-//   magic "ZIGPROF1" | options | column count | per-field arrays,
-// all little-endian, every array length-prefixed with a u64.
+//   magic "ZIGPROF3" | options | column count | per-field arrays | crc32,
+// all little-endian, every array length-prefixed with a u64. The trailing
+// CRC-32 covers every byte before it.
 
 #include <cstring>
 #include <fstream>
 #include <istream>
+#include <iterator>
 #include <ostream>
+#include <sstream>
 
+#include "common/checksum.h"
 #include "zig/profile.h"
 
 namespace ziggy {
@@ -15,9 +19,11 @@ namespace {
 
 // Format 2: histogram binning switched to the precomputed-reciprocal
 // formula (HistogramBinner), which can place boundary values in a
-// different bin than format 1; profiles persisted before the switch must
-// be recomputed, not silently subtracted against.
-constexpr char kMagic[8] = {'Z', 'I', 'G', 'P', 'R', 'O', 'F', '2'};
+// different bin than format 1. Format 3: the per-column sort orders became
+// doubled midranks (TableProfile::Rank2) and the stream gained a CRC-32
+// trailer. Profiles persisted in an older format must be recomputed, not
+// silently subtracted against.
+constexpr char kMagic[8] = {'Z', 'I', 'G', 'P', 'R', 'O', 'F', '3'};
 
 // ---- primitive writers -----------------------------------------------------
 
@@ -144,12 +150,14 @@ Result<std::vector<std::pair<size_t, size_t>>> ReadPairList(std::istream* in) {
 
 }  // namespace
 
-Status TableProfile::Serialize(std::ostream* out) const {
-  if (out == nullptr) return Status::InvalidArgument("null output stream");
+Status TableProfile::Serialize(std::ostream* sink) const {
+  if (sink == nullptr) return Status::InvalidArgument("null output stream");
+  std::ostringstream buffer(std::ios::binary);
+  std::ostream* out = &buffer;
   out->write(kMagic, sizeof(kMagic));
   WriteF64(out, options_.pair_dependency_floor);
   WriteU64(out, options_.max_tracked_pairs);
-  WriteU8(out, options_.cache_sort_orders ? 1 : 0);
+  WriteU8(out, options_.cache_ranks ? 1 : 0);
   WriteU64(out, options_.histogram_bins);
   WriteU64(out, num_columns_);
 
@@ -165,8 +173,8 @@ Status TableProfile::Serialize(std::ostream* out) const {
     WriteF64(out, hi);
   }
 
-  WriteU64(out, sort_orders_.size());
-  for (const auto& v : sort_orders_) WritePodVector(out, v);
+  WriteU64(out, rank2_.size());
+  for (const auto& v : rank2_) WritePodVector(out, v);
 
   WriteU64(out, histograms_.size());
   for (const auto& v : histograms_) WritePodVector(out, v);
@@ -188,14 +196,18 @@ Status TableProfile::Serialize(std::ostream* out) const {
   WriteU64(out, categorical_pair_tables_.size());
   for (const auto& t : categorical_pair_tables_) WritePodVector(out, t);
 
-  if (!*out) return Status::IOError("profile write failed");
+  const std::string bytes = std::move(buffer).str();
+  const uint32_t crc = Crc32(bytes);
+  sink->write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  sink->write(reinterpret_cast<const char*>(&crc), sizeof(crc));
+  if (!*sink) return Status::IOError("profile write failed");
   return Status::OK();
 }
 
-Result<TableProfile> TableProfile::Deserialize(std::istream* in) {
-  if (in == nullptr) return Status::InvalidArgument("null input stream");
+Result<TableProfile> TableProfile::Deserialize(std::istream* source) {
+  if (source == nullptr) return Status::InvalidArgument("null input stream");
   char magic[8];
-  ZIGGY_RETURN_NOT_OK(ReadRaw(in, magic, sizeof(magic)));
+  ZIGGY_RETURN_NOT_OK(ReadRaw(source, magic, sizeof(magic)));
   if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
     // A recognized-but-older version gets an explicit mismatch error:
     // format 1 profiles binned histograms with a different boundary
@@ -209,12 +221,30 @@ Result<TableProfile> TableProfile::Deserialize(std::istream* in) {
     }
     return Status::ParseError("not a Ziggy profile (bad magic)");
   }
+  // Verify the trailer before parsing anything, so a damaged stream never
+  // yields a profile with plausible-looking but wrong statistics.
+  std::string body((std::istreambuf_iterator<char>(*source)),
+                   std::istreambuf_iterator<char>());
+  uint32_t stored_crc = 0;
+  if (body.size() < sizeof(stored_crc)) {
+    return Status::IOError("truncated profile stream");
+  }
+  std::memcpy(&stored_crc, body.data() + body.size() - sizeof(stored_crc),
+              sizeof(stored_crc));
+  body.resize(body.size() - sizeof(stored_crc));
+  const uint32_t magic_crc = Crc32(std::string_view(magic, sizeof(magic)));
+  if (Crc32(body, magic_crc) != stored_crc) {
+    return Status::ParseError("profile checksum mismatch");
+  }
+  std::istringstream body_stream(std::move(body), std::ios::binary);
+  std::istream* in = &body_stream;
+
   TableProfile p;
   ZIGGY_ASSIGN_OR_RETURN(p.options_.pair_dependency_floor, ReadF64(in));
   ZIGGY_ASSIGN_OR_RETURN(uint64_t max_pairs, ReadU64(in));
   p.options_.max_tracked_pairs = static_cast<size_t>(max_pairs);
-  ZIGGY_ASSIGN_OR_RETURN(uint8_t cache_orders, ReadU8(in));
-  p.options_.cache_sort_orders = cache_orders != 0;
+  ZIGGY_ASSIGN_OR_RETURN(uint8_t cache_ranks, ReadU8(in));
+  p.options_.cache_ranks = cache_ranks != 0;
   ZIGGY_ASSIGN_OR_RETURN(uint64_t hist_bins, ReadU64(in));
   p.options_.histogram_bins = static_cast<size_t>(hist_bins);
   ZIGGY_ASSIGN_OR_RETURN(uint64_t m, ReadU64(in));
@@ -242,11 +272,10 @@ Result<TableProfile> TableProfile::Deserialize(std::istream* in) {
     p.ranges_.emplace_back(lo, hi);
   }
 
-  ZIGGY_ASSIGN_OR_RETURN(uint64_t n_orders, ReadU64(in));
-  p.sort_orders_.reserve(n_orders);
-  for (uint64_t i = 0; i < n_orders; ++i) {
+  ZIGGY_ASSIGN_OR_RETURN(uint64_t n_ranks, ReadU64(in));
+  for (uint64_t i = 0; i < n_ranks; ++i) {
     ZIGGY_ASSIGN_OR_RETURN(std::vector<uint32_t> v, ReadPodVector<uint32_t>(in));
-    p.sort_orders_.push_back(std::move(v));
+    p.rank2_.push_back(std::move(v));
   }
 
   ZIGGY_ASSIGN_OR_RETURN(uint64_t n_hists, ReadU64(in));
@@ -291,11 +320,14 @@ Result<TableProfile> TableProfile::Deserialize(std::istream* in) {
   // Structural consistency checks.
   const size_t mm = p.num_columns_;
   if (p.column_sketches_.size() != mm || p.category_counts_.size() != mm ||
-      p.ranges_.size() != mm || p.dependency_.size() != mm * mm ||
+      p.ranges_.size() != mm || p.rank2_.size() != mm ||
+      p.dependency_.size() != mm * mm ||
       p.numeric_pair_index_.size() != mm * mm ||
       p.numeric_pair_sketches_.size() != p.tracked_numeric_pairs_.size() ||
       p.mixed_pair_groups_.size() != p.tracked_mixed_pairs_.size() ||
-      p.categorical_pair_tables_.size() != p.tracked_categorical_pairs_.size()) {
+      p.categorical_pair_tables_.size() !=
+          p.tracked_categorical_pairs_.size() ||
+      in->peek() != std::char_traits<char>::eof()) {
     return Status::ParseError("inconsistent profile stream");
   }
   return p;
@@ -324,7 +356,7 @@ bool TableProfile::Equals(const TableProfile& other) const {
   }
   if (category_counts_ != other.category_counts_) return false;
   if (ranges_ != other.ranges_) return false;
-  if (sort_orders_ != other.sort_orders_) return false;
+  if (rank2_ != other.rank2_) return false;
   if (histograms_ != other.histograms_) return false;
   if (dependency_ != other.dependency_) return false;
   if (tracked_numeric_pairs_ != other.tracked_numeric_pairs_) return false;

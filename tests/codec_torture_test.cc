@@ -1,13 +1,13 @@
 // Torture-tests every on-disk format through the shared harness
 // (tests/codec_torture.h): ZIGTBL01/ZIGTBL02 tables (the v2 both with
 // inline and pooled dictionaries), ZIGDLT01/ZIGDLT02 delta segments,
-// ZIGSKC01 sketch snapshots, and ZIGDIC01 pooled dictionary files. Each
-// format first proves the unmutated image round-trips (so a codec that
-// rejects everything cannot pass), then survives every-offset
-// truncation, exhaustive bit flips, and random splices with a clean
-// rejection each time. The store-level sketch run additionally pins the
-// degrade contract: a damaged sketch file never installs entries and
-// never fails the table load.
+// ZIGPROF3 profiles, ZIGSKC01 sketch snapshots, and ZIGDIC01 pooled
+// dictionary files. Each format first proves the unmutated image
+// round-trips (so a codec that rejects everything cannot pass), then
+// survives every-offset truncation, exhaustive bit flips, and random
+// splices with a clean rejection each time. The store-level sketch run
+// additionally pins the degrade contract: a damaged sketch file never
+// installs entries and never fails the table load.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +25,7 @@
 #include "persist/store.h"
 #include "serve/ziggy_server.h"
 #include "storage/table_io.h"
+#include "zig/profile.h"
 
 namespace ziggy {
 namespace {
@@ -171,6 +172,28 @@ TEST(CodecTortureTest, PooledDictionary) {
   ASSERT_TRUE(DictPool::ParseDict(image, hash).ok());
   torture::TortureImage("ZIGDIC01", image, [hash](const std::string& bytes) {
     return !DictPool::ParseDict(bytes, hash).ok();
+  });
+}
+
+// ----------------------------------------------------------- profiles ----
+
+TEST(CodecTortureTest, ProfileV3) {
+  const TableProfile profile =
+      TableProfile::Compute(MakeMixedTable()).ValueOrDie();
+  std::ostringstream out(std::ios::binary);
+  ASSERT_TRUE(profile.Serialize(&out).ok());
+  const std::string image = out.str();
+  auto parse = [](const std::string& bytes) {
+    std::istringstream in(bytes, std::ios::binary);
+    return TableProfile::Deserialize(&in);
+  };
+  {
+    Result<TableProfile> ok = parse(image);
+    ASSERT_TRUE(ok.ok()) << ok.status();
+    ASSERT_TRUE(ok->Equals(profile));
+  }
+  torture::TortureImage("ZIGPROF3", image, [&parse](const std::string& bytes) {
+    return !parse(bytes).ok();
   });
 }
 

@@ -53,30 +53,36 @@ Fixture MakeFixture(uint64_t seed = 77) {
 
 // ----------------------------------------------------------- new profile --
 
-TEST(ProfileExtensionsTest, SortOrderIsAscending) {
+TEST(ProfileExtensionsTest, RanksFollowValueOrder) {
   Fixture fx = MakeFixture();
-  const auto& order = fx.profile.SortOrder(0);
+  const auto& rank2 = fx.profile.Rank2(0);
   const auto& data = fx.table.column(0).numeric_data();
-  ASSERT_EQ(order.size(), fx.table.num_rows());
-  for (size_t i = 1; i < order.size(); ++i) {
-    EXPECT_LE(data[order[i - 1]], data[order[i]]);
+  ASSERT_EQ(rank2.size(), fx.table.num_rows());
+  for (size_t i = 0; i < data.size(); ++i) {
+    for (size_t j = 0; j < data.size(); j += 17) {
+      EXPECT_EQ(data[i] < data[j], rank2[i] < rank2[j]);
+      EXPECT_EQ(data[i] == data[j], rank2[i] == rank2[j]);
+    }
   }
 }
 
-TEST(ProfileExtensionsTest, SortOrderExcludesNulls) {
-  Table t = Table::FromColumns(
-                {Column::FromNumeric("x", {3.0, NullNumeric(), 1.0, NullNumeric()})})
-                .ValueOrDie();
+TEST(ProfileExtensionsTest, RanksAreDoubledMidranksWithNullsZero) {
+  const double kNull = NullNumeric();
+  std::vector<Column> columns;
+  columns.push_back(
+      Column::FromNumeric("x", {3.0, kNull, 1.0, kNull, 3.0, 2.0, 3.0}));
+  Table t = Table::FromColumns(std::move(columns)).ValueOrDie();
   TableProfile p = TableProfile::Compute(t).ValueOrDie();
-  EXPECT_EQ(p.SortOrder(0).size(), 2u);
+  // Non-NULL values 1, 2, 3, 3, 3 hold ranks 1, 2 and midrank 4 for the ties.
+  EXPECT_EQ(p.Rank2(0), (std::vector<uint32_t>{8, 0, 2, 0, 8, 4, 8}));
 }
 
-TEST(ProfileExtensionsTest, SortOrderOptional) {
+TEST(ProfileExtensionsTest, RanksOptional) {
   Fixture fx = MakeFixture();
   ProfileOptions opts;
-  opts.cache_sort_orders = false;
+  opts.cache_ranks = false;
   TableProfile p = TableProfile::Compute(fx.table, opts).ValueOrDie();
-  EXPECT_TRUE(p.SortOrder(0).empty());
+  EXPECT_TRUE(p.Rank2(0).empty());
 }
 
 TEST(ProfileExtensionsTest, GlobalHistogramCoversAllRows) {

@@ -2,8 +2,8 @@
 //
 // The serving layer's append path leans on a strong claim: everything the
 // delta machinery reaches is updated *bit-identically* to recomputing from
-// scratch (same summation chains, same sort order after the tiebreak, same
-// refreshed dependencies for tracked pairs). With the pair-tracking floor
+// scratch (same summation chains, same doubled midranks, same refreshed
+// dependencies for tracked pairs). With the pair-tracking floor
 // at 0 every pair is tracked, nothing is frozen, and the claim upgrades to
 // full TableProfile::Equals — which these tests assert.
 
@@ -16,6 +16,7 @@
 
 #include "common/random.h"
 #include "storage/table.h"
+#include "storage/types.h"
 #include "zig/profile.h"
 
 namespace ziggy {
@@ -55,7 +56,7 @@ ProfileOptions TrackEverything() {
   ProfileOptions options;
   options.pair_dependency_floor = 0.0;  // nothing frozen: full equality holds
   options.histogram_bins = 8;
-  options.cache_sort_orders = true;
+  options.cache_ranks = true;
   return options;
 }
 
@@ -151,6 +152,84 @@ TEST(ProfileAppendTest, ChainedAppendsStayExact) {
   auto fresh = TableProfile::Compute(current, TrackEverything());
   ASSERT_TRUE(fresh.ok());
   EXPECT_TRUE(profile->Equals(*fresh));
+}
+
+// A batch with the fixture's schema from explicit numeric cells; the
+// categorical cells cycle through existing labels.
+Table MakeBatch(std::vector<double> a, std::vector<double> b,
+                std::vector<double> c) {
+  std::vector<std::string> g(a.size());
+  std::vector<std::string> h(a.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    g[i] = "g" + std::to_string(i % 3);
+    h[i] = "h" + std::to_string(i % 2);
+  }
+  auto table = Table::FromColumns({
+      Column::FromNumeric("a", std::move(a)),
+      Column::FromNumeric("b", std::move(b)),
+      Column::FromNumeric("c", std::move(c)),
+      Column::FromStrings("g", g),
+      Column::FromStrings("h", h),
+  });
+  EXPECT_TRUE(table.ok());
+  return std::move(table).ValueOrDie();
+}
+
+TEST(ProfileAppendTest, MultiBatchRanksMatchFreshCompute) {
+  // Batches that tie existing values, tie each other, push new minima and
+  // maxima, and carry NULLs: the shifted midranks must equal a fresh
+  // Compute's, rank arrays included in Equals.
+  Table current = MakeTable(200, 31);
+  {
+    // NULL a slice of the base so old NULL rows must keep rank 0.
+    std::vector<double> a = current.column(0).numeric_data();
+    std::vector<double> c = current.column(2).numeric_data();
+    for (size_t i = 0; i < a.size(); i += 7) a[i] = NullNumeric();
+    for (size_t i = 3; i < c.size(); i += 11) c[i] = NullNumeric();
+    std::vector<std::string> g;
+    std::vector<std::string> h;
+    for (size_t i = 0; i < current.num_rows(); ++i) {
+      g.push_back(current.column(3).dictionary()[current.column(3).codes()[i]]);
+      h.push_back(current.column(4).dictionary()[current.column(4).codes()[i]]);
+    }
+    std::vector<Column> columns;
+    columns.push_back(Column::FromNumeric("a", std::move(a)));
+    columns.push_back(current.column(1));
+    columns.push_back(Column::FromNumeric("c", std::move(c)));
+    columns.push_back(Column::FromStrings("g", g));
+    columns.push_back(Column::FromStrings("h", h));
+    current = Table::FromColumns(std::move(columns)).ValueOrDie();
+  }
+  auto profile = TableProfile::Compute(current, TrackEverything());
+  ASSERT_TRUE(profile.ok());
+
+  const auto& a0 = current.column(0).numeric_data();
+  const auto& b0 = current.column(1).numeric_data();
+  const auto& c0 = current.column(2).numeric_data();
+  const double kNull = NullNumeric();
+  const std::vector<Table> batches = {
+      // Exact copies of existing values (ties with old rows), plus NULLs.
+      MakeBatch({a0[1], a0[1], kNull, a0[5]}, {b0[2], b0[9], b0[9], kNull},
+                {c0[4], kNull, c0[4], c0[8]}),
+      // New minima and maxima, one tied inside the batch.
+      MakeBatch({-50.0, 50.0, 50.0, a0[2]}, {-40.0, b0[1], 40.0, 40.0},
+                {kNull, -30.0, 30.0, -30.0}),
+      // Values tying the previous batch's extremes, and an all-NULL row.
+      MakeBatch({50.0, kNull, -50.0}, {kNull, -40.0, 40.0},
+                {30.0, kNull, kNull}),
+  };
+  for (const Table& batch : batches) {
+    auto grown = current.WithAppendedRows(batch);
+    ASSERT_TRUE(grown.ok()) << grown.status();
+    ASSERT_TRUE(profile->ApplyAppend(*grown, current.num_rows()).ok());
+    current = std::move(*grown);
+    auto fresh = TableProfile::Compute(current, TrackEverything());
+    ASSERT_TRUE(fresh.ok());
+    for (size_t c = 0; c < 3; ++c) {
+      EXPECT_EQ(profile->Rank2(c), fresh->Rank2(c)) << "column " << c;
+    }
+    EXPECT_TRUE(profile->Equals(*fresh));
+  }
 }
 
 TEST(ProfileAppendTest, RejectsMalformedAppends) {

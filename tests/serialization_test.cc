@@ -28,6 +28,38 @@ TEST(ProfileSerializationTest, StreamRoundTripIsExact) {
   EXPECT_EQ(restored.tracked_numeric_pairs(), original.tracked_numeric_pairs());
 }
 
+TEST(ProfileSerializationTest, RoundTripPreservesRanks) {
+  SyntheticDataset ds = MakeBoxOfficeDataset().ValueOrDie();
+  TableProfile original = TableProfile::Compute(ds.table).ValueOrDie();
+  std::stringstream buf;
+  ASSERT_TRUE(original.Serialize(&buf).ok());
+  EXPECT_EQ(buf.str().substr(0, 8), "ZIGPROF3");
+  TableProfile restored = TableProfile::Deserialize(&buf).ValueOrDie();
+  size_t ranked = 0;
+  for (size_t c = 0; c < original.num_columns(); ++c) {
+    EXPECT_EQ(restored.Rank2(c), original.Rank2(c)) << "column " << c;
+    if (!original.Rank2(c).empty()) {
+      EXPECT_EQ(original.Rank2(c).size(), ds.table.num_rows());
+      ++ranked;
+    }
+  }
+  EXPECT_GT(ranked, 0u);
+}
+
+TEST(ProfileSerializationTest, ChecksumCatchesFlippedBit) {
+  // A flipped bit in a statistics payload still parses structurally;
+  // only the CRC trailer tells it apart from the real profile.
+  SyntheticDataset ds = MakeBoxOfficeDataset().ValueOrDie();
+  TableProfile original = TableProfile::Compute(ds.table).ValueOrDie();
+  std::stringstream buf;
+  ASSERT_TRUE(original.Serialize(&buf).ok());
+  std::string bytes = buf.str();
+  bytes[bytes.size() / 2] ^= 0x10;
+  std::stringstream flipped(bytes);
+  Status st = TableProfile::Deserialize(&flipped).status();
+  EXPECT_TRUE(st.IsParseError()) << st;
+}
+
 TEST(ProfileSerializationTest, RestoredProfileProducesIdenticalComponents) {
   SyntheticDataset ds = MakeBoxOfficeDataset().ValueOrDie();
   TableProfile original = TableProfile::Compute(ds.table).ValueOrDie();
@@ -61,16 +93,19 @@ TEST(ProfileSerializationTest, BadMagicRejected) {
 }
 
 TEST(ProfileSerializationTest, LegacyVersionGetsExplicitMismatchError) {
-  // A ZIGPROF1 stream (format 1 binned histogram boundaries differently —
-  // see the kMagic comment in profile_io.cc) must be rejected with an
-  // actionable version error telling the user to recompute, not the
-  // generic bad-magic ParseError an unrelated file gets.
-  std::stringstream v1;
-  v1 << "ZIGPROF1" << std::string(64, '\0');
-  Status st = TableProfile::Deserialize(&v1).status();
-  EXPECT_TRUE(st.IsFailedPrecondition()) << st;
-  EXPECT_NE(st.message().find("version"), std::string::npos);
-  EXPECT_NE(st.message().find("recompute"), std::string::npos);
+  // ZIGPROF1 streams binned histogram boundaries differently and ZIGPROF2
+  // streams carry sort orders instead of ranks (see the kMagic comment in
+  // profile_io.cc). Both must be rejected with an actionable version error
+  // telling the user to recompute, not the generic bad-magic ParseError an
+  // unrelated file gets.
+  for (const char* legacy : {"ZIGPROF1", "ZIGPROF2"}) {
+    std::stringstream old_stream;
+    old_stream << legacy << std::string(64, '\0');
+    Status st = TableProfile::Deserialize(&old_stream).status();
+    EXPECT_TRUE(st.IsFailedPrecondition()) << legacy << ": " << st;
+    EXPECT_NE(st.message().find("version"), std::string::npos) << legacy;
+    EXPECT_NE(st.message().find("recompute"), std::string::npos) << legacy;
+  }
 
   // A hypothetical future format is refused the same way (no silent
   // misparse of a newer stream by an older binary).
@@ -100,14 +135,14 @@ TEST(ProfileSerializationTest, OptionsSurviveRoundTrip) {
   ProfileOptions opts;
   opts.pair_dependency_floor = 0.123;
   opts.histogram_bins = 7;
-  opts.cache_sort_orders = false;
+  opts.cache_ranks = false;
   TableProfile original = TableProfile::Compute(ds.table, opts).ValueOrDie();
   std::stringstream buf;
   ASSERT_TRUE(original.Serialize(&buf).ok());
   TableProfile restored = TableProfile::Deserialize(&buf).ValueOrDie();
   EXPECT_DOUBLE_EQ(restored.options().pair_dependency_floor, 0.123);
   EXPECT_EQ(restored.options().histogram_bins, 7u);
-  EXPECT_FALSE(restored.options().cache_sort_orders);
+  EXPECT_FALSE(restored.options().cache_ranks);
 }
 
 // ----------------------------------------------------------------- JSON ------

@@ -22,6 +22,7 @@
 #include "common/random.h"
 #include "common/string_util.h"
 #include "data/synthetic.h"
+#include "query/parser.h"
 #include "serve/ziggy_server.h"
 
 namespace ziggy {
@@ -167,6 +168,77 @@ ResultGrid RunWorkload(const SyntheticDataset& ds, const ServeOptions& options,
   }
   for (auto& w : workers) w.join();
   return results;
+}
+
+TEST(ServeStressTest, FingerprintCollisionsNeverServeAnotherSelection) {
+  // Rows 447 and 1023 are bit 63 of words 6 and 15. Selections differing
+  // in exactly those two rows collide under Selection::Fingerprint, so
+  // both exact-hit tiers (a session's component cache, the shared sketch
+  // cache) must compare the selection itself before serving a hit.
+  const SyntheticDataset ds = MakeDataset();
+  std::vector<Column> columns;
+  for (size_t c = 0; c < ds.table.num_columns(); ++c) {
+    columns.push_back(ds.table.column(c));
+  }
+  std::vector<double> ids(ds.table.num_rows());
+  for (size_t r = 0; r < ids.size(); ++r) ids[r] = static_cast<double>(r);
+  columns.push_back(Column::FromNumeric("id", std::move(ids)));
+  const Table table = Table::FromColumns(std::move(columns)).ValueOrDie();
+
+  // The planted selection with both rows forced in, and forced out.
+  const std::string& planted = ds.selection_predicate;
+  const std::string with_rows = "(" + planted + ") OR id = 447 OR id = 1023";
+  const std::string without_rows =
+      "(" + planted + ") AND id != 447 AND id != 1023";
+  auto evaluate = [&table](const std::string& query) {
+    return ParseQuery(query).ValueOrDie()->Evaluate(table).ValueOrDie();
+  };
+  const Selection a = evaluate(with_rows);
+  const Selection b = evaluate(without_rows);
+  ASSERT_FALSE(a == b);
+  ASSERT_EQ(a.Fingerprint(), b.Fingerprint());
+
+  // Render plus each view's detail lines, whose inside statistics move
+  // with the two rows even where the normalized scores saturate.
+  auto render = [](const Characterization& c) {
+    std::string out = Render(c);
+    for (const auto& cv : c.views) {
+      for (const auto& d : cv.explanation.details) out += "  - " + d + "\n";
+    }
+    return out;
+  };
+  // Patching off: every miss is a full scan, so the answers are
+  // byte-identical to each query run alone on its own server.
+  const ServeOptions options = StressOptions();
+  auto solo = [&](const std::string& query) {
+    auto server = ZiggyServer::Create(table, options).ValueOrDie();
+    return render(
+        server->Characterize(server->OpenSession(), query).ValueOrDie());
+  };
+  const std::string want_with = solo(with_rows);
+  const std::string want_without = solo(without_rows);
+  ASSERT_NE(want_with, want_without);
+
+  auto server = ZiggyServer::Create(table, options).ValueOrDie();
+  const uint64_t first = server->OpenSession();
+  const uint64_t second = server->OpenSession();
+  const Characterization r1 =
+      server->Characterize(first, with_rows).ValueOrDie();
+  EXPECT_EQ(r1.inside_count, static_cast<int64_t>(a.Count()));
+  EXPECT_EQ(render(r1), want_with);
+  // Another session: the shared sketch cache holds `with_rows` under the
+  // colliding fingerprint.
+  const Characterization r2 =
+      server->Characterize(second, without_rows).ValueOrDie();
+  EXPECT_NE(r2.sketch_source, SketchSource::kCacheExact);
+  EXPECT_EQ(r2.inside_count, static_cast<int64_t>(b.Count()));
+  EXPECT_EQ(render(r2), want_without);
+  // The first session again: its component cache holds `with_rows`.
+  const Characterization r3 =
+      server->Characterize(first, without_rows).ValueOrDie();
+  EXPECT_FALSE(r3.cache_hit);
+  EXPECT_EQ(r3.inside_count, static_cast<int64_t>(b.Count()));
+  EXPECT_EQ(render(r3), want_without);
 }
 
 TEST(ServeStressTest, ConcurrentMixedTrafficByteMatchesSequentialReplay) {

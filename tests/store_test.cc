@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "common/fault.h"
+#include "common/random.h"
 #include "data/synthetic.h"
 #include "engine/report.h"
 #include "persist/fs_util.h"
@@ -377,17 +378,38 @@ TEST_F(StoreCorruptionTest, WrongMagicProfileFailsCleanly) {
 }
 
 TEST_F(StoreCorruptionTest, LegacyProfileVersionExplicitlyRejected) {
-  // A ZIGPROF1 payload must produce the version-mismatch error, not a
-  // generic bad-magic parse error (satellite: the recompute note in
-  // profile_io.cc becomes an actionable Status).
-  std::string bytes = ReadFileBytes(store_->ProfilePath("box", 0));
-  ASSERT_GE(bytes.size(), 8u);
-  bytes[7] = '1';  // ZIGPROF2 -> ZIGPROF1
-  WriteFileBytes(store_->ProfilePath("box", 0), bytes);
+  // ZIGPROF1 and ZIGPROF2 payloads must produce the version-mismatch
+  // error, not a generic bad-magic parse error: the recompute note in
+  // profile_io.cc is an actionable Status.
+  const std::string current = ReadFileBytes(store_->ProfilePath("box", 0));
+  ASSERT_GE(current.size(), 8u);
+  ASSERT_EQ(current.substr(0, 8), "ZIGPROF3");
+  for (const char version : {'1', '2'}) {
+    std::string bytes = current;
+    bytes[7] = version;
+    WriteFileBytes(store_->ProfilePath("box", 0), bytes);
+    Result<StoredTable> loaded = store_->LoadTable("box");
+    ASSERT_FALSE(loaded.ok()) << "ZIGPROF" << version;
+    EXPECT_TRUE(loaded.status().IsFailedPrecondition()) << loaded.status();
+    EXPECT_NE(loaded.status().message().find("recompute"), std::string::npos);
+  }
+}
+
+TEST_F(StoreCorruptionTest, ProfileWithShortRankArraysRejected) {
+  // A well-formed profile of a shorter table with the same columns: its
+  // rank arrays would send the rank gather past their end, so the load
+  // must refuse it like a column-count mismatch.
+  StoredTable stored = store_->LoadTable("box").ValueOrDie();
+  Rng rng(3);
+  const Table shorter =
+      stored.table.SampleRows(stored.table.num_rows() - 10, &rng);
+  const TableProfile wrong = TableProfile::Compute(shorter).ValueOrDie();
+  ASSERT_TRUE(wrong.SaveToFile(store_->ProfilePath("box", 0)).ok());
   Result<StoredTable> loaded = store_->LoadTable("box");
   ASSERT_FALSE(loaded.ok());
-  EXPECT_TRUE(loaded.status().IsFailedPrecondition()) << loaded.status();
-  EXPECT_NE(loaded.status().message().find("recompute"), std::string::npos);
+  EXPECT_TRUE(loaded.status().IsParseError()) << loaded.status();
+  EXPECT_NE(loaded.status().message().find("rank"), std::string::npos)
+      << loaded.status();
 }
 
 TEST_F(StoreCorruptionTest, CorruptSketchesOnlyCostWarmth) {
