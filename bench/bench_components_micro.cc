@@ -8,9 +8,11 @@
 #include <sstream>
 
 #include "baselines/subspace_search.h"
+#include "common/checksum.h"
 #include "common/random.h"
 #include "data/synthetic.h"
 #include "query/parser.h"
+#include "storage/csv.h"
 #include "views/clustering.h"
 #include "views/view_search.h"
 #include "zig/component_builder.h"
@@ -41,7 +43,39 @@ void BM_ProfileBuild(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0) * state.range(1));
 }
-BENCHMARK(BM_ProfileBuild)->Args({2000, 32})->Args({2000, 128})->Args({8000, 32});
+// {6823, 512} is OECD-shaped: the numeric pair moments dominate.
+BENCHMARK(BM_ProfileBuild)
+    ->Args({2000, 32})
+    ->Args({2000, 128})
+    ->Args({8000, 32})
+    ->Args({6823, 512})
+    ->Unit(benchmark::kMillisecond);
+
+// Cold-OPEN CSV parse of the OECD analogue written as CSV (~70 MB, 6823
+// x 519): split, type inference and number parsing.
+void BM_ReadCsvWide(benchmark::State& state) {
+  static const std::string* csv =
+      new std::string(WriteCsvString(MakeOecdDataset().ValueOrDie().table));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ReadCsvString(*csv).ValueOrDie());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(csv->size()));
+}
+BENCHMARK(BM_ReadCsvWide)->Unit(benchmark::kMillisecond);
+
+// CRC-32 over 1 MiB: the per-section integrity check of every store load.
+void BM_Crc32(benchmark::State& state) {
+  std::string bytes(size_t{1} << 20, '\0');
+  Rng rng(9);
+  for (char& c : bytes) c = static_cast<char>(rng.UniformInt(0, 255));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(bytes));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(bytes.size()));
+}
+BENCHMARK(BM_Crc32);
 
 void BM_BuildComponentsShared(benchmark::State& state) {
   SyntheticDataset ds = MakeBenchDataset(static_cast<size_t>(state.range(0)),

@@ -8,27 +8,51 @@ namespace {
 
 constexpr uint32_t kPolynomial = 0xEDB88320u;  // reflected ISO-HDLC
 
-constexpr std::array<uint32_t, 256> MakeTable() {
-  std::array<uint32_t, 256> table{};
+// kTables[0] is the classic byte-at-a-time table; kTables[k][b] is the CRC
+// of byte b followed by k zero bytes, so eight lookups advance eight bytes.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr CrcTables MakeTables() {
+  CrcTables tables{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t crc = i;
     for (int bit = 0; bit < 8; ++bit) {
       crc = (crc >> 1) ^ ((crc & 1u) ? kPolynomial : 0u);
     }
-    table[i] = crc;
+    tables[0][i] = crc;
   }
-  return table;
+  for (size_t k = 1; k < tables.size(); ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      const uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xFFu];
+    }
+  }
+  return tables;
 }
 
-constexpr std::array<uint32_t, 256> kTable = MakeTable();
+constexpr CrcTables kTables = MakeTables();
+
+uint32_t LoadLe32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
+         (static_cast<uint32_t>(p[2]) << 16) |
+         (static_cast<uint32_t>(p[3]) << 24);
+}
 
 }  // namespace
 
 uint32_t Crc32Bytes(const void* data, size_t size, uint32_t seed) {
   const auto* bytes = static_cast<const unsigned char*>(data);
   uint32_t crc = ~seed;
-  for (size_t i = 0; i < size; ++i) {
-    crc = (crc >> 8) ^ kTable[(crc ^ bytes[i]) & 0xFFu];
+  for (; size >= 8; bytes += 8, size -= 8) {
+    const uint32_t lo = LoadLe32(bytes) ^ crc;
+    const uint32_t hi = LoadLe32(bytes + 4);
+    crc = kTables[7][lo & 0xFFu] ^ kTables[6][(lo >> 8) & 0xFFu] ^
+          kTables[5][(lo >> 16) & 0xFFu] ^ kTables[4][lo >> 24] ^
+          kTables[3][hi & 0xFFu] ^ kTables[2][(hi >> 8) & 0xFFu] ^
+          kTables[1][(hi >> 16) & 0xFFu] ^ kTables[0][hi >> 24];
+  }
+  for (; size > 0; ++bytes, --size) {
+    crc = (crc >> 8) ^ kTables[0][(crc ^ *bytes) & 0xFFu];
   }
   return ~crc;
 }

@@ -1,6 +1,9 @@
 // CRC-32 (ISO-HDLC polynomial, the zlib/PNG variant) for the on-disk
-// store's per-section integrity checks. Software slice-by-one table: the
-// store reads/writes are I/O-bound, so a SIMD CRC buys nothing here.
+// store's per-section integrity checks. Software slicing-by-8: eight
+// table lookups advance eight bytes, several times the byte-at-a-time
+// rate, which matters because every warm boot checksums every section it
+// loads. The values are the standard CRC-32 ones (Crc32("123456789") ==
+// 0xCBF43926), so stored files are unaffected by the table layout.
 
 #ifndef ZIGGY_COMMON_CHECKSUM_H_
 #define ZIGGY_COMMON_CHECKSUM_H_

@@ -1,10 +1,12 @@
 #include "common/string_util.h"
 
 #include <cctype>
+#include <cerrno>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 namespace ziggy {
 
@@ -59,10 +61,20 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
 }
 
 Result<double> ParseDouble(std::string_view s) {
+  // Fast path: std::from_chars rounds exactly like strtod, so a token it
+  // consumes whole is taken when strtod could not have flagged ERANGE: a
+  // zero (from_chars itself reports an underflow to zero as out of range)
+  // or a magnitude above DBL_MIN. DBL_MIN is excluded because strtod flags
+  // tokens just below it that round up to it. Everything else — '+',
+  // hex, inf/nan, subnormals, padded tokens — takes the strtod path.
+  double fast = 0.0;
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), fast);
+  if (ec == std::errc() && ptr == s.data() + s.size() &&
+      (fast == 0.0 || std::fabs(fast) > std::numeric_limits<double>::min())) {
+    return fast;
+  }
   s = TrimWhitespace(s);
   if (s.empty()) return Status::ParseError("empty numeric token");
-  // std::from_chars for double is not available on all libstdc++ configs we
-  // target, so go through strtod with a bounded copy.
   std::string buf(s);
   char* end = nullptr;
   errno = 0;

@@ -30,7 +30,9 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 /// Joins elements with a separator.
 std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 
-/// Strict double parse of the full token.
+/// Strict double parse of the full token, after trimming surrounding
+/// whitespace: the strtod grammar (so '+', hex, inf and nan spellings are
+/// accepted), rejecting tokens that overflow or underflow (ERANGE).
 Result<double> ParseDouble(std::string_view s);
 
 /// Strict int64 parse of the full token.

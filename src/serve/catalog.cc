@@ -16,6 +16,12 @@ ServerCatalog::ServerCatalog(CatalogOptions options)
                    ? options_.metrics
                    : std::make_shared<obs::MetricsRegistry>()) {
   store_save_us_ = metrics_->histogram("ziggy_store_save_us");
+  store_load_us_ = metrics_->histogram("ziggy_store_load_us");
+  // The cold-OPEN spans are recorded by LoadTableFromSource and
+  // ZiggyServer::Create; registering them here lists all three OPEN
+  // spans in METRICS from boot.
+  metrics_->histogram("ziggy_open_csv_parse_us");
+  metrics_->histogram("ziggy_open_profile_us");
 }
 
 ServerCatalog::~ServerCatalog() { StopFlusher(); }
@@ -137,13 +143,18 @@ Result<std::shared_ptr<ZiggyServer>> ServerCatalog::OpenFromStore(
   // already be an O(delta) segment on top of the chain it just loaded.
   const uint64_t lineage =
       next_lineage_.fetch_add(1, std::memory_order_relaxed);
-  ZIGGY_ASSIGN_OR_RETURN(StoredTable stored, store_->LoadTable(name, lineage));
+  Result<StoredTable> stored = Status::Internal("unreachable");
+  {
+    obs::TraceSpan load_span("store_load", metrics_->clock(), store_load_us_);
+    stored = store_->LoadTable(name, lineage);
+  }
+  ZIGGY_RETURN_NOT_OK(stored.status());
   ZIGGY_ASSIGN_OR_RETURN(
       std::unique_ptr<ZiggyServer> server,
-      ZiggyServer::CreateFromState(std::move(stored.table), stored.generation,
-                                   std::move(stored.profile),
+      ZiggyServer::CreateFromState(std::move(stored->table), stored->generation,
+                                   std::move(stored->profile),
                                    DerivedServeOptions()));
-  (void)server->WarmSketchCache(stored.sketches);
+  (void)server->WarmSketchCache(stored->sketches);
   std::shared_ptr<ZiggyServer> shared = std::move(server);
   ZIGGY_RETURN_NOT_OK(Publish(name, shared, lineage));
   store_opens_.fetch_add(1, std::memory_order_relaxed);

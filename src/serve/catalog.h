@@ -329,6 +329,7 @@ class ServerCatalog {
   std::shared_ptr<CacheBudget> shared_budget_;
   std::shared_ptr<obs::MetricsRegistry> metrics_;
   obs::Histogram* store_save_us_ = nullptr;
+  obs::Histogram* store_load_us_ = nullptr;
   std::unique_ptr<ZiggyStore> store_;
 
   /// Sketch-cache counters folded in from servers that left the catalog

@@ -9,6 +9,7 @@
 #include "data/synthetic.h"
 #include "engine/json.h"
 #include "engine/report.h"
+#include "obs/trace.h"
 #include "storage/csv.h"
 
 namespace ziggy {
@@ -94,7 +95,13 @@ std::string CatalogStatsJson(const CatalogStats& st) {
 
 }  // namespace
 
-Result<Table> LoadTableFromSource(const std::string& source) {
+Result<Table> LoadTableFromSource(const std::string& source,
+                                  obs::MetricsRegistry* metrics) {
+  obs::TraceSpan span("open_csv_parse",
+                      metrics != nullptr ? metrics->clock() : nullptr,
+                      metrics != nullptr
+                          ? metrics->histogram("ziggy_open_csv_parse_us")
+                          : nullptr);
   if (!StartsWith(source, "demo://")) return ReadCsvFile(source);
   std::string rest = source.substr(7);
   uint64_t seed = 0;
@@ -195,7 +202,8 @@ WireResponse DaemonHandler::HandleOpen(const WireRequest& request) {
     try_cold = !server.ok() && !server.status().IsAlreadyExists();
   }
   if (try_cold) {
-    Result<Table> table = LoadTableFromSource(request.args[1]);
+    Result<Table> table =
+        LoadTableFromSource(request.args[1], catalog_->metrics());
     if (!table.ok()) return WireResponse::Error(table.status());
     server = catalog_->Open(name, std::move(*table));
   }

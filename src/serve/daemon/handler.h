@@ -35,8 +35,10 @@ namespace ziggy {
 /// \brief Loads a table from an OPEN/APPEND source argument: a CSV file
 /// path, or "demo://<boxoffice|crime|oecd>[?seed=N]" for the built-in
 /// synthetic datasets (exact in-process tables, no CSV round-trip — what
-/// the golden e2e drives).
-Result<Table> LoadTableFromSource(const std::string& source);
+/// the golden e2e drives). With `metrics`, the load is an OPEN span timed
+/// into ziggy_open_csv_parse_us (the CSV parse, or a demo's generation).
+Result<Table> LoadTableFromSource(const std::string& source,
+                                  obs::MetricsRegistry* metrics = nullptr);
 
 /// \brief Wire limits the daemon advertises in HELLO replies. Defaults
 /// match a daemon with default options; the daemon overrides them from

@@ -29,10 +29,19 @@ Result<std::unique_ptr<ZiggyServer>> ZiggyServer::Create(Table table,
   if (table.num_rows() == 0) {
     return Status::InvalidArgument("cannot serve an empty table");
   }
-  ZIGGY_ASSIGN_OR_RETURN(TableProfile profile,
-                         TableProfile::Compute(table, options.engine.profile));
-  return CreateFromState(std::move(table), /*generation=*/0, std::move(profile),
-                         std::move(options));
+  Result<TableProfile> profile = Status::Internal("unreachable");
+  {
+    obs::MetricsRegistry* metrics = options.metrics.get();
+    obs::TraceSpan span("open_profile",
+                        metrics != nullptr ? metrics->clock() : nullptr,
+                        metrics != nullptr
+                            ? metrics->histogram("ziggy_open_profile_us")
+                            : nullptr);
+    profile = TableProfile::Compute(table, options.engine.profile);
+  }
+  ZIGGY_RETURN_NOT_OK(profile.status());
+  return CreateFromState(std::move(table), /*generation=*/0,
+                         std::move(*profile), std::move(options));
 }
 
 Result<std::unique_ptr<ZiggyServer>> ZiggyServer::CreateFromState(

@@ -1,7 +1,10 @@
 #include "storage/csv.h"
 
 #include <algorithm>
+#include <array>
+#include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/string_util.h"
@@ -10,39 +13,139 @@ namespace ziggy {
 
 namespace {
 
-// Splits one logical CSV record honoring double-quote escaping. Returns
-// false if the record ends inside an open quote.
-bool SplitCsvRecord(std::string_view line, char delim, std::vector<std::string>* out) {
-  out->clear();
-  std::string cur;
-  bool in_quotes = false;
-  for (size_t i = 0; i < line.size(); ++i) {
-    char c = line[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          cur += '"';
-          ++i;
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        cur += c;
-      }
-    } else if (c == '"') {
-      in_quotes = true;
-    } else if (c == delim) {
-      out->push_back(std::move(cur));
-      cur.clear();
-    } else if (c != '\r') {
-      cur += c;
-    }
+// One cell of the split input: `length` bytes at `offset` in the combined
+// address space [text | arena]. Cells that needed no unescaping point
+// straight into the text; quoted cells and cells with a dropped '\r' were
+// unescaped into the arena.
+struct CellSpan {
+  size_t offset;
+  size_t length;
+};
+
+// The input split into records of cells, row-major.
+struct SplitText {
+  std::string_view text;
+  std::string arena;
+  std::vector<CellSpan> cells;
+  size_t num_cols = 0;
+  size_t num_records = 0;
+
+  std::string_view Cell(size_t record, size_t col) const {
+    const CellSpan& span = cells[record * num_cols + col];
+    const char* data = span.offset < text.size()
+                           ? text.data() + span.offset
+                           : arena.data() + (span.offset - text.size());
+    return {data, span.length};
   }
-  out->push_back(std::move(cur));
-  return !in_quotes;
+};
+
+// Splits `text` in one pass over its bytes. Records are '\n'-terminated
+// lines; lines that are blank after trimming are skipped. In a record, a
+// '"' opens or closes quoting ("" inside quotes is a literal quote), the
+// delimiter ends a cell outside quotes, and '\r' is dropped outside quotes
+// and kept inside them. A quote never spans lines.
+//
+// Errors keep the precedence of a split-everything-then-validate reader:
+// the first unterminated quote anywhere wins, then an empty input, then
+// the first record whose cell count differs from the first record's.
+Status SplitCsvText(std::string_view text, char delim, SplitText* out) {
+  const size_t n = text.size();
+  // Arena offsets are biased by n; keep the biased space from wrapping.
+  if (n > std::numeric_limits<size_t>::max() / 2) {
+    return Status::ParseError("CSV input too large");
+  }
+  std::array<bool, 256> special{};
+  special[static_cast<unsigned char>(delim)] = true;
+  special[static_cast<unsigned char>('"')] = true;
+  special[static_cast<unsigned char>('\r')] = true;
+  const bool delim_is_quote = delim == '"';
+
+  out->text = text;
+  std::vector<CellSpan>& cells = out->cells;
+  std::string& arena = out->arena;
+  size_t ragged_record = 0;
+  size_t ragged_fields = 0;
+  bool ragged = false;
+  size_t pos = 0;
+  while (pos < n) {
+    const size_t nl = text.find('\n', pos);
+    const size_t end = nl == std::string_view::npos ? n : nl;
+    const size_t next = nl == std::string_view::npos ? n : nl + 1;
+    const std::string_view line = text.substr(pos, end - pos);
+    if (TrimWhitespace(line).empty()) {
+      pos = next;
+      continue;
+    }
+    const size_t first_cell = cells.size();
+    size_t i = pos;
+    for (;;) {
+      const size_t start = i;
+      while (i < end && !special[static_cast<unsigned char>(text[i])]) ++i;
+      if (i == end || (text[i] == delim && !delim_is_quote)) {
+        cells.push_back({start, i - start});
+      } else {
+        const size_t arena_start = arena.size();
+        arena.append(text.data() + start, i - start);
+        bool in_quotes = false;
+        for (; i < end; ++i) {
+          const char c = text[i];
+          if (in_quotes) {
+            if (c == '"') {
+              if (i + 1 < end && text[i + 1] == '"') {
+                arena += '"';
+                ++i;
+              } else {
+                in_quotes = false;
+              }
+            } else {
+              arena += c;
+            }
+          } else if (c == '"') {
+            in_quotes = true;
+          } else if (c == delim) {
+            break;
+          } else if (c != '\r') {
+            arena += c;
+          }
+        }
+        if (in_quotes) {
+          return Status::ParseError("unterminated quote in CSV record: '" +
+                                    std::string(line) + "'");
+        }
+        cells.push_back({n + arena_start, arena.size() - arena_start});
+      }
+      if (i == end) break;
+      ++i;  // past the delimiter
+    }
+    const size_t fields = cells.size() - first_cell;
+    if (out->num_records == 0) {
+      out->num_cols = fields;
+    } else if (ragged || fields != out->num_cols) {
+      // The load fails; keep splitting only to report an unterminated
+      // quote further down, which takes precedence.
+      if (!ragged) {
+        ragged = true;
+        ragged_record = out->num_records;
+        ragged_fields = fields;
+      }
+      cells.resize(first_cell);
+    }
+    ++out->num_records;
+    pos = next;
+  }
+  if (out->num_records == 0) {
+    return Status::ParseError("CSV input contains no records");
+  }
+  if (ragged) {
+    return Status::ParseError(
+        "CSV record " + std::to_string(ragged_record) + " has " +
+        std::to_string(ragged_fields) + " fields, expected " +
+        std::to_string(out->num_cols));
+  }
+  return Status::OK();
 }
 
-bool IsNullToken(const std::string& token, const CsvOptions& options) {
+bool IsNullToken(std::string_view token, const CsvOptions& options) {
   if (token.empty()) return true;
   for (const auto& t : options.null_tokens) {
     if (token == t) return true;
@@ -50,53 +153,58 @@ bool IsNullToken(const std::string& token, const CsvOptions& options) {
   return false;
 }
 
+Column CategoricalColumn(const SplitText& split, size_t first_data, size_t col,
+                         std::string name, const CsvOptions& options) {
+  Column column = Column::Categorical(std::move(name));
+  std::string label;
+  for (size_t r = first_data; r < split.num_records; ++r) {
+    const std::string_view tok = split.Cell(r, col);
+    if (IsNullToken(tok, options)) {
+      label.clear();
+    } else {
+      label.assign(tok);
+    }
+    column.AppendLabel(label);
+  }
+  return column;
+}
+
 }  // namespace
 
-Result<Table> ReadCsvString(const std::string& text, const CsvOptions& options) {
-  std::vector<std::vector<std::string>> records;
-  {
-    std::istringstream is(text);
-    std::string line;
-    std::vector<std::string> fields;
-    while (std::getline(is, line)) {
-      if (TrimWhitespace(line).empty()) continue;
-      if (!SplitCsvRecord(line, options.delimiter, &fields)) {
-        return Status::ParseError("unterminated quote in CSV record: '" + line + "'");
-      }
-      records.push_back(fields);
-    }
-  }
-  if (records.empty()) return Status::ParseError("CSV input contains no records");
-
+// Split once, infer each column's type from the first inference_rows data
+// records, then parse the numeric columns row by row (the order the cells
+// lie in memory). A numeric column whose later cell fails to parse falls
+// back to categorical.
+Result<Table> ReadCsvString(std::string_view text, const CsvOptions& options) {
+  SplitText split;
+  ZIGGY_RETURN_NOT_OK(SplitCsvText(text, options.delimiter, &split));
+  const size_t num_cols = split.num_cols;
   std::vector<std::string> names;
+  names.reserve(num_cols);
   size_t first_data = 0;
   if (options.has_header) {
-    names = records[0];
+    for (size_t c = 0; c < num_cols; ++c) {
+      names.emplace_back(split.Cell(0, c));
+    }
     first_data = 1;
   } else {
-    for (size_t i = 0; i < records[0].size(); ++i) {
-      names.push_back("col" + std::to_string(i));
+    for (size_t c = 0; c < num_cols; ++c) {
+      names.push_back("col" + std::to_string(c));
     }
   }
-  const size_t num_cols = names.size();
-  for (size_t r = first_data; r < records.size(); ++r) {
-    if (records[r].size() != num_cols) {
-      return Status::ParseError("CSV record " + std::to_string(r) + " has " +
-                                std::to_string(records[r].size()) + " fields, expected " +
-                                std::to_string(num_cols));
-    }
-  }
-  const size_t num_rows = records.size() - first_data;
+  const size_t num_rows = split.num_records - first_data;
 
-  // Type inference over a sample prefix.
-  std::vector<ColumnType> types(num_cols, ColumnType::kNumeric);
+  // Type inference over a sample prefix. `active` lists the columns still
+  // parsing as numeric.
+  std::vector<size_t> active;
+  std::vector<bool> is_numeric(num_cols, false);
+  const size_t sample_end =
+      first_data + std::min(num_rows, options.inference_rows);
   for (size_t c = 0; c < num_cols; ++c) {
-    size_t seen = 0;
     bool all_numeric = true;
     bool any_value = false;
-    for (size_t r = first_data;
-         r < records.size() && seen < options.inference_rows; ++r, ++seen) {
-      const std::string& tok = records[r][c];
+    for (size_t r = first_data; r < sample_end; ++r) {
+      const std::string_view tok = split.Cell(r, c);
       if (IsNullToken(tok, options)) continue;
       any_value = true;
       if (!ParseDouble(tok).ok()) {
@@ -104,47 +212,44 @@ Result<Table> ReadCsvString(const std::string& text, const CsvOptions& options) 
         break;
       }
     }
-    types[c] = (any_value && all_numeric) ? ColumnType::kNumeric
-                                          : ColumnType::kCategorical;
+    if (any_value && all_numeric) {
+      active.push_back(c);
+      is_numeric[c] = true;
+    }
+  }
+
+  std::vector<std::vector<double>> values(num_cols);
+  for (size_t c : active) values[c].reserve(num_rows);
+  for (size_t r = first_data; r < split.num_records && !active.empty(); ++r) {
+    bool fell_back = false;
+    for (size_t c : active) {
+      const std::string_view tok = split.Cell(r, c);
+      if (IsNullToken(tok, options)) {
+        values[c].push_back(NullNumeric());
+        continue;
+      }
+      Result<double> v = ParseDouble(tok);
+      if (!v.ok()) {
+        is_numeric[c] = false;
+        fell_back = true;
+        continue;
+      }
+      values[c].push_back(*v);
+    }
+    if (fell_back) {
+      std::erase_if(active, [&](size_t c) { return !is_numeric[c]; });
+    }
   }
 
   std::vector<Column> columns;
   columns.reserve(num_cols);
   for (size_t c = 0; c < num_cols; ++c) {
-    if (types[c] == ColumnType::kNumeric) {
-      std::vector<double> vals;
-      vals.reserve(num_rows);
-      for (size_t r = first_data; r < records.size(); ++r) {
-        const std::string& tok = records[r][c];
-        if (IsNullToken(tok, options)) {
-          vals.push_back(NullNumeric());
-          continue;
-        }
-        Result<double> v = ParseDouble(tok);
-        if (!v.ok()) {
-          // Inference sampled a numeric prefix but a later row disagrees:
-          // fall back to categorical for this column.
-          Column cc = Column::Categorical(names[c]);
-          for (size_t rr = first_data; rr < records.size(); ++rr) {
-            const std::string& t2 = records[rr][c];
-            cc.AppendLabel(IsNullToken(t2, options) ? std::string() : t2);
-          }
-          columns.push_back(std::move(cc));
-          vals.clear();
-          break;
-        }
-        vals.push_back(*v);
-      }
-      if (!vals.empty() || num_rows == 0) {
-        columns.push_back(Column::FromNumeric(names[c], std::move(vals)));
-      }
+    if (is_numeric[c]) {
+      columns.push_back(
+          Column::FromNumeric(std::move(names[c]), std::move(values[c])));
     } else {
-      Column cc = Column::Categorical(names[c]);
-      for (size_t r = first_data; r < records.size(); ++r) {
-        const std::string& tok = records[r][c];
-        cc.AppendLabel(IsNullToken(tok, options) ? std::string() : tok);
-      }
-      columns.push_back(std::move(cc));
+      columns.push_back(CategoricalColumn(split, first_data, c,
+                                          std::move(names[c]), options));
     }
   }
   return Table::FromColumns(std::move(columns));
@@ -153,16 +258,35 @@ Result<Table> ReadCsvString(const std::string& text, const CsvOptions& options) 
 Result<Table> ReadCsvFile(const std::string& path, const CsvOptions& options) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IOError("cannot open file: '" + path + "'");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return ReadCsvString(buf.str(), options);
+  // One sized read for a regular file; whatever else the stream holds (a
+  // file that grew meanwhile, or a non-regular file) is appended after.
+  std::string text;
+  std::error_code ec;
+  const auto size = std::filesystem::file_size(path, ec);
+  if (!ec) {
+    text.resize(static_cast<size_t>(size));
+    in.read(text.data(), static_cast<std::streamsize>(size));
+    text.resize(static_cast<size_t>(in.gcount()));
+  }
+  if (in) {
+    std::ostringstream rest;
+    rest << in.rdbuf();
+    text += rest.str();
+  }
+  return ReadCsvString(text, options);
 }
 
 namespace {
+// Quotes a field the reader would not give back verbatim unquoted: one
+// holding the delimiter, a quote, '\n' or '\r' (dropped outside quotes),
+// or leading or trailing whitespace (a whitespace-only field alone on a
+// line would make the line blank, and blank lines are skipped).
 std::string QuoteCsvField(const std::string& field, char delim) {
-  bool needs_quote = field.find(delim) != std::string::npos ||
-                     field.find('"') != std::string::npos ||
-                     field.find('\n') != std::string::npos;
+  const char specials[] = {delim, '"', '\n', '\r'};
+  const bool needs_quote =
+      field.find_first_of(std::string_view(specials, sizeof(specials))) !=
+          std::string::npos ||
+      (!field.empty() && TrimWhitespace(field).size() != field.size());
   if (!needs_quote) return field;
   std::string out = "\"";
   for (char c : field) {

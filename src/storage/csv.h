@@ -6,6 +6,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "common/result.h"
 #include "storage/table.h"
@@ -26,12 +27,22 @@ struct CsvOptions {
 };
 
 /// \brief Parses CSV text into a Table, inferring column types.
-Result<Table> ReadCsvString(const std::string& text, const CsvOptions& options = {});
+///
+/// Records are '\n'-terminated lines; lines that are blank after trimming
+/// are skipped. A '"' opens or closes quoting ("" inside quotes is a
+/// literal quote) and a quote never spans lines; '\r' is dropped outside
+/// quotes and kept inside them. Cells are otherwise taken verbatim.
+Result<Table> ReadCsvString(std::string_view text,
+                            const CsvOptions& options = {});
 
 /// \brief Loads a CSV file into a Table, inferring column types.
 Result<Table> ReadCsvFile(const std::string& path, const CsvOptions& options = {});
 
-/// \brief Serializes a table as CSV (RFC-4180 quoting).
+/// \brief Serializes a table as CSV (RFC-4180 quoting). A field is quoted
+/// when it holds the delimiter, '"', '\n' or '\r', or has leading or
+/// trailing whitespace, so that ReadCsvString gives every label back
+/// verbatim (a whitespace-only label alone on a line would otherwise read
+/// as a skipped blank line).
 std::string WriteCsvString(const Table& table, char delimiter = ',');
 
 /// \brief Writes a table to a CSV file.

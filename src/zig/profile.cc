@@ -1,6 +1,7 @@
 #include "zig/profile.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <string>
 #include <utility>
@@ -139,6 +140,33 @@ void ShiftMidranks(const std::vector<double>& data, size_t old_rows,
   }
 }
 
+// Side of the Gram register tile: 16 independent accumulator chains.
+constexpr size_t kGramTile = 4;
+using GramBlock = std::array<std::array<double, kGramTile>, kGramTile>;
+
+// sum_r xs[u][r] * ys[v][r] for every (u, v) of a 4x4 tile. Each
+// accumulator starts at 0.0 and adds its products in row order with the
+// expression PairMomentSketch::Add uses, so every entry is bitwise that
+// pair's per-row sum_xy; the 16 independent chains hide the FP add
+// latency one pair's five dependent chains expose.
+GramBlock GramTile(const std::array<const double*, kGramTile>& xs,
+                   const std::array<const double*, kGramTile>& ys,
+                   size_t rows) {
+  GramBlock acc{};
+  for (size_t r = 0; r < rows; ++r) {
+    double x[kGramTile];
+    double y[kGramTile];
+    for (size_t u = 0; u < kGramTile; ++u) {
+      x[u] = xs[u][r];
+      y[u] = ys[u][r];
+    }
+    for (size_t u = 0; u < kGramTile; ++u) {
+      for (size_t v = 0; v < kGramTile; ++v) acc[u][v] += x[u] * y[v];
+    }
+  }
+  return acc;
+}
+
 }  // namespace
 
 size_t HistogramBinOf(double v, double lo, double hi, size_t bins) {
@@ -204,9 +232,9 @@ Result<TableProfile> TableProfile::Compute(const Table& table, ProfileOptions op
 
   // ---- Numeric-numeric pairs -------------------------------------------
   // All pair sketches are needed to fill the dependency matrix; only pairs
-  // above the dependency floor are retained for per-query reuse. The pair
-  // list is flattened up front so the quadratic sketch fill parallelizes
-  // over pairs; candidate selection stays sequential to preserve the
+  // above the dependency floor are retained for per-query reuse. The
+  // quadratic sketch fill parallelizes over tasks that each own their
+  // pairs; candidate selection stays sequential to preserve the
   // deterministic tracked-pair order.
   struct Candidate {
     size_t a;
@@ -214,15 +242,76 @@ Result<TableProfile> TableProfile::Compute(const Table& table, ProfileOptions op
     double dep;
     PairMomentSketch sketch;
   };
+  const size_t k = numeric_cols.size();
+  const size_t rows = table.num_rows();
+  // Position of pair (i, j), i < j, of numeric_cols in npair_list.
+  const auto pair_index = [k](size_t i, size_t j) {
+    return i * (2 * k - i - 1) / 2 + (j - i - 1);
+  };
+  // NULL-free columns (positions in numeric_cols): a pair of two of them
+  // adds every row, so its count and x/y sums are bitwise its columns'
+  // sketches and only sum_xy needs the rows (Gram tiles below). Pairs
+  // with a NULL-holding column keep the per-pair loop.
+  std::vector<size_t> dense;
+  std::vector<bool> is_dense(k, false);
+  for (size_t i = 0; i < k; ++i) {
+    const int64_t count = p.column_sketches_[numeric_cols[i]].count;
+    if (static_cast<size_t>(count) == rows) {
+      dense.push_back(i);
+      is_dense[i] = true;
+    }
+  }
   std::vector<std::pair<size_t, size_t>> npair_list;
-  npair_list.reserve(numeric_cols.size() * (numeric_cols.size() + 1) / 2);
-  for (size_t i = 0; i < numeric_cols.size(); ++i) {
-    for (size_t j = i + 1; j < numeric_cols.size(); ++j) {
+  std::vector<size_t> sparse_pairs;
+  npair_list.reserve(k * (k + 1) / 2);
+  for (size_t i = 0; i < k; ++i) {
+    for (size_t j = i + 1; j < k; ++j) {
+      if (!is_dense[i] || !is_dense[j]) {
+        sparse_pairs.push_back(npair_list.size());
+      }
       npair_list.emplace_back(numeric_cols[i], numeric_cols[j]);
     }
   }
   std::vector<PairMomentSketch> npair_sketches(npair_list.size());
-  ParallelForEach(threads, npair_list.size(), [&](size_t idx) {
+  const size_t blocks = (dense.size() + kGramTile - 1) / kGramTile;
+  std::vector<std::pair<size_t, size_t>> tiles;
+  for (size_t bi = 0; bi < blocks; ++bi) {
+    for (size_t bj = bi; bj < blocks; ++bj) tiles.emplace_back(bi, bj);
+  }
+  const std::vector<double> zeros(rows, 0.0);  // pads the edge tiles
+  ParallelForEach(threads, tiles.size(), [&](size_t t) {
+    const auto [bi, bj] = tiles[t];
+    const auto column_of = [&](size_t d) {
+      return d < dense.size()
+                 ? table.column(numeric_cols[dense[d]]).numeric_data().data()
+                 : zeros.data();
+    };
+    std::array<const double*, kGramTile> xs;
+    std::array<const double*, kGramTile> ys;
+    for (size_t u = 0; u < kGramTile; ++u) {
+      xs[u] = column_of(bi * kGramTile + u);
+      ys[u] = column_of(bj * kGramTile + u);
+    }
+    const GramBlock gram = GramTile(xs, ys, rows);
+    for (size_t u = 0; u < kGramTile; ++u) {
+      for (size_t v = 0; v < kGramTile; ++v) {
+        const size_t di = bi * kGramTile + u;
+        const size_t dj = bj * kGramTile + v;
+        if (di >= dj || dj >= dense.size()) continue;
+        const MomentSketch& sx = p.column_sketches_[numeric_cols[dense[di]]];
+        const MomentSketch& sy = p.column_sketches_[numeric_cols[dense[dj]]];
+        PairMomentSketch& s = npair_sketches[pair_index(dense[di], dense[dj])];
+        s.count = sx.count;
+        s.sum_x = sx.sum;
+        s.sum_y = sy.sum;
+        s.sum_xx = sx.sum_sq;
+        s.sum_yy = sy.sum_sq;
+        s.sum_xy = gram[u][v];
+      }
+    }
+  });
+  ParallelForEach(threads, sparse_pairs.size(), [&](size_t t) {
+    const size_t idx = sparse_pairs[t];
     const auto& x = table.column(npair_list[idx].first).numeric_data();
     const auto& y = table.column(npair_list[idx].second).numeric_data();
     PairMomentSketch s;

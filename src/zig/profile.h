@@ -11,6 +11,14 @@
 // Because every sketch supports exact Subtract, a query's outside statistics
 // are derived as (global − inside) after a single scan of the selection —
 // the complement of the selection is never scanned.
+//
+// Numeric pair sketches are filled in two ways, with bitwise the same
+// result as adding each row to the pair with PairMomentSketch::Add. When
+// neither column has a NULL, the pair's count and x/y sums are the two
+// columns' own sketches (same rows, same order, same operations), so
+// they are copied, and only sum_xy is computed: 4x4 register tiles over
+// the NULL-free columns, each accumulator summing x[r] * y[r] in row
+// order. A pair with a NULL-holding column keeps the per-row Add loop.
 
 #ifndef ZIGGY_ZIG_PROFILE_H_
 #define ZIGGY_ZIG_PROFILE_H_

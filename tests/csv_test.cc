@@ -2,13 +2,221 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <sstream>
 
+#include "common/random.h"
+#include "common/string_util.h"
+#include "data/synthetic.h"
 #include "storage/csv.h"
 
 namespace ziggy {
 namespace {
+
+// ---------------------------------------------------------------------------
+// Reference implementation: the line-at-a-time reader (getline, one
+// std::string per cell, strtod on every token) and the writer it shipped
+// with, kept verbatim as the oracle of the differential tests below.
+namespace reference {
+
+Result<double> ParseDouble(std::string_view s) {
+  s = TrimWhitespace(s);
+  if (s.empty()) return Status::ParseError("empty numeric token");
+  std::string buf(s);
+  char* end = nullptr;
+  errno = 0;
+  double v = std::strtod(buf.c_str(), &end);
+  if (end != buf.c_str() + buf.size() || errno == ERANGE) {
+    return Status::ParseError("invalid numeric token: '" + buf + "'");
+  }
+  return v;
+}
+
+bool SplitCsvRecord(std::string_view line, char delim,
+                    std::vector<std::string>* out) {
+  out->clear();
+  std::string cur;
+  bool in_quotes = false;
+  for (size_t i = 0; i < line.size(); ++i) {
+    char c = line[i];
+    if (in_quotes) {
+      if (c == '"') {
+        if (i + 1 < line.size() && line[i + 1] == '"') {
+          cur += '"';
+          ++i;
+        } else {
+          in_quotes = false;
+        }
+      } else {
+        cur += c;
+      }
+    } else if (c == '"') {
+      in_quotes = true;
+    } else if (c == delim) {
+      out->push_back(std::move(cur));
+      cur.clear();
+    } else if (c != '\r') {
+      cur += c;
+    }
+  }
+  out->push_back(std::move(cur));
+  return !in_quotes;
+}
+
+bool IsNullToken(const std::string& token, const CsvOptions& options) {
+  if (token.empty()) return true;
+  for (const auto& t : options.null_tokens) {
+    if (token == t) return true;
+  }
+  return false;
+}
+
+Result<Table> ReadCsvString(const std::string& text,
+                            const CsvOptions& options) {
+  std::vector<std::vector<std::string>> records;
+  {
+    std::istringstream is(text);
+    std::string line;
+    std::vector<std::string> fields;
+    while (std::getline(is, line)) {
+      if (TrimWhitespace(line).empty()) continue;
+      if (!SplitCsvRecord(line, options.delimiter, &fields)) {
+        return Status::ParseError("unterminated quote in CSV record: '" +
+                                  line + "'");
+      }
+      records.push_back(fields);
+    }
+  }
+  if (records.empty()) {
+    return Status::ParseError("CSV input contains no records");
+  }
+
+  std::vector<std::string> names;
+  size_t first_data = 0;
+  if (options.has_header) {
+    names = records[0];
+    first_data = 1;
+  } else {
+    for (size_t i = 0; i < records[0].size(); ++i) {
+      names.push_back("col" + std::to_string(i));
+    }
+  }
+  const size_t num_cols = names.size();
+  for (size_t r = first_data; r < records.size(); ++r) {
+    if (records[r].size() != num_cols) {
+      return Status::ParseError("CSV record " + std::to_string(r) + " has " +
+                                std::to_string(records[r].size()) +
+                                " fields, expected " +
+                                std::to_string(num_cols));
+    }
+  }
+  const size_t num_rows = records.size() - first_data;
+
+  // Type inference over a sample prefix.
+  std::vector<ColumnType> types(num_cols, ColumnType::kNumeric);
+  for (size_t c = 0; c < num_cols; ++c) {
+    size_t seen = 0;
+    bool all_numeric = true;
+    bool any_value = false;
+    for (size_t r = first_data;
+         r < records.size() && seen < options.inference_rows; ++r, ++seen) {
+      const std::string& tok = records[r][c];
+      if (IsNullToken(tok, options)) continue;
+      any_value = true;
+      if (!ParseDouble(tok).ok()) {
+        all_numeric = false;
+        break;
+      }
+    }
+    types[c] = (any_value && all_numeric) ? ColumnType::kNumeric
+                                          : ColumnType::kCategorical;
+  }
+
+  std::vector<Column> columns;
+  columns.reserve(num_cols);
+  for (size_t c = 0; c < num_cols; ++c) {
+    if (types[c] == ColumnType::kNumeric) {
+      std::vector<double> vals;
+      vals.reserve(num_rows);
+      for (size_t r = first_data; r < records.size(); ++r) {
+        const std::string& tok = records[r][c];
+        if (IsNullToken(tok, options)) {
+          vals.push_back(NullNumeric());
+          continue;
+        }
+        Result<double> v = ParseDouble(tok);
+        if (!v.ok()) {
+          // Inference sampled a numeric prefix but a later row disagrees:
+          // fall back to categorical for this column.
+          Column cc = Column::Categorical(names[c]);
+          for (size_t rr = first_data; rr < records.size(); ++rr) {
+            const std::string& t2 = records[rr][c];
+            cc.AppendLabel(IsNullToken(t2, options) ? std::string() : t2);
+          }
+          columns.push_back(std::move(cc));
+          vals.clear();
+          break;
+        }
+        vals.push_back(*v);
+      }
+      if (!vals.empty() || num_rows == 0) {
+        columns.push_back(Column::FromNumeric(names[c], std::move(vals)));
+      }
+    } else {
+      Column cc = Column::Categorical(names[c]);
+      for (size_t r = first_data; r < records.size(); ++r) {
+        const std::string& tok = records[r][c];
+        cc.AppendLabel(IsNullToken(tok, options) ? std::string() : tok);
+      }
+      columns.push_back(std::move(cc));
+    }
+  }
+  return Table::FromColumns(std::move(columns));
+}
+
+std::string QuoteCsvField(const std::string& field, char delim) {
+  bool needs_quote = field.find(delim) != std::string::npos ||
+                     field.find('"') != std::string::npos ||
+                     field.find('\n') != std::string::npos;
+  if (!needs_quote) return field;
+  std::string out = "\"";
+  for (char c : field) {
+    if (c == '"') out += '"';
+    out += c;
+  }
+  out += '"';
+  return out;
+}
+
+std::string WriteCsvString(const Table& table, char delimiter) {
+  std::ostringstream os;
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    if (c > 0) os << delimiter;
+    os << QuoteCsvField(table.column(c).name(), delimiter);
+  }
+  os << "\n";
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    for (size_t c = 0; c < table.num_columns(); ++c) {
+      if (c > 0) os << delimiter;
+      const Column& col = table.column(c);
+      if (col.IsNull(r)) continue;  // empty field encodes NULL
+      if (col.is_numeric()) {
+        os << FormatDouble(col.numeric_data()[r], 17);
+      } else {
+        os << QuoteCsvField(
+            col.dictionary()[static_cast<size_t>(col.codes()[r])], delimiter);
+      }
+    }
+    os << "\n";
+  }
+  return os.str();
+}
+
+}  // namespace reference
 
 TEST(CsvTest, BasicParseWithHeader) {
   auto t = ReadCsvString("a,b,s\n1,2.5,x\n3,4.5,y\n").ValueOrDie();
@@ -122,6 +330,209 @@ TEST(CsvTest, NumericPrecisionSurvivesRoundTrip) {
   for (size_t i = 0; i < 3; ++i) {
     EXPECT_DOUBLE_EQ(t2.column(0).numeric_data()[i], t.column(0).numeric_data()[i]);
   }
+}
+
+// Byte-identical tables: names, types, numeric bit patterns (NaN
+// payloads included), dictionaries in order, and codes.
+void ExpectSameTable(const Table& got, const Table& want) {
+  ASSERT_EQ(got.num_columns(), want.num_columns());
+  ASSERT_EQ(got.num_rows(), want.num_rows());
+  for (size_t c = 0; c < want.num_columns(); ++c) {
+    const Column& g = got.column(c);
+    const Column& w = want.column(c);
+    EXPECT_EQ(g.name(), w.name()) << "column " << c;
+    ASSERT_EQ(g.type(), w.type()) << "column " << c;
+    if (w.is_numeric()) {
+      ASSERT_EQ(g.numeric_data().size(), w.numeric_data().size());
+      EXPECT_EQ(std::memcmp(g.numeric_data().data(), w.numeric_data().data(),
+                            w.numeric_data().size() * sizeof(double)),
+                0)
+          << "column " << c;
+    } else {
+      EXPECT_EQ(g.dictionary(), w.dictionary()) << "column " << c;
+      EXPECT_EQ(g.codes(), w.codes()) << "column " << c;
+    }
+  }
+}
+
+// The reader under test and the reference agree: the same error text, or
+// byte-identical tables.
+void ExpectMatchesReference(const std::string& text,
+                            const CsvOptions& options = {}) {
+  const Result<Table> got = ReadCsvString(text, options);
+  const Result<Table> want = reference::ReadCsvString(text, options);
+  ASSERT_EQ(got.ok(), want.ok())
+      << (got.ok() ? want.status() : got.status()).ToString();
+  if (!want.ok()) {
+    EXPECT_EQ(got.status().ToString(), want.status().ToString());
+    return;
+  }
+  ExpectSameTable(*got, *want);
+}
+
+TEST(CsvDifferentialTest, ParseDoubleTokensMatchStrtod) {
+  const char* const tokens[] = {
+      "+2", " 1.5 ", "0x10", ".5", "5.", "1e", "--1", "inf", "-inf", "Infinity",
+      "-nan", "nan", "nan(0x5)", "NAN", "1e-310", "1e-400", "1e400", "-0", "0",
+      "0.0", "0e999999", "4.9e-324", "2.2250738585072014e-308",
+      "2.2250738585072012e-308", "2.2250738585072011e-308",
+      "-2.2250738585072012e-308", "1.7976931348623157e308",
+      "1.7976931348623159e308", "12345678.9012345", "0.1", "-3.25e-7", "1E5",
+      "\t7\n", "", " ", "1 2", "1,5", "1e+", "e5", ".", "-", "+", "0x1p-3",
+      "00012", "1_000", "0.30000000000000004",
+      "123456789012345678901234567890"};
+  for (const char* token : tokens) {
+    const Result<double> got = ParseDouble(token);
+    const Result<double> want = reference::ParseDouble(token);
+    ASSERT_EQ(got.ok(), want.ok()) << "token '" << token << "'";
+    if (!want.ok()) {
+      EXPECT_EQ(got.status().ToString(), want.status().ToString());
+      continue;
+    }
+    const double g = *got;
+    const double w = *want;
+    EXPECT_EQ(std::memcmp(&g, &w, sizeof(double)), 0)
+        << "token '" << token << "'";
+  }
+}
+
+TEST(CsvDifferentialTest, DemoDatasetsMatchReference) {
+  // The demo datasets' CSV bytes are unchanged by the writer's quoting
+  // rule, and read back exactly as the reference reads them.
+  for (const auto& dataset :
+       {MakeBoxOfficeDataset(), MakeCrimeDataset(), MakeOecdDataset()}) {
+    const Table& table = dataset.ValueOrDie().table;
+    const std::string text = WriteCsvString(table);
+    ASSERT_EQ(text, reference::WriteCsvString(table, ','));
+    ExpectMatchesReference(text);
+  }
+}
+
+size_t Pick(Rng* rng, size_t n) {
+  return static_cast<size_t>(rng->UniformInt(0, static_cast<int64_t>(n) - 1));
+}
+
+// A random CSV document over the corners of the grammar: quoted
+// delimiters, "" escapes, \r inside and outside quotes, CRLF, blank and
+// whitespace-only lines, NULL tokens, odd number spellings, mid-cell
+// quotes, a missing final newline, and now and then a ragged record or an
+// unterminated quote.
+std::string RandomCsv(Rng* rng, char delim) {
+  const std::string d(1, delim);
+  const std::vector<std::string> numbers = {
+      "1", "-2.5", "+2", " 1.5 ", "0x10", ".5", "5.", "1e-310", "-0", "inf",
+      "1e400", "3.0000000000000004", "NA", "?", "", "null"};
+  const std::vector<std::string> texts = {
+      "alpha", "\"a" + d + "b\"", "\"he said \"\"hi\"\"\"", "a\rb", "\"a\rb\"",
+      "  ", "\" x \"", "ab\"c" + d + "d\"e", "N/A", "NULL", "", "\"\"", "x y"};
+  const size_t cols = static_cast<size_t>(rng->UniformInt(1, 5));
+  const size_t rows = static_cast<size_t>(rng->UniformInt(0, 30));
+  std::vector<bool> numeric(cols);
+  for (size_t c = 0; c < cols; ++c) numeric[c] = rng->Bernoulli(0.6);
+  const auto line_end = [&] {
+    return rng->Bernoulli(0.3) ? std::string("\r\n") : "\n";
+  };
+  std::string out;
+  for (size_t c = 0; c < cols; ++c) {
+    if (c > 0) out += d;
+    const std::string name = "h" + std::to_string(c);
+    out += rng->Bernoulli(0.2) ? "\"" + name + d + "\"" : name;
+  }
+  out += line_end();
+  for (size_t r = 0; r < rows; ++r) {
+    if (rng->Bernoulli(0.1)) {
+      const char* blanks[] = {"", "   ", "\t", " \r", "\f"};
+      out += blanks[rng->UniformInt(0, 4)];
+      out += line_end();
+    }
+    size_t cells = cols;
+    if (rng->Bernoulli(0.01)) cells += rng->Bernoulli(0.5) ? 1 : cols - 1;
+    for (size_t c = 0; c < cells; ++c) {
+      if (c > 0) out += d;
+      const bool num = c < cols && numeric[c];
+      if (num && rng->Bernoulli(0.8)) {
+        out += rng->Bernoulli(0.5) ? FormatDouble(rng->Normal(0.0, 1e3), 17)
+                                   : numbers[Pick(rng, numbers.size())];
+      } else {
+        out += texts[Pick(rng, texts.size())];
+      }
+    }
+    if (rng->Bernoulli(0.01)) out += "\"oops";
+    if (r + 1 < rows || rng->Bernoulli(0.7)) out += line_end();
+  }
+  return out;
+}
+
+TEST(CsvDifferentialTest, RandomDocumentsMatchReference) {
+  const char delims[] = {',', ';', '\t', '|'};
+  size_t parsed = 0;
+  for (uint64_t seed = 0; seed < 600; ++seed) {
+    Rng rng(seed);
+    CsvOptions options;
+    options.delimiter = delims[seed % 4];
+    options.has_header = seed % 5 != 0;
+    const size_t inference[] = {1, 3, 100};
+    options.inference_rows = inference[seed % 3];
+    const std::string text = RandomCsv(&rng, options.delimiter);
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ExpectMatchesReference(text, options);
+    parsed += reference::ReadCsvString(text, options).ok() ? 1 : 0;
+  }
+  // Both outcomes are exercised: most documents parse, some are rejected.
+  EXPECT_GT(parsed, 300u);
+  EXPECT_LT(parsed, 590u);
+}
+
+TEST(CsvDifferentialTest, EdgeDocumentsMatchReference) {
+  const std::string docs[] = {
+      "", "\n", " \r\n\t\n", "a", "a\n1", "a,b\n1,2", "a,b\r\n1,\"2\r\"\r\n",
+      "a\n\"x\n", "a,b\n1\n\"open\n", "a,b\n1,2,3\n4,5\n", "a,\n1,\n", ",\n,\n",
+      "\"a\"\"b\",c\n\"\"\"\",1\n", "a\n \n\t\n1\n", "a\n  1  \n2\n",
+      "a;b\n1;2\n", "a\n\"\"\n\"\"\n", "a\r\n\r\n1\r\n"};
+  for (const std::string& doc : docs) {
+    SCOPED_TRACE("document '" + doc + "'");
+    ExpectMatchesReference(doc);
+    CsvOptions no_header;
+    no_header.has_header = false;
+    ExpectMatchesReference(doc, no_header);
+  }
+}
+
+TEST(CsvDifferentialTest, ColumnTurnsCategoricalAfterInferencePrefix) {
+  std::string text = "a,b\n";
+  for (int i = 0; i < 150; ++i) {
+    text += std::to_string(i) + "," + std::to_string(i * 0.5) + "\n";
+  }
+  text += "oops,7\n";
+  for (int i = 0; i < 10; ++i) text += std::to_string(i) + ",NA\n";
+  ExpectMatchesReference(text);
+  const Table t = ReadCsvString(text).ValueOrDie();
+  EXPECT_EQ(t.schema().field(0).type, ColumnType::kCategorical);
+  EXPECT_EQ(t.schema().field(1).type, ColumnType::kNumeric);
+}
+
+// ------------------------------------------------------ writer round trip --
+
+TEST(CsvTest, CarriageReturnInLabelRoundTrips) {
+  const Table t =
+      Table::FromColumns({Column::FromStrings("s", {"a\rb", "c\r"}),
+                          Column::FromNumeric("v", {1.0, 2.0})})
+          .ValueOrDie();
+  const Table back = ReadCsvString(WriteCsvString(t)).ValueOrDie();
+  EXPECT_EQ(back.column(0).ValueAsString(0), "a\rb");
+  EXPECT_EQ(back.column(0).ValueAsString(1), "c\r");
+}
+
+TEST(CsvTest, WhitespaceLabelInSingleColumnTableRoundTrips) {
+  const Table t =
+      Table::FromColumns(
+          {Column::FromStrings("s", {"x", "  ", " lead", "trail\t"})})
+          .ValueOrDie();
+  const Table back = ReadCsvString(WriteCsvString(t)).ValueOrDie();
+  ASSERT_EQ(back.num_rows(), 4u);
+  EXPECT_EQ(back.column(0).ValueAsString(1), "  ");
+  EXPECT_EQ(back.column(0).ValueAsString(2), " lead");
+  EXPECT_EQ(back.column(0).ValueAsString(3), "trail\t");
 }
 
 }  // namespace

@@ -27,6 +27,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/catalog.h"
+#include "serve/daemon/handler.h"
 
 namespace ziggy {
 namespace obs {
@@ -454,6 +455,48 @@ TEST(CatalogMetricsTest, DirtyAgeAndQueueDepthFollowTheFakeClock) {
   EXPECT_EQ(registry->gauge("ziggy_flusher_max_dirty_age_ms")->value(), 0);
   EXPECT_EQ(
       registry->gauge("ziggy_table_dirty_age_ms{table=\"box\"}")->value(), 0);
+}
+
+TEST(CatalogMetricsTest, OpenSpansRecordColdAndWarmOpens) {
+  auto registry = std::make_shared<MetricsRegistry>();
+  CatalogOptions options;
+  options.metrics = registry;
+  options.flush_interval_ms = 0;
+  ServerCatalog catalog(options);
+  const auto count = [&](const char* name) {
+    return registry->histogram(name)->TakeSnapshot().count;
+  };
+  // All three OPEN spans are listed before any OPEN.
+  for (const char* name : {"ziggy_open_csv_parse_us", "ziggy_open_profile_us",
+                           "ziggy_store_load_us"}) {
+    EXPECT_NE(registry->RenderJson().find(name), std::string::npos) << name;
+    EXPECT_NE(registry->RenderPrometheus().find(std::string(name) + "_count 0"),
+              std::string::npos)
+        << name;
+  }
+  static int counter = 0;
+  const std::string dir = testing::TempDir() + "/ziggy_open_spans_test_" +
+                          std::to_string(++counter);
+  ASSERT_TRUE(catalog.AttachStore(dir).ok());
+
+  // Cold OPEN: source load, then profile build.
+  Result<Table> table = LoadTableFromSource("demo://boxoffice", registry.get());
+  ASSERT_TRUE(table.ok());
+  ASSERT_TRUE(catalog.Open("box", std::move(*table)).ok());
+  EXPECT_EQ(count("ziggy_open_csv_parse_us"), 1u);
+  EXPECT_EQ(count("ziggy_open_profile_us"), 1u);
+  EXPECT_EQ(count("ziggy_store_load_us"), 0u);
+  // Without a registry the source load records nothing.
+  ASSERT_TRUE(LoadTableFromSource("demo://boxoffice").ok());
+  EXPECT_EQ(count("ziggy_open_csv_parse_us"), 1u);
+
+  // Warm OPEN from the checkpoint: a store load, no parse or profile.
+  ASSERT_TRUE(catalog.SaveAllToStore().ok());
+  ASSERT_TRUE(catalog.Close("box").ok());
+  ASSERT_TRUE(catalog.OpenFromStore("box").ok());
+  EXPECT_EQ(count("ziggy_store_load_us"), 1u);
+  EXPECT_EQ(count("ziggy_open_csv_parse_us"), 1u);
+  EXPECT_EQ(count("ziggy_open_profile_us"), 1u);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 
 #include "common/binary_io.h"
 #include "common/checksum.h"
+#include "common/random.h"
 #include "data/synthetic.h"
 #include "storage/csv.h"
 #include "storage/table_io.h"
@@ -428,6 +429,58 @@ TEST(ChecksumTest, KnownVectorsAndChaining) {
   // Chaining discontiguous spans equals one contiguous pass.
   const uint32_t chained = Crc32("6789", Crc32("12345"));
   EXPECT_EQ(chained, Crc32("123456789"));
+}
+
+// Byte-at-a-time reference CRC-32 (reflected 0xEDB88320), bit by bit, so
+// it shares nothing with the table-driven implementation.
+uint32_t ReferenceCrc32(const unsigned char* data, size_t size, uint32_t seed) {
+  uint32_t crc = ~seed;
+  for (size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
+    }
+  }
+  return ~crc;
+}
+
+std::string RandomBytes(size_t size, uint64_t seed) {
+  Rng rng(seed);
+  std::string bytes(size, '\0');
+  for (char& c : bytes) c = static_cast<char>(rng.UniformInt(0, 255));
+  return bytes;
+}
+
+TEST(ChecksumTest, MatchesBytewiseReferenceAtEveryLength) {
+  const std::string bytes = RandomBytes(64, 101);
+  const auto* raw = reinterpret_cast<const unsigned char*>(bytes.data());
+  // Every length 0..17 covers the empty input, tails alone, one 8-byte
+  // step with every tail, and two steps; offsets shift the alignment.
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 17; ++len) {
+      EXPECT_EQ(Crc32Bytes(raw + offset, len),
+                ReferenceCrc32(raw + offset, len, 0))
+          << "offset " << offset << " length " << len;
+    }
+  }
+  const std::string mib = RandomBytes(1 << 20, 202);
+  EXPECT_EQ(Crc32(mib),
+            ReferenceCrc32(reinterpret_cast<const unsigned char*>(mib.data()),
+                           mib.size(), 0));
+}
+
+TEST(ChecksumTest, ChainingSplitAtEveryOffset) {
+  const std::string bytes = RandomBytes(17, 303);
+  const uint32_t whole = Crc32(bytes);
+  const std::string_view view(bytes);
+  for (size_t split = 0; split <= bytes.size(); ++split) {
+    EXPECT_EQ(Crc32(view.substr(split), Crc32(view.substr(0, split))), whole)
+        << "split at " << split;
+  }
+  // A non-zero seed chains onto the reference the same way.
+  const auto* raw = reinterpret_cast<const unsigned char*>(bytes.data());
+  EXPECT_EQ(Crc32(bytes, 0x12345678u),
+            ReferenceCrc32(raw, bytes.size(), 0x12345678u));
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/random.h"
 #include "zig/component_builder.h"
@@ -119,6 +120,105 @@ TEST(TableProfileTest, CategoryCountsStored) {
 
 TEST(TableProfileTest, EmptyTableRejected) {
   EXPECT_FALSE(TableProfile::Compute(Table()).ok());
+}
+
+// Numeric column of one of six shapes the pair kernel must not care
+// about: plain, sparse NULLs, all NULL, constant, signed zeros, and a
+// large offset.
+Column PairKernelColumn(size_t kind, size_t rows, Rng* rng,
+                        const std::string& name) {
+  std::vector<double> v(rows);
+  for (size_t r = 0; r < rows; ++r) {
+    switch (kind % 6) {
+      case 0:
+        v[r] = rng->Normal();
+        break;
+      case 1:
+        v[r] = rng->Bernoulli(0.2) ? NullNumeric() : rng->Normal(2.0, 3.0);
+        break;
+      case 2:
+        v[r] = NullNumeric();
+        break;
+      case 3:
+        v[r] = 4.25;
+        break;
+      case 4:
+        if (rng->Bernoulli(0.5)) {
+          v[r] = -0.0;
+        } else {
+          v[r] = rng->Bernoulli(0.5) ? 0.0 : rng->Normal();
+        }
+        break;
+      default:
+        v[r] = 1e9 + rng->Normal();
+        break;
+    }
+  }
+  return Column::FromNumeric(name, std::move(v));
+}
+
+// Every numeric pair sketch, and its dependency entry, is bitwise the
+// per-row Add loop — whether the pair went through the Gram tiles (both
+// columns NULL-free) or the per-pair loop, for every tile remainder, on
+// degenerate row counts, and at any thread count.
+TEST(TableProfileTest, PairSketchesEqualNaiveLoop) {
+  for (size_t rows : {size_t{0}, size_t{1}, size_t{37}}) {
+    for (size_t numeric = 0; numeric <= 9; ++numeric) {
+      for (size_t shift : {size_t{0}, size_t{3}}) {
+        Rng rng(1000 * rows + 10 * numeric + shift);
+        std::vector<Column> columns;
+        std::vector<size_t> numeric_cols;
+        columns.push_back(Column::FromStrings(
+            "c0", std::vector<std::string>(rows, "a")));
+        for (size_t t = 0; t < numeric; ++t) {
+          numeric_cols.push_back(columns.size());
+          columns.push_back(PairKernelColumn(t + shift, rows, &rng,
+                                             "n" + std::to_string(t)));
+          if (t % 3 == 1) {
+            std::vector<std::string> labels(rows);
+            for (auto& l : labels) l = rng.Bernoulli(0.5) ? "x" : "y";
+            columns.push_back(
+                Column::FromStrings("c" + std::to_string(t), labels));
+          }
+        }
+        const Table table = Table::FromColumns(std::move(columns)).ValueOrDie();
+        for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+          ProfileOptions opts;
+          opts.pair_dependency_floor = 0.0;
+          opts.max_tracked_pairs = 1u << 20;
+          opts.num_threads = threads;
+          const TableProfile p =
+              TableProfile::Compute(table, opts).ValueOrDie();
+          ASSERT_EQ(p.tracked_numeric_pairs().size(),
+                    numeric < 2 ? 0 : numeric * (numeric - 1) / 2);
+          for (size_t i = 0; i < numeric_cols.size(); ++i) {
+            for (size_t j = i + 1; j < numeric_cols.size(); ++j) {
+              const size_t a = numeric_cols[i];
+              const size_t b = numeric_cols[j];
+              const auto& x = table.column(a).numeric_data();
+              const auto& y = table.column(b).numeric_data();
+              PairMomentSketch naive;
+              for (size_t r = 0; r < rows; ++r) {
+                if (!IsNullNumeric(x[r]) && !IsNullNumeric(y[r])) {
+                  naive.Add(x[r], y[r]);
+                }
+              }
+              const int64_t idx = p.NumericPairIndex(a, b);
+              ASSERT_GE(idx, 0);
+              const PairMomentSketch& got =
+                  p.NumericPairSketch(static_cast<size_t>(idx));
+              EXPECT_EQ(std::memcmp(&got, &naive, sizeof(naive)), 0)
+                  << "rows " << rows << " pair (" << a << "," << b
+                  << ") threads " << threads;
+              const double dep = std::fabs(naive.Correlation());
+              const double got_dep = p.Dependency(a, b);
+              EXPECT_EQ(std::memcmp(&got_dep, &dep, sizeof(dep)), 0);
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(TableProfileTest, MemoryUsageReported) {

@@ -223,7 +223,8 @@ int main(int argc, char** argv) {
   }
 
   for (const auto& [name, source] : preloads) {
-    Result<Table> table = LoadTableFromSource(source);
+    Result<Table> table =
+        LoadTableFromSource(source, (*daemon)->catalog().metrics());
     if (!table.ok()) {
       std::cerr << "error: preload " << name << ": " << table.status() << "\n";
       return 1;
