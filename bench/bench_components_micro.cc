@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <sstream>
+#include <vector>
 
 #include "baselines/subspace_search.h"
 #include "common/checksum.h"
@@ -15,6 +16,7 @@
 #include "storage/csv.h"
 #include "views/clustering.h"
 #include "views/view_search.h"
+#include "zig/selection_sketches.h"
 #include "zig/component_builder.h"
 
 namespace ziggy {
@@ -108,6 +110,39 @@ BENCHMARK(BM_BuildComponentsTwoScan)
     ->Args({2000, 32})
     ->Args({2000, 128})
     ->Args({8000, 32});
+
+// The selection scan alone on the OECD analogue (6823 x 519) at 5%, 20%
+// and 50% density. The last 32 results stay alive, as in the sketch
+// cache, so any memory a result holds on to (and the page faults of
+// allocating it afresh) shows in the timing.
+void BM_SelectionScanWide(benchmark::State& state) {
+  static const SyntheticDataset* ds =
+      new SyntheticDataset(MakeOecdDataset().ValueOrDie());
+  static const TableProfile* profile =
+      new TableProfile(TableProfile::Compute(ds->table).ValueOrDie());
+  const size_t n = ds->table.num_rows();
+  Selection selection(n);
+  Rng rng(17);
+  for (size_t r = 0; r < n; ++r) {
+    if (rng.Bernoulli(static_cast<double>(state.range(0)) / 100.0)) {
+      selection.Set(r);
+    }
+  }
+  std::vector<SelectionSketches> kept(32);
+  size_t next = 0;
+  for (auto _ : state) {
+    kept[next] = SelectionSketches::Build(ds->table, *profile, selection);
+    next = (next + 1) % kept.size();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(selection.Count()));
+}
+BENCHMARK(BM_SelectionScanWide)
+    ->ArgName("density_pct")
+    ->Arg(5)
+    ->Arg(20)
+    ->Arg(50)
+    ->Unit(benchmark::kMillisecond);
 
 // Component assembly alone on the OECD analogue (6823 x 519, 513
 // numeric): sketches are built once outside the timed loop, so the loop

@@ -89,6 +89,19 @@ awk '
   }
 ' "$ART/metrics.prom"
 
+# The process gauges (page faults, peak RSS) are refreshed on every
+# scrape, in both formats.
+for name in ziggy_process_minor_faults ziggy_process_peak_rss_bytes; do
+  grep -qE "^$name [0-9]+$" "$ART/metrics.prom" || {
+    echo "metrics.prom missing process gauge: $name"
+    exit 1
+  }
+  grep -qF "\"$name\":" "$ART/metrics.json" || {
+    echo "metrics.json missing process gauge: $name"
+    exit 1
+  }
+done
+
 if command -v python3 > /dev/null; then
   python3 -m json.tool "$ART/metrics.json" > /dev/null
 fi

@@ -1,5 +1,7 @@
 #include "obs/metrics.h"
 
+#include <sys/resource.h>
+
 #include <bit>
 #include <chrono>
 #include <thread>
@@ -282,6 +284,16 @@ std::string MetricsRegistry::RenderPrometheus() const {
            std::to_string(snap.count) + "\n";
   }
   return out;
+}
+
+void RefreshProcessGauges(MetricsRegistry* registry) {
+  struct rusage usage {};
+  if (getrusage(RUSAGE_SELF, &usage) != 0) return;
+  registry->gauge("ziggy_process_minor_faults")
+      ->Set(static_cast<int64_t>(usage.ru_minflt));
+  // Linux reports ru_maxrss in KiB.
+  registry->gauge("ziggy_process_peak_rss_bytes")
+      ->Set(static_cast<int64_t>(usage.ru_maxrss) * 1024);
 }
 
 }  // namespace obs

@@ -231,6 +231,12 @@ class MetricsRegistry {
       ZIGGY_GUARDED_BY(mu_);
 };
 
+/// \brief Sets the process gauges from getrusage(RUSAGE_SELF):
+/// `ziggy_process_minor_faults` (page faults served without I/O since
+/// start) and `ziggy_process_peak_rss_bytes` (peak resident set). They are
+/// pull-model: call right before rendering a snapshot.
+void RefreshProcessGauges(MetricsRegistry* registry);
+
 }  // namespace obs
 }  // namespace ziggy
 

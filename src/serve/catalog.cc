@@ -639,6 +639,7 @@ ServerCatalog::SketchCacheTotals ServerCatalog::CacheTotals() const {
 void ServerCatalog::RefreshMetrics() {
   metrics_->gauge("ziggy_catalog_tables")
       ->Set(static_cast<int64_t>(num_tables()));
+  obs::RefreshProcessGauges(metrics_.get());
   // The registry's counters mirror the cache totals via AdvanceTo: a
   // racing Close could momentarily make the recomputed total dip (the
   // retiring server's in-flight counts move between buckets), and

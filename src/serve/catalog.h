@@ -264,7 +264,8 @@ class ServerCatalog {
   obs::MetricsRegistry* metrics() const { return metrics_.get(); }
 
   /// Re-computes the registry's catalog-level gauges (table count,
-  /// dirty-queue depth, per-table dirty ages) and carries the
+  /// dirty-queue depth, per-table dirty ages) and the process gauges
+  /// (obs::RefreshProcessGauges), and carries the
   /// sketch-cache counters forward (see SketchCacheTotals). Called by
   /// the METRICS verb before rendering; cheap enough to call per poll.
   void RefreshMetrics();

@@ -132,13 +132,21 @@ Result<WireResponse> ZiggyClient::CallLine(std::string line) {
 }
 
 Status ZiggyClient::SendRequest(const WireRequest& request) {
+  return SendRequests({&request, 1});
+}
+
+Status ZiggyClient::SendRequests(std::span<const WireRequest> requests) {
   if (fd_ < 0) return Status::FailedPrecondition("client is not connected");
-  ZIGGY_RETURN_NOT_OK(LineProtocol::ValidateRequest(request));
-  if (!SendAll(fd_, LineProtocol::SerializeRequest(request))) {
+  std::string lines;
+  for (const WireRequest& request : requests) {
+    ZIGGY_RETURN_NOT_OK(LineProtocol::ValidateRequest(request));
+    lines += LineProtocol::SerializeRequest(request);
+  }
+  if (!SendAll(fd_, lines)) {
     Disconnect();
     return Status::IOError("send: connection lost");
   }
-  inflight_++;
+  inflight_ += requests.size();
   return Status::OK();
 }
 

@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "common/result.h"
@@ -87,6 +88,10 @@ class ZiggyClient {
   /// exactly one future PollResponse/WaitResponse hit. A send failure
   /// disconnects (every in-flight response is lost with the connection).
   Status SendRequest(const WireRequest& request);
+
+  /// SendRequest for a window of requests, all validated first and then
+  /// written with one send, so the server receives them as one batch.
+  Status SendRequests(std::span<const WireRequest> requests);
 
   /// Non-blocking poll for the oldest in-flight response: nullopt when no
   /// complete response line has arrived yet, the WireResponse (ok or ERR)

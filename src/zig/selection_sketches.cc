@@ -36,20 +36,22 @@ void SelectionSketches::InitShapes(const Table& table, const TableProfile& profi
   for (size_t i = 0; i < profile.tracked_categorical_pairs().size(); ++i) {
     categorical_pair_tables_[i].assign(profile.CategoricalPairTable(i).size(), 0);
   }
-  pair_use_count_.assign(m, 0);
-  num_scratch_.assign(m, {});
-  code_scratch_.assign(m, {});
-  for (const auto& [a, b] : profile.tracked_numeric_pairs()) {
-    ++pair_use_count_[a];
-    ++pair_use_count_[b];
-  }
-  for (const auto& [a, b] : profile.tracked_mixed_pairs()) {
-    ++pair_use_count_[a];
-    ++pair_use_count_[b];
-  }
-  for (const auto& [a, b] : profile.tracked_categorical_pairs()) {
-    ++pair_use_count_[a];
-    ++pair_use_count_[b];
+  // Gather layout: stripe 0 of each kind is the sink; pair-referenced
+  // columns get stripes 1, 2, ... in column order.
+  gather_slot_.assign(m, 0);
+  const auto mark = [this](const auto& pairs) {
+    for (const auto& [a, b] : pairs) gather_slot_[a] = gather_slot_[b] = 1;
+  };
+  mark(profile.tracked_numeric_pairs());
+  mark(profile.tracked_mixed_pairs());
+  mark(profile.tracked_categorical_pairs());
+  numeric_stripes_ = 1;
+  code_stripes_ = 1;
+  for (size_t c = 0; c < m; ++c) {
+    if (gather_slot_[c] == 0) continue;
+    size_t& stripes =
+        table.column(c).is_numeric() ? numeric_stripes_ : code_stripes_;
+    gather_slot_[c] = static_cast<uint32_t>(stripes++);
   }
 }
 
@@ -121,71 +123,156 @@ void SelectionSketches::RemoveRow(const Table& table, const TableProfile& profil
   ApplyRow<-1>(table, profile, r);
 }
 
-void SelectionSketches::AccumulateRowBlock(const Table& table,
-                                           const TableProfile& profile,
-                                           const uint32_t* rows, size_t n) {
-  const size_t m = table.num_columns();
-  // ---- Unary statistics, column-at-a-time --------------------------------
-  // Columns referenced by tracked pairs are gathered once into a dense
-  // per-block scratch buffer while their unary statistics accumulate; the
-  // pair passes below then read dense L1-resident vectors instead of
-  // re-gathering through the row-index indirection (each column feeds
-  // several pairs on correlated tables). Accumulation order per field is
-  // ascending rows, bit-identical to the row-at-a-time path.
-  for (size_t c = 0; c < m; ++c) {
-    const Column& col = table.column(c);
-    double* scratch =
-        pair_use_count_[c] > 0 && col.is_numeric() ? num_scratch_[c].data() : nullptr;
-    if (col.is_numeric()) {
-      const double* data = col.numeric_data().data();
-      // Continue the member sketch's chains in registers: additions stay in
-      // ascending row order across blocks, bit-identical to AddRow.
-      MomentSketch& member = column_sketches_[c];
-      double sum = member.sum;
-      double sum_sq = member.sum_sq;
-      int64_t cnt = member.count;
-      if (histograms_[c].empty()) {
-        for (size_t i = 0; i < n; ++i) {
-          const double v = data[rows[i]];
-          if (scratch != nullptr) scratch[i] = v;
-          if (IsNullNumeric(v)) continue;
-          ++cnt;
-          sum += v;
-          sum_sq += v * v;
-        }
-      } else {
-        int64_t* hist = histograms_[c].data();
-        const HistogramBinner binner = binners_[c];
-        for (size_t i = 0; i < n; ++i) {
-          const double v = data[rows[i]];
-          if (scratch != nullptr) scratch[i] = v;
-          if (IsNullNumeric(v)) continue;
-          ++cnt;
-          sum += v;
-          sum_sq += v * v;
-          ++hist[binner.BinOf(v)];
-        }
-      }
-      member.count = cnt;
-      member.sum = sum;
-      member.sum_sq = sum_sq;
-    } else {
-      const CategoryCode* codes = col.codes().data();
-      CategoryCode* cscratch =
-          pair_use_count_[c] > 0 ? code_scratch_[c].data() : nullptr;
-      int64_t* counts = category_counts_[c].data();
-      for (size_t i = 0; i < n; ++i) {
-        const CategoryCode code = codes[rows[i]];
-        if (cscratch != nullptr) cscratch[i] = code;
-        if (code != kNullCategory) ++counts[static_cast<size_t>(code)];
-      }
+namespace {
+
+// The calling thread's gather workspace: one block of decoded row indices
+// and the numeric and categorical stripes. Scans never nest on a thread,
+// so one workspace per thread is enough; ParallelFor's pool threads and
+// the daemon's dispatch threads are long-lived, so it is reused.
+struct ScanWorkspace {
+  std::vector<uint32_t> rows;
+  std::vector<double> nums;
+  std::vector<CategoryCode> codes;
+};
+
+ScanWorkspace& ThreadScanWorkspace() {
+  thread_local ScanWorkspace workspace;
+  return workspace;
+}
+
+// Grows `v` to at least `n` elements, never shrinking it.
+template <typename T>
+T* AtLeast(std::vector<T>* v, size_t n) {
+  if (v->size() < n) v->resize(n);
+  return v->data();
+}
+
+// One numeric column of a unary tile.
+struct UnaryLane {
+  const double* data;
+  double* gather;  // the column's stripe, or the sink stripe
+  int64_t* hist;   // histogram counts, or a one-cell sink
+  HistogramBinner binner;
+  MomentSketch* sketch;
+};
+
+// Unary statistics of W numeric columns in one pass over the block. The
+// W lanes' (count, sum, sum_sq) chains and histogram increments are
+// independent, so they overlap; each lane still adds its values in
+// ascending row order, continuing the sketch's chains across blocks, so
+// every sum is bit-identical to AddRow. A histogram-less lane counts into
+// its sink cell (a default binner maps every value to bin 0). Selected
+// rows ascend but are sparse at low densities, where the hardware
+// prefetcher falls behind, so each row prefetches its lanes' cells
+// kPrefetchRows selected rows ahead.
+constexpr size_t kPrefetchRows = 8;
+
+template <int W>
+void AccumulateUnaryTile(const UnaryLane* lanes, const uint32_t* rows,
+                         size_t n) {
+  const double* data[W];
+  double* gather[W];
+  int64_t* hist[W];
+  HistogramBinner binner[W];
+  int64_t count[W];
+  double sum[W];
+  double sum_sq[W];
+  for (int j = 0; j < W; ++j) {
+    data[j] = lanes[j].data;
+    gather[j] = lanes[j].gather;
+    hist[j] = lanes[j].hist;
+    binner[j] = lanes[j].binner;
+    count[j] = lanes[j].sketch->count;
+    sum[j] = lanes[j].sketch->sum;
+    sum_sq[j] = lanes[j].sketch->sum_sq;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t r = rows[i];
+    const uint32_t ahead = rows[std::min(i + kPrefetchRows, n - 1)];
+    for (int j = 0; j < W; ++j) __builtin_prefetch(data[j] + ahead);
+    for (int j = 0; j < W; ++j) {
+      const double v = data[j][r];
+      gather[j][i] = v;
+      if (IsNullNumeric(v)) continue;
+      ++count[j];
+      sum[j] += v;
+      sum_sq[j] += v * v;
+      ++hist[j][binner[j].BinOf(v)];
     }
   }
-  // ---- Numeric pair sketches (dense scratch reads) ------------------------
+  for (int j = 0; j < W; ++j) {
+    lanes[j].sketch->count = count[j];
+    lanes[j].sketch->sum = sum[j];
+    lanes[j].sketch->sum_sq = sum_sq[j];
+  }
+}
+
+}  // namespace
+
+void SelectionSketches::AccumulateRowBlock(const Table& table,
+                                           const TableProfile& profile,
+                                           const uint32_t* rows, size_t n,
+                                           double* nums, CategoryCode* codes,
+                                           size_t stride) {
+  const size_t m = table.num_columns();
+  // ---- Unary statistics; gathers into the stripes ------------------------
+  // Numeric columns go through the kernel 4 at a time, in column order; the
+  // last 1-3 run as a narrower tile. Pair-referenced columns are gathered
+  // into their stripes on the way, so the pair passes below read dense
+  // vectors instead of re-gathering through the row indices (a column
+  // feeds several pairs on correlated tables).
+  UnaryLane tile[4];
+  int64_t hist_sink[4] = {};
+  int width = 0;
+  for (size_t c = 0; c < m; ++c) {
+    const Column& col = table.column(c);
+    if (col.is_numeric()) {
+      UnaryLane& lane = tile[width];
+      lane.data = col.numeric_data().data();
+      lane.gather = nums + gather_slot_[c] * stride;
+      lane.hist = histograms_[c].empty() ? &hist_sink[width]
+                                         : histograms_[c].data();
+      lane.binner = binners_[c];
+      lane.sketch = &column_sketches_[c];
+      if (++width == 4) {
+        AccumulateUnaryTile<4>(tile, rows, n);
+        width = 0;
+      }
+      continue;
+    }
+    const CategoryCode* data = col.codes().data();
+    CategoryCode* gather = codes + gather_slot_[c] * stride;
+    int64_t* counts = category_counts_[c].data();
+    for (size_t i = 0; i < n; ++i) {
+      const CategoryCode code = data[rows[i]];
+      gather[i] = code;
+      if (code != kNullCategory) ++counts[static_cast<size_t>(code)];
+    }
+  }
+  switch (width) {
+    case 3:
+      AccumulateUnaryTile<3>(tile, rows, n);
+      break;
+    case 2:
+      AccumulateUnaryTile<2>(tile, rows, n);
+      break;
+    case 1:
+      AccumulateUnaryTile<1>(tile, rows, n);
+      break;
+    default:
+      break;
+  }
+  const auto num_stripe = [&](size_t c) {
+    return nums + gather_slot_[c] * stride;
+  };
+  const auto code_stripe = [&](size_t c) {
+    return codes + gather_slot_[c] * stride;
+  };
+  // ---- Numeric pair sketches (dense stripe reads) -------------------------
   const auto& npairs = profile.tracked_numeric_pairs();
   for (size_t p = 0; p < npairs.size(); ++p) {
-    const double* x = num_scratch_[npairs[p].first].data();
-    const double* y = num_scratch_[npairs[p].second].data();
+    const double* x = num_stripe(npairs[p].first);
+    const double* y = num_stripe(npairs[p].second);
     PairMomentSketch s = numeric_pair_sketches_[p];
     for (size_t i = 0; i < n; ++i) {
       if (!IsNullNumeric(x[i]) && !IsNullNumeric(y[i])) s.Add(x[i], y[i]);
@@ -195,11 +282,11 @@ void SelectionSketches::AccumulateRowBlock(const Table& table,
   // ---- Mixed pair grouped moments ----------------------------------------
   const auto& mpairs = profile.tracked_mixed_pairs();
   for (size_t p = 0; p < mpairs.size(); ++p) {
-    const CategoryCode* codes = code_scratch_[mpairs[p].first].data();
-    const double* x = num_scratch_[mpairs[p].second].data();
+    const CategoryCode* group = code_stripe(mpairs[p].first);
+    const double* x = num_stripe(mpairs[p].second);
     MomentSketch* groups = mixed_pair_groups_[p].data();
     for (size_t i = 0; i < n; ++i) {
-      const CategoryCode code = codes[i];
+      const CategoryCode code = group[i];
       if (code != kNullCategory && !IsNullNumeric(x[i])) {
         groups[static_cast<size_t>(code)].Add(x[i]);
       }
@@ -208,8 +295,8 @@ void SelectionSketches::AccumulateRowBlock(const Table& table,
   // ---- Categorical pair contingency tables -------------------------------
   const auto& cpairs = profile.tracked_categorical_pairs();
   for (size_t p = 0; p < cpairs.size(); ++p) {
-    const CategoryCode* a = code_scratch_[cpairs[p].first].data();
-    const CategoryCode* b = code_scratch_[cpairs[p].second].data();
+    const CategoryCode* a = code_stripe(cpairs[p].first);
+    const CategoryCode* b = code_stripe(cpairs[p].second);
     const size_t kb = table.column(cpairs[p].second).cardinality();
     int64_t* cells = categorical_pair_tables_[p].data();
     for (size_t i = 0; i < n; ++i) {
@@ -227,27 +314,24 @@ void SelectionSketches::AccumulateWordRange(const Table& table,
                                             const Selection& selection,
                                             size_t word_begin, size_t word_end,
                                             size_t block_rows) {
+  if (word_begin >= word_end) return;
   if (block_rows == 0) block_rows = kDefaultBlockRows;
   const size_t block_words =
       std::max<size_t>(1, block_rows / Selection::kWordBits);
-  const size_t capacity = block_words * Selection::kWordBits;
-  // Dense gather buffers for pair-referenced columns, one block deep.
-  for (size_t c = 0; c < pair_use_count_.size(); ++c) {
-    if (pair_use_count_[c] == 0) continue;
-    if (table.column(c).is_numeric()) {
-      if (num_scratch_[c].size() < capacity) num_scratch_[c].resize(capacity);
-    } else if (code_scratch_[c].size() < capacity) {
-      code_scratch_[c].resize(capacity);
-    }
-  }
-  std::vector<uint32_t> rows;
-  rows.reserve(capacity);
+  const size_t stride =
+      std::min(block_words, word_end - word_begin) * Selection::kWordBits;
+  ScanWorkspace& ws = ThreadScanWorkspace();
+  uint32_t* rows = AtLeast(&ws.rows, stride);
+  double* nums = AtLeast(&ws.nums, numeric_stripes_ * stride);
+  CategoryCode* codes = AtLeast(&ws.codes, code_stripes_ * stride);
   for (size_t w = word_begin; w < word_end; w += block_words) {
     const size_t we = std::min(w + block_words, word_end);
-    rows.clear();
+    size_t n = 0;
     selection.ForEachSetBitInWords(
-        w, we, [&rows](size_t r) { rows.push_back(static_cast<uint32_t>(r)); });
-    if (!rows.empty()) AccumulateRowBlock(table, profile, rows.data(), rows.size());
+        w, we, [rows, &n](size_t r) { rows[n++] = static_cast<uint32_t>(r); });
+    if (n > 0) {
+      AccumulateRowBlock(table, profile, rows, n, nums, codes, stride);
+    }
   }
 }
 
@@ -399,14 +483,20 @@ void SelectionSketches::DeriveAsComplement(const TableProfile& profile,
 
 size_t SelectionSketches::MemoryUsageBytes() const {
   size_t bytes = column_sketches_.capacity() * sizeof(MomentSketch);
+  bytes += category_counts_.capacity() * sizeof(category_counts_[0]);
   for (const auto& v : category_counts_) bytes += v.capacity() * sizeof(int64_t);
   bytes += numeric_pair_sketches_.capacity() * sizeof(PairMomentSketch);
+  bytes += mixed_pair_groups_.capacity() * sizeof(mixed_pair_groups_[0]);
   for (const auto& v : mixed_pair_groups_) bytes += v.capacity() * sizeof(MomentSketch);
+  bytes += categorical_pair_tables_.capacity() *
+           sizeof(categorical_pair_tables_[0]);
   for (const auto& v : categorical_pair_tables_) {
     bytes += v.capacity() * sizeof(int64_t);
   }
+  bytes += histograms_.capacity() * sizeof(histograms_[0]);
   for (const auto& v : histograms_) bytes += v.capacity() * sizeof(int64_t);
   bytes += binners_.capacity() * sizeof(HistogramBinner);
+  bytes += gather_slot_.capacity() * sizeof(uint32_t);
   return bytes;
 }
 

@@ -3,13 +3,24 @@
 //
 // Two accumulation paths exist:
 //  * Columnar blocked scan (AccumulateColumns / Build): the selection
-//    bitmap is decoded once per cache-sized block into a row-index vector,
-//    then every column (and tracked pair) is scanned contiguously over
-//    that vector — column-at-a-time, branch-light inner loops, one
-//    type dispatch per column per block instead of one per cell. This is
-//    the hot path for full preparation scans and parallelizes by
-//    word-aligned bitmap ranges with per-thread partials merged in
-//    deterministic order (Merge).
+//    bitmap is decoded once per block of kDefaultBlockRows rows into a
+//    row-index vector, then the columns (and tracked pairs) are scanned
+//    over that vector with one type dispatch per column per block instead
+//    of one per cell. Numeric columns run in tiles of 4 inside one row
+//    loop: 4 independent (count, sum, sum_sq) register chains, 4 gathers
+//    and 4 histogram increments per row, with each lane's cells a few
+//    selected rows ahead prefetched, so the columns' dependency chains
+//    and cache misses overlap instead of running back to back (the X100
+//    idea of several independent accumulators per vector; Boncz et al.,
+//    CIDR 2005). Columns referenced by tracked pairs are gathered on the way
+//    into a per-thread workspace, one stripe per column, which the pair
+//    passes then read densely. The workspace belongs to the scanning
+//    thread, not to the sketch: it is reused by every later scan on that
+//    thread, grows to the widest (stripes x block) seen and never shrinks,
+//    so a steady-state scan neither allocates nor page-faults, and a
+//    sketch holds statistics only. This is the hot path for full
+//    preparation scans and parallelizes by word-aligned bitmap ranges with
+//    per-thread partials merged in deterministic order (Merge).
 //  * Row-at-a-time AddRow/RemoveRow: kept exclusively for the incremental
 //    delta path, where consecutive exploration queries differ in few rows
 //    and per-row patching beats any rescan.
@@ -37,8 +48,8 @@ namespace ziggy {
 /// \brief Per-side accumulation state for component construction.
 class SelectionSketches {
  public:
-  /// Default rows per accumulation block (~32 KiB of row indices; the
-  /// decoded block plus one column's touched cells stay cache-resident).
+  /// Default rows per accumulation block (16 KiB of row indices; one
+  /// gathered stripe is 32 KiB).
   static constexpr size_t kDefaultBlockRows = 4096;
 
   SelectionSketches() = default;
@@ -125,8 +136,8 @@ class SelectionSketches {
   size_t MemoryUsageBytes() const;
 
   /// \name Persistence (persist/sketch_codec.cc — the store's warm-cache
-  /// file). Only the accumulated statistics travel; the scan scratch and
-  /// binners are rebuilt by InitShapes on load.
+  /// file). Only the accumulated statistics travel; the binners and the
+  /// gather layout are rebuilt by InitShapes on load.
   /// @{
 
   /// Appends the accumulated statistics to `out` (binary_io framing).
@@ -146,9 +157,12 @@ class SelectionSketches {
   template <int Sign>
   void ApplyRow(const Table& table, const TableProfile& profile, size_t r);
 
-  /// Column-at-a-time accumulation of one decoded block of selected rows.
+  /// Accumulation of one decoded block of `n` selected rows. `nums` and
+  /// `codes` are the thread's gather stripes, `stride` values apart, laid
+  /// out by gather_slot_.
   void AccumulateRowBlock(const Table& table, const TableProfile& profile,
-                          const uint32_t* rows, size_t n);
+                          const uint32_t* rows, size_t n, double* nums,
+                          CategoryCode* codes, size_t stride);
 
   std::vector<MomentSketch> column_sketches_;
   std::vector<std::vector<int64_t>> category_counts_;
@@ -159,13 +173,14 @@ class SelectionSketches {
   // Per-column binners precomputed in InitShapes: the per-cell histogram
   // cost is one multiply instead of two divisions, on both scan paths.
   std::vector<HistogramBinner> binners_;
-  // Columnar-scan scratch: per column, how many tracked pairs reference it
-  // (computed in InitShapes), and the dense per-block gather buffers for
-  // referenced columns (allocated lazily by AccumulateWordRange; unused by
-  // the row-at-a-time path).
-  std::vector<uint32_t> pair_use_count_;
-  std::vector<std::vector<double>> num_scratch_;
-  std::vector<std::vector<CategoryCode>> code_scratch_;
+  // Gather layout of the columnar scan (computed in InitShapes): per
+  // column, its stripe in the numeric or categorical workspace, and the
+  // stripe count of each kind. Columns no tracked pair references share
+  // stripe 0 of their kind, a sink the scan writes but never reads. The
+  // stripes themselves live in the scanning thread's workspace, not here.
+  std::vector<uint32_t> gather_slot_;
+  size_t numeric_stripes_ = 0;
+  size_t code_stripes_ = 0;
 };
 
 }  // namespace ziggy

@@ -832,10 +832,14 @@ TEST_F(DaemonTcpTest, PipelinedRequestsAnswerStrictlyInOrder) {
   ASSERT_TRUE(client.Open("box", "demo://boxoffice?seed=7").ok());
 
   // Queue a window of distinguishable requests without reading anything.
-  ASSERT_TRUE(client.SendRequest({Verb::kList, {}}).ok());
-  ASSERT_TRUE(client.SendRequest({Verb::kStats, {"box"}}).ok());
-  ASSERT_TRUE(client.SendRequest({Verb::kHealth, {}}).ok());
-  ASSERT_TRUE(client.SendRequest({Verb::kList, {}}).ok());
+  // One write carries all four, so the daemon decodes them as one batch
+  // and the later three are pipelined behind the first; with one write
+  // each, the daemon could answer a request before the next arrived.
+  const std::vector<WireRequest> window = {{Verb::kList, {}},
+                                           {Verb::kStats, {"box"}},
+                                           {Verb::kHealth, {}},
+                                           {Verb::kList, {}}};
+  ASSERT_TRUE(client.SendRequests(window).ok());
   EXPECT_EQ(client.inflight(), 4u);
 
   // A blocking call may not interleave into the pipeline: it would steal

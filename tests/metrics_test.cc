@@ -499,6 +499,42 @@ TEST(CatalogMetricsTest, OpenSpansRecordColdAndWarmOpens) {
   EXPECT_EQ(count("ziggy_open_profile_us"), 1u);
 }
 
+TEST(CatalogMetricsTest, ProcessGaugesTrackFaultsAndPeakRss) {
+  auto registry = std::make_shared<MetricsRegistry>();
+  CatalogOptions options;
+  options.metrics = registry;
+  options.flush_interval_ms = 0;
+  ServerCatalog catalog(options);
+  catalog.RefreshMetrics();
+  Gauge* faults = registry->gauge("ziggy_process_minor_faults");
+  Gauge* peak = registry->gauge("ziggy_process_peak_rss_bytes");
+  const int64_t faults_before = faults->value();
+  EXPECT_GT(faults_before, 0);
+  EXPECT_GT(peak->value(), 0);
+
+  // Touching 32 MiB of fresh memory faults in ~8k pages and lifts the
+  // peak resident set to at least that much.
+  constexpr size_t kBytes = size_t{32} << 20;
+  std::vector<char> fresh(kBytes, 1);
+  // Keep the compiler from eliding the allocation.
+  asm volatile("" : : "r"(fresh.data()) : "memory");
+  catalog.RefreshMetrics();
+  EXPECT_GE(faults->value() - faults_before,
+            static_cast<int64_t>(kBytes / 4096 / 2));
+  EXPECT_GE(peak->value(), static_cast<int64_t>(kBytes));
+  EXPECT_EQ(fresh[kBytes - 1], 1);
+
+  // Both formats render them.
+  for (const char* name :
+       {"ziggy_process_minor_faults", "ziggy_process_peak_rss_bytes"}) {
+    EXPECT_NE(registry->RenderJson().find(name), std::string::npos) << name;
+    EXPECT_NE(registry->RenderPrometheus().find(std::string("# TYPE ") + name +
+                                                " gauge"),
+              std::string::npos)
+        << name;
+  }
+}
+
 }  // namespace
 }  // namespace obs
 }  // namespace ziggy

@@ -1,12 +1,17 @@
 // Tests for the columnar blocked scan pipeline: the packed word bitmap
-// Selection, the ParallelFor utility, and the equivalence of blocked /
-// parallel sketch accumulation with the row-at-a-time reference path.
+// Selection, the ParallelFor utility, the equivalence of blocked /
+// parallel sketch accumulation with the row-at-a-time reference path, and
+// the footprint of a scan result.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include "common/parallel.h"
 #include "common/random.h"
@@ -327,6 +332,294 @@ TEST(ColumnarAccumulationTest, ProfileIndependentOfThreadCount) {
   po.num_threads = 4;
   const TableProfile threaded = TableProfile::Compute(fx.table, po).ValueOrDie();
   EXPECT_TRUE(fx.profile.Equals(threaded));
+}
+
+// ------------------------------------------- tiled unary scan, wide ---
+
+// Numeric column shapes cycled through by MakeWideFixture: each one is a
+// case the tiled unary kernel must reproduce exactly.
+enum class NumericShape {
+  kNullHolding,  // correlated with the hidden factor, ~5% NULL
+  kAllNull,
+  kConstant,     // degenerate histogram binner
+  kSignedZero,   // -0.0 and +0.0 mixed with a few small values
+  kOffset,       // 1e9 + correlated value: large mean, small spread
+  kAntiCorrelated,
+};
+constexpr NumericShape kShapes[] = {
+    NumericShape::kNullHolding, NumericShape::kAllNull,
+    NumericShape::kConstant,    NumericShape::kSignedZero,
+    NumericShape::kOffset,      NumericShape::kAntiCorrelated};
+
+double ShapedValue(NumericShape shape, double f, Rng* rng) {
+  switch (shape) {
+    case NumericShape::kNullHolding:
+      return rng->Bernoulli(0.05) ? NullNumeric() : f + 0.3 * rng->Normal();
+    case NumericShape::kAllNull:
+      return NullNumeric();
+    case NumericShape::kConstant:
+      return 7.5;
+    case NumericShape::kSignedZero:
+      if (rng->Bernoulli(0.1)) return 1e-3 * rng->Normal();
+      return rng->Bernoulli(0.5) ? -0.0 : 0.0;
+    case NumericShape::kOffset:
+      return 1e9 + f + 0.3 * rng->Normal();
+    case NumericShape::kAntiCorrelated:
+      return rng->Bernoulli(0.1) ? NullNumeric() : -2.0 * f + rng->Normal();
+  }
+  return 0.0;
+}
+
+// `numeric` numeric columns (shapes cycled from `first_shape`) with a
+// categorical after every second one, plus a leading categorical, so
+// numeric tiles are interleaved with categorical columns and every tile
+// remainder occurs as `numeric` runs over 0..9. Correlated numerics and
+// categoricals give the profile tracked pairs of all three kinds.
+Fixture MakeWideFixture(size_t n, size_t numeric, uint64_t seed,
+                        size_t histogram_bins = 16, size_t first_shape = 0) {
+  Rng rng(seed);
+  std::vector<double> factor(n);
+  for (double& f : factor) f = rng.Normal();
+  std::vector<Column> columns;
+  const auto add_categorical = [&](size_t k) {
+    std::vector<std::string> labels(n);
+    for (size_t i = 0; i < n; ++i) {
+      const int g = factor[i] > 0.5 ? 2 : (factor[i] > -0.5 ? 1 : 0);
+      labels[i] = rng.Bernoulli(0.03)
+                      ? ""
+                      : "g" + std::to_string((g + rng.UniformInt(0, 1)) % 3);
+    }
+    columns.push_back(Column::FromStrings("c" + std::to_string(k), labels));
+  };
+  add_categorical(0);
+  for (size_t k = 0; k < numeric; ++k) {
+    const NumericShape shape = kShapes[(first_shape + k) % std::size(kShapes)];
+    std::vector<double> values(n);
+    for (size_t i = 0; i < n; ++i) {
+      values[i] = ShapedValue(shape, factor[i], &rng);
+    }
+    columns.push_back(Column::FromNumeric("x" + std::to_string(k), values));
+    if (k % 2 == 1) add_categorical(k + 1);
+  }
+  Table t = Table::FromColumns(std::move(columns)).ValueOrDie();
+  ProfileOptions po;
+  po.histogram_bins = histogram_bins;
+  TableProfile p = TableProfile::Compute(t, po).ValueOrDie();
+  return {std::move(t), std::move(p)};
+}
+
+// AddRow reference partitioned exactly as Build partitions for
+// `threads`: per-range partials merged in range order. With one thread it
+// is the plain ascending-row reference.
+SelectionSketches PartitionedReference(const Fixture& fx, const Selection& sel,
+                                       size_t threads) {
+  const size_t num_words = sel.num_words();
+  if (threads <= 1 || num_words < 2) return ReferenceSketches(fx, sel);
+  SelectionSketches out;
+  out.InitShapes(fx.table, fx.profile);
+  for (const TaskRange& range : PartitionTasks(num_words, threads)) {
+    SelectionSketches part;
+    part.InitShapes(fx.table, fx.profile);
+    sel.ForEachSetBitInWords(range.begin, range.end, [&](size_t r) {
+      part.AddRow(fx.table, fx.profile, r);
+    });
+    out.Merge(part);
+  }
+  return out;
+}
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+// Bitwise equality of every statistic: a signed zero or a last-ULP
+// difference fails.
+void ExpectBitIdentical(const Fixture& fx, const SelectionSketches& a,
+                        const SelectionSketches& b) {
+  const auto same_moment = [](const MomentSketch& u, const MomentSketch& v) {
+    return u.count == v.count && Bits(u.sum) == Bits(v.sum) &&
+           Bits(u.sum_sq) == Bits(v.sum_sq);
+  };
+  for (size_t c = 0; c < fx.table.num_columns(); ++c) {
+    EXPECT_TRUE(same_moment(a.column_sketch(c), b.column_sketch(c)))
+        << "col " << c;
+    EXPECT_EQ(a.category_counts(c), b.category_counts(c)) << "col " << c;
+    EXPECT_EQ(a.histogram(c), b.histogram(c)) << "col " << c;
+  }
+  for (size_t i = 0; i < fx.profile.tracked_numeric_pairs().size(); ++i) {
+    const PairMomentSketch& pa = a.numeric_pair_sketch(i);
+    const PairMomentSketch& pb = b.numeric_pair_sketch(i);
+    EXPECT_EQ(pa.count, pb.count) << "pair " << i;
+    EXPECT_EQ(std::memcmp(&pa, &pb, sizeof(PairMomentSketch)), 0)
+        << "pair " << i;
+  }
+  for (size_t i = 0; i < fx.profile.tracked_mixed_pairs().size(); ++i) {
+    const auto& ga = a.mixed_pair_groups(i);
+    const auto& gb = b.mixed_pair_groups(i);
+    ASSERT_EQ(ga.size(), gb.size());
+    for (size_t g = 0; g < ga.size(); ++g) {
+      EXPECT_TRUE(same_moment(ga[g], gb[g])) << "mixed " << i << " group " << g;
+    }
+  }
+  for (size_t i = 0; i < fx.profile.tracked_categorical_pairs().size(); ++i) {
+    EXPECT_EQ(a.categorical_pair_table(i), b.categorical_pair_table(i));
+  }
+  EXPECT_TRUE(a.Equals(b));
+}
+
+TEST(TiledScanTest, EveryTileRemainderIsBitIdenticalToAddRow) {
+  for (size_t numeric = 0; numeric <= 9; ++numeric) {
+    for (size_t first_shape : {0u, 3u}) {
+      SCOPED_TRACE("numeric=" + std::to_string(numeric) +
+                   " first_shape=" + std::to_string(first_shape));
+      const Fixture fx = MakeWideFixture(1300, numeric, 100 + numeric, 16,
+                                         first_shape);
+      for (double density : {0.0, 0.05, 0.5, 1.0}) {
+        const Selection sel = MakeSelection(fx.table.num_rows(), density, 7);
+        SelectionSketches columnar;
+        columnar.InitShapes(fx.table, fx.profile);
+        columnar.AccumulateColumns(fx.table, fx.profile, sel);
+        ExpectBitIdentical(fx, ReferenceSketches(fx, sel), columnar);
+      }
+    }
+  }
+}
+
+TEST(TiledScanTest, WideFixtureTracksPairsOfEveryKind) {
+  // Guards the fixture: without tracked pairs the gather stripes would go
+  // unread and the tests above would not cover them.
+  const Fixture fx = MakeWideFixture(1300, 9, 109);
+  EXPECT_FALSE(fx.profile.tracked_numeric_pairs().empty());
+  EXPECT_FALSE(fx.profile.tracked_mixed_pairs().empty());
+  EXPECT_FALSE(fx.profile.tracked_categorical_pairs().empty());
+}
+
+TEST(TiledScanTest, HistogramlessProfileIsBitIdentical) {
+  for (size_t numeric : {1u, 4u, 7u}) {
+    const Fixture fx = MakeWideFixture(900, numeric, 200 + numeric,
+                                       /*histogram_bins=*/0);
+    for (size_t c = 0; c < fx.table.num_columns(); ++c) {
+      ASSERT_TRUE(fx.profile.HistogramCountsOf(c).empty());
+    }
+    const Selection sel = MakeSelection(fx.table.num_rows(), 0.4, 9);
+    ExpectBitIdentical(fx, ReferenceSketches(fx, sel),
+                       SelectionSketches::Build(fx.table, fx.profile, sel));
+  }
+}
+
+TEST(TiledScanTest, BlockSizesSplittingTheTableAreBitIdentical) {
+  // 2500 rows: every block size below leaves a partial last block, and
+  // 100 rounds down to one 64-row word per block.
+  const Fixture fx = MakeWideFixture(2500, 9, 301);
+  const Selection sel = MakeSelection(fx.table.num_rows(), 0.3, 11);
+  const SelectionSketches ref = ReferenceSketches(fx, sel);
+  for (size_t block_rows : {64u, 100u, 192u, 1000u, 4096u}) {
+    SCOPED_TRACE("block_rows=" + std::to_string(block_rows));
+    SelectionSketches columnar;
+    columnar.InitShapes(fx.table, fx.profile);
+    columnar.AccumulateColumns(fx.table, fx.profile, sel, block_rows);
+    ExpectBitIdentical(fx, ref, columnar);
+  }
+}
+
+TEST(TiledScanTest, ThreadCountsMatchPartitionedAddRowExactly) {
+  const Fixture fx = MakeWideFixture(3000, 8, 401);
+  for (double density : {0.02, 0.5}) {
+    const Selection sel = MakeSelection(fx.table.num_rows(), density, 13);
+    for (size_t threads : {1u, 2u, 4u}) {
+      for (size_t block_rows : {0u, 128u}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads) +
+                     " block_rows=" + std::to_string(block_rows));
+        ExpectBitIdentical(fx, PartitionedReference(fx, sel, threads),
+                           SelectionSketches::Build(fx.table, fx.profile, sel,
+                                                    threads, block_rows));
+      }
+    }
+  }
+}
+
+TEST(TiledScanTest, BuildManyOfThreeSelectionsIsBitIdentical) {
+  const Fixture fx = MakeWideFixture(2200, 9, 501);
+  const Selection a = MakeSelection(fx.table.num_rows(), 0.05, 21);
+  const Selection b = MakeSelection(fx.table.num_rows(), 0.5, 22);
+  const Selection c = MakeSelection(fx.table.num_rows(), 0.95, 23);
+  const std::vector<const Selection*> sels = {&a, &b, &c};
+  for (size_t threads : {1u, 2u, 4u}) {
+    for (size_t block_rows : {0u, 192u}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " block_rows=" + std::to_string(block_rows));
+      const std::vector<SelectionSketches> many = SelectionSketches::BuildMany(
+          fx.table, fx.profile, sels, threads, block_rows);
+      ASSERT_EQ(many.size(), 3u);
+      for (size_t k = 0; k < 3; ++k) {
+        ExpectBitIdentical(fx, PartitionedReference(fx, *sels[k], threads),
+                           many[k]);
+      }
+    }
+  }
+}
+
+TEST(TiledScanTest, WorkspaceReuseAcrossTablesOnOneThread) {
+  // The gather workspace is per thread and outlives each scan: a narrow
+  // scan after a wide one runs on a larger, dirty workspace, and a wide
+  // scan after a narrow one must grow it. Each result stays exact.
+  const Fixture wide = MakeWideFixture(5000, 9, 601);
+  const Fixture narrow = MakeWideFixture(300, 2, 602);
+  const Selection wide_sel = MakeSelection(wide.table.num_rows(), 0.6, 31);
+  const Selection narrow_sel = MakeSelection(narrow.table.num_rows(), 0.6, 32);
+  for (int round = 0; round < 2; ++round) {
+    ExpectBitIdentical(wide, ReferenceSketches(wide, wide_sel),
+                       SelectionSketches::Build(wide.table, wide.profile,
+                                                wide_sel));
+    ExpectBitIdentical(narrow, ReferenceSketches(narrow, narrow_sel),
+                       SelectionSketches::Build(narrow.table, narrow.profile,
+                                                narrow_sel));
+  }
+}
+
+// ------------------------------------------------- result footprint ---
+
+// MemoryUsageBytes recomputed from the public statistics, plus the two
+// per-column shape arrays (binners and gather slots): everything a sketch
+// owns on the heap.
+size_t ExpectedFootprint(const Fixture& fx) {
+  const size_t m = fx.table.num_columns();
+  size_t bytes = m * (sizeof(MomentSketch) + sizeof(HistogramBinner) +
+                      sizeof(uint32_t) + 2 * sizeof(std::vector<int64_t>));
+  for (size_t c = 0; c < m; ++c) {
+    const Column& col = fx.table.column(c);
+    if (col.is_categorical()) bytes += col.cardinality() * sizeof(int64_t);
+    bytes += fx.profile.HistogramCountsOf(c).size() * sizeof(int64_t);
+  }
+  bytes += fx.profile.tracked_numeric_pairs().size() * sizeof(PairMomentSketch);
+  for (size_t i = 0; i < fx.profile.tracked_mixed_pairs().size(); ++i) {
+    bytes += sizeof(std::vector<MomentSketch>) +
+             fx.profile.MixedPairGroups(i).groups.size() * sizeof(MomentSketch);
+  }
+  for (size_t i = 0; i < fx.profile.tracked_categorical_pairs().size(); ++i) {
+    bytes += sizeof(std::vector<int64_t>) +
+             fx.profile.CategoricalPairTable(i).size() * sizeof(int64_t);
+  }
+  return bytes;
+}
+
+TEST(SketchFootprintTest, ScanResultHoldsOnlyStatistics) {
+  const Fixture fx = MakeWideFixture(5000, 9, 701);
+  const Selection sel = MakeSelection(fx.table.num_rows(), 0.5, 41);
+  SelectionSketches shaped;
+  shaped.InitShapes(fx.table, fx.profile);
+  const size_t expected = ExpectedFootprint(fx);
+  EXPECT_EQ(shaped.MemoryUsageBytes(), expected);
+  for (size_t threads : {1u, 4u}) {
+    const SelectionSketches built =
+        SelectionSketches::Build(fx.table, fx.profile, sel, threads);
+    EXPECT_EQ(built.MemoryUsageBytes(), expected) << threads;
+    const SelectionSketches copy = built;  // what a near-miss patch copies
+    EXPECT_EQ(copy.MemoryUsageBytes(), expected) << threads;
+  }
+  const std::vector<const Selection*> sels = {&sel, &sel};
+  for (const SelectionSketches& s :
+       SelectionSketches::BuildMany(fx.table, fx.profile, sels)) {
+    EXPECT_EQ(s.MemoryUsageBytes(), expected);
+  }
 }
 
 }  // namespace
