@@ -55,7 +55,7 @@ void RunCase(const Planted& spec) {
     if (c.col_b != kNoColumn) cols += " x " + t.schema().field(c.col_b).name;
     table.AddRow({std::string(ComponentKindToString(c.kind)) + " (" + cols + ")",
                   Fmt(c.inside_value), Fmt(c.outside_value), Fmt(c.effect.value),
-                  Fmt(c.p_value, 2)});
+                  Fmt(c.p_value(), 2)});
   }
   table.Print();
   std::cout << "\n";

@@ -167,9 +167,11 @@ Result<Characterization> ZiggyEngine::Characterize(const Selection& selection) {
 
   // ---- Stage 2: View search --------------------------------------------------
   t0 = std::chrono::steady_clock::now();
-  ZIGGY_ASSIGN_OR_RETURN(
-      ViewSearchResult search,
-      SearchViews(*profile_, *components, options_.search, dendrogram_.get()));
+  if (!view_plan_.has_value() || !view_plan_->Matches(options_.search)) {
+    ZIGGY_ASSIGN_OR_RETURN(
+        view_plan_, ViewPlan::Build(*profile_, *dendrogram_, options_.search));
+  }
+  ViewSearchResult search = view_plan_->Search(*components, options_.search);
   out.timings.search_ms = ElapsedMs(t0);
   out.num_candidates = search.num_candidates;
 

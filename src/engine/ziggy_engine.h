@@ -202,6 +202,10 @@ class ZiggyEngine {
   std::unique_ptr<Preparer> preparer_;
   ComponentBuildOptions preparer_options_;
   SketchProvider sketch_provider_;
+  // View search's query-independent half (candidates and their column
+  // index), kept like the Preparer: built from dendrogram_ on the first
+  // read, rebuilt when the structural search options change.
+  std::optional<ViewPlan> view_plan_;
   // Component cache: fingerprint -> (selection, table, position in the
   // recency list). The fingerprint can collide, so a hit also compares the
   // stored selection. Bounded by options_.max_cached_queries;

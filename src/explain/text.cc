@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/string_util.h"
+#include "zig/dissimilarity.h"
 
 namespace ziggy {
 
@@ -25,8 +26,8 @@ std::string ClauseFor(const ZigComponent& c, const Schema& schema) {
                                  : "a weaker correlation between ") +
              a + " and " + b;
     case ComponentKind::kFrequencyShift:
-      if (!c.detail.empty()) {
-        return "an over-representation of '" + c.detail + "' in " + a;
+      if (!c.top_category.empty()) {
+        return "an over-representation of '" + c.top_category + "' in " + a;
       }
       return "an unusual distribution of " + a;
     case ComponentKind::kAssociationShift:
@@ -42,10 +43,7 @@ std::string ClauseFor(const ZigComponent& c, const Schema& schema) {
                                  : "systematically lower values of ") +
              a;
     case ComponentKind::kDistributionShift:
-      if (!c.detail.empty()) {
-        return "a concentration of " + a + " in the range " + c.detail;
-      }
-      return "a markedly different distribution of " + a;
+      return "a concentration of " + a + " in the range " + c.detail();
   }
   return "an unusual distribution of " + a;
 }
@@ -89,7 +87,9 @@ std::string DescribeComponent(const ZigComponent& c, const Schema& schema) {
       break;
     case ComponentKind::kFrequencyShift:
       out += "total-variation distance " + FormatDouble(c.inside_value, 3);
-      if (!c.detail.empty()) out += ", most over-represented: '" + c.detail + "'";
+      if (!c.top_category.empty()) {
+        out += ", most over-represented: '" + c.top_category + "'";
+      }
       break;
     case ComponentKind::kAssociationShift:
       out += "eta=" + FormatDouble(c.inside_value, 3) + " inside vs " +
@@ -105,10 +105,10 @@ std::string DescribeComponent(const ZigComponent& c, const Schema& schema) {
       break;
     case ComponentKind::kDistributionShift:
       out += "histogram total-variation distance " + FormatDouble(c.inside_value, 3);
-      if (!c.detail.empty()) out += ", mass concentrated in " + c.detail;
+      out += ", mass concentrated in " + c.detail();
       break;
   }
-  out += ", p=" + FormatDouble(c.p_value, 2);
+  out += ", p=" + FormatDouble(c.p_value(), 2);
   out += " [n_in=" + std::to_string(c.inside_n) +
          ", n_out=" + std::to_string(c.outside_n) + "]";
   return out;
@@ -119,29 +119,32 @@ Explanation ExplainView(const View& view, const ComponentTable& components,
   Explanation out;
   out.confidence = 1.0 - view.aggregated_p_value;
 
-  // Gather the view's components, most confident first.
-  auto in_view = [&view](size_t col) {
-    return std::find(view.columns.begin(), view.columns.end(), col) !=
-           view.columns.end();
+  // Gather the view's components, most confident first. Each p-value is
+  // evaluated once here, not inside the sort comparator.
+  struct Ranked {
+    double p_value;
+    double magnitude;
+    const ZigComponent* component;
   };
-  std::vector<const ZigComponent*> covered;
+  const ViewMembership member(view.columns);
+  std::vector<Ranked> covered;
   for (const auto& c : components.components()) {
-    const bool inside = IsPairKind(c.kind) ? (in_view(c.col_a) && in_view(c.col_b))
-                                           : in_view(c.col_a);
-    if (inside) covered.push_back(&c);
+    if (member.Covers(c)) covered.push_back({c.p_value(), c.Magnitude(), &c});
   }
   std::stable_sort(covered.begin(), covered.end(),
-                   [](const ZigComponent* x, const ZigComponent* y) {
-                     if (x->p_value != y->p_value) return x->p_value < y->p_value;
-                     return x->Magnitude() > y->Magnitude();
+                   [](const Ranked& x, const Ranked& y) {
+                     if (x.p_value != y.p_value) return x.p_value < y.p_value;
+                     return x.magnitude > y.magnitude;
                    });
 
   std::vector<std::string> clauses;
-  for (const ZigComponent* c : covered) {
+  for (const Ranked& r : covered) {
     if (clauses.size() >= options.max_headline_components) break;
-    if (c->p_value > options.max_p_value) break;  // sorted: all further worse
-    clauses.push_back(ClauseFor(*c, schema));
-    if (options.include_details) out.details.push_back(DescribeComponent(*c, schema));
+    if (r.p_value > options.max_p_value) break;  // sorted: all further worse
+    clauses.push_back(ClauseFor(*r.component, schema));
+    if (options.include_details) {
+      out.details.push_back(DescribeComponent(*r.component, schema));
+    }
   }
 
   // Column list for the sentence prefix.

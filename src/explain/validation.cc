@@ -3,20 +3,16 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "zig/dissimilarity.h"
 
 namespace ziggy {
 
 std::vector<double> CollectViewPValues(const View& view,
                                        const ComponentTable& components) {
   std::vector<double> out;
-  auto in_view = [&view](size_t col) {
-    return std::find(view.columns.begin(), view.columns.end(), col) !=
-           view.columns.end();
-  };
+  const ViewMembership member(view.columns);
   for (const auto& c : components.components()) {
-    const bool covered = IsPairKind(c.kind) ? (in_view(c.col_a) && in_view(c.col_b))
-                                            : in_view(c.col_a);
-    if (covered) out.push_back(c.p_value);
+    if (member.Covers(c)) out.push_back(c.p_value());
   }
   return out;
 }

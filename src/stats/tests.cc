@@ -9,50 +9,78 @@
 
 namespace ziggy {
 
-TestResult WelchTTest(const NumericStats& a, const NumericStats& b) {
+double TestStatistic::PValue() const {
+  switch (null_distribution) {
+    case NullDistribution::kFixed:
+      return fixed_p;
+    case NullDistribution::kStudentT:
+      return TwoSidedTPValue(statistic, dof);
+    case NullDistribution::kF: {
+      const double cdf = FCdf(statistic, dof, dof2);
+      return std::clamp(2.0 * std::min(cdf, 1.0 - cdf), 0.0, 1.0);
+    }
+    case NullDistribution::kChiSquare:
+      return ChiSquarePValue(statistic, dof);
+  }
+  return fixed_p;
+}
+
+TestResult TestStatistic::Resolve() const {
   TestResult r;
+  r.statistic = statistic;
+  r.p_value = PValue();
+  r.dof = dof;
+  r.defined = defined;
+  return r;
+}
+
+TestStatistic WelchTStatistic(const NumericStats& a, const NumericStats& b) {
+  TestStatistic r;
   if (a.count < 2 || b.count < 2) return r;
   const double na = static_cast<double>(a.count);
   const double nb = static_cast<double>(b.count);
   const double va = a.Variance() / na;
   const double vb = b.Variance() / nb;
   const double denom = va + vb;
+  r.defined = true;
   if (denom <= 0.0) {
     // Zero variance on both sides: distributions are point masses.
-    r.defined = true;
     r.statistic = (a.mean == b.mean) ? 0.0 : std::copysign(1e9, a.mean - b.mean);
-    r.p_value = (a.mean == b.mean) ? 1.0 : 0.0;
+    r.fixed_p = (a.mean == b.mean) ? 1.0 : 0.0;
     r.dof = na + nb - 2.0;
     return r;
   }
-  r.defined = true;
+  r.null_distribution = TestStatistic::NullDistribution::kStudentT;
   r.statistic = (a.mean - b.mean) / std::sqrt(denom);
   // Welch–Satterthwaite degrees of freedom.
   r.dof = denom * denom /
           (va * va / (na - 1.0) + vb * vb / (nb - 1.0));
-  r.p_value = TwoSidedTPValue(r.statistic, r.dof);
   return r;
 }
 
-TestResult VarianceFTest(const NumericStats& a, const NumericStats& b) {
-  TestResult r;
+TestStatistic VarianceFStatistic(const NumericStats& a, const NumericStats& b) {
+  TestStatistic r;
   if (a.count < 2 || b.count < 2) return r;
   const double va = a.Variance();
   const double vb = b.Variance();
+  r.defined = true;
   if (va <= 0.0 || vb <= 0.0) {
-    r.defined = true;
-    r.statistic = 0.0;
-    r.p_value = (va == vb) ? 1.0 : 0.0;
+    r.fixed_p = (va == vb) ? 1.0 : 0.0;
     return r;
   }
-  r.defined = true;
+  r.null_distribution = TestStatistic::NullDistribution::kF;
   r.statistic = va / vb;
-  const double d1 = static_cast<double>(a.count) - 1.0;
-  const double d2 = static_cast<double>(b.count) - 1.0;
-  r.dof = d1;  // numerator dof; denominator is d2
-  const double cdf = FCdf(r.statistic, d1, d2);
-  r.p_value = std::clamp(2.0 * std::min(cdf, 1.0 - cdf), 0.0, 1.0);
+  r.dof = static_cast<double>(a.count) - 1.0;
+  r.dof2 = static_cast<double>(b.count) - 1.0;
   return r;
+}
+
+TestResult WelchTTest(const NumericStats& a, const NumericStats& b) {
+  return WelchTStatistic(a, b).Resolve();
+}
+
+TestResult VarianceFTest(const NumericStats& a, const NumericStats& b) {
+  return VarianceFStatistic(a, b).Resolve();
 }
 
 TestResult CorrelationZTest(double r_a, int64_t n_a, double r_b, int64_t n_b) {
@@ -65,9 +93,9 @@ TestResult CorrelationZTest(double r_a, int64_t n_a, double r_b, int64_t n_b) {
   return r;
 }
 
-TestResult ChiSquareHomogeneityTest(const std::vector<int64_t>& a,
-                                    const std::vector<int64_t>& b) {
-  TestResult r;
+TestStatistic ChiSquareHomogeneityStatistic(const std::vector<int64_t>& a,
+                                            const std::vector<int64_t>& b) {
+  TestStatistic r;
   if (a.size() != b.size() || a.empty()) return r;
   int64_t na = 0;
   int64_t nb = 0;
@@ -89,10 +117,15 @@ TestResult ChiSquareHomogeneityTest(const std::vector<int64_t>& a,
   }
   if (used_categories < 2) return r;
   r.defined = true;
+  r.null_distribution = TestStatistic::NullDistribution::kChiSquare;
   r.statistic = chi2;
   r.dof = static_cast<double>(used_categories - 1);
-  r.p_value = ChiSquarePValue(chi2, r.dof);
   return r;
+}
+
+TestResult ChiSquareHomogeneityTest(const std::vector<int64_t>& a,
+                                    const std::vector<int64_t>& b) {
+  return ChiSquareHomogeneityStatistic(a, b).Resolve();
 }
 
 double AggregatePValues(const std::vector<double>& p_values, CorrectionMethod method) {

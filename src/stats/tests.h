@@ -6,6 +6,7 @@
 #ifndef ZIGGY_STATS_TESTS_H_
 #define ZIGGY_STATS_TESTS_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "stats/descriptive.h"
@@ -19,6 +20,43 @@ struct TestResult {
   double dof = 0.0;     ///< degrees of freedom where applicable
   bool defined = false; ///< false when the test could not be computed
 };
+
+/// \brief A test's statistic and degrees of freedom: everything but its
+/// tail probability, which PValue() evaluates on demand. Splitting the two
+/// lets the component table defer the costly tail integrals to the few
+/// components an explanation actually reads.
+struct TestStatistic {
+  /// Null distribution of the statistic.
+  enum class NullDistribution : uint8_t {
+    kFixed,      ///< undefined or degenerate outcome: p-value is `fixed_p`
+    kStudentT,   ///< two-sided Student t with `dof`
+    kF,          ///< two-sided F with (`dof`, `dof2`)
+    kChiSquare,  ///< upper-tail chi-square with `dof`
+  };
+  NullDistribution null_distribution = NullDistribution::kFixed;
+  double statistic = 0.0;
+  double dof = 0.0;      ///< degrees of freedom (numerator dof for F)
+  double dof2 = 0.0;     ///< denominator dof (F only)
+  double fixed_p = 1.0;  ///< p-value when `null_distribution` is kFixed
+  bool defined = false;  ///< false when the test could not be computed
+
+  /// Tail probability of the statistic under its null distribution.
+  double PValue() const;
+  /// The complete outcome: statistic, dof, PValue() and `defined`.
+  TestResult Resolve() const;
+};
+
+/// \brief Statistic of Welch's unequal-variance two-sample t test.
+TestStatistic WelchTStatistic(const NumericStats& a, const NumericStats& b);
+
+/// \brief Statistic of the two-sided F test of variance equality.
+TestStatistic VarianceFStatistic(const NumericStats& a, const NumericStats& b);
+
+/// \brief Statistic of the chi-square test of homogeneity between two count
+/// vectors over the same categories. Categories empty on both sides are
+/// dropped.
+TestStatistic ChiSquareHomogeneityStatistic(const std::vector<int64_t>& a,
+                                            const std::vector<int64_t>& b);
 
 /// \brief Welch's unequal-variance two-sample t test on summaries.
 TestResult WelchTTest(const NumericStats& a, const NumericStats& b);

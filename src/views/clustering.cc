@@ -27,38 +27,9 @@ std::vector<size_t> Dendrogram::LeavesUnder(size_t node) const {
   return out;
 }
 
-std::vector<std::vector<size_t>> Dendrogram::CutAtHeight(double height) const {
+std::vector<size_t> Dendrogram::CutRoots(double height) const {
   // Roots of the cut forest: nodes whose own merge height is <= height but
   // whose parent's is > height (or that have no parent).
-  std::vector<size_t> parent(num_leaves_ + merges_.size(),
-                             std::numeric_limits<size_t>::max());
-  for (size_t i = 0; i < merges_.size(); ++i) {
-    parent[merges_[i].left] = num_leaves_ + i;
-    parent[merges_[i].right] = num_leaves_ + i;
-  }
-  auto node_ok = [&](size_t node) {
-    return node < num_leaves_ || merges_[node - num_leaves_].height <= height;
-  };
-  std::vector<std::vector<size_t>> clusters;
-  const size_t total = num_leaves_ + merges_.size();
-  for (size_t node = 0; node < total; ++node) {
-    if (!node_ok(node)) continue;
-    const size_t par = parent[node];
-    const bool is_root =
-        par == std::numeric_limits<size_t>::max() || !node_ok(par);
-    if (is_root) clusters.push_back(LeavesUnder(node));
-  }
-  return clusters;
-}
-
-std::vector<std::vector<size_t>> Dendrogram::CutAtHeightWithMaxSize(
-    double height, size_t max_size) const {
-  ZIGGY_CHECK(max_size >= 1);
-  std::vector<std::vector<size_t>> base = CutAtHeight(height);
-  // Map each base cluster back to its root node, then descend oversized
-  // roots. Simpler: re-derive by walking nodes. We find, for each cluster,
-  // the node whose leaf set matches; descending from the top is easier:
-  // collect roots as in CutAtHeight but keep node ids.
   std::vector<size_t> parent(num_leaves_ + merges_.size(),
                              std::numeric_limits<size_t>::max());
   for (size_t i = 0; i < merges_.size(); ++i) {
@@ -77,8 +48,21 @@ std::vector<std::vector<size_t>> Dendrogram::CutAtHeightWithMaxSize(
       roots.push_back(node);
     }
   }
+  return roots;
+}
+
+std::vector<std::vector<size_t>> Dendrogram::CutAtHeight(double height) const {
   std::vector<std::vector<size_t>> clusters;
-  std::vector<size_t> stack = std::move(roots);
+  for (size_t root : CutRoots(height)) clusters.push_back(LeavesUnder(root));
+  return clusters;
+}
+
+std::vector<std::vector<size_t>> Dendrogram::CutAtHeightWithMaxSize(
+    double height, size_t max_size) const {
+  ZIGGY_CHECK(max_size >= 1);
+  // Descend from the cut's roots until every part fits.
+  std::vector<std::vector<size_t>> clusters;
+  std::vector<size_t> stack = CutRoots(height);
   while (!stack.empty()) {
     const size_t node = stack.back();
     stack.pop_back();
@@ -91,7 +75,6 @@ std::vector<std::vector<size_t>> Dendrogram::CutAtHeightWithMaxSize(
       stack.push_back(m.right);
     }
   }
-  (void)base;
   return clusters;
 }
 

@@ -58,6 +58,9 @@ class Dendrogram {
   std::string ToAscii(const std::vector<std::string>& leaf_labels) const;
 
  private:
+  /// Node ids of the cut forest's roots at `height`, ascending.
+  std::vector<size_t> CutRoots(double height) const;
+
   size_t num_leaves_;
   std::vector<DendrogramMerge> merges_;
 };

@@ -5,6 +5,7 @@
 #ifndef ZIGGY_VIEWS_VIEW_SEARCH_H_
 #define ZIGGY_VIEWS_VIEW_SEARCH_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "common/result.h"
@@ -33,15 +34,68 @@ struct ViewSearchOptions {
   ZigWeights weights;
 };
 
-/// \brief Result of the search: ranked views plus the dendrogram for
-/// parameter tuning ("visual support to help setting the parameter").
+/// \brief Result of the search: the ranked views.
 struct ViewSearchResult {
   std::vector<View> views;      ///< sorted by descending score
-  Dendrogram dendrogram{0, {}}; ///< over all columns
   size_t num_candidates = 0;    ///< candidates generated before ranking
 };
 
-/// \brief Runs the complete view search over a prepared component table.
+/// \brief The query-independent half of view search: the candidate views
+/// cut from the column dendrogram (Eq. 3), filtered and column-sorted once,
+/// plus a column -> candidate index that lets one pass over a component
+/// table score every candidate.
+///
+/// A plan depends only on the profile, the dendrogram and the structural
+/// options (min_tightness, max_view_size, allow_singletons,
+/// enforce_disjoint), never on the query, so an engine builds it once and
+/// scores each query's component table against it.
+class ViewPlan {
+ public:
+  /// Cuts `dendrogram` (built from `profile`) into candidates.
+  static Result<ViewPlan> Build(const TableProfile& profile,
+                                const Dendrogram& dendrogram,
+                                const ViewSearchOptions& options);
+
+  /// True when `options` has the structural fields this plan was built
+  /// with; the others (max_views, weights) only affect Search.
+  bool Matches(const ViewSearchOptions& options) const;
+
+  /// Candidates that passed the singleton and tightness filters, in
+  /// generation order: columns ascending, tightness set, score empty.
+  const std::vector<View>& candidates() const { return candidates_; }
+
+  /// Candidates generated by the cut, before filtering.
+  size_t num_generated() const { return num_generated_; }
+
+  /// Scores every candidate in one pass over the component table. Element
+  /// i equals ScoreView(components, candidates()[i].columns, weights) bit
+  /// for bit: each candidate's sums accumulate in table order.
+  std::vector<ScoreBreakdown> Score(const ComponentTable& components,
+                                    const ZigWeights& weights) const;
+
+  /// Scores, ranks by descending total (stable: ties keep generation
+  /// order) and keeps the best `options.max_views`.
+  ViewSearchResult Search(const ComponentTable& components,
+                          const ViewSearchOptions& options) const;
+
+ private:
+  ViewPlan() = default;
+
+  double min_tightness_ = 0.0;
+  size_t max_view_size_ = 0;
+  bool allow_singletons_ = true;
+  bool enforce_disjoint_ = true;
+  size_t num_generated_ = 0;
+  std::vector<View> candidates_;
+  // Column -> candidate ids, in CSR form: column c's candidates are
+  // candidate_ids_[column_offsets_[c] .. column_offsets_[c + 1]), ascending.
+  // Disjoint candidates give each column at most one entry.
+  std::vector<uint32_t> column_offsets_;
+  std::vector<uint32_t> candidate_ids_;
+};
+
+/// \brief Runs the complete view search over a prepared component table:
+/// builds a ViewPlan, then scores it.
 ///
 /// `precomputed_dendrogram` may supply the column dendrogram (it depends
 /// only on the table profile, not on the query, so engines compute it once

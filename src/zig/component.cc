@@ -1,5 +1,7 @@
 #include "zig/component.h"
 
+#include "common/string_util.h"
+
 namespace ziggy {
 
 const char* ComponentKindToString(ComponentKind kind) {
@@ -28,6 +30,30 @@ bool IsPairKind(ComponentKind kind) {
   return kind == ComponentKind::kCorrelationShift ||
          kind == ComponentKind::kAssociationShift ||
          kind == ComponentKind::kContingencyShift;
+}
+
+double ZigComponent::p_value() const {
+  switch (kind) {
+    case ComponentKind::kMeanShift:
+    case ComponentKind::kDispersionShift:
+    case ComponentKind::kFrequencyShift:
+    case ComponentKind::kDistributionShift:
+      return test.PValue();
+    default:
+      return effect.PValue();
+  }
+}
+
+std::string ZigComponent::detail() const {
+  switch (kind) {
+    case ComponentKind::kFrequencyShift:
+      return top_category;
+    case ComponentKind::kDistributionShift:
+      return "[" + FormatDouble(top_bin_lo) + ", " + FormatDouble(top_bin_hi) +
+             ")";
+    default:
+      return "";
+  }
 }
 
 double ZigWeights::ForKind(ComponentKind kind) const {

@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "stats/effect_size.h"
+#include "stats/tests.h"
 
 namespace ziggy {
 
@@ -74,14 +75,29 @@ struct ZigComponent {
   int64_t inside_n = 0;
   int64_t outside_n = 0;
 
-  /// Optional human detail, e.g. the most over-represented category.
-  std::string detail;
+  /// Statistic of the significance test of the moment and count kinds
+  /// (mean, dispersion, frequency and distribution shift). The other kinds
+  /// are tested through `effect`.
+  TestStatistic test;
 
-  /// Two-sided p-value of the component's significance test.
-  double p_value = 1.0;
+  /// Most over-represented category (kFrequencyShift; empty otherwise).
+  std::string top_category;
+  /// Bounds [lo, hi) of the most over-represented histogram bin
+  /// (kDistributionShift only).
+  double top_bin_lo = 0.0;
+  double top_bin_hi = 0.0;
 
   /// |effect| magnitude used for scoring (0 when undefined).
   double Magnitude() const { return effect.defined ? std::fabs(effect.value) : 0.0; }
+
+  /// Two-sided p-value of the component's significance test. Evaluated on
+  /// each call: ranking reads only magnitudes, so the tail integrals are
+  /// paid by post-processing for the views that survive.
+  double p_value() const;
+
+  /// Human detail for explanations: the most over-represented category
+  /// (frequency shift) or value range (distribution shift), else empty.
+  std::string detail() const;
 };
 
 /// \brief User-tunable weights of the Zig-Dissimilarity aggregation

@@ -5,8 +5,6 @@
 #include <cmath>
 
 #include "common/logging.h"
-#include "common/string_util.h"
-#include "stats/distributions.h"
 #include "stats/effect_size.h"
 #include "stats/histogram.h"
 #include "stats/tests.h"
@@ -155,7 +153,7 @@ Result<ComponentTable> BuildComponentsFromSketches(
       mean_c.outside_value = out_s.mean;
       mean_c.inside_n = in_s.count;
       mean_c.outside_n = out_s.count;
-      mean_c.p_value = WelchTTest(in_s, out_s).p_value;
+      mean_c.test = WelchTStatistic(in_s, out_s);
       out.Add(std::move(mean_c));
 
       ZigComponent disp_c;
@@ -166,7 +164,7 @@ Result<ComponentTable> BuildComponentsFromSketches(
       disp_c.outside_value = out_s.StdDev();
       disp_c.inside_n = in_s.count;
       disp_c.outside_n = out_s.count;
-      disp_c.p_value = VarianceFTest(in_s, out_s).p_value;
+      disp_c.test = VarianceFStatistic(in_s, out_s);
       out.Add(std::move(disp_c));
 
       if (options.enable_rank_shift && !profile.Rank2(c).empty()) {
@@ -183,7 +181,6 @@ Result<ComponentTable> BuildComponentsFromSketches(
           rank_c.outside_value = 1.0 - rank_c.inside_value;
           rank_c.inside_n = rn_in;
           rank_c.outside_n = rn_out;
-          rank_c.p_value = rank_c.effect.PValue();
           out.Add(std::move(rank_c));
         }
       }
@@ -207,7 +204,7 @@ Result<ComponentTable> BuildComponentsFromSketches(
           dist_c.outside_value = 0.0;
           dist_c.inside_n = hn_in;
           dist_c.outside_n = hn_out;
-          dist_c.p_value = ChiSquareHomogeneityTest(in_h, out_h).p_value;
+          dist_c.test = ChiSquareHomogeneityStatistic(in_h, out_h);
           // Most over-represented bin, as a value range, for explanations.
           size_t best = 0;
           double best_gain = -1.0;
@@ -218,10 +215,8 @@ Result<ComponentTable> BuildComponentsFromSketches(
             }
           }
           const double width = (hi - lo) / static_cast<double>(in_h.size());
-          dist_c.detail = "[" + FormatDouble(lo + width * static_cast<double>(best)) +
-                          ", " +
-                          FormatDouble(lo + width * static_cast<double>(best + 1)) +
-                          ")";
+          dist_c.top_bin_lo = lo + width * static_cast<double>(best);
+          dist_c.top_bin_hi = lo + width * static_cast<double>(best + 1);
           out.Add(std::move(dist_c));
         }
       }
@@ -257,9 +252,9 @@ Result<ComponentTable> BuildComponentsFromSketches(
       // never advanced, and a count vector longer than the dictionary
       // (never expected, but cheap to rule out) must not read past it.
       if (!p.empty() && best_idx < col.dictionary().size()) {
-        freq_c.detail = col.dictionary()[best_idx];
+        freq_c.top_category = col.dictionary()[best_idx];
       }
-      freq_c.p_value = ChiSquareHomogeneityTest(in_counts, out_counts).p_value;
+      freq_c.test = ChiSquareHomogeneityStatistic(in_counts, out_counts);
       out.Add(std::move(freq_c));
     }
   }
@@ -283,7 +278,6 @@ Result<ComponentTable> BuildComponentsFromSketches(
     c.outside_n = out_s.count;
     c.effect =
         CorrelationDifference(c.inside_value, in_s.count, c.outside_value, out_s.count);
-    c.p_value = c.effect.PValue();
     out.Add(std::move(c));
   }
 
@@ -311,7 +305,6 @@ Result<ComponentTable> BuildComponentsFromSketches(
     // differences (documented divergence from an exact test).
     c.effect = CorrelationDifference(c.inside_value, in_total.count, c.outside_value,
                                      out_total.count);
-    c.p_value = c.effect.PValue();
     out.Add(std::move(c));
   }
 
@@ -338,7 +331,6 @@ Result<ComponentTable> BuildComponentsFromSketches(
     c.inside_n = n_in;
     c.outside_n = n_out;
     c.effect = CorrelationDifference(v_in, n_in, v_out, n_out);
-    c.p_value = c.effect.PValue();
     out.Add(std::move(c));
   }
 

@@ -6,6 +6,26 @@
 
 namespace ziggy {
 
+ViewMembership::ViewMembership(const std::vector<size_t>& view_columns) {
+  size_t max_col = 0;
+  for (size_t col : view_columns) max_col = std::max(max_col, col);
+  member_.assign(view_columns.empty() ? 0 : max_col + 1, 0);
+  for (size_t col : view_columns) member_[col] = 1;
+}
+
+void FinishScore(const double sums[kNumComponentKinds],
+                 const ZigWeights& weights, ScoreBreakdown* out) {
+  double weight_total = 0.0;
+  for (size_t k = 0; k < kNumComponentKinds; ++k) {
+    if (out->count_per_kind[k] == 0) continue;
+    out->per_kind[k] = sums[k] / static_cast<double>(out->count_per_kind[k]);
+    const double w = weights.ForKind(static_cast<ComponentKind>(k));
+    out->total += w * out->per_kind[k];
+    weight_total += w;
+  }
+  if (weight_total > 0.0) out->total /= weight_total;
+}
+
 ScoreBreakdown ScoreView(const ComponentTable& components,
                          const std::vector<size_t>& view_columns,
                          const ZigWeights& weights) {
@@ -13,36 +33,14 @@ ScoreBreakdown ScoreView(const ComponentTable& components,
   if (view_columns.empty()) return out;
 
   double sums[kNumComponentKinds] = {0, 0, 0, 0, 0, 0};
-  // Membership bitset built once; view search scores many candidate views
-  // against component tables with O(columns^2) pair components, so a
-  // per-endpoint std::find would be quadratic in wide tables.
-  size_t max_col = 0;
-  for (size_t col : view_columns) max_col = std::max(max_col, col);
-  std::vector<uint8_t> member(max_col + 1, 0);
-  for (size_t col : view_columns) member[col] = 1;
-  auto in_view = [&member](size_t col) {
-    return col < member.size() && member[col] != 0;
-  };
-
+  const ViewMembership member(view_columns);
   for (const auto& c : components.components()) {
-    const bool covered = IsPairKind(c.kind)
-                             ? (in_view(c.col_a) && in_view(c.col_b))
-                             : in_view(c.col_a);
-    if (!covered) continue;
+    if (!member.Covers(c)) continue;
     const size_t k = static_cast<size_t>(c.kind);
     sums[k] += components.NormalizedMagnitude(c);
     ++out.count_per_kind[k];
   }
-
-  double weight_total = 0.0;
-  for (size_t k = 0; k < kNumComponentKinds; ++k) {
-    if (out.count_per_kind[k] == 0) continue;
-    out.per_kind[k] = sums[k] / static_cast<double>(out.count_per_kind[k]);
-    const double w = weights.ForKind(static_cast<ComponentKind>(k));
-    out.total += w * out.per_kind[k];
-    weight_total += w;
-  }
-  if (weight_total > 0.0) out.total /= weight_total;
+  FinishScore(sums, weights, &out);
   return out;
 }
 

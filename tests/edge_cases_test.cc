@@ -43,7 +43,7 @@ TEST(EdgeCaseTest, ConstantColumnProducesNoSpuriousViews) {
   // mean-shift must not look significant.
   const ZigComponent* mean_c = ct.Find(ComponentKind::kMeanShift, 1);
   ASSERT_NE(mean_c, nullptr);
-  EXPECT_GT(mean_c->p_value, 0.9);
+  EXPECT_GT(mean_c->p_value(), 0.9);
 }
 
 TEST(EdgeCaseTest, AllNullNumericColumnIsSkipped) {
@@ -78,8 +78,8 @@ TEST(EdgeCaseTest, AllCategoricalTable) {
   ComponentTable ct = BuildComponents(t, p, sel).ValueOrDie();
   const ZigComponent* freq = ct.Find(ComponentKind::kFrequencyShift, 0);
   ASSERT_NE(freq, nullptr);
-  EXPECT_EQ(freq->detail, "special");
-  EXPECT_LT(freq->p_value, 1e-6);
+  EXPECT_EQ(freq->detail(), "special");
+  EXPECT_LT(freq->p_value(), 1e-6);
 }
 
 TEST(EdgeCaseTest, TinySelectionOfTwoRows) {
@@ -162,7 +162,7 @@ TEST(EdgeCaseTest, HugeMagnitudeValuesStayFinite) {
   ComponentTable ct = BuildComponents(t, p, sel).ValueOrDie();
   for (const auto& c : ct.components()) {
     EXPECT_TRUE(std::isfinite(c.inside_value)) << ComponentKindToString(c.kind);
-    EXPECT_TRUE(std::isfinite(c.p_value));
+    EXPECT_TRUE(std::isfinite(c.p_value()));
   }
 }
 

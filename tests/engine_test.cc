@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "common/random.h"
 #include "data/synthetic.h"
+#include "engine/report.h"
 #include "engine/ziggy_engine.h"
+#include "serve/ziggy_server.h"
 
 namespace ziggy {
 namespace {
@@ -178,6 +182,73 @@ TEST(EngineTest, OptionsTunableBetweenQueries) {
   engine.mutable_options()->search.max_views = 10;
   Characterization r2 = engine.CharacterizeQuery("revenue_index > 1.2").ValueOrDie();
   EXPECT_GE(r2.views.size(), r.views.size());
+}
+
+TEST(EngineTest, SearchOptionsMovedBetweenQueriesMatchFreshEngine) {
+  // The engine keeps its view plan across queries; moving the structural
+  // search options must rebuild it. The same selection each time keeps the
+  // component table a cache hit, so only the search stage differs.
+  SyntheticDataset ds = MakeBoxOfficeDataset().ValueOrDie();
+  const std::string query = ds.selection_predicate;
+  ZiggyEngine engine = ZiggyEngine::Create(ds.table).ValueOrDie();
+  const Schema& schema = engine.table().schema();
+  struct Step {
+    double min_tightness;
+    size_t max_view_size;
+  };
+  std::set<std::string> distinct;
+  for (const Step step : {Step{0.4, 4}, Step{0.7, 4}, Step{0.7, 2},
+                          Step{0.1, 2}, Step{0.1, 3}, Step{0.4, 4}}) {
+    engine.mutable_options()->search.min_tightness = step.min_tightness;
+    engine.mutable_options()->search.max_view_size = step.max_view_size;
+    const std::string moved = RenderCharacterizationReport(
+        engine.CharacterizeQuery(query).ValueOrDie(), schema);
+    ZiggyOptions fresh_options;
+    fresh_options.search = engine.options().search;
+    ZiggyEngine fresh =
+        ZiggyEngine::Create(ds.table, fresh_options).ValueOrDie();
+    EXPECT_EQ(moved, RenderCharacterizationReport(
+                         fresh.CharacterizeQuery(query).ValueOrDie(), schema))
+        << "min_tightness=" << step.min_tightness
+        << " max_view_size=" << step.max_view_size;
+    distinct.insert(moved);
+  }
+  EXPECT_GT(distinct.size(), 2u);  // the steps really change the answer
+}
+
+TEST(EngineTest, ServerSessionReboundAfterAppendMatchesFreshEngine) {
+  SyntheticDataset ds = MakeBoxOfficeDataset().ValueOrDie();
+  ServeOptions options;
+  options.cache_enabled = false;  // every read scans, as a fresh engine does
+  options.engine.search.min_tightness = 0.5;
+  std::unique_ptr<ZiggyServer> server =
+      ZiggyServer::Create(ds.table, options).ValueOrDie();
+  SessionOptions session_options;
+  session_options.novelty = SessionOptions::NoveltyPolicy::kOff;
+  const uint64_t session = server->OpenSession(session_options);
+  auto expect_fresh = [&](const std::string& query) {
+    const Characterization served =
+        server->Characterize(session, query).ValueOrDie();
+    const auto state = server->state();
+    ZiggyEngine fresh =
+        ZiggyEngine::CreateShared(state->snapshot.shared_table(),
+                                  state->profile, state->dendrogram,
+                                  options.engine)
+            .ValueOrDie();
+    const Characterization expected =
+        fresh.CharacterizeQuery(query).ValueOrDie();
+    const Schema& schema = state->table().schema();
+    EXPECT_EQ(RenderCharacterizationReport(served, schema),
+              RenderCharacterizationReport(expected, schema))
+        << "generation " << state->generation() << ": " << query;
+  };
+  expect_fresh(ds.selection_predicate);
+  Rng rng(5);
+  for (int batch = 0; batch < 2; ++batch) {
+    ASSERT_TRUE(server->Append(ds.table.SampleRows(60, &rng)).ok());
+    expect_fresh(ds.selection_predicate);
+    expect_fresh("revenue_index > 1.2");
+  }
 }
 
 TEST(EngineTest, SharedAndTwoScanModesAgreeOnViews) {

@@ -111,7 +111,7 @@ TEST(RankShiftTest, DetectsPlantedShift) {
   const ZigComponent* rank = ct.Find(ComponentKind::kRankShift, 0);
   ASSERT_NE(rank, nullptr);
   EXPECT_GT(rank->effect.value, 0.7);  // strong dominance
-  EXPECT_LT(rank->p_value, 1e-10);
+  EXPECT_LT(rank->p_value(), 1e-10);
   EXPECT_GT(rank->inside_value, 0.85);  // P(inside > outside)
 }
 
@@ -133,7 +133,7 @@ TEST(RankShiftTest, CatchesWhatMeanShiftUnderstates) {
   const ZigComponent* rank = ct.Find(ComponentKind::kRankShift, 1);
   ASSERT_NE(rank, nullptr);
   EXPECT_GT(rank->effect.value, 0.25);
-  EXPECT_LT(rank->p_value, 1e-4);
+  EXPECT_LT(rank->p_value(), 1e-4);
 }
 
 TEST(RankShiftTest, DisabledByOption) {
@@ -167,8 +167,8 @@ TEST(DistributionShiftTest, DetectsPlantedShape) {
   const ZigComponent* dist = ct.Find(ComponentKind::kDistributionShift, 1);
   ASSERT_NE(dist, nullptr);
   EXPECT_GT(dist->inside_value, 0.3);  // TV distance
-  EXPECT_LT(dist->p_value, 1e-10);
-  EXPECT_FALSE(dist->detail.empty());  // names the concentrated range
+  EXPECT_LT(dist->p_value(), 1e-10);
+  EXPECT_FALSE(dist->detail().empty());  // names the concentrated range
 }
 
 TEST(DistributionShiftTest, FlatColumnInsignificant) {
@@ -177,7 +177,7 @@ TEST(DistributionShiftTest, FlatColumnInsignificant) {
       BuildComponents(fx.table, fx.profile, fx.selection).ValueOrDie();
   const ZigComponent* dist = ct.Find(ComponentKind::kDistributionShift, 2);
   ASSERT_NE(dist, nullptr);
-  EXPECT_GT(dist->p_value, 0.001);
+  EXPECT_GT(dist->p_value(), 0.001);
 }
 
 TEST(DistributionShiftTest, DisabledByOption) {

@@ -72,7 +72,7 @@ TEST(ProfileSerializationTest, RestoredProfileProducesIdenticalComponents) {
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.components()[i].effect.value, b.components()[i].effect.value);
-    EXPECT_DOUBLE_EQ(a.components()[i].p_value, b.components()[i].p_value);
+    EXPECT_DOUBLE_EQ(a.components()[i].p_value(), b.components()[i].p_value());
   }
 }
 

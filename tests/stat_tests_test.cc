@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/random.h"
+#include "stats/distributions.h"
 #include "stats/tests.h"
 
 namespace ziggy {
@@ -78,6 +80,55 @@ TEST(WelchTTestTest, PointMassDistributions) {
   for (int i = 0; i < 5; ++i) c.Add(3.0);
   TestResult diff = WelchTTest(a, c);
   EXPECT_DOUBLE_EQ(diff.p_value, 0.0);
+}
+
+// ------------------------------------------------------- TestStatistic ---
+
+TEST(TestStatisticTest, DegenerateOutcomesCarryFixedPValue) {
+  NumericStats a;
+  NumericStats c;
+  for (int i = 0; i < 5; ++i) {
+    a.Add(2.0);
+    c.Add(3.0);
+  }
+  const TestStatistic welch = WelchTStatistic(a, c);
+  EXPECT_EQ(welch.null_distribution, TestStatistic::NullDistribution::kFixed);
+  EXPECT_TRUE(welch.defined);
+  EXPECT_EQ(welch.PValue(), 0.0);
+  const TestStatistic f = VarianceFStatistic(a, a);
+  EXPECT_EQ(f.null_distribution, TestStatistic::NullDistribution::kFixed);
+  EXPECT_EQ(f.PValue(), 1.0);
+  // Undefined: too few rows, or a single used category.
+  EXPECT_FALSE(WelchTStatistic(NumericStats{}, a).defined);
+  EXPECT_EQ(WelchTStatistic(NumericStats{}, a).PValue(), 1.0);
+  EXPECT_FALSE(ChiSquareHomogeneityStatistic({4, 0}, {7, 0}).defined);
+  EXPECT_EQ(ChiSquareHomogeneityStatistic({4, 0}, {7, 0}).PValue(), 1.0);
+}
+
+TEST(TestStatisticTest, PValueIsTheNullDistributionTail) {
+  Rng rng(8);
+  const NumericStats a = SampledNormal(&rng, 120, 0.3, 1.5);
+  const NumericStats b = SampledNormal(&rng, 90, 0.0, 1.0);
+  const TestResult t = WelchTTest(a, b);
+  const TestStatistic ts = WelchTStatistic(a, b);
+  EXPECT_EQ(ts.null_distribution, TestStatistic::NullDistribution::kStudentT);
+  EXPECT_EQ(ts.PValue(), TwoSidedTPValue(ts.statistic, ts.dof));
+  EXPECT_EQ(ts.PValue(), t.p_value);
+  EXPECT_EQ(ts.dof, t.dof);
+  const TestStatistic fs = VarianceFStatistic(a, b);
+  EXPECT_EQ(fs.dof, 119.0);
+  EXPECT_EQ(fs.dof2, 89.0);
+  const double cdf = FCdf(fs.statistic, 119.0, 89.0);
+  EXPECT_EQ(fs.PValue(), std::clamp(2.0 * std::min(cdf, 1.0 - cdf), 0.0, 1.0));
+  EXPECT_EQ(fs.PValue(), VarianceFTest(a, b).p_value);
+  const std::vector<int64_t> in = {30, 10, 5};
+  const std::vector<int64_t> out = {20, 20, 20};
+  const TestStatistic cs = ChiSquareHomogeneityStatistic(in, out);
+  EXPECT_EQ(cs.null_distribution,
+            TestStatistic::NullDistribution::kChiSquare);
+  EXPECT_EQ(cs.dof, 2.0);
+  EXPECT_EQ(cs.PValue(), ChiSquarePValue(cs.statistic, 2.0));
+  EXPECT_EQ(cs.PValue(), ChiSquareHomogeneityTest(in, out).p_value);
 }
 
 // --------------------------------------------------------------- F test ----

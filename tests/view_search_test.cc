@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <set>
 
 #include "common/random.h"
+#include "data/synthetic.h"
 #include "views/view_search.h"
 #include "zig/component_builder.h"
 
@@ -225,6 +227,155 @@ TEST(ViewSearchTest, InvalidOptionsRejected) {
   bad_size.max_view_size = 0;
   EXPECT_TRUE(SearchViews(fx.profile, fx.components, bad_size).status()
                   .IsInvalidArgument());
+}
+
+// ---- ViewPlan against the per-view reference --------------------------------
+
+bool SameBreakdown(const ScoreBreakdown& a, const ScoreBreakdown& b) {
+  return std::memcmp(&a.total, &b.total, sizeof(a.total)) == 0 &&
+         std::memcmp(a.per_kind, b.per_kind, sizeof(a.per_kind)) == 0 &&
+         std::memcmp(a.count_per_kind, b.count_per_kind,
+                     sizeof(a.count_per_kind)) == 0;
+}
+
+// Scores every plan candidate with ScoreView, ranks as view search always
+// has (stable sort on descending total, then truncation), and checks the
+// one-pass scorer and both search entry points against that, bit for bit.
+void ExpectPlanMatchesScoreView(const TableProfile& profile,
+                                const Dendrogram& dendro,
+                                const ComponentTable& components,
+                                const ViewSearchOptions& options) {
+  SCOPED_TRACE("min_tightness=" + std::to_string(options.min_tightness) +
+               " disjoint=" + std::to_string(options.enforce_disjoint) +
+               " singletons=" + std::to_string(options.allow_singletons));
+  const ViewPlan plan = ViewPlan::Build(profile, dendro, options).ValueOrDie();
+  ASSERT_TRUE(plan.Matches(options));
+  ASSERT_FALSE(plan.candidates().empty());
+  const std::vector<ScoreBreakdown> scores =
+      plan.Score(components, options.weights);
+  ASSERT_EQ(scores.size(), plan.candidates().size());
+
+  std::vector<View> reference = plan.candidates();
+  for (size_t i = 0; i < reference.size(); ++i) {
+    reference[i].score =
+        ScoreView(components, reference[i].columns, options.weights);
+    EXPECT_TRUE(SameBreakdown(scores[i], reference[i].score))
+        << "candidate " << i;
+  }
+  std::stable_sort(reference.begin(), reference.end(),
+                   [](const View& a, const View& b) {
+                     return a.score.total > b.score.total;
+                   });
+  if (options.max_views > 0 && reference.size() > options.max_views) {
+    reference.resize(options.max_views);
+  }
+
+  const ViewSearchResult searched = plan.Search(components, options);
+  const ViewSearchResult wrapped =
+      SearchViews(profile, components, options, &dendro).ValueOrDie();
+  for (const ViewSearchResult* r : {&searched, &wrapped}) {
+    EXPECT_EQ(r->num_candidates, plan.num_generated());
+    ASSERT_EQ(r->views.size(), reference.size());
+    for (size_t i = 0; i < reference.size(); ++i) {
+      EXPECT_EQ(r->views[i].columns, reference[i].columns) << "rank " << i;
+      EXPECT_TRUE(SameBreakdown(r->views[i].score, reference[i].score))
+          << "rank " << i;
+      EXPECT_EQ(r->views[i].tightness, reference[i].tightness);
+    }
+  }
+
+  if (options.enforce_disjoint) {
+    // Disjoint candidates are the size-bounded cut itself, column-sorted,
+    // minus the singletons when those are off.
+    std::vector<std::vector<size_t>> cut = dendro.CutAtHeightWithMaxSize(
+        1.0 - options.min_tightness, options.max_view_size);
+    std::vector<std::vector<size_t>> expected;
+    for (auto& cols : cut) {
+      if (cols.size() == 1 && !options.allow_singletons) continue;
+      std::sort(cols.begin(), cols.end());
+      expected.push_back(std::move(cols));
+    }
+    ASSERT_EQ(plan.candidates().size(), expected.size());
+    for (size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(plan.candidates()[i].columns, expected[i]);
+    }
+  }
+}
+
+void ExpectPlanMatchesOnDataset(Result<SyntheticDataset> generated) {
+  const SyntheticDataset ds = std::move(generated).ValueOrDie();
+  const TableProfile profile = TableProfile::Compute(ds.table).ValueOrDie();
+  const Dendrogram dendro = BuildColumnDendrogram(profile).ValueOrDie();
+  const ComponentTable components =
+      BuildComponents(ds.table, profile, ds.planted).ValueOrDie();
+
+  ZigWeights skewed;
+  skewed.mean_shift = 2.5;
+  skewed.correlation_shift = 0.25;
+  skewed.rank_shift = 0.0;
+  skewed.distribution_shift = 1.75;
+
+  for (const bool disjoint : {true, false}) {
+    for (const double tightness : {0.2, 0.4, 0.7}) {
+      ViewSearchOptions options;
+      options.enforce_disjoint = disjoint;
+      options.min_tightness = tightness;
+      ExpectPlanMatchesScoreView(profile, dendro, components, options);
+    }
+    ViewSearchOptions no_singletons;
+    no_singletons.enforce_disjoint = disjoint;
+    no_singletons.min_tightness = 0.2;
+    no_singletons.allow_singletons = false;
+    ExpectPlanMatchesScoreView(profile, dendro, components, no_singletons);
+    ViewSearchOptions weighted;
+    weighted.enforce_disjoint = disjoint;
+    weighted.weights = skewed;
+    weighted.max_views = 0;
+    ExpectPlanMatchesScoreView(profile, dendro, components, weighted);
+  }
+}
+
+TEST(ViewPlanTest, MatchesScoreViewOnCrime) {
+  ExpectPlanMatchesOnDataset(MakeCrimeDataset());
+}
+
+TEST(ViewPlanTest, MatchesScoreViewOnOecd) {
+  ExpectPlanMatchesOnDataset(MakeOecdDataset());
+}
+
+TEST(ViewPlanTest, MatchesScoreViewOnBoxOffice) {
+  ExpectPlanMatchesOnDataset(MakeBoxOfficeDataset());
+}
+
+TEST(ViewPlanTest, MatchesOnlyItsStructuralOptions) {
+  SearchFixture fx = MakeSearchFixture();
+  const Dendrogram dendro = BuildColumnDendrogram(fx.profile).ValueOrDie();
+  ViewSearchOptions opts;
+  const ViewPlan plan = ViewPlan::Build(fx.profile, dendro, opts).ValueOrDie();
+  ViewSearchOptions ranking_only = opts;
+  ranking_only.max_views = 3;
+  ranking_only.weights.mean_shift = 4.0;
+  EXPECT_TRUE(plan.Matches(ranking_only));
+  ViewSearchOptions changed = opts;
+  changed.min_tightness = 0.6;
+  EXPECT_FALSE(plan.Matches(changed));
+  changed = opts;
+  changed.max_view_size = 2;
+  EXPECT_FALSE(plan.Matches(changed));
+  changed = opts;
+  changed.allow_singletons = false;
+  EXPECT_FALSE(plan.Matches(changed));
+  changed = opts;
+  changed.enforce_disjoint = false;
+  EXPECT_FALSE(plan.Matches(changed));
+}
+
+TEST(ViewPlanTest, RejectsMismatchedDendrogram) {
+  SearchFixture fx = MakeSearchFixture();
+  const Dendrogram wrong =
+      CompleteLinkage({0.0, 1.0, 1.0, 0.0}, 2).ValueOrDie();
+  EXPECT_TRUE(
+      ViewPlan::Build(fx.profile, wrong, {}).status().IsInvalidArgument());
 }
 
 TEST(ViewTest, ColumnNamesRendering) {

@@ -237,7 +237,7 @@ TEST(ComponentBuilderTest, DetectsPlantedMeanShift) {
   const ZigComponent* mean_x = ct.Find(ComponentKind::kMeanShift, 0);
   ASSERT_NE(mean_x, nullptr);
   EXPECT_GT(mean_x->effect.value, 1.0);  // planted +3 sd shift
-  EXPECT_LT(mean_x->p_value, 1e-6);
+  EXPECT_LT(mean_x->p_value(), 1e-6);
   EXPECT_GT(mean_x->inside_value, mean_x->outside_value);
 
   const ZigComponent* mean_noise = ct.Find(ComponentKind::kMeanShift, 2);
@@ -263,7 +263,7 @@ TEST(ComponentBuilderTest, DetectsPlantedCorrelationBreak) {
   EXPECT_GT(corr->outside_value, 0.7);   // strong correlation outside
   EXPECT_LT(corr->inside_value, 0.4);    // broken inside
   EXPECT_LT(corr->effect.value, -0.5);   // Fisher z difference negative
-  EXPECT_LT(corr->p_value, 1e-4);
+  EXPECT_LT(corr->p_value(), 1e-4);
 }
 
 TEST(ComponentBuilderTest, DetectsPlantedFrequencyShift) {
@@ -272,8 +272,8 @@ TEST(ComponentBuilderTest, DetectsPlantedFrequencyShift) {
   ComponentTable ct = BuildComponents(fx.table, p, fx.selection).ValueOrDie();
   const ZigComponent* freq = ct.Find(ComponentKind::kFrequencyShift, 3);
   ASSERT_NE(freq, nullptr);
-  EXPECT_LT(freq->p_value, 1e-6);
-  EXPECT_EQ(freq->detail, "hot");  // most over-represented category
+  EXPECT_LT(freq->p_value(), 1e-6);
+  EXPECT_EQ(freq->detail(), "hot");  // most over-represented category
 }
 
 TEST(ComponentBuilderTest, SharedSketchEqualsTwoScan) {
@@ -296,7 +296,7 @@ TEST(ComponentBuilderTest, SharedSketchEqualsTwoScan) {
     EXPECT_EQ(ca.outside_n, cb.outside_n);
     EXPECT_NEAR(ca.effect.value, cb.effect.value, 1e-7)
         << ComponentKindToString(ca.kind) << " col " << ca.col_a;
-    EXPECT_NEAR(ca.p_value, cb.p_value, 1e-7);
+    EXPECT_NEAR(ca.p_value(), cb.p_value(), 1e-7);
   }
 }
 
