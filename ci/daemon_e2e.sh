@@ -52,11 +52,12 @@ fi
 # error (never reaching a handler), and this scrape's own METRICS
 # (counted before it renders). ziggy_daemon_requests_total only counts
 # requests that reached a handler, so it excludes both. The one OPEN is
-# cold (no store attached): one source load and one profile build, no
-# store load.
+# cold (no store attached): one source load, one profile build and one
+# column dendrogram, no store load.
 for want in \
   'ziggy_open_csv_parse_us_count 1' \
   'ziggy_open_profile_us_count 1' \
+  'ziggy_open_dendrogram_us_count 1' \
   'ziggy_store_load_us_count 0' \
   'ziggy_requests_total{verb="OPEN"} 1' \
   'ziggy_requests_total{verb="LIST"} 1' \

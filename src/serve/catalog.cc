@@ -17,11 +17,12 @@ ServerCatalog::ServerCatalog(CatalogOptions options)
                    : std::make_shared<obs::MetricsRegistry>()) {
   store_save_us_ = metrics_->histogram("ziggy_store_save_us");
   store_load_us_ = metrics_->histogram("ziggy_store_load_us");
-  // The cold-OPEN spans are recorded by LoadTableFromSource and
-  // ZiggyServer::Create; registering them here lists all three OPEN
-  // spans in METRICS from boot.
+  // The OPEN spans are recorded by LoadTableFromSource and
+  // ZiggyServer::Create / CreateFromState; registering them here lists
+  // all four OPEN spans in METRICS from boot.
   metrics_->histogram("ziggy_open_csv_parse_us");
   metrics_->histogram("ziggy_open_profile_us");
+  metrics_->histogram("ziggy_open_dendrogram_us");
 }
 
 ServerCatalog::~ServerCatalog() { StopFlusher(); }

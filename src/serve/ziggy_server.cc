@@ -51,11 +51,21 @@ Result<std::unique_ptr<ZiggyServer>> ZiggyServer::CreateFromState(
     return Status::InvalidArgument("cannot serve an empty table");
   }
   ZIGGY_RETURN_NOT_OK(profile.CheckShape(table));
-  ZIGGY_ASSIGN_OR_RETURN(Dendrogram dendrogram, BuildColumnDendrogram(profile));
+  Result<Dendrogram> dendrogram = Status::Internal("unreachable");
+  {
+    obs::MetricsRegistry* metrics = options.metrics.get();
+    obs::TraceSpan span("open_dendrogram",
+                        metrics != nullptr ? metrics->clock() : nullptr,
+                        metrics != nullptr
+                            ? metrics->histogram("ziggy_open_dendrogram_us")
+                            : nullptr);
+    dendrogram = BuildColumnDendrogram(profile);
+  }
+  ZIGGY_RETURN_NOT_OK(dendrogram.status());
   auto state = std::make_shared<ServingState>();
   state->snapshot = TableSnapshot(std::move(table), generation);
   state->profile = std::make_shared<const TableProfile>(std::move(profile));
-  state->dendrogram = std::make_shared<const Dendrogram>(std::move(dendrogram));
+  state->dendrogram = std::make_shared<const Dendrogram>(std::move(*dendrogram));
   return std::unique_ptr<ZiggyServer>(
       new ZiggyServer(std::move(options), std::move(state)));
 }

@@ -73,8 +73,9 @@ struct ServeOptions {
   size_t max_batch = 16;     ///< requests coalesced per scan
   size_t batch_window_us = 0;///< leader's straggler wait (0 = none)
 
-  /// Metrics registry to record scan / cache-lookup latency and the
-  /// cold-OPEN profile build (ziggy_open_profile_us) into
+  /// Metrics registry to record scan / cache-lookup latency, the
+  /// cold-OPEN profile build (ziggy_open_profile_us) and the cold- and
+  /// warm-OPEN column dendrogram (ziggy_open_dendrogram_us) into
   /// (obs/metrics.h). Null (the stand-alone default) disables the
   /// instrumentation entirely; ServerCatalog installs its registry here
   /// so every table's engine timings land in one place.

@@ -31,9 +31,20 @@ struct CsvOptions {
 /// Records are '\n'-terminated lines; lines that are blank after trimming
 /// are skipped. A '"' opens or closes quoting ("" inside quotes is a
 /// literal quote) and a quote never spans lines; '\r' is dropped outside
-/// quotes and kept inside them. Cells are otherwise taken verbatim.
+/// quotes and kept inside them. Cells are otherwise taken verbatim. An
+/// input of at least 512 KiB is split and parsed in chunks on the shared
+/// worker pool, with the same result.
 Result<Table> ReadCsvString(std::string_view text,
                             const CsvOptions& options = {});
+
+namespace internal {
+/// ReadCsvString with the input cut into `num_chunks` chunks at line ends.
+/// ReadCsvString picks the count from the input size; this entry point
+/// lets tests pin it. The result does not depend on the count.
+Result<Table> ReadCsvStringChunked(std::string_view text,
+                                   const CsvOptions& options,
+                                   size_t num_chunks);
+}  // namespace internal
 
 /// \brief Loads a CSV file into a Table, inferring column types.
 Result<Table> ReadCsvFile(const std::string& path, const CsvOptions& options = {});

@@ -99,41 +99,53 @@ Result<Dendrogram> CompleteLinkage(const std::vector<double>& distances, size_t 
   if (distances.size() != n * n) {
     return Status::InvalidArgument("distance matrix size does not match n");
   }
-  // Lance-Williams update for complete linkage on a working copy of the
-  // matrix: d(k, i∪j) = max(d(k, i), d(k, j)). Active set shrinks by one
-  // per merge; O(n^3) overall, fine for columns counts in the hundreds.
-  std::vector<double> d = distances;
-  std::vector<size_t> active;  // current cluster node ids
-  std::vector<size_t> slot_of_node(n);  // node id -> row in d
-  active.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    active.push_back(i);
-    slot_of_node[i] = i;
+  for (double v : distances) {
+    if (std::isnan(v)) {
+      return Status::InvalidArgument("distance matrix contains NaN");
+    }
   }
-  std::vector<DendrogramMerge> merges;
-  merges.reserve(n - 1);
+  // Lance-Williams update for complete linkage on a working copy of the
+  // matrix: d(k, i∪j) = max(d(k, i), d(k, j)). Each merge picks the
+  // lexicographically first active slot pair (i, j), i < j, at the
+  // smallest distance (+inf included). To find it without rescanning the
+  // upper triangle, every active slot i caches `nearest[i]`, the first
+  // active j > i at its row minimum `row_min[i]`; the pair is then the
+  // first row at the smallest row minimum. A merge of slots bi < bj
+  // rewrites row bi and retires slot bj, so row bi and the rows whose
+  // cached neighbour was bi or bj are rescanned. Any other row keeps its
+  // neighbour: the merge only raises d(k, bi), which was not the row's
+  // first minimum. O(n^2) unless many rows share a neighbour.
+  constexpr size_t kNone = std::numeric_limits<size_t>::max();
+  std::vector<double> d = distances;
+  std::vector<size_t> node_of_slot(n);  // current cluster node id per slot
+  for (size_t i = 0; i < n; ++i) node_of_slot[i] = i;
   std::vector<bool> slot_active(n, true);
-
-  for (size_t step = 0; step + 1 < n; ++step) {
-    // Find the closest active pair of slots.
-    double best = std::numeric_limits<double>::infinity();
-    size_t bi = 0;
-    size_t bj = 0;
-    for (size_t i = 0; i < n; ++i) {
-      if (!slot_active[i]) continue;
-      for (size_t j = i + 1; j < n; ++j) {
-        if (!slot_active[j]) continue;
-        const double dist = d[i * n + j];
-        if (dist < best) {
-          best = dist;
-          bi = i;
-          bj = j;
-        }
+  std::vector<size_t> nearest(n, kNone);  // kNone: no active slot after i
+  std::vector<double> row_min(n, std::numeric_limits<double>::infinity());
+  const auto rescan = [&](size_t i) {
+    nearest[i] = kNone;
+    for (size_t j = i + 1; j < n; ++j) {
+      if (!slot_active[j]) continue;
+      const double dist = d[i * n + j];
+      if (nearest[i] == kNone || dist < row_min[i]) {
+        nearest[i] = j;
+        row_min[i] = dist;
       }
     }
+  };
+  for (size_t i = 0; i < n; ++i) rescan(i);
+  std::vector<DendrogramMerge> merges;
+  merges.reserve(n - 1);
+
+  for (size_t step = 0; step + 1 < n; ++step) {
+    size_t bi = kNone;
+    for (size_t i = 0; i < n; ++i) {
+      if (!slot_active[i] || nearest[i] == kNone) continue;
+      if (bi == kNone || row_min[i] < row_min[bi]) bi = i;
+    }
+    const size_t bj = nearest[bi];
     // Merge slot bj into slot bi; bi now represents the new cluster node.
-    const size_t new_node = n + merges.size();
-    merges.push_back({active[bi], active[bj], best});
+    merges.push_back({node_of_slot[bi], node_of_slot[bj], row_min[bi]});
     for (size_t k = 0; k < n; ++k) {
       if (!slot_active[k] || k == bi || k == bj) continue;
       const double dk = std::max(d[k * n + bi], d[k * n + bj]);
@@ -141,7 +153,11 @@ Result<Dendrogram> CompleteLinkage(const std::vector<double>& distances, size_t 
       d[bi * n + k] = dk;
     }
     slot_active[bj] = false;
-    active[bi] = new_node;
+    node_of_slot[bi] = n + step;
+    for (size_t k = 0; k < n; ++k) {
+      if (!slot_active[k] || nearest[k] == kNone) continue;
+      if (k == bi || nearest[k] == bi || nearest[k] == bj) rescan(k);
+    }
   }
   return Dendrogram(n, std::move(merges));
 }

@@ -66,7 +66,10 @@ class Dendrogram {
 };
 
 /// \brief Runs complete-linkage clustering on a dense symmetric distance
-/// matrix (row-major n*n). Returns the dendrogram with n-1 merges.
+/// matrix (row-major n*n). Returns the dendrogram with n-1 merges. Each
+/// merge joins two clusters at the smallest distance (+inf included); on
+/// ties, the pair whose smallest leaf ids come first lexicographically. A
+/// NaN entry is InvalidArgument.
 Result<Dendrogram> CompleteLinkage(const std::vector<double>& distances, size_t n);
 
 }  // namespace ziggy

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <string>
 #include <utility>
@@ -67,28 +68,76 @@ double EtaFromGroupMoments(const std::vector<MomentSketch>& groups) {
   return ss_total > 0.0 ? std::sqrt(std::clamp(ss_between / ss_total, 0.0, 1.0)) : 0.0;
 }
 
-// Doubled midranks of `data` (see TableProfile::Rank2): sorts the non-NULL
-// (value, row) pairs once, then gives every row of a run of k equal values
-// starting at sorted position i the same 2L + E + 1 = 2i + k + 1.
+// Table cells per thread of an auto-sized (num_threads == 0) profile
+// build: a table below two grains is profiled on the calling thread.
+constexpr size_t kProfileCellsPerThread = size_t{1} << 16;
+
+}  // namespace
+
+namespace internal {
+
+// Sorts the non-NULL values with an LSD radix sort on order-preserving
+// 64-bit keys: -0.0 is folded into +0.0 and the bits of a negative value
+// are inverted, the others get the sign bit set, so equal values have
+// equal keys and keys order as the values do. A pass whose digit is the
+// same for every key moves nothing and is skipped. Then every row of a run
+// of k equal keys starting at sorted position i gets the same
+// 2L + E + 1 = 2i + k + 1; the order inside a run does not matter.
 std::vector<uint32_t> DoubledMidranks(const std::vector<double>& data) {
-  std::vector<std::pair<double, uint32_t>> sorted;
+  constexpr int kDigitBits = 11;
+  constexpr size_t kBuckets = size_t{1} << kDigitBits;
+  constexpr int kPasses = (64 + kDigitBits - 1) / kDigitBits;
+  struct Entry {
+    uint64_t key;
+    uint32_t row;
+  };
+  std::vector<Entry> sorted;
   sorted.reserve(data.size());
   for (size_t r = 0; r < data.size(); ++r) {
-    if (!IsNullNumeric(data[r])) {
-      sorted.emplace_back(data[r], static_cast<uint32_t>(r));
+    const double v = data[r];
+    if (IsNullNumeric(v)) continue;
+    const uint64_t bits = std::bit_cast<uint64_t>(v == 0.0 ? 0.0 : v);
+    const uint64_t key = (bits >> 63) != 0 ? ~bits : bits | (uint64_t{1} << 63);
+    sorted.push_back({key, static_cast<uint32_t>(r)});
+  }
+  std::vector<std::array<uint32_t, kBuckets>> counts(kPasses);
+  for (const Entry& e : sorted) {
+    for (int p = 0; p < kPasses; ++p) {
+      ++counts[p][(e.key >> (p * kDigitBits)) & (kBuckets - 1)];
     }
   }
-  std::sort(sorted.begin(), sorted.end());
+  std::vector<Entry> scratch(sorted.size());
+  for (int p = 0; p < kPasses && !sorted.empty(); ++p) {
+    const int shift = p * kDigitBits;
+    std::array<uint32_t, kBuckets>& offset = counts[p];
+    if (offset[(sorted[0].key >> shift) & (kBuckets - 1)] == sorted.size()) {
+      continue;
+    }
+    uint32_t sum = 0;
+    for (uint32_t& c : offset) {
+      const uint32_t count = c;
+      c = sum;
+      sum += count;
+    }
+    for (const Entry& e : sorted) {
+      scratch[offset[(e.key >> shift) & (kBuckets - 1)]++] = e;
+    }
+    sorted.swap(scratch);
+  }
   std::vector<uint32_t> rank2(data.size(), 0);
   for (size_t i = 0; i < sorted.size();) {
     size_t j = i + 1;
-    while (j < sorted.size() && sorted[j].first == sorted[i].first) ++j;
+    while (j < sorted.size() && sorted[j].key == sorted[i].key) ++j;
     const auto r2 = static_cast<uint32_t>(i + j + 1);
-    for (size_t k = i; k < j; ++k) rank2[sorted[k].second] = r2;
+    for (size_t k = i; k < j; ++k) rank2[sorted[k].row] = r2;
     i = j;
   }
   return rank2;
 }
+
+}  // namespace internal
+
+namespace {
 
 // Shifts `rank2` (doubled midranks of data[0, old_rows)) in place to the
 // doubled midranks of all of `data`, whose rows from old_rows on are new.
@@ -194,7 +243,11 @@ Result<TableProfile> TableProfile::Compute(const Table& table, ProfileOptions op
   // One task per column; every task writes only its own profile slots, so
   // the parallel fill is race-free and the result is independent of the
   // thread count (each column is scanned start-to-finish by one worker).
-  const size_t threads = EffectiveThreads(options.num_threads);
+  const size_t threads =
+      options.num_threads != 0
+          ? options.num_threads
+          : std::clamp<size_t>(table.num_rows() * m / kProfileCellsPerThread,
+                               1, EffectiveThreads(0));
   std::vector<size_t> numeric_cols;
   std::vector<size_t> categorical_cols;
   for (size_t c = 0; c < m; ++c) {
@@ -213,7 +266,7 @@ Result<TableProfile> TableProfile::Compute(const Table& table, ProfileOptions op
         if (!IsNullNumeric(v)) p.column_sketches_[c].Add(v);
       }
       const auto& data = col.numeric_data();
-      if (options.cache_ranks) p.rank2_[c] = DoubledMidranks(data);
+      if (options.cache_ranks) p.rank2_[c] = internal::DoubledMidranks(data);
       if (options.histogram_bins > 0) {
         auto& hist = p.histograms_[c];
         hist.assign(options.histogram_bins, 0);

@@ -50,10 +50,11 @@ struct ProfileOptions {
   /// Bins of the per-column global histograms backing the
   /// distribution-shift component (0 disables).
   size_t histogram_bins = 16;
-  /// Threads for profile construction (1 = sequential, 0 = one per core).
-  /// Execution knob only: the resulting profile is independent of it, and
-  /// it is not serialized.
-  size_t num_threads = 1;
+  /// Threads for profile construction (1 = sequential; 0 = one per core,
+  /// for tables of at least 64 Ki cells per thread, on the shared worker
+  /// pool). Execution knob only: the resulting profile is independent of
+  /// it, and it is not serialized.
+  size_t num_threads = 0;
 };
 
 /// \brief Precomputed equi-width binning over [lo, hi]: the reciprocal bin
@@ -117,6 +118,11 @@ struct ProfileAppendEffects {
   /// only when neither ranges nor category sets moved.
   bool invalidates_sketches() const { return ranges_extended || categories_added; }
 };
+
+namespace internal {
+/// Doubled midranks of `data`, as TableProfile::Rank2 caches them.
+std::vector<uint32_t> DoubledMidranks(const std::vector<double>& data);
+}  // namespace internal
 
 /// \brief Shared per-table statistics. Compute once, reuse per query.
 class TableProfile {
@@ -221,6 +227,8 @@ class TableProfile {
   /// @}
 
  private:
+  friend class TableProfileTestPeer;  // swaps in reference rank arrays
+
   size_t num_columns_ = 0;
   ProfileOptions options_;
   std::vector<MomentSketch> column_sketches_;

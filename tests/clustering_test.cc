@@ -4,9 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "common/random.h"
+#include "data/synthetic.h"
 #include "views/clustering.h"
+#include "views/view_search.h"
+#include "zig/profile.h"
 
 namespace ziggy {
 namespace {
@@ -28,6 +34,136 @@ std::vector<std::vector<size_t>> SortedClusters(std::vector<std::vector<size_t>>
   for (auto& c : cs) std::sort(c.begin(), c.end());
   std::sort(cs.begin(), cs.end());
   return cs;
+}
+
+// Reference implementation: the full upper-triangle rescan per merge
+// (O(n^3)) the cached-row-minimum search replaced. The first active pair
+// seeds the scan, so an all-+inf remainder merges that pair.
+std::vector<DendrogramMerge> ReferenceLinkage(const std::vector<double>& distances,
+                                              size_t n) {
+  std::vector<double> d = distances;
+  std::vector<size_t> active(n);
+  for (size_t i = 0; i < n; ++i) active[i] = i;
+  std::vector<bool> slot_active(n, true);
+  std::vector<DendrogramMerge> merges;
+  for (size_t step = 0; step + 1 < n; ++step) {
+    bool found = false;
+    double best = 0.0;
+    size_t bi = 0;
+    size_t bj = 0;
+    for (size_t i = 0; i < n; ++i) {
+      if (!slot_active[i]) continue;
+      for (size_t j = i + 1; j < n; ++j) {
+        if (!slot_active[j]) continue;
+        const double dist = d[i * n + j];
+        if (!found || dist < best) {
+          found = true;
+          best = dist;
+          bi = i;
+          bj = j;
+        }
+      }
+    }
+    merges.push_back({active[bi], active[bj], best});
+    for (size_t k = 0; k < n; ++k) {
+      if (!slot_active[k] || k == bi || k == bj) continue;
+      const double dk = std::max(d[k * n + bi], d[k * n + bj]);
+      d[k * n + bi] = dk;
+      d[bi * n + k] = dk;
+    }
+    slot_active[bj] = false;
+    active[bi] = n + step;
+  }
+  return merges;
+}
+
+// Same merges: left, right and the bit pattern of every height.
+void ExpectSameMerges(const Dendrogram& got,
+                      const std::vector<DendrogramMerge>& want) {
+  ASSERT_EQ(got.merges().size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    const DendrogramMerge& g = got.merges()[i];
+    EXPECT_EQ(g.left, want[i].left) << "merge " << i;
+    EXPECT_EQ(g.right, want[i].right) << "merge " << i;
+    EXPECT_EQ(std::memcmp(&g.height, &want[i].height, sizeof(double)), 0)
+        << "merge " << i << ": " << g.height << " vs " << want[i].height;
+  }
+}
+
+void ExpectMatchesReference(const std::vector<double>& m, size_t n) {
+  ExpectSameMerges(CompleteLinkage(m, n).ValueOrDie(), ReferenceLinkage(m, n));
+}
+
+// Symmetric n x n matrix with a zero diagonal; `levels` > 0 quantizes the
+// entries to that many values (many ties).
+std::vector<double> RandomMatrix(Rng* rng, size_t n, int levels) {
+  std::vector<double> m(n * n, 0.0);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = i + 1; j < n; ++j) {
+      double v = rng->Uniform(0.0, 1.0);
+      if (levels > 0) v = std::floor(v * levels) / levels;
+      m[i * n + j] = v;
+      m[j * n + i] = v;
+    }
+  }
+  return m;
+}
+
+TEST(CompleteLinkageOracleTest, RandomMatricesMatchReference) {
+  Rng rng(41);
+  for (size_t n = 1; n <= 64; ++n) {
+    SCOPED_TRACE("n " + std::to_string(n));
+    ExpectMatchesReference(RandomMatrix(&rng, n, 0), n);
+  }
+}
+
+TEST(CompleteLinkageOracleTest, QuantizedMatricesMatchReference) {
+  Rng rng(43);
+  for (int levels : {1, 2, 3, 5}) {
+    for (size_t n = 2; n <= 64; n += 3) {
+      SCOPED_TRACE("levels " + std::to_string(levels) + ", n " +
+                   std::to_string(n));
+      ExpectMatchesReference(RandomMatrix(&rng, n, levels), n);
+    }
+  }
+}
+
+TEST(CompleteLinkageOracleTest, OecdDendrogramMatchesReference) {
+  const Table table = MakeOecdDataset().ValueOrDie().table;
+  const TableProfile profile = TableProfile::Compute(table).ValueOrDie();
+  const size_t m = profile.num_columns();
+  ASSERT_EQ(m, 519u);
+  std::vector<double> dist(m * m, 0.0);
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t j = 0; j < m; ++j) {
+      dist[i * m + j] = (i == j) ? 0.0 : 1.0 - profile.Dependency(i, j);
+    }
+  }
+  ExpectSameMerges(BuildColumnDendrogram(profile).ValueOrDie(),
+                   ReferenceLinkage(dist, m));
+}
+
+TEST(CompleteLinkageTest, InfiniteDistancesMergeFirstActivePair) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const Dendrogram d = CompleteLinkage({0.0, inf, inf, 0.0}, 2).ValueOrDie();
+  ASSERT_EQ(d.merges().size(), 1u);
+  EXPECT_EQ(d.merges()[0].left, 0u);
+  EXPECT_EQ(d.merges()[0].right, 1u);
+  EXPECT_EQ(d.merges()[0].height, inf);
+  // Every leaf ends up under the root.
+  auto m = MakeMatrix(4, {{0, 1, 0.1}}, inf);
+  const Dendrogram d4 = CompleteLinkage(m, 4).ValueOrDie();
+  EXPECT_EQ(d4.LeavesUnder(4 + d4.merges().size() - 1),
+            (std::vector<size_t>{0, 1, 2, 3}));
+  ExpectMatchesReference(m, 4);
+}
+
+TEST(CompleteLinkageTest, NaNDistanceIsInvalidArgument) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const Result<Dendrogram> d = CompleteLinkage({0.0, nan, nan, 0.0}, 2);
+  ASSERT_FALSE(d.ok());
+  EXPECT_EQ(d.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(CompleteLinkage(MakeMatrix(3, {{0, 2, nan}}, 0.5), 3).ok());
 }
 
 TEST(CompleteLinkageTest, MergesClosestPairFirst) {

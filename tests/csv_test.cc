@@ -355,19 +355,29 @@ void ExpectSameTable(const Table& got, const Table& want) {
   }
 }
 
-// The reader under test and the reference agree: the same error text, or
-// byte-identical tables.
-void ExpectMatchesReference(const std::string& text,
-                            const CsvOptions& options = {}) {
-  const Result<Table> got = ReadCsvString(text, options);
-  const Result<Table> want = reference::ReadCsvString(text, options);
+void ExpectSameResult(const Result<Table>& got, const Result<Table>& want) {
   ASSERT_EQ(got.ok(), want.ok())
       << (got.ok() ? want.status() : got.status()).ToString();
   if (!want.ok()) {
+    EXPECT_EQ(got.status().code(), want.status().code());
     EXPECT_EQ(got.status().ToString(), want.status().ToString());
     return;
   }
   ExpectSameTable(*got, *want);
+}
+
+// The reader under test and the reference agree: the same error code and
+// text, or byte-identical tables. So does the reader with the input cut
+// into 1 to 8 chunks.
+void ExpectMatchesReference(const std::string& text,
+                            const CsvOptions& options = {}) {
+  const Result<Table> want = reference::ReadCsvString(text, options);
+  ExpectSameResult(ReadCsvString(text, options), want);
+  for (size_t chunks = 1; chunks <= 8; ++chunks) {
+    SCOPED_TRACE(std::to_string(chunks) + " chunks");
+    ExpectSameResult(internal::ReadCsvStringChunked(text, options, chunks),
+                     want);
+  }
 }
 
 TEST(CsvDifferentialTest, ParseDoubleTokensMatchStrtod) {
@@ -509,6 +519,42 @@ TEST(CsvDifferentialTest, ColumnTurnsCategoricalAfterInferencePrefix) {
   const Table t = ReadCsvString(text).ValueOrDie();
   EXPECT_EQ(t.schema().field(0).type, ColumnType::kCategorical);
   EXPECT_EQ(t.schema().field(1).type, ColumnType::kNumeric);
+}
+
+// Documents whose chunk cuts land on the corners of the chunked reader:
+// blank and CRLF lines at every cut, and errors or a type fallback in a
+// later chunk than the first.
+TEST(CsvDifferentialTest, ChunkCutsMatchReference) {
+  const auto rows = [](size_t n, const std::string& line_end) {
+    std::string out;
+    for (size_t i = 0; i < n; ++i) {
+      out += std::to_string(i) + "," + std::to_string(i % 7) + ".5" + line_end;
+    }
+    return out;
+  };
+  std::string blanks = "a,b\n";
+  for (size_t i = 0; i < 40; ++i) blanks += std::to_string(i) + ",x\n \n\n\t\r\n";
+  const std::string docs[] = {
+      blanks,
+      "a,b\r\n" + rows(60, "\r\n") + "\r\n\r\n",
+      "a,b\n" + rows(60, "\n") + "1,2,3\n" + rows(5, "\n"),
+      // A ragged record early, an unterminated quote in the last chunk:
+      // the quote wins.
+      "a,b\n1\n" + rows(60, "\n") + "\"open,1\n",
+      // Two ragged records; the first by record number is reported.
+      "a,b\n" + rows(30, "\n") + "7\n" + rows(30, "\n") + "1,2,3\n",
+      // A column that parses as numbers until the last chunk.
+      "a,b\n" + rows(80, "\n") + "oops,1\n",
+      // Categorical labels first seen in later chunks.
+      "a,b\n" + rows(40, "\n") + "z,1\n" + rows(40, "\n") + "y,2\nz,3\n",
+  };
+  for (const std::string& doc : docs) {
+    SCOPED_TRACE("document '" + doc.substr(0, 40) + "...'");
+    ExpectMatchesReference(doc);
+    CsvOptions no_header;
+    no_header.has_header = false;
+    ExpectMatchesReference(doc, no_header);
+  }
 }
 
 // ------------------------------------------------------ writer round trip --

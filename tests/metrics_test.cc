@@ -466,9 +466,9 @@ TEST(CatalogMetricsTest, OpenSpansRecordColdAndWarmOpens) {
   const auto count = [&](const char* name) {
     return registry->histogram(name)->TakeSnapshot().count;
   };
-  // All three OPEN spans are listed before any OPEN.
+  // All four OPEN spans are listed before any OPEN.
   for (const char* name : {"ziggy_open_csv_parse_us", "ziggy_open_profile_us",
-                           "ziggy_store_load_us"}) {
+                           "ziggy_open_dendrogram_us", "ziggy_store_load_us"}) {
     EXPECT_NE(registry->RenderJson().find(name), std::string::npos) << name;
     EXPECT_NE(registry->RenderPrometheus().find(std::string(name) + "_count 0"),
               std::string::npos)
@@ -479,24 +479,27 @@ TEST(CatalogMetricsTest, OpenSpansRecordColdAndWarmOpens) {
                           std::to_string(++counter);
   ASSERT_TRUE(catalog.AttachStore(dir).ok());
 
-  // Cold OPEN: source load, then profile build.
+  // Cold OPEN: source load, profile build, then the column dendrogram.
   Result<Table> table = LoadTableFromSource("demo://boxoffice", registry.get());
   ASSERT_TRUE(table.ok());
   ASSERT_TRUE(catalog.Open("box", std::move(*table)).ok());
   EXPECT_EQ(count("ziggy_open_csv_parse_us"), 1u);
   EXPECT_EQ(count("ziggy_open_profile_us"), 1u);
+  EXPECT_EQ(count("ziggy_open_dendrogram_us"), 1u);
   EXPECT_EQ(count("ziggy_store_load_us"), 0u);
   // Without a registry the source load records nothing.
   ASSERT_TRUE(LoadTableFromSource("demo://boxoffice").ok());
   EXPECT_EQ(count("ziggy_open_csv_parse_us"), 1u);
 
-  // Warm OPEN from the checkpoint: a store load, no parse or profile.
+  // Warm OPEN from the checkpoint: a store load and a dendrogram, no
+  // parse or profile.
   ASSERT_TRUE(catalog.SaveAllToStore().ok());
   ASSERT_TRUE(catalog.Close("box").ok());
   ASSERT_TRUE(catalog.OpenFromStore("box").ok());
   EXPECT_EQ(count("ziggy_store_load_us"), 1u);
   EXPECT_EQ(count("ziggy_open_csv_parse_us"), 1u);
   EXPECT_EQ(count("ziggy_open_profile_us"), 1u);
+  EXPECT_EQ(count("ziggy_open_dendrogram_us"), 2u);
 }
 
 TEST(CatalogMetricsTest, ProcessGaugesTrackFaultsAndPeakRss) {

@@ -13,16 +13,32 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
+#include <limits>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
+#include "data/synthetic.h"
 #include "storage/types.h"
 #include "zig/component_builder.h"
 #include "zig/profile.h"
 
 namespace ziggy {
+
+// Replaces a profile's cached rank arrays, so a profile whose ranks come
+// from the reference below can be serialized and compared byte for byte.
+class TableProfileTestPeer {
+ public:
+  static void SetRank2(TableProfile* profile, size_t col,
+                       std::vector<uint32_t> rank2) {
+    profile->rank2_[col] = std::move(rank2);
+  }
+};
+
 namespace {
 
 // Pairwise reference: 2U = 2 * #(in > out) + #(in == out), over non-NULL
@@ -219,6 +235,90 @@ TEST(RankShiftComponentTest, AppendedProfileKeepsOracleCounts) {
       ExpectSameCounts(got, NaiveU(grown.column(c).numeric_data(), sel),
                        grown.column(c).name());
     }
+  }
+}
+
+// The midrank kernel the radix sort replaced: std::sort of (value, row)
+// pairs, then one doubled midrank per run of equal values.
+std::vector<uint32_t> ReferenceMidranks(const std::vector<double>& data) {
+  std::vector<std::pair<double, uint32_t>> sorted;
+  for (size_t r = 0; r < data.size(); ++r) {
+    if (!IsNullNumeric(data[r])) {
+      sorted.emplace_back(data[r], static_cast<uint32_t>(r));
+    }
+  }
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<uint32_t> rank2(data.size(), 0);
+  for (size_t i = 0; i < sorted.size();) {
+    size_t j = i + 1;
+    while (j < sorted.size() && sorted[j].first == sorted[i].first) ++j;
+    for (size_t k = i; k < j; ++k) {
+      rank2[sorted[k].second] = static_cast<uint32_t>(i + j + 1);
+    }
+    i = j;
+  }
+  return rank2;
+}
+
+TEST(DoubledMidranksTest, RadixSortMatchesSortReference) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double sub = std::numeric_limits<double>::denorm_min();
+  Rng rng(31);
+  std::vector<std::pair<std::string, std::vector<double>>> columns = {
+      {"empty", {}},
+      {"single row", {3.5}},
+      {"single NULL", {NullNumeric()}},
+      {"all NULL", std::vector<double>(50, NullNumeric())},
+      {"constant", std::vector<double>(50, -2.0)},
+      {"signed zeros", {0.0, -0.0, 1.0, -0.0, -1.0, 0.0, -0.0}},
+      {"infinities", {inf, -inf, 0.0, inf, -1e300, -inf, 1e300, NullNumeric()}},
+      {"subnormals", {sub, -sub, 2 * sub, DBL_MIN, -DBL_MIN, 0.0, -0.0, sub,
+                      -2 * sub, DBL_MIN / 2}},
+      {"extremes", {DBL_MAX, -DBL_MAX, DBL_MAX, 0.0, -DBL_MAX, inf, -inf}},
+  };
+  std::vector<double> ties(3000);
+  std::vector<double> null_heavy(3000);
+  std::vector<double> mixed(3000);
+  std::vector<double> wide(3000);
+  for (size_t i = 0; i < ties.size(); ++i) {
+    ties[i] = static_cast<double>(rng.UniformInt(-3, 3));
+    null_heavy[i] = rng.Bernoulli(0.85) ? NullNumeric() : rng.Normal();
+    const double pick[] = {0.0, -0.0, inf, -inf, sub, -sub, DBL_MAX, -DBL_MAX,
+                           NullNumeric(), rng.Normal(), 1.0, -1.0};
+    mixed[i] = pick[rng.UniformInt(0, 11)];
+    wide[i] = rng.Normal() * std::ldexp(1.0, static_cast<int>(
+                                                 rng.UniformInt(-1000, 1000)));
+  }
+  columns.emplace_back("ties", std::move(ties));
+  columns.emplace_back("85% NULL", std::move(null_heavy));
+  columns.emplace_back("mixed specials", std::move(mixed));
+  columns.emplace_back("wide exponents", std::move(wide));
+  for (const auto& [name, data] : columns) {
+    EXPECT_EQ(internal::DoubledMidranks(data), ReferenceMidranks(data))
+        << name;
+  }
+}
+
+TEST(DoubledMidranksTest, DemoProfilesMatchReferenceBytes) {
+  for (const auto& dataset :
+       {MakeBoxOfficeDataset(), MakeCrimeDataset(), MakeOecdDataset()}) {
+    const Table& table = dataset.ValueOrDie().table;
+    const TableProfile profile = TableProfile::Compute(table).ValueOrDie();
+    TableProfile reference = profile;
+    size_t numeric = 0;
+    for (size_t c = 0; c < table.num_columns(); ++c) {
+      if (!table.column(c).is_numeric()) continue;
+      ++numeric;
+      TableProfileTestPeer::SetRank2(
+          &reference, c, ReferenceMidranks(table.column(c).numeric_data()));
+    }
+    ASSERT_GT(numeric, 0u);
+    std::ostringstream got;
+    std::ostringstream want;
+    ASSERT_TRUE(profile.Serialize(&got).ok());
+    ASSERT_TRUE(reference.Serialize(&want).ok());
+    EXPECT_TRUE(got.str() == want.str())
+        << table.num_rows() << "x" << table.num_columns();
   }
 }
 
