@@ -6,11 +6,11 @@
 //   2. cold boot: ReadCsvFile + ZiggyServer::Create (CSV parse, type
 //      inference, full TableProfile::Compute) and times the first
 //      CHARACTERIZE (a full selection scan),
-//   3. checkpoints the server into a ZiggyStore (table + profile + hot
-//      sketches),
-//   4. warm boot: ZiggyStore::LoadTable + CreateFromState +
-//      WarmSketchCache and times the first CHARACTERIZE again (an exact
-//      cache hit).
+//   3. checkpoints the server into a ZiggyStore (table + profile),
+//   4. warm boot: ZiggyStore::LoadTable + CreateFromState, and times the
+//      first CHARACTERIZE again. The sketch cache is not persisted, so
+//      that query is a full scan on the warm server too; the boot itself
+//      skips CSV parsing and the profile computation.
 // It verifies the warm server's report is byte-identical to the cold one
 // before reporting any number, and prints boot wall-clock, first-query
 // latency, and the speedup. The acceptance bar (ISSUE 4): warm boot at
@@ -33,10 +33,12 @@
 //
 // Compression scenario (ISSUE 7): the quantized boxoffice/crime fixtures
 // (3 decimals — what a real ingest of currency/count data looks like)
-// are checkpointed into an uncompressed and a compressed store; the
-// harness compares table-data bytes (counting the shared dictionary pool
-// against the compressed store) and requires >= 2x reduction with warm
-// boots from BOTH stores rendering the first report byte-identically to
+// are checkpointed into a store; the harness compares the table-data
+// bytes it wrote (counting the shared dictionary pool against it) with
+// the store's raw-byte counter — the exact size of the same checkpoint
+// in the uncompressed v1 encoding (StoreStats::checkpoint_raw_bytes,
+// pinned by table_io_test) — and requires >= 2x reduction, with a warm
+// boot from the store rendering the first report byte-identically to
 // the cold CSV boot. Deterministic byte counts, so it always gates.
 //
 // Usage: bench_store [--threads n] [--enforce-speedup] [--json [path]]
@@ -69,7 +71,6 @@ struct FixtureResult {
   double warm_boot_p50_ms = 0.0;   ///< median of the 3 reps
   double cold_first_query_ms = 0.0;
   double warm_first_query_ms = 0.0;
-  size_t warmed_sketches = 0;
   bool reports_match = false;
 
   double boot_speedup() const {
@@ -130,8 +131,7 @@ FixtureResult RunFixture(const std::string& name, SyntheticDataset ds,
   if (!store.ok() ||
       !(*store)
            ->SaveTable(name, cold->state()->table(),
-                       cold->state()->generation(), *cold->state()->profile,
-                       cold->ExportSketchCache())
+                       cold->state()->generation(), *cold->state()->profile)
            .ok()) {
     std::cerr << "error: checkpoint failed for " << name << "\n";
     return r;
@@ -141,7 +141,6 @@ FixtureResult RunFixture(const std::string& name, SyntheticDataset ds,
   // few milliseconds, so one scheduling hiccup on a shared runner would
   // otherwise dominate the speedup ratio) ----
   std::unique_ptr<ZiggyServer> warm;
-  size_t warmed = 0;
   obs::Histogram warm_boot_us;
   for (int rep = 0; rep < 3; ++rep) {
     const double ms = bench::TimeMs([&] {
@@ -152,7 +151,6 @@ FixtureResult RunFixture(const std::string& name, SyntheticDataset ds,
               std::move(stored->table), stored->generation,
               std::move(stored->profile), BenchServeOptions(threads));
       if (!server.ok()) return;
-      warmed = (*server)->WarmSketchCache(stored->sketches);
       warm = std::move(*server);
     });
     warm_boot_us.Record(static_cast<uint64_t>(ms * 1000.0));
@@ -165,7 +163,6 @@ FixtureResult RunFixture(const std::string& name, SyntheticDataset ds,
     std::cerr << "error: warm boot failed for " << name << "\n";
     return r;
   }
-  r.warmed_sketches = warmed;
   const uint64_t warm_sid = warm->OpenSession();
   std::string warm_report;
   r.warm_first_query_ms = bench::TimeMs([&] {
@@ -228,8 +225,8 @@ AppendIoResult RunAppendIoScenario(const std::string& work_dir) {
 
   Table live = ds.table;
   TableProfile profile = TableProfile::Compute(live).ValueOrDie();
-  if (!delta_store->SaveTable("crime", live, 0, profile, {}, kLineage).ok() ||
-      !full_store->SaveTable("crime", live, 0, profile, {}, kLineage).ok()) {
+  if (!delta_store->SaveTable("crime", live, 0, profile, kLineage).ok() ||
+      !full_store->SaveTable("crime", live, 0, profile, kLineage).ok()) {
     std::cerr << "error: append scenario base checkpoint failed\n";
     return r;
   }
@@ -239,9 +236,9 @@ AppendIoResult RunAppendIoScenario(const std::string& work_dir) {
   for (size_t g = 1; g <= kBatches; ++g) {
     live = live.WithAppendedRows(batch).ValueOrDie();
     profile = TableProfile::Compute(live).ValueOrDie();
-    if (!delta_store->SaveTable("crime", live, g, profile, {}, kLineage)
+    if (!delta_store->SaveTable("crime", live, g, profile, kLineage)
              .ok() ||
-        !full_store->SaveTable("crime", live, g, profile, {}, kLineage).ok()) {
+        !full_store->SaveTable("crime", live, g, profile, kLineage).ok()) {
       std::cerr << "error: append scenario checkpoint " << g << " failed\n";
       return r;
     }
@@ -263,11 +260,10 @@ struct CompressionResult {
   std::string name;
   size_t rows = 0;
   size_t columns = 0;
-  uint64_t plain_bytes = 0;       ///< table-data bytes, compression off
-  uint64_t compressed_bytes = 0;  ///< table-data bytes, compression on
+  uint64_t plain_bytes = 0;       ///< the same checkpoint in raw v1 bytes
+  uint64_t compressed_bytes = 0;  ///< table-data bytes written
   uint64_t dict_pool_bytes = 0;   ///< shared dictionary files, on-store
-  size_t warmed_sketches = 0;
-  bool reports_match = false;  ///< warm(on) == warm(off) == cold CSV boot
+  bool reports_match = false;  ///< warm boot == cold CSV boot
 
   /// On-disk reduction counting the pooled dictionaries against the
   /// compressed store (they live on the same disk).
@@ -279,12 +275,11 @@ struct CompressionResult {
   }
 };
 
-/// Compression scenario (ISSUE 7): checkpoint the same quantized fixture
-/// into an uncompressed (ZIGTBL01) and a compressed (ZIGTBL02 + dict
-/// pool) store, compare the table-data bytes each wrote, and verify that
-/// a warm boot from either store renders the first CHARACTERIZE report
-/// byte-identically to the cold CSV boot. Byte counts are deterministic,
-/// so the >= 2x bar always gates the exit code.
+/// Compression scenario: checkpoint a quantized fixture, compare
+/// the table-data bytes written (ZIGTBL02 + dict pool) with their raw v1
+/// size, and verify that a warm boot from the store renders the first
+/// CHARACTERIZE report byte-identically to the cold CSV boot. Byte counts
+/// are deterministic, so the >= 2x bar always gates the exit code.
 CompressionResult RunCompressionScenario(const std::string& name,
                                          SyntheticDataset ds,
                                          const std::string& work_dir,
@@ -310,47 +305,31 @@ CompressionResult RunCompressionScenario(const std::string& name,
   const std::string cold_report =
       RenderCharacterizationReport(*cold_result, schema);
 
-  // One checkpoint per mode, explicit so the environment cannot flip it.
-  StoreOptions off_options;
-  off_options.compression = StoreCompression::kOff;
-  StoreOptions on_options;
-  on_options.compression = StoreCompression::kOn;
-  auto off_store =
-      ZiggyStore::Open(work_dir + "/" + name + "_off", off_options)
-          .ValueOrDie();
-  auto on_store =
-      ZiggyStore::Open(work_dir + "/" + name + "_on", on_options).ValueOrDie();
-  const std::vector<PersistedSketch> sketches = (*cold)->ExportSketchCache();
-  for (ZiggyStore* store : {off_store.get(), on_store.get()}) {
-    if (!store
-             ->SaveTable(name, (*cold)->state()->table(),
-                         (*cold)->state()->generation(),
-                         *(*cold)->state()->profile, sketches)
-             .ok()) {
-      return r;
-    }
+  auto store = ZiggyStore::Open(work_dir + "/" + name + "_z").ValueOrDie();
+  if (!store
+           ->SaveTable(name, (*cold)->state()->table(),
+                       (*cold)->state()->generation(),
+                       *(*cold)->state()->profile)
+           .ok()) {
+    return r;
   }
-  r.plain_bytes = off_store->stats().checkpoint_bytes;
-  r.compressed_bytes = on_store->stats().checkpoint_bytes;
-  r.dict_pool_bytes = on_store->stats().dict_pool_bytes;
+  const StoreStats stats = store->stats();
+  r.plain_bytes = stats.checkpoint_raw_bytes;
+  r.compressed_bytes = stats.checkpoint_bytes;
+  r.dict_pool_bytes = stats.dict_pool_bytes;
 
-  // Warm boots from both stores must render the cold report verbatim.
-  bool all_match = true;
-  for (ZiggyStore* store : {off_store.get(), on_store.get()}) {
-    Result<StoredTable> stored = store->LoadTable(name);
-    if (!stored.ok()) return r;
-    Result<std::unique_ptr<ZiggyServer>> warm = ZiggyServer::CreateFromState(
-        std::move(stored->table), stored->generation,
-        std::move(stored->profile), BenchServeOptions(threads));
-    if (!warm.ok()) return r;
-    r.warmed_sketches = (*warm)->WarmSketchCache(stored->sketches);
-    Result<Characterization> result =
-        (*warm)->Characterize((*warm)->OpenSession(), query);
-    if (!result.ok()) return r;
-    all_match = all_match &&
-                RenderCharacterizationReport(*result, schema) == cold_report;
-  }
-  r.reports_match = all_match;
+  // A warm boot from the store must render the cold report verbatim.
+  Result<StoredTable> stored = store->LoadTable(name);
+  if (!stored.ok()) return r;
+  Result<std::unique_ptr<ZiggyServer>> warm = ZiggyServer::CreateFromState(
+      std::move(stored->table), stored->generation,
+      std::move(stored->profile), BenchServeOptions(threads));
+  if (!warm.ok()) return r;
+  Result<Characterization> result =
+      (*warm)->Characterize((*warm)->OpenSession(), query);
+  if (!result.ok()) return r;
+  r.reports_match =
+      RenderCharacterizationReport(*result, schema) == cold_report;
   return r;
 }
 
@@ -389,14 +368,13 @@ int main(int argc, char** argv) {
 
   bench::ResultTable table({"fixture", "rows", "cols", "cold boot ms",
                             "warm boot ms", "speedup", "cold 1st query ms",
-                            "warm 1st query ms", "warm sketches", "match"});
+                            "warm 1st query ms", "match"});
   for (const FixtureResult& r : results) {
     table.AddRow({r.name, std::to_string(r.rows), std::to_string(r.columns),
                   bench::Fmt(r.cold_boot_ms), bench::Fmt(r.warm_boot_ms),
                   bench::Fmt(r.boot_speedup()) + "x",
                   bench::Fmt(r.cold_first_query_ms),
                   bench::Fmt(r.warm_first_query_ms),
-                  std::to_string(r.warmed_sketches),
                   r.reports_match ? "yes" : "NO"});
   }
   table.Print();
@@ -410,17 +388,15 @@ int main(int argc, char** argv) {
       "crime", MakeCrimeDataset(11, /*value_decimals=*/3).ValueOrDie(),
       work_dir, threads));
   {
-    bench::ResultTable z_table({"fixture", "plain KiB", "compressed KiB",
-                                "dict pool KiB", "ratio", "warm sketches",
-                                "match"});
+    bench::ResultTable z_table({"fixture", "raw v1 KiB", "compressed KiB",
+                                "dict pool KiB", "ratio", "match"});
     for (const CompressionResult& z : compression) {
       z_table.AddRow(
           {z.name,
            bench::Fmt(static_cast<double>(z.plain_bytes) / 1024.0),
            bench::Fmt(static_cast<double>(z.compressed_bytes) / 1024.0),
            bench::Fmt(static_cast<double>(z.dict_pool_bytes) / 1024.0),
-           bench::Fmt(z.ratio()) + "x", std::to_string(z.warmed_sketches),
-           z.reports_match ? "yes" : "NO"});
+           bench::Fmt(z.ratio()) + "x", z.reports_match ? "yes" : "NO"});
     }
     std::cout << "\n";
     z_table.Print();
@@ -473,8 +449,8 @@ int main(int argc, char** argv) {
   for (const CompressionResult& z : compression) {
     if (!z.reports_match) {
       std::cerr << "FAIL: " << z.name
-                << ": warm report from a compressed/uncompressed store is "
-                   "not byte-identical to the cold CSV boot\n";
+                << ": warm report from the store is not byte-identical to "
+                   "the cold CSV boot\n";
       ok = false;
     }
     if (z.ratio() < 2.0) {
@@ -510,7 +486,6 @@ int main(int argc, char** argv) {
       f.Set("boot_speedup", r.boot_speedup());
       f.Set("cold_first_query_ms", r.cold_first_query_ms);
       f.Set("warm_first_query_ms", r.warm_first_query_ms);
-      f.Set("warmed_sketches", static_cast<double>(r.warmed_sketches));
       f.Set("reports_byte_identical", bench::JsonValue::Bool(r.reports_match));
       fixtures.Push(std::move(f));
     }
@@ -542,7 +517,6 @@ int main(int argc, char** argv) {
       j.Set("compressed_bytes", static_cast<double>(z.compressed_bytes));
       j.Set("dict_pool_bytes", static_cast<double>(z.dict_pool_bytes));
       j.Set("ratio", z.ratio());
-      j.Set("warmed_sketches", static_cast<double>(z.warmed_sketches));
       j.Set("reports_byte_identical",
             bench::JsonValue::Bool(z.reports_match));
       j.Set("ratio_ok", bench::JsonValue::Bool(z.ratio() >= 2.0));

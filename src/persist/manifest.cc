@@ -11,8 +11,7 @@ namespace {
 constexpr char kMagicLine[] = "ziggy-store";
 // Version 3 added pooled-dictionary refs, version 2 the delta chain
 // fields; both older versions are still parsed (v1 entries are all full
-// snapshots). A manifest without dict refs serializes as version 2 so
-// uncompressed stores remain readable by previous binaries.
+// snapshots). Only version 3 is written.
 constexpr int kVersion = 3;
 constexpr int kChainVersion = 2;
 constexpr int kLegacyVersion = 1;
@@ -89,27 +88,20 @@ bool Manifest::Remove(const std::string& name) {
 }
 
 std::string Manifest::Serialize() const {
-  bool any_dict_refs = false;
-  for (const ManifestEntry& entry : entries_) {
-    any_dict_refs = any_dict_refs || !entry.dict_refs.empty();
-  }
-  const int version = any_dict_refs ? kVersion : kChainVersion;
   std::string out =
-      std::string(kMagicLine) + " " + std::to_string(version) + "\n";
+      std::string(kMagicLine) + " " + std::to_string(kVersion) + "\n";
   for (const ManifestEntry& entry : entries_) {
+    // "0": the retired sketch-snapshot flag (see manifest.h).
     out += "table " + entry.name + " " + std::to_string(entry.generation) +
-           " " + (entry.has_sketches ? "1" : "0") + " " +
-           std::to_string(entry.base_generation) + " " +
+           " 0 " + std::to_string(entry.base_generation) + " " +
            std::to_string(entry.delta_generations.size());
     for (const uint64_t delta : entry.delta_generations) {
       out += " " + std::to_string(delta);
     }
-    if (any_dict_refs) {
-      out += " " + std::to_string(entry.dict_refs.size());
-      for (const ManifestDictRef& ref : entry.dict_refs) {
-        out += " " + std::to_string(ref.column) + " " + HashHex(ref.hash) +
-               " " + std::to_string(ref.size);
-      }
+    out += " " + std::to_string(entry.dict_refs.size());
+    for (const ManifestDictRef& ref : entry.dict_refs) {
+      out += " " + std::to_string(ref.column) + " " + HashHex(ref.hash) +
+             " " + std::to_string(ref.size);
     }
     out += "\n";
   }
@@ -153,10 +145,10 @@ Result<Manifest> Manifest::Parse(const std::string& text) {
       return Status::ParseError("negative generation in manifest");
     }
     entry.generation = static_cast<uint64_t>(generation);
+    // The retired sketch-snapshot flag: validated, then ignored.
     if (tokens[3] != "0" && tokens[3] != "1") {
       return Status::ParseError("malformed sketch flag in manifest");
     }
-    entry.has_sketches = tokens[3] == "1";
     if (legacy) {
       // v1: every checkpoint is a full snapshot.
       if (tokens.size() != 4) {

@@ -1,10 +1,10 @@
 // The store manifest: the small, human-readable index at the root of a
 // Ziggy store directory. One line per persisted table recording its name,
 // the table *generation* the files were checkpointed at (the same counter
-// the serving layer's append path maintains), whether a warm-cache sketch
-// file accompanies it, and the checkpoint's delta chain: the generation
-// of the full base snapshot plus the ordered delta segments layered on
-// top of it (empty when the checkpoint is a plain full snapshot).
+// the serving layer's append path maintains), and the checkpoint's delta
+// chain: the generation of the full base snapshot plus the ordered delta
+// segments layered on top of it (empty when the checkpoint is a plain
+// full snapshot).
 //
 // The manifest is the store's commit record: per-table data files are
 // staged tmp+rename first (each fsynced) and the manifest is rewritten
@@ -14,16 +14,22 @@
 //
 // Format (text, versioned):
 //   ziggy-store 3
-//   table <name> <generation> <has_sketches:0|1> <base_generation>
+//   table <name> <generation> <0> <base_generation>
 //         <num_deltas> <delta_generation>...
 //         <num_dict_refs> [<column> <hash:hex16> <size>]...
 // The dict-ref fields (version 3) record which columns of the base
 // snapshot reference a pooled dictionary (persist/dict_pool.h) instead
 // of inlining it — the manifest is what makes a pooled dictionary
-// *live* for GC purposes. A manifest with no dict refs serializes as
-// version 2 (identical to what previous binaries wrote and read), so
-// uncompressed stores stay fully interoperable. Versions 1 (no chain
-// fields; every entry a full snapshot) and 2 are still read.
+// *live* for GC purposes. The writer always emits version 3; versions 1
+// (no chain fields; every entry a full snapshot) and 2 (no dict refs)
+// are still read.
+//
+// Compatibility: the fourth token once flagged a sketch-cache snapshot
+// (sketches.g<G>.zskc, magic ZIGSKC01) next to the checkpoint. Sketches
+// are no longer persisted, so the writer always puts 0 there and the
+// parser accepts 0|1 and ignores it. Keeping the slot spares a version
+// bump: stores written by older releases still load, and their .zskc
+// files are unreferenced, so the next full checkpoint sweeps them.
 
 #ifndef ZIGGY_PERSIST_MANIFEST_H_
 #define ZIGGY_PERSIST_MANIFEST_H_
@@ -50,7 +56,6 @@ struct ManifestEntry {
   /// Current (latest) generation of the checkpoint: the base's when the
   /// chain is empty, the last delta segment's otherwise.
   uint64_t generation = 0;
-  bool has_sketches = false;
   /// Generation of the full base snapshot (table.g<B>.ztbl).
   uint64_t base_generation = 0;
   /// Ordered delta segments (delta.g<D>.zdlt) applied on top of the base;

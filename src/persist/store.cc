@@ -1,6 +1,5 @@
 #include "persist/store.h"
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -37,21 +36,6 @@ uint64_t FileBytesOrZero(const std::string& path) {
   return ec ? 0 : static_cast<uint64_t>(size);
 }
 
-bool CompressionEnabled(StoreCompression mode) {
-  switch (mode) {
-    case StoreCompression::kOff:
-      return false;
-    case StoreCompression::kOn:
-      return true;
-    case StoreCompression::kAuto:
-      break;
-  }
-  const char* env = std::getenv("ZIGGY_STORE_COMPRESSION");
-  if (env == nullptr) return true;
-  const std::string value(env);
-  return !(value == "off" || value == "0" || value == "false");
-}
-
 }  // namespace
 
 Result<std::unique_ptr<ZiggyStore>> ZiggyStore::Open(const std::string& dir,
@@ -61,7 +45,6 @@ Result<std::unique_ptr<ZiggyStore>> ZiggyStore::Open(const std::string& dir,
   ZIGGY_RETURN_NOT_OK(EnsureDirectory(JoinPath(dir, kTablesDir)));
 
   auto store = std::unique_ptr<ZiggyStore>(new ZiggyStore(dir, options));
-  store->compress_ = CompressionEnabled(options.compression);
   const std::string manifest_path = store->ManifestPath();
   if (PathExists(manifest_path)) {
     ZIGGY_ASSIGN_OR_RETURN(std::string text, ReadWholeFile(manifest_path));
@@ -73,9 +56,6 @@ Result<std::unique_ptr<ZiggyStore>> ZiggyStore::Open(const std::string& dir,
     ZIGGY_RETURN_NOT_OK(
         AtomicWriteFile(manifest_path, store->manifest_.Serialize()));
   }
-  // The pool opens regardless of the write-side compression setting: an
-  // uncompressed-mode daemon must still load compressed checkpoints that
-  // reference pooled dictionaries.
   ZIGGY_ASSIGN_OR_RETURN(store->dict_pool_, DictPool::Open(dir));
   return store;
 }
@@ -97,10 +77,6 @@ std::string ZiggyStore::DeltaPath(const std::string& name,
 std::string ZiggyStore::ProfilePath(const std::string& name,
                                     uint64_t generation) const {
   return JoinPath(TableDir(name), GenFile("profile", generation, "zprof"));
-}
-std::string ZiggyStore::SketchesPath(const std::string& name,
-                                     uint64_t generation) const {
-  return JoinPath(TableDir(name), GenFile("sketches", generation, "zskc"));
 }
 
 std::vector<ManifestEntry> ZiggyStore::List() const {
@@ -134,12 +110,10 @@ StoreStats ZiggyStore::stats() const {
       checkpoint_raw_bytes_.load(std::memory_order_relaxed);
   st.last_checkpoint_raw_bytes =
       last_checkpoint_raw_bytes_.load(std::memory_order_relaxed);
-  if (dict_pool_ != nullptr) {
-    const DictPoolStats pool = dict_pool_->stats();
-    st.dict_pool_files = pool.dict_files;
-    st.dict_pool_bytes = pool.dict_bytes;
-    st.dict_pool_shared_hits = pool.shared_hits;
-  }
+  const DictPoolStats pool = dict_pool_->stats();
+  st.dict_pool_files = pool.dict_files;
+  st.dict_pool_bytes = pool.dict_bytes;
+  st.dict_pool_shared_hits = pool.shared_hits;
   return st;
 }
 
@@ -192,7 +166,8 @@ void ZiggyStore::SweepUnreferenced(const std::string& name,
                                    const ManifestEntry& keep) {
   // Best effort: anything in the table's directory that the committed
   // manifest entry does not reference is a superseded generation, a
-  // compacted-away delta, or an orphan from a crashed save.
+  // compacted-away delta, an orphan from a crashed save, or a sketch
+  // snapshot written by an older release.
   std::set<std::string> referenced;
   auto basename = [](const std::string& path) {
     return std::filesystem::path(path).filename().string();
@@ -202,9 +177,6 @@ void ZiggyStore::SweepUnreferenced(const std::string& name,
     referenced.insert(basename(DeltaPath(name, d)));
   }
   referenced.insert(basename(ProfilePath(name, keep.generation)));
-  if (keep.has_sketches) {
-    referenced.insert(basename(SketchesPath(name, keep.generation)));
-  }
 
   std::error_code ec;
   std::filesystem::directory_iterator it(TableDir(name), ec);
@@ -220,7 +192,6 @@ void ZiggyStore::SweepUnreferenced(const std::string& name,
 
 Status ZiggyStore::SaveTable(const std::string& name, const Table& table,
                              uint64_t generation, const TableProfile& profile,
-                             const std::vector<PersistedSketch>& sketches,
                              uint64_t lineage) {
   if (!IsValidStoreTableName(name)) {
     return Status::InvalidArgument("invalid store table name: \"" + name +
@@ -247,8 +218,8 @@ Status ZiggyStore::SaveTable(const std::string& name, const Table& table,
                          lineage == state->shape.lineage &&
                          ExtendsShape(table, state->shape);
   if (!can_delta) {
-    return SaveFullLocked(state, name, table, generation, profile,
-                          sketches, lineage, /*counts_as_compaction=*/false);
+    return SaveFullLocked(state, name, table, generation, profile, lineage,
+                          /*counts_as_compaction=*/false);
   }
   const bool chain_full =
       previous->delta_generations.size() >= options_.max_delta_chain;
@@ -258,40 +229,35 @@ Status ZiggyStore::SaveTable(const std::string& name, const Table& table,
           options_.max_delta_fraction *
               static_cast<double>(state->shape.base_bytes);
   if (chain_full || chain_heavy) {
-    return SaveFullLocked(state, name, table, generation, profile,
-                          sketches, lineage, /*counts_as_compaction=*/true);
+    return SaveFullLocked(state, name, table, generation, profile, lineage,
+                          /*counts_as_compaction=*/true);
   }
-  return SaveDeltaLocked(state, name, table, generation, profile,
-                         sketches, lineage, *previous);
+  return SaveDeltaLocked(state, name, table, generation, profile, lineage,
+                         *previous);
 }
 
 Status ZiggyStore::SaveFullLocked(TableState* state, const std::string& name,
                                   const Table& table, uint64_t generation,
                                   const TableProfile& profile,
-                                  const std::vector<PersistedSketch>& sketches,
                                   uint64_t lineage,
                                   bool counts_as_compaction) {
-  // When compressing, externalize categorical dictionaries into the
-  // shared pool first. The pool files are durable before the table file
-  // that references them is staged, and the pins keep a concurrent
-  // sweep (another table's save committing in parallel) from deleting
-  // them in the window before OUR manifest commit makes them live.
-  // Acquire failures degrade to inlining the dictionary — never to a
-  // failed checkpoint.
+  // Externalize categorical dictionaries into the shared pool first. The
+  // pool files are durable before the table file that references them is
+  // staged, and the pins keep a concurrent sweep (another table's save
+  // committing in parallel) from deleting them in the window before OUR
+  // manifest commit makes them live. Acquire failures degrade to inlining
+  // the dictionary — never to a failed checkpoint.
   TableWriteOptions write_options;
-  write_options.compress = compress_;
   std::vector<ManifestDictRef> dict_refs;
   ScopedDictPins pins(dict_pool_.get());
-  if (compress_ && dict_pool_ != nullptr) {
-    for (size_t c = 0; c < table.num_columns(); ++c) {
-      const Column& column = table.column(c);
-      if (!column.is_categorical() || column.dictionary().empty()) continue;
-      Result<DictRef> ref = dict_pool_->Acquire(column.dictionary());
-      if (!ref.ok()) continue;
-      pins.Add(ref->hash);
-      write_options.external_dicts[c] = *ref;
-      dict_refs.push_back(ManifestDictRef{c, ref->hash, ref->size});
-    }
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    const Column& column = table.column(c);
+    if (!column.is_categorical() || column.dictionary().empty()) continue;
+    Result<DictRef> ref = dict_pool_->Acquire(column.dictionary());
+    if (!ref.ok()) continue;
+    pins.Add(ref->hash);
+    write_options.external_dicts[c] = *ref;
+    dict_refs.push_back(ManifestDictRef{c, ref->hash, ref->size});
   }
 
   // Stage the generation's data files. These are NEW paths (named by the
@@ -318,21 +284,11 @@ Status ZiggyStore::SaveFullLocked(TableState* state, const std::string& name,
       return st;
     }
   }
-  bool has_sketches = false;
-  if (!sketches.empty()) {
-    ZIGGY_RETURN_NOT_OK(WriteSketchesFile(SketchesPath(name, generation),
-                                          generation, table.num_rows(),
-                                          sketches));
-    has_sketches = true;
-  } else {
-    ZIGGY_RETURN_NOT_OK(RemoveFileIfExists(SketchesPath(name, generation)));
-  }
 
   // Commit: the manifest rewrite is the single atomic switch point.
   ManifestEntry entry;
   entry.name = name;
   entry.generation = generation;
-  entry.has_sketches = has_sketches;
   entry.base_generation = generation;
   entry.dict_refs = std::move(dict_refs);
   {
@@ -377,20 +333,16 @@ Status ZiggyStore::SaveFullLocked(TableState* state, const std::string& name,
 Status ZiggyStore::SaveDeltaLocked(TableState* state, const std::string& name,
                                    const Table& table, uint64_t generation,
                                    const TableProfile& profile,
-                                   const std::vector<PersistedSketch>& sketches,
                                    uint64_t lineage,
                                    const ManifestEntry& previous) {
   // O(delta): only the appended rows' column tails hit the disk. The
-  // profile and sketch files are rewritten per save, but they are
-  // O(columns), not O(rows) — the delta path targets the table data.
+  // profile is rewritten per save, but it is O(columns), not O(rows) —
+  // the delta path targets the table data.
   {
     const std::string path = DeltaPath(name, generation);
     const std::string tmp = TempPathFor(path);
-    TableWriteOptions write_options;
-    write_options.compress = compress_;
     Status st = WriteTableDeltaFile(table, state->shape.rows,
-                                    state->shape.dict_sizes, tmp,
-                                    write_options);
+                                    state->shape.dict_sizes, tmp);
     if (st.ok()) st = CommitFile(tmp, path);
     if (!st.ok()) {
       (void)RemoveFileIfExists(tmp);
@@ -407,19 +359,9 @@ Status ZiggyStore::SaveDeltaLocked(TableState* state, const std::string& name,
       return st;
     }
   }
-  bool has_sketches = false;
-  if (!sketches.empty()) {
-    ZIGGY_RETURN_NOT_OK(WriteSketchesFile(SketchesPath(name, generation),
-                                          generation, table.num_rows(),
-                                          sketches));
-    has_sketches = true;
-  } else {
-    ZIGGY_RETURN_NOT_OK(RemoveFileIfExists(SketchesPath(name, generation)));
-  }
 
   ManifestEntry entry = previous;
   entry.generation = generation;
-  entry.has_sketches = has_sketches;
   entry.delta_generations.push_back(generation);
   {
     MutexLock lock(mu_);
@@ -431,10 +373,9 @@ Status ZiggyStore::SaveDeltaLocked(TableState* state, const std::string& name,
     }
   }
 
-  // Sweep the superseded head generation's profile/sketch files (the
-  // base and earlier deltas stay — they are the chain).
+  // Sweep the superseded head generation's profile (the base and
+  // earlier deltas stay — they are the chain).
   (void)RemoveFileIfExists(ProfilePath(name, previous.generation));
-  (void)RemoveFileIfExists(SketchesPath(name, previous.generation));
 
   const uint64_t bytes = FileBytesOrZero(DeltaPath(name, generation));
   const uint64_t raw_bytes =
@@ -475,11 +416,9 @@ Result<StoredTable> ZiggyStore::LoadTable(const std::string& name,
   StoredTable stored;
   stored.generation = entry.generation;
   TableReadOptions read_options;
-  if (DictPool* pool = dict_pool_.get(); pool != nullptr) {
-    read_options.resolve_dict = [pool](const DictRef& ref) {
-      return pool->Resolve(ref);
-    };
-  }
+  read_options.resolve_dict = [pool = dict_pool_.get()](const DictRef& ref) {
+    return pool->Resolve(ref);
+  };
   ZIGGY_ASSIGN_OR_RETURN(
       stored.table,
       ReadTableFile(TablePath(name, entry.base_generation), read_options));
@@ -499,22 +438,6 @@ Result<StoredTable> ZiggyStore::LoadTable(const std::string& name,
       TableProfile::LoadFromFile(ProfilePath(name, entry.generation)));
   if (Status shape = stored.profile.CheckShape(stored.table); !shape.ok()) {
     return Status::ParseError("stored " + shape.message());
-  }
-
-  if (entry.has_sketches) {
-    Result<LoadedSketches> loaded = ReadSketchesFile(
-        SketchesPath(name, entry.generation), stored.table, stored.profile);
-    if (!loaded.ok()) {
-      // Degrade: sketches are a cache. The table still serves, cold.
-      stored.sketches_status = loaded.status();
-    } else if (loaded->generation != entry.generation) {
-      stored.sketches_status = Status::FailedPrecondition(
-          "sketch snapshot generation " + std::to_string(loaded->generation) +
-          " does not match checkpoint generation " +
-          std::to_string(entry.generation));
-    } else {
-      stored.sketches = std::move(loaded->entries);
-    }
   }
 
   // Remember what is on disk so the first append checkpoint of a server
@@ -555,7 +478,6 @@ Status ZiggyStore::RemoveTable(const std::string& name) {
 }
 
 void ZiggyStore::SweepDictPool() {
-  if (dict_pool_ == nullptr) return;
   std::set<uint64_t> live;
   {
     MutexLock lock(mu_);

@@ -6,23 +6,36 @@
 //   <dir>/tables/<name>/table.g<B>.ztbl      full base snapshot (table_io.h)
 //   <dir>/tables/<name>/delta.g<D>.zdlt      delta segments on top of the base
 //   <dir>/tables/<name>/profile.g<G>.zprof   TableProfile (ZIGPROF3 codec)
-//   <dir>/tables/<name>/sketches.g<G>.zskc   hot SelectionSketches (optional)
+//   <dir>/dicts/dict.<hex16>.zdic            pooled dictionaries (dict_pool.h)
 //
 // Data files are named by the generation they checkpoint, and the
 // manifest records which generations are current: the base snapshot plus
-// an ordered delta chain (storage/table_io.h, ZIGDLT01), with the profile
-// and sketches always at the chain's head generation. The manifest
-// rewrite is the single atomic switch point. A crash anywhere inside a
-// save leaves the previous chain's files untouched and the manifest
-// pointing at them; at worst some orphaned next-generation files remain,
-// which the next full checkpoint of the table sweeps.
+// an ordered delta chain (storage/table_io.h), with the profile always at
+// the chain's head generation. The manifest rewrite is the single atomic
+// switch point. A crash anywhere inside a save leaves the previous
+// chain's files untouched and the manifest pointing at them; at worst
+// some orphaned next-generation files remain, which the next full
+// checkpoint of the table sweeps. The same sweep removes any other file
+// the manifest does not reference, such as the sketch-cache snapshots
+// older releases wrote.
 //
 // Why it exists: a cold daemon boot pays CSV parsing plus the full
 // TableProfile::Compute — the dominant cost on wide tables. A warm boot
-// streams checksummed binary columns and the finished profile back in and
-// re-seeds the sketch cache, so a restarted daemon serves byte-identical
-// CHARACTERIZE/VIEWS output at a fraction of the startup cost (pinned by
-// tests/store_test.cc and the CI store-roundtrip gate).
+// streams checksummed binary columns and the finished profile back in,
+// so a restarted daemon serves byte-identical CHARACTERIZE/VIEWS output
+// at a fraction of the startup cost (pinned by tests/store_test.cc and
+// the CI store-roundtrip gate). The sketch cache is deliberately NOT
+// persisted: selection sketches are rebuilt from the table and profile
+// by one scan, which is cheaper than writing, reading and validating a
+// snapshot of them (a sketch snapshot made every save ~8x slower and the
+// store ~20x larger, and warming from it was slower than the scans it
+// saved).
+//
+// Encodings: every checkpoint is written in the compressed formats —
+// ZIGTBL02 tables with categorical dictionaries in the shared pool,
+// ZIGDLT02 delta segments — and raw is a per-column codec choice inside
+// them, not a store mode. Reads auto-detect by magic, so stores holding
+// raw ZIGTBL01/ZIGDLT01 files from older releases still load.
 //
 // Write protocol (SaveTable): generation-named data files are staged
 // (tmp + fsync + rename + directory fsync each), the manifest commits
@@ -47,9 +60,7 @@
 // bit flips, wrong magic, version mismatches, a segment that does not
 // extend its base — fails with a clean Status and installs nothing (the
 // base snapshot itself stays intact on disk; the next full save repairs
-// the chain). Sketch-file damage only costs warmth: the load succeeds
-// with an empty warm set and the error is reported out of band in
-// StoredTable::sketches_status.
+// the chain).
 
 #ifndef ZIGGY_PERSIST_STORE_H_
 #define ZIGGY_PERSIST_STORE_H_
@@ -65,24 +76,12 @@
 #include "common/sync.h"
 #include "persist/dict_pool.h"
 #include "persist/manifest.h"
-#include "persist/sketch_codec.h"
 #include "storage/table.h"
 #include "zig/profile.h"
 
 namespace ziggy {
 
-/// \brief Whether checkpoints are written compressed (ZIGTBL02/ZIGDLT02
-/// + pooled dictionaries) or raw (ZIGTBL01/ZIGDLT01, byte-identical to
-/// previous releases). Reading always auto-detects per file, so either
-/// setting loads stores written under the other.
-enum class StoreCompression {
-  kAuto,  ///< from $ZIGGY_STORE_COMPRESSION ("off"/"0"/"false" disable);
-          ///< compressed when unset
-  kOff,
-  kOn,
-};
-
-/// \brief Store-level knobs (delta-chain compaction policy, compression).
+/// \brief Store-level knobs (the delta-chain compaction policy).
 struct StoreOptions {
   /// Compact (full base rewrite) when the chain already holds this many
   /// delta segments. 0 disables delta checkpoints entirely.
@@ -90,8 +89,6 @@ struct StoreOptions {
   /// Compact when the chain's cumulative bytes exceed this fraction of
   /// the base snapshot's bytes.
   double max_delta_fraction = 0.5;
-  /// Checkpoint encoding (write side only).
-  StoreCompression compression = StoreCompression::kAuto;
 };
 
 /// \brief Monotonic store counters (this process's saves).
@@ -100,13 +97,13 @@ struct StoreStats {
   uint64_t delta_checkpoints = 0;  ///< O(delta) segments written
   uint64_t compactions = 0;        ///< full rewrites forced by chain limits
   /// Table-data bytes written by checkpoints (.ztbl + .zdlt files; the
-  /// O(columns) profile/sketch files are excluded so the counter isolates
+  /// O(columns) profile files are excluded so the counter isolates
   /// what the delta path optimizes).
   uint64_t checkpoint_bytes = 0;
   uint64_t last_checkpoint_bytes = 0;  ///< same, for the most recent save
-  /// What the same checkpoints would have cost in the uncompressed v1
-  /// encoding — checkpoint_bytes vs checkpoint_raw_bytes is the store's
-  /// measured compression ratio.
+  /// What the same checkpoints would have cost in the raw v1 encoding
+  /// (exact, see UncompressedTableBytes) — checkpoint_bytes vs
+  /// checkpoint_raw_bytes is the store's measured compression ratio.
   uint64_t checkpoint_raw_bytes = 0;
   uint64_t last_checkpoint_raw_bytes = 0;
   /// Shared dictionary pool gauges/counters (persist/dict_pool.h).
@@ -120,15 +117,9 @@ struct StoredTable {
   Table table;
   uint64_t generation = 0;
   TableProfile profile;
-  /// Warm-cache entries (empty when none were persisted or the sketch
-  /// file was unusable — see sketches_status).
-  std::vector<PersistedSketch> sketches;
-  /// OK when the sketch file was absent or loaded cleanly; the load error
-  /// otherwise (the table itself is still served, just cold).
-  Status sketches_status;
 };
 
-/// \brief Directory-backed table/profile/sketch store. Thread-safe.
+/// \brief Directory-backed table/profile store. Thread-safe.
 class ZiggyStore {
  public:
   /// Opens (or initializes) a store at `dir`. A fresh directory gets an
@@ -139,10 +130,7 @@ class ZiggyStore {
 
   const std::string& dir() const { return dir_; }
   const StoreOptions& options() const { return options_; }
-  /// Resolved write-side compression (options + environment).
-  bool compression_enabled() const { return compress_; }
-  /// The store's shared dictionary pool (always open — loading a
-  /// compressed store needs it even when writes are uncompressed).
+  /// The store's shared dictionary pool.
   DictPool* dict_pool() const { return dict_pool_.get(); }
 
   /// Manifest snapshot, sorted by table name.
@@ -166,7 +154,6 @@ class ZiggyStore {
   /// corrupt the checkpoint. 0 = no lineage: always a full snapshot.
   Status SaveTable(const std::string& name, const Table& table,
                    uint64_t generation, const TableProfile& profile,
-                   const std::vector<PersistedSketch>& sketches,
                    uint64_t lineage = 0);
 
   /// Loads one checkpoint, replaying the delta chain on top of the base
@@ -189,7 +176,6 @@ class ZiggyStore {
   std::string TablePath(const std::string& name, uint64_t generation) const;
   std::string DeltaPath(const std::string& name, uint64_t generation) const;
   std::string ProfilePath(const std::string& name, uint64_t generation) const;
-  std::string SketchesPath(const std::string& name, uint64_t generation) const;
   std::string ManifestPath() const;
   /// @}
 
@@ -234,16 +220,14 @@ class ZiggyStore {
   /// Full base snapshot; caller holds the table's lock.
   Status SaveFullLocked(TableState* state, const std::string& name,
                         const Table& table, uint64_t generation,
-                        const TableProfile& profile,
-                        const std::vector<PersistedSketch>& sketches,
-                        uint64_t lineage, bool counts_as_compaction)
+                        const TableProfile& profile, uint64_t lineage,
+                        bool counts_as_compaction)
       ZIGGY_REQUIRES(state->mu);
   /// O(delta) segment on top of `previous`; caller holds the table's lock.
   Status SaveDeltaLocked(TableState* state, const std::string& name,
                          const Table& table, uint64_t generation,
-                         const TableProfile& profile,
-                         const std::vector<PersistedSketch>& sketches,
-                         uint64_t lineage, const ManifestEntry& previous)
+                         const TableProfile& profile, uint64_t lineage,
+                         const ManifestEntry& previous)
       ZIGGY_REQUIRES(state->mu);
   /// Removes every data file in the table's directory not referenced by
   /// `keep` (orphans from crashed saves included). Best effort.
@@ -254,7 +238,6 @@ class ZiggyStore {
 
   std::string dir_;
   StoreOptions options_;
-  bool compress_ = false;
   std::unique_ptr<DictPool> dict_pool_;
 
   /// Guards manifest_ and states_ (the map). Acquired inside a table lock

@@ -155,7 +155,6 @@ Result<std::shared_ptr<ZiggyServer>> ServerCatalog::OpenFromStore(
       ZiggyServer::CreateFromState(std::move(stored->table), stored->generation,
                                    std::move(stored->profile),
                                    DerivedServeOptions()));
-  (void)server->WarmSketchCache(stored->sketches);
   std::shared_ptr<ZiggyServer> shared = std::move(server);
   ZIGGY_RETURN_NOT_OK(Publish(name, shared, lineage));
   store_opens_.fetch_add(1, std::memory_order_relaxed);
@@ -182,7 +181,6 @@ Result<uint64_t> ServerCatalog::SaveServerToStore(const std::string& name,
     obs::TraceSpan save_span("store_save", metrics_->clock(), store_save_us_);
     ZIGGY_RETURN_NOT_OK(store_->SaveTable(name, state->table(),
                                           state->generation(), *state->profile,
-                                          server->ExportSketchCache(),
                                           lineage));
   }
   store_saves_.fetch_add(1, std::memory_order_relaxed);
@@ -555,7 +553,6 @@ CatalogStats ServerCatalog::stats() const {
     st.store_delta_checkpoints = store_stats.delta_checkpoints;
     st.store_compactions = store_stats.compactions;
     st.store_checkpoint_bytes = store_stats.checkpoint_bytes;
-    st.store_compression = store_->compression_enabled();
     st.store_checkpoint_raw_bytes = store_stats.checkpoint_raw_bytes;
     st.store_dict_pool_files = store_stats.dict_pool_files;
     st.store_dict_pool_bytes = store_stats.dict_pool_bytes;

@@ -16,11 +16,11 @@
 //
 // Durability: a catalog may additionally attach a ZiggyStore
 // (persist/store.h). Tables can then be opened *from* a checkpoint
-// (skipping the profile computation and booting with a warm sketch
-// cache), saved explicitly (the SAVE verb), and checkpointed
-// automatically on append (SetPersist / checkpoint_on_append). Warm
-// restart output is byte-identical to a cold boot — pinned by
-// tests/store_test.cc and the CI store-roundtrip gate.
+// (skipping CSV parsing and the profile computation; the sketch cache
+// starts empty and refills from scans), saved explicitly (the SAVE
+// verb), and checkpointed automatically on append (SetPersist /
+// checkpoint_on_append). Warm restart output is byte-identical to a cold
+// boot — pinned by tests/store_test.cc and the CI store-roundtrip gate.
 //
 // Background flushing: with flush_interval_ms > 0, an append on a
 // persisted table only marks the table dirty (recording the post-append
@@ -134,7 +134,6 @@ struct CatalogStats {
   uint64_t store_delta_checkpoints = 0;  ///< O(delta) segments
   uint64_t store_compactions = 0;        ///< chain-limit base rewrites
   uint64_t store_checkpoint_bytes = 0;   ///< table-data bytes written
-  bool store_compression = false;        ///< checkpoints written compressed
   /// What store_checkpoint_bytes would have been in the raw v1 encoding
   /// (the pair is the store's measured compression ratio).
   uint64_t store_checkpoint_raw_bytes = 0;
@@ -221,13 +220,12 @@ class ServerCatalog {
   bool StoreHas(const std::string& name) const;
 
   /// Serves `name` from its checkpoint: binary table + finished profile
-  /// (no recompute) + warm sketch cache. Fails like Open() on duplicate
-  /// names / capacity; corruption of the table or profile installs
-  /// nothing.
+  /// (no recompute). Fails like Open() on duplicate names / capacity;
+  /// corruption of the table or profile installs nothing.
   Result<std::shared_ptr<ZiggyServer>> OpenFromStore(const std::string& name);
 
-  /// Checkpoints one served table (table, profile, hot sketches) at its
-  /// current generation. With `only_if_newer`, skips when the stored
+  /// Checkpoints one served table (table, profile) at its current
+  /// generation. With `only_if_newer`, skips when the stored
   /// generation is already at or past ours (the append path's cheap
   /// idempotence — and the guard against an older save clobbering a
   /// concurrent newer one). Returns the durable generation.

@@ -40,7 +40,6 @@ std::string ServeStatsJson(const ServeStats& st) {
      << ",\"appended_rows\":" << st.appended_rows
      << ",\"cache_flushes\":" << st.cache_flushes
      << ",\"cache_migrated_entries\":" << st.cache_migrated_entries
-     << ",\"cache_warmed_entries\":" << st.cache_warmed_entries
      << ",\"component_cache\":{\"hits\":" << st.component_cache_hits
      << ",\"misses\":" << st.component_cache_misses
      << ",\"evictions\":" << st.component_cache_evictions << "}"
@@ -67,7 +66,6 @@ std::string CatalogStatsJson(const CatalogStats& st) {
      << ",\"delta_checkpoints\":" << st.store_delta_checkpoints
      << ",\"compactions\":" << st.store_compactions
      << ",\"checkpoint_bytes\":" << st.store_checkpoint_bytes
-     << ",\"compression\":" << (st.store_compression ? "true" : "false")
      << ",\"checkpoint_raw_bytes\":" << st.store_checkpoint_raw_bytes
      << ",\"dict_pool\":{\"files\":" << st.store_dict_pool_files
      << ",\"bytes\":" << st.store_dict_pool_bytes
@@ -379,8 +377,9 @@ WireResponse DaemonHandler::HandleHello(const WireRequest&) {
   // working bit-identically. Feature flags:
   //   pipelining  — the server decodes and answers pipelined requests
   //                 (always true for the event-loop daemon).
-  //   compression — the attached store writes compressed checkpoints
-  //                 (false when no store is attached).
+  //   compression — a store is attached. Every store writes compressed
+  //                 checkpoints (the only encoding), so the flag kept its
+  //                 key and now just says whether checkpoints exist.
   //   degraded    — the flusher's degraded latch is currently set, so
   //                 mutating verbs may be refused with retry_after_ms.
   const CatalogStats stats = catalog_->stats();
@@ -388,7 +387,7 @@ WireResponse DaemonHandler::HandleHello(const WireRequest&) {
   std::ostringstream os;
   os << "{\"server\":\"ziggy\",\"protocol\":" << kProtocolVersion
      << ",\"features\":{\"pipelining\":true,\"compression\":"
-     << (stats.store_attached && stats.store_compression ? "true" : "false")
+     << (stats.store_attached ? "true" : "false")
      << ",\"degraded\":" << (health.degraded ? "true" : "false")
      << "},\"limits\":{\"max_line_bytes\":" << limits_.max_line_bytes
      << ",\"max_pipeline\":" << limits_.max_pipeline << "},\"verbs\":[";

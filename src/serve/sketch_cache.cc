@@ -1,6 +1,5 @@
 #include "serve/sketch_cache.h"
 
-#include <limits>
 #include <utility>
 #include <vector>
 
@@ -56,18 +55,6 @@ void SketchCache::Insert(const Selection& selection, uint64_t fingerprint,
   entry->bytes = EntryBytes(entry->selection, entry->inside);
   const size_t bytes = entry->bytes;
   cache_.Put(fingerprint, std::move(entry), bytes);
-}
-
-std::vector<std::shared_ptr<const CachedSketches>> SketchCache::ExportEntries(
-    uint64_t generation) {
-  std::vector<std::shared_ptr<const CachedSketches>> out;
-  for (auto& entry :
-       cache_.CollectRecent(std::numeric_limits<size_t>::max())) {
-    if (entry != nullptr && entry->generation == generation) {
-      out.push_back(std::move(entry));
-    }
-  }
-  return out;
 }
 
 size_t SketchCache::MigrateToAppendedRows(size_t new_num_rows,

@@ -80,13 +80,6 @@ class SketchCache {
   void Insert(const Selection& selection, uint64_t fingerprint,
               std::shared_ptr<const SelectionSketches> inside, uint64_t generation);
 
-  /// Snapshot of every live entry of `generation`, MRU-first per shard —
-  /// the persistence layer's export (checkpointing flushes the hot cache
-  /// to disk so a restarted server boots warm). Entries of other
-  /// generations (stale inserts that outlived a flush) are skipped.
-  std::vector<std::shared_ptr<const CachedSketches>> ExportEntries(
-      uint64_t generation);
-
   /// Append migration: every cached selection of `from_generation` is
   /// resized to `new_num_rows` (existing bits kept, appended rows
   /// unselected) and re-inserted under the resized bitmap's fingerprint

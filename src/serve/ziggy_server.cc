@@ -70,40 +70,6 @@ Result<std::unique_ptr<ZiggyServer>> ZiggyServer::CreateFromState(
       new ZiggyServer(std::move(options), std::move(state)));
 }
 
-size_t ZiggyServer::WarmSketchCache(
-    const std::vector<PersistedSketch>& entries) {
-  if (!options_.cache_enabled) return 0;
-  std::shared_ptr<const ServingState> current = state();
-  size_t warmed = 0;
-  // Reverse order: entries arrive MRU-first (ExportSketchCache), and
-  // Insert prepends — inserting LRU-first reproduces the recency order
-  // the checkpointing server had.
-  for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
-    if (it->inside == nullptr ||
-        it->selection.num_rows() != current->table().num_rows()) {
-      continue;
-    }
-    cache_.Insert(it->selection, it->fingerprint, it->inside,
-                  current->generation());
-    ++warmed;
-  }
-  cache_warmed_.fetch_add(warmed, std::memory_order_relaxed);
-  return warmed;
-}
-
-std::vector<PersistedSketch> ZiggyServer::ExportSketchCache() {
-  std::shared_ptr<const ServingState> current = state();
-  std::vector<PersistedSketch> out;
-  for (const auto& entry : cache_.ExportEntries(current->generation())) {
-    PersistedSketch persisted;
-    persisted.selection = entry->selection;
-    persisted.fingerprint = entry->selection.Fingerprint();
-    persisted.inside = entry->inside;
-    out.push_back(std::move(persisted));
-  }
-  return out;
-}
-
 uint64_t ZiggyServer::OpenSession() { return OpenSession(options_.session); }
 
 uint64_t ZiggyServer::OpenSession(const SessionOptions& options) {
@@ -370,7 +336,6 @@ ServeStats ZiggyServer::stats() const {
   st.appended_rows = appended_rows_.load(std::memory_order_relaxed);
   st.cache_flushes = cache_flushes_.load(std::memory_order_relaxed);
   st.cache_migrated_entries = cache_migrated_.load(std::memory_order_relaxed);
-  st.cache_warmed_entries = cache_warmed_.load(std::memory_order_relaxed);
   st.sessions_opened = sessions_opened_.load(std::memory_order_relaxed);
   st.component_cache_hits =
       component_cache_hits_.load(std::memory_order_relaxed);

@@ -38,7 +38,6 @@
 #include "engine/session.h"
 #include "obs/metrics.h"
 #include "engine/ziggy_engine.h"
-#include "persist/sketch_codec.h"
 #include "serve/scan_batcher.h"
 #include "serve/sketch_cache.h"
 #include "storage/snapshot.h"
@@ -97,8 +96,6 @@ struct ServeStats {
   uint64_t appended_rows = 0;
   uint64_t cache_flushes = 0;
   uint64_t cache_migrated_entries = 0;
-  /// Entries seeded from a persisted checkpoint (warm restart).
-  uint64_t cache_warmed_entries = 0;
   uint64_t sessions_opened = 0;
   uint64_t generation = 0;
   /// Per-session engine component caches, aggregated across every session
@@ -137,15 +134,6 @@ class ZiggyServer {
   static Result<std::unique_ptr<ZiggyServer>> CreateFromState(
       Table table, uint64_t generation, TableProfile profile,
       ServeOptions options = {});
-
-  /// Seeds the sketch cache with persisted entries (selection +
-  /// fingerprint + inside sketches). Entries whose bitmap does not span
-  /// the current table are skipped. Returns the number installed.
-  size_t WarmSketchCache(const std::vector<PersistedSketch>& entries);
-
-  /// Snapshot of the current generation's cached sketches, MRU-first per
-  /// shard — what a checkpoint persists for the next warm boot.
-  std::vector<PersistedSketch> ExportSketchCache();
 
   /// Opens a session with the server's default novelty policy (or an
   /// explicit one) and returns its id.
@@ -245,7 +233,6 @@ class ZiggyServer {
   std::atomic<uint64_t> appended_rows_{0};
   std::atomic<uint64_t> cache_flushes_{0};
   std::atomic<uint64_t> cache_migrated_{0};
-  std::atomic<uint64_t> cache_warmed_{0};
   std::atomic<uint64_t> sessions_opened_{0};
   std::atomic<uint64_t> component_cache_hits_{0};
   std::atomic<uint64_t> component_cache_misses_{0};

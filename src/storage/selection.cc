@@ -131,16 +131,29 @@ double Selection::Jaccard(const Selection& other) const {
   return static_cast<double>(inter) / static_cast<double>(uni);
 }
 
+namespace {
+
+/// splitmix64's finalizer: a bijection on 64-bit words in which every
+/// input bit affects every output bit.
+uint64_t Mix64(uint64_t x) {
+  x ^= x >> 30;
+  x *= 0xbf58476d1ce4e5b9ull;
+  x ^= x >> 27;
+  x *= 0x94d049bb133111ebull;
+  x ^= x >> 31;
+  return x;
+}
+
+}  // namespace
+
 uint64_t Selection::Fingerprint() const {
-  uint64_t h = 1469598103934665603ull;  // FNV offset basis
-  // Mix the row count so bitmaps of different lengths with equal words
-  // (e.g. 63 vs 64 rows, none selected) do not collide trivially.
-  h ^= static_cast<uint64_t>(num_rows_);
-  h *= 1099511628211ull;  // FNV prime
-  for (uint64_t w : words_) {
-    h ^= w;
-    h *= 1099511628211ull;
-  }
+  // Seeded with the row count so bitmaps of different lengths with equal
+  // words (e.g. 63 vs 64 rows, none selected) do not collide trivially.
+  // A full mix per word, not xor-then-multiply: a multiply carries a
+  // flipped top bit straight through, so flips of bit 63 in two words
+  // would cancel.
+  uint64_t h = Mix64(static_cast<uint64_t>(num_rows_) ^ 0x9e3779b97f4a7c15ull);
+  for (uint64_t w : words_) h = Mix64(h ^ w);
   return h;
 }
 

@@ -136,8 +136,9 @@ class Selection {
   /// via AddRow/RemoveRow. Sizes must match.
   size_t HammingDistance(const Selection& other) const;
 
-  /// Stable content fingerprint (FNV-1a over the packed words), used as a
-  /// cache key.
+  /// Content fingerprint (a splitmix64 mix per packed word), used as a
+  /// cache key. Callers compare the selection itself on a key hit: a
+  /// fingerprint is not unique. Not persisted, so free to change.
   uint64_t Fingerprint() const;
 
   /// Raw packed words; the tail word's unused high bits are always zero.

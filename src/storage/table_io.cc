@@ -42,26 +42,6 @@ std::string SchemaPayload(const Table& table) {
   return payload;
 }
 
-std::string ColumnPayload(const Column& column) {
-  std::string payload;
-  if (column.is_numeric()) {
-    PutU8(&payload, kNumericKind);
-    const auto& cells = column.numeric_data();
-    payload.append(reinterpret_cast<const char*>(cells.data()),
-                   sizeof(double) * cells.size());
-  } else {
-    PutU8(&payload, kCategoricalKind);
-    PutU64(&payload, column.dictionary().size());
-    for (const std::string& label : column.dictionary()) {
-      PutLengthPrefixed(&payload, label);
-    }
-    const auto& codes = column.codes();
-    payload.append(reinterpret_cast<const char*>(codes.data()),
-                   sizeof(CategoryCode) * codes.size());
-  }
-  return payload;
-}
-
 std::string ColumnPayloadV2(const Column& column, const DictRef* external) {
   std::string payload;
   if (column.is_numeric()) {
@@ -242,27 +222,21 @@ Result<Column> ParseColumnV2(std::string_view payload, const Field& field,
 Status WriteTable(const Table& table, std::ostream* out,
                   const TableWriteOptions& options) {
   if (out == nullptr) return Status::InvalidArgument("null output stream");
-  out->write(options.compress ? kTableMagicV2 : kTableMagic,
-             sizeof(kTableMagic));
+  out->write(kTableMagicV2, sizeof(kTableMagicV2));
   ZIGGY_RETURN_NOT_OK(WriteSection(out, HeaderPayload(table)));
   ZIGGY_RETURN_NOT_OK(WriteSection(out, SchemaPayload(table)));
   for (size_t c = 0; c < table.num_columns(); ++c) {
-    std::string payload;
-    if (options.compress) {
-      const auto it = options.external_dicts.find(c);
-      const DictRef* external =
-          it != options.external_dicts.end() ? &it->second : nullptr;
-      if (external != nullptr &&
-          external->size != table.column(c).dictionary().size()) {
-        return Status::InvalidArgument(
-            "column \"" + table.column(c).name() +
-            "\": external dictionary size disagrees with the column");
-      }
-      payload = ColumnPayloadV2(table.column(c), external);
-    } else {
-      payload = ColumnPayload(table.column(c));
+    const auto it = options.external_dicts.find(c);
+    const DictRef* external =
+        it != options.external_dicts.end() ? &it->second : nullptr;
+    if (external != nullptr &&
+        external->size != table.column(c).dictionary().size()) {
+      return Status::InvalidArgument(
+          "column \"" + table.column(c).name() +
+          "\": external dictionary size disagrees with the column");
     }
-    ZIGGY_RETURN_NOT_OK(WriteSection(out, payload));
+    ZIGGY_RETURN_NOT_OK(
+        WriteSection(out, ColumnPayloadV2(table.column(c), external)));
   }
   if (!*out) return Status::IOError("table write failed");
   return Status::OK();
@@ -361,7 +335,7 @@ Result<Table> ReadTableFile(const std::string& path,
 
 Status WriteTableDelta(const Table& table, size_t base_rows,
                        const std::vector<size_t>& base_dict_sizes,
-                       std::ostream* out, const TableWriteOptions& options) {
+                       std::ostream* out) {
   if (out == nullptr) return Status::InvalidArgument("null output stream");
   if (base_rows > table.num_rows()) {
     return Status::InvalidArgument("delta base row count " +
@@ -374,8 +348,7 @@ Status WriteTableDelta(const Table& table, size_t base_rows,
   }
   const size_t new_rows = table.num_rows() - base_rows;
 
-  out->write(options.compress ? kTableDeltaMagicV2 : kTableDeltaMagic,
-             sizeof(kTableDeltaMagic));
+  out->write(kTableDeltaMagicV2, sizeof(kTableDeltaMagicV2));
   std::string header;
   PutU64(&header, base_rows);
   PutU64(&header, new_rows);
@@ -388,15 +361,8 @@ Status WriteTableDelta(const Table& table, size_t base_rows,
     std::string payload;
     if (column.is_numeric()) {
       PutU8(&payload, kNumericKind);
-      if (options.compress) {
-        payload += EncodeNumericCells(column.numeric_data().data() + base_rows,
-                                      new_rows);
-      } else if (new_rows > 0) {
-        payload.append(
-            reinterpret_cast<const char*>(column.numeric_data().data() +
-                                          base_rows),
-            sizeof(double) * new_rows);
-      }
+      payload += EncodeNumericCells(column.numeric_data().data() + base_rows,
+                                    new_rows);
     } else {
       const size_t base_dict = base_dict_sizes[c];
       if (base_dict > column.dictionary().size()) {
@@ -407,24 +373,13 @@ Status WriteTableDelta(const Table& table, size_t base_rows,
       PutU8(&payload, kCategoricalKind);
       PutU64(&payload, base_dict);
       PutU64(&payload, column.dictionary().size() - base_dict);
-      if (options.compress) {
-        std::string blob;
-        for (size_t i = base_dict; i < column.dictionary().size(); ++i) {
-          PutLengthPrefixed(&blob, column.dictionary()[i]);
-        }
-        PutLengthPrefixed(&payload, EncodeByteBlob(blob));
-        payload += EncodeCategoryCodes(column.codes().data() + base_rows,
-                                       new_rows, column.dictionary().size());
-      } else {
-        for (size_t i = base_dict; i < column.dictionary().size(); ++i) {
-          PutLengthPrefixed(&payload, column.dictionary()[i]);
-        }
-        if (new_rows > 0) {
-          payload.append(
-              reinterpret_cast<const char*>(column.codes().data() + base_rows),
-              sizeof(CategoryCode) * new_rows);
-        }
+      std::string blob;
+      for (size_t i = base_dict; i < column.dictionary().size(); ++i) {
+        PutLengthPrefixed(&blob, column.dictionary()[i]);
       }
+      PutLengthPrefixed(&payload, EncodeByteBlob(blob));
+      payload += EncodeCategoryCodes(column.codes().data() + base_rows,
+                                     new_rows, column.dictionary().size());
     }
     ZIGGY_RETURN_NOT_OK(WriteSection(out, payload));
   }
@@ -614,12 +569,10 @@ Result<Table> ApplyTableDelta(const Table& base, std::istream* in) {
 
 Status WriteTableDeltaFile(const Table& table, size_t base_rows,
                            const std::vector<size_t>& base_dict_sizes,
-                           const std::string& path,
-                           const TableWriteOptions& options) {
+                           const std::string& path) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) return Status::IOError("cannot open '" + path + "' for writing");
-  ZIGGY_RETURN_NOT_OK(
-      WriteTableDelta(table, base_rows, base_dict_sizes, &out, options));
+  ZIGGY_RETURN_NOT_OK(WriteTableDelta(table, base_rows, base_dict_sizes, &out));
   out.flush();
   if (!out) return Status::IOError("write to '" + path + "' failed");
   return Status::OK();
@@ -632,7 +585,7 @@ Result<Table> ApplyTableDeltaFile(const Table& base, const std::string& path) {
 }
 
 uint64_t UncompressedTableBytes(const Table& table) {
-  // Mirrors the v1 writer exactly: magic + framed header, schema, and
+  // The exact size of the v1 encoding: magic + framed header, schema, and
   // per-column sections (sizes are fully determined by the data).
   uint64_t bytes = sizeof(kTableMagic);
   bytes += kSectionOverhead + 2 * sizeof(uint64_t);  // header

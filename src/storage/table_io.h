@@ -10,7 +10,9 @@
 // which is what lets a warm-restarted server produce byte-identical
 // query output to the process that wrote the file.
 //
-// Two table format versions, auto-detected by magic on read:
+// Two table format versions, auto-detected by magic on read. Writes are
+// always v2; v1 survives as a read-only decoder so files written by older
+// releases still load.
 //
 // v1 (magic "ZIGTBL01", raw; all little-endian, CRC-framed sections —
 // see binary_io.h):
@@ -21,11 +23,11 @@
 //     categorical  { u8 1, u64 dict_size, str dict[dict_size],
 //                    i32 codes[num_rows] }
 //
-// v2 (magic "ZIGTBL02", compressed; written when
-// TableWriteOptions::compress is set): same magic/header/schema/section
+// v2 (magic "ZIGTBL02", compressed): same magic/header/schema/section
 // skeleton, but column payloads go through the per-column codecs of
 // storage/column_codec.h — numeric cells as raw/lz/dfor, category codes
-// as raw/lz/bit-packed, each chosen by measured size. A categorical
+// as raw/lz/bit-packed, each chosen by measured size (raw wins ties, so
+// incompressible data costs a tag byte, not a blow-up). A categorical
 // column's dictionary is either inline (an lz-compressible label blob)
 // or an *external reference* { u64 hash, u64 size } into the store's
 // shared dictionary pool (persist/dict_pool.h), resolved at read time
@@ -51,7 +53,8 @@
 // the segment to the exact base it was cut against (validated: base row
 // count, schema, per-column dictionary prefix) via
 // Table::WithAppendedRows, reproducing the live post-append table bit
-// for bit. Same CRC-framed sections, same corruption policy.
+// for bit. Same CRC-framed sections, same corruption policy, and the
+// same version split: ZIGDLT02 is written, ZIGDLT01 is read only.
 //
 // v1 delta layout ("ZIGDLT01"):
 //   section: header   { u64 base_rows, u64 new_rows, u64 num_columns }
@@ -80,7 +83,7 @@
 
 namespace ziggy {
 
-/// \brief Magic / format version tag of the raw (v1) table codec.
+/// \brief Magic of the raw (v1) table codec (read only).
 inline constexpr char kTableMagic[8] = {'Z', 'I', 'G', 'T', 'B', 'L', '0', '1'};
 /// \brief Magic of the compressed (v2) table codec.
 inline constexpr char kTableMagicV2[8] = {'Z', 'I', 'G', 'T',
@@ -99,14 +102,11 @@ struct DictRef {
 using DictResolver =
     std::function<Result<std::shared_ptr<ColumnDictionary>>(const DictRef&)>;
 
-/// \brief Write-side knobs of the table codecs.
+/// \brief Write-side knobs of the table codec.
 struct TableWriteOptions {
-  /// false: emit v1, byte-identical to what previous binaries wrote
-  /// (and readable by them). true: emit v2 with per-column compression.
-  bool compress = false;
   /// Columns to externalize into the dictionary pool (column index ->
   /// pooled ref; ref.size must equal the column's dictionary size).
-  /// Only honored when `compress` is set; unmapped columns inline.
+  /// Unmapped columns inline their dictionary.
   std::unordered_map<size_t, DictRef> external_dicts;
 };
 
@@ -117,7 +117,7 @@ struct TableReadOptions {
   DictResolver resolve_dict;
 };
 
-/// \brief Serializes a table to the binary columnar format.
+/// \brief Serializes a table in the compressed (v2) columnar format.
 Status WriteTable(const Table& table, std::ostream* out,
                   const TableWriteOptions& options = {});
 
@@ -132,7 +132,7 @@ Status WriteTableFile(const Table& table, const std::string& path,
 Result<Table> ReadTableFile(const std::string& path,
                             const TableReadOptions& options = {});
 
-/// \brief Magic / format version tag of the raw (v1) delta codec.
+/// \brief Magic of the raw (v1) delta codec (read only).
 inline constexpr char kTableDeltaMagic[8] = {'Z', 'I', 'G', 'D',
                                              'L', 'T', '0', '1'};
 /// \brief Magic of the compressed (v2) delta codec.
@@ -140,16 +140,14 @@ inline constexpr char kTableDeltaMagicV2[8] = {'Z', 'I', 'G', 'D',
                                                'L', 'T', '0', '2'};
 
 /// \brief Serializes rows [base_rows, table.num_rows()) of `table` as a
-/// delta segment. `base_dict_sizes[c]` is the dictionary size column `c`
-/// had in the base snapshot (ignored for numeric columns); the base
+/// (v2) delta segment. `base_dict_sizes[c]` is the dictionary size column
+/// `c` had in the base snapshot (ignored for numeric columns); the base
 /// dictionary must be a prefix of the current one — which is what
-/// Table::WithAppendedRows guarantees for the append path.
-/// `options.external_dicts` is ignored: delta dictionary growth is
-/// always inline.
+/// Table::WithAppendedRows guarantees for the append path. Delta
+/// dictionary growth is always inline.
 Status WriteTableDelta(const Table& table, size_t base_rows,
                        const std::vector<size_t>& base_dict_sizes,
-                       std::ostream* out,
-                       const TableWriteOptions& options = {});
+                       std::ostream* out);
 
 /// \brief Applies one delta segment (v1 or v2, by magic) to `base`,
 /// returning the post-append table. Validates magic, checksums, the base
@@ -161,13 +159,13 @@ Result<Table> ApplyTableDelta(const Table& base, std::istream* in);
 /// \brief File convenience wrappers for delta segments.
 Status WriteTableDeltaFile(const Table& table, size_t base_rows,
                            const std::vector<size_t>& base_dict_sizes,
-                           const std::string& path,
-                           const TableWriteOptions& options = {});
+                           const std::string& path);
 Result<Table> ApplyTableDeltaFile(const Table& base, const std::string& path);
 
 /// \brief Exact byte size of the v1 (uncompressed) encodings — the
 /// "raw" side of the store's compressed/raw byte counters, computed
-/// without materializing the file.
+/// without materializing anything (tests pin it against a reference v1
+/// encoder).
 uint64_t UncompressedTableBytes(const Table& table);
 uint64_t UncompressedDeltaBytes(const Table& table, size_t base_rows,
                                 const std::vector<size_t>& base_dict_sizes);

@@ -223,8 +223,9 @@ Result<TableProfile> TableProfile::Deserialize(std::istream* source) {
   }
   // Verify the trailer before parsing anything, so a damaged stream never
   // yields a profile with plausible-looking but wrong statistics.
-  std::string body((std::istreambuf_iterator<char>(*source)),
-                   std::istreambuf_iterator<char>());
+  std::ostringstream rest(std::ios::binary);
+  rest << source->rdbuf();
+  std::string body = std::move(rest).str();
   uint32_t stored_crc = 0;
   if (body.size() < sizeof(stored_crc)) {
     return Status::IOError("truncated profile stream");

@@ -500,4 +500,45 @@ size_t SelectionSketches::MemoryUsageBytes() const {
   return bytes;
 }
 
+bool SelectionSketches::Equals(const SelectionSketches& other) const {
+  auto sketch_eq = [](const MomentSketch& a, const MomentSketch& b) {
+    return a.count == b.count && a.sum == b.sum && a.sum_sq == b.sum_sq;
+  };
+  if (column_sketches_.size() != other.column_sketches_.size()) return false;
+  for (size_t i = 0; i < column_sketches_.size(); ++i) {
+    if (!sketch_eq(column_sketches_[i], other.column_sketches_[i])) {
+      return false;
+    }
+  }
+  if (category_counts_ != other.category_counts_) return false;
+  if (numeric_pair_sketches_.size() != other.numeric_pair_sketches_.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < numeric_pair_sketches_.size(); ++i) {
+    const auto& a = numeric_pair_sketches_[i];
+    const auto& b = other.numeric_pair_sketches_[i];
+    if (a.count != b.count || a.sum_x != b.sum_x || a.sum_y != b.sum_y ||
+        a.sum_xx != b.sum_xx || a.sum_yy != b.sum_yy || a.sum_xy != b.sum_xy) {
+      return false;
+    }
+  }
+  if (mixed_pair_groups_.size() != other.mixed_pair_groups_.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < mixed_pair_groups_.size(); ++i) {
+    if (mixed_pair_groups_[i].size() != other.mixed_pair_groups_[i].size()) {
+      return false;
+    }
+    for (size_t g = 0; g < mixed_pair_groups_[i].size(); ++g) {
+      if (!sketch_eq(mixed_pair_groups_[i][g],
+                     other.mixed_pair_groups_[i][g])) {
+        return false;
+      }
+    }
+  }
+  if (categorical_pair_tables_ != other.categorical_pair_tables_) return false;
+  if (histograms_ != other.histograms_) return false;
+  return true;
+}
+
 }  // namespace ziggy

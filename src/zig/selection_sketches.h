@@ -37,7 +37,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/binary_io.h"
 #include "stats/descriptive.h"
 #include "storage/selection.h"
 #include "storage/table.h"
@@ -135,23 +134,9 @@ class SelectionSketches {
   /// Approximate heap footprint (used to budget the engine's query cache).
   size_t MemoryUsageBytes() const;
 
-  /// \name Persistence (persist/sketch_codec.cc — the store's warm-cache
-  /// file). Only the accumulated statistics travel; the binners and the
-  /// gather layout are rebuilt by InitShapes on load.
-  /// @{
-
-  /// Appends the accumulated statistics to `out` (binary_io framing).
-  void SerializeTo(std::string* out) const;
-
-  /// Restores the statistics from a payload written by SerializeTo. The
-  /// sketches must already be shaped via InitShapes against the same
-  /// (table, profile); any shape disagreement fails cleanly — a persisted
-  /// sketch can never be installed against a profile it was not built for.
-  Status DeserializeFrom(ByteReader* reader);
-
-  /// Exact equality of every accumulated statistic (round-trip tests).
+  /// Exact equality of every accumulated statistic (the bitwise
+  /// reference of the scan-equivalence tests).
   bool Equals(const SelectionSketches& other) const;
-  /// @}
 
  private:
   template <int Sign>

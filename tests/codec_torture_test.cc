@@ -1,29 +1,25 @@
 // Torture-tests every on-disk format through the shared harness
 // (tests/codec_torture.h): ZIGTBL01/ZIGTBL02 tables (the v2 both with
 // inline and pooled dictionaries), ZIGDLT01/ZIGDLT02 delta segments,
-// ZIGPROF3 profiles, ZIGSKC01 sketch snapshots, and ZIGDIC01 pooled
-// dictionary files. Each format first proves the unmutated image
+// ZIGPROF3 profiles, and ZIGDIC01 pooled dictionary files. The v1 images
+// come from the reference encoders in legacy_formats.h (v1 is read-only
+// in the shipping code). Each format first proves the unmutated image
 // round-trips (so a codec that rejects everything cannot pass), then
 // survives every-offset truncation, exhaustive bit flips, and random
-// splices with a clean rejection each time. The store-level sketch run
-// additionally pins the degrade contract: a damaged sketch file never
-// installs entries and never fails the table load.
+// splices with a clean rejection each time.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "codec_torture.h"
 #include "data/synthetic.h"
+#include "legacy_formats.h"
 #include "persist/dict_pool.h"
 #include "persist/fs_util.h"
-#include "persist/sketch_codec.h"
-#include "persist/store.h"
-#include "serve/ziggy_server.h"
 #include "storage/table_io.h"
 #include "zig/profile.h"
 
@@ -57,7 +53,7 @@ Result<Table> ParseTable(const std::string& bytes,
 
 TEST(CodecTortureTest, TableV1) {
   const Table table = MakeMixedTable();
-  const std::string image = SerializeTable(table, {});
+  const std::string image = legacy::TableV1(table);
   ASSERT_TRUE(ParseTable(image).ok());
   torture::TortureImage("ZIGTBL01", image, [](const std::string& bytes) {
     return !ParseTable(bytes).ok();
@@ -66,9 +62,7 @@ TEST(CodecTortureTest, TableV1) {
 
 TEST(CodecTortureTest, TableV2Inline) {
   const Table table = MakeMixedTable();
-  TableWriteOptions write;
-  write.compress = true;
-  const std::string image = SerializeTable(table, write);
+  const std::string image = SerializeTable(table, {});
   ASSERT_TRUE(ParseTable(image).ok());
   torture::TortureImage("ZIGTBL02/inline", image, [](const std::string& bytes) {
     return !ParseTable(bytes).ok();
@@ -83,7 +77,6 @@ TEST(CodecTortureTest, TableV2ExternalDict) {
 
   const Table table = MakeMixedTable();
   TableWriteOptions write;
-  write.compress = true;
   const DictRef ref = pool->Acquire(table.column(1).dictionary()).ValueOrDie();
   write.external_dicts[1] = ref;
   const std::string image = SerializeTable(table, write);
@@ -109,9 +102,7 @@ TEST(CodecTortureTest, TableV2LargeSampled) {
   // dictionary through the compressed codecs; the harness strides.
   SyntheticDataset ds = MakeBoxOfficeDataset(7, /*value_decimals=*/3)
                             .ValueOrDie();
-  TableWriteOptions write;
-  write.compress = true;
-  const std::string image = SerializeTable(ds.table, write);
+  const std::string image = SerializeTable(ds.table, {});
   ASSERT_TRUE(ParseTable(image).ok());
   torture::TortureImage("ZIGTBL02/large", image, [](const std::string& bytes) {
     return !ParseTable(bytes).ok();
@@ -138,16 +129,18 @@ std::vector<size_t> DictSizesOf(const Table& table) {
   return sizes;
 }
 
-void TortureDelta(const char* label, bool compress) {
+void TortureDelta(const char* label, bool legacy_v1) {
   const Table base = MakeMixedTable();
   const Table live = base.WithAppendedRows(MakeAppendTail()).ValueOrDie();
-  std::ostringstream out(std::ios::binary);
-  TableWriteOptions write;
-  write.compress = compress;
-  ASSERT_TRUE(
-      WriteTableDelta(live, base.num_rows(), DictSizesOf(base), &out, write)
-          .ok());
-  const std::string image = out.str();
+  std::string image;
+  if (legacy_v1) {
+    image = legacy::DeltaV1(live, base.num_rows(), DictSizesOf(base));
+  } else {
+    std::ostringstream out(std::ios::binary);
+    ASSERT_TRUE(
+        WriteTableDelta(live, base.num_rows(), DictSizesOf(base), &out).ok());
+    image = out.str();
+  }
 
   auto apply = [&base](const std::string& bytes) {
     std::istringstream in(bytes, std::ios::binary);
@@ -159,8 +152,8 @@ void TortureDelta(const char* label, bool compress) {
   });
 }
 
-TEST(CodecTortureTest, DeltaV1) { TortureDelta("ZIGDLT01", false); }
-TEST(CodecTortureTest, DeltaV2) { TortureDelta("ZIGDLT02", true); }
+TEST(CodecTortureTest, DeltaV1) { TortureDelta("ZIGDLT01", true); }
+TEST(CodecTortureTest, DeltaV2) { TortureDelta("ZIGDLT02", false); }
 
 // ------------------------------------------------- pooled dictionaries ----
 
@@ -195,104 +188,6 @@ TEST(CodecTortureTest, ProfileV3) {
   torture::TortureImage("ZIGPROF3", image, [&parse](const std::string& bytes) {
     return !parse(bytes).ok();
   });
-}
-
-// ---------------------------------------------------- sketch snapshots ----
-
-struct SketchFixture {
-  Table table;
-  TableProfile profile;
-  std::string image;
-};
-
-SketchFixture MakeSketchFixture() {
-  SyntheticDataset ds = MakeBoxOfficeDataset(7).ValueOrDie();
-  ServeOptions options;
-  options.engine.search.min_tightness = 0.4;
-  options.engine.search.max_views = 10;
-  auto server = ZiggyServer::Create(ds.table, options).ValueOrDie();
-  const uint64_t sid = server->OpenSession();
-  EXPECT_TRUE(server->Characterize(sid, ds.selection_predicate).ok());
-  const std::vector<PersistedSketch> sketches = server->ExportSketchCache();
-  EXPECT_FALSE(sketches.empty());
-
-  SketchFixture fx{server->state()->table(), *server->state()->profile, ""};
-  std::ostringstream out(std::ios::binary);
-  EXPECT_TRUE(WriteSketches(&out, 0, fx.table.num_rows(), sketches).ok());
-  fx.image = out.str();
-  return fx;
-}
-
-TEST(CodecTortureTest, SketchSnapshot) {
-  const SketchFixture fx = MakeSketchFixture();
-  auto parse = [&fx](const std::string& bytes) {
-    std::istringstream in(bytes, std::ios::binary);
-    return ReadSketches(&in, fx.table, fx.profile);
-  };
-  {
-    Result<LoadedSketches> ok = parse(fx.image);
-    ASSERT_TRUE(ok.ok()) << ok.status();
-    ASSERT_FALSE(ok->entries.empty());
-  }
-  torture::TortureImage("ZIGSKC01", fx.image, [&parse](const std::string& bytes) {
-    return !parse(bytes).ok();
-  });
-}
-
-TEST(CodecTortureTest, SketchStoreDegradeNeverInstalls) {
-  // Store-level contract: sketch damage costs warmth, never the table.
-  // Every corruption must load the table fine with zero sketch entries
-  // installed and the error reported out of band.
-  const std::string dir =
-      testing::TempDir() + "/ziggy_codec_torture_sketch_store";
-  auto store = ZiggyStore::Open(dir).ValueOrDie();
-
-  SyntheticDataset ds = MakeBoxOfficeDataset(7).ValueOrDie();
-  ServeOptions options;
-  options.engine.search.min_tightness = 0.4;
-  options.engine.search.max_views = 10;
-  auto server = ZiggyServer::Create(ds.table, options).ValueOrDie();
-  const uint64_t sid = server->OpenSession();
-  ASSERT_TRUE(server->Characterize(sid, ds.selection_predicate).ok());
-  ASSERT_TRUE(store
-                  ->SaveTable("box", server->state()->table(), 0,
-                              *server->state()->profile,
-                              server->ExportSketchCache())
-                  .ok());
-
-  const std::string path = store->SketchesPath("box", 0);
-  std::string image;
-  {
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    image = buf.str();
-  }
-  ASSERT_FALSE(image.empty());
-
-  // Whole-store loads are slow; a strided schedule still covers header,
-  // entry bitmaps, statistics payloads, and CRCs.
-  torture::TortureOptions opts;
-  opts.exhaustive_flip_bytes = 0;
-  opts.sampled_flips = 64;
-  opts.exhaustive_truncation_bytes = 0;
-  opts.sampled_truncations = 64;
-  opts.splices = 16;
-  torture::TortureImage(
-      "ZIGSKC01/store", image, [&](const std::string& bytes) {
-        {
-          std::ofstream out(path, std::ios::binary | std::ios::trunc);
-          out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-        }
-        Result<StoredTable> loaded = store->LoadTable("box");
-        // Contained = table loads, nothing installed, error surfaced.
-        return loaded.ok() && loaded->sketches.empty() &&
-               !loaded->sketches_status.ok();
-      },
-      opts);
-
-  store.reset();
-  ASSERT_TRUE(RemoveDirectory(dir).ok());
 }
 
 }  // namespace

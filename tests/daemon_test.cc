@@ -505,11 +505,11 @@ TEST(DaemonHandlerTest, OpenServesCheckpointWhenStoreHasTheTable) {
   ASSERT_TRUE(warm_views.ok);
   EXPECT_EQ(warm_views.body, cold_views_body);
   EXPECT_EQ(catalog.stats().store_opens, 1u);
-  // The warm cache served the first query without a scan.
-  auto server = catalog.Find("box");
-  ASSERT_TRUE(server.ok());
-  EXPECT_GT((*server)->stats().cache_warmed_entries, 0u);
-  EXPECT_EQ((*server)->stats().sketch_misses, 0u);
+  // HELLO's compression flag now means "a store is attached".
+  WireResponse hello = handler.Handle(*LineProtocol::ParseRequest("HELLO"));
+  ASSERT_TRUE(hello.ok);
+  EXPECT_NE(hello.body.find("\"compression\":true"), std::string::npos)
+      << hello.body;
   ASSERT_TRUE(RemoveDirectory(dir).ok());
 }
 

@@ -8,9 +8,7 @@
 //    pinned by an in-flight save) is never deleted; two tables sharing
 //    one dictionary stay independently loadable after either is removed;
 //  * store integration — compressed checkpoints round-trip bit for bit
-//    across a cold reopen, share pool files across tables, and a store
-//    written with compression ON loads fine with compression OFF (and
-//    vice versa: the read side is per-file auto-detection).
+//    across a cold reopen and share pool files across tables.
 
 #include <gtest/gtest.h>
 
@@ -185,9 +183,7 @@ class CompressedStoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = UniqueDir("store");
-    StoreOptions options;
-    options.compression = StoreCompression::kOn;
-    store_ = ZiggyStore::Open(dir_, options).ValueOrDie();
+    store_ = ZiggyStore::Open(dir_).ValueOrDie();
     ds_ = MakeBoxOfficeDataset(7, /*value_decimals=*/3).ValueOrDie();
     profile_ = TableProfile::Compute(ds_.table).ValueOrDie();
   }
@@ -222,7 +218,7 @@ class CompressedStoreTest : public ::testing::Test {
 };
 
 TEST_F(CompressedStoreTest, CompressedCheckpointRoundTripsAcrossReopen) {
-  ASSERT_TRUE(store_->SaveTable("box", ds_.table, 0, profile_, {}).ok());
+  ASSERT_TRUE(store_->SaveTable("box", ds_.table, 0, profile_).ok());
   const StoreStats stats = store_->stats();
   EXPECT_GT(stats.checkpoint_raw_bytes, 0u);
   EXPECT_LT(stats.checkpoint_bytes, stats.checkpoint_raw_bytes);
@@ -236,27 +232,11 @@ TEST_F(CompressedStoreTest, CompressedCheckpointRoundTripsAcrossReopen) {
   ExpectTablesBitIdentical(ds_.table, loaded.table);
 }
 
-TEST_F(CompressedStoreTest, CompressedStoreLoadsWithCompressionOff) {
-  ASSERT_TRUE(store_->SaveTable("box", ds_.table, 0, profile_, {}).ok());
-  store_.reset();
-  StoreOptions off;
-  off.compression = StoreCompression::kOff;
-  store_ = ZiggyStore::Open(dir_, off).ValueOrDie();
-  EXPECT_FALSE(store_->compression_enabled());
-  StoredTable loaded = store_->LoadTable("box").ValueOrDie();
-  ExpectTablesBitIdentical(ds_.table, loaded.table);
-  // And an uncompressed re-save of the same table still works, pool refs
-  // dropped from the manifest entry.
-  ASSERT_TRUE(store_->SaveTable("box", ds_.table, 1, profile_, {}).ok());
-  StoredTable again = store_->LoadTable("box").ValueOrDie();
-  ExpectTablesBitIdentical(ds_.table, again.table);
-}
-
 TEST_F(CompressedStoreTest, TwoTablesShareOnePoolFile) {
-  ASSERT_TRUE(store_->SaveTable("one", ds_.table, 0, profile_, {}).ok());
+  ASSERT_TRUE(store_->SaveTable("one", ds_.table, 0, profile_).ok());
   const size_t files_after_first = CountPoolFiles(dir_);
   ASSERT_GT(files_after_first, 0u);
-  ASSERT_TRUE(store_->SaveTable("two", ds_.table, 0, profile_, {}).ok());
+  ASSERT_TRUE(store_->SaveTable("two", ds_.table, 0, profile_).ok());
   // Identical dictionaries: the second save reuses every pool file.
   EXPECT_EQ(CountPoolFiles(dir_), files_after_first);
   EXPECT_GT(store_->stats().dict_pool_shared_hits, 0u);
@@ -280,7 +260,7 @@ TEST_F(CompressedStoreTest, TwoTablesShareOnePoolFile) {
 }
 
 TEST_F(CompressedStoreTest, MissingPoolFileFailsLoadCleanly) {
-  ASSERT_TRUE(store_->SaveTable("box", ds_.table, 0, profile_, {}).ok());
+  ASSERT_TRUE(store_->SaveTable("box", ds_.table, 0, profile_).ok());
   // Destroy the dicts directory behind the store's back, then cold-open.
   store_.reset();
   ASSERT_TRUE(RemoveDirectory(JoinPath(dir_, "dicts")).ok());
@@ -292,14 +272,14 @@ TEST_F(CompressedStoreTest, MissingPoolFileFailsLoadCleanly) {
 
 TEST_F(CompressedStoreTest, DeltaChainOnCompressedBaseReplays) {
   ASSERT_TRUE(
-      store_->SaveTable("box", ds_.table, 0, profile_, {}, /*lineage=*/77)
+      store_->SaveTable("box", ds_.table, 0, profile_, /*lineage=*/77)
           .ok());
   SyntheticDataset tail = MakeBoxOfficeDataset(19, /*value_decimals=*/3)
                               .ValueOrDie();
   const Table live = ds_.table.WithAppendedRows(tail.table).ValueOrDie();
   TableProfile live_profile = TableProfile::Compute(live).ValueOrDie();
   ASSERT_TRUE(
-      store_->SaveTable("box", live, 1, live_profile, {}, /*lineage=*/77)
+      store_->SaveTable("box", live, 1, live_profile, /*lineage=*/77)
           .ok());
   EXPECT_EQ(store_->stats().delta_checkpoints, 1u);
 

@@ -171,10 +171,16 @@ ResultGrid RunWorkload(const SyntheticDataset& ds, const ServeOptions& options,
 }
 
 TEST(ServeStressTest, FingerprintCollisionsNeverServeAnotherSelection) {
-  // Rows 447 and 1023 are bit 63 of words 6 and 15. Selections differing
-  // in exactly those two rows collide under Selection::Fingerprint, so
-  // both exact-hit tiers (a session's component cache, the shared sketch
-  // cache) must compare the selection itself before serving a hit.
+  // Two selections that agree everywhere but rows 0..127 and still share
+  // a Selection::Fingerprint, so both exact-hit tiers (a session's
+  // component cache, the shared sketch cache) must compare the selection
+  // itself before serving a hit. Rows 0..63 and 64..127 both repeat the
+  // bits of kWordA (resp. kWordB): on 1100 rows the fingerprint state
+  // after the words [A, A] equals the one after [B, B]. The pair was
+  // found offline by a Brent cycle search over that two-word function;
+  // a change to the fingerprint needs a new pair.
+  constexpr uint64_t kWordA = 0x9b455b207cf7b654ull;
+  constexpr uint64_t kWordB = 0x91a31341a6f95c95ull;
   const SyntheticDataset ds = MakeDataset();
   std::vector<Column> columns;
   for (size_t c = 0; c < ds.table.num_columns(); ++c) {
@@ -185,21 +191,29 @@ TEST(ServeStressTest, FingerprintCollisionsNeverServeAnotherSelection) {
   columns.push_back(Column::FromNumeric("id", std::move(ids)));
   const Table table = Table::FromColumns(std::move(columns)).ValueOrDie();
 
-  // The planted selection with both rows forced in, and forced out.
+  // The planted selection past row 127, with rows 0..127 from the word.
   const std::string& planted = ds.selection_predicate;
-  const std::string with_rows = "(" + planted + ") OR id = 447 OR id = 1023";
-  const std::string without_rows =
-      "(" + planted + ") AND id != 447 AND id != 1023";
+  auto query_for = [&planted](uint64_t word) {
+    std::string query = "((" + planted + ") AND id >= 128)";
+    for (int bit = 0; bit < 64; ++bit) {
+      if (((word >> bit) & 1) == 0) continue;
+      query += " OR id = " + std::to_string(bit) + " OR id = " +
+               std::to_string(64 + bit);
+    }
+    return query;
+  };
+  const std::string query_a = query_for(kWordA);
+  const std::string query_b = query_for(kWordB);
   auto evaluate = [&table](const std::string& query) {
     return ParseQuery(query).ValueOrDie()->Evaluate(table).ValueOrDie();
   };
-  const Selection a = evaluate(with_rows);
-  const Selection b = evaluate(without_rows);
+  const Selection a = evaluate(query_a);
+  const Selection b = evaluate(query_b);
   ASSERT_FALSE(a == b);
   ASSERT_EQ(a.Fingerprint(), b.Fingerprint());
 
   // Render plus each view's detail lines, whose inside statistics move
-  // with the two rows even where the normalized scores saturate.
+  // with rows 0..127 even where the normalized scores saturate.
   auto render = [](const Characterization& c) {
     std::string out = Render(c);
     for (const auto& cv : c.views) {
@@ -215,30 +229,30 @@ TEST(ServeStressTest, FingerprintCollisionsNeverServeAnotherSelection) {
     return render(
         server->Characterize(server->OpenSession(), query).ValueOrDie());
   };
-  const std::string want_with = solo(with_rows);
-  const std::string want_without = solo(without_rows);
-  ASSERT_NE(want_with, want_without);
+  const std::string want_a = solo(query_a);
+  const std::string want_b = solo(query_b);
+  ASSERT_NE(want_a, want_b);
 
   auto server = ZiggyServer::Create(table, options).ValueOrDie();
   const uint64_t first = server->OpenSession();
   const uint64_t second = server->OpenSession();
   const Characterization r1 =
-      server->Characterize(first, with_rows).ValueOrDie();
+      server->Characterize(first, query_a).ValueOrDie();
   EXPECT_EQ(r1.inside_count, static_cast<int64_t>(a.Count()));
-  EXPECT_EQ(render(r1), want_with);
-  // Another session: the shared sketch cache holds `with_rows` under the
+  EXPECT_EQ(render(r1), want_a);
+  // Another session: the shared sketch cache holds `query_a` under the
   // colliding fingerprint.
   const Characterization r2 =
-      server->Characterize(second, without_rows).ValueOrDie();
+      server->Characterize(second, query_b).ValueOrDie();
   EXPECT_NE(r2.sketch_source, SketchSource::kCacheExact);
   EXPECT_EQ(r2.inside_count, static_cast<int64_t>(b.Count()));
-  EXPECT_EQ(render(r2), want_without);
-  // The first session again: its component cache holds `with_rows`.
+  EXPECT_EQ(render(r2), want_b);
+  // The first session again: its component cache holds `query_a`.
   const Characterization r3 =
-      server->Characterize(first, without_rows).ValueOrDie();
+      server->Characterize(first, query_b).ValueOrDie();
   EXPECT_FALSE(r3.cache_hit);
   EXPECT_EQ(r3.inside_count, static_cast<int64_t>(b.Count()));
-  EXPECT_EQ(render(r3), want_without);
+  EXPECT_EQ(render(r3), want_b);
 }
 
 TEST(ServeStressTest, ConcurrentMixedTrafficByteMatchesSequentialReplay) {

@@ -164,6 +164,17 @@ TEST(SelectionTest, FingerprintDistinguishesContent) {
   EXPECT_EQ(a.Fingerprint(), c.Fingerprint());
 }
 
+TEST(SelectionTest, FingerprintSeparatesCancellingTopBits) {
+  // Bit 63 of two words: an xor-then-multiply word hash (FNV-1a) carries
+  // the flipped top bit through every multiply, so the two flips cancel
+  // and {63, 127} collided with the empty selection.
+  const Selection none(128);
+  const Selection tops = Selection::FromIndices(128, {63, 127});
+  EXPECT_NE(tops.Fingerprint(), none.Fingerprint());
+  EXPECT_NE(Selection::FromIndices(128, {63}).Fingerprint(),
+            Selection::FromIndices(128, {127}).Fingerprint());
+}
+
 TEST(SelectionTest, InvertRoundTrip) {
   Selection s = Selection::FromIndices(7, {0, 2, 4, 6});
   EXPECT_EQ(s.Invert().Invert(), s);

@@ -2,13 +2,16 @@
 //
 //  * ZiggyStore — manifest lifecycle, checkpoint/load round trips, name
 //    safety, atomic staging (no temp litter).
-//  * Warm restart byte-identity — the acceptance bar of the store PR: a
+//  * Warm restart byte-identity — the acceptance bar of the store: a
 //    server booted from a checkpoint renders CHARACTERIZE/VIEWS reports
 //    byte-identical to the cold-profiled server that wrote it, including
-//    after appends, and with a warm sketch cache whose first hit is exact.
+//    after appends.
+//  * Compatibility — a store written by an older release (version-2
+//    manifest flagging a sketch snapshot) loads, and the next full save
+//    rewrites it in the current layout.
 //  * Corruption policy — table/profile damage fails cleanly and installs
-//    nothing; sketch damage only costs warmth; legacy ZIGPROF1 profiles
-//    are rejected with an explicit version error.
+//    nothing; legacy ZIGPROF1 profiles are rejected with an explicit
+//    version error.
 //  * Catalog integration — OpenFromStore, SaveToStore generations,
 //    checkpoint-on-append, persist flags.
 
@@ -27,6 +30,7 @@
 #include "common/random.h"
 #include "data/synthetic.h"
 #include "engine/report.h"
+#include "legacy_formats.h"
 #include "persist/fs_util.h"
 #include "persist/manifest.h"
 #include "persist/store.h"
@@ -82,15 +86,32 @@ bool DirHasTempLitter(const std::string& dir) {
   return false;
 }
 
+/// Per-column dictionary sizes (0 for numeric columns): the base shape a
+/// delta segment is cut against.
+std::vector<size_t> DictSizesOf(const Table& table) {
+  std::vector<size_t> sizes(table.num_columns(), 0);
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    if (table.column(c).is_categorical()) {
+      sizes[c] = table.column(c).dictionary().size();
+    }
+  }
+  return sizes;
+}
+
 // ----------------------------------------------------------- manifest ----
 
 TEST(ManifestTest, RoundTripAndValidation) {
   Manifest m;
-  m.Upsert(ManifestEntry{"zeta", 3, true, 3, {}});
-  m.Upsert(ManifestEntry{"alpha", 0, false, 0, {}});
-  m.Upsert(ManifestEntry{"zeta", 4, false, 1, {2, 4}});  // replaces
+  m.Upsert(ManifestEntry{"zeta", 3, 3, {}, {}});
+  m.Upsert(ManifestEntry{"alpha", 0, 0, {}, {}});
+  m.Upsert(ManifestEntry{"zeta", 4, 1, {2, 4}, {}});  // replaces
 
   const std::string text = m.Serialize();
+  // Always version 3 (dict-ref count present even when zero), with the
+  // retired sketch flag written as 0.
+  EXPECT_EQ(text,
+            "ziggy-store 3\ntable alpha 0 0 0 0 0\n"
+            "table zeta 4 0 1 2 2 4 0\n");
   Manifest parsed = Manifest::Parse(text).ValueOrDie();
   ASSERT_EQ(parsed.entries().size(), 2u);
   EXPECT_EQ(parsed.entries()[0].name, "alpha");  // sorted
@@ -98,7 +119,6 @@ TEST(ManifestTest, RoundTripAndValidation) {
   EXPECT_TRUE(parsed.entries()[0].delta_generations.empty());
   EXPECT_EQ(parsed.entries()[1].name, "zeta");
   EXPECT_EQ(parsed.entries()[1].generation, 4u);
-  EXPECT_FALSE(parsed.entries()[1].has_sketches);
   EXPECT_EQ(parsed.entries()[1].base_generation, 1u);
   EXPECT_EQ(parsed.entries()[1].delta_generations,
             (std::vector<uint64_t>{2, 4}));
@@ -154,7 +174,7 @@ TEST(ZiggyStoreTest, SaveLoadRoundTripIsExact) {
 
   SyntheticDataset ds = MakeBoxOfficeDataset(7).ValueOrDie();
   TableProfile profile = TableProfile::Compute(ds.table).ValueOrDie();
-  ASSERT_TRUE(store->SaveTable("box", ds.table, 0, profile, {}).ok());
+  ASSERT_TRUE(store->SaveTable("box", ds.table, 0, profile).ok());
 
   EXPECT_TRUE(store->Has("box"));
   EXPECT_FALSE(store->Has("nope"));
@@ -166,8 +186,6 @@ TEST(ZiggyStoreTest, SaveLoadRoundTripIsExact) {
   EXPECT_EQ(loaded.table.num_rows(), ds.table.num_rows());
   EXPECT_EQ(loaded.table.schema(), ds.table.schema());
   EXPECT_TRUE(loaded.profile.Equals(profile));
-  EXPECT_TRUE(loaded.sketches.empty());
-  EXPECT_TRUE(loaded.sketches_status.ok());
 
   EXPECT_FALSE(DirHasTempLitter(dir));
   ASSERT_TRUE(RemoveDirectory(dir).ok());
@@ -179,7 +197,7 @@ TEST(ZiggyStoreTest, ReopenSeesPersistedManifest) {
   TableProfile profile = TableProfile::Compute(ds.table).ValueOrDie();
   {
     auto store = ZiggyStore::Open(dir).ValueOrDie();
-    ASSERT_TRUE(store->SaveTable("box", ds.table, 2, profile, {}).ok());
+    ASSERT_TRUE(store->SaveTable("box", ds.table, 2, profile).ok());
   }
   auto reopened = ZiggyStore::Open(dir).ValueOrDie();
   ASSERT_EQ(reopened->List().size(), 1u);
@@ -198,12 +216,61 @@ TEST(ZiggyStoreTest, RejectsUnsafeNamesAndCorruptManifest) {
   SyntheticDataset ds = MakeBoxOfficeDataset(7).ValueOrDie();
   TableProfile profile = TableProfile::Compute(ds.table).ValueOrDie();
   EXPECT_TRUE(
-      store->SaveTable("..", ds.table, 0, profile, {}).IsInvalidArgument());
+      store->SaveTable("..", ds.table, 0, profile).IsInvalidArgument());
   EXPECT_TRUE(
-      store->SaveTable("a/b", ds.table, 0, profile, {}).IsInvalidArgument());
+      store->SaveTable("a/b", ds.table, 0, profile).IsInvalidArgument());
 
   WriteFileBytes(store->ManifestPath(), "garbage\n");
   EXPECT_FALSE(ZiggyStore::Open(dir).ok());
+  ASSERT_TRUE(RemoveDirectory(dir).ok());
+}
+
+// ------------------------------------------------------ compatibility ----
+
+TEST(StoreCompatTest, ParentStoreWithSketchSnapshotLoadsAndIsRewritten) {
+  // A store as older releases wrote it: raw v1 base + v1 delta segment, a
+  // version-2 manifest (no dict refs) whose sketch flag is set, and a
+  // sketch-cache snapshot next to the head generation. The snapshot is
+  // junk on purpose: nothing may read it any more.
+  const std::string dir = UniqueDir("compat");
+  SyntheticDataset ds = MakeBoxOfficeDataset(7).ValueOrDie();
+  SyntheticDataset tail = MakeBoxOfficeDataset(19).ValueOrDie();
+  const Table live = ds.table.WithAppendedRows(tail.table).ValueOrDie();
+  const TableProfile profile = TableProfile::Compute(live).ValueOrDie();
+  const std::string table_dir = dir + "/tables/box";
+  const std::string snapshot = table_dir + "/sketches.g1.zskc";
+  ASSERT_TRUE(EnsureDirectory(table_dir).ok());
+  WriteFileBytes(table_dir + "/table.g0.ztbl", legacy::TableV1(ds.table));
+  WriteFileBytes(
+      table_dir + "/delta.g1.zdlt",
+      legacy::DeltaV1(live, ds.table.num_rows(), DictSizesOf(ds.table)));
+  ASSERT_TRUE(profile.SaveToFile(table_dir + "/profile.g1.zprof").ok());
+  WriteFileBytes(snapshot, "ZIGSKC01-junk-that-must-never-be-parsed");
+  WriteFileBytes(dir + "/ziggy.manifest",
+                 "ziggy-store 2\ntable box 1 1 0 1 1\n");
+
+  auto store = ZiggyStore::Open(dir).ValueOrDie();
+  StoredTable loaded = store->LoadTable("box").ValueOrDie();
+  EXPECT_EQ(loaded.generation, 1u);
+  EXPECT_EQ(legacy::TableV1(loaded.table), legacy::TableV1(live));
+  EXPECT_TRUE(loaded.profile.Equals(profile));
+
+  // The next full save writes the current layout: a version-3 manifest
+  // with 0 in the retired sketch slot, and no snapshot left behind.
+  ASSERT_TRUE(store->SaveTable("box", loaded.table, 2, loaded.profile).ok());
+  const std::string manifest = ReadFileBytes(store->ManifestPath());
+  ASSERT_EQ(manifest.rfind("ziggy-store 3\ntable box 2 0 2 0 ", 0), 0u)
+      << manifest;
+  EXPECT_FALSE(PathExists(snapshot));
+  EXPECT_FALSE(PathExists(table_dir + "/table.g0.ztbl"));
+  EXPECT_FALSE(PathExists(table_dir + "/delta.g1.zdlt"));
+  EXPECT_EQ(ReadFileBytes(store->TablePath("box", 2)).substr(0, 8),
+            "ZIGTBL02");
+
+  store.reset();
+  auto reopened = ZiggyStore::Open(dir).ValueOrDie();
+  StoredTable again = reopened->LoadTable("box").ValueOrDie();
+  EXPECT_EQ(legacy::TableV1(again.table), legacy::TableV1(live));
   ASSERT_TRUE(RemoveDirectory(dir).ok());
 }
 
@@ -231,20 +298,17 @@ TEST(StoreWarmRestartTest, WarmServerRendersByteIdenticalReports) {
   ASSERT_TRUE(store
                   ->SaveTable("box", cold->state()->table(),
                               cold->state()->generation(),
-                              *cold->state()->profile,
-                              cold->ExportSketchCache())
+                              *cold->state()->profile)
                   .ok());
 
-  // Warm boot: checkpointed table + profile + sketch cache.
+  // Warm boot: checkpointed table + profile; the sketch cache starts
+  // empty and refills from scans.
   StoredTable stored = store->LoadTable("box").ValueOrDie();
-  ASSERT_TRUE(stored.sketches_status.ok());
-  EXPECT_FALSE(stored.sketches.empty());
   auto warm = ZiggyServer::CreateFromState(std::move(stored.table),
                                            stored.generation,
                                            std::move(stored.profile),
                                            GoldenServeOptions())
                   .ValueOrDie();
-  EXPECT_EQ(warm->WarmSketchCache(stored.sketches), stored.sketches.size());
 
   const uint64_t warm_sid = warm->OpenSession();
   for (size_t i = 0; i < queries.size(); ++i) {
@@ -253,11 +317,6 @@ TEST(StoreWarmRestartTest, WarmServerRendersByteIdenticalReports) {
     EXPECT_EQ(RenderCharacterizationReport(*result, schema), cold_reports[i])
         << "query " << i << " diverged after warm restart";
   }
-  // The warmed cache served the repeats without a single scan miss.
-  const ServeStats stats = warm->stats();
-  EXPECT_EQ(stats.cache_warmed_entries, stored.sketches.size());
-  EXPECT_EQ(stats.sketch_misses, 0u);
-  EXPECT_GT(stats.sketch_exact_hits, 0u);
   ASSERT_TRUE(RemoveDirectory(dir).ok());
 }
 
@@ -281,7 +340,7 @@ TEST(StoreWarmRestartTest, CheckpointAfterAppendRestoresGeneration) {
   auto store = ZiggyStore::Open(dir).ValueOrDie();
   ASSERT_TRUE(store
                   ->SaveTable("box", cold->state()->table(), 2,
-                              *cold->state()->profile, {})
+                              *cold->state()->profile)
                   .ok());
 
   StoredTable stored = store->LoadTable("box").ValueOrDie();
@@ -313,8 +372,7 @@ class StoreCorruptionTest : public ::testing::Test {
     ASSERT_TRUE(server->Characterize(sid, ds.selection_predicate).ok());
     ASSERT_TRUE(store
                     ->SaveTable("box", server->state()->table(), 0,
-                                *server->state()->profile,
-                                server->ExportSketchCache())
+                                *server->state()->profile)
                     .ok());
     store_ = std::move(store);
   }
@@ -412,27 +470,6 @@ TEST_F(StoreCorruptionTest, ProfileWithShortRankArraysRejected) {
       << loaded.status();
 }
 
-TEST_F(StoreCorruptionTest, CorruptSketchesOnlyCostWarmth) {
-  FlipByte(store_->SketchesPath("box", 0),
-           ReadFileBytes(store_->SketchesPath("box", 0)).size() / 2);
-  StoredTable loaded = store_->LoadTable("box").ValueOrDie();
-  EXPECT_TRUE(loaded.sketches.empty());
-  EXPECT_FALSE(loaded.sketches_status.ok());
-
-  // The table still serves (cold cache) through the catalog.
-  CatalogOptions options;
-  options.serve = GoldenServeOptions();
-  ServerCatalog catalog(options);
-  ASSERT_TRUE(catalog.AttachStore(dir_).ok());
-  auto server = catalog.OpenFromStore("box");
-  ASSERT_TRUE(server.ok()) << server.status();
-  EXPECT_EQ((*server)->stats().cache_warmed_entries, 0u);
-}
-
-// Sketch-file bit flips / truncations / splices never crashing or
-// installing entries is covered by the shared torture harness
-// (codec_torture_test.cc, ZIGSKC01 codec-level and store-level runs).
-
 TEST_F(StoreCorruptionTest, TruncatedTableEveryCutFailsCleanly) {
   const std::string path = store_->TablePath("box", 0);
   const std::string bytes = ReadFileBytes(path);
@@ -470,7 +507,7 @@ class StoreDeltaTest : public ::testing::Test {
   static Status Save(ZiggyStore* store, const Table& table,
                      uint64_t generation, const TableProfile& profile,
                      uint64_t lineage = kLineage) {
-    return store->SaveTable("box", table, generation, profile, {}, lineage);
+    return store->SaveTable("box", table, generation, profile, lineage);
   }
 
   std::string dir_;
@@ -480,16 +517,18 @@ class StoreDeltaTest : public ::testing::Test {
 };
 
 TEST_F(StoreDeltaTest, AppendCheckpointWritesDeltaNotFullTable) {
-  // Byte-level O(delta) assertion: pin compression off so the segment
-  // size compares against an uncompressed base whatever the environment
-  // says (compressed delta chains are covered in dict_pool_test).
-  StoreOptions plain;
-  plain.compression = StoreCompression::kOff;
-  auto store = ZiggyStore::Open(dir_, plain).ValueOrDie();
+  auto store = ZiggyStore::Open(dir_).ValueOrDie();
   ASSERT_TRUE(Save(store.get(), ds_.table, 0, profile_).ok());
   const std::string base_bytes = ReadFileBytes(store->TablePath("box", 0));
 
-  const Table live = ds_.table.WithAppendedRows(tail_.table).ValueOrDie();
+  // A tail of half the base's rows. (An equal-size tail cannot be held
+  // under the base's size on disk: the base keeps its dictionaries in the
+  // pool and these full-precision doubles are incompressible, so segment
+  // and base carry the same payload.)
+  Selection half(tail_.table.num_rows());
+  for (size_t r = 0; r < tail_.table.num_rows() / 2; ++r) half.Set(r);
+  const Table tail = tail_.table.Filter(half);
+  const Table live = ds_.table.WithAppendedRows(tail).ValueOrDie();
   TableProfile live_profile = TableProfile::Compute(live).ValueOrDie();
   ASSERT_TRUE(Save(store.get(), live, 1, live_profile).ok());
 
@@ -508,10 +547,16 @@ TEST_F(StoreDeltaTest, AppendCheckpointWritesDeltaNotFullTable) {
   EXPECT_EQ(stats.full_checkpoints, 1u);
   EXPECT_EQ(stats.delta_checkpoints, 1u);
   EXPECT_EQ(stats.compactions, 0u);
-  // O(delta): the segment is much smaller than a base rewrite (equal-size
-  // tail here, so "smaller than the 2x base it replaces" is the bound; the
-  // bench pins the small-tail ratio).
+  // O(delta): the segment costs what its rows cost, not a base rewrite
+  // (the bench pins the small-tail ratio). Checked on disk — about half
+  // the base for half the rows — and in the raw v1 encoding, so a codec
+  // choice cannot hide a delta that grew.
   EXPECT_LT(stats.last_checkpoint_bytes, base_bytes.size());
+  EXPECT_LT(stats.last_checkpoint_bytes * 10, base_bytes.size() * 6);
+  EXPECT_LT(stats.last_checkpoint_raw_bytes, UncompressedTableBytes(ds_.table));
+  EXPECT_EQ(stats.last_checkpoint_raw_bytes,
+            UncompressedDeltaBytes(live, ds_.table.num_rows(),
+                                   DictSizesOf(ds_.table)));
 
   // Warm load replays base+delta to the exact live table.
   StoredTable loaded = store->LoadTable("box").ValueOrDie();
@@ -669,7 +714,7 @@ TEST_F(StoreDeltaTest, CorruptDeltaSegmentFailsCleanlyBaseSurvives) {
   ASSERT_TRUE(RemoveFileIfExists(store->DeltaPath("box", 1)).ok());
   EXPECT_FALSE(store->LoadTable("box").ok());
   TableProfile p = TableProfile::Compute(live).ValueOrDie();
-  ASSERT_TRUE(store->SaveTable("box", live, 3, p, {}, /*lineage=*/0).ok());
+  ASSERT_TRUE(store->SaveTable("box", live, 3, p, /*lineage=*/0).ok());
   EXPECT_EQ(TableImage(store->LoadTable("box").ValueOrDie().table),
             TableImage(live));
 }
@@ -820,7 +865,7 @@ TEST(CatalogStoreTest, StaleCheckpointNeverClobbersNewerStoredGeneration) {
   {
     auto store = ZiggyStore::Open(dir).ValueOrDie();
     TableProfile profile = TableProfile::Compute(ds.table).ValueOrDie();
-    ASSERT_TRUE(store->SaveTable("box", ds.table, 5, profile, {}).ok());
+    ASSERT_TRUE(store->SaveTable("box", ds.table, 5, profile).ok());
   }
 
   CatalogOptions options;
@@ -959,7 +1004,7 @@ TEST(CatalogFlusherTest, CloseDrainsThePendingFlushFirst) {
 // ------------------------------------------------- injected store faults ----
 
 /// The sites a checkpoint crosses, each with a first-hit fault: the store's
-/// section writer (every table/profile/sketch codec funnels through it),
+/// section writer (every table/profile codec funnels through it),
 /// the atomic whole-file writer (the manifest), and the commit trio's
 /// fsync/rename.
 const char* const kSaveFaultSpecs[] = {
@@ -992,7 +1037,7 @@ TEST_F(StoreFaultTest, FirstSaveFailsCleanAndInstallsNothing) {
     {
       ScopedFault fault(spec);
       ASSERT_TRUE(fault.status().ok()) << spec;
-      st = store->SaveTable("box", ds_.table, 0, profile_, {});
+      st = store->SaveTable("box", ds_.table, 0, profile_);
     }
     ASSERT_FALSE(st.ok()) << spec;
     EXPECT_TRUE(st.IsIOError()) << spec << ": " << st;
@@ -1004,7 +1049,7 @@ TEST_F(StoreFaultTest, FirstSaveFailsCleanAndInstallsNothing) {
     EXPECT_TRUE(reopened->List().empty()) << spec;
     // Healed: the identical save lands and loads exactly.
     ASSERT_TRUE(
-        reopened->SaveTable("box", ds_.table, 0, profile_, {}).ok())
+        reopened->SaveTable("box", ds_.table, 0, profile_).ok())
         << spec;
     StoredTable loaded = reopened->LoadTable("box").ValueOrDie();
     EXPECT_EQ(TableImage(loaded.table), TableImage(ds_.table)) << spec;
@@ -1016,7 +1061,7 @@ TEST_F(StoreFaultTest, FailedResaveKeepsPreviousGenerationByteIdentical) {
   for (const char* spec : kSaveFaultSpecs) {
     const std::string dir = UniqueDir("fault_resave");
     auto store = ZiggyStore::Open(dir).ValueOrDie();
-    ASSERT_TRUE(store->SaveTable("box", ds_.table, 0, profile_, {}).ok());
+    ASSERT_TRUE(store->SaveTable("box", ds_.table, 0, profile_).ok());
     const std::string base_bytes = ReadFileBytes(store->TablePath("box", 0));
     const Table live = ds_.table.WithAppendedRows(tail_.table).ValueOrDie();
     TableProfile live_profile = TableProfile::Compute(live).ValueOrDie();
@@ -1025,7 +1070,7 @@ TEST_F(StoreFaultTest, FailedResaveKeepsPreviousGenerationByteIdentical) {
     {
       ScopedFault fault(spec);
       ASSERT_TRUE(fault.status().ok()) << spec;
-      st = store->SaveTable("box", live, 1, live_profile, {});
+      st = store->SaveTable("box", live, 1, live_profile);
     }
     ASSERT_FALSE(st.ok()) << spec;
     // The previous checkpoint is still what the store serves — manifest,
@@ -1039,7 +1084,7 @@ TEST_F(StoreFaultTest, FailedResaveKeepsPreviousGenerationByteIdentical) {
     auto reopened = ZiggyStore::Open(dir).ValueOrDie();
     EXPECT_EQ(reopened->StoredGeneration("box").ValueOrDie(), 0u) << spec;
     // Healed: the resave lands.
-    ASSERT_TRUE(store->SaveTable("box", live, 1, live_profile, {}).ok())
+    ASSERT_TRUE(store->SaveTable("box", live, 1, live_profile).ok())
         << spec;
     EXPECT_EQ(TableImage(store->LoadTable("box").ValueOrDie().table),
               TableImage(live))
@@ -1056,10 +1101,10 @@ TEST_F(StoreFaultTest, FailedDeltaSaveLeavesChainReplayable) {
     options.max_delta_fraction = 1e9;  // equal-size tails must stay deltas
     auto store = ZiggyStore::Open(dir, options).ValueOrDie();
     ASSERT_TRUE(
-        store->SaveTable("box", ds_.table, 0, profile_, {}, kLineage).ok());
+        store->SaveTable("box", ds_.table, 0, profile_, kLineage).ok());
     const Table live = ds_.table.WithAppendedRows(tail_.table).ValueOrDie();
     TableProfile p1 = TableProfile::Compute(live).ValueOrDie();
-    ASSERT_TRUE(store->SaveTable("box", live, 1, p1, {}, kLineage).ok());
+    ASSERT_TRUE(store->SaveTable("box", live, 1, p1, kLineage).ok());
     ASSERT_EQ(store->stats().delta_checkpoints, 1u);
     const Table next = live.WithAppendedRows(tail_.table).ValueOrDie();
     TableProfile p2 = TableProfile::Compute(next).ValueOrDie();
@@ -1068,7 +1113,7 @@ TEST_F(StoreFaultTest, FailedDeltaSaveLeavesChainReplayable) {
     {
       ScopedFault fault(spec);
       ASSERT_TRUE(fault.status().ok()) << spec;
-      st = store->SaveTable("box", next, 2, p2, {}, kLineage);
+      st = store->SaveTable("box", next, 2, p2, kLineage);
     }
     ASSERT_FALSE(st.ok()) << spec;
     // The base + delta chain up to generation 1 still replays exactly.
@@ -1077,7 +1122,7 @@ TEST_F(StoreFaultTest, FailedDeltaSaveLeavesChainReplayable) {
     EXPECT_EQ(TableImage(survived.table), TableImage(live)) << spec;
     EXPECT_FALSE(DirHasTempLitter(dir)) << spec;
     // Healed: the chain extends past the failure.
-    ASSERT_TRUE(store->SaveTable("box", next, 2, p2, {}, kLineage).ok())
+    ASSERT_TRUE(store->SaveTable("box", next, 2, p2, kLineage).ok())
         << spec;
     EXPECT_EQ(TableImage(store->LoadTable("box", kLineage).ValueOrDie().table),
               TableImage(next))

@@ -2,7 +2,9 @@
 // trips — including NaN NULLs bit-for-bit and dictionary order verbatim —
 // and the corruption guarantees the store's durability rests on: any
 // truncation, bit flip, or wrong magic yields a clean Status, never a
-// crash or a silently different table.
+// crash or a silently different table. The shipped writer emits v2; the
+// read-only v1 decoders are checked against the reference encoders in
+// legacy_formats.h.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +16,7 @@
 #include "common/checksum.h"
 #include "common/random.h"
 #include "data/synthetic.h"
+#include "legacy_formats.h"
 #include "storage/csv.h"
 #include "storage/table_io.h"
 
@@ -66,9 +69,11 @@ void ExpectTablesBitIdentical(const Table& a, const Table& b) {
   }
 }
 
+// ------------------------------------------------ v1 (read-only) ----
+
 TEST(TableIoTest, MixedTableRoundTripsBitIdentical) {
   const Table original = MakeMixedTable();
-  const std::string bytes = SerializeToString(original);
+  const std::string bytes = legacy::TableV1(original);
   Result<Table> restored = DeserializeFromString(bytes);
   ASSERT_TRUE(restored.ok()) << restored.status();
   ExpectTablesBitIdentical(original, *restored);
@@ -76,7 +81,7 @@ TEST(TableIoTest, MixedTableRoundTripsBitIdentical) {
 
 TEST(TableIoTest, SyntheticDatasetRoundTripsBitIdentical) {
   SyntheticDataset ds = MakeBoxOfficeDataset(7).ValueOrDie();
-  const std::string bytes = SerializeToString(ds.table);
+  const std::string bytes = legacy::TableV1(ds.table);
   Result<Table> restored = DeserializeFromString(bytes);
   ASSERT_TRUE(restored.ok()) << restored.status();
   ExpectTablesBitIdentical(ds.table, *restored);
@@ -84,9 +89,12 @@ TEST(TableIoTest, SyntheticDatasetRoundTripsBitIdentical) {
 
 TEST(TableIoTest, ReserializingRestoredTableIsByteIdentical) {
   SyntheticDataset ds = MakeBoxOfficeDataset(7).ValueOrDie();
-  const std::string bytes = SerializeToString(ds.table);
+  const std::string bytes = legacy::TableV1(ds.table);
   Table restored = DeserializeFromString(bytes).ValueOrDie();
-  EXPECT_EQ(SerializeToString(restored), bytes);
+  EXPECT_EQ(legacy::TableV1(restored), bytes);
+  // The shipped (v2) writer is deterministic too.
+  const std::string v2 = SerializeToString(ds.table);
+  EXPECT_EQ(SerializeToString(DeserializeFromString(v2).ValueOrDie()), v2);
 }
 
 TEST(TableIoTest, FilteredTableKeepsFullDictionary) {
@@ -97,10 +105,12 @@ TEST(TableIoTest, FilteredTableKeepsFullDictionary) {
   few.Set(0);
   few.Set(1);
   const Table filtered = ds.table.Filter(few);
-  const std::string bytes = SerializeToString(filtered);
-  Result<Table> restored = DeserializeFromString(bytes);
-  ASSERT_TRUE(restored.ok()) << restored.status();
-  ExpectTablesBitIdentical(filtered, *restored);
+  for (const std::string& bytes :
+       {legacy::TableV1(filtered), SerializeToString(filtered)}) {
+    Result<Table> restored = DeserializeFromString(bytes);
+    ASSERT_TRUE(restored.ok()) << restored.status();
+    ExpectTablesBitIdentical(filtered, *restored);
+  }
 }
 
 TEST(TableIoTest, FileRoundTrip) {
@@ -120,7 +130,7 @@ TEST(TableIoTest, MissingFileIsIOError) {
 // ---------------------------------------------------------- corruption ----
 
 TEST(TableIoTest, WrongMagicRejected) {
-  std::string bytes = SerializeToString(MakeMixedTable());
+  std::string bytes = legacy::TableV1(MakeMixedTable());
   bytes[0] = 'X';
   EXPECT_TRUE(DeserializeFromString(bytes).status().IsParseError());
   EXPECT_FALSE(DeserializeFromString("short").ok());
@@ -135,7 +145,7 @@ TEST(TableIoTest, TrailingGarbageAfterValidImageIsIgnored) {
   // The codec reads exactly its own sections; bytes past the last column
   // are another file's business (concatenated store streams).
   const Table original = MakeMixedTable();
-  std::string bytes = SerializeToString(original);
+  std::string bytes = legacy::TableV1(original);
   bytes += "trailing-garbage";
   Result<Table> restored = DeserializeFromString(bytes);
   ASSERT_TRUE(restored.ok()) << restored.status();
@@ -144,17 +154,9 @@ TEST(TableIoTest, TrailingGarbageAfterValidImageIsIgnored) {
 
 // --------------------------------------------------- compressed (v2) ----
 
-std::string SerializeCompressed(const Table& table) {
-  std::ostringstream out(std::ios::binary);
-  TableWriteOptions options;
-  options.compress = true;
-  EXPECT_TRUE(WriteTable(table, &out, options).ok());
-  return out.str();
-}
-
 TEST(TableIoV2Test, CompressedRoundTripsBitIdentical) {
   const Table original = MakeMixedTable();
-  const std::string bytes = SerializeCompressed(original);
+  const std::string bytes = SerializeToString(original);
   EXPECT_EQ(bytes.compare(0, 8, kTableMagicV2, 8), 0);
   Result<Table> restored = DeserializeFromString(bytes);
   ASSERT_TRUE(restored.ok()) << restored.status();
@@ -164,7 +166,7 @@ TEST(TableIoV2Test, CompressedRoundTripsBitIdentical) {
 TEST(TableIoV2Test, SyntheticDatasetRoundTripsBitIdentical) {
   // Full-precision draws (the worst case for every codec: raw/lz only).
   SyntheticDataset ds = MakeBoxOfficeDataset(7).ValueOrDie();
-  Result<Table> restored = DeserializeFromString(SerializeCompressed(ds.table));
+  Result<Table> restored = DeserializeFromString(SerializeToString(ds.table));
   ASSERT_TRUE(restored.ok()) << restored.status();
   ExpectTablesBitIdentical(ds.table, *restored);
 }
@@ -174,8 +176,8 @@ TEST(TableIoV2Test, QuantizedDatasetCompressesAndRoundTrips) {
   // codecs: a measurable win over v1, and still bit-for-bit on restore.
   SyntheticDataset ds =
       MakeCrimeDataset(11, /*value_decimals=*/3).ValueOrDie();
-  const std::string v1 = SerializeToString(ds.table);
-  const std::string v2 = SerializeCompressed(ds.table);
+  const std::string v1 = legacy::TableV1(ds.table);
+  const std::string v2 = SerializeToString(ds.table);
   EXPECT_LT(v2.size() * 2, v1.size())
       << "compressed image is not at least 2x smaller: " << v2.size()
       << " vs " << v1.size();
@@ -184,13 +186,13 @@ TEST(TableIoV2Test, QuantizedDatasetCompressesAndRoundTrips) {
   ExpectTablesBitIdentical(ds.table, *restored);
   // And the uncompressed re-serialization of the restored table matches
   // the original's exactly — compression is invisible downstream.
-  EXPECT_EQ(SerializeToString(*restored), v1);
+  EXPECT_EQ(legacy::TableV1(*restored), v1);
 }
 
 TEST(TableIoV2Test, UncompressedByteSizeFormulaIsExact) {
   for (const Table& table :
        {MakeMixedTable(), MakeBoxOfficeDataset(7).ValueOrDie().table}) {
-    EXPECT_EQ(UncompressedTableBytes(table), SerializeToString(table).size());
+    EXPECT_EQ(UncompressedTableBytes(table), legacy::TableV1(table).size());
   }
 }
 
@@ -232,11 +234,12 @@ Result<Table> ApplyDeltaFromString(const Table& base,
 }
 
 TEST(TableDeltaTest, ReplayReproducesLiveAppendBitIdentical) {
+  // A v1 segment, as older releases wrote it.
   const Table base = MakeMixedTable();
   const Table live =
       base.WithAppendedRows(MakeAppendTail()).ValueOrDie();
   const std::string delta =
-      SerializeDeltaToString(live, base.num_rows(), DictSizesOf(base));
+      legacy::DeltaV1(live, base.num_rows(), DictSizesOf(base));
   Result<Table> replayed = ApplyDeltaFromString(base, delta);
   ASSERT_TRUE(replayed.ok()) << replayed.status();
   ExpectTablesBitIdentical(live, *replayed);
@@ -342,13 +345,8 @@ TEST(TableDeltaTest, WrongMagicRejected) {
 TEST(TableDeltaTest, CompressedDeltaReplaysBitIdentical) {
   const Table base = MakeMixedTable();
   const Table live = base.WithAppendedRows(MakeAppendTail()).ValueOrDie();
-  std::ostringstream out(std::ios::binary);
-  TableWriteOptions options;
-  options.compress = true;
-  ASSERT_TRUE(
-      WriteTableDelta(live, base.num_rows(), DictSizesOf(base), &out, options)
-          .ok());
-  const std::string delta = out.str();
+  const std::string delta =
+      SerializeDeltaToString(live, base.num_rows(), DictSizesOf(base));
   EXPECT_EQ(delta.compare(0, 8, kTableDeltaMagicV2, 8), 0);
   Result<Table> replayed = ApplyDeltaFromString(base, delta);
   ASSERT_TRUE(replayed.ok()) << replayed.status();
@@ -360,7 +358,7 @@ TEST(TableDeltaTest, UncompressedDeltaByteSizeFormulaIsExact) {
   const Table base = MakeMixedTable();
   const Table live = base.WithAppendedRows(MakeAppendTail()).ValueOrDie();
   const std::string delta =
-      SerializeDeltaToString(live, base.num_rows(), DictSizesOf(base));
+      legacy::DeltaV1(live, base.num_rows(), DictSizesOf(base));
   EXPECT_EQ(UncompressedDeltaBytes(live, base.num_rows(), DictSizesOf(base)),
             delta.size());
 }

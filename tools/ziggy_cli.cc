@@ -195,7 +195,7 @@ int RunImport(int argc, char** argv) {
   if (!profile.ok()) return Fail(profile.status());
   Result<std::unique_ptr<ZiggyStore>> store = ZiggyStore::Open(store_dir);
   if (!store.ok()) return Fail(store.status());
-  Status st = (*store)->SaveTable(name, *table, /*generation=*/0, *profile, {});
+  Status st = (*store)->SaveTable(name, *table, /*generation=*/0, *profile);
   if (!st.ok()) return Fail(st);
   std::cout << "imported " << table->num_rows() << " rows x "
             << table->num_columns() << " columns as \"" << name << "\" into "
