@@ -112,9 +112,10 @@ BENCHMARK(BM_BuildComponentsTwoScan)
     ->Args({8000, 32});
 
 // The selection scan alone on the OECD analogue (6823 x 519) at 5%, 20%
-// and 50% density. The last 32 results stay alive, as in the sketch
-// cache, so any memory a result holds on to (and the page faults of
-// allocating it afresh) shows in the timing.
+// and 50% density, on 1 thread and column-partitioned over 4. The last 32
+// results stay alive, as in the sketch cache, so any memory a result
+// holds on to (and the page faults of allocating it afresh) shows in the
+// timing.
 void BM_SelectionScanWide(benchmark::State& state) {
   static const SyntheticDataset* ds =
       new SyntheticDataset(MakeOecdDataset().ValueOrDie());
@@ -131,23 +132,23 @@ void BM_SelectionScanWide(benchmark::State& state) {
   std::vector<SelectionSketches> kept(32);
   size_t next = 0;
   for (auto _ : state) {
-    kept[next] = SelectionSketches::Build(ds->table, *profile, selection);
+    kept[next] = SelectionSketches::Build(
+        ds->table, *profile, selection, static_cast<size_t>(state.range(1)));
     next = (next + 1) % kept.size();
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(selection.Count()));
 }
 BENCHMARK(BM_SelectionScanWide)
-    ->ArgName("density_pct")
-    ->Arg(5)
-    ->Arg(20)
-    ->Arg(50)
+    ->ArgNames({"density_pct", "threads"})
+    ->ArgsProduct({{5, 20, 50}, {1, 4}})
     ->Unit(benchmark::kMillisecond);
 
 // Component assembly alone on the OECD analogue (6823 x 519, 513
 // numeric): sketches are built once outside the timed loop, so the loop
 // times BuildComponentsFromSketches with the rank-shift gather on (1) and
-// off (0). The difference is the rank-shift cost per query.
+// off (0), on 1 thread and with the gather split over 4. The difference
+// between rank_shift 1 and 0 is the rank-shift cost per query.
 void BM_BuildFromSketchesWide(benchmark::State& state) {
   static const SyntheticDataset* ds =
       new SyntheticDataset(MakeOecdDataset().ValueOrDie());
@@ -163,6 +164,7 @@ void BM_BuildFromSketchesWide(benchmark::State& state) {
   }();
   ComponentBuildOptions opts;
   opts.enable_rank_shift = state.range(0) != 0;
+  opts.num_threads = static_cast<size_t>(state.range(1));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         BuildComponentsFromSketches(ds->table, *profile, ds->planted, *inside,
@@ -173,9 +175,8 @@ void BM_BuildFromSketchesWide(benchmark::State& state) {
                           static_cast<int64_t>(ds->table.num_columns()));
 }
 BENCHMARK(BM_BuildFromSketchesWide)
-    ->ArgName("rank_shift")
-    ->Arg(0)
-    ->Arg(1)
+    ->ArgNames({"rank_shift", "threads"})
+    ->ArgsProduct({{0, 1}, {1, 4}})
     ->Unit(benchmark::kMillisecond);
 
 void BM_CompleteLinkage(benchmark::State& state) {

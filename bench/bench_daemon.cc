@@ -376,8 +376,7 @@ int main(int argc, char** argv) {
   out.Print();
   std::cout << "sketch cache: " << serve.sketch_exact_hits << " exact, "
             << serve.sketch_patched_hits << " patched, " << serve.sketch_misses
-            << " misses; scans " << serve.scans << " ("
-            << serve.coalesced_requests << " coalesced)\n";
+            << " misses (cold scans)\n";
 
   // ---- pipelined high-concurrency scenario ----
   PipelinedResult piped;
@@ -457,10 +456,7 @@ int main(int argc, char** argv) {
                    .Set("sketch_patched_hits",
                         static_cast<double>(serve.sketch_patched_hits))
                    .Set("sketch_misses",
-                        static_cast<double>(serve.sketch_misses))
-                   .Set("scans", static_cast<double>(serve.scans))
-                   .Set("coalesced_requests",
-                        static_cast<double>(serve.coalesced_requests)));
+                        static_cast<double>(serve.sketch_misses)));
     report.Set("daemon",
                bench::JsonValue::Object()
                    .Set("connections_accepted",

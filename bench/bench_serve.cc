@@ -4,8 +4,8 @@
 //   A  baseline: every request pays its own scan (cache off, 1 session)
 //   B  shared sketch cache, sequential: S sessions submit overlapping
 //      workloads round-robin; repeated selections hit the cache
-//   C  concurrent: the same load from S threads at once (batching +
-//      striped locks in play)
+//   C  concurrent: the same load from S threads at once (concurrent cold
+//      scans + striped locks in play)
 //   D  refinement chains: each session drifts a predicate step by step;
 //      near-miss XOR-delta patching replaces full scans
 //   E  append: rows arrive mid-session; cached sketches migrate instead
@@ -197,19 +197,18 @@ int main(int argc, char** argv) {
 
   // ---- report --------------------------------------------------------------
   const size_t total_requests = workload.size() * kSessions;
-  bench::ResultTable table({"phase", "ms", "req/s", "exact", "patched", "misses",
-                            "coalesced"});
+  bench::ResultTable table(
+      {"phase", "ms", "req/s", "exact", "patched", "misses"});
   auto row = [&](const std::string& name, double ms, size_t requests,
                  const ServeStats& st) {
     table.AddRow({name, Fmt(ms, 1), Fmt(bench::RowsPerSec(requests, ms), 1),
                   std::to_string(st.sketch_exact_hits),
                   std::to_string(st.sketch_patched_hits),
-                  std::to_string(st.sketch_misses),
-                  std::to_string(st.coalesced_requests)});
+                  std::to_string(st.sketch_misses)});
   };
   table.AddRow({"A:no-sharing", Fmt(baseline_ms, 1),
                 Fmt(bench::RowsPerSec(total_requests, baseline_ms), 1), "-", "-",
-                "-", "-"});
+                "-"});
   row("B:cached-seq", cached_ms, total_requests, stats_b);
   row("C:cached-conc", concurrent_ms, total_requests, stats_c);
   row("D:refine-chains", patch_ms, chain.size() * kSessions, stats_d);
@@ -240,8 +239,6 @@ int main(int argc, char** argv) {
           .Set("sketch_patched_hits", static_cast<double>(st.sketch_patched_hits))
           .Set("sketch_misses", static_cast<double>(st.sketch_misses))
           .Set("patched_delta_rows", static_cast<double>(st.patched_delta_rows))
-          .Set("scans", static_cast<double>(st.scans))
-          .Set("coalesced_requests", static_cast<double>(st.coalesced_requests))
           .Set("cache_entries", static_cast<double>(st.cache.entries))
           .Set("cache_evictions", static_cast<double>(st.cache.evictions));
       return p;

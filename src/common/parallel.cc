@@ -1,5 +1,6 @@
 #include "common/parallel.h"
 
+#include <algorithm>
 #include <thread>
 
 namespace ziggy {
@@ -8,6 +9,11 @@ size_t EffectiveThreads(size_t requested) {
   if (requested != 0) return requested;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<size_t>(hw);
+}
+
+size_t ThreadsForCells(size_t requested, size_t cells) {
+  if (requested != 0) return requested;
+  return std::clamp<size_t>(cells / kCellsPerThread, 1, EffectiveThreads(0));
 }
 
 std::vector<TaskRange> PartitionTasks(size_t num_tasks, size_t num_threads) {

@@ -2,13 +2,13 @@
 //
 // Design constraints (why this is not a generic task scheduler):
 //  * Partitioning must be deterministic: worker w always receives the same
-//    contiguous task range for a given (num_tasks, num_threads), so that
-//    per-thread partial sketches can be merged in a fixed order and the
-//    parallel result is reproducible run to run.
-//  * Workers are plain std::threads spawned per call. The accumulation
-//    passes this serves run for milliseconds to seconds; thread start-up is
-//    noise, and keeping no resident pool means no lifecycle coupling with
-//    the engine.
+//    contiguous task range for a given (num_tasks, num_threads). Callers
+//    partition by column (the profile, the selection scan, the rank-sum
+//    gather), so every accumulator is owned by one worker and sums its
+//    values in the sequential order: results do not depend on the thread
+//    count at all.
+//  * Workers are the resident WorkerPool below, shared by every caller in
+//    the process; the calling thread always takes part in its own batch.
 //  * Exceptions do not cross thread boundaries here: worker bodies are
 //    expected to be noexcept in practice (pure arithmetic over
 //    preallocated state). ZIGGY_CHECK failures abort the process as they
@@ -33,6 +33,17 @@ namespace ziggy {
 /// \brief Resolves a user-facing thread-count knob: 0 = one thread per
 /// hardware core, otherwise the value itself; never less than 1.
 size_t EffectiveThreads(size_t requested);
+
+/// \brief Table cells (rows x columns) per thread of an auto-sized pass:
+/// the one grain of the profile build, the selection scan and the
+/// rank-sum gather.
+inline constexpr size_t kCellsPerThread = size_t{1} << 16;
+
+/// \brief Thread count for a pass over `cells` table cells: an explicit
+/// `requested` count pins it; 0 means one thread per kCellsPerThread
+/// cells, at most one per core and at least one, so a pass below two
+/// grains runs on the calling thread.
+size_t ThreadsForCells(size_t requested, size_t cells);
 
 /// \brief Contiguous half-open task range [begin, end) owned by one worker.
 struct TaskRange {
@@ -59,9 +70,9 @@ std::vector<TaskRange> PartitionTasks(size_t num_tasks, size_t num_threads);
 /// scans (it degrades to the old inline execution) — nested Run() calls
 /// from inside a body cannot deadlock for the same reason.
 ///
-/// Determinism: the body receives the partition index (0..P-1), exactly as
-/// the thread-per-call implementation did, so per-worker partial results
-/// merge in the same fixed order no matter which OS thread ran each range.
+/// Determinism: the body receives the partition index (0..P-1), so
+/// per-partition state (such as a scan's sink stripe) is chosen by the
+/// partition, never by which OS thread ran the range.
 class WorkerPool {
  public:
   /// `num_threads` helper threads (0 = one per hardware core).
@@ -116,7 +127,7 @@ WorkerPool& SharedWorkerPool();
 /// partition) the body runs inline on the calling thread — the sequential
 /// path stays allocation- and thread-free. Parallel partitions execute on
 /// the shared worker pool; results are identical either way because the
-/// partitioning, not the executing thread, determines the merge order.
+/// partitioning, not the executing thread, decides which task runs where.
 /// Blocks until all workers finish.
 void ParallelFor(size_t num_threads, size_t num_tasks,
                  const std::function<void(TaskRange, size_t)>& body);

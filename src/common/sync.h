@@ -74,9 +74,9 @@ namespace ziggy {
 //   * daemon tier (100s): loop/dispatch bookkeeping. These four are in fact
 //     never nested today; the order matches the loop -> connection dataflow.
 //   * serve tier (200s): catalog mu_ is held across server->state(),
-//     num_sessions() and batcher stats(); append_mu_ across state();
-//     session mu across state() and the whole Characterize (which reaches
-//     the batcher); the batcher is reached with a session held.
+//     num_sessions() and stats(); append_mu_ across state(); session mu
+//     across state() and the whole Characterize, including its cold scan
+//     on the worker pool.
 //   * persist tier (300s): SaveTable/LoadTable/RemoveTable hold the
 //     per-table lock across short manifest scopes; RemoveTable reaches the
 //     dict pool while holding the table lock.
@@ -98,7 +98,6 @@ enum class LockRank : uint16_t {
   kServerSessions = 230, // ZiggyServer::sessions_mu_
   kSession = 240,        // Session::mu (one session at a time)
   kServerState = 250,    // ZiggyServer::state_mu_
-  kScanBatcher = 260,    // ScanBatcher::mu_
   // --- persist tier ------------------------------------------------------
   kTableStore = 300,  // ZiggyStore::TableState::mu (one table at a time)
   kManifest = 310,    // ZiggyStore::mu_ (manifest + state map)
@@ -119,7 +118,7 @@ namespace internal {
 // inversion or recursive acquisition, printing both sites.
 void PushLockRank(const void* mu, uint16_t rank, const char* site);
 // Unregisters `mu` (searched from the top of the stack; release order need
-// not mirror acquisition order — see ScanBatcher's leader hand-off).
+// not mirror acquisition order).
 void PopLockRank(const void* mu, const char* site);
 // True iff this thread currently holds `mu`.
 bool LockRankHeld(const void* mu);

@@ -27,8 +27,8 @@ const char* SketchSourceToString(SketchSource source) {
       return "cache-exact";
     case SketchSource::kCachePatched:
       return "cache-patched";
-    case SketchSource::kCoalescedScan:
-      return "coalesced-scan";
+    case SketchSource::kServerScan:
+      return "server-scan";
   }
   return "unknown";
 }
@@ -121,9 +121,9 @@ Result<Characterization> ZiggyEngine::Characterize(const Selection& selection) {
   if (components == nullptr) {
     bool provided = false;
     if (sketch_provider_) {
-      // Serving-layer path: sketches come from the shared cache or a
-      // coalesced scan. Validation must run first — providers only handle
-      // well-formed selections.
+      // Serving-layer path: sketches come from the shared cache or the
+      // server's cold scan. Validation must run first — providers only
+      // handle well-formed selections.
       ZIGGY_RETURN_NOT_OK(
           ValidateCharacterizationInput(*table_, *profile_, selection));
       std::optional<ProvidedSketches> supplied = sketch_provider_(selection, fp);
@@ -137,7 +137,6 @@ Result<Characterization> ZiggyEngine::Characterize(const Selection& selection) {
                                         *supplied->inside, outside, options_.build));
         out.sketch_source = supplied->source;
         out.delta_rows = supplied->delta_rows;
-        out.coalesced = supplied->coalesced;
         provided = true;
       }
     }

@@ -76,7 +76,7 @@ enum class SketchSource {
   kEngineScan,    ///< the engine's own Preparer (full scan or local delta)
   kCacheExact,    ///< serving-layer cache, exact fingerprint hit
   kCachePatched,  ///< serving-layer cache, XOR-delta patched near miss
-  kCoalescedScan  ///< serving-layer batched scan (possibly shared)
+  kServerScan     ///< serving-layer cold scan
 };
 
 const char* SketchSourceToString(SketchSource source);
@@ -97,21 +97,17 @@ struct Characterization {
   size_t delta_rows = 0;
   /// Provenance of the inside sketches (serving-layer observability).
   SketchSource sketch_source = SketchSource::kNone;
-  /// True when the sketches were computed by a scan shared with other
-  /// concurrent requests (only set by the serving layer).
-  bool coalesced = false;
 
   /// Multi-line human-readable report (used by examples and the REPL).
   std::string ToString(const Schema& schema) const;
 };
 
 /// \brief Sketches handed to the engine by an external provider (the
-/// serving layer's shared cache/batcher), plus their provenance.
+/// serving layer's shared cache or its cold scan), plus their provenance.
 struct ProvidedSketches {
   std::shared_ptr<const SelectionSketches> inside;
-  SketchSource source = SketchSource::kCoalescedScan;
+  SketchSource source = SketchSource::kServerScan;
   size_t delta_rows = 0;  ///< rows patched for kCachePatched
-  bool coalesced = false;
 };
 
 /// \brief The query characterization engine.

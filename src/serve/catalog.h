@@ -10,8 +10,8 @@
 //     allowance while idle tables' entries age out cooperatively.
 //
 // Determinism is inherited from ZiggyServer: a table's outputs depend only
-// on its own request/append history and scan_threads, never on which other
-// tables are being served concurrently (pinned by tests/daemon_test.cc,
+// on its own request/append history, never on thread counts or on which
+// other tables are being served concurrently (pinned by tests/daemon_test.cc,
 // which byte-matches two concurrently served tables against solo runs).
 //
 // Durability: a catalog may additionally attach a ZiggyStore
@@ -339,8 +339,8 @@ class ServerCatalog {
   std::atomic<uint64_t> retired_cache_evictions_{0};
 
   // kCatalog is the outermost serve-tier lock: List/CacheTotals/Close hold
-  // it while calling into per-server state (sessions, state, batcher
-  // stats) and the sketch caches. Never nested with flush_mu_.
+  // it while calling into per-server state (sessions, state, stats) and
+  // the sketch caches. Never nested with flush_mu_.
   mutable Mutex mu_{LockRank::kCatalog, "catalog.mu_"};
   std::vector<Served> tables_ ZIGGY_GUARDED_BY(mu_);
   std::set<std::string> persist_tables_ ZIGGY_GUARDED_BY(mu_);

@@ -33,9 +33,6 @@ std::string ServeStatsJson(const ServeStats& st) {
      << ",\"sketch_patched_hits\":" << st.sketch_patched_hits
      << ",\"sketch_misses\":" << st.sketch_misses
      << ",\"patched_delta_rows\":" << st.patched_delta_rows
-     << ",\"scans\":" << st.scans
-     << ",\"coalesced_requests\":" << st.coalesced_requests
-     << ",\"max_batch_size\":" << st.max_batch_size
      << ",\"appends\":" << st.appends
      << ",\"appended_rows\":" << st.appended_rows
      << ",\"cache_flushes\":" << st.cache_flushes
@@ -252,9 +249,8 @@ WireResponse DaemonHandler::CharacterizeImpl(const WireRequest& request,
   }
   std::ostringstream os;
   os << "{\"table\":\"" << JsonEscape(table) << "\",\"sketches\":\""
-     << SketchSourceToString(result->sketch_source) << "\",\"coalesced\":"
-     << (result->coalesced ? "true" : "false")
-     << ",\"result\":" << CharacterizationToJson(*result, schema) << "}";
+     << SketchSourceToString(result->sketch_source)
+     << "\",\"result\":" << CharacterizationToJson(*result, schema) << "}";
   return WireResponse::Ok(os.str());
 }
 

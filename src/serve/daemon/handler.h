@@ -7,7 +7,7 @@
 // table), opened lazily by the first CHARACTERIZE/VIEWS on that table and
 // closed when the connection ends (or the table is CLOSEd). Two clients
 // exploring the same table therefore get separate novelty tracking but
-// share the table's profile, sketch cache, and scan batcher — exactly the
+// share the table's profile, sketch cache, and worker pool — exactly the
 // ZiggyServer session model, lifted onto the wire.
 //
 // Durability: when the catalog has a store attached, OPEN serves the

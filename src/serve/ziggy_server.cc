@@ -14,10 +14,7 @@ ZiggyServer::ZiggyServer(ServeOptions options,
       state_(std::move(state)),
       cache_(SketchCache::Options{options_.cache_shards, options_.cache_budget_bytes,
                                   options_.near_miss_candidates,
-                                  options_.shared_cache_budget}),
-      batcher_(ScanBatcher::Options{options_.max_batch, options_.batch_window_us,
-                                    options_.scan_threads,
-                                    options_.engine.build.block_size}) {
+                                  options_.shared_cache_budget}) {
   if (options_.metrics != nullptr) {
     scan_us_ = options_.metrics->histogram("ziggy_scan_us");
     sketch_lookup_us_ = options_.metrics->histogram("ziggy_sketch_lookup_us");
@@ -215,20 +212,19 @@ std::optional<ProvidedSketches> ZiggyServer::ProvideSketches(
       }
     }
   }
-  bool coalesced = false;
   std::shared_ptr<const SelectionSketches> built;
   {
     obs::TraceSpan scan_span("scan", clock, scan_us_);
-    built = batcher_.Build(state.table(), *state.profile, state.generation(),
-                           selection, &coalesced);
+    built = std::make_shared<const SelectionSketches>(SelectionSketches::Build(
+        state.table(), *state.profile, selection, options_.scan_threads,
+        options_.engine.build.block_size));
   }
   if (options_.cache_enabled) {
     cache_.Insert(selection, fingerprint, built, state.generation());
   }
   sketch_misses_.fetch_add(1, std::memory_order_relaxed);
   out.inside = std::move(built);
-  out.source = SketchSource::kCoalescedScan;
-  out.coalesced = coalesced;
+  out.source = SketchSource::kServerScan;
   return out;
 }
 
@@ -320,6 +316,13 @@ Result<SessionStats> ZiggyServer::GetSessionStats(uint64_t session_id) const {
 
 void ZiggyServer::FlushSketchCache() { cache_.Clear(); }
 
+std::shared_ptr<const SelectionSketches> ZiggyServer::FindCachedSketches(
+    const Selection& selection) {
+  auto hit = cache_.FindExact(selection, selection.Fingerprint(),
+                              state()->generation());
+  return hit == nullptr ? nullptr : hit->inside;
+}
+
 ServeStats ZiggyServer::stats() const {
   ServeStats st;
   st.requests = requests_.load(std::memory_order_relaxed);
@@ -328,10 +331,6 @@ ServeStats ZiggyServer::stats() const {
   st.sketch_patched_hits = sketch_patched_hits_.load(std::memory_order_relaxed);
   st.sketch_misses = sketch_misses_.load(std::memory_order_relaxed);
   st.patched_delta_rows = patched_delta_rows_.load(std::memory_order_relaxed);
-  const ScanBatcher::Stats scan = batcher_.stats();
-  st.scans = scan.scans;
-  st.coalesced_requests = scan.coalesced_requests;
-  st.max_batch_size = scan.max_batch_size;
   st.appends = appends_.load(std::memory_order_relaxed);
   st.appended_rows = appended_rows_.load(std::memory_order_relaxed);
   st.cache_flushes = cache_flushes_.load(std::memory_order_relaxed);

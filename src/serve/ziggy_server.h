@@ -8,9 +8,9 @@
 //
 //   per request   the engine's component cache (exact repeated query)
 //   per server    the SketchCache (same/overlapping selections across
-//                 sessions: exact fingerprint reuse + XOR-delta patching)
-//                 and the ScanBatcher (concurrent cold misses coalesce
-//                 into one blocked scan)
+//                 sessions: exact fingerprint reuse + XOR-delta patching);
+//                 cold misses scan directly, concurrently across sessions,
+//                 each scan column-partitioned on the shared worker pool
 //   per table     the profile/dendrogram snapshot, swapped atomically on
 //                 append; readers keep the generation they started on
 //
@@ -18,10 +18,10 @@
 // cache locks. A characterize request takes exactly one session mutex (its
 // own) and brief per-shard cache mutexes; appends build the next
 // generation off to the side and swap a pointer. Per-session results are
-// deterministic: they depend on the session's own request order, the
-// append schedule, and scan_threads — never on cross-session interleaving
-// (see tests/serve_stress_test.cc, which byte-matches a concurrent run
-// against a single-threaded replay).
+// deterministic: they depend on the session's own request order and the
+// append schedule — never on cross-session interleaving or on thread
+// counts (see tests/serve_stress_test.cc, which byte-matches a concurrent
+// run against a single-threaded replay).
 
 #ifndef ZIGGY_SERVE_ZIGGY_SERVER_H_
 #define ZIGGY_SERVE_ZIGGY_SERVER_H_
@@ -38,7 +38,6 @@
 #include "engine/session.h"
 #include "obs/metrics.h"
 #include "engine/ziggy_engine.h"
-#include "serve/scan_batcher.h"
 #include "serve/sketch_cache.h"
 #include "storage/snapshot.h"
 
@@ -68,9 +67,9 @@ struct ServeOptions {
   /// MRU entries per cache shard examined as patch bases.
   size_t near_miss_candidates = 8;
 
-  size_t scan_threads = 1;   ///< threads per (possibly shared) scan
-  size_t max_batch = 16;     ///< requests coalesced per scan
-  size_t batch_window_us = 0;///< leader's straggler wait (0 = none)
+  /// Threads per cold scan (0 = ThreadsForCells: one per kCellsPerThread
+  /// cells scanned, at most one per core). Execution knob only.
+  size_t scan_threads = 0;
 
   /// Metrics registry to record scan / cache-lookup latency, the
   /// cold-OPEN profile build (ziggy_open_profile_us) and the cold- and
@@ -89,9 +88,6 @@ struct ServeStats {
   uint64_t sketch_patched_hits = 0;
   uint64_t sketch_misses = 0;
   uint64_t patched_delta_rows = 0;
-  uint64_t scans = 0;
-  uint64_t coalesced_requests = 0;
-  uint64_t max_batch_size = 0;
   uint64_t appends = 0;
   uint64_t appended_rows = 0;
   uint64_t cache_flushes = 0;
@@ -143,7 +139,7 @@ class ZiggyServer {
   size_t num_sessions() const;
 
   /// Characterizes a query inside a session: parse → evaluate on the
-  /// current snapshot → shared sketch cache / coalesced scan → view search
+  /// current snapshot → shared sketch cache / cold scan → view search
   /// → novelty policy.
   Result<Characterization> Characterize(uint64_t session_id,
                                         const std::string& query_text);
@@ -160,6 +156,10 @@ class ZiggyServer {
   Result<SessionStats> GetSessionStats(uint64_t session_id) const;
 
   void FlushSketchCache();
+  /// The shared cache's sketches for `selection` on the current generation
+  /// (null when absent). Counts as a cache lookup in the cache stats.
+  std::shared_ptr<const SelectionSketches> FindCachedSketches(
+      const Selection& selection);
   ServeStats stats() const;
 
   /// Current state handle (generation, table, profile). Callers may hold
@@ -171,7 +171,7 @@ class ZiggyServer {
  private:
   struct Session {
     /// kSession: held across the whole Characterize (engine, sketch
-    /// provider, batcher); one session's lock at a time, below state_mu_.
+    /// provider, scan); one session's lock at a time, below state_mu_.
     mutable Mutex mu{LockRank::kSession, "server.session.mu"};
     uint64_t id = 0;
     SessionOptions options;
@@ -198,7 +198,7 @@ class ZiggyServer {
   /// Folds the session engine's cumulative cache counter deltas into the
   /// server-wide aggregates. Caller holds the session mutex.
   void FoldEngineCacheCounters(Session* session) ZIGGY_REQUIRES(session->mu);
-  /// The SketchProvider body: exact hit → near-miss patch → coalesced scan.
+  /// The SketchProvider body: exact hit → near-miss patch → cold scan.
   std::optional<ProvidedSketches> ProvideSketches(const ServingState& state,
                                                   const Selection& selection,
                                                   uint64_t fingerprint);
@@ -217,7 +217,6 @@ class ZiggyServer {
   std::atomic<uint64_t> next_session_id_{1};
 
   SketchCache cache_;
-  ScanBatcher batcher_;
 
   /// Resolved once from options_.metrics (null without a registry).
   obs::Histogram* scan_us_ = nullptr;

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "common/parallel.h"
 #include "stats/effect_size.h"
 #include "stats/histogram.h"
 #include "stats/tests.h"
@@ -132,9 +133,22 @@ Result<ComponentTable> BuildComponentsFromSketches(
   out.set_counts(static_cast<int64_t>(inside_n),
                  static_cast<int64_t>(table.num_rows() - inside_n));
   const int64_t kMin = options.min_side_rows;
-  // Decoded once, then gathered against every numeric column's ranks.
-  RankSumSide rank_side;
-  if (options.enable_rank_shift) rank_side = RankSumSide::Of(selection);
+  // The side is decoded once, then gathered against every numeric
+  // column's ranks, split by column across the pool. The sums are exact
+  // integers, so the thread count cannot change them.
+  std::vector<MannWhitneyCounts> rank_counts;
+  if (options.enable_rank_shift) {
+    const RankSumSide rank_side = RankSumSide::Of(selection);
+    const size_t m = table.num_columns();
+    rank_counts.resize(m);
+    ParallelForEach(
+        ThreadsForCells(options.num_threads, rank_side.rows.size() * m), m,
+        [&](size_t c) {
+          if (profile.Rank2(c).empty()) return;
+          rank_counts[c] = MannWhitneyFromRanks(
+              profile.Rank2(c), profile.ColumnSketch(c).count, rank_side);
+        });
+  }
 
   // ---- Unary components ---------------------------------------------------
   for (size_t c = 0; c < table.num_columns(); ++c) {
@@ -168,8 +182,7 @@ Result<ComponentTable> BuildComponentsFromSketches(
       out.Add(std::move(disp_c));
 
       if (options.enable_rank_shift && !profile.Rank2(c).empty()) {
-        const auto [u, rn_in, rn_out] = MannWhitneyFromRanks(
-            profile.Rank2(c), profile.ColumnSketch(c).count, rank_side);
+        const auto [u, rn_in, rn_out] = rank_counts[c];
         if (rn_in >= kMin && rn_out >= kMin) {
           ZigComponent rank_c;
           rank_c.kind = ComponentKind::kRankShift;

@@ -53,10 +53,12 @@ struct ComponentBuildOptions {
   /// Compute the distribution-shift (histogram TV) component. Requires
   /// profile histograms.
   bool enable_distribution_shift = true;
-  /// Threads for the full-scan columnar accumulation (1 = sequential,
-  /// 0 = one per hardware core). The incremental delta path is always
-  /// sequential: deltas are tiny by construction.
-  size_t num_threads = 1;
+  /// Threads for the full-scan columnar accumulation and the rank-sum
+  /// gather (1 = sequential; 0 = ThreadsForCells, one per kCellsPerThread
+  /// cells scanned, at most one per core). Execution knob only: both split
+  /// by column, so results are identical for any value. The incremental
+  /// delta path is always sequential: deltas are tiny by construction.
+  size_t num_threads = 0;
   /// Rows per accumulation block of the columnar scan (0 = default). Tune
   /// only for cache experiments; results are identical for any value.
   size_t block_size = 0;

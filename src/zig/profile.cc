@@ -68,10 +68,6 @@ double EtaFromGroupMoments(const std::vector<MomentSketch>& groups) {
   return ss_total > 0.0 ? std::sqrt(std::clamp(ss_between / ss_total, 0.0, 1.0)) : 0.0;
 }
 
-// Table cells per thread of an auto-sized (num_threads == 0) profile
-// build: a table below two grains is profiled on the calling thread.
-constexpr size_t kProfileCellsPerThread = size_t{1} << 16;
-
 }  // namespace
 
 namespace internal {
@@ -244,10 +240,7 @@ Result<TableProfile> TableProfile::Compute(const Table& table, ProfileOptions op
   // the parallel fill is race-free and the result is independent of the
   // thread count (each column is scanned start-to-finish by one worker).
   const size_t threads =
-      options.num_threads != 0
-          ? options.num_threads
-          : std::clamp<size_t>(table.num_rows() * m / kProfileCellsPerThread,
-                               1, EffectiveThreads(0));
+      ThreadsForCells(options.num_threads, table.num_rows() * m);
   std::vector<size_t> numeric_cols;
   std::vector<size_t> categorical_cols;
   for (size_t c = 0; c < m; ++c) {

@@ -50,10 +50,10 @@ struct ProfileOptions {
   /// Bins of the per-column global histograms backing the
   /// distribution-shift component (0 disables).
   size_t histogram_bins = 16;
-  /// Threads for profile construction (1 = sequential; 0 = one per core,
-  /// for tables of at least 64 Ki cells per thread, on the shared worker
-  /// pool). Execution knob only: the resulting profile is independent of
-  /// it, and it is not serialized.
+  /// Threads for profile construction (1 = sequential; 0 = one per
+  /// kCellsPerThread table cells, at most one per core, on the shared
+  /// worker pool). Execution knob only: the resulting profile is
+  /// independent of it, and it is not serialized.
   size_t num_threads = 0;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/logging.h"
 #include "common/parallel.h"
 #include "storage/types.h"
 
@@ -127,8 +126,9 @@ namespace {
 
 // The calling thread's gather workspace: one block of decoded row indices
 // and the numeric and categorical stripes. Scans never nest on a thread,
-// so one workspace per thread is enough; ParallelFor's pool threads and
-// the daemon's dispatch threads are long-lived, so it is reused.
+// so one workspace per thread is enough; the daemon's dispatch threads are
+// long-lived, so it is reused. A parallel scan's pool workers write into
+// the caller's workspace, never their own.
 struct ScanWorkspace {
   std::vector<uint32_t> rows;
   std::vector<double> nums;
@@ -209,27 +209,27 @@ void AccumulateUnaryTile(const UnaryLane* lanes, const uint32_t* rows,
 
 }  // namespace
 
-void SelectionSketches::AccumulateRowBlock(const Table& table,
-                                           const TableProfile& profile,
-                                           const uint32_t* rows, size_t n,
-                                           double* nums, CategoryCode* codes,
-                                           size_t stride) {
-  const size_t m = table.num_columns();
-  // ---- Unary statistics; gathers into the stripes ------------------------
+void SelectionSketches::AccumulateUnary(const Table& table,
+                                        const uint32_t* rows, size_t n,
+                                        TaskRange cols, double* nums,
+                                        CategoryCode* codes, size_t stride,
+                                        double* num_sink,
+                                        CategoryCode* code_sink) {
   // Numeric columns go through the kernel 4 at a time, in column order; the
   // last 1-3 run as a narrower tile. Pair-referenced columns are gathered
-  // into their stripes on the way, so the pair passes below read dense
-  // vectors instead of re-gathering through the row indices (a column
-  // feeds several pairs on correlated tables).
+  // into their stripes on the way, so the pair passes read dense vectors
+  // instead of re-gathering through the row indices (a column feeds
+  // several pairs on correlated tables).
   UnaryLane tile[4];
   int64_t hist_sink[4] = {};
   int width = 0;
-  for (size_t c = 0; c < m; ++c) {
+  for (size_t c = cols.begin; c < cols.end; ++c) {
     const Column& col = table.column(c);
     if (col.is_numeric()) {
       UnaryLane& lane = tile[width];
       lane.data = col.numeric_data().data();
-      lane.gather = nums + gather_slot_[c] * stride;
+      lane.gather =
+          gather_slot_[c] == 0 ? num_sink : nums + gather_slot_[c] * stride;
       lane.hist = histograms_[c].empty() ? &hist_sink[width]
                                          : histograms_[c].data();
       lane.binner = binners_[c];
@@ -241,7 +241,8 @@ void SelectionSketches::AccumulateRowBlock(const Table& table,
       continue;
     }
     const CategoryCode* data = col.codes().data();
-    CategoryCode* gather = codes + gather_slot_[c] * stride;
+    CategoryCode* gather =
+        gather_slot_[c] == 0 ? code_sink : codes + gather_slot_[c] * stride;
     int64_t* counts = category_counts_[c].data();
     for (size_t i = 0; i < n; ++i) {
       const CategoryCode code = data[rows[i]];
@@ -262,111 +263,136 @@ void SelectionSketches::AccumulateRowBlock(const Table& table,
     default:
       break;
   }
+}
+
+void SelectionSketches::AccumulatePairs(const Table& table,
+                                        const TableProfile& profile, size_t n,
+                                        TaskRange pairs, const double* nums,
+                                        const CategoryCode* codes,
+                                        size_t stride) {
   const auto num_stripe = [&](size_t c) {
     return nums + gather_slot_[c] * stride;
   };
   const auto code_stripe = [&](size_t c) {
     return codes + gather_slot_[c] * stride;
   };
-  // ---- Numeric pair sketches (dense stripe reads) -------------------------
   const auto& npairs = profile.tracked_numeric_pairs();
-  for (size_t p = 0; p < npairs.size(); ++p) {
-    const double* x = num_stripe(npairs[p].first);
-    const double* y = num_stripe(npairs[p].second);
-    PairMomentSketch s = numeric_pair_sketches_[p];
-    for (size_t i = 0; i < n; ++i) {
-      if (!IsNullNumeric(x[i]) && !IsNullNumeric(y[i])) s.Add(x[i], y[i]);
-    }
-    numeric_pair_sketches_[p] = s;
-  }
-  // ---- Mixed pair grouped moments ----------------------------------------
   const auto& mpairs = profile.tracked_mixed_pairs();
-  for (size_t p = 0; p < mpairs.size(); ++p) {
-    const CategoryCode* group = code_stripe(mpairs[p].first);
-    const double* x = num_stripe(mpairs[p].second);
-    MomentSketch* groups = mixed_pair_groups_[p].data();
-    for (size_t i = 0; i < n; ++i) {
-      const CategoryCode code = group[i];
-      if (code != kNullCategory && !IsNullNumeric(x[i])) {
-        groups[static_cast<size_t>(code)].Add(x[i]);
-      }
-    }
-  }
-  // ---- Categorical pair contingency tables -------------------------------
   const auto& cpairs = profile.tracked_categorical_pairs();
-  for (size_t p = 0; p < cpairs.size(); ++p) {
-    const CategoryCode* a = code_stripe(cpairs[p].first);
-    const CategoryCode* b = code_stripe(cpairs[p].second);
-    const size_t kb = table.column(cpairs[p].second).cardinality();
-    int64_t* cells = categorical_pair_tables_[p].data();
-    for (size_t i = 0; i < n; ++i) {
-      const CategoryCode ca = a[i];
-      const CategoryCode cb = b[i];
-      if (ca != kNullCategory && cb != kNullCategory) {
-        ++cells[static_cast<size_t>(ca) * kb + static_cast<size_t>(cb)];
+  for (size_t t = pairs.begin; t < pairs.end; ++t) {
+    if (t < npairs.size()) {
+      // Numeric pair sketches (dense stripe reads).
+      const double* x = num_stripe(npairs[t].first);
+      const double* y = num_stripe(npairs[t].second);
+      PairMomentSketch s = numeric_pair_sketches_[t];
+      for (size_t i = 0; i < n; ++i) {
+        if (!IsNullNumeric(x[i]) && !IsNullNumeric(y[i])) s.Add(x[i], y[i]);
+      }
+      numeric_pair_sketches_[t] = s;
+    } else if (const size_t p = t - npairs.size(); p < mpairs.size()) {
+      // Mixed pair grouped moments.
+      const CategoryCode* group = code_stripe(mpairs[p].first);
+      const double* x = num_stripe(mpairs[p].second);
+      MomentSketch* groups = mixed_pair_groups_[p].data();
+      for (size_t i = 0; i < n; ++i) {
+        const CategoryCode code = group[i];
+        if (code != kNullCategory && !IsNullNumeric(x[i])) {
+          groups[static_cast<size_t>(code)].Add(x[i]);
+        }
+      }
+    } else {
+      // Categorical pair contingency tables.
+      const size_t q = p - mpairs.size();
+      const CategoryCode* a = code_stripe(cpairs[q].first);
+      const CategoryCode* b = code_stripe(cpairs[q].second);
+      const size_t kb = table.column(cpairs[q].second).cardinality();
+      int64_t* cells = categorical_pair_tables_[q].data();
+      for (size_t i = 0; i < n; ++i) {
+        const CategoryCode ca = a[i];
+        const CategoryCode cb = b[i];
+        if (ca != kNullCategory && cb != kNullCategory) {
+          ++cells[static_cast<size_t>(ca) * kb + static_cast<size_t>(cb)];
+        }
       }
     }
   }
 }
 
-void SelectionSketches::AccumulateWordRange(const Table& table,
-                                            const TableProfile& profile,
-                                            const Selection& selection,
-                                            size_t word_begin, size_t word_end,
-                                            size_t block_rows) {
-  if (word_begin >= word_end) return;
-  if (block_rows == 0) block_rows = kDefaultBlockRows;
+namespace {
+
+// Decodes `selection` block by block into the calling thread's workspace
+// and calls fn(rows, n, nums, codes, stride) for each non-empty block,
+// with room for `numeric_stripes` and `code_stripes` gather stripes.
+template <typename Fn>
+void ForEachRowBlock(const Selection& selection, size_t block_rows,
+                     size_t numeric_stripes, size_t code_stripes, Fn&& fn) {
+  const size_t num_words = selection.num_words();
+  if (block_rows == 0) block_rows = SelectionSketches::kDefaultBlockRows;
   const size_t block_words =
       std::max<size_t>(1, block_rows / Selection::kWordBits);
-  const size_t stride =
-      std::min(block_words, word_end - word_begin) * Selection::kWordBits;
+  const size_t stride = std::min(block_words, num_words) * Selection::kWordBits;
   ScanWorkspace& ws = ThreadScanWorkspace();
   uint32_t* rows = AtLeast(&ws.rows, stride);
-  double* nums = AtLeast(&ws.nums, numeric_stripes_ * stride);
-  CategoryCode* codes = AtLeast(&ws.codes, code_stripes_ * stride);
-  for (size_t w = word_begin; w < word_end; w += block_words) {
-    const size_t we = std::min(w + block_words, word_end);
+  double* nums = AtLeast(&ws.nums, numeric_stripes * stride);
+  CategoryCode* codes = AtLeast(&ws.codes, code_stripes * stride);
+  for (size_t w = 0; w < num_words; w += block_words) {
+    const size_t we = std::min(w + block_words, num_words);
     size_t n = 0;
     selection.ForEachSetBitInWords(
         w, we, [rows, &n](size_t r) { rows[n++] = static_cast<uint32_t>(r); });
-    if (n > 0) {
-      AccumulateRowBlock(table, profile, rows, n, nums, codes, stride);
-    }
+    if (n > 0) fn(rows, n, nums, codes, stride);
   }
 }
+
+}  // namespace
 
 void SelectionSketches::AccumulateColumns(const Table& table,
                                           const TableProfile& profile,
                                           const Selection& selection,
                                           size_t block_rows) {
-  AccumulateWordRange(table, profile, selection, 0, selection.num_words(),
-                      block_rows);
+  const TaskRange cols{0, table.num_columns()};
+  const TaskRange pairs{0, numeric_pair_sketches_.size() +
+                               mixed_pair_groups_.size() +
+                               categorical_pair_tables_.size()};
+  ForEachRowBlock(selection, block_rows, numeric_stripes_, code_stripes_,
+                  [&](const uint32_t* rows, size_t n, double* nums,
+                      CategoryCode* codes, size_t stride) {
+                    AccumulateUnary(table, rows, n, cols, nums, codes, stride,
+                                    nums, codes);
+                    AccumulatePairs(table, profile, n, pairs, nums, codes,
+                                    stride);
+                  });
 }
 
-void SelectionSketches::Merge(const SelectionSketches& other) {
-  ZIGGY_CHECK(column_sketches_.size() == other.column_sketches_.size());
-  for (size_t c = 0; c < column_sketches_.size(); ++c) {
-    column_sketches_[c].Merge(other.column_sketches_[c]);
-    for (size_t k = 0; k < category_counts_[c].size(); ++k) {
-      category_counts_[c][k] += other.category_counts_[c][k];
-    }
-    for (size_t k = 0; k < histograms_[c].size(); ++k) {
-      histograms_[c][k] += other.histograms_[c][k];
-    }
-  }
-  for (size_t i = 0; i < numeric_pair_sketches_.size(); ++i) {
-    numeric_pair_sketches_[i].Merge(other.numeric_pair_sketches_[i]);
-  }
-  for (size_t i = 0; i < mixed_pair_groups_.size(); ++i) {
-    for (size_t g = 0; g < mixed_pair_groups_[i].size(); ++g) {
-      mixed_pair_groups_[i][g].Merge(other.mixed_pair_groups_[i][g]);
-    }
-  }
-  for (size_t i = 0; i < categorical_pair_tables_.size(); ++i) {
-    for (size_t k = 0; k < categorical_pair_tables_[i].size(); ++k) {
-      categorical_pair_tables_[i][k] += other.categorical_pair_tables_[i][k];
-    }
-  }
+void SelectionSketches::AccumulateColumnsParallel(const Table& table,
+                                                  const TableProfile& profile,
+                                                  const Selection& selection,
+                                                  size_t block_rows,
+                                                  size_t threads) {
+  const size_t num_pairs = numeric_pair_sketches_.size() +
+                           mixed_pair_groups_.size() +
+                           categorical_pair_tables_.size();
+  // Partition 0 sinks into stripe 0 of each kind; partition p > 0 into the
+  // p-th stripe past the pair stripes, so no two workers write one stripe.
+  ForEachRowBlock(
+      selection, block_rows, numeric_stripes_ + threads - 1,
+      code_stripes_ + threads - 1,
+      [&](const uint32_t* rows, size_t n, double* nums, CategoryCode* codes,
+          size_t stride) {
+        ParallelFor(threads, table.num_columns(),
+                    [&](TaskRange cols, size_t part) {
+                      const size_t num_sink =
+                          part == 0 ? 0 : numeric_stripes_ + part - 1;
+                      const size_t code_sink =
+                          part == 0 ? 0 : code_stripes_ + part - 1;
+                      AccumulateUnary(table, rows, n, cols, nums, codes,
+                                      stride, nums + num_sink * stride,
+                                      codes + code_sink * stride);
+                    });
+        ParallelFor(threads, num_pairs, [&](TaskRange pairs, size_t) {
+          AccumulatePairs(table, profile, n, pairs, nums, codes, stride);
+        });
+      });
 }
 
 SelectionSketches SelectionSketches::Build(const Table& table,
@@ -375,72 +401,15 @@ SelectionSketches SelectionSketches::Build(const Table& table,
                                            size_t num_threads, size_t block_rows) {
   SelectionSketches out;
   out.InitShapes(table, profile);
-  const size_t threads = EffectiveThreads(num_threads);
-  const size_t num_words = selection.num_words();
-  if (threads <= 1 || num_words < 2) {
+  const size_t threads =
+      ThreadsForCells(num_threads, selection.Count() * table.num_columns());
+  if (threads <= 1) {
     out.AccumulateColumns(table, profile, selection, block_rows);
-    return out;
+  } else {
+    out.AccumulateColumnsParallel(table, profile, selection, block_rows,
+                                  threads);
   }
-  // Per-thread partials over deterministic word-aligned ranges, merged in
-  // range order so the result is reproducible for a fixed thread count.
-  const std::vector<TaskRange> ranges = PartitionTasks(num_words, threads);
-  std::vector<SelectionSketches> partials(ranges.size());
-  ParallelFor(threads, num_words,
-              [&](TaskRange range, size_t worker) {
-                SelectionSketches& part = partials[worker];
-                part.InitShapes(table, profile);
-                part.AccumulateWordRange(table, profile, selection, range.begin,
-                                         range.end, block_rows);
-              });
-  for (SelectionSketches& part : partials) out.Merge(part);
   return out;
-}
-
-std::vector<SelectionSketches> SelectionSketches::BuildMany(
-    const Table& table, const TableProfile& profile,
-    const std::vector<const Selection*>& selections, size_t num_threads,
-    size_t block_rows) {
-  const size_t k = selections.size();
-  std::vector<SelectionSketches> outs(k);
-  if (k == 0) return outs;
-  const size_t num_words = selections[0]->num_words();
-  for (const Selection* s : selections) {
-    ZIGGY_CHECK(s != nullptr && s->num_words() == num_words);
-  }
-  for (SelectionSketches& o : outs) o.InitShapes(table, profile);
-  const size_t threads = EffectiveThreads(num_threads);
-  const size_t block_words = std::max<size_t>(
-      1, (block_rows == 0 ? kDefaultBlockRows : block_rows) / Selection::kWordBits);
-  if (threads <= 1 || num_words < 2) {
-    // Block-interleaved: every request consumes block [w, we) before any
-    // request moves past it.
-    for (size_t w = 0; w < num_words; w += block_words) {
-      const size_t we = std::min(w + block_words, num_words);
-      for (size_t i = 0; i < k; ++i) {
-        outs[i].AccumulateWordRange(table, profile, *selections[i], w, we,
-                                    block_rows);
-      }
-    }
-    return outs;
-  }
-  const std::vector<TaskRange> ranges = PartitionTasks(num_words, threads);
-  std::vector<std::vector<SelectionSketches>> partials(ranges.size());
-  ParallelFor(threads, num_words, [&](TaskRange range, size_t worker) {
-    std::vector<SelectionSketches>& mine = partials[worker];
-    mine.resize(k);
-    for (SelectionSketches& p : mine) p.InitShapes(table, profile);
-    for (size_t w = range.begin; w < range.end; w += block_words) {
-      const size_t we = std::min(w + block_words, range.end);
-      for (size_t i = 0; i < k; ++i) {
-        mine[i].AccumulateWordRange(table, profile, *selections[i], w, we,
-                                    block_rows);
-      }
-    }
-  });
-  for (std::vector<SelectionSketches>& part : partials) {
-    for (size_t i = 0; i < k; ++i) outs[i].Merge(part[i]);
-  }
-  return outs;
 }
 
 void SelectionSketches::DeriveAsComplement(const TableProfile& profile,

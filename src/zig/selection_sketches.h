@@ -19,8 +19,12 @@
 //    thread, grows to the widest (stripes x block) seen and never shrinks,
 //    so a steady-state scan neither allocates nor page-faults, and a
 //    sketch holds statistics only. This is the hot path for full
-//    preparation scans and parallelizes by word-aligned bitmap ranges with
-//    per-thread partials merged in deterministic order (Merge).
+//    preparation scans. Above the kCellsPerThread grain it runs on the
+//    shared worker pool partitioned by column, not by row: per block, one
+//    ParallelFor splits the unary work into column ranges and a second
+//    splits the pair passes, so every accumulator is owned by one worker
+//    and still sees its rows in ascending order. The result is therefore
+//    bit-identical to the sequential scan at any thread count.
 //  * Row-at-a-time AddRow/RemoveRow: kept exclusively for the incremental
 //    delta path, where consecutive exploration queries differ in few rows
 //    and per-row patching beats any rescan.
@@ -37,6 +41,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/parallel.h"
 #include "stats/descriptive.h"
 #include "storage/selection.h"
 #include "storage/table.h"
@@ -66,37 +71,13 @@ class SelectionSketches {
   void AccumulateColumns(const Table& table, const TableProfile& profile,
                          const Selection& selection, size_t block_rows = 0);
 
-  /// AccumulateColumns restricted to bitmap words [word_begin, word_end) —
-  /// the unit of parallel partitioning.
-  void AccumulateWordRange(const Table& table, const TableProfile& profile,
-                           const Selection& selection, size_t word_begin,
-                           size_t word_end, size_t block_rows = 0);
-
-  /// Merges another sketch set of identical shape (element-wise sums).
-  /// Used to combine per-thread partials; integer statistics are exact,
-  /// floating-point sums may differ from the sequential order by ULPs.
-  void Merge(const SelectionSketches& other);
-
   /// One-call construction: InitShapes + accumulation of `selection`,
-  /// parallelized over word-aligned bitmap ranges when num_threads > 1
-  /// (0 = one thread per core). Deterministic for a fixed thread count.
+  /// partitioned by column across `num_threads` workers of the shared pool
+  /// (0 = ThreadsForCells over the selected rows x columns). The result is
+  /// bit-identical to AccumulateColumns for every thread count.
   static SelectionSketches Build(const Table& table, const TableProfile& profile,
                                  const Selection& selection, size_t num_threads = 1,
                                  size_t block_rows = 0);
-
-  /// Coalesced construction for many selections in ONE pass over the
-  /// table: all requests advance block-by-block together, so each block of
-  /// column data is brought into cache once and feeds every request (the
-  /// serving layer's request batching). Selections must all span the same
-  /// row count. Each result is bit-identical to
-  /// Build(table, profile, *selections[k], num_threads, block_rows)
-  /// regardless of how many requests share the scan — partitioning is by
-  /// word range with per-thread partials merged in range order, exactly as
-  /// in Build — so coalescing is semantically invisible.
-  static std::vector<SelectionSketches> BuildMany(
-      const Table& table, const TableProfile& profile,
-      const std::vector<const Selection*>& selections, size_t num_threads = 1,
-      size_t block_rows = 0);
   /// @}
 
   /// \name Row-at-a-time path (incremental deltas).
@@ -142,12 +123,26 @@ class SelectionSketches {
   template <int Sign>
   void ApplyRow(const Table& table, const TableProfile& profile, size_t r);
 
-  /// Accumulation of one decoded block of `n` selected rows. `nums` and
-  /// `codes` are the thread's gather stripes, `stride` values apart, laid
-  /// out by gather_slot_.
-  void AccumulateRowBlock(const Table& table, const TableProfile& profile,
-                          const uint32_t* rows, size_t n, double* nums,
-                          CategoryCode* codes, size_t stride);
+  /// Unary statistics of columns [cols.begin, cols.end) over one decoded
+  /// block of `n` selected rows. Pair-referenced columns are gathered into
+  /// their stripes of `nums` / `codes` (`stride` values apart, laid out by
+  /// gather_slot_); the others into `num_sink` / `code_sink`.
+  void AccumulateUnary(const Table& table, const uint32_t* rows, size_t n,
+                       TaskRange cols, double* nums, CategoryCode* codes,
+                       size_t stride, double* num_sink,
+                       CategoryCode* code_sink);
+
+  /// Tracked pairs [pairs.begin, pairs.end) over the gathered stripes of
+  /// one block, indexed numeric pairs first, then mixed, then categorical.
+  void AccumulatePairs(const Table& table, const TableProfile& profile,
+                       size_t n, TaskRange pairs, const double* nums,
+                       const CategoryCode* codes, size_t stride);
+
+  /// Build's column-partitioned scan on `threads` (> 1) workers.
+  void AccumulateColumnsParallel(const Table& table,
+                                 const TableProfile& profile,
+                                 const Selection& selection,
+                                 size_t block_rows, size_t threads);
 
   std::vector<MomentSketch> column_sketches_;
   std::vector<std::vector<int64_t>> category_counts_;
@@ -160,9 +155,10 @@ class SelectionSketches {
   std::vector<HistogramBinner> binners_;
   // Gather layout of the columnar scan (computed in InitShapes): per
   // column, its stripe in the numeric or categorical workspace, and the
-  // stripe count of each kind. Columns no tracked pair references share
-  // stripe 0 of their kind, a sink the scan writes but never reads. The
-  // stripes themselves live in the scanning thread's workspace, not here.
+  // stripe count of each kind. Columns no tracked pair references are
+  // gathered into a sink the scan writes but never reads: stripe 0 of their
+  // kind, or one stripe per worker of a parallel scan. The stripes
+  // themselves live in the scanning thread's workspace, not here.
   std::vector<uint32_t> gather_slot_;
   size_t numeric_stripes_ = 0;
   size_t code_stripes_ = 0;

@@ -1,20 +1,21 @@
 // Tests for the columnar blocked scan pipeline: the packed word bitmap
-// Selection, the ParallelFor utility, the equivalence of blocked /
-// parallel sketch accumulation with the row-at-a-time reference path, and
-// the footprint of a scan result.
+// Selection, the ParallelFor utility, the bit-identity of blocked and
+// column-partitioned parallel sketch accumulation with the row-at-a-time
+// reference path, and the footprint of a scan result.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <bit>
-#include <cmath>
 #include <cstring>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.h"
 #include "common/random.h"
+#include "data/synthetic.h"
 #include "zig/component_builder.h"
 #include "zig/profile.h"
 #include "zig/selection_sketches.h"
@@ -179,45 +180,41 @@ SelectionSketches ReferenceSketches(const Fixture& fx, const Selection& sel) {
   return ref;
 }
 
-void ExpectSketchesEqual(const Fixture& fx, const SelectionSketches& a,
-                         const SelectionSketches& b, bool bit_identical) {
-  const double tol = bit_identical ? 0.0 : 1e-9;
-  auto near = [tol](double u, double v) {
-    if (tol == 0.0) return u == v;
-    return std::fabs(u - v) <= tol * std::max({1.0, std::fabs(u), std::fabs(v)});
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+// Bitwise equality of every statistic: a signed zero or a last-ULP
+// difference fails.
+void ExpectBitIdentical(const Fixture& fx, const SelectionSketches& a,
+                        const SelectionSketches& b) {
+  const auto same_moment = [](const MomentSketch& u, const MomentSketch& v) {
+    return u.count == v.count && Bits(u.sum) == Bits(v.sum) &&
+           Bits(u.sum_sq) == Bits(v.sum_sq);
   };
   for (size_t c = 0; c < fx.table.num_columns(); ++c) {
-    EXPECT_EQ(a.column_sketch(c).count, b.column_sketch(c).count) << "col " << c;
-    EXPECT_TRUE(near(a.column_sketch(c).sum, b.column_sketch(c).sum)) << "col " << c;
-    EXPECT_TRUE(near(a.column_sketch(c).sum_sq, b.column_sketch(c).sum_sq))
+    EXPECT_TRUE(same_moment(a.column_sketch(c), b.column_sketch(c)))
         << "col " << c;
-    // Integer statistics must be exact regardless of threading.
     EXPECT_EQ(a.category_counts(c), b.category_counts(c)) << "col " << c;
     EXPECT_EQ(a.histogram(c), b.histogram(c)) << "col " << c;
   }
   for (size_t i = 0; i < fx.profile.tracked_numeric_pairs().size(); ++i) {
-    const auto& pa = a.numeric_pair_sketch(i);
-    const auto& pb = b.numeric_pair_sketch(i);
-    EXPECT_EQ(pa.count, pb.count);
-    EXPECT_TRUE(near(pa.sum_x, pb.sum_x));
-    EXPECT_TRUE(near(pa.sum_y, pb.sum_y));
-    EXPECT_TRUE(near(pa.sum_xx, pb.sum_xx));
-    EXPECT_TRUE(near(pa.sum_yy, pb.sum_yy));
-    EXPECT_TRUE(near(pa.sum_xy, pb.sum_xy));
+    const PairMomentSketch& pa = a.numeric_pair_sketch(i);
+    const PairMomentSketch& pb = b.numeric_pair_sketch(i);
+    EXPECT_EQ(pa.count, pb.count) << "pair " << i;
+    EXPECT_EQ(std::memcmp(&pa, &pb, sizeof(PairMomentSketch)), 0)
+        << "pair " << i;
   }
   for (size_t i = 0; i < fx.profile.tracked_mixed_pairs().size(); ++i) {
     const auto& ga = a.mixed_pair_groups(i);
     const auto& gb = b.mixed_pair_groups(i);
     ASSERT_EQ(ga.size(), gb.size());
     for (size_t g = 0; g < ga.size(); ++g) {
-      EXPECT_EQ(ga[g].count, gb[g].count);
-      EXPECT_TRUE(near(ga[g].sum, gb[g].sum));
-      EXPECT_TRUE(near(ga[g].sum_sq, gb[g].sum_sq));
+      EXPECT_TRUE(same_moment(ga[g], gb[g])) << "mixed " << i << " group " << g;
     }
   }
   for (size_t i = 0; i < fx.profile.tracked_categorical_pairs().size(); ++i) {
     EXPECT_EQ(a.categorical_pair_table(i), b.categorical_pair_table(i));
   }
+  EXPECT_TRUE(a.Equals(b));
 }
 
 TEST(ColumnarAccumulationTest, SingleThreadBitIdenticalAcrossDensities) {
@@ -229,7 +226,7 @@ TEST(ColumnarAccumulationTest, SingleThreadBitIdenticalAcrossDensities) {
     SelectionSketches columnar;
     columnar.InitShapes(fx.table, fx.profile);
     columnar.AccumulateColumns(fx.table, fx.profile, sel);
-    ExpectSketchesEqual(fx, ref, columnar, /*bit_identical=*/true);
+    ExpectBitIdentical(fx, ref, columnar);
   }
 }
 
@@ -241,7 +238,7 @@ TEST(ColumnarAccumulationTest, BlockSizeDoesNotChangeResults) {
     SelectionSketches columnar;
     columnar.InitShapes(fx.table, fx.profile);
     columnar.AccumulateColumns(fx.table, fx.profile, sel, block_rows);
-    ExpectSketchesEqual(fx, ref, columnar, /*bit_identical=*/true);
+    ExpectBitIdentical(fx, ref, columnar);
   }
 }
 
@@ -251,43 +248,23 @@ TEST(ColumnarAccumulationTest, ParallelMatchesReferenceAcrossThreadCounts) {
     const Selection sel = MakeSelection(fx.table.num_rows(), density, 31);
     const SelectionSketches ref = ReferenceSketches(fx, sel);
     for (size_t threads : {1u, 2u, 4u}) {
+      // The column partition leaves every accumulator's order unchanged.
       const SelectionSketches built =
           SelectionSketches::Build(fx.table, fx.profile, sel, threads);
-      // threads == 1 reproduces the sequential path exactly; merged
-      // partials may differ in the last ULPs of floating-point sums.
-      ExpectSketchesEqual(fx, ref, built, /*bit_identical=*/threads == 1);
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      ExpectBitIdentical(fx, ref, built);
     }
   }
-}
-
-TEST(ColumnarAccumulationTest, MergeOfDisjointRangesEqualsWholeScan) {
-  const Fixture fx = MakeFixture(1000, 19);
-  const Selection sel = MakeSelection(fx.table.num_rows(), 0.5, 37);
-  SelectionSketches whole;
-  whole.InitShapes(fx.table, fx.profile);
-  whole.AccumulateColumns(fx.table, fx.profile, sel);
-
-  const size_t half = sel.num_words() / 2;
-  SelectionSketches lo;
-  lo.InitShapes(fx.table, fx.profile);
-  lo.AccumulateWordRange(fx.table, fx.profile, sel, 0, half);
-  SelectionSketches hi;
-  hi.InitShapes(fx.table, fx.profile);
-  hi.AccumulateWordRange(fx.table, fx.profile, sel, half, sel.num_words());
-  lo.Merge(hi);
-  // Counts are disjoint sums; verify a few representative fields exactly.
-  EXPECT_EQ(lo.column_sketch(0).count, whole.column_sketch(0).count);
-  EXPECT_EQ(lo.category_counts(2), whole.category_counts(2));
-  EXPECT_NEAR(lo.column_sketch(0).sum, whole.column_sketch(0).sum, 1e-9);
 }
 
 TEST(ColumnarAccumulationTest, ComponentTablesEquivalentAcrossThreadCounts) {
   const Fixture fx = MakeFixture(2000, 21);
   const Selection sel = MakeSelection(fx.table.num_rows(), 0.25, 41);
   ComponentBuildOptions opts;
+  opts.num_threads = 1;
   const ComponentTable base =
       BuildComponents(fx.table, fx.profile, sel, opts).ValueOrDie();
-  for (size_t threads : {2u, 4u}) {
+  for (size_t threads : {0u, 2u, 4u}) {
     ComponentBuildOptions topts = opts;
     topts.num_threads = threads;
     const ComponentTable parallel =
@@ -299,8 +276,10 @@ TEST(ColumnarAccumulationTest, ComponentTablesEquivalentAcrossThreadCounts) {
       EXPECT_EQ(cb.kind, cp.kind);
       EXPECT_EQ(cb.col_a, cp.col_a);
       EXPECT_EQ(cb.col_b, cp.col_b);
-      EXPECT_NEAR(cb.inside_value, cp.inside_value, 1e-9);
-      EXPECT_NEAR(cb.outside_value, cp.outside_value, 1e-9);
+      EXPECT_EQ(cb.effect.value, cp.effect.value);
+      EXPECT_EQ(cb.effect.std_error, cp.effect.std_error);
+      EXPECT_EQ(cb.inside_value, cp.inside_value);
+      EXPECT_EQ(cb.outside_value, cp.outside_value);
       EXPECT_EQ(cb.inside_n, cp.inside_n);
       EXPECT_EQ(cb.outside_n, cp.outside_n);
     }
@@ -345,6 +324,7 @@ enum class NumericShape {
   kSignedZero,   // -0.0 and +0.0 mixed with a few small values
   kOffset,       // 1e9 + correlated value: large mean, small spread
   kAntiCorrelated,
+  kMostlyNull,   // correlated, ~85% NULL (not cycled by MakeWideFixture)
 };
 constexpr NumericShape kShapes[] = {
     NumericShape::kNullHolding, NumericShape::kAllNull,
@@ -366,17 +346,18 @@ double ShapedValue(NumericShape shape, double f, Rng* rng) {
       return 1e9 + f + 0.3 * rng->Normal();
     case NumericShape::kAntiCorrelated:
       return rng->Bernoulli(0.1) ? NullNumeric() : -2.0 * f + rng->Normal();
+    case NumericShape::kMostlyNull:
+      return rng->Bernoulli(0.85) ? NullNumeric() : f + 0.3 * rng->Normal();
   }
   return 0.0;
 }
 
-// `numeric` numeric columns (shapes cycled from `first_shape`) with a
-// categorical after every second one, plus a leading categorical, so
-// numeric tiles are interleaved with categorical columns and every tile
-// remainder occurs as `numeric` runs over 0..9. Correlated numerics and
-// categoricals give the profile tracked pairs of all three kinds.
-Fixture MakeWideFixture(size_t n, size_t numeric, uint64_t seed,
-                        size_t histogram_bins = 16, size_t first_shape = 0) {
+// One numeric column per entry of `shapes` with a categorical after every
+// second one, plus a leading categorical, so numeric tiles are interleaved
+// with categorical columns. Correlated numerics and categoricals give the
+// profile tracked pairs of all three kinds.
+Fixture MakeShapedFixture(size_t n, const std::vector<NumericShape>& shapes,
+                          uint64_t seed, size_t histogram_bins = 16) {
   Rng rng(seed);
   std::vector<double> factor(n);
   for (double& f : factor) f = rng.Normal();
@@ -392,11 +373,10 @@ Fixture MakeWideFixture(size_t n, size_t numeric, uint64_t seed,
     columns.push_back(Column::FromStrings("c" + std::to_string(k), labels));
   };
   add_categorical(0);
-  for (size_t k = 0; k < numeric; ++k) {
-    const NumericShape shape = kShapes[(first_shape + k) % std::size(kShapes)];
+  for (size_t k = 0; k < shapes.size(); ++k) {
     std::vector<double> values(n);
     for (size_t i = 0; i < n; ++i) {
-      values[i] = ShapedValue(shape, factor[i], &rng);
+      values[i] = ShapedValue(shapes[k], factor[i], &rng);
     }
     columns.push_back(Column::FromNumeric("x" + std::to_string(k), values));
     if (k % 2 == 1) add_categorical(k + 1);
@@ -408,61 +388,15 @@ Fixture MakeWideFixture(size_t n, size_t numeric, uint64_t seed,
   return {std::move(t), std::move(p)};
 }
 
-// AddRow reference partitioned exactly as Build partitions for
-// `threads`: per-range partials merged in range order. With one thread it
-// is the plain ascending-row reference.
-SelectionSketches PartitionedReference(const Fixture& fx, const Selection& sel,
-                                       size_t threads) {
-  const size_t num_words = sel.num_words();
-  if (threads <= 1 || num_words < 2) return ReferenceSketches(fx, sel);
-  SelectionSketches out;
-  out.InitShapes(fx.table, fx.profile);
-  for (const TaskRange& range : PartitionTasks(num_words, threads)) {
-    SelectionSketches part;
-    part.InitShapes(fx.table, fx.profile);
-    sel.ForEachSetBitInWords(range.begin, range.end, [&](size_t r) {
-      part.AddRow(fx.table, fx.profile, r);
-    });
-    out.Merge(part);
+// `numeric` numeric columns with shapes cycled from `first_shape`, so
+// every tile remainder occurs as `numeric` runs over 0..9.
+Fixture MakeWideFixture(size_t n, size_t numeric, uint64_t seed,
+                        size_t histogram_bins = 16, size_t first_shape = 0) {
+  std::vector<NumericShape> shapes;
+  for (size_t k = 0; k < numeric; ++k) {
+    shapes.push_back(kShapes[(first_shape + k) % std::size(kShapes)]);
   }
-  return out;
-}
-
-uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
-
-// Bitwise equality of every statistic: a signed zero or a last-ULP
-// difference fails.
-void ExpectBitIdentical(const Fixture& fx, const SelectionSketches& a,
-                        const SelectionSketches& b) {
-  const auto same_moment = [](const MomentSketch& u, const MomentSketch& v) {
-    return u.count == v.count && Bits(u.sum) == Bits(v.sum) &&
-           Bits(u.sum_sq) == Bits(v.sum_sq);
-  };
-  for (size_t c = 0; c < fx.table.num_columns(); ++c) {
-    EXPECT_TRUE(same_moment(a.column_sketch(c), b.column_sketch(c)))
-        << "col " << c;
-    EXPECT_EQ(a.category_counts(c), b.category_counts(c)) << "col " << c;
-    EXPECT_EQ(a.histogram(c), b.histogram(c)) << "col " << c;
-  }
-  for (size_t i = 0; i < fx.profile.tracked_numeric_pairs().size(); ++i) {
-    const PairMomentSketch& pa = a.numeric_pair_sketch(i);
-    const PairMomentSketch& pb = b.numeric_pair_sketch(i);
-    EXPECT_EQ(pa.count, pb.count) << "pair " << i;
-    EXPECT_EQ(std::memcmp(&pa, &pb, sizeof(PairMomentSketch)), 0)
-        << "pair " << i;
-  }
-  for (size_t i = 0; i < fx.profile.tracked_mixed_pairs().size(); ++i) {
-    const auto& ga = a.mixed_pair_groups(i);
-    const auto& gb = b.mixed_pair_groups(i);
-    ASSERT_EQ(ga.size(), gb.size());
-    for (size_t g = 0; g < ga.size(); ++g) {
-      EXPECT_TRUE(same_moment(ga[g], gb[g])) << "mixed " << i << " group " << g;
-    }
-  }
-  for (size_t i = 0; i < fx.profile.tracked_categorical_pairs().size(); ++i) {
-    EXPECT_EQ(a.categorical_pair_table(i), b.categorical_pair_table(i));
-  }
-  EXPECT_TRUE(a.Equals(b));
+  return MakeShapedFixture(n, shapes, seed, histogram_bins);
 }
 
 TEST(TiledScanTest, EveryTileRemainderIsBitIdenticalToAddRow) {
@@ -524,11 +458,12 @@ TEST(TiledScanTest, ThreadCountsMatchPartitionedAddRowExactly) {
   const Fixture fx = MakeWideFixture(3000, 8, 401);
   for (double density : {0.02, 0.5}) {
     const Selection sel = MakeSelection(fx.table.num_rows(), density, 13);
+    const SelectionSketches ref = ReferenceSketches(fx, sel);
     for (size_t threads : {1u, 2u, 4u}) {
       for (size_t block_rows : {0u, 128u}) {
         SCOPED_TRACE("threads=" + std::to_string(threads) +
                      " block_rows=" + std::to_string(block_rows));
-        ExpectBitIdentical(fx, PartitionedReference(fx, sel, threads),
+        ExpectBitIdentical(fx, ref,
                            SelectionSketches::Build(fx.table, fx.profile, sel,
                                                     threads, block_rows));
       }
@@ -536,22 +471,50 @@ TEST(TiledScanTest, ThreadCountsMatchPartitionedAddRowExactly) {
   }
 }
 
-TEST(TiledScanTest, BuildManyOfThreeSelectionsIsBitIdentical) {
-  const Fixture fx = MakeWideFixture(2200, 9, 501);
-  const Selection a = MakeSelection(fx.table.num_rows(), 0.05, 21);
-  const Selection b = MakeSelection(fx.table.num_rows(), 0.5, 22);
-  const Selection c = MakeSelection(fx.table.num_rows(), 0.95, 23);
-  const std::vector<const Selection*> sels = {&a, &b, &c};
-  for (size_t threads : {1u, 2u, 4u}) {
-    for (size_t block_rows : {0u, 192u}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " block_rows=" + std::to_string(block_rows));
-      const std::vector<SelectionSketches> many = SelectionSketches::BuildMany(
-          fx.table, fx.profile, sels, threads, block_rows);
-      ASSERT_EQ(many.size(), 3u);
-      for (size_t k = 0; k < 3; ++k) {
-        ExpectBitIdentical(fx, PartitionedReference(fx, *sels[k], threads),
-                           many[k]);
+// The column-partitioned scan on the three demo tables and on edge
+// columns: every (threads, block size) pair must reproduce the ascending
+// AddRow reference bit for bit. 8 threads exceed the core count and, on
+// the edge fixture, nearly the column count.
+TEST(ColumnPartitionedScanTest, DemoAndEdgeTablesBitIdenticalAtAnyThreadCount) {
+  std::vector<std::pair<std::string, Fixture>> fixtures;
+  std::vector<Selection> selections;
+  for (const auto& [name, make] :
+       std::vector<std::pair<std::string, Result<SyntheticDataset> (*)()>>{
+           {"crime", +[] { return MakeCrimeDataset(); }},
+           {"oecd", +[] { return MakeOecdDataset(); }},
+           {"box", +[] { return MakeBoxOfficeDataset(); }}}) {
+    SyntheticDataset ds = make().ValueOrDie();
+    TableProfile profile = TableProfile::Compute(ds.table).ValueOrDie();
+    selections.push_back(std::move(ds.planted));
+    fixtures.emplace_back(name,
+                          Fixture{std::move(ds.table), std::move(profile)});
+  }
+  // 7 numeric columns (not a multiple of the tile width of 4), among them
+  // an 85%-NULL, a constant and an all-NULL column.
+  Fixture edge = MakeShapedFixture(
+      2100,
+      {NumericShape::kNullHolding, NumericShape::kMostlyNull,
+       NumericShape::kConstant, NumericShape::kAllNull,
+       NumericShape::kAntiCorrelated, NumericShape::kOffset,
+       NumericShape::kMostlyNull},
+      811);
+  ASSERT_FALSE(edge.profile.tracked_numeric_pairs().empty());
+  ASSERT_FALSE(edge.profile.tracked_mixed_pairs().empty());
+  ASSERT_FALSE(edge.profile.tracked_categorical_pairs().empty());
+  selections.push_back(MakeSelection(edge.table.num_rows(), 0.3, 17));
+  fixtures.emplace_back("edge", std::move(edge));
+
+  for (size_t f = 0; f < fixtures.size(); ++f) {
+    const auto& [name, fx] = fixtures[f];
+    const Selection& sel = selections[f];
+    const SelectionSketches ref = ReferenceSketches(fx, sel);
+    for (size_t threads : {1u, 2u, 3u, 4u, 8u}) {
+      for (size_t block_rows : {0u, 128u, 192u}) {
+        SCOPED_TRACE(name + " threads=" + std::to_string(threads) +
+                     " block_rows=" + std::to_string(block_rows));
+        ExpectBitIdentical(fx, ref,
+                           SelectionSketches::Build(fx.table, fx.profile, sel,
+                                                    threads, block_rows));
       }
     }
   }
@@ -614,11 +577,6 @@ TEST(SketchFootprintTest, ScanResultHoldsOnlyStatistics) {
     EXPECT_EQ(built.MemoryUsageBytes(), expected) << threads;
     const SelectionSketches copy = built;  // what a near-miss patch copies
     EXPECT_EQ(copy.MemoryUsageBytes(), expected) << threads;
-  }
-  const std::vector<const Selection*> sels = {&sel, &sel};
-  for (const SelectionSketches& s :
-       SelectionSketches::BuildMany(fx.table, fx.profile, sels)) {
-    EXPECT_EQ(s.MemoryUsageBytes(), expected);
   }
 }
 

@@ -1,11 +1,11 @@
 // Concurrency stress tests for the serving layer.
 //
 // The central property: per-session results are a function of the
-// session's own request order, the append schedule, and the configured
-// scan thread count — never of cross-session interleaving, cache state,
-// or batching. The ByteMatch test drives N threads through phase-barriered
-// mixed traffic (characterize + appends + cache churn) and demands the
-// rendered results equal a single-threaded replay character for character.
+// session's own request order and the append schedule — never of
+// cross-session interleaving, cache state, or thread counts. The
+// ByteMatch test drives N threads through phase-barriered mixed traffic
+// (characterize + appends + cache churn) and demands the rendered results
+// equal a single-threaded replay character for character.
 // (Near-miss patching is off there: patching changes floating-point
 // summation order by design; its own test checks exact invariants.)
 //
@@ -107,8 +107,6 @@ ServeOptions StressOptions() {
   options.engine.search.min_tightness = 0.25;
   options.engine.search.max_views = 6;
   options.patch_near_misses = false;  // bit-reproducibility
-  options.scan_threads = 1;
-  options.max_batch = 8;
   return options;
 }
 
@@ -353,51 +351,70 @@ TEST(ServeStressTest, PatchingTrafficKeepsExactInvariants) {
   EXPECT_EQ(stats.generation, 6u);
 }
 
-// The batcher must be a pure performance device: results equal solo
-// Build, and coalescing must actually occur under a straggler window.
-TEST(ServeStressTest, CoalescedScansMatchSoloBuilds) {
-  const SyntheticDataset ds = MakeDataset();
-  auto profile_or = TableProfile::Compute(ds.table);
-  ASSERT_TRUE(profile_or.ok());
-  const TableProfile& profile = *profile_or;
+// Cold scans from different sessions run at once, each partitioned by
+// column on the shared worker pool. Neither the concurrency nor the thread
+// count may show: every session's sketches equal a solo one-thread Build
+// bit for bit, and every report equals a one-thread server's byte for
+// byte.
+TEST(ServeStressTest, ConcurrentColdScansMatchOneThreadServer) {
+  // crime (1994 x ~128): wide enough for real column ranges and pairs.
+  const SyntheticDataset ds = MakeCrimeDataset().ValueOrDie();
+  Rng rng(31);
+  const std::vector<std::string> queries =
+      GenerateWorkload(ds.table, 2 * kThreads, &rng);
 
-  ScanBatcher::Options opts;
-  opts.max_batch = kThreads;
-  opts.window_us = 100000;  // generous: all threads join one scan
-  opts.num_threads = 1;
-  ScanBatcher batcher(opts);
-
+  ServeOptions threaded = StressOptions();
+  threaded.scan_threads = 4;
+  threaded.engine.build.num_threads = 4;
+  ServeOptions single = StressOptions();
+  single.scan_threads = 1;
+  single.engine.build.num_threads = 1;
+  auto threaded_or = ZiggyServer::Create(ds.table, threaded);
+  auto single_or = ZiggyServer::Create(ds.table, single);
+  ASSERT_TRUE(threaded_or.ok() && single_or.ok());
+  ZiggyServer* server = threaded_or->get();
+  const auto state = server->state();
   std::vector<Selection> selections;
-  for (size_t s = 0; s < kThreads; ++s) {
-    Selection sel(ds.table.num_rows());
-    for (size_t r = s; r < ds.table.num_rows(); r += s + 2) sel.Set(r);
-    selections.push_back(std::move(sel));
+  for (const std::string& q : queries) {
+    selections.push_back(
+        ParseQuery(q).ValueOrDie()->Evaluate(state->table()).ValueOrDie());
+    for (size_t k = 0; k + 1 < selections.size(); ++k) {
+      ASSERT_FALSE(selections[k] == selections.back()) << q;
+    }
   }
 
-  std::vector<std::shared_ptr<const SelectionSketches>> batched(kThreads);
+  // Session s runs queries s and s + kThreads: all distinct, all cold.
+  std::vector<std::vector<std::string>> reports(kThreads);
   std::barrier start(static_cast<std::ptrdiff_t>(kThreads));
   std::vector<std::thread> workers;
   for (size_t s = 0; s < kThreads; ++s) {
     workers.emplace_back([&, s] {
-      start.arrive_and_wait();  // near-simultaneous arrival at the batcher
-      batched[s] = batcher.Build(ds.table, profile, /*generation=*/0,
-                                 selections[s], nullptr);
+      const uint64_t session = server->OpenSession();
+      start.arrive_and_wait();
+      for (size_t q = s; q < queries.size(); q += kThreads) {
+        Result<Characterization> r = server->Characterize(session, queries[q]);
+        reports[s].push_back(r.ok() ? Render(*r) : r.status().ToString());
+      }
     });
   }
   for (auto& w : workers) w.join();
+  EXPECT_EQ(server->stats().sketch_misses, queries.size());
 
+  ZiggyServer* reference = single_or->get();
   for (size_t s = 0; s < kThreads; ++s) {
-    const SelectionSketches solo =
-        SelectionSketches::Build(ds.table, profile, selections[s], 1);
-    for (size_t c = 0; c < ds.table.num_columns(); ++c) {
-      EXPECT_EQ(batched[s]->column_sketch(c).count, solo.column_sketch(c).count);
-      EXPECT_EQ(batched[s]->column_sketch(c).sum, solo.column_sketch(c).sum);
-      EXPECT_EQ(batched[s]->column_sketch(c).sum_sq, solo.column_sketch(c).sum_sq);
+    const uint64_t session = reference->OpenSession();
+    size_t k = 0;
+    for (size_t q = s; q < queries.size(); q += kThreads, ++k) {
+      SCOPED_TRACE(queries[q]);
+      const auto cached = server->FindCachedSketches(selections[q]);
+      ASSERT_NE(cached, nullptr);
+      EXPECT_TRUE(cached->Equals(SelectionSketches::Build(
+          state->table(), *state->profile, selections[q], 1)));
+      Result<Characterization> r = reference->Characterize(session, queries[q]);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_EQ(reports[s][k], Render(*r));
     }
   }
-  const ScanBatcher::Stats stats = batcher.stats();
-  EXPECT_EQ(stats.requests, kThreads);
-  EXPECT_GE(stats.max_batch_size, 2u);
 }
 
 // Session isolation: one session's novelty state must not leak into

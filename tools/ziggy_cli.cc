@@ -12,7 +12,8 @@
 //         --max-views <k>       number of views             (default 10)
 //         --max-view-size <d>   columns per view            (default 4)
 //         --two-scan            disable shared-sketch preparation
-//         --threads <n>         scan/profile threads (0 = all cores, default 1)
+//         --threads <n>         scan/profile threads (default 0: one per
+//                               64 Ki cells, at most one per core)
 //
 //   ziggy_cli dendrogram <data.csv>
 //       Print the column dendrogram (MIN_tight tuning aid).
@@ -59,7 +60,8 @@
 //         flush                      drop the shared sketch cache
 //         quit
 //       Options:
-//         --threads <n>     scan/profile threads (0 = all cores, default 1)
+//         --threads <n>     scan/profile threads (default 0: one per 64 Ki
+//                           cells, at most one per core)
 //         --cache-mb <m>    sketch cache budget (default 64)
 //         --no-cache        disable the shared sketch cache
 //         --no-patch       disable XOR-delta near-miss patching
@@ -262,9 +264,6 @@ void PrintServeStats(const ServeStats& st) {
             << "component cache: " << st.component_cache_hits << " hits, "
             << st.component_cache_misses << " misses, "
             << st.component_cache_evictions << " evictions\n"
-            << "scans " << st.scans << ", coalesced requests "
-            << st.coalesced_requests << " (max batch " << st.max_batch_size
-            << ")\n"
             << "appends " << st.appends << " (" << st.appended_rows << " rows)\n";
 }
 
@@ -345,7 +344,6 @@ int RunServe(int argc, char** argv) {
         continue;
       }
       std::cout << "[sketches: " << SketchSourceToString(result->sketch_source)
-                << (result->coalesced ? ", coalesced" : "")
                 << (result->cache_hit ? ", component-cache hit" : "") << "]\n";
       if (json) {
         std::cout << CharacterizationToJson(*result,

@@ -9,9 +9,9 @@
 //                           serve a table at startup; <source> is a CSV
 //                           path or demo://<boxoffice|crime|oecd>[?seed=N].
 //                           Repeatable.
-//     --threads <n>         scan threads per request (default 1); also
-//                           pins the OPEN profile build, which otherwise
-//                           runs on the shared pool like OPEN's CSV parse
+//     --threads <n>         threads per cold scan, rank gather and OPEN
+//                           profile build (default 0: one per 64 Ki cells,
+//                           at most one per core, on the shared pool)
 //     --cache-mb <m>        per-table sketch-cache budget (default 64)
 //     --total-cache-mb <m>  global budget across all tables (default 256)
 //     --max-tables <n>      catalog capacity (default 64)
