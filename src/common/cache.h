@@ -50,7 +50,7 @@ class StripedMutex {
 
   size_t num_stripes() const { return mutexes_.size(); }
   size_t StripeOf(uint64_t hash) const {
-    // Fold the high bits in: FNV-style fingerprints are well mixed, but
+    // Fold the high bits in: splitmix64 fingerprints are well mixed, but
     // sequential keys (session ids) are not.
     const uint64_t mixed = hash ^ (hash >> 32);
     return static_cast<size_t>(mixed) & (mutexes_.size() - 1);

@@ -1,7 +1,6 @@
 #include "serve/sketch_cache.h"
 
 #include <utility>
-#include <vector>
 
 namespace ziggy {
 
@@ -15,33 +14,28 @@ size_t EntryBytes(const Selection& selection,
 
 }  // namespace
 
-std::shared_ptr<const CachedSketches> SketchCache::FindExact(
-    const Selection& selection, uint64_t fingerprint, uint64_t generation) {
-  std::shared_ptr<const CachedSketches> hit = cache_.Get(fingerprint);
-  if (hit == nullptr || hit->generation != generation ||
-      !(hit->selection == selection)) {
-    return nullptr;
-  }
-  return hit;
-}
-
-std::shared_ptr<const CachedSketches> SketchCache::FindNearest(
-    const Selection& wanted, uint64_t generation, size_t max_delta_rows,
-    size_t* delta_rows) {
+std::shared_ptr<const CachedSketches> SketchCache::Find(
+    const Selection& selection, uint64_t fingerprint, uint64_t generation,
+    size_t max_delta_rows, size_t* delta_rows) {
   *delta_rows = 0;
+  if (auto hit = cache_.Get(fingerprint);
+      hit != nullptr && hit->generation == generation &&
+      hit->selection == selection) {
+    return hit;
+  }
+  if (max_delta_rows == 0) return nullptr;
   std::shared_ptr<const CachedSketches> best;
-  size_t best_delta = max_delta_rows + 1;
-  if (best_delta == 0) return nullptr;  // max_delta_rows == SIZE_MAX guard
-  for (const auto& candidate : cache_.CollectRecent(options_.near_miss_candidates)) {
+  size_t best_delta = 0;
+  for (const auto& candidate : cache_.CollectRecent(kRecentPerShard)) {
     if (candidate->generation != generation) continue;
-    if (candidate->selection.num_rows() != wanted.num_rows()) continue;
-    const size_t delta = candidate->selection.HammingDistance(wanted);
-    if (delta < best_delta) {
+    if (candidate->selection.num_rows() != selection.num_rows()) continue;
+    const size_t delta = candidate->selection.HammingDistance(selection);
+    if (delta <= max_delta_rows && (best == nullptr || delta < best_delta)) {
       best_delta = delta;
       best = candidate;
     }
   }
-  if (best != nullptr) *delta_rows = best_delta;
+  *delta_rows = best_delta;
   return best;
 }
 

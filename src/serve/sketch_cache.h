@@ -6,23 +6,24 @@
 // they compose — a cached sketch serves
 //   * the identical selection (exact hit, zero work),
 //   * any *overlapping* selection, by patching the XOR delta row-by-row
-//     through the existing incremental machinery (AddRow/RemoveRow are
-//     exact inverses), and
+//     (SelectionSketches::ApplyDelta, the Preparer's patch routine), and
 //   * any future table generation that only appended rows: appended rows
 //     are outside every cached selection, so the inside sketches stay
 //     exactly right — only the stored bitmap is resized and re-keyed
 //     (MigrateToAppendedRows).
 // Component tables compose in none of these ways.
 //
-// Sharding + LRU come from common/cache.h; this file adds the
-// selection-aware operations (near-miss search, append migration).
+// Both kinds of hit come from one lookup (Find): the fingerprint probe is
+// its delta-0 case, the MRU near-miss scan the rest. Sharding + LRU come
+// from common/cache.h; this file adds the selection-aware operations
+// (Find, append migration).
 
 #ifndef ZIGGY_SERVE_SKETCH_CACHE_H_
 #define ZIGGY_SERVE_SKETCH_CACHE_H_
 
 #include <cstdint>
 #include <memory>
-#include <vector>
+#include <utility>
 
 #include "common/cache.h"
 #include "storage/selection.h"
@@ -42,39 +43,35 @@ struct CachedSketches {
 /// \brief Thread-safe sharded LRU cache of selection sketches.
 class SketchCache {
  public:
-  struct Options {
-    size_t shards = 8;
-    size_t budget_bytes = 64ull << 20;
-    /// MRU entries per shard examined by the near-miss search. Small by
-    /// design: exploration traffic is temporally local, so the profitable
-    /// patch base is almost always a recent insertion.
-    size_t near_miss_candidates = 8;
-    /// Optional group budget shared with other caches (the serving
-    /// catalog's global sketch-memory ceiling). See ShardedLruCache.
-    std::shared_ptr<CacheBudget> shared_budget;
-  };
+  /// Cache shards, each guarded by one lock stripe.
+  static constexpr size_t kShards = 8;
+  /// MRU entries per shard examined by the near-miss scan. Small by
+  /// design: exploration traffic is temporally local, so the profitable
+  /// patch base is almost always a recent insertion.
+  static constexpr size_t kRecentPerShard = 8;
 
-  explicit SketchCache(const Options& options)
-      : options_(options),
-        cache_(options.shards, options.budget_bytes, options.shared_budget) {}
+  /// `budget_bytes` bounds this cache; `shared_budget`, when set, is a
+  /// group budget shared with other caches (the serving catalog's global
+  /// sketch-memory ceiling). See ShardedLruCache.
+  explicit SketchCache(size_t budget_bytes,
+                       std::shared_ptr<CacheBudget> shared_budget = nullptr)
+      : cache_(kShards, budget_bytes, std::move(shared_budget)) {}
 
-  /// Exact lookup of `selection` under its `fingerprint`. A hit must hold
-  /// the identical bitmap (fingerprints collide), and is gated on the
-  /// requester's generation: an entry inserted by a request that was still
-  /// running against an older (since-flushed) generation must never serve
-  /// a newer one — its histograms were binned with that generation's edges.
-  std::shared_ptr<const CachedSketches> FindExact(const Selection& selection,
-                                                  uint64_t fingerprint,
-                                                  uint64_t generation);
-
-  /// Cheapest patch base for `wanted`: scans the MRU prefix of every shard
-  /// for a same-generation entry with the same row count minimizing
-  /// HammingDistance. Returns nullptr when no candidate is within
-  /// `max_delta_rows`.
-  std::shared_ptr<const CachedSketches> FindNearest(const Selection& wanted,
-                                                    uint64_t generation,
-                                                    size_t max_delta_rows,
-                                                    size_t* delta_rows);
+  /// The closest cached base for `selection` on `generation`, and its
+  /// Hamming distance in `*delta_rows`. Probes `fingerprint` first: a hit
+  /// holding the identical bitmap is returned with delta 0 (fingerprints
+  /// collide, so the bitmap is compared). Otherwise scans the MRU prefix
+  /// of every shard for the same-row-count entry at the smallest distance
+  /// within `max_delta_rows`; with `max_delta_rows == 0` that scan is
+  /// skipped. Returns nullptr when nothing qualifies. Entries of another
+  /// generation never match: an entry inserted by a request still running
+  /// against an older (since-flushed) generation must never serve a newer
+  /// one — its histograms were binned with that generation's edges.
+  std::shared_ptr<const CachedSketches> Find(const Selection& selection,
+                                             uint64_t fingerprint,
+                                             uint64_t generation,
+                                             size_t max_delta_rows,
+                                             size_t* delta_rows);
 
   /// Inserts sketches for `selection` under its fingerprint.
   void Insert(const Selection& selection, uint64_t fingerprint,
@@ -94,7 +91,6 @@ class SketchCache {
   CacheStats stats() const { return cache_.stats(); }
 
  private:
-  Options options_;
   ShardedLruCache<CachedSketches> cache_;
 };
 

@@ -1,6 +1,5 @@
 #include "serve/ziggy_server.h"
 
-#include <bit>
 #include <utility>
 
 #include "common/logging.h"
@@ -12,9 +11,7 @@ ZiggyServer::ZiggyServer(ServeOptions options,
                          std::shared_ptr<const ServingState> state)
     : options_(std::move(options)),
       state_(std::move(state)),
-      cache_(SketchCache::Options{options_.cache_shards, options_.cache_budget_bytes,
-                                  options_.near_miss_candidates,
-                                  options_.shared_cache_budget}) {
+      cache_(options_.cache_budget_bytes, options_.shared_cache_budget) {
   if (options_.metrics != nullptr) {
     scan_us_ = options_.metrics->histogram("ziggy_scan_us");
     sketch_lookup_us_ = options_.metrics->histogram("ziggy_sketch_lookup_us");
@@ -126,9 +123,6 @@ Status ZiggyServer::BindSession(Session* session,
                                 state->dendrogram, options_.engine));
   session->engine = std::make_unique<ZiggyEngine>(std::move(engine));
   session->engine_generation = state->generation();
-  session->seen_cache_hits = 0;
-  session->seen_cache_misses = 0;
-  session->seen_cache_evictions = 0;
   // The provider captures the state handle: even if the server moves to a
   // newer generation mid-request, this request keeps scanning the
   // generation its selection was evaluated on.
@@ -142,82 +136,48 @@ Status ZiggyServer::BindSession(Session* session,
   return Status::OK();
 }
 
-void ZiggyServer::FoldEngineCacheCounters(Session* session) {
-  // Counters are cumulative per engine instance; fold only the delta since
-  // the last request so rebinds (which reset the engine) stay correct.
-  const size_t hits = session->engine->cache_hits();
-  const size_t misses = session->engine->cache_misses();
-  const size_t evictions = session->engine->cache_evictions();
-  component_cache_hits_.fetch_add(hits - session->seen_cache_hits,
-                                  std::memory_order_relaxed);
-  component_cache_misses_.fetch_add(misses - session->seen_cache_misses,
-                                    std::memory_order_relaxed);
-  component_cache_evictions_.fetch_add(evictions - session->seen_cache_evictions,
-                                       std::memory_order_relaxed);
-  session->seen_cache_hits = hits;
-  session->seen_cache_misses = misses;
-  session->seen_cache_evictions = evictions;
-}
-
 std::optional<ProvidedSketches> ZiggyServer::ProvideSketches(
     const ServingState& state, const Selection& selection, uint64_t fingerprint) {
   obs::Clock* clock =
       options_.metrics != nullptr ? options_.metrics->clock() : nullptr;
   ProvidedSketches out;
   if (options_.cache_enabled) {
-    // Spans the exact-fingerprint probe and the near-miss patch attempt;
-    // an early return (hit) and a fall-through (miss) both close it
-    // before any scan starts.
+    // Spans the lookup and the patch; a hit returns and a miss falls
+    // through, both before any scan starts.
     obs::TraceSpan lookup_span("sketch_lookup", clock, sketch_lookup_us_);
-    if (auto hit = cache_.FindExact(selection, fingerprint, state.generation());
-        hit != nullptr) {
+    const size_t budget =
+        options_.patch_near_misses
+            ? SelectionSketches::MaxPatchDelta(selection.Count())
+            : 0;
+    size_t delta = 0;
+    auto base = cache_.Find(selection, fingerprint, state.generation(), budget,
+                            &delta);
+    if (base != nullptr && delta == 0) {
       sketch_exact_hits_.fetch_add(1, std::memory_order_relaxed);
-      out.inside = hit->inside;
+      out.inside = base->inside;
       out.source = SketchSource::kCacheExact;
       return out;
     }
-    if (options_.patch_near_misses) {
-      const size_t budget = static_cast<size_t>(
-          options_.max_patch_fraction * static_cast<double>(selection.Count()));
-      size_t delta = 0;
-      auto base = cache_.FindNearest(selection, state.generation(), budget, &delta);
-      if (base != nullptr && delta > 0) {
-        // Patch a copy of the cached sketches row-by-row over the XOR
-        // delta — the same machinery the Preparer uses between a user's
-        // own consecutive queries, here applied across sessions.
-        auto patched = std::make_shared<SelectionSketches>(*base->inside);
-        const auto& want_words = selection.words();
-        const auto& have_words = base->selection.words();
-        for (size_t w = 0; w < want_words.size(); ++w) {
-          uint64_t diff = want_words[w] ^ have_words[w];
-          const size_t word_base = w * Selection::kWordBits;
-          while (diff != 0) {
-            const size_t r =
-                word_base + static_cast<size_t>(std::countr_zero(diff));
-            diff &= diff - 1;
-            if (selection.Contains(r)) {
-              patched->AddRow(state.table(), *state.profile, r);
-            } else {
-              patched->RemoveRow(state.table(), *state.profile, r);
-            }
-          }
-        }
-        cache_.Insert(selection, fingerprint, patched, state.generation());
-        sketch_patched_hits_.fetch_add(1, std::memory_order_relaxed);
-        patched_delta_rows_.fetch_add(delta, std::memory_order_relaxed);
-        out.inside = std::move(patched);
-        out.source = SketchSource::kCachePatched;
-        out.delta_rows = delta;
-        return out;
-      }
+    if (base != nullptr) {
+      // Patch a copy of the cached sketches over the XOR delta — the
+      // Preparer's routine, here applied across sessions.
+      auto patched = std::make_shared<SelectionSketches>(*base->inside);
+      patched->ApplyDelta(state.table(), *state.profile, base->selection,
+                          selection);
+      cache_.Insert(selection, fingerprint, patched, state.generation());
+      sketch_patched_hits_.fetch_add(1, std::memory_order_relaxed);
+      patched_delta_rows_.fetch_add(delta, std::memory_order_relaxed);
+      out.inside = std::move(patched);
+      out.source = SketchSource::kCachePatched;
+      out.delta_rows = delta;
+      return out;
     }
   }
   std::shared_ptr<const SelectionSketches> built;
   {
     obs::TraceSpan scan_span("scan", clock, scan_us_);
     built = std::make_shared<const SelectionSketches>(SelectionSketches::Build(
-        state.table(), *state.profile, selection, options_.scan_threads,
-        options_.engine.build.block_size));
+        state.table(), *state.profile, selection, options_.scan_threads));
   }
   if (options_.cache_enabled) {
     cache_.Insert(selection, fingerprint, built, state.generation());
@@ -244,8 +204,19 @@ Result<Characterization> ZiggyServer::Characterize(uint64_t session_id,
     ZIGGY_RETURN_NOT_OK(BindSession(session, current));
   }
 
-  Result<Characterization> result = session->engine->CharacterizeQuery(query_text);
-  FoldEngineCacheCounters(session);
+  // The engine's cache counters are cumulative over its lifetime; count
+  // only this call's share.
+  ZiggyEngine& engine = *session->engine;
+  const size_t hits = engine.cache_hits();
+  const size_t misses = engine.cache_misses();
+  const size_t evictions = engine.cache_evictions();
+  Result<Characterization> result = engine.CharacterizeQuery(query_text);
+  component_cache_hits_.fetch_add(engine.cache_hits() - hits,
+                                  std::memory_order_relaxed);
+  component_cache_misses_.fetch_add(engine.cache_misses() - misses,
+                                    std::memory_order_relaxed);
+  component_cache_evictions_.fetch_add(engine.cache_evictions() - evictions,
+                                       std::memory_order_relaxed);
   ++session->stats.queries_run;
   if (!result.ok()) {
     ++session->stats.queries_failed;
@@ -318,8 +289,9 @@ void ZiggyServer::FlushSketchCache() { cache_.Clear(); }
 
 std::shared_ptr<const SelectionSketches> ZiggyServer::FindCachedSketches(
     const Selection& selection) {
-  auto hit = cache_.FindExact(selection, selection.Fingerprint(),
-                              state()->generation());
+  size_t delta = 0;
+  auto hit = cache_.Find(selection, selection.Fingerprint(),
+                         state()->generation(), /*max_delta_rows=*/0, &delta);
   return hit == nullptr ? nullptr : hit->inside;
 }
 

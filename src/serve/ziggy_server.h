@@ -8,7 +8,9 @@
 //
 //   per request   the engine's component cache (exact repeated query)
 //   per server    the SketchCache (same/overlapping selections across
-//                 sessions: exact fingerprint reuse + XOR-delta patching);
+//                 sessions: one lookup finds the exact entry or the
+//                 nearest patch base; patching shares the Preparer's
+//                 routine and patch-or-scan rule);
 //                 cold misses scan directly, concurrently across sessions,
 //                 each scan column-partitioned on the shared worker pool
 //   per table     the profile/dendrogram snapshot, swapped atomically on
@@ -49,7 +51,6 @@ struct ServeOptions {
   SessionOptions session;   ///< default novelty policy for new sessions
 
   bool cache_enabled = true;
-  size_t cache_shards = 8;
   size_t cache_budget_bytes = 64ull << 20;
   /// Group byte budget shared with other servers' sketch caches (set by
   /// ServerCatalog so N tables compete for one global ceiling instead of
@@ -57,15 +58,11 @@ struct ServeOptions {
   std::shared_ptr<CacheBudget> shared_cache_budget;
 
   /// Reuse an overlapping cached selection by patching the XOR delta
-  /// through AddRow/RemoveRow. Patching changes floating-point summation
-  /// order (exact integer statistics are unaffected); disable for
-  /// bit-reproducible replays.
+  /// (SelectionSketches::ApplyDelta), when it is within
+  /// SelectionSketches::MaxPatchDelta — the Preparer's rule. Patching
+  /// changes floating-point summation order (exact integer statistics are
+  /// unaffected); disable for bit-reproducible replays.
   bool patch_near_misses = true;
-  /// Patch only when the delta is below this fraction of the selection's
-  /// cardinality (otherwise a fresh scan is cheaper).
-  double max_patch_fraction = 0.5;
-  /// MRU entries per cache shard examined as patch bases.
-  size_t near_miss_candidates = 8;
 
   /// Threads per cold scan (0 = ThreadsForCells: one per kCellsPerThread
   /// cells scanned, at most one per core). Execution knob only.
@@ -181,11 +178,6 @@ class ZiggyServer {
     std::unique_ptr<ZiggyEngine> engine;
     NoveltyTracker novelty;
     SessionStats stats;
-    /// Engine cache counters already folded into the server aggregates;
-    /// reset when BindSession replaces the engine (fresh counters).
-    size_t seen_cache_hits = 0;
-    size_t seen_cache_misses = 0;
-    size_t seen_cache_evictions = 0;
   };
 
   ZiggyServer(ServeOptions options, std::shared_ptr<const ServingState> state);
@@ -195,10 +187,8 @@ class ZiggyServer {
   /// provider. Caller holds the session mutex.
   Status BindSession(Session* session, std::shared_ptr<const ServingState> state)
       ZIGGY_REQUIRES(session->mu);
-  /// Folds the session engine's cumulative cache counter deltas into the
-  /// server-wide aggregates. Caller holds the session mutex.
-  void FoldEngineCacheCounters(Session* session) ZIGGY_REQUIRES(session->mu);
-  /// The SketchProvider body: exact hit → near-miss patch → cold scan.
+  /// The SketchProvider body: one cache lookup (exact hit or patch base
+  /// within the patch rule) → copy and patch → cold scan.
   std::optional<ProvidedSketches> ProvideSketches(const ServingState& state,
                                                   const Selection& selection,
                                                   uint64_t fingerprint);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/logging.h"
 #include "common/parallel.h"
@@ -374,13 +375,13 @@ Result<ComponentTable> BuildComponents(const Table& table, const TableProfile& p
                                        const ComponentBuildOptions& options) {
   ZIGGY_RETURN_NOT_OK(ValidateCharacterizationInput(table, profile, selection));
 
-  SelectionSketches inside = SelectionSketches::Build(
-      table, profile, selection, options.num_threads, options.block_size);
+  SelectionSketches inside =
+      SelectionSketches::Build(table, profile, selection, options.num_threads);
 
   SelectionSketches outside;
   if (options.mode == PreparationMode::kTwoScan) {
     outside = SelectionSketches::Build(table, profile, selection.Invert(),
-                                       options.num_threads, options.block_size);
+                                       options.num_threads);
   } else {
     outside.InitShapes(table, profile);
     outside.DeriveAsComplement(profile, inside);
@@ -409,44 +410,19 @@ Result<ComponentTable> Preparer::Prepare(const Selection& selection) {
     return BuildComponents(*table_, *profile_, selection, options_);
   }
 
-  // The symmetric difference is found word-at-a-time: XOR the packed
-  // bitmaps, popcount for the size, then peel set bits only in words that
-  // actually differ.
-  bool use_delta = false;
-  size_t delta_rows = 0;
-  if (last_selection_.has_value() &&
-      last_selection_->num_rows() == selection.num_rows()) {
-    const auto& now_words = selection.words();
-    const auto& before_words = last_selection_->words();
-    for (size_t w = 0; w < now_words.size(); ++w) {
-      delta_rows +=
-          static_cast<size_t>(std::popcount(now_words[w] ^ before_words[w]));
-    }
-    use_delta = delta_rows < selection.Count();
-  }
-
-  if (use_delta) {
-    const auto& now_words = selection.words();
-    const auto& before_words = last_selection_->words();
-    for (size_t w = 0; w < now_words.size(); ++w) {
-      uint64_t diff = now_words[w] ^ before_words[w];
-      const size_t base = w * Selection::kWordBits;
-      while (diff != 0) {
-        const size_t r = base + static_cast<size_t>(std::countr_zero(diff));
-        diff &= diff - 1;
-        if (selection.Contains(r)) {
-          last_inside_.AddRow(*table_, *profile_, r);
-        } else {
-          last_inside_.RemoveRow(*table_, *profile_, r);
-        }
-      }
-    }
+  // One patch-or-scan rule for every sketch-reuse path (the server's
+  // sketch cache applies the same one). Both selections were validated
+  // against the same table, so their row counts match.
+  const size_t delta_rows = last_selection_.has_value()
+                                ? selection.HammingDistance(*last_selection_)
+                                : SIZE_MAX;
+  if (delta_rows <= SelectionSketches::MaxPatchDelta(selection.Count())) {
+    last_inside_.ApplyDelta(*table_, *profile_, *last_selection_, selection);
     last_strategy_ = Strategy::kIncremental;
     last_delta_rows_ = delta_rows;
   } else {
     last_inside_ = SelectionSketches::Build(*table_, *profile_, selection,
-                                            options_.num_threads,
-                                            options_.block_size);
+                                            options_.num_threads);
     last_strategy_ = Strategy::kFullScan;
   }
   last_selection_ = selection;

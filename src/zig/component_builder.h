@@ -15,8 +15,8 @@
 //    numerical cross-check in tests.
 //  * incremental (via Preparer): when consecutive exploration queries
 //    overlap, the cached inside sketches of the previous query are patched
-//    by adding/removing only the rows in the symmetric difference. Cost is
-//    O(|S_prev XOR S_new| * M).
+//    by adding/removing only the rows in the symmetric difference
+//    (SelectionSketches::ApplyDelta). Cost is O(|S_prev XOR S_new| * M).
 
 #ifndef ZIGGY_ZIG_COMPONENT_BUILDER_H_
 #define ZIGGY_ZIG_COMPONENT_BUILDER_H_
@@ -59,9 +59,6 @@ struct ComponentBuildOptions {
   /// by column, so results are identical for any value. The incremental
   /// delta path is always sequential: deltas are tiny by construction.
   size_t num_threads = 0;
-  /// Rows per accumulation block of the columnar scan (0 = default). Tune
-  /// only for cache experiments; results are identical for any value.
-  size_t block_size = 0;
 
   bool operator==(const ComponentBuildOptions&) const = default;
 };
@@ -120,9 +117,11 @@ Result<ComponentTable> BuildComponentsFromSketches(
 
 /// \brief Stateful preparation helper that exploits the overlap between
 /// consecutive exploration queries (users refine predicates; row sets
-/// change little). Chooses, per query, the cheaper of:
-///   full scan     O(|S| * M)
-///   delta update  O(|S_prev XOR S| * M)
+/// change little). Per query it patches the previous query's sketches
+/// (delta update, O(|S_prev XOR S| * M)) when the delta is within
+/// SelectionSketches::MaxPatchDelta (|S| / 2), the rule the serving
+/// layer's sketch cache also applies, and runs a full scan (O(|S| * M))
+/// otherwise.
 class Preparer {
  public:
   enum class Strategy { kFullScan, kIncremental, kTwoScan };

@@ -1,7 +1,9 @@
 #include "zig/selection_sketches.h"
 
 #include <algorithm>
+#include <bit>
 
+#include "common/logging.h"
 #include "common/parallel.h"
 #include "storage/types.h"
 
@@ -120,6 +122,27 @@ void SelectionSketches::AddRow(const Table& table, const TableProfile& profile,
 void SelectionSketches::RemoveRow(const Table& table, const TableProfile& profile,
                                   size_t r) {
   ApplyRow<-1>(table, profile, r);
+}
+
+void SelectionSketches::ApplyDelta(const Table& table,
+                                   const TableProfile& profile,
+                                   const Selection& from, const Selection& to) {
+  ZIGGY_DCHECK(from.num_rows() == to.num_rows());
+  const auto& from_words = from.words();
+  const auto& to_words = to.words();
+  for (size_t w = 0; w < to_words.size(); ++w) {
+    uint64_t diff = from_words[w] ^ to_words[w];
+    const size_t base = w * Selection::kWordBits;
+    while (diff != 0) {
+      const size_t r = base + static_cast<size_t>(std::countr_zero(diff));
+      diff &= diff - 1;
+      if (to.Contains(r)) {
+        AddRow(table, profile, r);
+      } else {
+        RemoveRow(table, profile, r);
+      }
+    }
+  }
 }
 
 namespace {

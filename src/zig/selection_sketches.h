@@ -25,15 +25,18 @@
 //    splits the pair passes, so every accumulator is owned by one worker
 //    and still sees its rows in ascending order. The result is therefore
 //    bit-identical to the sequential scan at any thread count.
-//  * Row-at-a-time AddRow/RemoveRow: kept exclusively for the incremental
-//    delta path, where consecutive exploration queries differ in few rows
-//    and per-row patching beats any rescan.
+//  * Row-at-a-time AddRow/RemoveRow: kept exclusively for ApplyDelta, the
+//    one patch routine of every sketch-reuse path (the Preparer between a
+//    user's consecutive queries, the server's sketch cache across
+//    sessions), where overlapping selections differ in few rows and
+//    per-row patching beats a rescan.
 //
 // Every field supports exact subtraction, which enables two optimizations:
 //  * the outside side is derived as (global profile − inside) without a
 //    second scan (DeriveAsComplement), and
 //  * a cached inside state can be *updated* to a similar new selection by
-//    adding/removing only the rows in the symmetric difference.
+//    adding/removing only the rows in the symmetric difference
+//    (ApplyDelta), when MaxPatchDelta says that beats a scan.
 
 #ifndef ZIGGY_ZIG_SELECTION_SKETCHES_H_
 #define ZIGGY_ZIG_SELECTION_SKETCHES_H_
@@ -88,6 +91,22 @@ class SelectionSketches {
 
   /// Removes a previously accumulated row (exact inverse of AddRow).
   void RemoveRow(const Table& table, const TableProfile& profile, size_t r);
+
+  /// Turns sketches accumulated over `from` into sketches of `to` (same
+  /// row count): walks the set bits of `from XOR to`, adding the rows only
+  /// `to` selects and removing the rows only `from` selects. Integer
+  /// statistics end up exactly as a scan of `to` leaves them; floating
+  /// sums differ from it in summation order only.
+  void ApplyDelta(const Table& table, const TableProfile& profile,
+                  const Selection& from, const Selection& to);
+
+  /// The patch-or-scan rule of every sketch-reuse path: sketches of a
+  /// selection of `selected_rows` rows are patched from a base at most
+  /// this many rows away (ApplyDelta), and scanned otherwise. Past half
+  /// the selection, patching row by row costs more than a columnar scan.
+  static constexpr size_t MaxPatchDelta(size_t selected_rows) {
+    return selected_rows / 2;
+  }
   /// @}
 
   /// Rebuilds this state as (profile global − other).

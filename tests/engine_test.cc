@@ -251,6 +251,51 @@ TEST(EngineTest, ServerSessionReboundAfterAppendMatchesFreshEngine) {
   }
 }
 
+// STATS' component_cache totals count each engine's lookups once: the
+// session's engine is replaced when an append moves the generation, and
+// the totals must be the sum over the old and the new engine.
+TEST(EngineTest, ServerComponentCacheTotalsSumOverReboundEngines) {
+  SyntheticDataset ds = MakeBoxOfficeDataset().ValueOrDie();
+  ServeOptions options;
+  options.engine.max_cached_queries = 1;  // the second query evicts the first
+  std::unique_ptr<ZiggyServer> server =
+      ZiggyServer::Create(ds.table, options).ValueOrDie();
+  const uint64_t session = server->OpenSession();
+  const std::string query = ds.selection_predicate;
+  const std::string other = "revenue_index > 1.2";
+
+  // The same calls on stand-alone engines over each generation.
+  size_t hits = 0, misses = 0, evictions = 0;
+  auto replay = [&](const std::vector<std::string>& queries) {
+    const auto state = server->state();
+    ZiggyEngine engine =
+        ZiggyEngine::CreateShared(state->snapshot.shared_table(),
+                                  state->profile, state->dendrogram,
+                                  options.engine)
+            .ValueOrDie();
+    for (const std::string& q : queries) {
+      ASSERT_TRUE(server->Characterize(session, q).ok()) << q;
+      ASSERT_TRUE(engine.CharacterizeQuery(q).ok()) << q;
+    }
+    hits += engine.cache_hits();
+    misses += engine.cache_misses();
+    evictions += engine.cache_evictions();
+  };
+  replay({query, query});
+  Rng rng(9);
+  ASSERT_TRUE(server->Append(ds.table.SampleRows(60, &rng)).ok());
+  replay({query, query, other});
+
+  EXPECT_EQ(hits, 2u);
+  EXPECT_EQ(misses, 3u);
+  EXPECT_EQ(evictions, 1u);
+  const ServeStats st = server->stats();
+  EXPECT_EQ(st.generation, 1u);
+  EXPECT_EQ(st.component_cache_hits, hits);
+  EXPECT_EQ(st.component_cache_misses, misses);
+  EXPECT_EQ(st.component_cache_evictions, evictions);
+}
+
 TEST(EngineTest, SharedAndTwoScanModesAgreeOnViews) {
   SyntheticDataset ds = MakeBoxOfficeDataset().ValueOrDie();
   Table table_copy = ds.table;
