@@ -305,7 +305,7 @@ Result<std::string> ZiggyClient::Metrics(const std::string& format) {
   if (body.size() >= 2 && body.front() == '"' && body.back() == '"') {
     return JsonUnescape(std::string_view(body).substr(1, body.size() - 2));
   }
-  return std::move(body);
+  return body;
 }
 
 Status ZiggyClient::Quit() {

@@ -108,8 +108,8 @@ EffectSize DistributionShift(double tv_distance, size_t num_bins, int64_t n_insi
   return e;
 }
 
-EffectSize FrequencyShift(const std::vector<int64_t>& inside_counts,
-                          const std::vector<int64_t>& outside_counts) {
+EffectSize FrequencyShift(std::span<const int64_t> inside_counts,
+                          std::span<const int64_t> outside_counts) {
   EffectSize e;
   if (inside_counts.size() != outside_counts.size() || inside_counts.empty()) return e;
   int64_t n_in = 0;

@@ -7,7 +7,7 @@
 #define ZIGGY_STATS_EFFECT_SIZE_H_
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "stats/descriptive.h"
 
@@ -42,8 +42,8 @@ EffectSize CorrelationDifference(double r_inside, int64_t n_inside, double r_out
 /// \brief Categorical frequency shift: Cohen's w computed from the inside
 /// distribution against the outside distribution used as the reference,
 /// w = sqrt(sum (p_i - q_i)^2 / q_i); SE approximated as sqrt(1/n_in).
-EffectSize FrequencyShift(const std::vector<int64_t>& inside_counts,
-                          const std::vector<int64_t>& outside_counts);
+EffectSize FrequencyShift(std::span<const int64_t> inside_counts,
+                          std::span<const int64_t> outside_counts);
 
 /// \brief Fisher's variance-stabilizing transform atanh(r), clamped away
 /// from the poles.

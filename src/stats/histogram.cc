@@ -91,7 +91,8 @@ std::vector<int64_t> CategoryCounts(const Column& column, const Selection& selec
   return counts;
 }
 
-std::vector<double> NormalizeCounts(const std::vector<int64_t>& counts, double alpha) {
+std::vector<double> NormalizeCounts(std::span<const int64_t> counts,
+                                    double alpha) {
   std::vector<double> out(counts.size());
   int64_t total = 0;
   for (int64_t c : counts) total += c;

@@ -5,6 +5,7 @@
 #define ZIGGY_STATS_HISTOGRAM_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "storage/column.h"
@@ -60,7 +61,7 @@ std::vector<int64_t> CategoryCounts(const Column& column);
 std::vector<int64_t> CategoryCounts(const Column& column, const Selection& selection);
 
 /// \brief Normalizes counts to a probability vector with Laplace smoothing.
-std::vector<double> NormalizeCounts(const std::vector<int64_t>& counts,
+std::vector<double> NormalizeCounts(std::span<const int64_t> counts,
                                     double alpha = 0.5);
 
 /// \brief Total variation distance between two probability vectors of equal

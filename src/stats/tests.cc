@@ -93,8 +93,8 @@ TestResult CorrelationZTest(double r_a, int64_t n_a, double r_b, int64_t n_b) {
   return r;
 }
 
-TestStatistic ChiSquareHomogeneityStatistic(const std::vector<int64_t>& a,
-                                            const std::vector<int64_t>& b) {
+TestStatistic ChiSquareHomogeneityStatistic(std::span<const int64_t> a,
+                                            std::span<const int64_t> b) {
   TestStatistic r;
   if (a.size() != b.size() || a.empty()) return r;
   int64_t na = 0;
@@ -123,8 +123,8 @@ TestStatistic ChiSquareHomogeneityStatistic(const std::vector<int64_t>& a,
   return r;
 }
 
-TestResult ChiSquareHomogeneityTest(const std::vector<int64_t>& a,
-                                    const std::vector<int64_t>& b) {
+TestResult ChiSquareHomogeneityTest(std::span<const int64_t> a,
+                                    std::span<const int64_t> b) {
   return ChiSquareHomogeneityStatistic(a, b).Resolve();
 }
 

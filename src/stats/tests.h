@@ -7,6 +7,7 @@
 #define ZIGGY_STATS_TESTS_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "stats/descriptive.h"
@@ -55,8 +56,8 @@ TestStatistic VarianceFStatistic(const NumericStats& a, const NumericStats& b);
 /// \brief Statistic of the chi-square test of homogeneity between two count
 /// vectors over the same categories. Categories empty on both sides are
 /// dropped.
-TestStatistic ChiSquareHomogeneityStatistic(const std::vector<int64_t>& a,
-                                            const std::vector<int64_t>& b);
+TestStatistic ChiSquareHomogeneityStatistic(std::span<const int64_t> a,
+                                            std::span<const int64_t> b);
 
 /// \brief Welch's unequal-variance two-sample t test on summaries.
 TestResult WelchTTest(const NumericStats& a, const NumericStats& b);
@@ -69,8 +70,8 @@ TestResult CorrelationZTest(double r_a, int64_t n_a, double r_b, int64_t n_b);
 
 /// \brief Chi-square test of homogeneity between two count vectors over the
 /// same categories. Categories empty on both sides are dropped.
-TestResult ChiSquareHomogeneityTest(const std::vector<int64_t>& a,
-                                    const std::vector<int64_t>& b);
+TestResult ChiSquareHomogeneityTest(std::span<const int64_t> a,
+                                    std::span<const int64_t> b);
 
 /// \brief Multiple-testing correction schemes for aggregating per-component
 /// p-values into a per-view confidence (paper §3: "it retains the lowest

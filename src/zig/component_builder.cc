@@ -4,11 +4,11 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <span>
 
 #include "common/logging.h"
 #include "common/parallel.h"
 #include "stats/effect_size.h"
-#include "stats/histogram.h"
 #include "stats/tests.h"
 #include "storage/types.h"
 
@@ -28,7 +28,7 @@ NumericStats StatsFromSketch(const MomentSketch& s, double min_v = 0.0,
 }
 
 // Correlation ratio eta from per-group sketches.
-double EtaFromGroups(const std::vector<MomentSketch>& groups) {
+double EtaFromGroups(std::span<const MomentSketch> groups) {
   MomentSketch total;
   for (const auto& g : groups) total.Merge(g);
   if (total.count < 2) return 0.0;
@@ -45,10 +45,13 @@ double EtaFromGroups(const std::vector<MomentSketch>& groups) {
   return std::sqrt(std::clamp(ss_between / ss_total, 0.0, 1.0));
 }
 
-double CramersVFromTable(const std::vector<int64_t>& table, size_t rows, size_t cols,
-                         int64_t* total_out) {
-  std::vector<int64_t> row_sum(rows, 0);
-  std::vector<int64_t> col_sum(cols, 0);
+// Cramér's V of a rows x cols contingency table; `margins` is scratch for
+// rows + cols sums.
+double CramersVFromTable(std::span<const int64_t> table, size_t rows,
+                         size_t cols, int64_t* margins, int64_t* total_out) {
+  int64_t* row_sum = margins;
+  int64_t* col_sum = margins + rows;
+  std::fill(margins, margins + rows + cols, 0);
   int64_t n = 0;
   for (size_t i = 0; i < rows; ++i) {
     for (size_t j = 0; j < cols; ++j) {
@@ -74,6 +77,59 @@ double CramersVFromTable(const std::vector<int64_t>& table, size_t rows, size_t 
   const double k = static_cast<double>(std::min(rows, cols)) - 1.0;
   if (k <= 0.0) return 0.0;
   return std::sqrt(std::clamp(chi2 / (static_cast<double>(n) * k), 0.0, 1.0));
+}
+
+// Total variation distance between the distributions of two count
+// vectors of equal length with totals n_p and n_q, and the first index
+// where the p share most exceeds the q share. This is NormalizeCounts(.,
+// 0.0) and TotalVariationDistance fused, so that no vector is built: a
+// share is c / total (NormalizeCounts' (c + 0.0) / (total + 0.0 * size),
+// since x + 0.0 == x for every non-negative count), all zeros when the
+// total is 0, and the |p - q| terms are summed in index order. Both values
+// are therefore bit-identical to the vector form.
+struct CountShift {
+  double tv = 0.0;
+  size_t top = 0;
+};
+
+CountShift ShiftOfCounts(std::span<const int64_t> p_counts, int64_t n_p,
+                         std::span<const int64_t> q_counts, int64_t n_q) {
+  ZIGGY_DCHECK(p_counts.size() == q_counts.size());
+  const auto share = [](int64_t c, int64_t total) {
+    return total > 0 ? static_cast<double>(c) / static_cast<double>(total)
+                     : 0.0;
+  };
+  CountShift out;
+  double sum = 0.0;
+  double best_gain = -1.0;
+  for (size_t i = 0; i < p_counts.size(); ++i) {
+    const double gain = share(p_counts[i], n_p) - share(q_counts[i], n_q);
+    sum += std::fabs(gain);
+    if (gain > best_gain) {
+      best_gain = gain;
+      out.top = i;
+    }
+  }
+  out.tv = 0.5 * sum;
+  return out;
+}
+
+int64_t Total(std::span<const int64_t> counts) {
+  int64_t total = 0;
+  for (const int64_t c : counts) total += c;
+  return total;
+}
+
+// Upper bound of the component count: four unary kinds per numeric
+// column, one per categorical column, one per tracked pair.
+size_t MaxComponents(const Table& table, const TableProfile& profile) {
+  size_t bound = profile.tracked_numeric_pairs().size() +
+                 profile.tracked_mixed_pairs().size() +
+                 profile.tracked_categorical_pairs().size();
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    bound += table.column(c).is_numeric() ? 4 : 1;
+  }
+  return bound;
 }
 
 }  // namespace
@@ -130,6 +186,7 @@ Result<ComponentTable> BuildComponentsFromSketches(
   // The rank gather indexes the profile's rank arrays by row id.
   ZIGGY_RETURN_NOT_OK(ValidateCharacterizationInput(table, profile, selection));
   ComponentTable out;
+  out.Reserve(MaxComponents(table, profile));
   const size_t inside_n = selection.Count();
   out.set_counts(static_cast<int64_t>(inside_n),
                  static_cast<int64_t>(table.num_rows() - inside_n));
@@ -200,73 +257,52 @@ Result<ComponentTable> BuildComponentsFromSketches(
       }
 
       if (options.enable_distribution_shift && !inside.histogram(c).empty()) {
-        const auto& in_h = inside.histogram(c);
-        const auto& out_h = outside.histogram(c);
-        int64_t hn_in = 0;
-        int64_t hn_out = 0;
-        for (int64_t v : in_h) hn_in += v;
-        for (int64_t v : out_h) hn_out += v;
+        const std::span<const int64_t> in_h = inside.histogram(c);
+        const std::span<const int64_t> out_h = outside.histogram(c);
+        const int64_t hn_in = Total(in_h);
+        const int64_t hn_out = Total(out_h);
         if (hn_in >= kMin && hn_out >= kMin) {
           ZigComponent dist_c;
           dist_c.kind = ComponentKind::kDistributionShift;
           dist_c.col_a = c;
-          const auto p = NormalizeCounts(in_h, 0.0);
-          const auto q = NormalizeCounts(out_h, 0.0);
-          const double tv = TotalVariationDistance(p, q);
-          dist_c.effect = DistributionShift(tv, in_h.size(), hn_in, hn_out);
-          dist_c.inside_value = tv;
+          const CountShift shift = ShiftOfCounts(in_h, hn_in, out_h, hn_out);
+          dist_c.effect =
+              DistributionShift(shift.tv, in_h.size(), hn_in, hn_out);
+          dist_c.inside_value = shift.tv;
           dist_c.outside_value = 0.0;
           dist_c.inside_n = hn_in;
           dist_c.outside_n = hn_out;
           dist_c.test = ChiSquareHomogeneityStatistic(in_h, out_h);
           // Most over-represented bin, as a value range, for explanations.
-          size_t best = 0;
-          double best_gain = -1.0;
-          for (size_t b = 0; b < p.size(); ++b) {
-            if (p[b] - q[b] > best_gain) {
-              best_gain = p[b] - q[b];
-              best = b;
-            }
-          }
           const double width = (hi - lo) / static_cast<double>(in_h.size());
-          dist_c.top_bin_lo = lo + width * static_cast<double>(best);
-          dist_c.top_bin_hi = lo + width * static_cast<double>(best + 1);
+          dist_c.top_bin_lo = lo + width * static_cast<double>(shift.top);
+          dist_c.top_bin_hi = lo + width * static_cast<double>(shift.top + 1);
           out.Add(std::move(dist_c));
         }
       }
     } else {
-      const auto& in_counts = inside.category_counts(c);
-      const auto& out_counts = outside.category_counts(c);
-      int64_t n_in = 0;
-      int64_t n_out = 0;
-      for (int64_t v : in_counts) n_in += v;
-      for (int64_t v : out_counts) n_out += v;
+      const std::span<const int64_t> in_counts = inside.category_counts(c);
+      const std::span<const int64_t> out_counts = outside.category_counts(c);
+      const int64_t n_in = Total(in_counts);
+      const int64_t n_out = Total(out_counts);
       if (n_in < kMin || n_out < kMin) continue;
 
       ZigComponent freq_c;
       freq_c.kind = ComponentKind::kFrequencyShift;
       freq_c.col_a = c;
       freq_c.effect = FrequencyShift(in_counts, out_counts);
-      const auto p = NormalizeCounts(in_counts, 0.0);
-      const auto q = NormalizeCounts(out_counts, 0.0);
-      freq_c.inside_value = TotalVariationDistance(p, q);
+      const CountShift shift =
+          ShiftOfCounts(in_counts, n_in, out_counts, n_out);
+      freq_c.inside_value = shift.tv;
       freq_c.outside_value = 0.0;
       freq_c.inside_n = n_in;
       freq_c.outside_n = n_out;
-      double best_gain = -1.0;
-      size_t best_idx = 0;
-      for (size_t k = 0; k < p.size(); ++k) {
-        const double gain = p[k] - q[k];
-        if (gain > best_gain) {
-          best_gain = gain;
-          best_idx = k;
-        }
-      }
-      // Guard the dictionary lookup: with an empty distribution best_idx
-      // never advanced, and a count vector longer than the dictionary
-      // (never expected, but cheap to rule out) must not read past it.
-      if (!p.empty() && best_idx < col.dictionary().size()) {
-        freq_c.top_category = col.dictionary()[best_idx];
+      // Guard the dictionary lookup: with an empty distribution the top
+      // index never advanced, and a count vector longer than the
+      // dictionary (never expected, but cheap to rule out) must not read
+      // past it.
+      if (!in_counts.empty() && shift.top < col.dictionary().size()) {
+        freq_c.top_category = col.dictionary()[shift.top];
       }
       freq_c.test = ChiSquareHomogeneityStatistic(in_counts, out_counts);
       out.Add(std::move(freq_c));
@@ -324,15 +360,21 @@ Result<ComponentTable> BuildComponentsFromSketches(
 
   // ---- Categorical pair components ----------------------------------------
   const auto& cpairs = profile.tracked_categorical_pairs();
+  size_t max_margins = 0;
+  for (const auto& [a, b] : cpairs) {
+    max_margins = std::max(max_margins, table.column(a).cardinality() +
+                                            table.column(b).cardinality());
+  }
+  std::vector<int64_t> margins(max_margins);
   for (size_t i = 0; i < cpairs.size(); ++i) {
     const size_t ka = table.column(cpairs[i].first).cardinality();
     const size_t kb = table.column(cpairs[i].second).cardinality();
     int64_t n_in = 0;
     int64_t n_out = 0;
-    const double v_in =
-        CramersVFromTable(inside.categorical_pair_table(i), ka, kb, &n_in);
-    const double v_out =
-        CramersVFromTable(outside.categorical_pair_table(i), ka, kb, &n_out);
+    const double v_in = CramersVFromTable(inside.categorical_pair_table(i), ka,
+                                          kb, margins.data(), &n_in);
+    const double v_out = CramersVFromTable(outside.categorical_pair_table(i),
+                                           ka, kb, margins.data(), &n_out);
     if (n_in < std::max<int64_t>(kMin, 4) || n_out < std::max<int64_t>(kMin, 4)) {
       continue;
     }

@@ -17,6 +17,13 @@
 //    overlap, the cached inside sketches of the previous query are patched
 //    by adding/removing only the rows in the symmetric difference
 //    (SelectionSketches::ApplyDelta). Cost is O(|S_prev XOR S_new| * M).
+//
+// Assembly (BuildComponentsFromSketches) allocates a constant number of
+// blocks per read, whatever the table width: it reads the sketches
+// through spans, reserves the ComponentTable for its upper bound, takes
+// the distribution- and frequency-shift values (TV distance, top bin, top
+// category) straight from the two count spans, and shares one margin
+// scratch across the contingency tables.
 
 #ifndef ZIGGY_ZIG_COMPONENT_BUILDER_H_
 #define ZIGGY_ZIG_COMPONENT_BUILDER_H_

@@ -5,15 +5,7 @@
 
 namespace ziggy {
 
-uint64_t ComponentTable::KeyOf(ComponentKind kind, size_t a, size_t b) const {
-  // Canonicalize pair order so lookups are order-insensitive.
-  if (b != kNoColumn && b < a) std::swap(a, b);
-  const uint64_t kb = (b == kNoColumn) ? 0xFFFFFFull : static_cast<uint64_t>(b);
-  return (static_cast<uint64_t>(kind) << 48) | (static_cast<uint64_t>(a) << 24) | kb;
-}
-
 void ComponentTable::Add(ZigComponent component) {
-  index_[KeyOf(component.kind, component.col_a, component.col_b)] = components_.size();
   components_.push_back(std::move(component));
 }
 
@@ -37,9 +29,14 @@ std::vector<const ZigComponent*> ComponentTable::ForColumn(size_t col) const {
 
 const ZigComponent* ComponentTable::Find(ComponentKind kind, size_t col_a,
                                          size_t col_b) const {
-  auto it = index_.find(KeyOf(kind, col_a, col_b));
-  if (it == index_.end()) return nullptr;
-  return &components_[it->second];
+  for (const ZigComponent& c : components_) {
+    if (c.kind != kind) continue;
+    if ((c.col_a == col_a && c.col_b == col_b) ||
+        (col_b != kNoColumn && c.col_a == col_b && c.col_b == col_a)) {
+      return &c;
+    }
+  }
+  return nullptr;
 }
 
 double ComponentTable::NormalizationScale(ComponentKind kind) const {

@@ -6,7 +6,6 @@
 
 #include <array>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "zig/component.h"
@@ -19,8 +18,13 @@ class ComponentTable {
  public:
   ComponentTable() = default;
 
-  /// Appends a component (builder use).
+  /// Appends a component (builder use). The table keeps no index: the
+  /// read path walks components() in order.
   void Add(ZigComponent component);
+
+  /// Reserves room for `n` components, so the Adds that follow do not
+  /// reallocate (the builder knows an upper bound up front).
+  void Reserve(size_t n) { components_.reserve(n); }
 
   /// Recomputes per-kind normalization scales; call once after all Adds.
   void FinalizeScales();
@@ -31,7 +35,8 @@ class ComponentTable {
   std::vector<const ZigComponent*> ForColumn(size_t col) const;
 
   /// Looks up a specific component; nullptr if absent. Pair kinds accept
-  /// either column order.
+  /// either column order. A linear scan over the components, meant for
+  /// tests and diagnostics: no read path looks components up one by one.
   const ZigComponent* Find(ComponentKind kind, size_t col_a,
                            size_t col_b = kNoColumn) const;
 
@@ -60,10 +65,7 @@ class ComponentTable {
   /// scale estimation so they saturate instead of flattening everything else.
   static constexpr double kDegenerateMagnitude = 1e5;
 
-  uint64_t KeyOf(ComponentKind kind, size_t a, size_t b) const;
-
   std::vector<ZigComponent> components_;
-  std::unordered_map<uint64_t, size_t> index_;
   std::array<double, kNumComponentKinds> scales_{};
   int64_t inside_count_ = 0;
   int64_t outside_count_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <type_traits>
 
 #include "common/logging.h"
 #include "common/parallel.h"
@@ -12,31 +13,43 @@ namespace ziggy {
 void SelectionSketches::InitShapes(const Table& table, const TableProfile& profile) {
   const size_t m = table.num_columns();
   column_sketches_.assign(m, MomentSketch{});
-  category_counts_.assign(m, {});
-  histograms_.assign(m, {});
   binners_.assign(m, HistogramBinner{});
+  cell_offsets_.resize(m + 1);
+  size_t cells = 0;
   for (size_t c = 0; c < m; ++c) {
+    cell_offsets_[c] = cells;
     const Column& col = table.column(c);
     if (col.is_categorical()) {
-      category_counts_[c].assign(col.cardinality(), 0);
+      cells += col.cardinality();
     } else if (!profile.HistogramCountsOf(c).empty()) {
       const size_t bins = profile.HistogramCountsOf(c).size();
-      histograms_[c].assign(bins, 0);
+      cells += bins;
       const auto [lo, hi] = profile.ColumnRange(c);
       binners_[c] = HistogramBinner::Make(lo, hi, bins);
     }
   }
+  cell_offsets_[m] = cells;
+  cells_.assign(cells, 0);
   numeric_pair_sketches_.assign(profile.tracked_numeric_pairs().size(),
                                 PairMomentSketch{});
-  mixed_pair_groups_.resize(profile.tracked_mixed_pairs().size());
-  for (size_t i = 0; i < profile.tracked_mixed_pairs().size(); ++i) {
-    mixed_pair_groups_[i].assign(profile.MixedPairGroups(i).groups.size(),
-                                 MomentSketch{});
+  const size_t num_mixed = profile.tracked_mixed_pairs().size();
+  group_offsets_.resize(num_mixed + 1);
+  size_t groups = 0;
+  for (size_t i = 0; i < num_mixed; ++i) {
+    group_offsets_[i] = groups;
+    groups += profile.MixedPairGroups(i).groups.size();
   }
-  categorical_pair_tables_.resize(profile.tracked_categorical_pairs().size());
-  for (size_t i = 0; i < profile.tracked_categorical_pairs().size(); ++i) {
-    categorical_pair_tables_[i].assign(profile.CategoricalPairTable(i).size(), 0);
+  group_offsets_[num_mixed] = groups;
+  groups_.assign(groups, MomentSketch{});
+  const size_t num_tables = profile.tracked_categorical_pairs().size();
+  table_offsets_.resize(num_tables + 1);
+  size_t table_cells = 0;
+  for (size_t i = 0; i < num_tables; ++i) {
+    table_offsets_[i] = table_cells;
+    table_cells += profile.CategoricalPairTable(i).size();
   }
+  table_offsets_[num_tables] = table_cells;
+  table_cells_.assign(table_cells, 0);
   // Gather layout: stripe 0 of each kind is the sink; pair-referenced
   // columns get stripes 1, 2, ... in column order.
   gather_slot_.assign(m, 0);
@@ -71,13 +84,13 @@ void SelectionSketches::ApplyRow(const Table& table, const TableProfile& profile
       } else {
         column_sketches_[c].Remove(v);
       }
-      if (!histograms_[c].empty()) {
-        histograms_[c][binners_[c].BinOf(v)] += Sign;
+      if (binners_[c].bins > 0) {
+        cells_[cell_offsets_[c] + binners_[c].BinOf(v)] += Sign;
       }
     } else {
       const CategoryCode code = col.codes()[r];
       if (code != kNullCategory) {
-        category_counts_[c][static_cast<size_t>(code)] += Sign;
+        cells_[cell_offsets_[c] + static_cast<size_t>(code)] += Sign;
       }
     }
   }
@@ -97,10 +110,12 @@ void SelectionSketches::ApplyRow(const Table& table, const TableProfile& profile
     const CategoryCode code = table.column(mpairs[i].first).codes()[r];
     const double x = table.column(mpairs[i].second).numeric_data()[r];
     if (code == kNullCategory || IsNullNumeric(x)) continue;
+    MomentSketch& group =
+        groups_[group_offsets_[i] + static_cast<size_t>(code)];
     if constexpr (Sign == 1) {
-      mixed_pair_groups_[i][static_cast<size_t>(code)].Add(x);
+      group.Add(x);
     } else {
-      mixed_pair_groups_[i][static_cast<size_t>(code)].Remove(x);
+      group.Remove(x);
     }
   }
   const auto& cpairs = profile.tracked_categorical_pairs();
@@ -109,8 +124,8 @@ void SelectionSketches::ApplyRow(const Table& table, const TableProfile& profile
     const CategoryCode cb = table.column(cpairs[i].second).codes()[r];
     if (ca == kNullCategory || cb == kNullCategory) continue;
     const size_t kb = table.column(cpairs[i].second).cardinality();
-    categorical_pair_tables_[i][static_cast<size_t>(ca) * kb +
-                                static_cast<size_t>(cb)] += Sign;
+    table_cells_[table_offsets_[i] + static_cast<size_t>(ca) * kb +
+                 static_cast<size_t>(cb)] += Sign;
   }
 }
 
@@ -145,17 +160,33 @@ void SelectionSketches::ApplyDelta(const Table& table,
   }
 }
 
+// One block's gather stripes and counting-sort scratch, all in the
+// calling thread's scan workspace. Stripes are `stride` values apart;
+// partition p's sort scratch is order + p * stride and group_ends +
+// p * group_stride.
+struct SelectionSketches::GatherBuffers {
+  double* nums;
+  CategoryCode* codes;
+  size_t stride;
+  uint32_t* order;
+  uint32_t* group_ends;
+  size_t group_stride;
+};
+
 namespace {
 
-// The calling thread's gather workspace: one block of decoded row indices
-// and the numeric and categorical stripes. Scans never nest on a thread,
-// so one workspace per thread is enough; the daemon's dispatch threads are
-// long-lived, so it is reused. A parallel scan's pool workers write into
-// the caller's workspace, never their own.
+// The calling thread's scan workspace: one block of decoded row indices,
+// the numeric and categorical stripes, and the mixed runs' counting-sort
+// scratch. Scans never nest on a thread, so one workspace per thread is
+// enough; the daemon's dispatch threads are long-lived, so it is reused.
+// A parallel scan's pool workers write into the caller's workspace, never
+// their own.
 struct ScanWorkspace {
   std::vector<uint32_t> rows;
   std::vector<double> nums;
   std::vector<CategoryCode> codes;
+  std::vector<uint32_t> order;
+  std::vector<uint32_t> group_ends;
 };
 
 ScanWorkspace& ThreadScanWorkspace() {
@@ -230,12 +261,109 @@ void AccumulateUnaryTile(const UnaryLane* lanes, const uint32_t* rows,
   }
 }
 
+// Calls fn(std::integral_constant<int, W>{}) for the W = 1-3 lanes a
+// 4-wide tile loop leaves.
+template <typename Fn>
+void RunTileRemainder(int width, Fn&& fn) {
+  switch (width) {
+    case 3:
+      fn(std::integral_constant<int, 3>{});
+      break;
+    case 2:
+      fn(std::integral_constant<int, 2>{});
+      break;
+    case 1:
+      fn(std::integral_constant<int, 1>{});
+      break;
+    default:
+      break;
+  }
+}
+
+// One NULL-free numeric pair of a sum_xy tile: its gathered stripes.
+struct CrossLane {
+  const double* x;
+  const double* y;
+  double* sum_xy;
+};
+
+// sum_xy of W NULL-free numeric pairs in one pass over the block: W
+// independent chains, each adding x * y in row order with the expression
+// PairMomentSketch::Add uses, so each is bitwise that pair's per-row sum.
+template <int W>
+void AccumulateCrossTile(const CrossLane* lanes, size_t n) {
+  const double* x[W];
+  const double* y[W];
+  double acc[W];
+  for (int j = 0; j < W; ++j) {
+    x[j] = lanes[j].x;
+    y[j] = lanes[j].y;
+    acc[j] = *lanes[j].sum_xy;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    for (int j = 0; j < W; ++j) acc[j] += x[j][i] * y[j][i];
+  }
+  for (int j = 0; j < W; ++j) *lanes[j].sum_xy = acc[j];
+}
+
+// One mixed pair of a group tile: its numeric stripe and group sketches.
+struct GroupLane {
+  const double* x;
+  MomentSketch* groups;
+};
+
+// Grouped moments of W mixed pairs sharing one categorical column, over
+// the block's non-NULL-code positions counting-sorted by code: `order`
+// holds `sorted` positions, each group's ascending, and group g's run ends
+// at ends[g]. Only groups present in the block are visited; each one's
+// (count, sum, sum_sq) of the W pairs sit in registers while its rows are
+// summed, in the order AddRow adds them.
+template <int W>
+void AccumulateGroupTile(const GroupLane* lanes, const CategoryCode* codes,
+                         const uint32_t* order, const uint32_t* ends,
+                         uint32_t sorted) {
+  for (uint32_t k = 0; k < sorted;) {
+    const auto g = static_cast<size_t>(codes[order[k]]);
+    int64_t count[W];
+    double sum[W];
+    double sum_sq[W];
+    for (int j = 0; j < W; ++j) {
+      const MomentSketch& s = lanes[j].groups[g];
+      count[j] = s.count;
+      sum[j] = s.sum;
+      sum_sq[j] = s.sum_sq;
+    }
+    for (; k < ends[g]; ++k) {
+      const uint32_t i = order[k];
+      for (int j = 0; j < W; ++j) {
+        const double v = lanes[j].x[i];
+        if (IsNullNumeric(v)) continue;
+        ++count[j];
+        sum[j] += v;
+        sum_sq[j] += v * v;
+      }
+    }
+    for (int j = 0; j < W; ++j) {
+      MomentSketch& s = lanes[j].groups[g];
+      s.count = count[j];
+      s.sum = sum[j];
+      s.sum_sq = sum_sq[j];
+    }
+  }
+}
+
+// Whether numeric column `c` holds no NULL in the table's current
+// generation: its profile sketch counted every row.
+bool IsNullFree(const Table& table, const TableProfile& profile, size_t c) {
+  return static_cast<size_t>(profile.ColumnSketch(c).count) == table.num_rows();
+}
+
 }  // namespace
 
 void SelectionSketches::AccumulateUnary(const Table& table,
                                         const uint32_t* rows, size_t n,
-                                        TaskRange cols, double* nums,
-                                        CategoryCode* codes, size_t stride,
+                                        TaskRange cols,
+                                        const GatherBuffers& buf,
                                         double* num_sink,
                                         CategoryCode* code_sink) {
   // Numeric columns go through the kernel 4 at a time, in column order; the
@@ -248,13 +376,14 @@ void SelectionSketches::AccumulateUnary(const Table& table,
   int width = 0;
   for (size_t c = cols.begin; c < cols.end; ++c) {
     const Column& col = table.column(c);
+    int64_t* cells = cells_.data() + cell_offsets_[c];
     if (col.is_numeric()) {
       UnaryLane& lane = tile[width];
       lane.data = col.numeric_data().data();
-      lane.gather =
-          gather_slot_[c] == 0 ? num_sink : nums + gather_slot_[c] * stride;
-      lane.hist = histograms_[c].empty() ? &hist_sink[width]
-                                         : histograms_[c].data();
+      lane.gather = gather_slot_[c] == 0
+                        ? num_sink
+                        : buf.nums + gather_slot_[c] * buf.stride;
+      lane.hist = binners_[c].bins == 0 ? &hist_sink[width] : cells;
       lane.binner = binners_[c];
       lane.sketch = &column_sketches_[c];
       if (++width == 4) {
@@ -264,110 +393,192 @@ void SelectionSketches::AccumulateUnary(const Table& table,
       continue;
     }
     const CategoryCode* data = col.codes().data();
-    CategoryCode* gather =
-        gather_slot_[c] == 0 ? code_sink : codes + gather_slot_[c] * stride;
-    int64_t* counts = category_counts_[c].data();
+    CategoryCode* gather = gather_slot_[c] == 0
+                               ? code_sink
+                               : buf.codes + gather_slot_[c] * buf.stride;
     for (size_t i = 0; i < n; ++i) {
       const CategoryCode code = data[rows[i]];
       gather[i] = code;
-      if (code != kNullCategory) ++counts[static_cast<size_t>(code)];
+      if (code != kNullCategory) ++cells[static_cast<size_t>(code)];
     }
   }
-  switch (width) {
-    case 3:
-      AccumulateUnaryTile<3>(tile, rows, n);
-      break;
-    case 2:
-      AccumulateUnaryTile<2>(tile, rows, n);
-      break;
-    case 1:
-      AccumulateUnaryTile<1>(tile, rows, n);
-      break;
-    default:
-      break;
-  }
+  RunTileRemainder(width, [&](auto w) {
+    AccumulateUnaryTile<decltype(w)::value>(tile, rows, n);
+  });
 }
 
 void SelectionSketches::AccumulatePairs(const Table& table,
                                         const TableProfile& profile, size_t n,
-                                        TaskRange pairs, const double* nums,
-                                        const CategoryCode* codes,
-                                        size_t stride) {
+                                        TaskRange pairs,
+                                        const GatherBuffers& buf,
+                                        size_t part) {
   const auto num_stripe = [&](size_t c) {
-    return nums + gather_slot_[c] * stride;
+    return buf.nums + gather_slot_[c] * buf.stride;
   };
   const auto code_stripe = [&](size_t c) {
-    return codes + gather_slot_[c] * stride;
+    return buf.codes + gather_slot_[c] * buf.stride;
   };
   const auto& npairs = profile.tracked_numeric_pairs();
   const auto& mpairs = profile.tracked_mixed_pairs();
   const auto& cpairs = profile.tracked_categorical_pairs();
-  for (size_t t = pairs.begin; t < pairs.end; ++t) {
-    if (t < npairs.size()) {
-      // Numeric pair sketches (dense stripe reads).
-      const double* x = num_stripe(npairs[t].first);
-      const double* y = num_stripe(npairs[t].second);
-      PairMomentSketch s = numeric_pair_sketches_[t];
-      for (size_t i = 0; i < n; ++i) {
-        if (!IsNullNumeric(x[i]) && !IsNullNumeric(y[i])) s.Add(x[i], y[i]);
+  // The partition's slice of each family: [lo, hi) in family indices.
+  const auto slice = [&pairs](size_t first, size_t size) {
+    const size_t lo = std::clamp(pairs.begin, first, first + size) - first;
+    const size_t hi = std::clamp(pairs.end, first, first + size) - first;
+    return TaskRange{lo, hi};
+  };
+
+  // Numeric pairs: NULL-free ones through the sum_xy tiles, 4 at a time
+  // (their other sums are copied after the scan); the rest one by one.
+  const TaskRange num_range = slice(0, npairs.size());
+  CrossLane tile[4];
+  int width = 0;
+  for (size_t t = num_range.begin; t < num_range.end; ++t) {
+    const auto [a, b] = npairs[t];
+    const double* x = num_stripe(a);
+    const double* y = num_stripe(b);
+    if (IsNullFree(table, profile, a) && IsNullFree(table, profile, b)) {
+      tile[width] = {x, y, &numeric_pair_sketches_[t].sum_xy};
+      if (++width == 4) {
+        AccumulateCrossTile<4>(tile, n);
+        width = 0;
       }
-      numeric_pair_sketches_[t] = s;
-    } else if (const size_t p = t - npairs.size(); p < mpairs.size()) {
-      // Mixed pair grouped moments.
-      const CategoryCode* group = code_stripe(mpairs[p].first);
-      const double* x = num_stripe(mpairs[p].second);
-      MomentSketch* groups = mixed_pair_groups_[p].data();
-      for (size_t i = 0; i < n; ++i) {
-        const CategoryCode code = group[i];
-        if (code != kNullCategory && !IsNullNumeric(x[i])) {
-          groups[static_cast<size_t>(code)].Add(x[i]);
-        }
-      }
-    } else {
-      // Categorical pair contingency tables.
-      const size_t q = p - mpairs.size();
-      const CategoryCode* a = code_stripe(cpairs[q].first);
-      const CategoryCode* b = code_stripe(cpairs[q].second);
-      const size_t kb = table.column(cpairs[q].second).cardinality();
-      int64_t* cells = categorical_pair_tables_[q].data();
-      for (size_t i = 0; i < n; ++i) {
-        const CategoryCode ca = a[i];
-        const CategoryCode cb = b[i];
-        if (ca != kNullCategory && cb != kNullCategory) {
-          ++cells[static_cast<size_t>(ca) * kb + static_cast<size_t>(cb)];
-        }
+      continue;
+    }
+    PairMomentSketch s = numeric_pair_sketches_[t];
+    for (size_t i = 0; i < n; ++i) {
+      if (!IsNullNumeric(x[i]) && !IsNullNumeric(y[i])) s.Add(x[i], y[i]);
+    }
+    numeric_pair_sketches_[t] = s;
+  }
+  RunTileRemainder(width, [&](auto w) {
+    AccumulateCrossTile<decltype(w)::value>(tile, n);
+  });
+
+  // Mixed pairs, one run per shared categorical column.
+  const TaskRange mixed_range = slice(npairs.size(), mpairs.size());
+  for (size_t p = mixed_range.begin; p < mixed_range.end;) {
+    size_t run_end = p + 1;
+    while (run_end < mixed_range.end &&
+           mpairs[run_end].first == mpairs[p].first) {
+      ++run_end;
+    }
+    AccumulateMixedRun(n, p, run_end, profile, buf, part);
+    p = run_end;
+  }
+
+  // Categorical pair contingency tables.
+  const TaskRange cat_range =
+      slice(npairs.size() + mpairs.size(), cpairs.size());
+  for (size_t q = cat_range.begin; q < cat_range.end; ++q) {
+    const CategoryCode* a = code_stripe(cpairs[q].first);
+    const CategoryCode* b = code_stripe(cpairs[q].second);
+    const size_t kb = table.column(cpairs[q].second).cardinality();
+    int64_t* cells = table_cells_.data() + table_offsets_[q];
+    for (size_t i = 0; i < n; ++i) {
+      const CategoryCode ca = a[i];
+      const CategoryCode cb = b[i];
+      if (ca != kNullCategory && cb != kNullCategory) {
+        ++cells[static_cast<size_t>(ca) * kb + static_cast<size_t>(cb)];
       }
     }
   }
 }
 
-namespace {
+void SelectionSketches::AccumulateMixedRun(size_t n, size_t begin, size_t end,
+                                           const TableProfile& profile,
+                                           const GatherBuffers& buf,
+                                           size_t part) {
+  const auto& mpairs = profile.tracked_mixed_pairs();
+  const CategoryCode* codes =
+      buf.codes + gather_slot_[mpairs[begin].first] * buf.stride;
+  const size_t num_groups = group_offsets_[begin + 1] - group_offsets_[begin];
+  // Stable counting sort of the block positions by code, NULL codes
+  // dropped: ends[g] ends up one past group g's last position in `order`.
+  uint32_t* order = buf.order + part * buf.stride;
+  uint32_t* ends = buf.group_ends + part * buf.group_stride;
+  std::fill(ends, ends + num_groups, 0);
+  for (size_t i = 0; i < n; ++i) {
+    if (codes[i] != kNullCategory) ++ends[static_cast<size_t>(codes[i])];
+  }
+  uint32_t sorted = 0;
+  for (size_t g = 0; g < num_groups; ++g) {
+    const uint32_t size = ends[g];
+    ends[g] = sorted;
+    sorted += size;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (codes[i] != kNullCategory) {
+      order[ends[static_cast<size_t>(codes[i])]++] = static_cast<uint32_t>(i);
+    }
+  }
+  GroupLane tile[4];
+  int width = 0;
+  for (size_t p = begin; p < end; ++p) {
+    tile[width] = {buf.nums + gather_slot_[mpairs[p].second] * buf.stride,
+                   groups_.data() + group_offsets_[p]};
+    if (++width == 4) {
+      AccumulateGroupTile<4>(tile, codes, order, ends, sorted);
+      width = 0;
+    }
+  }
+  RunTileRemainder(width, [&](auto w) {
+    AccumulateGroupTile<decltype(w)::value>(tile, codes, order, ends, sorted);
+  });
+}
 
-// Decodes `selection` block by block into the calling thread's workspace
-// and calls fn(rows, n, nums, codes, stride) for each non-empty block,
-// with room for `numeric_stripes` and `code_stripes` gather stripes.
+void SelectionSketches::FinishNullFreePairs(const Table& table,
+                                            const TableProfile& profile) {
+  const auto& npairs = profile.tracked_numeric_pairs();
+  for (size_t t = 0; t < npairs.size(); ++t) {
+    const auto [a, b] = npairs[t];
+    if (!IsNullFree(table, profile, a) || !IsNullFree(table, profile, b)) {
+      continue;
+    }
+    const MomentSketch& sx = column_sketches_[a];
+    const MomentSketch& sy = column_sketches_[b];
+    PairMomentSketch& s = numeric_pair_sketches_[t];
+    s.count = sx.count;
+    s.sum_x = sx.sum;
+    s.sum_y = sy.sum;
+    s.sum_xx = sx.sum_sq;
+    s.sum_yy = sy.sum_sq;
+  }
+}
+
 template <typename Fn>
-void ForEachRowBlock(const Selection& selection, size_t block_rows,
-                     size_t numeric_stripes, size_t code_stripes, Fn&& fn) {
+void SelectionSketches::ForEachRowBlock(const Selection& selection,
+                                        size_t block_rows, size_t partitions,
+                                        Fn&& fn) const {
   const size_t num_words = selection.num_words();
-  if (block_rows == 0) block_rows = SelectionSketches::kDefaultBlockRows;
+  if (block_rows == 0) block_rows = kDefaultBlockRows;
   const size_t block_words =
       std::max<size_t>(1, block_rows / Selection::kWordBits);
   const size_t stride = std::min(block_words, num_words) * Selection::kWordBits;
+  size_t group_stride = 0;
+  for (size_t i = 0; i + 1 < group_offsets_.size(); ++i) {
+    group_stride =
+        std::max(group_stride, group_offsets_[i + 1] - group_offsets_[i]);
+  }
+  // Partition 0 sinks into stripe 0 of each kind; partition p > 0 into the
+  // p-th stripe past the pair stripes, so no two workers write one stripe.
   ScanWorkspace& ws = ThreadScanWorkspace();
   uint32_t* rows = AtLeast(&ws.rows, stride);
-  double* nums = AtLeast(&ws.nums, numeric_stripes * stride);
-  CategoryCode* codes = AtLeast(&ws.codes, code_stripes * stride);
+  GatherBuffers buf;
+  buf.nums = AtLeast(&ws.nums, (numeric_stripes_ + partitions - 1) * stride);
+  buf.codes = AtLeast(&ws.codes, (code_stripes_ + partitions - 1) * stride);
+  buf.stride = stride;
+  buf.order = AtLeast(&ws.order, partitions * stride);
+  buf.group_ends = AtLeast(&ws.group_ends, partitions * group_stride);
+  buf.group_stride = group_stride;
   for (size_t w = 0; w < num_words; w += block_words) {
     const size_t we = std::min(w + block_words, num_words);
     size_t n = 0;
     selection.ForEachSetBitInWords(
         w, we, [rows, &n](size_t r) { rows[n++] = static_cast<uint32_t>(r); });
-    if (n > 0) fn(rows, n, nums, codes, stride);
+    if (n > 0) fn(rows, n, buf);
   }
 }
-
-}  // namespace
 
 void SelectionSketches::AccumulateColumns(const Table& table,
                                           const TableProfile& profile,
@@ -375,16 +586,15 @@ void SelectionSketches::AccumulateColumns(const Table& table,
                                           size_t block_rows) {
   const TaskRange cols{0, table.num_columns()};
   const TaskRange pairs{0, numeric_pair_sketches_.size() +
-                               mixed_pair_groups_.size() +
-                               categorical_pair_tables_.size()};
-  ForEachRowBlock(selection, block_rows, numeric_stripes_, code_stripes_,
-                  [&](const uint32_t* rows, size_t n, double* nums,
-                      CategoryCode* codes, size_t stride) {
-                    AccumulateUnary(table, rows, n, cols, nums, codes, stride,
-                                    nums, codes);
-                    AccumulatePairs(table, profile, n, pairs, nums, codes,
-                                    stride);
-                  });
+                               group_offsets_.size() - 1 +
+                               table_offsets_.size() - 1};
+  ForEachRowBlock(
+      selection, block_rows, 1,
+      [&](const uint32_t* rows, size_t n, const GatherBuffers& buf) {
+        AccumulateUnary(table, rows, n, cols, buf, buf.nums, buf.codes);
+        AccumulatePairs(table, profile, n, pairs, buf, 0);
+      });
+  FinishNullFreePairs(table, profile);
 }
 
 void SelectionSketches::AccumulateColumnsParallel(const Table& table,
@@ -393,29 +603,26 @@ void SelectionSketches::AccumulateColumnsParallel(const Table& table,
                                                   size_t block_rows,
                                                   size_t threads) {
   const size_t num_pairs = numeric_pair_sketches_.size() +
-                           mixed_pair_groups_.size() +
-                           categorical_pair_tables_.size();
-  // Partition 0 sinks into stripe 0 of each kind; partition p > 0 into the
-  // p-th stripe past the pair stripes, so no two workers write one stripe.
+                           group_offsets_.size() - 1 +
+                           table_offsets_.size() - 1;
   ForEachRowBlock(
-      selection, block_rows, numeric_stripes_ + threads - 1,
-      code_stripes_ + threads - 1,
-      [&](const uint32_t* rows, size_t n, double* nums, CategoryCode* codes,
-          size_t stride) {
+      selection, block_rows, threads,
+      [&](const uint32_t* rows, size_t n, const GatherBuffers& buf) {
         ParallelFor(threads, table.num_columns(),
                     [&](TaskRange cols, size_t part) {
                       const size_t num_sink =
                           part == 0 ? 0 : numeric_stripes_ + part - 1;
                       const size_t code_sink =
                           part == 0 ? 0 : code_stripes_ + part - 1;
-                      AccumulateUnary(table, rows, n, cols, nums, codes,
-                                      stride, nums + num_sink * stride,
-                                      codes + code_sink * stride);
+                      AccumulateUnary(table, rows, n, cols, buf,
+                                      buf.nums + num_sink * buf.stride,
+                                      buf.codes + code_sink * buf.stride);
                     });
-        ParallelFor(threads, num_pairs, [&](TaskRange pairs, size_t) {
-          AccumulatePairs(table, profile, n, pairs, nums, codes, stride);
+        ParallelFor(threads, num_pairs, [&](TaskRange pairs, size_t part) {
+          AccumulatePairs(table, profile, n, pairs, buf, part);
         });
       });
+  FinishNullFreePairs(table, profile);
 }
 
 SelectionSketches SelectionSketches::Build(const Table& table,
@@ -441,96 +648,76 @@ void SelectionSketches::DeriveAsComplement(const TableProfile& profile,
   for (size_t c = 0; c < m; ++c) {
     column_sketches_[c] = profile.ColumnSketch(c);
     column_sketches_[c].Subtract(other.column_sketches_[c]);
-    if (!profile.CategoryCountsOf(c).empty()) {
-      const auto& global = profile.CategoryCountsOf(c);
-      for (size_t k = 0; k < global.size(); ++k) {
-        category_counts_[c][k] = global[k] - other.category_counts_[c][k];
-      }
-    }
-    if (!profile.HistogramCountsOf(c).empty()) {
-      const auto& global = profile.HistogramCountsOf(c);
-      for (size_t k = 0; k < global.size(); ++k) {
-        histograms_[c][k] = global[k] - other.histograms_[c][k];
-      }
+    // A column has category counts or a histogram, never both.
+    const std::vector<int64_t>& global = profile.CategoryCountsOf(c).empty()
+                                             ? profile.HistogramCountsOf(c)
+                                             : profile.CategoryCountsOf(c);
+    const size_t off = cell_offsets_[c];
+    for (size_t k = 0; k < global.size(); ++k) {
+      cells_[off + k] = global[k] - other.cells_[off + k];
     }
   }
   for (size_t i = 0; i < numeric_pair_sketches_.size(); ++i) {
     numeric_pair_sketches_[i] = profile.NumericPairSketch(static_cast<int64_t>(i));
     numeric_pair_sketches_[i].Subtract(other.numeric_pair_sketches_[i]);
   }
-  for (size_t i = 0; i < mixed_pair_groups_.size(); ++i) {
+  for (size_t i = 0; i + 1 < group_offsets_.size(); ++i) {
     const auto& global = profile.MixedPairGroups(i).groups;
+    const size_t off = group_offsets_[i];
     for (size_t g = 0; g < global.size(); ++g) {
-      mixed_pair_groups_[i][g] = global[g];
-      mixed_pair_groups_[i][g].Subtract(other.mixed_pair_groups_[i][g]);
+      groups_[off + g] = global[g];
+      groups_[off + g].Subtract(other.groups_[off + g]);
     }
   }
-  for (size_t i = 0; i < categorical_pair_tables_.size(); ++i) {
+  for (size_t i = 0; i + 1 < table_offsets_.size(); ++i) {
     const auto& global = profile.CategoricalPairTable(i);
+    const size_t off = table_offsets_[i];
     for (size_t k = 0; k < global.size(); ++k) {
-      categorical_pair_tables_[i][k] = global[k] - other.categorical_pair_tables_[i][k];
+      table_cells_[off + k] = global[k] - other.table_cells_[off + k];
     }
   }
 }
 
+namespace {
+
+template <typename T>
+size_t HeapBytes(const std::vector<T>& v) {
+  return v.capacity() * sizeof(T);
+}
+
+bool SameMoments(const MomentSketch& a, const MomentSketch& b) {
+  return a.count == b.count && a.sum == b.sum && a.sum_sq == b.sum_sq;
+}
+
+bool SamePairMoments(const PairMomentSketch& a, const PairMomentSketch& b) {
+  return a.count == b.count && a.sum_x == b.sum_x && a.sum_y == b.sum_y &&
+         a.sum_xx == b.sum_xx && a.sum_yy == b.sum_yy && a.sum_xy == b.sum_xy;
+}
+
+}  // namespace
+
 size_t SelectionSketches::MemoryUsageBytes() const {
-  size_t bytes = column_sketches_.capacity() * sizeof(MomentSketch);
-  bytes += category_counts_.capacity() * sizeof(category_counts_[0]);
-  for (const auto& v : category_counts_) bytes += v.capacity() * sizeof(int64_t);
-  bytes += numeric_pair_sketches_.capacity() * sizeof(PairMomentSketch);
-  bytes += mixed_pair_groups_.capacity() * sizeof(mixed_pair_groups_[0]);
-  for (const auto& v : mixed_pair_groups_) bytes += v.capacity() * sizeof(MomentSketch);
-  bytes += categorical_pair_tables_.capacity() *
-           sizeof(categorical_pair_tables_[0]);
-  for (const auto& v : categorical_pair_tables_) {
-    bytes += v.capacity() * sizeof(int64_t);
-  }
-  bytes += histograms_.capacity() * sizeof(histograms_[0]);
-  for (const auto& v : histograms_) bytes += v.capacity() * sizeof(int64_t);
-  bytes += binners_.capacity() * sizeof(HistogramBinner);
-  bytes += gather_slot_.capacity() * sizeof(uint32_t);
-  return bytes;
+  return HeapBytes(column_sketches_) + HeapBytes(binners_) +
+         HeapBytes(cell_offsets_) + HeapBytes(cells_) +
+         HeapBytes(numeric_pair_sketches_) + HeapBytes(group_offsets_) +
+         HeapBytes(groups_) + HeapBytes(table_offsets_) +
+         HeapBytes(table_cells_) + HeapBytes(gather_slot_);
 }
 
 bool SelectionSketches::Equals(const SelectionSketches& other) const {
-  auto sketch_eq = [](const MomentSketch& a, const MomentSketch& b) {
-    return a.count == b.count && a.sum == b.sum && a.sum_sq == b.sum_sq;
-  };
-  if (column_sketches_.size() != other.column_sketches_.size()) return false;
-  for (size_t i = 0; i < column_sketches_.size(); ++i) {
-    if (!sketch_eq(column_sketches_[i], other.column_sketches_[i])) {
-      return false;
-    }
+  if (binners_.size() != other.binners_.size()) return false;
+  for (size_t c = 0; c < binners_.size(); ++c) {
+    if (binners_[c].bins != other.binners_[c].bins) return false;
   }
-  if (category_counts_ != other.category_counts_) return false;
-  if (numeric_pair_sketches_.size() != other.numeric_pair_sketches_.size()) {
-    return false;
-  }
-  for (size_t i = 0; i < numeric_pair_sketches_.size(); ++i) {
-    const auto& a = numeric_pair_sketches_[i];
-    const auto& b = other.numeric_pair_sketches_[i];
-    if (a.count != b.count || a.sum_x != b.sum_x || a.sum_y != b.sum_y ||
-        a.sum_xx != b.sum_xx || a.sum_yy != b.sum_yy || a.sum_xy != b.sum_xy) {
-      return false;
-    }
-  }
-  if (mixed_pair_groups_.size() != other.mixed_pair_groups_.size()) {
-    return false;
-  }
-  for (size_t i = 0; i < mixed_pair_groups_.size(); ++i) {
-    if (mixed_pair_groups_[i].size() != other.mixed_pair_groups_[i].size()) {
-      return false;
-    }
-    for (size_t g = 0; g < mixed_pair_groups_[i].size(); ++g) {
-      if (!sketch_eq(mixed_pair_groups_[i][g],
-                     other.mixed_pair_groups_[i][g])) {
-        return false;
-      }
-    }
-  }
-  if (categorical_pair_tables_ != other.categorical_pair_tables_) return false;
-  if (histograms_ != other.histograms_) return false;
-  return true;
+  return std::ranges::equal(column_sketches_, other.column_sketches_,
+                            SameMoments) &&
+         cell_offsets_ == other.cell_offsets_ && cells_ == other.cells_ &&
+         std::ranges::equal(numeric_pair_sketches_,
+                            other.numeric_pair_sketches_, SamePairMoments) &&
+         group_offsets_ == other.group_offsets_ &&
+         std::ranges::equal(groups_, other.groups_, SameMoments) &&
+         table_offsets_ == other.table_offsets_ &&
+         table_cells_ == other.table_cells_;
 }
 
 }  // namespace ziggy

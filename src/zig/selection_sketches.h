@@ -25,6 +25,21 @@
 //    splits the pair passes, so every accumulator is owned by one worker
 //    and still sees its rows in ascending order. The result is therefore
 //    bit-identical to the sequential scan at any thread count.
+//    The pair pass is tiled too. A numeric pair whose two columns hold no
+//    NULL in the table's current generation (the profile's column count
+//    is the row count) adds every selected row, so its count and x/y
+//    sums are bitwise its columns' sketches: the scan accumulates only
+//    sum_xy, 4 such pairs per row loop, and copies the rest from the
+//    column sketches after the last block. This is the identity the
+//    profile's Gram tiles rely on, and every path through this class
+//    keeps it (same rows, same order, same operations). Pairs with a
+//    NULL-holding column keep the per-pair loop. Mixed pairs come from
+//    the profile grouped by categorical column; each run of pairs sharing
+//    one gets one stable counting sort of the block's rows by code, then
+//    up to 4 pairs sum each group's rows in registers. The sort keeps
+//    every group's rows ascending, so each group sketch still adds its
+//    values in AddRow's order. A parallel scan cuts its tiles and runs
+//    inside each partition's pair range.
 //  * Row-at-a-time AddRow/RemoveRow: kept exclusively for ApplyDelta, the
 //    one patch routine of every sketch-reuse path (the Preparer between a
 //    user's consecutive queries, the server's sketch cache across
@@ -37,11 +52,18 @@
 //  * a cached inside state can be *updated* to a similar new selection by
 //    adding/removing only the rows in the symmetric difference
 //    (ApplyDelta), when MaxPatchDelta says that beats a scan.
+//
+// Layout: each variable-length family lives in one flat buffer with an
+// offset table (per-column category counts and histograms, per-pair
+// mixed groups, per-pair contingency cells), so shaping, copying or
+// freeing a sketch costs a constant number of allocations whatever the
+// table width, and the accessors return spans into those buffers.
 
 #ifndef ZIGGY_ZIG_SELECTION_SKETCHES_H_
 #define ZIGGY_ZIG_SELECTION_SKETCHES_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/parallel.h"
@@ -70,7 +92,9 @@ class SelectionSketches {
   /// Accumulates every selected row, column-at-a-time in blocks of
   /// `block_rows` (0 = kDefaultBlockRows). Single-threaded and
   /// bit-identical to calling AddRow for each selected row in ascending
-  /// order: each accumulator sees values in exactly that order.
+  /// order: each accumulator sees values in exactly that order, and a
+  /// NULL-free numeric pair's count and x/y sums are copied from its
+  /// columns' sketches, which saw the same values in the same order.
   void AccumulateColumns(const Table& table, const TableProfile& profile,
                          const Selection& selection, size_t block_rows = 0);
 
@@ -115,23 +139,30 @@ class SelectionSketches {
   /// \name Accumulated statistics (indexing mirrors TableProfile).
   /// @{
   const MomentSketch& column_sketch(size_t col) const { return column_sketches_[col]; }
-  const std::vector<int64_t>& category_counts(size_t col) const {
-    return category_counts_[col];
+  /// Category counts of categorical column `col` (empty for numeric ones).
+  std::span<const int64_t> category_counts(size_t col) const {
+    return binners_[col].bins > 0 ? std::span<const int64_t>() : CellsOf(col);
   }
   const PairMomentSketch& numeric_pair_sketch(size_t idx) const {
     return numeric_pair_sketches_[idx];
   }
-  const std::vector<MomentSketch>& mixed_pair_groups(size_t idx) const {
-    return mixed_pair_groups_[idx];
+  std::span<const MomentSketch> mixed_pair_groups(size_t idx) const {
+    return {groups_.data() + group_offsets_[idx],
+            group_offsets_[idx + 1] - group_offsets_[idx]};
   }
-  const std::vector<int64_t>& categorical_pair_table(size_t idx) const {
-    return categorical_pair_tables_[idx];
+  std::span<const int64_t> categorical_pair_table(size_t idx) const {
+    return {table_cells_.data() + table_offsets_[idx],
+            table_offsets_[idx + 1] - table_offsets_[idx]};
   }
-  /// Histogram counts of numeric column `col` (profile-aligned bins).
-  const std::vector<int64_t>& histogram(size_t col) const { return histograms_[col]; }
+  /// Histogram counts of numeric column `col` (profile-aligned bins; empty
+  /// for categorical and histogram-less columns).
+  std::span<const int64_t> histogram(size_t col) const {
+    return binners_[col].bins > 0 ? CellsOf(col) : std::span<const int64_t>();
+  }
   /// @}
 
-  /// Approximate heap footprint (used to budget the engine's query cache).
+  /// Heap footprint: the capacity of every buffer the sketch owns (used to
+  /// budget the engine's query cache and the server's sketch cache).
   size_t MemoryUsageBytes() const;
 
   /// Exact equality of every accumulated statistic (the bitwise
@@ -139,23 +170,41 @@ class SelectionSketches {
   bool Equals(const SelectionSketches& other) const;
 
  private:
+  struct GatherBuffers;
+
   template <int Sign>
   void ApplyRow(const Table& table, const TableProfile& profile, size_t r);
 
+  /// Column `col`'s cells: its histogram when its binner has bins, else
+  /// its category counts (none for a histogram-less numeric column).
+  std::span<const int64_t> CellsOf(size_t col) const {
+    return {cells_.data() + cell_offsets_[col],
+            cell_offsets_[col + 1] - cell_offsets_[col]};
+  }
+
   /// Unary statistics of columns [cols.begin, cols.end) over one decoded
   /// block of `n` selected rows. Pair-referenced columns are gathered into
-  /// their stripes of `nums` / `codes` (`stride` values apart, laid out by
-  /// gather_slot_); the others into `num_sink` / `code_sink`.
+  /// their stripes of `buf` (laid out by gather_slot_); the others into
+  /// `num_sink` / `code_sink`.
   void AccumulateUnary(const Table& table, const uint32_t* rows, size_t n,
-                       TaskRange cols, double* nums, CategoryCode* codes,
-                       size_t stride, double* num_sink,
-                       CategoryCode* code_sink);
+                       TaskRange cols, const GatherBuffers& buf,
+                       double* num_sink, CategoryCode* code_sink);
 
   /// Tracked pairs [pairs.begin, pairs.end) over the gathered stripes of
   /// one block, indexed numeric pairs first, then mixed, then categorical.
+  /// `part` picks the partition's counting-sort scratch in `buf`.
   void AccumulatePairs(const Table& table, const TableProfile& profile,
-                       size_t n, TaskRange pairs, const double* nums,
-                       const CategoryCode* codes, size_t stride);
+                       size_t n, TaskRange pairs, const GatherBuffers& buf,
+                       size_t part);
+
+  /// Mixed pairs [begin, end), which share their categorical column.
+  void AccumulateMixedRun(size_t n, size_t begin, size_t end,
+                          const TableProfile& profile,
+                          const GatherBuffers& buf, size_t part);
+
+  /// Copies the count and x/y sums of every NULL-free numeric pair from
+  /// its columns' sketches (the scan accumulated only their sum_xy).
+  void FinishNullFreePairs(const Table& table, const TableProfile& profile);
 
   /// Build's column-partitioned scan on `threads` (> 1) workers.
   void AccumulateColumnsParallel(const Table& table,
@@ -163,15 +212,30 @@ class SelectionSketches {
                                  const Selection& selection,
                                  size_t block_rows, size_t threads);
 
+  /// Decodes `selection` block by block into the calling thread's scan
+  /// workspace, sized for `partitions` workers (their sink stripes and
+  /// counting-sort scratch), and calls fn(rows, n, buf) for each
+  /// non-empty block.
+  template <typename Fn>
+  void ForEachRowBlock(const Selection& selection, size_t block_rows,
+                       size_t partitions, Fn&& fn) const;
+
   std::vector<MomentSketch> column_sketches_;
-  std::vector<std::vector<int64_t>> category_counts_;
-  std::vector<PairMomentSketch> numeric_pair_sketches_;
-  std::vector<std::vector<MomentSketch>> mixed_pair_groups_;
-  std::vector<std::vector<int64_t>> categorical_pair_tables_;
-  std::vector<std::vector<int64_t>> histograms_;
   // Per-column binners precomputed in InitShapes: the per-cell histogram
-  // cost is one multiply instead of two divisions, on both scan paths.
+  // cost is one multiply instead of two divisions, on both scan paths. A
+  // binner has bins exactly when its column has a histogram.
   std::vector<HistogramBinner> binners_;
+  // Column c's cells (histogram or category counts) are
+  // cells_[cell_offsets_[c], cell_offsets_[c + 1]).
+  std::vector<size_t> cell_offsets_;
+  std::vector<int64_t> cells_;
+  std::vector<PairMomentSketch> numeric_pair_sketches_;
+  // Mixed pair i's groups are groups_[group_offsets_[i], ..[i + 1]).
+  std::vector<size_t> group_offsets_;
+  std::vector<MomentSketch> groups_;
+  // Categorical pair i's cells are table_cells_[table_offsets_[i], ..[i + 1]).
+  std::vector<size_t> table_offsets_;
+  std::vector<int64_t> table_cells_;
   // Gather layout of the columnar scan (computed in InitShapes): per
   // column, its stripe in the numeric or categorical workspace, and the
   // stripe count of each kind. Columns no tracked pair references are

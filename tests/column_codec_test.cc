@@ -69,7 +69,9 @@ TEST(LzBlockTest, GarbageInputNeverCrashes) {
     // Any result is fine as long as it is a clean Status or a string of
     // exactly the requested size.
     Result<std::string> out = LzDecompress(garbage, 128);
-    if (out.ok()) EXPECT_EQ(out->size(), 128u);
+    if (out.ok()) {
+      EXPECT_EQ(out->size(), 128u);
+    }
   }
 }
 
@@ -267,7 +269,7 @@ TEST(CodesCodecTest, OutOfRangeCodesRejected) {
 // --------------------------------------------------------- byte blobs ----
 
 TEST(ByteBlobTest, RoundTripsIncludingNonBmpLabels) {
-  for (const std::string raw :
+  for (const std::string& raw :
        {std::string(), std::string("plain ascii"),
         std::string("\xF0\x9F\x8E\xB8 guitar \xF0\x9F\x94\xA5 "
                     "\xE4\xB8\xAD\xE6\x96\x87 \x00 embedded", 34),

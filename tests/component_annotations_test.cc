@@ -31,8 +31,8 @@ NumericStats StatsOf(const MomentSketch& s) {
 
 // Index of the bin (or category) where the inside share most exceeds the
 // outside share; first such index on ties.
-size_t MostOverRepresented(const std::vector<int64_t>& in,
-                           const std::vector<int64_t>& out) {
+size_t MostOverRepresented(std::span<const int64_t> in,
+                           std::span<const int64_t> out) {
   const auto p = NormalizeCounts(in, 0.0);
   const auto q = NormalizeCounts(out, 0.0);
   size_t best = 0;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "common/random.h"
 #include "stats/effect_size.h"
@@ -167,9 +169,13 @@ TEST(FrequencyShiftTest, StrongShiftIsLarge) {
 }
 
 TEST(FrequencyShiftTest, UndefinedOnMismatchedOrTinyInputs) {
-  EXPECT_FALSE(FrequencyShift({1, 2}, {1, 2, 3}).defined);
+  EXPECT_FALSE(FrequencyShift(std::vector<int64_t>{1, 2},
+                              std::vector<int64_t>{1, 2, 3})
+                   .defined);
   EXPECT_FALSE(FrequencyShift({}, {}).defined);
-  EXPECT_FALSE(FrequencyShift({1, 0}, {500, 500}).defined);
+  EXPECT_FALSE(FrequencyShift(std::vector<int64_t>{1, 0},
+                              std::vector<int64_t>{500, 500})
+                   .defined);
 }
 
 TEST(FrequencyShiftTest, SmoothingHandlesEmptyOutsideCategory) {

@@ -251,6 +251,72 @@ TEST(EngineTest, ServerSessionReboundAfterAppendMatchesFreshEngine) {
   }
 }
 
+// A cold read after an append that puts the first NULL into a column of a
+// tracked numeric pair: generation 0 scans copy that pair's count and x/y
+// sums from the column sketches, generation 1 scans must stop doing so.
+TEST(EngineTest, ServerColdReadAfterNullIntroducingAppendMatchesFreshEngine) {
+  SyntheticDataset ds = MakeBoxOfficeDataset().ValueOrDie();
+  ServeOptions options;
+  options.cache_enabled = false;  // every read scans, as a fresh engine does
+  options.engine.search.min_tightness = 0.5;
+  std::unique_ptr<ZiggyServer> server =
+      ZiggyServer::Create(ds.table, options).ValueOrDie();
+  const uint64_t session = server->OpenSession();
+  const auto state0 = server->state();
+  const auto [target, partner] =
+      state0->profile->tracked_numeric_pairs().at(0);
+  for (const size_t c : {target, partner}) {
+    ASSERT_EQ(static_cast<size_t>(state0->profile->ColumnSketch(c).count),
+              ds.table.num_rows());
+  }
+  auto expect_fresh = [&] {
+    const auto state = server->state();
+    ZiggyEngine fresh =
+        ZiggyEngine::CreateShared(state->snapshot.shared_table(),
+                                  state->profile, state->dendrogram,
+                                  options.engine)
+            .ValueOrDie();
+    const Schema& schema = state->table().schema();
+    for (const std::string& query :
+         {ds.selection_predicate, std::string("revenue_index > 1.2")}) {
+      EXPECT_EQ(RenderCharacterizationReport(
+                    server->Characterize(session, query).ValueOrDie(), schema),
+                RenderCharacterizationReport(
+                    fresh.CharacterizeQuery(query).ValueOrDie(), schema))
+          << "generation " << state->generation() << ": " << query;
+    }
+  };
+  expect_fresh();
+
+  // A sampled batch with one NULL in the target column.
+  Rng rng(9);
+  const Table sample = ds.table.SampleRows(40, &rng);
+  std::vector<Column> columns;
+  for (size_t c = 0; c < sample.num_columns(); ++c) {
+    const Column& col = sample.column(c);
+    const std::string& name = sample.schema().field(c).name;
+    if (col.is_numeric()) {
+      std::vector<double> values = col.numeric_data();
+      if (c == target) values[7] = NullNumeric();
+      columns.push_back(Column::FromNumeric(name, std::move(values)));
+    } else {
+      std::vector<std::string> labels;
+      for (const CategoryCode code : col.codes()) {
+        labels.push_back(code == kNullCategory
+                             ? std::string()
+                             : col.dictionary()[static_cast<size_t>(code)]);
+      }
+      columns.push_back(Column::FromStrings(name, labels));
+    }
+  }
+  ASSERT_TRUE(
+      server->Append(Table::FromColumns(std::move(columns)).ValueOrDie()).ok());
+  ASSERT_LT(static_cast<size_t>(
+                server->state()->profile->ColumnSketch(target).count),
+            server->state()->table().num_rows());
+  expect_fresh();
+}
+
 // STATS' component_cache totals count each engine's lookups once: the
 // session's engine is replaced when an append moves the generation, and
 // the totals must be the sum over the old and the new engine.

@@ -5,10 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstring>
 #include <numeric>
+#include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -193,8 +196,10 @@ void ExpectBitIdentical(const Fixture& fx, const SelectionSketches& a,
   for (size_t c = 0; c < fx.table.num_columns(); ++c) {
     EXPECT_TRUE(same_moment(a.column_sketch(c), b.column_sketch(c)))
         << "col " << c;
-    EXPECT_EQ(a.category_counts(c), b.category_counts(c)) << "col " << c;
-    EXPECT_EQ(a.histogram(c), b.histogram(c)) << "col " << c;
+    EXPECT_TRUE(std::ranges::equal(a.category_counts(c), b.category_counts(c)))
+        << "col " << c;
+    EXPECT_TRUE(std::ranges::equal(a.histogram(c), b.histogram(c)))
+        << "col " << c;
   }
   for (size_t i = 0; i < fx.profile.tracked_numeric_pairs().size(); ++i) {
     const PairMomentSketch& pa = a.numeric_pair_sketch(i);
@@ -204,15 +209,16 @@ void ExpectBitIdentical(const Fixture& fx, const SelectionSketches& a,
         << "pair " << i;
   }
   for (size_t i = 0; i < fx.profile.tracked_mixed_pairs().size(); ++i) {
-    const auto& ga = a.mixed_pair_groups(i);
-    const auto& gb = b.mixed_pair_groups(i);
+    const std::span<const MomentSketch> ga = a.mixed_pair_groups(i);
+    const std::span<const MomentSketch> gb = b.mixed_pair_groups(i);
     ASSERT_EQ(ga.size(), gb.size());
     for (size_t g = 0; g < ga.size(); ++g) {
       EXPECT_TRUE(same_moment(ga[g], gb[g])) << "mixed " << i << " group " << g;
     }
   }
   for (size_t i = 0; i < fx.profile.tracked_categorical_pairs().size(); ++i) {
-    EXPECT_EQ(a.categorical_pair_table(i), b.categorical_pair_table(i));
+    EXPECT_TRUE(std::ranges::equal(a.categorical_pair_table(i),
+                                   b.categorical_pair_table(i)));
   }
   EXPECT_TRUE(a.Equals(b));
 }
@@ -325,6 +331,7 @@ enum class NumericShape {
   kOffset,       // 1e9 + correlated value: large mean, small spread
   kAntiCorrelated,
   kMostlyNull,   // correlated, ~85% NULL (not cycled by MakeWideFixture)
+  kNullFree,     // correlated, no NULL (not cycled by MakeWideFixture)
 };
 constexpr NumericShape kShapes[] = {
     NumericShape::kNullHolding, NumericShape::kAllNull,
@@ -348,6 +355,8 @@ double ShapedValue(NumericShape shape, double f, Rng* rng) {
       return rng->Bernoulli(0.1) ? NullNumeric() : -2.0 * f + rng->Normal();
     case NumericShape::kMostlyNull:
       return rng->Bernoulli(0.85) ? NullNumeric() : f + 0.3 * rng->Normal();
+    case NumericShape::kNullFree:
+      return f + 0.3 * rng->Normal();
   }
   return 0.0;
 }
@@ -355,9 +364,12 @@ double ShapedValue(NumericShape shape, double f, Rng* rng) {
 // One numeric column per entry of `shapes` with a categorical after every
 // second one, plus a leading categorical, so numeric tiles are interleaved
 // with categorical columns. Correlated numerics and categoricals give the
-// profile tracked pairs of all three kinds.
-Fixture MakeShapedFixture(size_t n, const std::vector<NumericShape>& shapes,
-                          uint64_t seed, size_t histogram_bins = 16) {
+// profile tracked pairs of all three kinds, at most `max_tracked_pairs`
+// of each.
+Fixture MakeShapedFixture(
+    size_t n, const std::vector<NumericShape>& shapes, uint64_t seed,
+    size_t histogram_bins = 16,
+    size_t max_tracked_pairs = ProfileOptions{}.max_tracked_pairs) {
   Rng rng(seed);
   std::vector<double> factor(n);
   for (double& f : factor) f = rng.Normal();
@@ -384,6 +396,7 @@ Fixture MakeShapedFixture(size_t n, const std::vector<NumericShape>& shapes,
   Table t = Table::FromColumns(std::move(columns)).ValueOrDie();
   ProfileOptions po;
   po.histogram_bins = histogram_bins;
+  po.max_tracked_pairs = max_tracked_pairs;
   TableProfile p = TableProfile::Compute(t, po).ValueOrDie();
   return {std::move(t), std::move(p)};
 }
@@ -538,28 +551,174 @@ TEST(TiledScanTest, WorkspaceReuseAcrossTablesOnOneThread) {
   }
 }
 
+// ------------------------------------------------- tiled pair passes ---
+
+// Whether `threads` partitions of the pair range cut a run of mixed pairs
+// that share a categorical column.
+bool PartitionCutsMixedRun(const TableProfile& profile, size_t threads) {
+  const size_t first = profile.tracked_numeric_pairs().size();
+  const auto& mpairs = profile.tracked_mixed_pairs();
+  const size_t total = first + mpairs.size() +
+                       profile.tracked_categorical_pairs().size();
+  for (const TaskRange& range : PartitionTasks(total, threads)) {
+    const size_t b = range.begin;
+    if (b > first && b < first + mpairs.size() &&
+        mpairs[b - first - 1].first == mpairs[b - first].first) {
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(TiledPairScanTest, TileRemaindersAndMixedRunsAreBitIdenticalToAddRow) {
+  // Five NULL-free numerics (their pairs go through the sum_xy tiles), one
+  // NULL-holding numeric (its pairs keep the per-pair loop) and
+  // categoricals with NULL codes, each heading a run of mixed pairs with
+  // the numerics it groups. Capping every pair family at 1..10 walks the
+  // tile remainders and runs of 1 to 6 mixed pairs; 3% selections leave
+  // 64-row blocks with fewer rows than groups, 50% ones sort every block.
+  std::set<size_t> remainders;
+  std::set<size_t> run_lengths;
+  bool cut_run = false;
+  for (size_t cap = 1; cap <= 10; ++cap) {
+    const Fixture fx = MakeShapedFixture(
+        1500,
+        {NumericShape::kNullFree, NumericShape::kNullFree,
+         NumericShape::kNullHolding, NumericShape::kNullFree,
+         NumericShape::kNullFree, NumericShape::kNullFree},
+        900, 16, cap);
+    const size_t rows = fx.table.num_rows();
+    size_t null_free_pairs = 0;
+    for (const auto& [a, b] : fx.profile.tracked_numeric_pairs()) {
+      null_free_pairs +=
+          static_cast<size_t>(fx.profile.ColumnSketch(a).count) == rows &&
+          static_cast<size_t>(fx.profile.ColumnSketch(b).count) == rows;
+    }
+    remainders.insert(null_free_pairs % 4);
+    const auto& mpairs = fx.profile.tracked_mixed_pairs();
+    for (size_t p = 0, run = 1; p < mpairs.size(); ++p, ++run) {
+      if (p + 1 == mpairs.size() || mpairs[p + 1].first != mpairs[p].first) {
+        run_lengths.insert(run);
+        run = 0;
+      }
+    }
+    for (double density : {0.03, 0.5}) {
+      const Selection sel = MakeSelection(rows, density, 19);
+      const SelectionSketches ref = ReferenceSketches(fx, sel);
+      for (size_t threads : {1u, 2u, 3u, 4u, 8u}) {
+        cut_run = cut_run || PartitionCutsMixedRun(fx.profile, threads);
+        for (size_t block_rows : {64u, 1000u, 0u}) {
+          SCOPED_TRACE("cap=" + std::to_string(cap) +
+                       " density=" + std::to_string(density) +
+                       " threads=" + std::to_string(threads) +
+                       " block_rows=" + std::to_string(block_rows));
+          ExpectBitIdentical(fx, ref,
+                             SelectionSketches::Build(fx.table, fx.profile,
+                                                      sel, threads,
+                                                      block_rows));
+        }
+      }
+    }
+  }
+  // Guards the fixture: every tile remainder, run lengths 1-5 and a
+  // partition boundary inside a run all occurred.
+  for (size_t r : {1u, 2u, 3u}) EXPECT_TRUE(remainders.count(r)) << r;
+  for (size_t len = 1; len <= 5; ++len) {
+    EXPECT_TRUE(run_lengths.count(len)) << len;
+  }
+  EXPECT_TRUE(cut_run);
+}
+
+TEST(TiledPairScanTest, NullFreeClassificationFollowsTheAppendedGeneration) {
+  // Generation 0: x and y hold no NULL, so a scan copies the (x, y) pair's
+  // count and x/y sums from the column sketches. The append puts a NULL
+  // into y. The scanned sketch, migrated to generation 1 as the sketch
+  // cache does (selection resized) and patched onto a selection holding
+  // the NULL row, must equal AddRow over the base rows, ascending, then
+  // over the added rows.
+  const size_t n = 2000;
+  const size_t tail = 200;
+  const size_t null_row = n + 5;
+  Rng rng(77);
+  std::vector<double> x(n + tail);
+  std::vector<double> y(n + tail);
+  std::vector<std::string> g(n + tail);
+  for (size_t i = 0; i < n + tail; ++i) {
+    const double f = rng.Normal();
+    x[i] = f + 0.3 * rng.Normal();
+    y[i] = f + 0.3 * rng.Normal();
+    g[i] = rng.Bernoulli(0.03) ? "" : (f > 0 ? "hi" : "lo");
+  }
+  y[null_row] = NullNumeric();
+  const auto rows_of = [&](size_t begin, size_t end) {
+    const auto cut = [&](const auto& v) {
+      return std::vector(v.begin() + static_cast<std::ptrdiff_t>(begin),
+                         v.begin() + static_cast<std::ptrdiff_t>(end));
+    };
+    return Table::FromColumns({Column::FromNumeric("x", cut(x)),
+                               Column::FromNumeric("y", cut(y)),
+                               Column::FromStrings("g", cut(g))})
+        .ValueOrDie();
+  };
+  const Fixture gen0{rows_of(0, n), TableProfile::Compute(rows_of(0, n))
+                                        .ValueOrDie()};
+  ASSERT_EQ(gen0.profile.tracked_numeric_pairs().size(), 1u);
+  ASSERT_EQ(static_cast<size_t>(gen0.profile.ColumnSketch(1).count), n);
+  Fixture gen1{gen0.table.WithAppendedRows(rows_of(n, n + tail)).ValueOrDie(),
+               gen0.profile};
+  ASSERT_TRUE(gen1.profile.ApplyAppend(gen1.table, n).ok());
+  ASSERT_EQ(static_cast<size_t>(gen1.profile.ColumnSketch(1).count),
+            n + tail - 1);
+
+  const Selection base = MakeSelection(n, 0.4, 5);
+  SelectionSketches sketch =
+      SelectionSketches::Build(gen0.table, gen0.profile, base);
+  ExpectBitIdentical(gen0, ReferenceSketches(gen0, base), sketch);
+
+  Selection from = base;
+  from.Resize(n + tail);
+  Selection to = from;
+  for (size_t r = n; r < n + tail; ++r) {
+    if (r == null_row || r % 3 == 0) to.Set(r);
+  }
+  sketch.ApplyDelta(gen1.table, gen1.profile, from, to);
+
+  SelectionSketches reference;
+  reference.InitShapes(gen1.table, gen1.profile);
+  base.ForEachSetBit(
+      [&](size_t r) { reference.AddRow(gen1.table, gen1.profile, r); });
+  for (size_t r = n; r < n + tail; ++r) {
+    if (to.Contains(r)) reference.AddRow(gen1.table, gen1.profile, r);
+  }
+  ExpectBitIdentical(gen1, reference, sketch);
+  // A cold scan of generation 1 takes the per-pair loop for (x, y).
+  ExpectBitIdentical(gen1, reference,
+                     SelectionSketches::Build(gen1.table, gen1.profile, to));
+}
+
 // ------------------------------------------------- result footprint ---
 
-// MemoryUsageBytes recomputed from the public statistics, plus the two
-// per-column shape arrays (binners and gather slots): everything a sketch
-// owns on the heap.
+// MemoryUsageBytes recomputed from the public statistics, plus the
+// per-column shape arrays (binners and gather slots) and the three offset
+// tables of the flat layout: everything a sketch owns on the heap.
 size_t ExpectedFootprint(const Fixture& fx) {
   const size_t m = fx.table.num_columns();
+  const size_t num_mixed = fx.profile.tracked_mixed_pairs().size();
+  const size_t num_tables = fx.profile.tracked_categorical_pairs().size();
   size_t bytes = m * (sizeof(MomentSketch) + sizeof(HistogramBinner) +
-                      sizeof(uint32_t) + 2 * sizeof(std::vector<int64_t>));
+                      sizeof(uint32_t)) +
+                 (m + 1 + num_mixed + 1 + num_tables + 1) * sizeof(size_t);
   for (size_t c = 0; c < m; ++c) {
     const Column& col = fx.table.column(c);
     if (col.is_categorical()) bytes += col.cardinality() * sizeof(int64_t);
     bytes += fx.profile.HistogramCountsOf(c).size() * sizeof(int64_t);
   }
   bytes += fx.profile.tracked_numeric_pairs().size() * sizeof(PairMomentSketch);
-  for (size_t i = 0; i < fx.profile.tracked_mixed_pairs().size(); ++i) {
-    bytes += sizeof(std::vector<MomentSketch>) +
-             fx.profile.MixedPairGroups(i).groups.size() * sizeof(MomentSketch);
+  for (size_t i = 0; i < num_mixed; ++i) {
+    bytes += fx.profile.MixedPairGroups(i).groups.size() * sizeof(MomentSketch);
   }
-  for (size_t i = 0; i < fx.profile.tracked_categorical_pairs().size(); ++i) {
-    bytes += sizeof(std::vector<int64_t>) +
-             fx.profile.CategoricalPairTable(i).size() * sizeof(int64_t);
+  for (size_t i = 0; i < num_tables; ++i) {
+    bytes += fx.profile.CategoricalPairTable(i).size() * sizeof(int64_t);
   }
   return bytes;
 }

@@ -139,7 +139,9 @@ ResultGrid RunWorkload(const SyntheticDataset& ds, const ServeOptions& options,
         for (const std::string& q : scripts[s][p]) run_query(s, q);
       }
       if (churn_cache) server->FlushSketchCache();
-      if (p + 1 < kPhases) EXPECT_TRUE(server->Append(appends[p]).ok());
+      if (p + 1 < kPhases) {
+        EXPECT_TRUE(server->Append(appends[p]).ok());
+      }
     }
     return results;
   }

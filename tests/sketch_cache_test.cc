@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -230,12 +231,14 @@ TEST(PatchRuleTest, ServerPatchesUpToHalfTheSelectionAndMatchesAScan) {
     for (size_t c = 0; c < table.num_columns(); ++c) {
       EXPECT_EQ(patched->column_sketch(c).count,
                 scanned.column_sketch(c).count);
-      EXPECT_EQ(patched->category_counts(c), scanned.category_counts(c));
-      EXPECT_EQ(patched->histogram(c), scanned.histogram(c));
+      EXPECT_TRUE(std::ranges::equal(patched->category_counts(c),
+                                     scanned.category_counts(c)));
+      EXPECT_TRUE(
+          std::ranges::equal(patched->histogram(c), scanned.histogram(c)));
     }
     for (size_t i = 0; i < profile.tracked_categorical_pairs().size(); ++i) {
-      EXPECT_EQ(patched->categorical_pair_table(i),
-                scanned.categorical_pair_table(i));
+      EXPECT_TRUE(std::ranges::equal(patched->categorical_pair_table(i),
+                                     scanned.categorical_pair_table(i)));
     }
 
     SelectionSketches outside;

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "common/random.h"
 #include "stats/distributions.h"
@@ -11,6 +13,8 @@
 
 namespace ziggy {
 namespace {
+
+using Counts = std::vector<int64_t>;
 
 NumericStats SampledNormal(Rng* rng, int n, double mean, double sd) {
   NumericStats s;
@@ -101,8 +105,10 @@ TEST(TestStatisticTest, DegenerateOutcomesCarryFixedPValue) {
   // Undefined: too few rows, or a single used category.
   EXPECT_FALSE(WelchTStatistic(NumericStats{}, a).defined);
   EXPECT_EQ(WelchTStatistic(NumericStats{}, a).PValue(), 1.0);
-  EXPECT_FALSE(ChiSquareHomogeneityStatistic({4, 0}, {7, 0}).defined);
-  EXPECT_EQ(ChiSquareHomogeneityStatistic({4, 0}, {7, 0}).PValue(), 1.0);
+  const TestStatistic one_live =
+      ChiSquareHomogeneityStatistic(Counts{4, 0}, Counts{7, 0});
+  EXPECT_FALSE(one_live.defined);
+  EXPECT_EQ(one_live.PValue(), 1.0);
 }
 
 TEST(TestStatisticTest, PValueIsTheNullDistributionTail) {
@@ -213,11 +219,11 @@ TEST(ChiSquareHomogeneityTest_, EmptyCategoriesDropped) {
 }
 
 TEST(ChiSquareHomogeneityTest_, DegenerateInputsUndefined) {
-  EXPECT_FALSE(ChiSquareHomogeneityTest({}, {}).defined);
-  EXPECT_FALSE(ChiSquareHomogeneityTest({5, 5}, {0, 0}).defined);
-  EXPECT_FALSE(ChiSquareHomogeneityTest({1, 2}, {1, 2, 3}).defined);
+  EXPECT_FALSE(ChiSquareHomogeneityTest(Counts{}, Counts{}).defined);
+  EXPECT_FALSE(ChiSquareHomogeneityTest(Counts{5, 5}, Counts{0, 0}).defined);
+  EXPECT_FALSE(ChiSquareHomogeneityTest(Counts{1, 2}, Counts{1, 2, 3}).defined);
   // Single live category: no dof.
-  EXPECT_FALSE(ChiSquareHomogeneityTest({5, 0}, {7, 0}).defined);
+  EXPECT_FALSE(ChiSquareHomogeneityTest(Counts{5, 0}, Counts{7, 0}).defined);
 }
 
 // ------------------------------------------------------------ aggregation --

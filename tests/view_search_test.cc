@@ -89,7 +89,9 @@ TEST(ViewSearchTest, RecoversShiftedThemeAsTopView) {
   for (const auto& v : r.views) {
     const bool has1 = std::find(v.columns.begin(), v.columns.end(), 1u) != v.columns.end();
     const bool has2 = std::find(v.columns.begin(), v.columns.end(), 2u) != v.columns.end();
-    if (has1 || has2) EXPECT_EQ(has1, has2) << "theme a split across views";
+    if (has1 || has2) {
+      EXPECT_EQ(has1, has2) << "theme a split across views";
+    }
   }
 }
 
