@@ -146,9 +146,9 @@ BENCHMARK(BM_SelectionScanWide)
 
 // Component assembly alone on the OECD analogue (6823 x 519, 513
 // numeric): sketches are built once outside the timed loop, so the loop
-// times BuildComponentsFromSketches with the rank-shift gather on (1) and
-// off (0), on 1 thread and with the gather split over 4. The difference
-// between rank_shift 1 and 0 is the rank-shift cost per query.
+// times BuildComponentsFromSketches, which reads only the two sketches and
+// the profile (the rank sums ride the scan, timed in BM_SelectionScanWide)
+// and runs on the calling thread.
 void BM_BuildFromSketchesWide(benchmark::State& state) {
   static const SyntheticDataset* ds =
       new SyntheticDataset(MakeOecdDataset().ValueOrDie());
@@ -162,9 +162,7 @@ void BM_BuildFromSketchesWide(benchmark::State& state) {
     out->DeriveAsComplement(*profile, *inside);
     return out;
   }();
-  ComponentBuildOptions opts;
-  opts.enable_rank_shift = state.range(0) != 0;
-  opts.num_threads = static_cast<size_t>(state.range(1));
+  const ComponentBuildOptions opts;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         BuildComponentsFromSketches(ds->table, *profile, ds->planted, *inside,
@@ -174,10 +172,7 @@ void BM_BuildFromSketchesWide(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(ds->table.num_columns()));
 }
-BENCHMARK(BM_BuildFromSketchesWide)
-    ->ArgNames({"rank_shift", "threads"})
-    ->ArgsProduct({{0, 1}, {1, 4}})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_BuildFromSketchesWide)->Unit(benchmark::kMillisecond);
 
 void BM_CompleteLinkage(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

@@ -105,9 +105,7 @@ JsonValue RunKernelAB() {
   spec.num_shifted_categorical = 1;
   spec.seed = 2024;
   SyntheticDataset ds = GenerateSynthetic(spec).ValueOrDie();
-  ProfileOptions po;
-  po.cache_ranks = false;  // isolate the accumulation kernel
-  TableProfile profile = TableProfile::Compute(ds.table, po).ValueOrDie();
+  TableProfile profile = TableProfile::Compute(ds.table).ValueOrDie();
   const size_t n = ds.table.num_rows();
 
   std::cout << "Accumulation kernel, 1M rows x " << ds.table.num_columns()

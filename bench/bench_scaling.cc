@@ -72,9 +72,7 @@ void RunPoint(ResultTable* table, JsonValue* points, size_t rows, size_t cols) {
 
 JsonValue RunKernelPoint(ResultTable* table, size_t rows) {
   SyntheticDataset ds = MakeScaled(rows, 16, 11);
-  ProfileOptions po;
-  po.cache_ranks = false;  // isolate the accumulation kernel
-  TableProfile profile = TableProfile::Compute(ds.table, po).ValueOrDie();
+  TableProfile profile = TableProfile::Compute(ds.table).ValueOrDie();
   const AccumulationAB ab = MeasureAccumulation(ds.table, profile, ds.planted);
   table->AddRow({std::to_string(rows), Fmt(ab.row_at_a_time_ms, 4),
                  Fmt(ab.columnar_ms, 4), Fmt(ab.threaded2_ms, 4),

@@ -14,8 +14,7 @@
 // means (the serving layer uses selection fingerprints) and what to do on a
 // miss. CollectRecent exposes the per-shard MRU prefix so the serving layer
 // can run similarity scans (XOR-delta near-miss reuse) without a global
-// lock; Drain supports wholesale migration when the keyspace shifts (table
-// appends re-fingerprint every cached selection).
+// lock.
 
 #ifndef ZIGGY_COMMON_CACHE_H_
 #define ZIGGY_COMMON_CACHE_H_
@@ -192,28 +191,18 @@ class ShardedLruCache {
     return out;
   }
 
-  /// Removes and returns every entry (key + value), LRU-first per shard —
-  /// re-inserting in order via Put (which prepends) reproduces each
-  /// shard's recency order. Used for append migration: the caller re-keys
-  /// and re-inserts.
-  std::vector<std::pair<uint64_t, ValuePtr>> Drain() {
-    std::vector<std::pair<uint64_t, ValuePtr>> out;
+  /// Drops every entry. Each shard's values are released after its lock.
+  void Clear() {
     for (size_t s = 0; s < shards_.size(); ++s) {
+      std::list<Entry> dropped;
       MutexLock lock(locks_.MutexAt(s));
-      for (auto it = shards_[s].lru.rbegin(); it != shards_[s].lru.rend(); ++it) {
-        out.emplace_back(it->key, std::move(it->value));
-      }
       entries_.fetch_sub(shards_[s].lru.size(), std::memory_order_relaxed);
       TrackSub(shards_[s].bytes);
-      shards_[s].lru.clear();
+      dropped.swap(shards_[s].lru);
       shards_[s].index.clear();
       shards_[s].bytes = 0;
     }
-    return out;
   }
-
-  /// Drops every entry.
-  void Clear() { (void)Drain(); }
 
   CacheStats stats() const {
     CacheStats st;

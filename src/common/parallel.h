@@ -35,8 +35,7 @@ namespace ziggy {
 size_t EffectiveThreads(size_t requested);
 
 /// \brief Table cells (rows x columns) per thread of an auto-sized pass:
-/// the one grain of the profile build, the selection scan and the
-/// rank-sum gather.
+/// the one grain of the profile build and the selection scan.
 inline constexpr size_t kCellsPerThread = size_t{1} << 16;
 
 /// \brief Thread count for a pass over `cells` table cells: an explicit

@@ -36,7 +36,6 @@ std::string ServeStatsJson(const ServeStats& st) {
      << ",\"appends\":" << st.appends
      << ",\"appended_rows\":" << st.appended_rows
      << ",\"cache_flushes\":" << st.cache_flushes
-     << ",\"cache_migrated_entries\":" << st.cache_migrated_entries
      << ",\"component_cache\":{\"hits\":" << st.component_cache_hits
      << ",\"misses\":" << st.component_cache_misses
      << ",\"evictions\":" << st.component_cache_evictions << "}"

@@ -51,25 +51,4 @@ void SketchCache::Insert(const Selection& selection, uint64_t fingerprint,
   cache_.Put(fingerprint, std::move(entry), bytes);
 }
 
-size_t SketchCache::MigrateToAppendedRows(size_t new_num_rows,
-                                          uint64_t from_generation,
-                                          uint64_t new_generation) {
-  size_t migrated = 0;
-  for (auto& [old_key, value] : cache_.Drain()) {
-    if (value == nullptr || value->generation != from_generation ||
-        value->selection.num_rows() > new_num_rows) {
-      continue;
-    }
-    auto entry = std::make_shared<CachedSketches>(*value);
-    entry->selection.Resize(new_num_rows);
-    entry->generation = new_generation;
-    entry->bytes = EntryBytes(entry->selection, entry->inside);
-    const uint64_t new_key = entry->selection.Fingerprint();
-    const size_t bytes = entry->bytes;
-    cache_.Put(new_key, std::move(entry), bytes);
-    ++migrated;
-  }
-  return migrated;
-}
-
 }  // namespace ziggy

@@ -4,19 +4,18 @@
 // Why cache sketches and not component tables: sketches are the expensive
 // artifact (one blocked scan over the selected rows of every column) AND
 // they compose — a cached sketch serves
-//   * the identical selection (exact hit, zero work),
+//   * the identical selection (exact hit, zero work), and
 //   * any *overlapping* selection, by patching the XOR delta row-by-row
-//     (SelectionSketches::ApplyDelta, the Preparer's patch routine), and
-//   * any future table generation that only appended rows: appended rows
-//     are outside every cached selection, so the inside sketches stay
-//     exactly right — only the stored bitmap is resized and re-keyed
-//     (MigrateToAppendedRows).
-// Component tables compose in none of these ways.
+//     (SelectionSketches::ApplyDelta, the Preparer's patch routine).
+// Component tables compose in neither way.
+//
+// A sketch serves one table generation only: an append moves the doubled
+// midranks of old rows, so its rank sums would be stale. The server
+// therefore clears the cache on every append.
 //
 // Both kinds of hit come from one lookup (Find): the fingerprint probe is
 // its delta-0 case, the MRU near-miss scan the rest. Sharding + LRU come
-// from common/cache.h; this file adds the selection-aware operations
-// (Find, append migration).
+// from common/cache.h; this file adds the selection-aware lookup.
 
 #ifndef ZIGGY_SERVE_SKETCH_CACHE_H_
 #define ZIGGY_SERVE_SKETCH_CACHE_H_
@@ -66,7 +65,7 @@ class SketchCache {
   /// skipped. Returns nullptr when nothing qualifies. Entries of another
   /// generation never match: an entry inserted by a request still running
   /// against an older (since-flushed) generation must never serve a newer
-  /// one — its histograms were binned with that generation's edges.
+  /// one — its rank sums and histograms belong to that generation.
   std::shared_ptr<const CachedSketches> Find(const Selection& selection,
                                              uint64_t fingerprint,
                                              uint64_t generation,
@@ -76,16 +75,6 @@ class SketchCache {
   /// Inserts sketches for `selection` under its fingerprint.
   void Insert(const Selection& selection, uint64_t fingerprint,
               std::shared_ptr<const SelectionSketches> inside, uint64_t generation);
-
-  /// Append migration: every cached selection of `from_generation` is
-  /// resized to `new_num_rows` (existing bits kept, appended rows
-  /// unselected) and re-inserted under the resized bitmap's fingerprint
-  /// as `new_generation`. Sketches are reused as-is — see the header
-  /// comment. Entries of any other generation (stale inserts from
-  /// requests that outlived a flush) are dropped. Returns the number
-  /// migrated.
-  size_t MigrateToAppendedRows(size_t new_num_rows, uint64_t from_generation,
-                               uint64_t new_generation);
 
   void Clear() { cache_.Clear(); }
   CacheStats stats() const { return cache_.stats(); }

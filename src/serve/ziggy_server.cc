@@ -251,20 +251,11 @@ Status ZiggyServer::Append(const Table& rows) {
   next->dendrogram = std::make_shared<const Dendrogram>(std::move(dendrogram));
 
   if (options_.cache_enabled) {
-    if (effects.invalidates_sketches()) {
-      // Bin edges or category sets moved: cached sketches are no longer
-      // complement-subtractable against the new profile.
-      cache_.Clear();
-      cache_flushes_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      // Appended rows are outside every cached selection: resize + re-key,
-      // keep the accumulated sketches. Entries of other generations (stale
-      // inserts from requests that outlived an earlier flush) are dropped.
-      const size_t migrated = cache_.MigrateToAppendedRows(
-          next->snapshot.table().num_rows(), current->generation(),
-          next->generation());
-      cache_migrated_.fetch_add(migrated, std::memory_order_relaxed);
-    }
+    // Every cached sketch belongs to the old generation, whose midranks
+    // the append moved, so its rank sums are stale. Find would never
+    // match one again; clear them instead of letting them hold the budget.
+    cache_.Clear();
+    cache_flushes_.fetch_add(1, std::memory_order_relaxed);
   }
 
   {
@@ -306,7 +297,6 @@ ServeStats ZiggyServer::stats() const {
   st.appends = appends_.load(std::memory_order_relaxed);
   st.appended_rows = appended_rows_.load(std::memory_order_relaxed);
   st.cache_flushes = cache_flushes_.load(std::memory_order_relaxed);
-  st.cache_migrated_entries = cache_migrated_.load(std::memory_order_relaxed);
   st.sessions_opened = sessions_opened_.load(std::memory_order_relaxed);
   st.component_cache_hits =
       component_cache_hits_.load(std::memory_order_relaxed);

@@ -88,7 +88,6 @@ struct ServeStats {
   uint64_t appends = 0;
   uint64_t appended_rows = 0;
   uint64_t cache_flushes = 0;
-  uint64_t cache_migrated_entries = 0;
   uint64_t sessions_opened = 0;
   uint64_t generation = 0;
   /// Per-session engine component caches, aggregated across every session
@@ -141,12 +140,13 @@ class ZiggyServer {
   Result<Characterization> Characterize(uint64_t session_id,
                                         const std::string& query_text);
 
-  /// Appends rows (same schema) as a new table generation: profile and
-  /// cached sketches are updated through the incremental delta machinery —
-  /// no full rescan unless a column's value range or category set grew, in
-  /// which case the sketch cache is flushed (the profile itself still
-  /// updates incrementally, re-binning only the affected columns).
-  /// In-flight requests keep reading the generation they started on.
+  /// Appends rows (same schema) as a new table generation: the profile is
+  /// updated through the incremental delta machinery (no full rescan; a
+  /// column whose value range grew is re-binned alone), and the sketch
+  /// cache is cleared, counted in ServeStats::cache_flushes. Cached
+  /// sketches cannot carry over: the append moves the midranks of old
+  /// rows, so their rank sums would be stale. In-flight requests keep
+  /// reading the generation they started on.
   Status Append(const Table& rows);
 
   /// Aggregate session statistics (novelty counters, per-stage times).
@@ -198,7 +198,7 @@ class ZiggyServer {
   mutable Mutex state_mu_{LockRank::kServerState, "server.state_mu_"};
   std::shared_ptr<const ServingState> state_ ZIGGY_GUARDED_BY(state_mu_);
   /// Serializes generation building. Outermost server lock: held across
-  /// state() reads, cache migration, and the state_mu_ publish.
+  /// state() reads, the cache flush, and the state_mu_ publish.
   Mutex append_mu_{LockRank::kServerAppend, "server.append_mu_"};
 
   mutable Mutex sessions_mu_{LockRank::kServerSessions, "server.sessions_mu_"};
@@ -221,7 +221,6 @@ class ZiggyServer {
   std::atomic<uint64_t> appends_{0};
   std::atomic<uint64_t> appended_rows_{0};
   std::atomic<uint64_t> cache_flushes_{0};
-  std::atomic<uint64_t> cache_migrated_{0};
   std::atomic<uint64_t> sessions_opened_{0};
   std::atomic<uint64_t> component_cache_hits_{0};
   std::atomic<uint64_t> component_cache_misses_{0};

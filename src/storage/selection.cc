@@ -53,13 +53,6 @@ Result<Selection> Selection::FromWords(size_t num_rows,
   return s;
 }
 
-void Selection::Resize(size_t new_num_rows) {
-  words_.resize(NumWordsFor(new_num_rows), 0);
-  num_rows_ = new_num_rows;
-  ClearTailBits();
-  InvalidateMemo();
-}
-
 size_t Selection::Count() const {
   const size_t memo = count_memo_.load(std::memory_order_relaxed);
   if (memo != kNoCount) return memo;

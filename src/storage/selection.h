@@ -28,7 +28,7 @@ namespace ziggy {
 ///
 /// Count() is memoized (selections are counted repeatedly on the serving
 /// path: cache-admission checks, near-miss patch budgeting, validation).
-/// The memo is invalidated by every in-place mutation (Set, Resize) and
+/// The memo is invalidated by every in-place mutation (Set) and
 /// uses a relaxed atomic so concurrent readers of a shared immutable
 /// Selection may race only on writing the *same* value.
 class Selection {
@@ -102,13 +102,6 @@ class Selection {
     }
     InvalidateMemo();
   }
-
-  /// Resizes the bitmap in place to `new_num_rows`. Growing leaves all
-  /// existing rows' bits intact and adds unselected rows (the serving
-  /// layer's append migration: a cached selection over N rows is still the
-  /// same row set over N+k rows). Shrinking truncates and re-establishes
-  /// the tail-word invariant (unused high bits zero).
-  void Resize(size_t new_num_rows);
 
   /// Number of selected rows (popcount over words, memoized).
   size_t Count() const;

@@ -1,13 +1,11 @@
 #include "zig/component_builder.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <span>
 
 #include "common/logging.h"
-#include "common/parallel.h"
 #include "stats/effect_size.h"
 #include "stats/tests.h"
 #include "storage/types.h"
@@ -134,56 +132,16 @@ size_t MaxComponents(const Table& table, const TableProfile& profile) {
 
 }  // namespace
 
-RankSumSide RankSumSide::Of(const Selection& selection) {
-  const size_t n = selection.num_rows();
-  const size_t selected = selection.Count();
-  RankSumSide side;
-  side.is_inside = selected <= n - selected;
-  side.rows.reserve(side.is_inside ? selected : n - selected);
-  const auto& words = selection.words();
-  for (size_t w = 0; w < words.size(); ++w) {
-    uint64_t word = side.is_inside ? words[w] : ~words[w];
-    const size_t base = w * Selection::kWordBits;
-    if (!side.is_inside && base + Selection::kWordBits > n) {
-      word &= (uint64_t{1} << (n - base)) - 1;  // drop the tail word's padding
-    }
-    while (word != 0) {
-      const auto bit = static_cast<size_t>(std::countr_zero(word));
-      side.rows.push_back(static_cast<uint32_t>(base + bit));
-      word &= word - 1;
-    }
-  }
-  return side;
-}
-
-MannWhitneyCounts MannWhitneyFromRanks(const std::vector<uint32_t>& rank2,
-                                       int64_t non_null,
-                                       const RankSumSide& side) {
-  // Branch-free gather: NULL rows hold rank 0, so they add nothing to the
-  // sum and are excluded from the count by the comparison.
-  int64_t r2_sum = 0;
-  int64_t n_side = 0;
-  for (const uint32_t row : side.rows) {
-    const uint32_t r2 = rank2[row];
-    r2_sum += r2;
-    n_side += static_cast<int64_t>(r2 != 0);
-  }
-  const int64_t u2_side = r2_sum - n_side * (n_side + 1);
-  const int64_t n_other = non_null - n_side;
-  MannWhitneyCounts out;
-  out.n_in = side.is_inside ? n_side : n_other;
-  out.n_out = side.is_inside ? n_other : n_side;
-  const int64_t u2_in =
-      side.is_inside ? u2_side : 2 * n_side * n_other - u2_side;
-  out.u = 0.5 * static_cast<double>(u2_in);
-  return out;
+MannWhitneyCounts MannWhitneyFromRankSum(int64_t rank2_sum, int64_t n_in,
+                                         int64_t n_out) {
+  const int64_t u2 = rank2_sum - n_in * (n_in + 1);
+  return {0.5 * static_cast<double>(u2), n_in, n_out};
 }
 
 Result<ComponentTable> BuildComponentsFromSketches(
     const Table& table, const TableProfile& profile, const Selection& selection,
     const SelectionSketches& inside, const SelectionSketches& outside,
     const ComponentBuildOptions& options) {
-  // The rank gather indexes the profile's rank arrays by row id.
   ZIGGY_RETURN_NOT_OK(ValidateCharacterizationInput(table, profile, selection));
   ComponentTable out;
   out.Reserve(MaxComponents(table, profile));
@@ -191,22 +149,6 @@ Result<ComponentTable> BuildComponentsFromSketches(
   out.set_counts(static_cast<int64_t>(inside_n),
                  static_cast<int64_t>(table.num_rows() - inside_n));
   const int64_t kMin = options.min_side_rows;
-  // The side is decoded once, then gathered against every numeric
-  // column's ranks, split by column across the pool. The sums are exact
-  // integers, so the thread count cannot change them.
-  std::vector<MannWhitneyCounts> rank_counts;
-  if (options.enable_rank_shift) {
-    const RankSumSide rank_side = RankSumSide::Of(selection);
-    const size_t m = table.num_columns();
-    rank_counts.resize(m);
-    ParallelForEach(
-        ThreadsForCells(options.num_threads, rank_side.rows.size() * m), m,
-        [&](size_t c) {
-          if (profile.Rank2(c).empty()) return;
-          rank_counts[c] = MannWhitneyFromRanks(
-              profile.Rank2(c), profile.ColumnSketch(c).count, rank_side);
-        });
-  }
 
   // ---- Unary components ---------------------------------------------------
   for (size_t c = 0; c < table.num_columns(); ++c) {
@@ -239,24 +181,26 @@ Result<ComponentTable> BuildComponentsFromSketches(
       disp_c.test = VarianceFStatistic(in_s, out_s);
       out.Add(std::move(disp_c));
 
-      if (options.enable_rank_shift && !profile.Rank2(c).empty()) {
-        const auto [u, rn_in, rn_out] = rank_counts[c];
-        if (rn_in >= kMin && rn_out >= kMin) {
-          ZigComponent rank_c;
-          rank_c.kind = ComponentKind::kRankShift;
-          rank_c.col_a = c;
-          rank_c.effect = CliffsDelta(u, rn_in, rn_out);
-          // Probability of superiority P(inside > outside) and complement.
-          rank_c.inside_value =
-              u / (static_cast<double>(rn_in) * static_cast<double>(rn_out));
-          rank_c.outside_value = 1.0 - rank_c.inside_value;
-          rank_c.inside_n = rn_in;
-          rank_c.outside_n = rn_out;
-          out.Add(std::move(rank_c));
-        }
+      // U from the inside's exact rank sum; the outside's non-NULL count
+      // is the column's minus the inside's.
+      const int64_t non_null = profile.ColumnSketch(c).count;
+      const auto [u, rn_in, rn_out] = MannWhitneyFromRankSum(
+          inside.rank_sum(c), in_s.count, non_null - in_s.count);
+      if (rn_in >= kMin && rn_out >= kMin) {
+        ZigComponent rank_c;
+        rank_c.kind = ComponentKind::kRankShift;
+        rank_c.col_a = c;
+        rank_c.effect = CliffsDelta(u, rn_in, rn_out);
+        // Probability of superiority P(inside > outside) and complement.
+        rank_c.inside_value =
+            u / (static_cast<double>(rn_in) * static_cast<double>(rn_out));
+        rank_c.outside_value = 1.0 - rank_c.inside_value;
+        rank_c.inside_n = rn_in;
+        rank_c.outside_n = rn_out;
+        out.Add(std::move(rank_c));
       }
 
-      if (options.enable_distribution_shift && !inside.histogram(c).empty()) {
+      if (!inside.histogram(c).empty()) {
         const std::span<const int64_t> in_h = inside.histogram(c);
         const std::span<const int64_t> out_h = outside.histogram(c);
         const int64_t hn_in = Total(in_h);

@@ -8,8 +8,9 @@
 //    the *selected* rows builds the inside sketches; outside statistics are
 //    derived by subtracting from the profile's global sketches. Cost is
 //    O(|selection| * M) regardless of table size. The rank-shift component
-//    sums the profile's cached midranks over the smaller of the selection
-//    and its complement, O(min(|S|, N - |S|)) per numeric column.
+//    needs no pass of its own: the scan sums each numeric column's cached
+//    midranks (TableProfile::Rank2) beside its values, and Mann-Whitney U
+//    follows from that exact sum and the two non-NULL counts.
 //  * kTwoScan (baseline): both sides are scanned explicitly. Cost is
 //    O(N * M). Exists to quantify the sharing benefit (bench A1) and as a
 //    numerical cross-check in tests.
@@ -30,7 +31,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "common/result.h"
 #include "storage/selection.h"
@@ -53,30 +53,15 @@ struct ComponentBuildOptions {
   /// Components are skipped when either side has fewer rows than this
   /// (effect sizes on tiny samples are pure noise).
   int64_t min_side_rows = 3;
-  /// Compute the rank-shift (Cliff's delta) component. Requires the
-  /// profile to cache ranks; costs one O(min(|S|, N - |S|)) rank-sum
-  /// gather per numeric column per query.
-  bool enable_rank_shift = true;
-  /// Compute the distribution-shift (histogram TV) component. Requires
-  /// profile histograms.
-  bool enable_distribution_shift = true;
-  /// Threads for the full-scan columnar accumulation and the rank-sum
-  /// gather (1 = sequential; 0 = ThreadsForCells, one per kCellsPerThread
-  /// cells scanned, at most one per core). Execution knob only: both split
-  /// by column, so results are identical for any value. The incremental
-  /// delta path is always sequential: deltas are tiny by construction.
+  /// Threads for the full-scan columnar accumulation (1 = sequential;
+  /// 0 = ThreadsForCells, one per kCellsPerThread cells scanned, at most
+  /// one per core). Execution knob only: the scan splits by column, so
+  /// results are identical for any value. Component assembly and the
+  /// incremental delta path are always sequential: assembly reads only the
+  /// sketches, and deltas are tiny by construction.
   size_t num_threads = 0;
 
   bool operator==(const ComponentBuildOptions&) const = default;
-};
-
-/// \brief The side of a selection the rank-shift gather sums over: the
-/// selected rows, or the unselected ones when those are fewer.
-struct RankSumSide {
-  std::vector<uint32_t> rows;  ///< ascending row ids
-  bool is_inside = true;       ///< rows are the selection (else its complement)
-
-  static RankSumSide Of(const Selection& selection);
 };
 
 /// \brief Mann-Whitney U of the inside against the outside over one column's
@@ -88,14 +73,11 @@ struct MannWhitneyCounts {
   int64_t n_out = 0;
 };
 
-/// \brief U from a column's doubled midranks (TableProfile::Rank2) and its
-/// non-NULL count, summing ranks over `side` only: with R2 the side's
-/// doubled rank sum over its n non-NULL rows, 2*U_side = R2 - n(n+1), and
-/// U_in = n_in*n_out - U_out when the side is the complement. Exact
-/// integer arithmetic; O(|side|).
-MannWhitneyCounts MannWhitneyFromRanks(const std::vector<uint32_t>& rank2,
-                                       int64_t non_null,
-                                       const RankSumSide& side);
+/// \brief U from the inside's doubled rank sum (SelectionSketches::rank_sum)
+/// over its n_in non-NULL rows: 2U = rank2_sum - n_in(n_in + 1), exact in
+/// integers.
+MannWhitneyCounts MannWhitneyFromRankSum(int64_t rank2_sum, int64_t n_in,
+                                         int64_t n_out);
 
 /// \brief Validates a (table, profile, selection) triple for
 /// characterization: matching shapes, and a selection that is neither
@@ -115,8 +97,9 @@ Result<ComponentTable> BuildComponents(const Table& table, const TableProfile& p
                                        const ComponentBuildOptions& options = {});
 
 /// \brief Core assembly: derives/accepts both sides and emits components.
-/// `selection` is still needed for the rank-shift gather. Exposed for the
-/// Preparer and for tests.
+/// `selection` supplies only the inside row count and the input
+/// validation; every statistic comes from the two sketches and the
+/// profile. Exposed for the Preparer and for tests.
 Result<ComponentTable> BuildComponentsFromSketches(
     const Table& table, const TableProfile& profile, const Selection& selection,
     const SelectionSketches& inside, const SelectionSketches& outside,

@@ -259,7 +259,7 @@ Result<TableProfile> TableProfile::Compute(const Table& table, ProfileOptions op
         if (!IsNullNumeric(v)) p.column_sketches_[c].Add(v);
       }
       const auto& data = col.numeric_data();
-      if (options.cache_ranks) p.rank2_[c] = internal::DoubledMidranks(data);
+      p.rank2_[c] = internal::DoubledMidranks(data);
       if (options.histogram_bins > 0) {
         auto& hist = p.histograms_[c];
         hist.assign(options.histogram_bins, 0);
@@ -522,7 +522,7 @@ Result<ProfileAppendEffects> TableProfile::ApplyAppend(const Table& new_table,
         ranges_[c] = {lo, hi};
         fx.ranges_extended = true;
       }
-      if (options_.cache_ranks) ShiftMidranks(data, old_num_rows, &rank2_[c]);
+      ShiftMidranks(data, old_num_rows, &rank2_[c]);
       if (!histograms_[c].empty()) {
         auto& hist = histograms_[c];
         const auto [rlo, rhi] = ranges_[c];
@@ -628,12 +628,13 @@ Status TableProfile::CheckShape(const Table& table) const {
     return Status::InvalidArgument(
         "profile does not match table (column count)");
   }
-  for (const auto& ranks : rank2_) {
-    if (!ranks.empty() && ranks.size() != table.num_rows()) {
+  for (size_t c = 0; c < num_columns_; ++c) {
+    if (!table.column(c).is_numeric()) continue;
+    if (rank2_[c].size() != table.num_rows()) {
       return Status::InvalidArgument(
-          "profile does not match table (rank array of " +
-          std::to_string(ranks.size()) + " rows, table has " +
-          std::to_string(table.num_rows()) + ")");
+          "profile does not match table (rank array of column " +
+          std::to_string(c) + " has " + std::to_string(rank2_[c].size()) +
+          " rows, table has " + std::to_string(table.num_rows()) + ")");
     }
   }
   return Status::OK();

@@ -44,9 +44,6 @@ struct ProfileOptions {
   /// Hard cap on tracked pairs (safety valve for very wide tables). Pairs
   /// with the highest dependency are kept.
   size_t max_tracked_pairs = 250000;
-  /// Cache each numeric column's doubled midranks (see Rank2). Needed by
-  /// the rank-shift component; costs 4 bytes/cell.
-  bool cache_ranks = true;
   /// Bins of the per-column global histograms backing the
   /// distribution-shift component (0 disables).
   size_t histogram_bins = 16;
@@ -100,23 +97,17 @@ struct GroupedMoments {
   std::vector<MomentSketch> groups;
 };
 
-/// \brief What an incremental append did to the profile — consumed by the
-/// serving layer to decide whether cached selection sketches survived.
+/// \brief What an incremental append did to the profile.
 struct ProfileAppendEffects {
   size_t rows_appended = 0;
   /// Some numeric column's [min, max] grew: its histogram was re-binned
-  /// (full column rescan for that column only), and any sketch binned with
-  /// the old binner is no longer complement-subtractable.
+  /// (full column rescan for that column only).
   bool ranges_extended = false;
   /// Some categorical column gained dictionary entries: per-column count
   /// vectors and contingency tables changed shape.
   bool categories_added = false;
   /// Columns whose histograms were rebuilt from a full column scan.
   std::vector<size_t> rebinned_columns;
-
-  /// Cached sketches shaped by the pre-append profile remain subtractable
-  /// only when neither ranges nor category sets moved.
-  bool invalidates_sketches() const { return ranges_extended || categories_added; }
 };
 
 namespace internal {
@@ -164,8 +155,10 @@ class TableProfile {
   /// Doubled midranks of numeric column `col`, one per row: 2L + E + 1,
   /// where L counts the column's non-NULL values below the row's value and
   /// E the values equal to it (the row included); 0 for a NULL row. Twice
-  /// the row's 1-based tie-averaged rank, so rank sums stay integral.
-  /// Empty when cache_ranks is off or `col` is categorical.
+  /// the row's 1-based tie-averaged rank, so rank sums stay integral; the
+  /// values of n non-NULL rows sum to n(n + 1). The selection scan sums
+  /// them beside each value (SelectionSketches::rank_sum). Every numeric
+  /// column has one (4 bytes/cell); empty for a categorical `col`.
   const std::vector<uint32_t>& Rank2(size_t col) const { return rank2_[col]; }
 
   /// Global equi-width histogram counts of numeric column `col` over
@@ -175,8 +168,9 @@ class TableProfile {
   }
 
   /// OK when this profile describes `table`'s shape: the same column count,
-  /// and every cached rank array spans exactly the table's rows (the rank
-  /// gather indexes them by row id).
+  /// and a rank array spanning exactly the table's rows for every numeric
+  /// column (the selection scan indexes them by row id). A table with only
+  /// categorical columns is not checked against the row count.
   Status CheckShape(const Table& table) const;
 
   /// Dependency S(col_a, col_b) in [0, 1] (Eq. 2 measure).

@@ -157,7 +157,9 @@ Status TableProfile::Serialize(std::ostream* sink) const {
   out->write(kMagic, sizeof(kMagic));
   WriteF64(out, options_.pair_dependency_floor);
   WriteU64(out, options_.max_tracked_pairs);
-  WriteU8(out, options_.cache_ranks ? 1 : 0);
+  // The layout's ranks flag: every profile holds its midranks, and a
+  // reader refuses a stream whose flag is 0.
+  WriteU8(out, 1);
   WriteU64(out, options_.histogram_bins);
   WriteU64(out, num_columns_);
 
@@ -244,8 +246,13 @@ Result<TableProfile> TableProfile::Deserialize(std::istream* source) {
   ZIGGY_ASSIGN_OR_RETURN(p.options_.pair_dependency_floor, ReadF64(in));
   ZIGGY_ASSIGN_OR_RETURN(uint64_t max_pairs, ReadU64(in));
   p.options_.max_tracked_pairs = static_cast<size_t>(max_pairs);
-  ZIGGY_ASSIGN_OR_RETURN(uint8_t cache_ranks, ReadU8(in));
-  p.options_.cache_ranks = cache_ranks != 0;
+  ZIGGY_ASSIGN_OR_RETURN(uint8_t has_ranks, ReadU8(in));
+  if (has_ranks == 0) {
+    // Written without midranks, which the selection scan needs.
+    return Status::FailedPrecondition(
+        "profile has no cached ranks; recompute the profile from the source "
+        "table");
+  }
   ZIGGY_ASSIGN_OR_RETURN(uint64_t hist_bins, ReadU64(in));
   p.options_.histogram_bins = static_cast<size_t>(hist_bins);
   ZIGGY_ASSIGN_OR_RETURN(uint64_t m, ReadU64(in));

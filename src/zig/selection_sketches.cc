@@ -13,6 +13,7 @@ namespace ziggy {
 void SelectionSketches::InitShapes(const Table& table, const TableProfile& profile) {
   const size_t m = table.num_columns();
   column_sketches_.assign(m, MomentSketch{});
+  rank_sums_.assign(m, 0);
   binners_.assign(m, HistogramBinner{});
   cell_offsets_.resize(m + 1);
   size_t cells = 0;
@@ -77,6 +78,8 @@ void SelectionSketches::ApplyRow(const Table& table, const TableProfile& profile
   for (size_t c = 0; c < m; ++c) {
     const Column& col = table.column(c);
     if (col.is_numeric()) {
+      // A NULL row's rank is 0, so its add is a no-op.
+      rank_sums_[c] += Sign * static_cast<int64_t>(profile.Rank2(c)[r]);
       const double v = col.numeric_data()[r];
       if (IsNullNumeric(v)) continue;
       if constexpr (Sign == 1) {
@@ -204,49 +207,61 @@ T* AtLeast(std::vector<T>* v, size_t n) {
 // One numeric column of a unary tile.
 struct UnaryLane {
   const double* data;
-  double* gather;  // the column's stripe, or the sink stripe
-  int64_t* hist;   // histogram counts, or a one-cell sink
+  const uint32_t* rank2;  // the profile's doubled midranks of the column
+  double* gather;         // the column's stripe, or the sink stripe
+  int64_t* hist;          // histogram counts, or a one-cell sink
   HistogramBinner binner;
   MomentSketch* sketch;
+  int64_t* rank_sum;
 };
 
 // Unary statistics of W numeric columns in one pass over the block. The
-// W lanes' (count, sum, sum_sq) chains and histogram increments are
-// independent, so they overlap; each lane still adds its values in
+// W lanes' (count, sum, sum_sq, rank sum) chains and histogram increments
+// are independent, so they overlap; each lane still adds its values in
 // ascending row order, continuing the sketch's chains across blocks, so
-// every sum is bit-identical to AddRow. A histogram-less lane counts into
-// its sink cell (a default binner maps every value to bin 0). Selected
-// rows ascend but are sparse at low densities, where the hardware
-// prefetcher falls behind, so each row prefetches its lanes' cells
-// kPrefetchRows selected rows ahead.
+// every sum is bit-identical to AddRow. The rank sum is an exact integer,
+// and a NULL row's rank is 0, so it is added before the NULL test. A
+// histogram-less lane counts into its sink cell (a default binner maps
+// every value to bin 0). Selected rows ascend but are sparse at low
+// densities, where the hardware prefetcher falls behind, so each row
+// prefetches its lanes' values and ranks kPrefetchRows selected rows
+// ahead.
 constexpr size_t kPrefetchRows = 8;
 
 template <int W>
 void AccumulateUnaryTile(const UnaryLane* lanes, const uint32_t* rows,
                          size_t n) {
   const double* data[W];
+  const uint32_t* rank2[W];
   double* gather[W];
   int64_t* hist[W];
   HistogramBinner binner[W];
   int64_t count[W];
   double sum[W];
   double sum_sq[W];
+  int64_t rank_sum[W];
   for (int j = 0; j < W; ++j) {
     data[j] = lanes[j].data;
+    rank2[j] = lanes[j].rank2;
     gather[j] = lanes[j].gather;
     hist[j] = lanes[j].hist;
     binner[j] = lanes[j].binner;
     count[j] = lanes[j].sketch->count;
     sum[j] = lanes[j].sketch->sum;
     sum_sq[j] = lanes[j].sketch->sum_sq;
+    rank_sum[j] = *lanes[j].rank_sum;
   }
   for (size_t i = 0; i < n; ++i) {
     const uint32_t r = rows[i];
     const uint32_t ahead = rows[std::min(i + kPrefetchRows, n - 1)];
-    for (int j = 0; j < W; ++j) __builtin_prefetch(data[j] + ahead);
+    for (int j = 0; j < W; ++j) {
+      __builtin_prefetch(data[j] + ahead);
+      __builtin_prefetch(rank2[j] + ahead);
+    }
     for (int j = 0; j < W; ++j) {
       const double v = data[j][r];
       gather[j][i] = v;
+      rank_sum[j] += rank2[j][r];
       if (IsNullNumeric(v)) continue;
       ++count[j];
       sum[j] += v;
@@ -258,6 +273,7 @@ void AccumulateUnaryTile(const UnaryLane* lanes, const uint32_t* rows,
     lanes[j].sketch->count = count[j];
     lanes[j].sketch->sum = sum[j];
     lanes[j].sketch->sum_sq = sum_sq[j];
+    *lanes[j].rank_sum = rank_sum[j];
   }
 }
 
@@ -361,6 +377,7 @@ bool IsNullFree(const Table& table, const TableProfile& profile, size_t c) {
 }  // namespace
 
 void SelectionSketches::AccumulateUnary(const Table& table,
+                                        const TableProfile& profile,
                                         const uint32_t* rows, size_t n,
                                         TaskRange cols,
                                         const GatherBuffers& buf,
@@ -380,12 +397,14 @@ void SelectionSketches::AccumulateUnary(const Table& table,
     if (col.is_numeric()) {
       UnaryLane& lane = tile[width];
       lane.data = col.numeric_data().data();
+      lane.rank2 = profile.Rank2(c).data();
       lane.gather = gather_slot_[c] == 0
                         ? num_sink
                         : buf.nums + gather_slot_[c] * buf.stride;
       lane.hist = binners_[c].bins == 0 ? &hist_sink[width] : cells;
       lane.binner = binners_[c];
       lane.sketch = &column_sketches_[c];
+      lane.rank_sum = &rank_sums_[c];
       if (++width == 4) {
         AccumulateUnaryTile<4>(tile, rows, n);
         width = 0;
@@ -591,7 +610,8 @@ void SelectionSketches::AccumulateColumns(const Table& table,
   ForEachRowBlock(
       selection, block_rows, 1,
       [&](const uint32_t* rows, size_t n, const GatherBuffers& buf) {
-        AccumulateUnary(table, rows, n, cols, buf, buf.nums, buf.codes);
+        AccumulateUnary(table, profile, rows, n, cols, buf, buf.nums,
+                        buf.codes);
         AccumulatePairs(table, profile, n, pairs, buf, 0);
       });
   FinishNullFreePairs(table, profile);
@@ -614,7 +634,7 @@ void SelectionSketches::AccumulateColumnsParallel(const Table& table,
                           part == 0 ? 0 : numeric_stripes_ + part - 1;
                       const size_t code_sink =
                           part == 0 ? 0 : code_stripes_ + part - 1;
-                      AccumulateUnary(table, rows, n, cols, buf,
+                      AccumulateUnary(table, profile, rows, n, cols, buf,
                                       buf.nums + num_sink * buf.stride,
                                       buf.codes + code_sink * buf.stride);
                     });
@@ -648,6 +668,10 @@ void SelectionSketches::DeriveAsComplement(const TableProfile& profile,
   for (size_t c = 0; c < m; ++c) {
     column_sketches_[c] = profile.ColumnSketch(c);
     column_sketches_[c].Subtract(other.column_sketches_[c]);
+    // The doubled midranks of a column's n non-NULL values sum to
+    // n(n + 1); a categorical column has n = 0 and rank sums of 0.
+    const int64_t n = profile.ColumnSketch(c).count;
+    rank_sums_[c] = n * (n + 1) - other.rank_sums_[c];
     // A column has category counts or a histogram, never both.
     const std::vector<int64_t>& global = profile.CategoryCountsOf(c).empty()
                                              ? profile.HistogramCountsOf(c)
@@ -697,8 +721,8 @@ bool SamePairMoments(const PairMomentSketch& a, const PairMomentSketch& b) {
 }  // namespace
 
 size_t SelectionSketches::MemoryUsageBytes() const {
-  return HeapBytes(column_sketches_) + HeapBytes(binners_) +
-         HeapBytes(cell_offsets_) + HeapBytes(cells_) +
+  return HeapBytes(column_sketches_) + HeapBytes(rank_sums_) +
+         HeapBytes(binners_) + HeapBytes(cell_offsets_) + HeapBytes(cells_) +
          HeapBytes(numeric_pair_sketches_) + HeapBytes(group_offsets_) +
          HeapBytes(groups_) + HeapBytes(table_offsets_) +
          HeapBytes(table_cells_) + HeapBytes(gather_slot_);
@@ -711,6 +735,7 @@ bool SelectionSketches::Equals(const SelectionSketches& other) const {
   }
   return std::ranges::equal(column_sketches_, other.column_sketches_,
                             SameMoments) &&
+         rank_sums_ == other.rank_sums_ &&
          cell_offsets_ == other.cell_offsets_ && cells_ == other.cells_ &&
          std::ranges::equal(numeric_pair_sketches_,
                             other.numeric_pair_sketches_, SamePairMoments) &&

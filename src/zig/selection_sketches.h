@@ -7,13 +7,14 @@
 //    row-index vector, then the columns (and tracked pairs) are scanned
 //    over that vector with one type dispatch per column per block instead
 //    of one per cell. Numeric columns run in tiles of 4 inside one row
-//    loop: 4 independent (count, sum, sum_sq) register chains, 4 gathers
-//    and 4 histogram increments per row, with each lane's cells a few
-//    selected rows ahead prefetched, so the columns' dependency chains
-//    and cache misses overlap instead of running back to back (the X100
-//    idea of several independent accumulators per vector; Boncz et al.,
-//    CIDR 2005). Columns referenced by tracked pairs are gathered on the way
-//    into a per-thread workspace, one stripe per column, which the pair
+//    loop: 4 independent (count, sum, sum_sq, rank sum) register chains,
+//    4 value and 4 rank gathers and 4 histogram increments per row, with
+//    each lane's cells a few selected rows ahead prefetched, so the
+//    columns' dependency chains and cache misses overlap instead of
+//    running back to back (the X100 idea of several independent
+//    accumulators per vector; Boncz et al., CIDR 2005). Columns
+//    referenced by tracked pairs are gathered on the way into a
+//    per-thread workspace, one stripe per column, which the pair
 //    passes then read densely. The workspace belongs to the scanning
 //    thread, not to the sketch: it is reused by every later scan on that
 //    thread, grows to the widest (stripes x block) seen and never shrinks,
@@ -45,6 +46,14 @@
 //    user's consecutive queries, the server's sketch cache across
 //    sessions), where overlapping selections differ in few rows and
 //    per-row patching beats a rescan.
+//
+// Besides moments and counts, a sketch holds each numeric column's rank
+// sum: the exact integer sum of the profile's doubled midranks
+// (TableProfile::Rank2) over the accumulated rows, read beside each value
+// in the same pass. The rank-shift component (Mann-Whitney U) follows from
+// it and the non-NULL counts, so no read sweeps the rows a second time.
+// Midranks of old rows move when rows are appended, so a sketch is valid
+// for one table generation only.
 //
 // Every field supports exact subtraction, which enables two optimizations:
 //  * the outside side is derived as (global profile − inside) without a
@@ -133,12 +142,17 @@ class SelectionSketches {
   }
   /// @}
 
-  /// Rebuilds this state as (profile global − other).
+  /// Rebuilds this state as (profile global − other). A column's rank sum
+  /// becomes n(n + 1) − other's, n its non-NULL count: the doubled midranks
+  /// of n values always sum to n(n + 1).
   void DeriveAsComplement(const TableProfile& profile, const SelectionSketches& other);
 
   /// \name Accumulated statistics (indexing mirrors TableProfile).
   /// @{
   const MomentSketch& column_sketch(size_t col) const { return column_sketches_[col]; }
+  /// Sum of the profile's doubled midranks Rank2(col) over the accumulated
+  /// rows (NULL rows add 0); 0 for categorical columns. Exact.
+  int64_t rank_sum(size_t col) const { return rank_sums_[col]; }
   /// Category counts of categorical column `col` (empty for numeric ones).
   std::span<const int64_t> category_counts(size_t col) const {
     return binners_[col].bins > 0 ? std::span<const int64_t>() : CellsOf(col);
@@ -186,9 +200,10 @@ class SelectionSketches {
   /// block of `n` selected rows. Pair-referenced columns are gathered into
   /// their stripes of `buf` (laid out by gather_slot_); the others into
   /// `num_sink` / `code_sink`.
-  void AccumulateUnary(const Table& table, const uint32_t* rows, size_t n,
-                       TaskRange cols, const GatherBuffers& buf,
-                       double* num_sink, CategoryCode* code_sink);
+  void AccumulateUnary(const Table& table, const TableProfile& profile,
+                       const uint32_t* rows, size_t n, TaskRange cols,
+                       const GatherBuffers& buf, double* num_sink,
+                       CategoryCode* code_sink);
 
   /// Tracked pairs [pairs.begin, pairs.end) over the gathered stripes of
   /// one block, indexed numeric pairs first, then mixed, then categorical.
@@ -221,6 +236,7 @@ class SelectionSketches {
                        size_t partitions, Fn&& fn) const;
 
   std::vector<MomentSketch> column_sketches_;
+  std::vector<int64_t> rank_sums_;
   // Per-column binners precomputed in InitShapes: the per-cell histogram
   // cost is one multiply instead of two divisions, on both scan paths. A
   // binner has bins exactly when its column has a histogram.

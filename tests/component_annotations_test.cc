@@ -49,11 +49,10 @@ size_t MostOverRepresented(std::span<const int64_t> in,
 // Checks every component of `components` against the eager tests run on
 // the (inside, outside) sketches it was built from; returns the kinds seen.
 std::set<ComponentKind> ExpectDeferredMatchesEager(
-    const Table& table, const TableProfile& profile, const Selection& selection,
+    const Table& table, const TableProfile& profile,
     const SelectionSketches& inside, const SelectionSketches& outside,
     const ComponentTable& components) {
   std::set<ComponentKind> kinds;
-  const RankSumSide side = RankSumSide::Of(selection);
   for (const ZigComponent& c : components.components()) {
     kinds.insert(c.kind);
     SCOPED_TRACE(std::string(ComponentKindToString(c.kind)) + " on column " +
@@ -73,8 +72,10 @@ std::set<ComponentKind> ExpectDeferredMatchesEager(
                       .p_value;
         break;
       case ComponentKind::kRankShift: {
-        const MannWhitneyCounts mw = MannWhitneyFromRanks(
-            profile.Rank2(col), profile.ColumnSketch(col).count, side);
+        const int64_t n_in = inside.column_sketch(col).count;
+        const int64_t n_out = profile.ColumnSketch(col).count - n_in;
+        const MannWhitneyCounts mw =
+            MannWhitneyFromRankSum(inside.rank_sum(col), n_in, n_out);
         eager_p = CliffsDelta(mw.u, mw.n_in, mw.n_out).PValue();
         break;
       }
@@ -142,8 +143,7 @@ TEST(DeferredAnnotationsTest, ColdBuildMatchesEagerTests) {
     const SelectionSketches inside =
         SelectionSketches::Build(table, d.profile, sel);
     const auto seen = ExpectDeferredMatchesEager(
-        table, d.profile, sel, inside, Complement(table, d.profile, inside),
-        ct);
+        table, d.profile, inside, Complement(table, d.profile, inside), ct);
     kinds.insert(seen.begin(), seen.end());
   }
   // Every kind, hence every deferred test, was exercised.
@@ -173,7 +173,7 @@ TEST(DeferredAnnotationsTest, IncrementalPreparerMatchesEagerTests) {
       inside.RemoveRow(table, d.profile, r);
     }
   }
-  ExpectDeferredMatchesEager(table, d.profile, second, inside,
+  ExpectDeferredMatchesEager(table, d.profile, inside,
                              Complement(table, d.profile, inside), ct);
 }
 
@@ -187,7 +187,7 @@ TEST(DeferredAnnotationsTest, ThreadedScanMatchesEagerTests) {
       BuildComponents(table, d.profile, sel, options).ValueOrDie();
   const SelectionSketches inside =
       SelectionSketches::Build(table, d.profile, sel, 3);
-  ExpectDeferredMatchesEager(table, d.profile, sel, inside,
+  ExpectDeferredMatchesEager(table, d.profile, inside,
                              Complement(table, d.profile, inside), ct);
 }
 

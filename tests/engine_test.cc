@@ -57,6 +57,44 @@ TEST(EngineTest, EmptySelectionIsFailedPrecondition) {
       engine.CharacterizeQuery("revenue_index > 1e12").status().IsFailedPrecondition());
 }
 
+TEST(EngineTest, ProfileOfALongerTableIsRejected) {
+  // A profile must describe the table's rows, not only its columns: every
+  // numeric column's rank array spans the table, so a 100-row table
+  // checked against the profile of a 120-row one fails.
+  const auto table_of = [](size_t rows) {
+    Rng rng(5);
+    std::vector<double> x(rows);
+    std::vector<std::string> g(rows);
+    for (size_t i = 0; i < rows; ++i) {
+      x[i] = rng.Normal();
+      g[i] = i % 2 == 0 ? "a" : "b";
+    }
+    return Table::FromColumns({Column::FromNumeric("x", std::move(x)),
+                               Column::FromStrings("g", std::move(g))})
+        .ValueOrDie();
+  };
+  const Table longer = table_of(120);
+  auto profile = std::make_shared<const TableProfile>(
+      TableProfile::Compute(longer).ValueOrDie());
+  auto dendrogram = std::make_shared<const Dendrogram>(
+      BuildColumnDendrogram(*profile).ValueOrDie());
+  auto shorter = std::make_shared<const Table>(table_of(100));
+  Selection sel(100);
+  for (size_t r = 0; r < 50; ++r) sel.Set(r);
+
+  const Status validated =
+      ValidateCharacterizationInput(*shorter, *profile, sel);
+  EXPECT_TRUE(validated.IsInvalidArgument()) << validated;
+  const Status created =
+      ZiggyEngine::CreateShared(shorter, profile, dendrogram).status();
+  EXPECT_TRUE(created.IsInvalidArgument()) << created;
+  // The profile's own table passes.
+  Selection all_but_one = Selection::All(120);
+  all_but_one.Set(0, false);
+  EXPECT_TRUE(
+      ValidateCharacterizationInput(longer, *profile, all_but_one).ok());
+}
+
 TEST(EngineTest, AllRowsSelectionIsFailedPrecondition) {
   ZiggyEngine engine = MakeEngine();
   EXPECT_TRUE(

@@ -78,14 +78,6 @@ TEST(ProfileExtensionsTest, RanksAreDoubledMidranksWithNullsZero) {
   EXPECT_EQ(p.Rank2(0), (std::vector<uint32_t>{8, 0, 2, 0, 8, 4, 8}));
 }
 
-TEST(ProfileExtensionsTest, RanksOptional) {
-  Fixture fx = MakeFixture();
-  ProfileOptions opts;
-  opts.cache_ranks = false;
-  TableProfile p = TableProfile::Compute(fx.table, opts).ValueOrDie();
-  EXPECT_TRUE(p.Rank2(0).empty());
-}
-
 TEST(ProfileExtensionsTest, GlobalHistogramCoversAllRows) {
   Fixture fx = MakeFixture();
   const auto& h = fx.profile.HistogramCountsOf(0);
@@ -137,15 +129,6 @@ TEST(RankShiftTest, CatchesWhatMeanShiftUnderstates) {
   EXPECT_LT(rank->p_value(), 1e-4);
 }
 
-TEST(RankShiftTest, DisabledByOption) {
-  Fixture fx = MakeFixture();
-  ComponentBuildOptions opts;
-  opts.enable_rank_shift = false;
-  ComponentTable ct =
-      BuildComponents(fx.table, fx.profile, fx.selection, opts).ValueOrDie();
-  EXPECT_EQ(ct.Find(ComponentKind::kRankShift, 0), nullptr);
-}
-
 TEST(RankShiftTest, TieHandlingIsSymmetric) {
   // All values identical: U must be exactly n1*n2/2, delta 0.
   const size_t n = 40;
@@ -182,12 +165,14 @@ TEST(DistributionShiftTest, FlatColumnInsignificant) {
 }
 
 TEST(DistributionShiftTest, DisabledByOption) {
+  // A profile without histograms yields no distribution-shift component.
   Fixture fx = MakeFixture();
-  ComponentBuildOptions opts;
-  opts.enable_distribution_shift = false;
-  ComponentTable ct =
-      BuildComponents(fx.table, fx.profile, fx.selection, opts).ValueOrDie();
+  ProfileOptions opts;
+  opts.histogram_bins = 0;
+  TableProfile p = TableProfile::Compute(fx.table, opts).ValueOrDie();
+  ComponentTable ct = BuildComponents(fx.table, p, fx.selection).ValueOrDie();
   EXPECT_EQ(ct.Find(ComponentKind::kDistributionShift, 0), nullptr);
+  EXPECT_NE(ct.Find(ComponentKind::kRankShift, 0), nullptr);
 }
 
 TEST(NewComponentsTest, SharedEqualsTwoScanStillHolds) {
@@ -222,6 +207,7 @@ TEST(SelectionSketchesTest, AddThenRemoveIsIdentity) {
     EXPECT_EQ(b.column_sketch(c).count, a.column_sketch(c).count);
     EXPECT_NEAR(b.column_sketch(c).sum, a.column_sketch(c).sum, 1e-9);
     EXPECT_NEAR(b.column_sketch(c).sum_sq, a.column_sketch(c).sum_sq, 1e-9);
+    EXPECT_EQ(b.rank_sum(c), a.rank_sum(c));
     EXPECT_TRUE(std::ranges::equal(b.histogram(c), a.histogram(c)));
   }
 }

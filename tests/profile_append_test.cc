@@ -56,7 +56,6 @@ ProfileOptions TrackEverything() {
   ProfileOptions options;
   options.pair_dependency_floor = 0.0;  // nothing frozen: full equality holds
   options.histogram_bins = 8;
-  options.cache_ranks = true;
   return options;
 }
 
@@ -77,7 +76,6 @@ TEST(ProfileAppendTest, WithinRangeAppendEqualsFreshCompute) {
   EXPECT_FALSE(effects->ranges_extended);
   EXPECT_FALSE(effects->categories_added);
   EXPECT_TRUE(effects->rebinned_columns.empty());
-  EXPECT_FALSE(effects->invalidates_sketches());
 
   auto fresh = TableProfile::Compute(*grown, TrackEverything());
   ASSERT_TRUE(fresh.ok());
@@ -96,7 +94,6 @@ TEST(ProfileAppendTest, RangeExtendingAppendRebinsAndStillMatches) {
   auto effects = incremental->ApplyAppend(*grown, base.num_rows());
   ASSERT_TRUE(effects.ok());
   EXPECT_TRUE(effects->ranges_extended);
-  EXPECT_TRUE(effects->invalidates_sketches());
   EXPECT_FALSE(effects->rebinned_columns.empty());
 
   auto fresh = TableProfile::Compute(*grown, TrackEverything());
@@ -126,7 +123,6 @@ TEST(ProfileAppendTest, NewCategoryGrowsShapesAndMatches) {
   auto effects = incremental->ApplyAppend(*grown, base.num_rows());
   ASSERT_TRUE(effects.ok());
   EXPECT_TRUE(effects->categories_added);
-  EXPECT_TRUE(effects->invalidates_sketches());
 
   auto fresh = TableProfile::Compute(*grown, TrackEverything());
   ASSERT_TRUE(fresh.ok());

@@ -1,14 +1,16 @@
 // Differential oracle for the rank-shift component's Mann-Whitney U.
 //
-// The builder computes U from the profile's cached doubled midranks,
-// summed over the smaller side of the selection only. These tests pin it
-// to two independent references on adversarial columns:
+// The builder computes U from the inside sketch's rank sum: the profile's
+// cached doubled midranks, summed by every path that accumulates a
+// SelectionSketches (the columnar scan at any thread count, the XOR-delta
+// patch, AddRow) and carried through the server's sketch cache. These
+// tests pin it to two independent references on adversarial columns:
 //   * a naive O(n_in * n_out) pairwise count, and
-//   * the previous kernel, a walk over the whole per-column sort order,
-//     kept here verbatim as a reference.
+//   * an older kernel, a walk over the whole per-column sort order, kept
+//     here verbatim as a reference.
 // u, n_in and n_out must match exactly (U is a half-integer, and every
-// path computes it in exact arithmetic). Selections of 1, N/2 - 1, N/2,
-// N/2 + 1 and N - 1 rows exercise both sides of the smaller-side switch.
+// path computes it in exact arithmetic). Selections run from 1 to N - 1
+// rows, including prefixes and suffixes that end inside a word.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +25,7 @@
 
 #include "common/random.h"
 #include "data/synthetic.h"
+#include "serve/ziggy_server.h"
 #include "storage/types.h"
 #include "zig/component_builder.h"
 #include "zig/profile.h"
@@ -158,35 +161,71 @@ void ExpectSameCounts(const MannWhitneyCounts& got,
   EXPECT_EQ(got.n_out, want.n_out) << where;
 }
 
+// U of column `c` from a sketch of the inside: its rank sum and non-NULL
+// count, the outside's count being the column's minus the inside's.
+MannWhitneyCounts SketchU(const SelectionSketches& inside,
+                          const TableProfile& profile, size_t c) {
+  const int64_t n_in = inside.column_sketch(c).count;
+  const int64_t n_out = profile.ColumnSketch(c).count - n_in;
+  return MannWhitneyFromRankSum(inside.rank_sum(c), n_in, n_out);
+}
+
+// Every accumulation path of `selections[i]` against both oracles: the
+// columnar scan at 1, 2 and 4 threads, ApplyDelta from a scan of the
+// previous selection, and AddRow over the rows in ascending order. The
+// complement derived from the scan holds the rank sums a scan of the
+// complement accumulates.
+void ExpectSketchSumsMatchOracles(const Table& table,
+                                  const TableProfile& profile,
+                                  const std::vector<Selection>& selections) {
+  for (size_t i = 0; i < selections.size(); ++i) {
+    const Selection& sel = selections[i];
+    const Selection& prev = selections[i == 0 ? selections.size() - 1 : i - 1];
+    std::vector<std::pair<std::string, SelectionSketches>> paths;
+    for (size_t threads : {1u, 2u, 4u}) {
+      auto built = SelectionSketches::Build(table, profile, sel, threads);
+      paths.emplace_back("threads " + std::to_string(threads), built);
+    }
+    SelectionSketches patched = SelectionSketches::Build(table, profile, prev);
+    patched.ApplyDelta(table, profile, prev, sel);
+    paths.emplace_back("ApplyDelta", std::move(patched));
+    SelectionSketches added;
+    added.InitShapes(table, profile);
+    sel.ForEachSetBit([&](size_t r) { added.AddRow(table, profile, r); });
+    paths.emplace_back("AddRow", std::move(added));
+
+    SelectionSketches derived;
+    derived.InitShapes(table, profile);
+    derived.DeriveAsComplement(profile, paths.front().second);
+    const SelectionSketches scanned_outside =
+        SelectionSketches::Build(table, profile, sel.Invert());
+    for (size_t c = 0; c < table.num_columns(); ++c) {
+      const auto& data = table.column(c).numeric_data();
+      std::string where = "n=" + std::to_string(table.num_rows());
+      where += " col=" + table.column(c).name();
+      where += " |S|=" + std::to_string(sel.Count());
+      const MannWhitneyCounts pairwise = NaiveU(data, sel);
+      const MannWhitneyCounts walk = SortOrderWalkU(data, sel);
+      for (const auto& [path, sketch] : paths) {
+        const MannWhitneyCounts got = SketchU(sketch, profile, c);
+        ExpectSameCounts(got, pairwise, where + " " + path + " vs pairwise");
+        ExpectSameCounts(got, walk, where + " " + path + " vs sort-order walk");
+      }
+      EXPECT_EQ(derived.rank_sum(c), scanned_outside.rank_sum(c)) << where;
+    }
+  }
+}
+
 class RankShiftOracleTest : public testing::TestWithParam<size_t> {};
 
 TEST_P(RankShiftOracleTest, MidrankSumMatchesPairwiseAndSortOrderWalk) {
   const size_t n = GetParam();
   const Table table = MakeAdversarialTable(n, 1000 + n);
   const TableProfile profile = TableProfile::Compute(table).ValueOrDie();
-  bool saw_inside = false;
-  bool saw_complement = false;
-  for (const Selection& sel : MakeSelections(n, 2000 + n)) {
-    const RankSumSide side = RankSumSide::Of(sel);
-    EXPECT_EQ(side.rows.size(), std::min(sel.Count(), n - sel.Count()));
-    (side.is_inside ? saw_inside : saw_complement) = true;
-    for (size_t c = 0; c < table.num_columns(); ++c) {
-      const auto& data = table.column(c).numeric_data();
-      const std::string where = "n=" + std::to_string(n) + " col=" +
-                                table.column(c).name() +
-                                " |S|=" + std::to_string(sel.Count());
-      const MannWhitneyCounts got = MannWhitneyFromRanks(
-          profile.Rank2(c), profile.ColumnSketch(c).count, side);
-      ExpectSameCounts(got, NaiveU(data, sel), where + " vs pairwise");
-      ExpectSameCounts(got, SortOrderWalkU(data, sel),
-                       where + " vs sort-order walk");
-    }
-  }
-  EXPECT_TRUE(saw_inside);
-  EXPECT_TRUE(saw_complement);
+  ExpectSketchSumsMatchOracles(table, profile, MakeSelections(n, 2000 + n));
 }
 
-// Odd and even row counts; 64, 128 and 129 put the smaller side on word
+// Odd and even row counts; 64, 128 and 129 put selection edges on word
 // boundaries and in a one-row tail word.
 INSTANTIATE_TEST_SUITE_P(RowCounts, RankShiftOracleTest,
                          testing::Values(size_t{7}, size_t{64}, size_t{128},
@@ -195,9 +234,11 @@ INSTANTIATE_TEST_SUITE_P(RowCounts, RankShiftOracleTest,
 TEST(RankShiftComponentTest, BuiltComponentCarriesOracleCounts) {
   const size_t n = 257;
   const Table table = MakeAdversarialTable(n, 11);
-  const TableProfile profile = TableProfile::Compute(table).ValueOrDie();
-  ComponentBuildOptions options;
-  options.enable_distribution_shift = false;
+  ProfileOptions profile_options;
+  profile_options.histogram_bins = 0;  // rank-shift components only
+  const TableProfile profile =
+      TableProfile::Compute(table, profile_options).ValueOrDie();
+  const ComponentBuildOptions options;
   for (const Selection& sel : MakeSelections(n, 12)) {
     auto built = BuildComponents(table, profile, sel, options);
     ASSERT_TRUE(built.ok()) << built.status();
@@ -221,21 +262,82 @@ TEST(RankShiftComponentTest, BuiltComponentCarriesOracleCounts) {
 }
 
 TEST(RankShiftComponentTest, AppendedProfileKeepsOracleCounts) {
-  // Ranks shifted by ApplyAppend feed the same U as a fresh profile's.
+  // Ranks shifted by ApplyAppend feed every sketch path the same U as the
+  // oracles over the grown table.
   const Table base = MakeAdversarialTable(150, 21);
   const Table tail = MakeAdversarialTable(40, 22);
   const Table grown = base.WithAppendedRows(tail).ValueOrDie();
   TableProfile profile = TableProfile::Compute(base).ValueOrDie();
   ASSERT_TRUE(profile.ApplyAppend(grown, base.num_rows()).ok());
-  for (const Selection& sel : MakeSelections(grown.num_rows(), 23)) {
-    const RankSumSide side = RankSumSide::Of(sel);
-    for (size_t c = 0; c < grown.num_columns(); ++c) {
-      const MannWhitneyCounts got = MannWhitneyFromRanks(
-          profile.Rank2(c), profile.ColumnSketch(c).count, side);
-      ExpectSameCounts(got, NaiveU(grown.column(c).numeric_data(), sel),
-                       grown.column(c).name());
-    }
+  ExpectSketchSumsMatchOracles(grown, profile,
+                               MakeSelections(grown.num_rows(), 23));
+}
+
+// The adversarial columns plus `id` = row id, so "id < k" selects rows
+// [0, k) of any generation.
+Table WithIdColumn(const Table& table, size_t first_id) {
+  std::vector<Column> columns;
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    columns.push_back(table.column(c));
   }
+  std::vector<double> id(table.num_rows());
+  for (size_t r = 0; r < id.size(); ++r) {
+    id[r] = static_cast<double>(first_id + r);
+  }
+  columns.push_back(Column::FromNumeric("id", std::move(id)));
+  return Table::FromColumns(std::move(columns)).ValueOrDie();
+}
+
+TEST(RankShiftServerTest, CachedSketchesHoldOracleRankSumsAcrossAppend) {
+  // A session's refinement chain through the server with its sketch cache
+  // on: cold, patched and exact reads, an append (which moves the
+  // midranks of old rows), then the same three kinds of read on the new
+  // generation. After every read, the sketches the cache holds for its
+  // selection carry the oracle's rank sum and count in every column. The
+  // appended rows repeat base rows with ids 300-339, inside every column's
+  // range, so no re-binned histogram is what keeps an old sketch out.
+  const size_t n = 400;
+  ServeOptions options;
+  options.engine.cache_queries = false;  // repeats reach the sketch cache
+  options.session.novelty = SessionOptions::NoveltyPolicy::kOff;
+  const Table base = MakeAdversarialTable(n, 41);
+  std::unique_ptr<ZiggyServer> server =
+      ZiggyServer::Create(WithIdColumn(base, 0), options).ValueOrDie();
+  const uint64_t session = server->OpenSession();
+  const auto read = [&](size_t k, SketchSource source) {
+    const std::string query = "id < " + std::to_string(k);
+    SCOPED_TRACE(query);
+    const Characterization result =
+        server->Characterize(session, query).ValueOrDie();
+    EXPECT_EQ(result.sketch_source, source);
+    const auto state = server->state();
+    SCOPED_TRACE("generation " + std::to_string(state->generation()));
+    const Table& table = state->table();
+    Selection sel(table.num_rows());
+    for (size_t r = 0; r < k; ++r) sel.Set(r);
+    const auto cached = server->FindCachedSketches(sel);
+    ASSERT_NE(cached, nullptr);
+    for (size_t c = 0; c < table.num_columns(); ++c) {
+      SCOPED_TRACE(table.column(c).name());
+      const auto& data = table.column(c).numeric_data();
+      const MannWhitneyCounts want = NaiveU(data, sel);
+      const auto u2 = static_cast<int64_t>(2.0 * want.u);
+      EXPECT_EQ(cached->rank_sum(c), u2 + want.n_in * (want.n_in + 1));
+      EXPECT_EQ(cached->column_sketch(c).count, want.n_in);
+    }
+  };
+  read(160, SketchSource::kServerScan);
+  read(200, SketchSource::kCachePatched);
+  read(200, SketchSource::kCacheExact);
+
+  const uint64_t flushes = server->stats().cache_flushes;
+  Rng rng(42);
+  const Table rows = WithIdColumn(base.SampleRows(40, &rng), 300);
+  ASSERT_TRUE(server->Append(rows).ok());
+  EXPECT_EQ(server->stats().cache_flushes, flushes + 1);
+  read(200, SketchSource::kServerScan);
+  read(230, SketchSource::kCachePatched);
+  read(230, SketchSource::kCacheExact);
 }
 
 // The midrank kernel the radix sort replaced: std::sort of (value, row)

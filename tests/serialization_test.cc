@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "common/checksum.h"
 #include "data/synthetic.h"
 #include "engine/json.h"
 #include "engine/ziggy_engine.h"
@@ -135,14 +136,34 @@ TEST(ProfileSerializationTest, OptionsSurviveRoundTrip) {
   ProfileOptions opts;
   opts.pair_dependency_floor = 0.123;
   opts.histogram_bins = 7;
-  opts.cache_ranks = false;
   TableProfile original = TableProfile::Compute(ds.table, opts).ValueOrDie();
   std::stringstream buf;
   ASSERT_TRUE(original.Serialize(&buf).ok());
   TableProfile restored = TableProfile::Deserialize(&buf).ValueOrDie();
   EXPECT_DOUBLE_EQ(restored.options().pair_dependency_floor, 0.123);
   EXPECT_EQ(restored.options().histogram_bins, 7u);
-  EXPECT_FALSE(restored.options().cache_ranks);
+}
+
+TEST(ProfileSerializationTest, ProfileWithoutRanksIsRejected) {
+  // The byte after the magic, the dependency floor and the pair cap once
+  // flagged whether ranks were cached. Every profile writes 1 there now;
+  // a stream holding 0, its checksum intact, must fail with an actionable
+  // error instead of handing the selection scan a missing rank array.
+  SyntheticDataset ds = MakeBoxOfficeDataset().ValueOrDie();
+  TableProfile original = TableProfile::Compute(ds.table).ValueOrDie();
+  std::stringstream buf;
+  ASSERT_TRUE(original.Serialize(&buf).ok());
+  std::string bytes = buf.str();
+  const size_t flag = 8 + sizeof(double) + sizeof(uint64_t);
+  ASSERT_EQ(bytes[flag], 1);
+  bytes.resize(bytes.size() - sizeof(uint32_t));
+  bytes[flag] = 0;
+  const uint32_t crc = Crc32(bytes);
+  bytes.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+  std::stringstream stream(bytes);
+  const Status st = TableProfile::Deserialize(&stream).status();
+  EXPECT_TRUE(st.IsFailedPrecondition()) << st;
+  EXPECT_NE(st.message().find("recompute"), std::string::npos) << st;
 }
 
 // ----------------------------------------------------------------- JSON ------

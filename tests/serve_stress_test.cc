@@ -92,7 +92,7 @@ std::vector<std::vector<std::vector<std::string>>> MakeScripts(
 }
 
 // Append batches reuse existing rows (SampleRows), so value ranges and
-// category sets never grow: the deterministic migration path stays active.
+// category sets never grow and no histogram is re-binned.
 std::vector<Table> MakeAppendBatches(const SyntheticDataset& ds) {
   std::vector<Table> batches;
   for (size_t p = 0; p + 1 < kPhases; ++p) {

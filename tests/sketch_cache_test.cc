@@ -1,7 +1,8 @@
 // Tests for selection-sketch reuse: SketchCache::Find (the one lookup of
-// the serving layer's sketch cache) and the one patch-or-scan rule,
+// the serving layer's sketch cache), the one patch-or-scan rule,
 // SelectionSketches::MaxPatchDelta, as both of its callers — the
-// stand-alone Preparer and ZiggyServer's sketch provider — apply it.
+// stand-alone Preparer and ZiggyServer's sketch provider — apply it, and
+// the server's cache flush on append.
 
 #include <gtest/gtest.h>
 
@@ -103,24 +104,6 @@ TEST(SketchCacheFindTest, OtherGenerationsAndRowCountsNeverMatch) {
   EXPECT_EQ(cache.Find(longer, longer.Fingerprint(), 1, kRows, &delta),
             nullptr);
   ASSERT_NE(cache.Find(sel, sel.Fingerprint(), 1, 0, &delta), nullptr);
-}
-
-TEST(SketchCacheFindTest, MigratedSelectionGetsAnExactHit) {
-  SketchCache cache(1 << 20);
-  const Selection sel = RowsBelow(40);
-  const auto inside = Sketches();
-  cache.Insert(sel, sel.Fingerprint(), inside, 0);
-  ASSERT_EQ(cache.MigrateToAppendedRows(kRows + 100, 0, 1), 1u);
-
-  Selection resized = sel;
-  resized.Resize(kRows + 100);
-  size_t delta = 99;
-  auto hit = cache.Find(resized, resized.Fingerprint(), 1, 0, &delta);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(delta, 0u);
-  EXPECT_EQ(hit->inside, inside);
-  // The old generation's key is gone.
-  EXPECT_EQ(cache.Find(sel, sel.Fingerprint(), 0, kRows, &delta), nullptr);
 }
 
 // ------------------------------------------------ the patch-or-scan rule --
@@ -250,6 +233,50 @@ TEST(PatchRuleTest, ServerPatchesUpToHalfTheSelectionAndMatchesAScan) {
             .ValueOrDie(),
         BuildComponents(table, profile, wanted).ValueOrDie());
   }
+}
+
+// --------------------------------------------------------------- appends --
+
+// `n` rows for MakeIdTable's table whose every value lies inside its
+// columns' ranges and category sets.
+Table MakeInRangeRows(size_t n) {
+  std::vector<double> id(n), zero(n, 0.0);
+  std::vector<std::string> kind(n, "a"), tier(n, "lo");
+  for (size_t i = 0; i < n; ++i) id[i] = static_cast<double>(1000 + i);
+  return Table::FromColumns({Column::FromNumeric("id", id),
+                             Column::FromNumeric("x", zero),
+                             Column::FromNumeric("y", zero),
+                             Column::FromStrings("kind", kind),
+                             Column::FromStrings("tier", tier)})
+      .ValueOrDie();
+}
+
+TEST(SketchCacheAppendTest, AppendClearsTheCacheAndTheNextReadScans) {
+  // The appended rows stay inside every column's range and category set,
+  // so the profile update re-bins nothing. The cache is cleared all the
+  // same: the append moved the midranks of old rows, so every cached rank
+  // sum is stale.
+  std::unique_ptr<ZiggyServer> server =
+      ZiggyServer::Create(MakeIdTable()).ValueOrDie();
+  SessionOptions session_options;
+  session_options.novelty = SessionOptions::NoveltyPolicy::kOff;
+  const uint64_t session = server->OpenSession(session_options);
+  const std::string query = "id < " + std::to_string(kBase);
+  ASSERT_EQ(server->Characterize(session, query).ValueOrDie().sketch_source,
+            SketchSource::kServerScan);
+  ASSERT_NE(server->FindCachedSketches(RowsBelow(kBase, kTableRows)), nullptr);
+
+  const size_t added = 10;
+  const uint64_t flushes = server->stats().cache_flushes;
+  ASSERT_TRUE(server->Append(MakeInRangeRows(added)).ok());
+  EXPECT_EQ(server->stats().cache_flushes, flushes + 1);
+  EXPECT_EQ(server->stats().cache.entries, 0u);
+  // Neither the old bitmap nor the same rows over the grown table is found.
+  EXPECT_EQ(server->FindCachedSketches(RowsBelow(kBase, kTableRows)), nullptr);
+  EXPECT_EQ(server->FindCachedSketches(RowsBelow(kBase, kTableRows + added)),
+            nullptr);
+  EXPECT_EQ(server->Characterize(session, query).ValueOrDie().sketch_source,
+            SketchSource::kServerScan);
 }
 
 }  // namespace

@@ -284,59 +284,7 @@ TEST(TableBuilderTest, NullsInBothColumnKinds) {
   EXPECT_TRUE(t.column(1).IsNull(0));
 }
 
-// -------------------------------------------- Selection resize & memoing --
-// Word-boundary edge cases for the serving layer's append migration: 63,
-// 64 and 65 rows straddle the packed-word boundary in all three ways.
-
-TEST(SelectionResizeTest, GrowAcrossWordBoundariesKeepsBits) {
-  for (const size_t start : {63u, 64u, 65u}) {
-    for (const size_t grow_to : {63u, 64u, 65u, 128u, 129u}) {
-      if (grow_to < start) continue;
-      Selection s(start);
-      s.Set(0);
-      s.Set(start - 1);
-      const size_t before = s.Count();
-      s.Resize(grow_to);
-      EXPECT_EQ(s.num_rows(), grow_to);
-      EXPECT_EQ(s.num_words(), Selection::NumWordsFor(grow_to));
-      EXPECT_EQ(s.Count(), before) << start << " -> " << grow_to;
-      EXPECT_TRUE(s.Contains(0));
-      EXPECT_TRUE(s.Contains(start - 1));
-      // Every appended row is unselected.
-      for (size_t r = start; r < grow_to; ++r) EXPECT_FALSE(s.Contains(r));
-    }
-  }
-}
-
-TEST(SelectionResizeTest, ShrinkClearsTailBits) {
-  for (const size_t start : {65u, 64u, 128u}) {
-    for (const size_t shrink_to : {63u, 64u, 65u, 1u}) {
-      if (shrink_to > start) continue;
-      Selection s = Selection::All(start);
-      s.Resize(shrink_to);
-      EXPECT_EQ(s.num_rows(), shrink_to);
-      // Truncated bits are gone and the tail-word invariant holds: growing
-      // back must not resurrect them.
-      EXPECT_EQ(s.Count(), shrink_to) << start << " -> " << shrink_to;
-      s.Resize(start);
-      EXPECT_EQ(s.Count(), shrink_to) << start << " -> " << shrink_to;
-    }
-  }
-}
-
-TEST(SelectionResizeTest, ResizePreservesFingerprintSemantics) {
-  // Same bit content over different row counts must fingerprint
-  // differently (the cache re-keys migrated entries on this).
-  Selection a(64);
-  a.Set(5);
-  Selection b = a;
-  b.Resize(65);
-  EXPECT_NE(a.Fingerprint(), b.Fingerprint());
-  // And an independently built selection with identical content matches.
-  Selection c(65);
-  c.Set(5);
-  EXPECT_EQ(b.Fingerprint(), c.Fingerprint());
-}
+// ------------------------------------------------------ Selection memo --
 
 TEST(SelectionMemoTest, InPlaceMutationInvalidatesCachedCount) {
   Selection s(130);
@@ -348,16 +296,12 @@ TEST(SelectionMemoTest, InPlaceMutationInvalidatesCachedCount) {
   EXPECT_EQ(s.Count(), 4u);  // Set must invalidate
   s.Set(1, false);
   EXPECT_EQ(s.Count(), 3u);  // clearing too
-  s.Resize(64);
-  EXPECT_EQ(s.Count(), 1u);  // Resize truncation too
-  s.Resize(256);
-  EXPECT_EQ(s.Count(), 1u);
   // Copies carry the memo but stay independent.
   Selection copy = s;
-  EXPECT_EQ(copy.Count(), 1u);
+  EXPECT_EQ(copy.Count(), 3u);
   copy.Set(2);
-  EXPECT_EQ(copy.Count(), 2u);
-  EXPECT_EQ(s.Count(), 1u);
+  EXPECT_EQ(copy.Count(), 4u);
+  EXPECT_EQ(s.Count(), 3u);
 }
 
 TEST(SelectionMemoTest, HammingDistanceCountsXorRows) {

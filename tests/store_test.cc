@@ -455,7 +455,7 @@ TEST_F(StoreCorruptionTest, LegacyProfileVersionExplicitlyRejected) {
 
 TEST_F(StoreCorruptionTest, ProfileWithShortRankArraysRejected) {
   // A well-formed profile of a shorter table with the same columns: its
-  // rank arrays would send the rank gather past their end, so the load
+  // rank arrays would send the selection scan past their end, so the load
   // must refuse it like a column-count mismatch.
   StoredTable stored = store_->LoadTable("box").ValueOrDie();
   Rng rng(3);

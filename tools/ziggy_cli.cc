@@ -259,8 +259,7 @@ void PrintServeStats(const ServeStats& st) {
             << st.patched_delta_rows << " delta rows), " << st.sketch_misses
             << " misses, " << st.cache.entries << " entries / "
             << st.cache.bytes_in_use / 1024 << " KiB, " << st.cache.evictions
-            << " evictions, " << st.cache_flushes << " flushes, "
-            << st.cache_migrated_entries << " migrated on append\n"
+            << " evictions, " << st.cache_flushes << " flushes\n"
             << "component cache: " << st.component_cache_hits << " hits, "
             << st.component_cache_misses << " misses, "
             << st.component_cache_evictions << " evictions\n"

@@ -9,8 +9,8 @@
 //                           serve a table at startup; <source> is a CSV
 //                           path or demo://<boxoffice|crime|oecd>[?seed=N].
 //                           Repeatable.
-//     --threads <n>         threads per cold scan, rank gather and OPEN
-//                           profile build (default 0: one per 64 Ki cells,
+//     --threads <n>         threads per cold scan and OPEN profile
+//                           build (default 0: one per 64 Ki cells,
 //                           at most one per core, on the shared pool)
 //     --cache-mb <m>        per-table sketch-cache budget (default 64)
 //     --total-cache-mb <m>  global budget across all tables (default 256)
