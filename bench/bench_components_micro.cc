@@ -144,6 +144,80 @@ BENCHMARK(BM_SelectionScanWide)
     ->ArgsProduct({{5, 20, 50}, {1, 4}})
     ->Unit(benchmark::kMillisecond);
 
+// One sketch-reuse step on the crime (1994 x 128) and OECD (6823 x 519)
+// analogues: copy a base selection's sketches and patch them with
+// ApplyDelta to a selection `delta_rows` rows away, the work of a server
+// near-miss patch. The base is a 15% random selection (crime: ~300 rows);
+// half the delta rows leave it and half join it.
+struct PatchFixture {
+  SyntheticDataset ds;
+  TableProfile profile;
+  Selection base;
+  SelectionSketches base_sketches;
+};
+
+const PatchFixture* MakePatchFixture(SyntheticDataset ds) {
+  TableProfile profile = TableProfile::Compute(ds.table).ValueOrDie();
+  Selection base(ds.table.num_rows());
+  Rng rng(23);
+  for (size_t r = 0; r < base.num_rows(); ++r) {
+    if (rng.Bernoulli(0.15)) base.Set(r);
+  }
+  SelectionSketches sketches =
+      SelectionSketches::Build(ds.table, profile, base);
+  return new PatchFixture{std::move(ds), std::move(profile), std::move(base),
+                          std::move(sketches)};
+}
+
+const PatchFixture& CrimePatch() {
+  static const PatchFixture* fx =
+      MakePatchFixture(MakeCrimeDataset().ValueOrDie());
+  return *fx;
+}
+
+const PatchFixture& OecdPatch() {
+  static const PatchFixture* fx =
+      MakePatchFixture(MakeOecdDataset().ValueOrDie());
+  return *fx;
+}
+
+void BM_ApplyDeltaWide(benchmark::State& state,
+                       const PatchFixture& (*fixture)()) {
+  const PatchFixture& fx = fixture();
+  // Flip delta / 2 selected and the rest unselected rows, evenly spaced.
+  const size_t delta = static_cast<size_t>(state.range(0));
+  std::vector<size_t> in;
+  std::vector<size_t> out;
+  for (size_t r = 0; r < fx.base.num_rows(); ++r) {
+    (fx.base.Contains(r) ? in : out).push_back(r);
+  }
+  Selection near = fx.base;
+  for (size_t i = 0; i < delta / 2; ++i) {
+    near.Set(in[i * in.size() / (delta / 2)], false);
+  }
+  for (size_t i = 0; i < delta - delta / 2; ++i) {
+    near.Set(out[i * out.size() / (delta - delta / 2)], true);
+  }
+  for (auto _ : state) {
+    SelectionSketches patched = fx.base_sketches;
+    patched.ApplyDelta(fx.ds.table, fx.profile, fx.base, near);
+    benchmark::DoNotOptimize(patched);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(delta));
+}
+BENCHMARK_CAPTURE(BM_ApplyDeltaWide, crime, &CrimePatch)
+    ->ArgName("delta_rows")
+    ->Arg(40)
+    ->Arg(120)
+    ->Arg(400)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_ApplyDeltaWide, oecd, &OecdPatch)
+    ->ArgName("delta_rows")
+    ->Arg(40)
+    ->Arg(120)
+    ->Arg(400)
+    ->Unit(benchmark::kMicrosecond);
+
 // Component assembly alone on the OECD analogue (6823 x 519, 513
 // numeric): sketches are built once outside the timed loop, so the loop
 // times BuildComponentsFromSketches, which reads only the two sketches and

@@ -5,8 +5,9 @@
 // artifact (one blocked scan over the selected rows of every column) AND
 // they compose — a cached sketch serves
 //   * the identical selection (exact hit, zero work), and
-//   * any *overlapping* selection, by patching the XOR delta row-by-row
-//     (SelectionSketches::ApplyDelta, the Preparer's patch routine).
+//   * any *overlapping* selection, by patching the XOR delta through the
+//     scan's block kernels (SelectionSketches::ApplyDelta, the Preparer's
+//     patch routine).
 // Component tables compose in neither way.
 //
 // A sketch serves one table generation only: an append moves the doubled

@@ -58,10 +58,11 @@ struct ServeOptions {
   std::shared_ptr<CacheBudget> shared_cache_budget;
 
   /// Reuse an overlapping cached selection by patching the XOR delta
-  /// (SelectionSketches::ApplyDelta), when it is within
-  /// SelectionSketches::MaxPatchDelta — the Preparer's rule. Patching
-  /// changes floating-point summation order (exact integer statistics are
-  /// unaffected); disable for bit-reproducible replays.
+  /// through the scan's block kernels (SelectionSketches::ApplyDelta),
+  /// when it is within SelectionSketches::MaxPatchDelta — the Preparer's
+  /// rule. Patching changes floating-point summation order relative to a
+  /// scan (exact integer statistics are unaffected); disable for
+  /// bit-reproducible replays.
   bool patch_near_misses = true;
 
   /// Threads per cold scan (0 = ThreadsForCells: one per kCellsPerThread

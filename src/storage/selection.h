@@ -125,8 +125,8 @@ class Selection {
   double Jaccard(const Selection& other) const;
 
   /// |A XOR B|: number of rows on which the two selections disagree — the
-  /// exact cost of patching a cached sketch of `other` into one of `this`
-  /// via AddRow/RemoveRow. Sizes must match.
+  /// rows SelectionSketches::ApplyDelta patches to turn a cached sketch of
+  /// `other` into one of `this`. Sizes must match.
   size_t HammingDistance(const Selection& other) const;
 
   /// Content fingerprint (a splitmix64 mix per packed word), used as a

@@ -16,8 +16,9 @@
 //    numerical cross-check in tests.
 //  * incremental (via Preparer): when consecutive exploration queries
 //    overlap, the cached inside sketches of the previous query are patched
-//    by adding/removing only the rows in the symmetric difference
-//    (SelectionSketches::ApplyDelta). Cost is O(|S_prev XOR S_new| * M).
+//    by adding/removing only the rows in the symmetric difference, through
+//    the scan's block kernels (SelectionSketches::ApplyDelta). Cost is
+//    O(|S_prev XOR S_new| * M).
 //
 // Assembly (BuildComponentsFromSketches) allocates a constant number of
 // blocks per read, whatever the table width: it reads the sketches

@@ -142,31 +142,11 @@ void SelectionSketches::RemoveRow(const Table& table, const TableProfile& profil
   ApplyRow<-1>(table, profile, r);
 }
 
-void SelectionSketches::ApplyDelta(const Table& table,
-                                   const TableProfile& profile,
-                                   const Selection& from, const Selection& to) {
-  ZIGGY_DCHECK(from.num_rows() == to.num_rows());
-  const auto& from_words = from.words();
-  const auto& to_words = to.words();
-  for (size_t w = 0; w < to_words.size(); ++w) {
-    uint64_t diff = from_words[w] ^ to_words[w];
-    const size_t base = w * Selection::kWordBits;
-    while (diff != 0) {
-      const size_t r = base + static_cast<size_t>(std::countr_zero(diff));
-      diff &= diff - 1;
-      if (to.Contains(r)) {
-        AddRow(table, profile, r);
-      } else {
-        RemoveRow(table, profile, r);
-      }
-    }
-  }
-}
-
 // One block's gather stripes and counting-sort scratch, all in the
 // calling thread's scan workspace. Stripes are `stride` values apart;
 // partition p's sort scratch is order + p * stride and group_ends +
-// p * group_stride.
+// p * group_stride. A patch also decodes each block position's sign into
+// `signs`: +1.0 for a row it adds, -1.0 for a row it removes.
 struct SelectionSketches::GatherBuffers {
   double* nums;
   CategoryCode* codes;
@@ -174,18 +154,20 @@ struct SelectionSketches::GatherBuffers {
   uint32_t* order;
   uint32_t* group_ends;
   size_t group_stride;
+  const double* signs;
 };
 
 namespace {
 
-// The calling thread's scan workspace: one block of decoded row indices,
-// the numeric and categorical stripes, and the mixed runs' counting-sort
-// scratch. Scans never nest on a thread, so one workspace per thread is
-// enough; the daemon's dispatch threads are long-lived, so it is reused.
-// A parallel scan's pool workers write into the caller's workspace, never
-// their own.
+// The calling thread's scan workspace: one block of decoded row indices
+// (and, for a patch, their signs), the numeric and categorical stripes,
+// and the mixed runs' counting-sort buffers. Scans never nest on a thread,
+// so one workspace per thread is enough; the daemon's dispatch threads are
+// long-lived, so it is reused. A parallel scan's pool workers write into
+// the caller's workspace, never their own.
 struct ScanWorkspace {
   std::vector<uint32_t> rows;
+  std::vector<double> signs;
   std::vector<double> nums;
   std::vector<CategoryCode> codes;
   std::vector<uint32_t> order;
@@ -215,6 +197,24 @@ struct UnaryLane {
   int64_t* rank_sum;
 };
 
+// Every kernel below comes in two forms. The unsigned form (kSigned =
+// false) is the scan: each block position adds its row. The signed form is
+// ApplyDelta's patch, where block position i adds its row with the sign
+// sd = signs[i] (+1.0 or -1.0): counts, cells and rank sums move by
+// si = ±1, and floating sums add sd * v, (sd * v) * v for squares and
+// (sd * x) * y for cross products. Negation is exact and a + (-b) is
+// a - b in IEEE-754, so a removed row leaves every statistic bitwise as
+// RemoveRow leaves it. In the unsigned form the sign is the constant 1,
+// which the compiler folds away.
+template <bool kSigned>
+double SignAt(const double* signs, size_t i) {
+  if constexpr (kSigned) {
+    return signs[i];
+  } else {
+    return 1.0;
+  }
+}
+
 // Unary statistics of W numeric columns in one pass over the block. The
 // W lanes' (count, sum, sum_sq, rank sum) chains and histogram increments
 // are independent, so they overlap; each lane still adds its values in
@@ -228,9 +228,9 @@ struct UnaryLane {
 // ahead.
 constexpr size_t kPrefetchRows = 8;
 
-template <int W>
+template <int W, bool kSigned>
 void AccumulateUnaryTile(const UnaryLane* lanes, const uint32_t* rows,
-                         size_t n) {
+                         const double* signs, size_t n) {
   const double* data[W];
   const uint32_t* rank2[W];
   double* gather[W];
@@ -258,15 +258,18 @@ void AccumulateUnaryTile(const UnaryLane* lanes, const uint32_t* rows,
       __builtin_prefetch(data[j] + ahead);
       __builtin_prefetch(rank2[j] + ahead);
     }
+    const double sd = SignAt<kSigned>(signs, i);
+    const auto si = static_cast<int64_t>(sd);
     for (int j = 0; j < W; ++j) {
       const double v = data[j][r];
       gather[j][i] = v;
-      rank_sum[j] += rank2[j][r];
+      rank_sum[j] += si * rank2[j][r];
       if (IsNullNumeric(v)) continue;
-      ++count[j];
-      sum[j] += v;
-      sum_sq[j] += v * v;
-      ++hist[j][binner[j].BinOf(v)];
+      const double sv = sd * v;
+      count[j] += si;
+      sum[j] += sv;
+      sum_sq[j] += sv * v;
+      hist[j][binner[j].BinOf(v)] += si;
     }
   }
   for (int j = 0; j < W; ++j) {
@@ -306,8 +309,9 @@ struct CrossLane {
 // sum_xy of W NULL-free numeric pairs in one pass over the block: W
 // independent chains, each adding x * y in row order with the expression
 // PairMomentSketch::Add uses, so each is bitwise that pair's per-row sum.
-template <int W>
-void AccumulateCrossTile(const CrossLane* lanes, size_t n) {
+template <int W, bool kSigned>
+void AccumulateCrossTile(const CrossLane* lanes, const double* signs,
+                         size_t n) {
   const double* x[W];
   const double* y[W];
   double acc[W];
@@ -317,7 +321,8 @@ void AccumulateCrossTile(const CrossLane* lanes, size_t n) {
     acc[j] = *lanes[j].sum_xy;
   }
   for (size_t i = 0; i < n; ++i) {
-    for (int j = 0; j < W; ++j) acc[j] += x[j][i] * y[j][i];
+    const double sd = SignAt<kSigned>(signs, i);
+    for (int j = 0; j < W; ++j) acc[j] += (sd * x[j][i]) * y[j][i];
   }
   for (int j = 0; j < W; ++j) *lanes[j].sum_xy = acc[j];
 }
@@ -334,10 +339,10 @@ struct GroupLane {
 // at ends[g]. Only groups present in the block are visited; each one's
 // (count, sum, sum_sq) of the W pairs sit in registers while its rows are
 // summed, in the order AddRow adds them.
-template <int W>
+template <int W, bool kSigned>
 void AccumulateGroupTile(const GroupLane* lanes, const CategoryCode* codes,
                          const uint32_t* order, const uint32_t* ends,
-                         uint32_t sorted) {
+                         uint32_t sorted, const double* signs) {
   for (uint32_t k = 0; k < sorted;) {
     const auto g = static_cast<size_t>(codes[order[k]]);
     int64_t count[W];
@@ -351,12 +356,15 @@ void AccumulateGroupTile(const GroupLane* lanes, const CategoryCode* codes,
     }
     for (; k < ends[g]; ++k) {
       const uint32_t i = order[k];
+      const double sd = SignAt<kSigned>(signs, i);
+      const auto si = static_cast<int64_t>(sd);
       for (int j = 0; j < W; ++j) {
         const double v = lanes[j].x[i];
         if (IsNullNumeric(v)) continue;
-        ++count[j];
-        sum[j] += v;
-        sum_sq[j] += v * v;
+        const double sv = sd * v;
+        count[j] += si;
+        sum[j] += sv;
+        sum_sq[j] += sv * v;
       }
     }
     for (int j = 0; j < W; ++j) {
@@ -376,6 +384,7 @@ bool IsNullFree(const Table& table, const TableProfile& profile, size_t c) {
 
 }  // namespace
 
+template <bool kSigned>
 void SelectionSketches::AccumulateUnary(const Table& table,
                                         const TableProfile& profile,
                                         const uint32_t* rows, size_t n,
@@ -406,7 +415,7 @@ void SelectionSketches::AccumulateUnary(const Table& table,
       lane.sketch = &column_sketches_[c];
       lane.rank_sum = &rank_sums_[c];
       if (++width == 4) {
-        AccumulateUnaryTile<4>(tile, rows, n);
+        AccumulateUnaryTile<4, kSigned>(tile, rows, buf.signs, n);
         width = 0;
       }
       continue;
@@ -418,14 +427,18 @@ void SelectionSketches::AccumulateUnary(const Table& table,
     for (size_t i = 0; i < n; ++i) {
       const CategoryCode code = data[rows[i]];
       gather[i] = code;
-      if (code != kNullCategory) ++cells[static_cast<size_t>(code)];
+      if (code != kNullCategory) {
+        cells[static_cast<size_t>(code)] +=
+            static_cast<int64_t>(SignAt<kSigned>(buf.signs, i));
+      }
     }
   }
   RunTileRemainder(width, [&](auto w) {
-    AccumulateUnaryTile<decltype(w)::value>(tile, rows, n);
+    AccumulateUnaryTile<decltype(w)::value, kSigned>(tile, rows, buf.signs, n);
   });
 }
 
+template <bool kSigned>
 void SelectionSketches::AccumulatePairs(const Table& table,
                                         const TableProfile& profile, size_t n,
                                         TaskRange pairs,
@@ -459,19 +472,24 @@ void SelectionSketches::AccumulatePairs(const Table& table,
     if (IsNullFree(table, profile, a) && IsNullFree(table, profile, b)) {
       tile[width] = {x, y, &numeric_pair_sketches_[t].sum_xy};
       if (++width == 4) {
-        AccumulateCrossTile<4>(tile, n);
+        AccumulateCrossTile<4, kSigned>(tile, buf.signs, n);
         width = 0;
       }
       continue;
     }
     PairMomentSketch s = numeric_pair_sketches_[t];
     for (size_t i = 0; i < n; ++i) {
-      if (!IsNullNumeric(x[i]) && !IsNullNumeric(y[i])) s.Add(x[i], y[i]);
+      if (IsNullNumeric(x[i]) || IsNullNumeric(y[i])) continue;
+      if (SignAt<kSigned>(buf.signs, i) < 0) {
+        s.Remove(x[i], y[i]);
+      } else {
+        s.Add(x[i], y[i]);
+      }
     }
     numeric_pair_sketches_[t] = s;
   }
   RunTileRemainder(width, [&](auto w) {
-    AccumulateCrossTile<decltype(w)::value>(tile, n);
+    AccumulateCrossTile<decltype(w)::value, kSigned>(tile, buf.signs, n);
   });
 
   // Mixed pairs, one run per shared categorical column.
@@ -482,7 +500,7 @@ void SelectionSketches::AccumulatePairs(const Table& table,
            mpairs[run_end].first == mpairs[p].first) {
       ++run_end;
     }
-    AccumulateMixedRun(n, p, run_end, profile, buf, part);
+    AccumulateMixedRun<kSigned>(n, p, run_end, profile, buf, part);
     p = run_end;
   }
 
@@ -498,12 +516,14 @@ void SelectionSketches::AccumulatePairs(const Table& table,
       const CategoryCode ca = a[i];
       const CategoryCode cb = b[i];
       if (ca != kNullCategory && cb != kNullCategory) {
-        ++cells[static_cast<size_t>(ca) * kb + static_cast<size_t>(cb)];
+        cells[static_cast<size_t>(ca) * kb + static_cast<size_t>(cb)] +=
+            static_cast<int64_t>(SignAt<kSigned>(buf.signs, i));
       }
     }
   }
 }
 
+template <bool kSigned>
 void SelectionSketches::AccumulateMixedRun(size_t n, size_t begin, size_t end,
                                            const TableProfile& profile,
                                            const GatherBuffers& buf,
@@ -537,12 +557,14 @@ void SelectionSketches::AccumulateMixedRun(size_t n, size_t begin, size_t end,
     tile[width] = {buf.nums + gather_slot_[mpairs[p].second] * buf.stride,
                    groups_.data() + group_offsets_[p]};
     if (++width == 4) {
-      AccumulateGroupTile<4>(tile, codes, order, ends, sorted);
+      AccumulateGroupTile<4, kSigned>(tile, codes, order, ends, sorted,
+                                      buf.signs);
       width = 0;
     }
   }
   RunTileRemainder(width, [&](auto w) {
-    AccumulateGroupTile<decltype(w)::value>(tile, codes, order, ends, sorted);
+    AccumulateGroupTile<decltype(w)::value, kSigned>(tile, codes, order, ends,
+                                                     sorted, buf.signs);
   });
 }
 
@@ -565,11 +587,10 @@ void SelectionSketches::FinishNullFreePairs(const Table& table,
   }
 }
 
-template <typename Fn>
-void SelectionSketches::ForEachRowBlock(const Selection& selection,
-                                        size_t block_rows, size_t partitions,
+template <typename Decode, typename Fn>
+void SelectionSketches::ForEachRowBlock(size_t num_words, size_t block_rows,
+                                        size_t partitions, Decode&& decode,
                                         Fn&& fn) const {
-  const size_t num_words = selection.num_words();
   if (block_rows == 0) block_rows = kDefaultBlockRows;
   const size_t block_words =
       std::max<size_t>(1, block_rows / Selection::kWordBits);
@@ -583,6 +604,7 @@ void SelectionSketches::ForEachRowBlock(const Selection& selection,
   // p-th stripe past the pair stripes, so no two workers write one stripe.
   ScanWorkspace& ws = ThreadScanWorkspace();
   uint32_t* rows = AtLeast(&ws.rows, stride);
+  double* signs = AtLeast(&ws.signs, stride);
   GatherBuffers buf;
   buf.nums = AtLeast(&ws.nums, (numeric_stripes_ + partitions - 1) * stride);
   buf.codes = AtLeast(&ws.codes, (code_stripes_ + partitions - 1) * stride);
@@ -590,31 +612,80 @@ void SelectionSketches::ForEachRowBlock(const Selection& selection,
   buf.order = AtLeast(&ws.order, partitions * stride);
   buf.group_ends = AtLeast(&ws.group_ends, partitions * group_stride);
   buf.group_stride = group_stride;
+  buf.signs = signs;
   for (size_t w = 0; w < num_words; w += block_words) {
-    const size_t we = std::min(w + block_words, num_words);
+    const size_t n = decode(w, std::min(w + block_words, num_words), rows,
+                            signs);
+    if (n > 0) fn(rows, n, buf);
+  }
+}
+
+namespace {
+
+// Block decoder of a scan: the selected rows of words [w, we), ascending.
+auto DecodeSelection(const Selection& selection) {
+  return [&selection](size_t w, size_t we, uint32_t* rows, double*) {
     size_t n = 0;
     selection.ForEachSetBitInWords(
         w, we, [rows, &n](size_t r) { rows[n++] = static_cast<uint32_t>(r); });
-    if (n > 0) fn(rows, n, buf);
-  }
+    return n;
+  };
+}
+
+}  // namespace
+
+template <bool kSigned, typename Decode>
+void SelectionSketches::AccumulateBlocks(const Table& table,
+                                         const TableProfile& profile,
+                                         size_t num_words, size_t block_rows,
+                                         Decode&& decode) {
+  const TaskRange cols{0, table.num_columns()};
+  const TaskRange pairs{0, numeric_pair_sketches_.size() +
+                               group_offsets_.size() - 1 +
+                               table_offsets_.size() - 1};
+  ForEachRowBlock(
+      num_words, block_rows, 1, decode,
+      [&](const uint32_t* rows, size_t n, const GatherBuffers& buf) {
+        AccumulateUnary<kSigned>(table, profile, rows, n, cols, buf, buf.nums,
+                                 buf.codes);
+        AccumulatePairs<kSigned>(table, profile, n, pairs, buf, 0);
+      });
+  FinishNullFreePairs(table, profile);
 }
 
 void SelectionSketches::AccumulateColumns(const Table& table,
                                           const TableProfile& profile,
                                           const Selection& selection,
                                           size_t block_rows) {
-  const TaskRange cols{0, table.num_columns()};
-  const TaskRange pairs{0, numeric_pair_sketches_.size() +
-                               group_offsets_.size() - 1 +
-                               table_offsets_.size() - 1};
-  ForEachRowBlock(
-      selection, block_rows, 1,
-      [&](const uint32_t* rows, size_t n, const GatherBuffers& buf) {
-        AccumulateUnary(table, profile, rows, n, cols, buf, buf.nums,
-                        buf.codes);
-        AccumulatePairs(table, profile, n, pairs, buf, 0);
-      });
-  FinishNullFreePairs(table, profile);
+  AccumulateBlocks<false>(table, profile, selection.num_words(), block_rows,
+                          DecodeSelection(selection));
+}
+
+void SelectionSketches::ApplyDelta(const Table& table,
+                                   const TableProfile& profile,
+                                   const Selection& from, const Selection& to) {
+  ZIGGY_DCHECK(from.num_rows() == to.num_rows());
+  const uint64_t* from_words = from.words().data();
+  const uint64_t* to_words = to.words().data();
+  // Block decoder of a patch: the rows of words [w, we) on which the two
+  // selections differ, ascending, each signed by whether `to` selects it.
+  const auto decode = [from_words, to_words](size_t w, size_t we,
+                                             uint32_t* rows, double* signs) {
+    size_t n = 0;
+    for (; w < we; ++w) {
+      uint64_t diff = from_words[w] ^ to_words[w];
+      const size_t base = w * Selection::kWordBits;
+      while (diff != 0) {
+        const int bit = std::countr_zero(diff);
+        diff &= diff - 1;
+        rows[n] = static_cast<uint32_t>(base + static_cast<size_t>(bit));
+        signs[n] = (to_words[w] >> bit) & 1 ? 1.0 : -1.0;
+        ++n;
+      }
+    }
+    return n;
+  };
+  AccumulateBlocks<true>(table, profile, to.num_words(), 0, decode);
 }
 
 void SelectionSketches::AccumulateColumnsParallel(const Table& table,
@@ -626,7 +697,7 @@ void SelectionSketches::AccumulateColumnsParallel(const Table& table,
                            group_offsets_.size() - 1 +
                            table_offsets_.size() - 1;
   ForEachRowBlock(
-      selection, block_rows, threads,
+      selection.num_words(), block_rows, threads, DecodeSelection(selection),
       [&](const uint32_t* rows, size_t n, const GatherBuffers& buf) {
         ParallelFor(threads, table.num_columns(),
                     [&](TaskRange cols, size_t part) {
@@ -634,12 +705,13 @@ void SelectionSketches::AccumulateColumnsParallel(const Table& table,
                           part == 0 ? 0 : numeric_stripes_ + part - 1;
                       const size_t code_sink =
                           part == 0 ? 0 : code_stripes_ + part - 1;
-                      AccumulateUnary(table, profile, rows, n, cols, buf,
-                                      buf.nums + num_sink * buf.stride,
-                                      buf.codes + code_sink * buf.stride);
+                      AccumulateUnary<false>(
+                          table, profile, rows, n, cols, buf,
+                          buf.nums + num_sink * buf.stride,
+                          buf.codes + code_sink * buf.stride);
                     });
         ParallelFor(threads, num_pairs, [&](TaskRange pairs, size_t part) {
-          AccumulatePairs(table, profile, n, pairs, buf, part);
+          AccumulatePairs<false>(table, profile, n, pairs, buf, part);
         });
       });
   FinishNullFreePairs(table, profile);

@@ -1,7 +1,7 @@
 // SelectionSketches: all mergeable statistics of one side of a selection
 // (the "inside" of paper Figure 2).
 //
-// Two accumulation paths exist:
+// Rows reach the statistics through one set of block kernels:
 //  * Columnar blocked scan (AccumulateColumns / Build): the selection
 //    bitmap is decoded once per block of kDefaultBlockRows rows into a
 //    row-index vector, then the columns (and tracked pairs) are scanned
@@ -41,11 +41,19 @@
 //    every group's rows ascending, so each group sketch still adds its
 //    values in AddRow's order. A parallel scan cuts its tiles and runs
 //    inside each partition's pair range.
-//  * Row-at-a-time AddRow/RemoveRow: kept exclusively for ApplyDelta, the
-//    one patch routine of every sketch-reuse path (the Preparer between a
-//    user's consecutive queries, the server's sketch cache across
-//    sessions), where overlapping selections differ in few rows and
-//    per-row patching beats a rescan.
+//  * Signed block patch (ApplyDelta): the one patch routine of every
+//    sketch-reuse path (the Preparer between a user's consecutive
+//    queries, the server's sketch cache across sessions), where
+//    overlapping selections differ in few rows. It decodes `from XOR to`
+//    block by block into the same workspace, each row with a sign (+1 if
+//    `to` selects it, -1 if not), and runs the added and removed rows
+//    together, ascending, through the scan's kernels in their signed
+//    form: counts and cells move by the sign, floating sums add the
+//    signed value. Negation is exact and a + (-b) is a - b in IEEE-754,
+//    so the result is bitwise that of AddRow/RemoveRow over the same rows
+//    in the same order.
+//  * Row-at-a-time AddRow/RemoveRow: the documented bitwise reference of
+//    both block paths in the tests; no production path calls them.
 //
 // Besides moments and counts, a sketch holds each numeric column's rank
 // sum: the exact integer sum of the profile's doubled midranks
@@ -116,27 +124,31 @@ class SelectionSketches {
                                  size_t block_rows = 0);
   /// @}
 
-  /// \name Row-at-a-time path (incremental deltas).
+  /// \name Incremental deltas.
   /// @{
 
-  /// Accumulates row `r` of the table.
-  void AddRow(const Table& table, const TableProfile& profile, size_t r);
-
-  /// Removes a previously accumulated row (exact inverse of AddRow).
-  void RemoveRow(const Table& table, const TableProfile& profile, size_t r);
-
   /// Turns sketches accumulated over `from` into sketches of `to` (same
-  /// row count): walks the set bits of `from XOR to`, adding the rows only
-  /// `to` selects and removing the rows only `from` selects. Integer
-  /// statistics end up exactly as a scan of `to` leaves them; floating
-  /// sums differ from it in summation order only.
+  /// row count): adds the rows only `to` selects and removes the rows only
+  /// `from` selects, through the scan's block kernels in their signed
+  /// form, on the calling thread. Bitwise equal to AddRow/RemoveRow over
+  /// the rows of `from XOR to` in ascending order. Integer statistics end
+  /// up exactly as a scan of `to` leaves them; floating sums differ from
+  /// it in summation order only.
   void ApplyDelta(const Table& table, const TableProfile& profile,
                   const Selection& from, const Selection& to);
 
   /// The patch-or-scan rule of every sketch-reuse path: sketches of a
   /// selection of `selected_rows` rows are patched from a base at most
-  /// this many rows away (ApplyDelta), and scanned otherwise. Past half
-  /// the selection, patching row by row costs more than a columnar scan.
+  /// this many rows away (ApplyDelta), and scanned otherwise. Measured on
+  /// one core (bench_components_micro BM_ApplyDeltaWide against a
+  /// one-thread Build of its 15% base selection): copying and patching
+  /// 40 / 400 delta rows costs 79 / 504 us on crime (1994 x 128,
+  /// |S| = 313) and 464 / 2101 us on oecd (6823 x 519, |S| = 1025),
+  /// where the scan costs 420 us and 3.7 ms. A patch at the bound thus
+  /// costs about 0.5 (crime) and 0.7 (oecd) of a scan, and breaks even
+  /// near |S| and 0.75 |S|. The bound stays at |S| / 2: moving it changes
+  /// which reads are patched, and a patched sketch's floating sums differ
+  /// from a scan's in summation order.
   static constexpr size_t MaxPatchDelta(size_t selected_rows) {
     return selected_rows / 2;
   }
@@ -146,6 +158,16 @@ class SelectionSketches {
   /// becomes n(n + 1) − other's, n its non-NULL count: the doubled midranks
   /// of n values always sum to n(n + 1).
   void DeriveAsComplement(const TableProfile& profile, const SelectionSketches& other);
+
+  /// \name Row-at-a-time reference (tests only).
+  /// @{
+
+  /// Accumulates row `r` of the table.
+  void AddRow(const Table& table, const TableProfile& profile, size_t r);
+
+  /// Removes a previously accumulated row (exact inverse of AddRow).
+  void RemoveRow(const Table& table, const TableProfile& profile, size_t r);
+  /// @}
 
   /// \name Accumulated statistics (indexing mirrors TableProfile).
   /// @{
@@ -197,9 +219,11 @@ class SelectionSketches {
   }
 
   /// Unary statistics of columns [cols.begin, cols.end) over one decoded
-  /// block of `n` selected rows. Pair-referenced columns are gathered into
-  /// their stripes of `buf` (laid out by gather_slot_); the others into
-  /// `num_sink` / `code_sink`.
+  /// block of `n` rows, each added (or, kSigned, added with its sign in
+  /// `buf.signs`). Pair-referenced columns are gathered into their stripes
+  /// of `buf` (laid out by gather_slot_); the others into `num_sink` /
+  /// `code_sink`.
+  template <bool kSigned>
   void AccumulateUnary(const Table& table, const TableProfile& profile,
                        const uint32_t* rows, size_t n, TaskRange cols,
                        const GatherBuffers& buf, double* num_sink,
@@ -208,11 +232,13 @@ class SelectionSketches {
   /// Tracked pairs [pairs.begin, pairs.end) over the gathered stripes of
   /// one block, indexed numeric pairs first, then mixed, then categorical.
   /// `part` picks the partition's counting-sort scratch in `buf`.
+  template <bool kSigned>
   void AccumulatePairs(const Table& table, const TableProfile& profile,
                        size_t n, TaskRange pairs, const GatherBuffers& buf,
                        size_t part);
 
   /// Mixed pairs [begin, end), which share their categorical column.
+  template <bool kSigned>
   void AccumulateMixedRun(size_t n, size_t begin, size_t end,
                           const TableProfile& profile,
                           const GatherBuffers& buf, size_t part);
@@ -221,19 +247,28 @@ class SelectionSketches {
   /// its columns' sketches (the scan accumulated only their sum_xy).
   void FinishNullFreePairs(const Table& table, const TableProfile& profile);
 
+  /// The sequential block pass of a scan (kSigned false) and of a patch
+  /// (kSigned true) over the `num_words` words `decode` reads, ending with
+  /// FinishNullFreePairs.
+  template <bool kSigned, typename Decode>
+  void AccumulateBlocks(const Table& table, const TableProfile& profile,
+                        size_t num_words, size_t block_rows, Decode&& decode);
+
   /// Build's column-partitioned scan on `threads` (> 1) workers.
   void AccumulateColumnsParallel(const Table& table,
                                  const TableProfile& profile,
                                  const Selection& selection,
                                  size_t block_rows, size_t threads);
 
-  /// Decodes `selection` block by block into the calling thread's scan
-  /// workspace, sized for `partitions` workers (their sink stripes and
-  /// counting-sort scratch), and calls fn(rows, n, buf) for each
-  /// non-empty block.
-  template <typename Fn>
-  void ForEachRowBlock(const Selection& selection, size_t block_rows,
-                       size_t partitions, Fn&& fn) const;
+  /// The one block loop of scans and patches. Sizes the calling thread's
+  /// scan workspace for `partitions` workers (their sink stripes and
+  /// counting-sort buffers), then walks `num_words` bitmap words in
+  /// blocks of `block_rows` rows: n = decode(w, we, rows, signs) writes the
+  /// ascending rows of words [w, we) (and, for a patch, their signs), and
+  /// fn(rows, n, buf) runs for each non-empty block.
+  template <typename Decode, typename Fn>
+  void ForEachRowBlock(size_t num_words, size_t block_rows, size_t partitions,
+                       Decode&& decode, Fn&& fn) const;
 
   std::vector<MomentSketch> column_sketches_;
   std::vector<int64_t> rank_sums_;

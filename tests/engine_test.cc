@@ -2,13 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <functional>
+#include <map>
 #include <set>
 
 #include "common/random.h"
 #include "data/synthetic.h"
 #include "engine/report.h"
 #include "engine/ziggy_engine.h"
+#include "query/parser.h"
 #include "serve/ziggy_server.h"
+#include "zig/selection_sketches.h"
 
 namespace ziggy {
 namespace {
@@ -289,6 +295,29 @@ TEST(EngineTest, ServerSessionReboundAfterAppendMatchesFreshEngine) {
   }
 }
 
+// A copy of `table` with a NULL at (row, col) of numeric column `col`.
+Table WithNullAt(const Table& table, size_t col, size_t row) {
+  std::vector<Column> columns;
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    const Column& column = table.column(c);
+    const std::string& name = table.schema().field(c).name;
+    if (column.is_numeric()) {
+      std::vector<double> values = column.numeric_data();
+      if (c == col) values[row] = NullNumeric();
+      columns.push_back(Column::FromNumeric(name, std::move(values)));
+    } else {
+      std::vector<std::string> labels;
+      for (const CategoryCode code : column.codes()) {
+        labels.push_back(code == kNullCategory
+                             ? std::string()
+                             : column.dictionary()[static_cast<size_t>(code)]);
+      }
+      columns.push_back(Column::FromStrings(name, labels));
+    }
+  }
+  return Table::FromColumns(std::move(columns)).ValueOrDie();
+}
+
 // A cold read after an append that puts the first NULL into a column of a
 // tracked numeric pair: generation 0 scans copy that pair's count and x/y
 // sums from the column sketches, generation 1 scans must stop doing so.
@@ -328,31 +357,115 @@ TEST(EngineTest, ServerColdReadAfterNullIntroducingAppendMatchesFreshEngine) {
 
   // A sampled batch with one NULL in the target column.
   Rng rng(9);
-  const Table sample = ds.table.SampleRows(40, &rng);
-  std::vector<Column> columns;
-  for (size_t c = 0; c < sample.num_columns(); ++c) {
-    const Column& col = sample.column(c);
-    const std::string& name = sample.schema().field(c).name;
-    if (col.is_numeric()) {
-      std::vector<double> values = col.numeric_data();
-      if (c == target) values[7] = NullNumeric();
-      columns.push_back(Column::FromNumeric(name, std::move(values)));
-    } else {
-      std::vector<std::string> labels;
-      for (const CategoryCode code : col.codes()) {
-        labels.push_back(code == kNullCategory
-                             ? std::string()
-                             : col.dictionary()[static_cast<size_t>(code)]);
-      }
-      columns.push_back(Column::FromStrings(name, labels));
-    }
-  }
   ASSERT_TRUE(
-      server->Append(Table::FromColumns(std::move(columns)).ValueOrDie()).ok());
+      server->Append(WithNullAt(ds.table.SampleRows(40, &rng), target, 7))
+          .ok());
   ASSERT_LT(static_cast<size_t>(
                 server->state()->profile->ColumnSketch(target).count),
             server->state()->table().num_rows());
   expect_fresh();
+}
+
+// The server's sketches against the row-at-a-time reference, which no
+// production path runs: after every cold, patched and exact read, before
+// and after an append that puts a NULL into a tracked numeric pair's
+// column (and selects its row), the sketches FindCachedSketches returns
+// are bitwise AddRow over the selection's rows in row order, or, for a
+// patched read, that reference of its base patched by AddRow/RemoveRow.
+TEST(EngineTest, ServerCachedSketchesMatchRowByRowReference) {
+  SyntheticDataset ds = MakeBoxOfficeDataset().ValueOrDie();
+  ServeOptions options;
+  options.engine.cache_queries = false;  // repeats reach the sketch cache
+  options.session.novelty = SessionOptions::NoveltyPolicy::kOff;
+  std::unique_ptr<ZiggyServer> server =
+      ZiggyServer::Create(ds.table, options).ValueOrDie();
+  const uint64_t session = server->OpenSession();
+  const size_t target =
+      server->state()->profile->tracked_numeric_pairs().at(0).first;
+  const std::string target_name = ds.table.schema().field(target).name;
+
+  // The rows ranked skip + 1 .. k by generation 0's revenue_index, so a
+  // patch from band(0, k) to band(skip, k') removes and adds rows.
+  std::vector<double> revenue =
+      ds.table
+          .column(ds.table.schema().GetFieldIndex("revenue_index").ValueOrDie())
+          .numeric_data();
+  std::sort(revenue.begin(), revenue.end(), std::greater<>());
+  const auto band = [&](size_t skip, size_t k) {
+    char buf[128];
+    if (skip == 0) {
+      std::snprintf(buf, sizeof(buf), "(revenue_index >= %.17g)",
+                    revenue[k - 1]);
+    } else {
+      std::snprintf(buf, sizeof(buf),
+                    "(revenue_index >= %.17g AND revenue_index < %.17g)",
+                    revenue[k - 1], revenue[skip - 1]);
+    }
+    return std::string(buf);
+  };
+
+  // Reference sketches per query text, on the current generation.
+  std::map<std::string, std::pair<Selection, SelectionSketches>> refs;
+  const auto read = [&](const std::string& query, SketchSource source,
+                        const std::string& base_query) {
+    SCOPED_TRACE(query);
+    const Characterization result =
+        server->Characterize(session, query).ValueOrDie();
+    EXPECT_EQ(result.sketch_source, source);
+    const auto state = server->state();
+    const Table& table = state->table();
+    const TableProfile& profile = *state->profile;
+    const Selection sel =
+        ParsePredicate(query).ValueOrDie()->Evaluate(table).ValueOrDie();
+    SelectionSketches ref;
+    if (source == SketchSource::kServerScan) {
+      ref.InitShapes(table, profile);
+      sel.ForEachSetBit([&](size_t r) { ref.AddRow(table, profile, r); });
+    } else {
+      const auto& [base_sel, base_ref] = refs.at(base_query);
+      ref = base_ref;
+      size_t added = 0;
+      size_t removed = 0;
+      for (size_t r = 0; r < table.num_rows(); ++r) {
+        if (base_sel.Contains(r) == sel.Contains(r)) continue;
+        if (sel.Contains(r)) {
+          ref.AddRow(table, profile, r);
+          ++added;
+        } else {
+          ref.RemoveRow(table, profile, r);
+          ++removed;
+        }
+      }
+      if (source == SketchSource::kCachePatched) {
+        EXPECT_GT(added, 0u);
+        EXPECT_GT(removed, 0u);
+      }
+    }
+    const auto cached = server->FindCachedSketches(sel);
+    ASSERT_NE(cached, nullptr);
+    EXPECT_TRUE(cached->Equals(ref));
+    refs.insert_or_assign(query, std::make_pair(sel, std::move(ref)));
+  };
+
+  read(band(0, 150), SketchSource::kServerScan, "");
+  read(band(10, 175), SketchSource::kCachePatched, band(0, 150));
+  read(band(10, 175), SketchSource::kCacheExact, band(10, 175));
+
+  Rng rng(9);
+  ASSERT_TRUE(
+      server->Append(WithNullAt(ds.table.SampleRows(40, &rng), target, 7))
+          .ok());
+  const size_t null_row = ds.table.num_rows() + 7;
+  const std::string with_null = " OR " + target_name + " IS NULL";
+  refs.clear();
+  read(band(0, 120) + with_null, SketchSource::kServerScan, "");
+  read(band(10, 140) + with_null, SketchSource::kCachePatched,
+       band(0, 120) + with_null);
+  read(band(10, 140) + with_null, SketchSource::kCacheExact,
+       band(10, 140) + with_null);
+  for (const auto& [query, entry] : refs) {
+    EXPECT_TRUE(entry.first.Contains(null_row)) << query;
+  }
 }
 
 // STATS' component_cache totals count each engine's lookups once: the

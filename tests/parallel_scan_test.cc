@@ -1,7 +1,8 @@
 // Tests for the columnar blocked scan pipeline: the packed word bitmap
 // Selection, the ParallelFor utility, the bit-identity of blocked and
-// column-partitioned parallel sketch accumulation with the row-at-a-time
-// reference path, and the footprint of a scan result.
+// column-partitioned parallel sketch accumulation, and of the signed block
+// patch (ApplyDelta), with the row-at-a-time reference path, and the
+// footprint of a scan result.
 
 #include <gtest/gtest.h>
 
@@ -571,23 +572,30 @@ bool PartitionCutsMixedRun(const TableProfile& profile, size_t threads) {
   return false;
 }
 
+// Five NULL-free numerics (their pairs go through the sum_xy tiles), one
+// NULL-holding numeric (its pairs keep the per-pair loop) and categoricals
+// with NULL codes, each heading a run of mixed pairs with the numerics it
+// groups, every pair family capped at `cap`. Caps 1..10 walk the sum_xy
+// tile remainders and runs of 1 to 6 mixed pairs.
+constexpr size_t kMaxPairCap = 10;
+
+Fixture MakePairCapFixture(size_t cap) {
+  return MakeShapedFixture(
+      1500,
+      {NumericShape::kNullFree, NumericShape::kNullFree,
+       NumericShape::kNullHolding, NumericShape::kNullFree,
+       NumericShape::kNullFree, NumericShape::kNullFree},
+      900, 16, cap);
+}
+
 TEST(TiledPairScanTest, TileRemaindersAndMixedRunsAreBitIdenticalToAddRow) {
-  // Five NULL-free numerics (their pairs go through the sum_xy tiles), one
-  // NULL-holding numeric (its pairs keep the per-pair loop) and
-  // categoricals with NULL codes, each heading a run of mixed pairs with
-  // the numerics it groups. Capping every pair family at 1..10 walks the
-  // tile remainders and runs of 1 to 6 mixed pairs; 3% selections leave
-  // 64-row blocks with fewer rows than groups, 50% ones sort every block.
+  // 3% selections leave 64-row blocks with fewer rows than groups, 50%
+  // ones sort every block.
   std::set<size_t> remainders;
   std::set<size_t> run_lengths;
   bool cut_run = false;
-  for (size_t cap = 1; cap <= 10; ++cap) {
-    const Fixture fx = MakeShapedFixture(
-        1500,
-        {NumericShape::kNullFree, NumericShape::kNullFree,
-         NumericShape::kNullHolding, NumericShape::kNullFree,
-         NumericShape::kNullFree, NumericShape::kNullFree},
-        900, 16, cap);
+  for (size_t cap = 1; cap <= kMaxPairCap; ++cap) {
+    const Fixture fx = MakePairCapFixture(cap);
     const size_t rows = fx.table.num_rows();
     size_t null_free_pairs = 0;
     for (const auto& [a, b] : fx.profile.tracked_numeric_pairs()) {
@@ -680,6 +688,125 @@ TEST(TiledPairScanTest, NullFreeClassificationFollowsTheAppendedGeneration) {
   }
   ExpectBitIdentical(gen1, ReferenceSketches(gen1, to),
                      SelectionSketches::Build(gen1.table, gen1.profile, to));
+}
+
+// ------------------------------------------------- signed block patch ---
+
+// The row-at-a-time reference patch: `base` with AddRow for each row only
+// `to` selects and RemoveRow for each row only `from` selects, ascending.
+SelectionSketches ReferencePatch(const Fixture& fx, SelectionSketches base,
+                                 const Selection& from, const Selection& to) {
+  for (size_t r = 0; r < fx.table.num_rows(); ++r) {
+    if (from.Contains(r) == to.Contains(r)) continue;
+    if (to.Contains(r)) {
+      base.AddRow(fx.table, fx.profile, r);
+    } else {
+      base.RemoveRow(fx.table, fx.profile, r);
+    }
+  }
+  return base;
+}
+
+// Patches a scan of `from` to `to` and back with ApplyDelta, and checks
+// each step bitwise against the row-at-a-time reference patch of the same
+// base.
+void ExpectPatchMatchesRowByRow(const Fixture& fx, const Selection& from,
+                                const Selection& to) {
+  const SelectionSketches base =
+      SelectionSketches::Build(fx.table, fx.profile, from);
+  SelectionSketches patched = base;
+  patched.ApplyDelta(fx.table, fx.profile, from, to);
+  const SelectionSketches forward = ReferencePatch(fx, base, from, to);
+  {
+    SCOPED_TRACE("forward");
+    ExpectBitIdentical(fx, forward, patched);
+  }
+  patched.ApplyDelta(fx.table, fx.profile, to, from);
+  SCOPED_TRACE("back");
+  ExpectBitIdentical(fx, ReferencePatch(fx, forward, to, from), patched);
+}
+
+// `sel` with every row r where r % stride == phase flipped (set_only:
+// set, never cleared).
+Selection Flipped(const Selection& sel, size_t stride, size_t phase,
+                  bool set_only = false) {
+  Selection out = sel;
+  for (size_t r = phase; r < sel.num_rows(); r += stride) {
+    out.Set(r, set_only || !out.Contains(r));
+  }
+  return out;
+}
+
+TEST(SignedPatchTest, DemoTablesMatchRowByRowAcrossBlocks) {
+  // The demo tables' planted selections, patched by mixed, pure-add,
+  // pure-remove and empty deltas. oecd's 6823 rows span two 4096-row
+  // blocks, and its deltas hold rows of both.
+  for (const auto& [name, make] :
+       std::vector<std::pair<std::string, Result<SyntheticDataset> (*)()>>{
+           {"crime", +[] { return MakeCrimeDataset(); }},
+           {"oecd", +[] { return MakeOecdDataset(); }},
+           {"box", +[] { return MakeBoxOfficeDataset(); }}}) {
+    SyntheticDataset ds = make().ValueOrDie();
+    TableProfile profile = TableProfile::Compute(ds.table).ValueOrDie();
+    const Fixture fx{std::move(ds.table), std::move(profile)};
+    const Selection& planted = ds.planted;
+    const Selection mixed = Flipped(planted, 17, 3);
+    const Selection grown = Flipped(planted, 23, 5, /*set_only=*/true);
+    const size_t n = fx.table.num_rows();
+    if (name == "oecd") {
+      ASSERT_GT(n, SelectionSketches::kDefaultBlockRows);
+      bool low = false;
+      bool high = false;
+      for (size_t r = 0; r < n; ++r) {
+        if (planted.Contains(r) == mixed.Contains(r)) continue;
+        (r < SelectionSketches::kDefaultBlockRows ? low : high) = true;
+      }
+      ASSERT_TRUE(low && high);
+    }
+    ASSERT_NE(grown, planted);
+    SCOPED_TRACE(name);
+    {
+      SCOPED_TRACE("mixed");
+      ExpectPatchMatchesRowByRow(fx, planted, mixed);
+    }
+    {
+      SCOPED_TRACE("pure add, then pure remove");
+      ExpectPatchMatchesRowByRow(fx, planted, grown);
+    }
+    {
+      SCOPED_TRACE("pure remove, then pure add");
+      ExpectPatchMatchesRowByRow(fx, grown, planted);
+    }
+    {
+      SCOPED_TRACE("empty");
+      ExpectPatchMatchesRowByRow(fx, planted, planted);
+    }
+  }
+}
+
+TEST(SignedPatchTest, NullsTileRemaindersAndMixedRunsMatchRowByRow) {
+  // NULL-holding numeric pairs and NULL category codes (MakeFixture), every
+  // unary tile remainder (MakeWideFixture at 0-9 numeric columns), and
+  // every sum_xy tile remainder and mixed run length (the pair caps).
+  std::vector<Fixture> fixtures;
+  fixtures.push_back(MakeFixture(2500, 51));
+  for (size_t numeric = 0; numeric <= 9; ++numeric) {
+    fixtures.push_back(MakeWideFixture(1300, numeric, 100 + numeric));
+  }
+  for (size_t cap = 1; cap <= kMaxPairCap; ++cap) {
+    fixtures.push_back(MakePairCapFixture(cap));
+  }
+  for (size_t f = 0; f < fixtures.size(); ++f) {
+    const Fixture& fx = fixtures[f];
+    const size_t n = fx.table.num_rows();
+    for (double density : {0.05, 0.5}) {
+      SCOPED_TRACE("fixture " + std::to_string(f) +
+                   " density=" + std::to_string(density));
+      const Selection from = MakeSelection(n, density, 61);
+      ExpectPatchMatchesRowByRow(fx, from, Flipped(from, 7, 2));
+      ExpectPatchMatchesRowByRow(fx, from, Flipped(from, 11, 0, true));
+    }
+  }
 }
 
 // ------------------------------------------------- result footprint ---
