@@ -5,6 +5,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
+#include <cstdlib>
+#include <filesystem>
 #include <sstream>
 #include <vector>
 
@@ -65,6 +69,31 @@ void BM_ReadCsvWide(benchmark::State& state) {
                           static_cast<int64_t>(csv->size()));
 }
 BENCHMARK(BM_ReadCsvWide)->Unit(benchmark::kMillisecond);
+
+// The same CSV through ReadCsvFile, as OPEN and `ziggy_cli import` read
+// it: the file read into memory, then the parse. The file is written once
+// to the temp directory and removed at exit.
+void BM_ReadCsvFileWide(benchmark::State& state) {
+  struct TempCsv {
+    TempCsv()
+        : path((std::filesystem::temp_directory_path() /
+                ("ziggy_bench_oecd_" + std::to_string(getpid()) + ".csv"))
+                   .string()) {
+      const Table table = MakeOecdDataset().ValueOrDie().table;
+      bytes = static_cast<int64_t>(WriteCsvString(table).size());
+      if (!WriteCsvFile(table, path).ok()) std::abort();
+    }
+    ~TempCsv() { std::filesystem::remove(path); }
+    std::string path;
+    int64_t bytes = 0;
+  };
+  static const TempCsv csv;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ReadCsvFile(csv.path).ValueOrDie());
+  }
+  state.SetBytesProcessed(state.iterations() * csv.bytes);
+}
+BENCHMARK(BM_ReadCsvFileWide)->Unit(benchmark::kMillisecond);
 
 // CRC-32 over 1 MiB: the per-section integrity check of every store load.
 void BM_Crc32(benchmark::State& state) {

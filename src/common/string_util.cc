@@ -60,17 +60,27 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
   return out;
 }
 
+const char* ParseDoublePrefix(const char* first, const char* last,
+                              double* value) {
+  // std::from_chars rounds exactly like strtod, so a token it consumes
+  // whole is taken when strtod could not have flagged ERANGE: a zero
+  // (from_chars itself reports an underflow to zero as out of range) or a
+  // magnitude above DBL_MIN. DBL_MIN is excluded because strtod flags
+  // tokens just below it that round up to it. Everything else — '+', hex,
+  // nan, subnormals, padded tokens — takes ParseDouble's strtod path.
+  const auto [ptr, ec] = std::from_chars(first, last, *value);
+  if (ec == std::errc() &&
+      (*value == 0.0 ||
+       std::fabs(*value) > std::numeric_limits<double>::min())) {
+    return ptr;
+  }
+  return nullptr;
+}
+
 Result<double> ParseDouble(std::string_view s) {
-  // Fast path: std::from_chars rounds exactly like strtod, so a token it
-  // consumes whole is taken when strtod could not have flagged ERANGE: a
-  // zero (from_chars itself reports an underflow to zero as out of range)
-  // or a magnitude above DBL_MIN. DBL_MIN is excluded because strtod flags
-  // tokens just below it that round up to it. Everything else — '+',
-  // hex, inf/nan, subnormals, padded tokens — takes the strtod path.
   double fast = 0.0;
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), fast);
-  if (ec == std::errc() && ptr == s.data() + s.size() &&
-      (fast == 0.0 || std::fabs(fast) > std::numeric_limits<double>::min())) {
+  const char* last = s.data() + s.size();
+  if (!s.empty() && ParseDoublePrefix(s.data(), last, &fast) == last) {
     return fast;
   }
   s = TrimWhitespace(s);

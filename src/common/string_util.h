@@ -35,6 +35,15 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 /// accepted), rejecting tokens that overflow or underflow (ERANGE).
 Result<double> ParseDouble(std::string_view s);
 
+/// ParseDouble's fast path, on the front of [first, last): the end of the
+/// longest number there when ParseDouble of exactly [first, end) returns
+/// it without the strtod fallback (stored in *value); nullptr when there is
+/// no such number. A number never holds whitespace, '"', '\r', ',', ';',
+/// '\t' or '|', so a caller splitting on one of those can parse a cell
+/// without first finding its end.
+const char* ParseDoublePrefix(const char* first, const char* last,
+                              double* value);
+
 /// Strict int64 parse of the full token.
 Result<int64_t> ParseInt(std::string_view s);
 

@@ -5,7 +5,7 @@
 //   <dir>/ziggy.manifest                     commit record (persist/manifest.h)
 //   <dir>/tables/<name>/table.g<B>.ztbl      full base snapshot (table_io.h)
 //   <dir>/tables/<name>/delta.g<D>.zdlt      delta segments on top of the base
-//   <dir>/tables/<name>/profile.g<G>.zprof   TableProfile (ZIGPROF3 codec)
+//   <dir>/tables/<name>/profile.g<G>.zprof   TableProfile (ZIGPROF4 codec)
 //   <dir>/dicts/dict.<hex16>.zdic            pooled dictionaries (dict_pool.h)
 //
 // Data files are named by the generation they checkpoint, and the

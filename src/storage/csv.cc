@@ -1,10 +1,17 @@
 #include "storage/csv.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <array>
-#include <filesystem>
+#include <cctype>
+#include <cerrno>
+#include <cstring>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <sstream>
 
 #include "common/parallel.h"
@@ -18,125 +25,111 @@ namespace {
 // chunks is read on the calling thread.
 constexpr size_t kCsvChunkBytes = size_t{1} << 18;
 
-// One cell of the split input: `length` bytes at `offset` in the combined
-// address space [text | arena]. Cells that needed no unescaping point
-// straight into the text; quoted cells and cells with a dropped '\r' were
-// unescaped into the chunk's arena.
-struct CellSpan {
-  size_t offset;
-  size_t length;
-};
+// ScanCell's and SplitRecord's result at an unterminated quote.
+constexpr size_t kUnterminated = std::string_view::npos;
 
-// One chunk of the input split into records of cells, row-major.
-struct SplitText {
-  std::string_view text;  // the whole input; cell offsets are into it
-  std::string arena;
-  std::vector<CellSpan> cells;
-  size_t num_cols = 0;  // cell count of the chunk's first record
-  size_t num_records = 0;
-  // The chunk's first record (chunk-local index) whose cell count differs
-  // from its first record's. Its cells and those of every later record
-  // are dropped.
-  bool ragged = false;
-  size_t ragged_record = 0;
-  size_t ragged_fields = 0;
-  Status status;  // the chunk's first unterminated quote
-
-  std::string_view Cell(size_t record, size_t col) const {
-    const CellSpan& span = cells[record * num_cols + col];
-    const char* data = span.offset < text.size()
-                           ? text.data() + span.offset
-                           : arena.data() + (span.offset - text.size());
-    return {data, span.length};
+// The bytes that end or escape a cell outside quotes.
+struct Dialect {
+  explicit Dialect(char d)
+      : delim(d),
+        delim_is_quote(d == '"'),
+        numbers_stop_at_delim(
+            std::isspace(static_cast<unsigned char>(d)) != 0 ||
+            std::string_view(",;|").find(d) != std::string_view::npos) {
+    special[static_cast<unsigned char>(d)] = true;
+    special[static_cast<unsigned char>('"')] = true;
+    special[static_cast<unsigned char>('\r')] = true;
   }
+  char delim;
+  bool delim_is_quote;
+  // No number holds the delimiter (see ParseDoublePrefix).
+  bool numbers_stop_at_delim;
+  std::array<bool, 256> special{};
 };
 
-// Splits text[begin, end) in one pass over its bytes; `begin` starts a
-// line and `end` ends one. Records are '\n'-terminated lines; lines that
-// are blank after trimming are skipped. In a record, a '"' opens or closes
-// quoting ("" inside quotes is a literal quote), the delimiter ends a cell
-// outside quotes, and '\r' is dropped outside quotes and kept inside them.
-// A quote never spans lines, so every '\n' ends a record and chunks split
-// independently. Stops at the first unterminated quote (out->status).
-void SplitCsvText(std::string_view text, size_t begin, size_t end_of_chunk,
-                  char delim, SplitText* out) {
-  const size_t n = text.size();
-  std::array<bool, 256> special{};
-  special[static_cast<unsigned char>(delim)] = true;
-  special[static_cast<unsigned char>('"')] = true;
-  special[static_cast<unsigned char>('\r')] = true;
-  const bool delim_is_quote = delim == '"';
-
-  out->text = text;
-  std::vector<CellSpan>& cells = out->cells;
-  std::string& arena = out->arena;
-  size_t pos = begin;
-  while (pos < end_of_chunk) {
-    const size_t nl = text.find('\n', pos);
-    const size_t end = nl == std::string_view::npos ? n : nl;
-    const size_t next = nl == std::string_view::npos ? n : nl + 1;
-    const std::string_view line = text.substr(pos, end - pos);
-    if (TrimWhitespace(line).empty()) {
-      pos = next;
-      continue;
-    }
-    const size_t first_cell = cells.size();
-    size_t i = pos;
-    for (;;) {
-      const size_t start = i;
-      while (i < end && !special[static_cast<unsigned char>(text[i])]) ++i;
-      if (i == end || (text[i] == delim && !delim_is_quote)) {
-        cells.push_back({start, i - start});
+// Reads the cell that starts at line[i] and returns the index just past
+// it: the delimiter that ends it, or line.size(). A '"' opens or closes
+// quoting ("" inside quotes is a literal quote), the delimiter ends the
+// cell outside quotes, and '\r' is dropped outside quotes and kept inside
+// them. A cell with neither '"' nor '\r' is a view into `line`
+// (*escaped = false); any other is unescaped into *scratch (*escaped =
+// true). Returns kUnterminated for an unterminated quote.
+inline size_t ScanCell(const Dialect& d, std::string_view line, size_t i,
+                       std::string* scratch, std::string_view* cell,
+                       bool* escaped) {
+  const size_t n = line.size();
+  const size_t start = i;
+  while (i < n && !d.special[static_cast<unsigned char>(line[i])]) ++i;
+  if (i == n || (line[i] == d.delim && !d.delim_is_quote)) {
+    *cell = line.substr(start, i - start);
+    *escaped = false;
+    return i;
+  }
+  scratch->assign(line.data() + start, i - start);
+  bool in_quotes = false;
+  for (; i < n; ++i) {
+    const char ch = line[i];
+    if (in_quotes) {
+      if (ch == '"') {
+        if (i + 1 < n && line[i + 1] == '"') {
+          *scratch += '"';
+          ++i;
+        } else {
+          in_quotes = false;
+        }
       } else {
-        const size_t arena_start = arena.size();
-        arena.append(text.data() + start, i - start);
-        bool in_quotes = false;
-        for (; i < end; ++i) {
-          const char c = text[i];
-          if (in_quotes) {
-            if (c == '"') {
-              if (i + 1 < end && text[i + 1] == '"') {
-                arena += '"';
-                ++i;
-              } else {
-                in_quotes = false;
-              }
-            } else {
-              arena += c;
-            }
-          } else if (c == '"') {
-            in_quotes = true;
-          } else if (c == delim) {
-            break;
-          } else if (c != '\r') {
-            arena += c;
-          }
-        }
-        if (in_quotes) {
-          out->status = Status::ParseError(
-              "unterminated quote in CSV record: '" + std::string(line) + "'");
-          return;
-        }
-        cells.push_back({n + arena_start, arena.size() - arena_start});
+        *scratch += ch;
       }
-      if (i == end) break;
-      ++i;  // past the delimiter
+    } else if (ch == '"') {
+      in_quotes = true;
+    } else if (ch == d.delim) {
+      break;
+    } else if (ch != '\r') {
+      *scratch += ch;
     }
-    const size_t fields = cells.size() - first_cell;
-    if (out->num_records == 0) {
-      out->num_cols = fields;
-    } else if (out->ragged || fields != out->num_cols) {
-      // The load fails; keep splitting only to report an unterminated
-      // quote further down, which takes precedence.
-      if (!out->ragged) {
-        out->ragged = true;
-        out->ragged_record = out->num_records;
-        out->ragged_fields = fields;
-      }
-      cells.resize(first_cell);
-    }
-    ++out->num_records;
-    pos = next;
+  }
+  *cell = *scratch;
+  *escaped = true;
+  return in_quotes ? kUnterminated : i;
+}
+
+// Splits one record into cells and calls on_cell(c, cell) for each, in
+// order (see ScanCell); returns the cell count, or kUnterminated at the
+// first unterminated quote.
+template <typename OnCell>
+size_t SplitRecord(const Dialect& d, std::string_view line,
+                   std::string* scratch, OnCell&& on_cell) {
+  for (size_t c = 0, i = 0;; ++c) {
+    std::string_view cell;
+    bool escaped = false;
+    i = ScanCell(d, line, i, scratch, &cell, &escaped);
+    if (i == kUnterminated) return kUnterminated;
+    on_cell(c, cell);
+    if (i == line.size()) return c + 1;
+    ++i;  // past the delimiter
+  }
+}
+
+// Calls on_record(line) for each record of text[begin, end), in order,
+// until it returns false; `begin` starts a line and `end` ends one.
+// Records are '\n'-terminated lines (without the '\n'); lines that are
+// blank after trimming are skipped. A quote never spans lines, so every
+// '\n' ends a record and chunks split independently.
+template <typename OnRecord>
+void ForEachRecord(std::string_view text, size_t begin, size_t end,
+                   OnRecord&& on_record) {
+  size_t pos = begin;
+  while (pos < end) {
+    const void* nl = std::memchr(text.data() + pos, '\n', end - pos);
+    const size_t line_end =
+        nl == nullptr ? end : static_cast<size_t>(
+                                  static_cast<const char*>(nl) - text.data());
+    const std::string_view line = text.substr(pos, line_end - pos);
+    pos = line_end + 1;
+    const bool blank = std::all_of(line.begin(), line.end(), [](char c) {
+      return std::isspace(static_cast<unsigned char>(c)) != 0;
+    });
+    if (!blank && !on_record(line)) return;
   }
 }
 
@@ -154,18 +147,162 @@ std::vector<size_t> ChunkBounds(std::string_view text, size_t num_chunks) {
   return bounds;
 }
 
+Status UnterminatedQuoteError(std::string_view line) {
+  return Status::ParseError("unterminated quote in CSV record: '" +
+                            std::string(line) + "'");
+}
+
 Status RaggedRecordError(size_t record, size_t fields, size_t num_cols) {
   return Status::ParseError("CSV record " + std::to_string(record) + " has " +
                             std::to_string(fields) + " fields, expected " +
                             std::to_string(num_cols));
 }
 
-bool IsNullToken(std::string_view token, const CsvOptions& options) {
-  if (token.empty()) return true;
-  for (const auto& t : options.null_tokens) {
-    if (token == t) return true;
+// NULL cells: the empty string and CsvOptions::null_tokens. A cell is
+// compared with the tokens only when its first byte starts one of them.
+class NullTokens {
+ public:
+  explicit NullTokens(const std::vector<std::string>& tokens)
+      : tokens_(tokens) {
+    for (const std::string& t : tokens_) {
+      if (!t.empty()) first_[static_cast<unsigned char>(t[0])] = true;
+    }
   }
-  return false;
+
+  bool Matches(std::string_view cell) const {
+    if (cell.empty()) return true;
+    if (!first_[static_cast<unsigned char>(cell[0])]) return false;
+    return std::find(tokens_.begin(), tokens_.end(), cell) != tokens_.end();
+  }
+
+ private:
+  const std::vector<std::string>& tokens_;
+  std::array<bool, 256> first_{};
+};
+
+// What the chunk pass does with a column's cells.
+enum class Role : uint8_t { kSkip, kNumber, kLabel };
+
+struct ColumnPlan {
+  std::vector<Role> roles;  // one per column
+  // A kNumber column's values, indexed by data row.
+  std::vector<double*> values;
+};
+
+// One cell of a kLabel column: `length` bytes at `offset` in the combined
+// address space [text | arena]. Cells that needed no unescaping point
+// straight into the text; the others were unescaped into the arena.
+struct CellSpan {
+  size_t offset;
+  size_t length;
+};
+
+// One chunk's output of the chunk pass.
+struct ChunkResult {
+  std::string arena;
+  // The kLabel columns' cells, row-major: one per kLabel column and data
+  // record.
+  std::vector<CellSpan> labels;
+  // failed[c]: a cell of kNumber column c does not parse as a number.
+  std::vector<uint8_t> failed;
+  // The chunk's first record (chunk-local index) whose cell count is not
+  // the first record's. Nothing of it or any later record is kept.
+  bool ragged = false;
+  size_t ragged_record = 0;
+  size_t ragged_fields = 0;
+  Status status;  // the chunk's first unterminated quote
+
+  std::string_view Label(std::string_view text, size_t at) const {
+    const CellSpan& span = labels[at];
+    return span.offset < text.size()
+               ? text.substr(span.offset, span.length)
+               : std::string_view(arena).substr(span.offset - text.size(),
+                                                span.length);
+  }
+};
+
+// Splits and parses the records of text[begin, end) in one pass: the
+// first `skip` (the header) are passed over and the next is data row
+// `first_row`. A kNumber cell is parsed straight into its column (a NULL
+// token before a number); the column's first cell that does not parse
+// marks it failed, and its later cells in the chunk are skipped. kLabel
+// cells are kept as spans. Stops at the first unterminated quote.
+void ParseChunk(const Dialect& dialect, const NullTokens& nulls,
+                std::string_view text, size_t begin, size_t end, size_t skip,
+                size_t first_row, const ColumnPlan& plan, ChunkResult* out) {
+  const size_t num_cols = plan.roles.size();
+  std::vector<Role> roles = plan.roles;
+  out->failed.assign(num_cols, 0);
+  std::string scratch;
+  size_t record = 0;
+  ForEachRecord(text, begin, end, [&](std::string_view line) {
+    const size_t r = record++;
+    if (r < skip) return true;
+    const size_t row = first_row + (r - skip);
+    const size_t first_label = out->labels.size();
+    const char* const line_end = line.data() + line.size();
+    size_t c = 0;
+    for (size_t i = 0;; ++c) {
+      const Role role = c < num_cols ? roles[c] : Role::kSkip;
+      if (role == Role::kNumber && dialect.numbers_stop_at_delim) {
+        // Most numeric cells are a number up to the delimiter, which
+        // ParseDoublePrefix reads without first finding the cell's end.
+        double value = 0.0;
+        const char* number_end =
+            ParseDoublePrefix(line.data() + i, line_end, &value);
+        if (number_end != nullptr &&
+            (number_end == line_end || *number_end == dialect.delim)) {
+          const size_t cell_end = static_cast<size_t>(number_end - line.data());
+          plan.values[c][row] = nulls.Matches(line.substr(i, cell_end - i))
+                                    ? NullNumeric()
+                                    : value;
+          if (cell_end == line.size()) break;
+          i = cell_end + 1;
+          continue;
+        }
+      }
+      std::string_view cell;
+      bool escaped = false;
+      const size_t cell_end =
+          ScanCell(dialect, line, i, &scratch, &cell, &escaped);
+      if (cell_end == kUnterminated) {
+        out->status = UnterminatedQuoteError(line);
+        return false;
+      }
+      if (role == Role::kNumber) {
+        double& value = plan.values[c][row];
+        if (nulls.Matches(cell)) {
+          value = NullNumeric();
+        } else if (Result<double> v = ParseDouble(cell); v.ok()) {
+          value = *v;
+        } else {
+          out->failed[c] = 1;
+          roles[c] = Role::kSkip;
+        }
+      } else if (role == Role::kLabel) {
+        if (escaped) {
+          out->labels.push_back({text.size() + out->arena.size(), cell.size()});
+          out->arena += cell;
+        } else {
+          out->labels.push_back(
+              {static_cast<size_t>(cell.data() - text.data()), cell.size()});
+        }
+      }
+      if (cell_end == line.size()) break;
+      i = cell_end + 1;  // past the delimiter
+    }
+    const size_t fields = c + 1;
+    if (fields != num_cols && !out->ragged) {
+      // The load fails; keep splitting only to report an unterminated
+      // quote further down, which takes precedence.
+      out->ragged = true;
+      out->ragged_record = r;
+      out->ragged_fields = fields;
+      out->labels.resize(first_label);
+      roles.assign(num_cols, Role::kSkip);
+    }
+    return true;
+  });
 }
 
 }  // namespace
@@ -178,14 +315,19 @@ Result<Table> ReadCsvString(std::string_view text, const CsvOptions& options) {
 
 namespace internal {
 
-// Split the chunks in parallel, then report errors in the precedence of a
-// split-everything-then-validate reader: the first unterminated quote,
-// then an empty input, then the first record (by global record number)
-// whose cell count differs from the first record's. Infer each column's
-// type from the first inference_rows data records, parse the numeric
-// columns chunk by chunk in parallel (each chunk row by row, the order the
-// cells lie in memory), and fill the categorical columns one per task. A
-// numeric column whose cell fails to parse in any chunk is categorical.
+// Count each chunk's records in parallel, which fixes every chunk's first
+// row. Split the first record (the column count, and the names under a
+// header) and the type-inference sample (the first inference_rows data
+// records) on the calling thread and infer each column's type. Then one
+// parallel pass per chunk parses the numeric columns' cells straight into
+// their columns and keeps spans of the categorical columns' cells. A
+// numeric column with a cell that does not parse in any chunk is
+// categorical, and a second pass keeps its cells too. Errors are reported
+// in the precedence of a split-everything-then-validate reader: the first
+// unterminated quote, then an empty input, then the first record (by
+// global record number) whose cell count differs from the first record's.
+// Categorical columns are filled one per task, in row order, so each
+// dictionary lists labels by first appearance.
 Result<Table> ReadCsvStringChunked(std::string_view text,
                                    const CsvOptions& options,
                                    size_t num_chunks) {
@@ -195,149 +337,159 @@ Result<Table> ReadCsvStringChunked(std::string_view text,
   }
   num_chunks = std::max<size_t>(num_chunks, 1);
   const std::vector<size_t> bounds = ChunkBounds(text, num_chunks);
-  std::vector<SplitText> chunks(num_chunks);
-  ParallelForEach(num_chunks, num_chunks, [&](size_t k) {
-    SplitCsvText(text, bounds[k], bounds[k + 1], options.delimiter,
-                 &chunks[k]);
-  });
-  for (const SplitText& chunk : chunks) ZIGGY_RETURN_NOT_OK(chunk.status);
   // record_base[k]: global number of chunk k's first record.
   std::vector<size_t> record_base(num_chunks + 1, 0);
-  for (size_t k = 0; k < num_chunks; ++k) {
-    record_base[k + 1] = record_base[k] + chunks[k].num_records;
-  }
+  ParallelForEach(num_chunks, num_chunks, [&](size_t k) {
+    ForEachRecord(text, bounds[k], bounds[k + 1], [&](std::string_view) {
+      ++record_base[k + 1];
+      return true;
+    });
+  });
+  for (size_t k = 0; k < num_chunks; ++k) record_base[k + 1] += record_base[k];
   const size_t num_records = record_base.back();
+  // A line holding a quote is not blank, so an input without records has
+  // no unterminated quote to report first.
   if (num_records == 0) {
     return Status::ParseError("CSV input contains no records");
   }
-  const auto chunk_of = [&record_base](size_t record) {
-    return static_cast<size_t>(std::upper_bound(record_base.begin(),
-                                                record_base.end(), record) -
-                               record_base.begin()) -
-           1;
-  };
-  const auto cell = [&](size_t record, size_t col) {
-    const size_t k = chunk_of(record);
-    return chunks[k].Cell(record - record_base[k], col);
-  };
-  const size_t num_cols = chunks[chunk_of(0)].num_cols;
-  for (size_t k = 0; k < num_chunks; ++k) {
-    const SplitText& chunk = chunks[k];
-    if (chunk.num_records == 0) continue;
-    if (chunk.num_cols != num_cols) {
-      return RaggedRecordError(record_base[k], chunk.num_cols, num_cols);
-    }
-    if (chunk.ragged) {
-      return RaggedRecordError(record_base[k] + chunk.ragged_record,
-                               chunk.ragged_fields, num_cols);
-    }
-  }
 
-  std::vector<std::string> names;
-  names.reserve(num_cols);
-  size_t first_data = 0;
-  if (options.has_header) {
-    for (size_t c = 0; c < num_cols; ++c) names.emplace_back(cell(0, c));
-    first_data = 1;
-  } else {
-    for (size_t c = 0; c < num_cols; ++c) {
-      names.push_back("col" + std::to_string(c));
-    }
-  }
+  // The first record and the sample, a prefix of the input: an
+  // unterminated quote in it is the input's first.
+  const Dialect dialect(options.delimiter);
+  const NullTokens nulls(options.null_tokens);
+  const size_t first_data = options.has_header ? 1 : 0;
   const size_t num_rows = num_records - first_data;
-  // Chunk-local index of chunk k's first data record.
-  const auto first_data_record = [&](size_t k) {
-    return record_base[k] < first_data
-               ? std::min(chunks[k].num_records, first_data - record_base[k])
-               : 0;
-  };
-
-  // Type inference over a sample prefix. `active` lists the columns still
-  // parsing as numeric.
-  std::vector<size_t> active;
   const size_t sample_end =
       first_data + std::min(num_rows, options.inference_rows);
-  for (size_t c = 0; c < num_cols; ++c) {
-    bool all_numeric = true;
-    bool any_value = false;
-    for (size_t r = first_data; r < sample_end; ++r) {
-      const std::string_view tok = cell(r, c);
-      if (IsNullToken(tok, options)) continue;
-      any_value = true;
-      if (!ParseDouble(tok).ok()) {
-        all_numeric = false;
-        break;
+  std::vector<std::string> first_cells;
+  // numeric[c]: every sampled cell of column c is NULL or a number;
+  // has_value[c]: at least one is a number.
+  std::vector<uint8_t> numeric;
+  std::vector<uint8_t> has_value;
+  const auto infer = [&](size_t c, std::string_view cell) {
+    if (c >= numeric.size() || numeric[c] == 0 || nulls.Matches(cell)) return;
+    has_value[c] = 1;
+    numeric[c] = ParseDouble(cell).ok() ? 1 : 0;
+  };
+  Status sample_status;
+  size_t record = 0;
+  std::string scratch;
+  ForEachRecord(text, 0, text.size(), [&](std::string_view line) {
+    const size_t r = record++;
+    size_t fields = 0;
+    if (r == 0) {
+      fields = SplitRecord(dialect, line, &scratch,
+                           [&](size_t, std::string_view cell) {
+                             first_cells.emplace_back(cell);
+                           });
+      if (fields != kUnterminated) {
+        numeric.assign(fields, 1);
+        has_value.assign(fields, 0);
+        if (first_data == 0 && sample_end > 0) {
+          for (size_t c = 0; c < fields; ++c) infer(c, first_cells[c]);
+        }
       }
+    } else {
+      fields = SplitRecord(dialect, line, &scratch,
+                           [&](size_t c, std::string_view cell) {
+                             infer(c, cell);
+                           });
     }
-    if (any_value && all_numeric) active.push_back(c);
+    if (fields == kUnterminated) {
+      sample_status = UnterminatedQuoteError(line);
+      return false;
+    }
+    return record < sample_end;
+  });
+  ZIGGY_RETURN_NOT_OK(sample_status);
+  const size_t num_cols = first_cells.size();
+  std::vector<std::string> names;
+  names.reserve(num_cols);
+  for (size_t c = 0; c < num_cols; ++c) {
+    names.push_back(options.has_header ? std::move(first_cells[c])
+                                       : "col" + std::to_string(c));
   }
 
-  // failed[k * num_cols + c]: column c has a cell in chunk k that does not
-  // parse as a number.
+  // skip[k]: chunk k's records before the first data record.
+  std::vector<size_t> skip(num_chunks, 0);
+  for (size_t k = 0; k < num_chunks; ++k) {
+    if (record_base[k] < first_data) {
+      skip[k] = std::min(record_base[k + 1], first_data) - record_base[k];
+    }
+  }
+  const auto first_row = [&](size_t k) {
+    return record_base[k] + skip[k] - first_data;
+  };
+  ColumnPlan plan;
+  plan.roles.assign(num_cols, Role::kLabel);
+  plan.values.assign(num_cols, nullptr);
+  std::vector<size_t> numeric_cols;
+  for (size_t c = 0; c < num_cols; ++c) {
+    if (numeric[c] != 0 && has_value[c] != 0) {
+      plan.roles[c] = Role::kNumber;
+      numeric_cols.push_back(c);
+    }
+  }
   std::vector<std::vector<double>> values(num_cols);
-  for (size_t c : active) values[c].resize(num_rows);
-  std::vector<uint8_t> failed(num_chunks * num_cols, 0);
-  ParallelForEach(num_chunks, num_chunks, [&](size_t k) {
-    const SplitText& chunk = chunks[k];
-    uint8_t* chunk_failed = failed.data() + k * num_cols;
-    std::vector<size_t> cols = active;
-    for (size_t r = first_data_record(k); r < chunk.num_records && !cols.empty();
-         ++r) {
-      const size_t row = record_base[k] + r - first_data;
-      bool fell_back = false;
-      for (size_t c : cols) {
-        const std::string_view tok = chunk.Cell(r, c);
-        if (IsNullToken(tok, options)) {
-          values[c][row] = NullNumeric();
-          continue;
-        }
-        Result<double> v = ParseDouble(tok);
-        if (!v.ok()) {
-          chunk_failed[c] = 1;
-          fell_back = true;
-          continue;
-        }
-        values[c][row] = *v;
-      }
-      if (fell_back) {
-        std::erase_if(cols, [&](size_t c) { return chunk_failed[c] != 0; });
+  ParallelForEach(num_chunks, numeric_cols.size(), [&](size_t i) {
+    values[numeric_cols[i]].resize(num_rows);
+  });
+  for (size_t c : numeric_cols) plan.values[c] = values[c].data();
+  // A numeric column with a cell that does not parse in some chunk is
+  // categorical: pass again, keeping its cells. The columns still numeric
+  // parse as they did, so the second pass is the last.
+  std::vector<ChunkResult> chunks;
+  for (bool demoted = true; demoted;) {
+    chunks = std::vector<ChunkResult>(num_chunks);
+    ParallelForEach(num_chunks, num_chunks, [&](size_t k) {
+      ParseChunk(dialect, nulls, text, bounds[k], bounds[k + 1], skip[k],
+                 first_row(k), plan, &chunks[k]);
+    });
+    for (const ChunkResult& chunk : chunks) ZIGGY_RETURN_NOT_OK(chunk.status);
+    for (size_t k = 0; k < num_chunks; ++k) {
+      if (chunks[k].ragged) {
+        return RaggedRecordError(record_base[k] + chunks[k].ragged_record,
+                                 chunks[k].ragged_fields, num_cols);
       }
     }
-  });
-  std::vector<bool> is_numeric(num_cols, false);
-  for (size_t c : active) {
-    is_numeric[c] = true;
-    for (size_t k = 0; k < num_chunks; ++k) {
-      if (failed[k * num_cols + c] != 0) is_numeric[c] = false;
+    demoted = false;
+    for (size_t c : numeric_cols) {
+      if (std::any_of(chunks.begin(), chunks.end(), [c](const auto& chunk) {
+            return chunk.failed[c] != 0;
+          })) {
+        plan.roles[c] = Role::kLabel;
+        plan.values[c] = nullptr;
+        values[c] = {};
+        demoted = true;
+      }
     }
   }
 
   std::vector<Column> columns;
   columns.reserve(num_cols);
-  std::vector<size_t> categorical;
+  // label_cols[j]: the column whose cells are the chunks' j-th label slot.
+  std::vector<size_t> label_cols;
   for (size_t c = 0; c < num_cols; ++c) {
-    if (is_numeric[c]) {
+    if (plan.roles[c] == Role::kNumber) {
       columns.push_back(
           Column::FromNumeric(std::move(names[c]), std::move(values[c])));
     } else {
       columns.push_back(Column::Categorical(std::move(names[c])));
-      categorical.push_back(c);
+      label_cols.push_back(c);
     }
   }
-  // Labels in row order, so each dictionary lists labels by first
-  // appearance.
-  ParallelForEach(num_chunks, categorical.size(), [&](size_t i) {
-    const size_t c = categorical[i];
+  ParallelForEach(num_chunks, label_cols.size(), [&](size_t j) {
+    Column& column = columns[label_cols[j]];
     std::string label;
-    for (size_t k = 0; k < num_chunks; ++k) {
-      for (size_t r = first_data_record(k); r < chunks[k].num_records; ++r) {
-        const std::string_view tok = chunks[k].Cell(r, c);
-        if (IsNullToken(tok, options)) {
+    for (const ChunkResult& chunk : chunks) {
+      for (size_t at = j; at < chunk.labels.size(); at += label_cols.size()) {
+        const std::string_view cell = chunk.Label(text, at);
+        if (nulls.Matches(cell)) {
           label.clear();
         } else {
-          label.assign(tok);
+          label.assign(cell);
         }
-        columns[c].AppendLabel(label);
+        column.AppendLabel(label);
       }
     }
   });
@@ -346,25 +498,72 @@ Result<Table> ReadCsvStringChunked(std::string_view text,
 
 }  // namespace internal
 
+namespace {
+
+// Closes the descriptor it holds.
+class ScopedFd {
+ public:
+  explicit ScopedFd(int fd) : fd_(fd) {}
+  ~ScopedFd() {
+    if (fd_ >= 0) close(fd_);
+  }
+  ScopedFd(const ScopedFd&) = delete;
+  ScopedFd& operator=(const ScopedFd&) = delete;
+  int get() const { return fd_; }
+
+ private:
+  int fd_;
+};
+
+// A file's bytes, read to its end.
+struct FileBytes {
+  std::unique_ptr<char[]> data;
+  size_t size = 0;
+};
+
+// Reads `path` into an uninitialised buffer: a regular file in reads of
+// its size, and whatever else it holds (a file that grew meanwhile, or a
+// pipe) into a buffer that doubles.
+Result<FileBytes> ReadFileBytes(const std::string& path) {
+  const ScopedFd fd(open(path.c_str(), O_RDONLY | O_CLOEXEC));
+  if (fd.get() < 0) return Status::IOError("cannot open file: '" + path + "'");
+  struct stat st {};
+  if (fstat(fd.get(), &st) != 0) {
+    return Status::IOError("cannot stat file: '" + path + "': " +
+                           std::strerror(errno));
+  }
+  // One byte past a regular file's size, so its last read sees the end
+  // without growing the buffer.
+  size_t capacity = S_ISREG(st.st_mode) && st.st_size > 0
+                        ? static_cast<size_t>(st.st_size) + 1
+                        : size_t{1} << 16;
+  FileBytes bytes;
+  bytes.data = std::make_unique_for_overwrite<char[]>(capacity);
+  for (;;) {
+    if (bytes.size == capacity) {
+      capacity *= 2;
+      auto grown = std::make_unique_for_overwrite<char[]>(capacity);
+      std::memcpy(grown.get(), bytes.data.get(), bytes.size);
+      bytes.data = std::move(grown);
+    }
+    const ssize_t got =
+        read(fd.get(), bytes.data.get() + bytes.size, capacity - bytes.size);
+    if (got == 0) return bytes;
+    if (got < 0) {
+      if (errno == EINTR) continue;
+      return Status::IOError("cannot read file: '" + path + "': " +
+                             std::strerror(errno));
+    }
+    bytes.size += static_cast<size_t>(got);
+  }
+}
+
+}  // namespace
+
 Result<Table> ReadCsvFile(const std::string& path, const CsvOptions& options) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open file: '" + path + "'");
-  // One sized read for a regular file; whatever else the stream holds (a
-  // file that grew meanwhile, or a non-regular file) is appended after.
-  std::string text;
-  std::error_code ec;
-  const auto size = std::filesystem::file_size(path, ec);
-  if (!ec) {
-    text.resize(static_cast<size_t>(size));
-    in.read(text.data(), static_cast<std::streamsize>(size));
-    text.resize(static_cast<size_t>(in.gcount()));
-  }
-  if (in) {
-    std::ostringstream rest;
-    rest << in.rdbuf();
-    text += rest.str();
-  }
-  return ReadCsvString(text, options);
+  ZIGGY_ASSIGN_OR_RETURN(const FileBytes bytes, ReadFileBytes(path));
+  return ReadCsvString(std::string_view(bytes.data.get(), bytes.size),
+                       options);
 }
 
 namespace {

@@ -31,9 +31,18 @@ struct CsvOptions {
 /// Records are '\n'-terminated lines; lines that are blank after trimming
 /// are skipped. A '"' opens or closes quoting ("" inside quotes is a
 /// literal quote) and a quote never spans lines; '\r' is dropped outside
-/// quotes and kept inside them. Cells are otherwise taken verbatim. An
-/// input of at least 512 KiB is split and parsed in chunks on the shared
-/// worker pool, with the same result.
+/// quotes and kept inside them. Cells are otherwise taken verbatim. A
+/// NULL token wins over a number it spells.
+///
+/// An input of at least 512 KiB is parsed in chunks on the shared worker
+/// pool, with the same result. Each chunk is split and parsed in one pass:
+/// a numeric column's cells go from the input bytes straight into the
+/// column, and only categorical cells are held (as spans into `text`)
+/// until their columns are filled. A column whose sampled cells are
+/// numbers but a later cell is not is categorical, at the cost of a second
+/// pass. Errors come in this order: the first unterminated quote, then an
+/// input without records, then the first record whose cell count differs
+/// from the first record's.
 Result<Table> ReadCsvString(std::string_view text,
                             const CsvOptions& options = {});
 
@@ -47,6 +56,11 @@ Result<Table> ReadCsvStringChunked(std::string_view text,
 }  // namespace internal
 
 /// \brief Loads a CSV file into a Table, inferring column types.
+///
+/// The file (or a pipe) is read to its end into one uninitialised buffer
+/// and parsed by ReadCsvString. It is read, not mapped, so a file that
+/// shrinks or grows meanwhile yields the bytes actually read. A path that
+/// cannot be opened or read, a directory among them, is an IOError.
 Result<Table> ReadCsvFile(const std::string& path, const CsvOptions& options = {});
 
 /// \brief Serializes a table as CSV (RFC-4180 quoting). A field is quoted

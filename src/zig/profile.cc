@@ -225,6 +225,7 @@ Result<TableProfile> TableProfile::Compute(const Table& table, ProfileOptions op
   }
   TableProfile p;
   p.num_columns_ = table.num_columns();
+  p.num_rows_ = table.num_rows();
   p.options_ = options;
   const size_t m = p.num_columns_;
   p.column_sketches_.resize(m);
@@ -620,6 +621,7 @@ Result<ProfileAppendEffects> TableProfile::ApplyAppend(const Table& new_table,
     dependency_[cb * m + ca] = v;
   }
 
+  num_rows_ = new_rows;
   return fx;
 }
 
@@ -629,13 +631,27 @@ Status TableProfile::CheckShape(const Table& table) const {
         "profile does not match table (column count)");
   }
   for (size_t c = 0; c < num_columns_; ++c) {
-    if (!table.column(c).is_numeric()) continue;
-    if (rank2_[c].size() != table.num_rows()) {
+    const Column& column = table.column(c);
+    if (column.is_numeric() && rank2_[c].size() != table.num_rows()) {
       return Status::InvalidArgument(
           "profile does not match table (rank array of column " +
           std::to_string(c) + " has " + std::to_string(rank2_[c].size()) +
           " rows, table has " + std::to_string(table.num_rows()) + ")");
     }
+    if (column.is_categorical() &&
+        category_counts_[c].size() != column.cardinality()) {
+      return Status::InvalidArgument(
+          "profile does not match table (column " + std::to_string(c) +
+          " has " + std::to_string(category_counts_[c].size()) +
+          " profiled categories, table has " +
+          std::to_string(column.cardinality()) + ")");
+    }
+  }
+  if (num_rows_ != kUnknownRows && num_rows_ != table.num_rows()) {
+    return Status::InvalidArgument(
+        "profile does not match table (profile has " +
+        std::to_string(num_rows_) + " rows, table has " +
+        std::to_string(table.num_rows()) + ")");
   }
   return Status::OK();
 }

@@ -139,6 +139,11 @@ class TableProfile {
                                            size_t old_num_rows);
 
   size_t num_columns() const { return num_columns_; }
+  /// Rows of the profiled table; kUnknownRows for a profile read from a
+  /// format-3 stream (which did not record it) of a table without numeric
+  /// columns.
+  size_t num_rows() const { return num_rows_; }
+  static constexpr size_t kUnknownRows = static_cast<size_t>(-1);
   const ProfileOptions& options() const { return options_; }
 
   /// Global moment sketch of numeric column `col` (zeroed for categorical).
@@ -167,10 +172,12 @@ class TableProfile {
     return histograms_[col];
   }
 
-  /// OK when this profile describes `table`'s shape: the same column count,
-  /// and a rank array spanning exactly the table's rows for every numeric
-  /// column (the selection scan indexes them by row id). A table with only
-  /// categorical columns is not checked against the row count.
+  /// OK when this profile describes `table`'s shape: the same column count
+  /// and row count, a rank array spanning exactly the table's rows for
+  /// every numeric column (the selection scan indexes them by row id), and
+  /// one category count per label of every categorical column (complement
+  /// derivation indexes them by category code). The row count itself is
+  /// not compared when it is kUnknownRows.
   Status CheckShape(const Table& table) const;
 
   /// Dependency S(col_a, col_b) in [0, 1] (Eq. 2 measure).
@@ -224,6 +231,7 @@ class TableProfile {
   friend class TableProfileTestPeer;  // swaps in reference rank arrays
 
   size_t num_columns_ = 0;
+  size_t num_rows_ = 0;
   ProfileOptions options_;
   std::vector<MomentSketch> column_sketches_;
   std::vector<std::vector<int64_t>> category_counts_;

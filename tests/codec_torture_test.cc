@@ -1,9 +1,9 @@
 // Torture-tests every on-disk format through the shared harness
 // (tests/codec_torture.h): ZIGTBL01/ZIGTBL02 tables (the v2 both with
 // inline and pooled dictionaries), ZIGDLT01/ZIGDLT02 delta segments,
-// ZIGPROF3 profiles, and ZIGDIC01 pooled dictionary files. The v1 images
-// come from the reference encoders in legacy_formats.h (v1 is read-only
-// in the shipping code). Each format first proves the unmutated image
+// ZIGPROF3/ZIGPROF4 profiles, and ZIGDIC01 pooled dictionary files. The
+// v1 and ZIGPROF3 images come from the reference encoders in
+// legacy_formats.h (those formats are read-only in the shipping code). Each format first proves the unmutated image
 // round-trips (so a codec that rejects everything cannot pass), then
 // survives every-offset truncation, exhaustive bit flips, and random
 // splices with a clean rejection each time.
@@ -170,23 +170,39 @@ TEST(CodecTortureTest, PooledDictionary) {
 
 // ----------------------------------------------------------- profiles ----
 
+Result<TableProfile> ParseProfile(const std::string& bytes) {
+  std::istringstream in(bytes, std::ios::binary);
+  return TableProfile::Deserialize(&in);
+}
+
+// The format-3 image (legacy_formats.h), which has no row count.
 TEST(CodecTortureTest, ProfileV3) {
+  const TableProfile profile =
+      TableProfile::Compute(MakeMixedTable()).ValueOrDie();
+  const std::string image = legacy::ProfileV3(profile);
+  {
+    Result<TableProfile> ok = ParseProfile(image);
+    ASSERT_TRUE(ok.ok()) << ok.status();
+    ASSERT_TRUE(ok->Equals(profile));
+  }
+  torture::TortureImage("ZIGPROF3", image, [](const std::string& bytes) {
+    return !ParseProfile(bytes).ok();
+  });
+}
+
+TEST(CodecTortureTest, ProfileV4) {
   const TableProfile profile =
       TableProfile::Compute(MakeMixedTable()).ValueOrDie();
   std::ostringstream out(std::ios::binary);
   ASSERT_TRUE(profile.Serialize(&out).ok());
   const std::string image = out.str();
-  auto parse = [](const std::string& bytes) {
-    std::istringstream in(bytes, std::ios::binary);
-    return TableProfile::Deserialize(&in);
-  };
   {
-    Result<TableProfile> ok = parse(image);
+    Result<TableProfile> ok = ParseProfile(image);
     ASSERT_TRUE(ok.ok()) << ok.status();
     ASSERT_TRUE(ok->Equals(profile));
   }
-  torture::TortureImage("ZIGPROF3", image, [&parse](const std::string& bytes) {
-    return !parse(bytes).ok();
+  torture::TortureImage("ZIGPROF4", image, [](const std::string& bytes) {
+    return !ParseProfile(bytes).ok();
   });
 }
 

@@ -1,13 +1,17 @@
 // Unit tests for CSV import/export (storage/csv.h).
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <cerrno>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <thread>
 
 #include "common/random.h"
 #include "common/string_util.h"
@@ -555,6 +559,139 @@ TEST(CsvDifferentialTest, ChunkCutsMatchReference) {
     no_header.has_header = false;
     ExpectMatchesReference(doc, no_header);
   }
+}
+
+// Numbers in a numeric column spelled so that the reader cannot take them
+// straight from the input bytes: quoted, with a '\r' inside, or equal to a
+// NULL token. They read as the reference reads them at every chunk count
+// and every inference sample size.
+TEST(CsvDifferentialTest, EscapedNumbersAndNumericNullTokensMatchReference) {
+  // Column a holds numbers only; column b turns categorical at its first
+  // "-3""" cell, which is after the sample when inference_rows is small.
+  const char* const numbers[] = {"1.5",  "\"2.5\"", "1\r5",    "-999",
+                                 "0",    "0.0",     "-999.0",  "\"0\"",
+                                 "\"\"", "7\r",     "\"7\r\""};
+  std::string text = "a,b,c\n";
+  for (size_t i = 0; i < 120; ++i) {
+    text += numbers[i % std::size(numbers)];
+    text += ",";
+    text += i % 17 == 16 ? "\"-3\"\"\"" : numbers[(i * 5 + 3) % std::size(numbers)];
+    text += "," + std::to_string(i) + "\n";
+  }
+  for (const size_t inference_rows : {size_t{0}, size_t{1}, size_t{100}}) {
+    SCOPED_TRACE("inference_rows " + std::to_string(inference_rows));
+    CsvOptions options;
+    options.inference_rows = inference_rows;
+    ExpectMatchesReference(text, options);
+    options.null_tokens = {"-999", "0"};
+    ExpectMatchesReference(text, options);
+    options.has_header = false;
+    ExpectMatchesReference(text, options);
+  }
+  const Table mixed = ReadCsvString(text).ValueOrDie();
+  EXPECT_TRUE(mixed.column(0).is_numeric());
+  EXPECT_EQ(mixed.column(0).numeric_data()[2], 15.0);  // 1\r5
+  EXPECT_TRUE(mixed.column(1).is_categorical());
+  // The NULL tokens win over the numbers they spell.
+  CsvOptions options;
+  options.null_tokens = {"-999", "0"};
+  const Table t =
+      ReadCsvString("v\n-999\n0\n0.0\n-999.0\n\"0\"\n", options).ValueOrDie();
+  const Column& v = t.column(0);
+  ASSERT_TRUE(v.is_numeric());
+  EXPECT_TRUE(v.IsNull(0));
+  EXPECT_TRUE(v.IsNull(1));
+  EXPECT_EQ(v.numeric_data()[2], 0.0);
+  EXPECT_EQ(v.numeric_data()[3], -999.0);
+  EXPECT_TRUE(v.IsNull(4));
+}
+
+// Delimiters that can stand inside a number ('.', 'e', '-', a digit) split
+// the cell before the number does.
+TEST(CsvDifferentialTest, DelimitersInsideNumbersMatchReference) {
+  for (const char delim : {'.', 'e', '-', '5', 'n', 'x'}) {
+    CsvOptions options;
+    options.delimiter = delim;
+    const std::string d(1, delim);
+    std::string text = "a" + d + "b\n";
+    for (int i = 0; i < 40; ++i) {
+      text += std::to_string(i) + ".25e1" + d + "-1.5e-3" + d + "nan\n";
+      text += "inf" + d + std::to_string(i * 7) + "\n";
+    }
+    SCOPED_TRACE(std::string("delimiter ") + delim);
+    ExpectMatchesReference(text, options);
+  }
+}
+
+// ------------------------------------------------------------ file reader --
+
+// A unique path under the test temp directory.
+std::string TempPath(const std::string& name) {
+  return testing::TempDir() + "/ziggy_csv_" + std::to_string(getpid()) + "_" +
+         name;
+}
+
+TEST(CsvFileTest, LargeFileMatchesStringRead) {
+  // Above 1 MiB the string reader parses in chunks, and the file reader
+  // takes the same path after one sized read.
+  Rng rng(17);
+  std::string text = "id,x,label,y\n";
+  while (text.size() < (size_t{1} << 20) + 12345) {
+    text += std::to_string(text.size()) + "," +
+            FormatDouble(rng.Normal(0.0, 1e3), 17) + "," +
+            (rng.Bernoulli(0.1) ? "\"q,uoted\"" : "l" + std::to_string(Pick(&rng, 50))) +
+            "," + (rng.Bernoulli(0.05) ? "NA" : FormatDouble(rng.Normal(), 6)) +
+            "\n";
+  }
+  text += "1,2,last,3";  // no final newline
+  const std::string path = TempPath("large.csv");
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << text;
+  }
+  const Result<Table> from_file = ReadCsvFile(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(from_file.ok()) << from_file.status();
+  const Table from_string = ReadCsvString(text).ValueOrDie();
+  EXPECT_GT(from_string.num_rows(), 10000u);
+  ExpectSameTable(*from_file, from_string);
+}
+
+TEST(CsvFileTest, FifoReadsToEnd) {
+  // A pipe has no size up front: the reader reads until the writer closes.
+  std::string text = "k,v\n";
+  for (int i = 0; i < 20000; ++i) {
+    text += "key" + std::to_string(i % 97) + "," + std::to_string(i) + "\n";
+  }
+  ASSERT_GT(text.size(), size_t{1} << 17);  // several pipe buffers
+  const std::string path = TempPath("fifo.csv");
+  std::remove(path.c_str());
+  ASSERT_EQ(mkfifo(path.c_str(), 0600), 0) << std::strerror(errno);
+  // A reader that stops early fails the comparison below instead of
+  // killing the test with SIGPIPE.
+  std::signal(SIGPIPE, SIG_IGN);
+  std::thread writer([&] {
+    std::ofstream out(path, std::ios::binary);
+    out << text;
+  });
+  const Result<Table> read = ReadCsvFile(path);
+  writer.join();
+  std::remove(path.c_str());
+  ASSERT_TRUE(read.ok()) << read.status();
+  ExpectSameTable(*read, ReadCsvString(text).ValueOrDie());
+}
+
+TEST(CsvFileTest, DirectoryIsIOError) {
+  const Status st = ReadCsvFile(testing::TempDir()).status();
+  EXPECT_TRUE(st.IsIOError()) << st;
+}
+
+TEST(CsvFileTest, EmptyFileIsParseError) {
+  const std::string path = TempPath("empty.csv");
+  { std::ofstream out(path, std::ios::binary); }
+  const Status st = ReadCsvFile(path).status();
+  std::remove(path.c_str());
+  EXPECT_TRUE(st.IsParseError()) << st;
 }
 
 // ------------------------------------------------------ writer round trip --

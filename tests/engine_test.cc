@@ -101,6 +101,61 @@ TEST(EngineTest, ProfileOfALongerTableIsRejected) {
       ValidateCharacterizationInput(longer, *profile, all_but_one).ok());
 }
 
+TEST(EngineTest, ProfileWithOtherCategoriesIsRejected) {
+  // Complement derivation indexes the profile's category counts by the
+  // table's codes, so a profile of a table with more (or fewer) labels in
+  // a categorical column must be refused, not read past.
+  const auto table_of = [](size_t labels) {
+    std::vector<double> x(60);
+    std::vector<std::string> g(60);
+    for (size_t i = 0; i < 60; ++i) {
+      x[i] = static_cast<double>(i % 7);
+      g[i] = "L" + std::to_string(i % labels);
+    }
+    return Table::FromColumns({Column::FromNumeric("x", std::move(x)),
+                               Column::FromStrings("g", std::move(g))})
+        .ValueOrDie();
+  };
+  const Table three = table_of(3);
+  const Table five = table_of(5);
+  Selection sel(60);
+  for (size_t r = 0; r < 60; r += 3) sel.Set(r);
+  for (const auto& [table, other] :
+       {std::pair<const Table*, const Table*>{&three, &five},
+        std::pair<const Table*, const Table*>{&five, &three}}) {
+    const TableProfile profile = TableProfile::Compute(*other).ValueOrDie();
+    const Status validated =
+        ValidateCharacterizationInput(*table, profile, sel);
+    EXPECT_TRUE(validated.IsInvalidArgument()) << validated;
+    EXPECT_NE(validated.message().find("categories"), std::string::npos)
+        << validated;
+    EXPECT_TRUE(BuildComponents(*table, profile, sel).status().IsInvalidArgument());
+    const TableProfile own = TableProfile::Compute(*table).ValueOrDie();
+    EXPECT_TRUE(ValidateCharacterizationInput(*table, own, sel).ok());
+  }
+}
+
+TEST(EngineTest, CategoricalProfileOfALongerTableIsRejected) {
+  // With no numeric column there is no rank array to compare: the
+  // profile's own row count is.
+  const auto table_of = [](size_t rows) {
+    std::vector<std::string> g(rows);
+    for (size_t i = 0; i < rows; ++i) g[i] = i % 2 == 0 ? "a" : "b";
+    return Table::FromColumns({Column::FromStrings("g", std::move(g))})
+        .ValueOrDie();
+  };
+  const TableProfile profile = TableProfile::Compute(table_of(120)).ValueOrDie();
+  const Table shorter = table_of(100);
+  Selection sel(100);
+  for (size_t r = 0; r < 50; ++r) sel.Set(r);
+  const Status validated = ValidateCharacterizationInput(shorter, profile, sel);
+  EXPECT_TRUE(validated.IsInvalidArgument()) << validated;
+  EXPECT_NE(validated.message().find("120 rows"), std::string::npos)
+      << validated;
+  EXPECT_TRUE(
+      BuildComponents(shorter, profile, sel).status().IsInvalidArgument());
+}
+
 TEST(EngineTest, AllRowsSelectionIsFailedPrecondition) {
   ZiggyEngine engine = MakeEngine();
   EXPECT_TRUE(

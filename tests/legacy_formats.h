@@ -1,9 +1,11 @@
 // Reference encoders for the raw v1 on-disk formats (ZIGTBL01 tables and
-// ZIGDLT01 delta segments, layouts in storage/table_io.h). The shipping
-// code only writes v2 and keeps v1 as a read-only decoder for files older
-// releases wrote; these encoders produce such files so the tests can keep
-// checking the decoders (round trips, torture runs) and the exact v1 byte
-// counts behind UncompressedTableBytes / UncompressedDeltaBytes.
+// ZIGDLT01 delta segments, layouts in storage/table_io.h) and for format-3
+// profiles (ZIGPROF3, a ZIGPROF4 profile without its row count). The
+// shipping code only writes v2 tables and format-4 profiles and keeps the
+// older formats as read-only decoders for files older releases wrote;
+// these encoders produce such files so the tests can keep checking the
+// decoders (round trips, torture runs) and the exact v1 byte counts behind
+// UncompressedTableBytes / UncompressedDeltaBytes.
 
 #ifndef ZIGGY_TESTS_LEGACY_FORMATS_H_
 #define ZIGGY_TESTS_LEGACY_FORMATS_H_
@@ -13,8 +15,10 @@
 #include <vector>
 
 #include "common/binary_io.h"
+#include "common/checksum.h"
 #include "storage/table.h"
 #include "storage/table_io.h"
+#include "zig/profile.h"
 
 namespace ziggy {
 namespace legacy {
@@ -92,6 +96,21 @@ inline std::string DeltaV1(const Table& table, size_t base_rows,
                               base_dict_sizes[c], true));
   }
   return out.str();
+}
+
+/// The ZIGPROF3 image of `profile`: its ZIGPROF4 image without the u64 row
+/// count after the column count, re-checksummed.
+inline std::string ProfileV3(const TableProfile& profile) {
+  std::ostringstream out(std::ios::binary);
+  (void)profile.Serialize(&out);
+  std::string bytes = out.str();
+  // magic | floor f64 | pair cap u64 | ranks flag u8 | bins u64 | cols u64
+  const size_t row_count_at = 8 + 8 + 8 + 1 + 8 + 8;
+  bytes[7] = '3';
+  bytes.erase(row_count_at, sizeof(uint64_t));
+  bytes.resize(bytes.size() - sizeof(uint32_t));
+  PutU32(&bytes, Crc32(bytes));
+  return bytes;
 }
 
 }  // namespace legacy

@@ -4,12 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <sstream>
 
 #include "common/checksum.h"
 #include "data/synthetic.h"
 #include "engine/json.h"
 #include "engine/ziggy_engine.h"
+#include "legacy_formats.h"
 #include "zig/component_builder.h"
 #include "zig/profile.h"
 
@@ -34,7 +36,7 @@ TEST(ProfileSerializationTest, RoundTripPreservesRanks) {
   TableProfile original = TableProfile::Compute(ds.table).ValueOrDie();
   std::stringstream buf;
   ASSERT_TRUE(original.Serialize(&buf).ok());
-  EXPECT_EQ(buf.str().substr(0, 8), "ZIGPROF3");
+  EXPECT_EQ(buf.str().substr(0, 8), "ZIGPROF4");
   TableProfile restored = TableProfile::Deserialize(&buf).ValueOrDie();
   size_t ranked = 0;
   for (size_t c = 0; c < original.num_columns(); ++c) {
@@ -85,6 +87,69 @@ TEST(ProfileSerializationTest, FileRoundTrip) {
   TableProfile restored = TableProfile::LoadFromFile(path).ValueOrDie();
   EXPECT_TRUE(original.Equals(restored));
   std::remove(path.c_str());
+}
+
+TEST(ProfileSerializationTest, Format3StreamStillReads) {
+  // Format 3 did not record the row count. A profile with a numeric column
+  // takes it from the rank arrays; one without cannot know it.
+  SyntheticDataset ds = MakeBoxOfficeDataset().ValueOrDie();
+  const TableProfile original = TableProfile::Compute(ds.table).ValueOrDie();
+  EXPECT_EQ(original.num_rows(), ds.table.num_rows());
+  std::stringstream v3(legacy::ProfileV3(original));
+  const TableProfile restored = TableProfile::Deserialize(&v3).ValueOrDie();
+  EXPECT_TRUE(restored.Equals(original));
+  EXPECT_TRUE(restored.CheckShape(ds.table).ok());
+
+  const Table labels =
+      Table::FromColumns({Column::FromStrings("g", {"a", "b", "a", "c"})})
+          .ValueOrDie();
+  const TableProfile categorical = TableProfile::Compute(labels).ValueOrDie();
+  std::stringstream v3_categorical(legacy::ProfileV3(categorical));
+  const TableProfile rowless =
+      TableProfile::Deserialize(&v3_categorical).ValueOrDie();
+  EXPECT_EQ(rowless.num_rows(), TableProfile::kUnknownRows);
+  EXPECT_TRUE(rowless.CheckShape(labels).ok());
+  // The category counts are still checked.
+  const Table more_labels =
+      Table::FromColumns({Column::FromStrings("g", {"a", "b", "d", "c"})})
+          .ValueOrDie();
+  EXPECT_TRUE(rowless.CheckShape(more_labels).IsInvalidArgument());
+}
+
+TEST(ProfileSerializationTest, InconsistentCategoryShapesRejected) {
+  // A stream whose checksum holds but whose category counts do not match
+  // the mixed-pair groups indexed by the same category codes is refused.
+  SyntheticDataset ds = MakeBoxOfficeDataset().ValueOrDie();
+  const TableProfile original = TableProfile::Compute(ds.table).ValueOrDie();
+  ASSERT_FALSE(original.tracked_mixed_pairs().empty());
+  const size_t cat = original.tracked_mixed_pairs()[0].first;
+  const uint64_t k = original.CategoryCountsOf(cat).size();
+  ASSERT_GT(k, 1u);
+  std::stringstream buf;
+  ASSERT_TRUE(original.Serialize(&buf).ok());
+  std::string bytes = buf.str();
+  bytes.resize(bytes.size() - sizeof(uint32_t));
+  // magic | floor | pair cap | ranks flag | bins | columns | rows, then the
+  // column sketches (u64 count, 24 bytes each), then the u64 count of
+  // category arrays and each array (u64 length, 8 bytes a count).
+  const size_t m = original.num_columns();
+  size_t at = 8 + 8 + 8 + 1 + 8 + 8 + 8 + 8 + m * 24 + 8;
+  for (size_t c = 0; c < cat; ++c) {
+    at += 8 + original.CategoryCountsOf(c).size() * 8;
+  }
+  uint64_t length = 0;
+  std::memcpy(&length, bytes.data() + at, sizeof(length));
+  ASSERT_EQ(length, k);
+  // Drop the last category's count.
+  const uint64_t shorter = k - 1;
+  std::memcpy(bytes.data() + at, &shorter, sizeof(shorter));
+  bytes.erase(at + 8 + shorter * 8, 8);
+  const uint32_t crc = Crc32(bytes);
+  bytes.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+  std::stringstream stream(bytes);
+  const Status st = TableProfile::Deserialize(&stream).status();
+  EXPECT_TRUE(st.IsParseError()) << st;
+  EXPECT_NE(st.message().find("inconsistent"), std::string::npos) << st;
 }
 
 TEST(ProfileSerializationTest, BadMagicRejected) {

@@ -441,7 +441,7 @@ TEST_F(StoreCorruptionTest, LegacyProfileVersionExplicitlyRejected) {
   // profile_io.cc is an actionable Status.
   const std::string current = ReadFileBytes(store_->ProfilePath("box", 0));
   ASSERT_GE(current.size(), 8u);
-  ASSERT_EQ(current.substr(0, 8), "ZIGPROF3");
+  ASSERT_EQ(current.substr(0, 8), "ZIGPROF4");
   for (const char version : {'1', '2'}) {
     std::string bytes = current;
     bytes[7] = version;
@@ -468,6 +468,57 @@ TEST_F(StoreCorruptionTest, ProfileWithShortRankArraysRejected) {
   EXPECT_TRUE(loaded.status().IsParseError()) << loaded.status();
   EXPECT_NE(loaded.status().message().find("rank"), std::string::npos)
       << loaded.status();
+}
+
+TEST_F(StoreCorruptionTest, Format3ProfileStillLoads) {
+  // A store written before profiles recorded their row count still
+  // warm-restarts.
+  const StoredTable stored = store_->LoadTable("box").ValueOrDie();
+  WriteFileBytes(store_->ProfilePath("box", 0),
+                 legacy::ProfileV3(stored.profile));
+  Result<StoredTable> loaded = store_->LoadTable("box");
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_TRUE(loaded->profile.Equals(stored.profile));
+}
+
+// Saves a one-column categorical table as "cats" and then overwrites its
+// profile with that of `other`.
+Result<StoredTable> LoadWithProfileOf(ZiggyStore* store, const Table& table,
+                                      const Table& other) {
+  const TableProfile own = TableProfile::Compute(table).ValueOrDie();
+  ZIGGY_RETURN_NOT_OK(store->SaveTable("cats", table, 0, own));
+  const TableProfile wrong = TableProfile::Compute(other).ValueOrDie();
+  ZIGGY_RETURN_NOT_OK(wrong.SaveToFile(store->ProfilePath("cats", 0)));
+  return store->LoadTable("cats");
+}
+
+Table LabelTable(size_t rows, size_t labels) {
+  std::vector<std::string> g(rows);
+  for (size_t i = 0; i < rows; ++i) g[i] = "L" + std::to_string(i % labels);
+  return Table::FromColumns({Column::FromStrings("g", std::move(g))})
+      .ValueOrDie();
+}
+
+TEST_F(StoreCorruptionTest, ProfileOfOtherCategoriesRejected) {
+  Result<StoredTable> loaded =
+      LoadWithProfileOf(store_.get(), LabelTable(60, 3), LabelTable(60, 5));
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsParseError()) << loaded.status();
+  EXPECT_NE(loaded.status().message().find("categories"), std::string::npos)
+      << loaded.status();
+}
+
+TEST_F(StoreCorruptionTest, ProfileOfALongerCategoricalTableRejected) {
+  Result<StoredTable> loaded =
+      LoadWithProfileOf(store_.get(), LabelTable(100, 2), LabelTable(120, 2));
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsParseError()) << loaded.status();
+  EXPECT_NE(loaded.status().message().find("120 rows"), std::string::npos)
+      << loaded.status();
+  // The table's own profile loads.
+  EXPECT_TRUE(
+      LoadWithProfileOf(store_.get(), LabelTable(100, 2), LabelTable(100, 2))
+          .ok());
 }
 
 TEST_F(StoreCorruptionTest, TruncatedTableEveryCutFailsCleanly) {
