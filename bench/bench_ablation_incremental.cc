@@ -1,15 +1,17 @@
 // Experiment A4 — ablation of incremental (delta) preparation.
 //
 // Exploration is iterative: users nudge thresholds and re-submit. The
-// Preparer patches the previous query's sketches with only the rows whose
-// membership changed. This harness replays a refinement session (a
-// threshold swept in small steps) and compares three preparation
-// strategies: two-scan, shared-sketch full scan, and incremental.
+// engine's Preparation routine patches a cached earlier query's sketches
+// with only the rows whose membership changed. This harness replays a
+// refinement session (a threshold swept in small steps) and compares three
+// preparation strategies: two-scan, shared-sketch full scan, and the
+// engine's incremental path.
 
 #include <iostream>
 
 #include "bench_util.h"
 #include "data/synthetic.h"
+#include "engine/ziggy_engine.h"
 #include "query/parser.h"
 #include "zig/component_builder.h"
 
@@ -51,21 +53,18 @@ int main() {
   ResultTable out({"strategy", "total ms", "ms/query", "notes"});
 
   {
-    ComponentBuildOptions opts;
-    opts.mode = PreparationMode::kTwoScan;
     const double ms = TimeMs([&] {
       for (const auto& sel : session) {
-        BuildComponents(table, profile, sel, opts).ValueOrDie();
+        BuildComponentsTwoScan(table, profile, sel).ValueOrDie();
       }
     });
     out.AddRow({"two-scan", Fmt(ms, 4), Fmt(ms / static_cast<double>(session.size()), 4),
                 "scans all rows twice per query"});
   }
   {
-    ComponentBuildOptions opts;
     const double ms = TimeMs([&] {
       for (const auto& sel : session) {
-        BuildComponents(table, profile, sel, opts).ValueOrDie();
+        BuildComponents(table, profile, sel).ValueOrDie();
       }
     });
     out.AddRow({"shared full scan", Fmt(ms, 4),
@@ -73,24 +72,28 @@ int main() {
                 "scans the selection once per query"});
   }
   {
-    Preparer prep(&table, &profile, ComponentBuildOptions{});
-    size_t incremental_queries = 0;
+    // The engine's own preparation time (sketch lookup, patch or scan, and
+    // assembly); its component cache is off so every query prepares.
+    ZiggyOptions options;
+    options.cache_queries = false;
+    ZiggyEngine engine = ZiggyEngine::Create(table, options).ValueOrDie();
+    size_t patched_queries = 0;
     size_t delta_total = 0;
-    const double ms = TimeMs([&] {
-      for (const auto& sel : session) {
-        prep.Prepare(sel).ValueOrDie();
-        if (prep.last_strategy() == Preparer::Strategy::kIncremental) {
-          ++incremental_queries;
-          delta_total += prep.last_delta_rows();
-        }
+    double ms = 0.0;
+    for (const auto& sel : session) {
+      const Characterization r = engine.Characterize(sel).ValueOrDie();
+      ms += r.timings.preparation_ms;
+      if (r.sketch_source == SketchSource::kCachePatched) {
+        ++patched_queries;
+        delta_total += r.delta_rows;
       }
-    });
+    }
     out.AddRow({"incremental", Fmt(ms, 4),
                 Fmt(ms / static_cast<double>(session.size()), 4),
-                std::to_string(incremental_queries) + "/" +
+                std::to_string(patched_queries) + "/" +
                     std::to_string(session.size()) + " queries delta-patched, avg " +
                     Fmt(static_cast<double>(delta_total) /
-                            std::max<size_t>(incremental_queries, 1), 3) +
+                            std::max<size_t>(patched_queries, 1), 3) +
                     " rows/patch"});
   }
   out.Print();

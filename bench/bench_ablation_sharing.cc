@@ -1,10 +1,11 @@
 // Experiment A1 — ablation of the shared-computation preparation (the full
 // paper's "strategy to share computations between queries", §3).
 //
-// kSharedSketch derives outside statistics as (global profile − selection):
-// one scan over the selected rows per query. kTwoScan scans both sides.
-// The harness replays an exploration workload in both modes and reports
-// total preparation time as a function of selectivity.
+// The shared preparation (BuildComponents) derives outside statistics as
+// (global profile − selection): one scan over the selected rows per query.
+// The two-scan baseline (BuildComponentsTwoScan) scans both sides. The
+// harness replays an exploration workload both ways and reports total
+// preparation time as a function of selectivity.
 
 #include <iostream>
 
@@ -32,20 +33,16 @@ int main() {
       if (driver[i] >= lo) sel.Set(i);
     }
     const int reps = 20;
-    ComponentBuildOptions shared;
-    shared.mode = PreparationMode::kSharedSketch;
-    ComponentBuildOptions naive;
-    naive.mode = PreparationMode::kTwoScan;
     const double shared_ms = TimeMs([&] {
                                for (int i = 0; i < reps; ++i) {
-                                 BuildComponents(table, profile, sel, shared)
+                                 BuildComponents(table, profile, sel)
                                      .ValueOrDie();
                                }
                              }) /
                              reps;
     const double naive_ms = TimeMs([&] {
                               for (int i = 0; i < reps; ++i) {
-                                BuildComponents(table, profile, sel, naive)
+                                BuildComponentsTwoScan(table, profile, sel)
                                     .ValueOrDie();
                               }
                             }) /

@@ -7,12 +7,14 @@
 
 #include <unistd.h>
 
+#include <bit>
 #include <cstdlib>
 #include <filesystem>
 #include <sstream>
 #include <vector>
 
 #include "baselines/subspace_search.h"
+#include "bench_util.h"
 #include "common/checksum.h"
 #include "common/random.h"
 #include "data/synthetic.h"
@@ -20,8 +22,8 @@
 #include "storage/csv.h"
 #include "views/clustering.h"
 #include "views/view_search.h"
-#include "zig/selection_sketches.h"
 #include "zig/component_builder.h"
+#include "zig/selection_sketches.h"
 
 namespace ziggy {
 namespace {
@@ -127,11 +129,10 @@ void BM_BuildComponentsTwoScan(benchmark::State& state) {
   SyntheticDataset ds = MakeBenchDataset(static_cast<size_t>(state.range(0)),
                                          static_cast<size_t>(state.range(1)));
   TableProfile profile = TableProfile::Compute(ds.table).ValueOrDie();
-  ComponentBuildOptions opts;
-  opts.mode = PreparationMode::kTwoScan;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        BuildComponents(ds.table, profile, ds.planted, opts).ValueOrDie());
+        bench::BuildComponentsTwoScan(ds.table, profile, ds.planted)
+            .ValueOrDie());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -345,22 +346,40 @@ void BM_PredicateEval(benchmark::State& state) {
 }
 BENCHMARK(BM_PredicateEval)->Arg(2000)->Arg(32000);
 
+// A stand-alone engine's refinement read: 8 rows away from its previous
+// selection, patched from that one's cached sketches. The component cache
+// is off, and the walk never repeats a selection (a repeat would be an
+// exact sketch-cache hit): it toggles 8-row groups in Gray-code order, so
+// every step flips one group and step i's selection is the planted one
+// XOR the groups set in gray(i), distinct for every i < 2^kGroups.
 void BM_IncrementalPrepare(benchmark::State& state) {
+  constexpr size_t kGroupRows = 8;
+  constexpr size_t kGroups = 20;
   SyntheticDataset ds = MakeBenchDataset(static_cast<size_t>(state.range(0)), 64);
-  TableProfile profile = TableProfile::Compute(ds.table).ValueOrDie();
-  Preparer prep(&ds.table, &profile, ComponentBuildOptions{});
-  // Warm the state, then alternate between two selections differing by a
-  // handful of rows so every iteration takes the delta path.
-  Selection a = ds.planted;
-  Selection b = a;
-  for (size_t r = 0; r < 8; ++r) b.Set(r, !b.Contains(r));
-  prep.Prepare(a).ValueOrDie();
-  bool flip = false;
+  ZiggyOptions options;
+  options.cache_queries = false;
+  ZiggyEngine engine = ZiggyEngine::Create(ds.table, options).ValueOrDie();
+  Selection selection = ds.planted;
+  engine.Characterize(selection).ValueOrDie();
+  uint64_t step = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(prep.Prepare(flip ? a : b).ValueOrDie());
-    flip = !flip;
+    if (++step >> kGroups != 0) {
+      state.SkipWithError("the Gray-code walk ran out of fresh selections");
+      break;
+    }
+    const size_t group = static_cast<size_t>(std::countr_zero(step));
+    for (size_t r = group * kGroupRows; r < (group + 1) * kGroupRows; ++r) {
+      selection.Set(r, !selection.Contains(r));
+    }
+    const Characterization result = engine.Characterize(selection).ValueOrDie();
+    if (result.sketch_source != SketchSource::kCachePatched ||
+        result.delta_rows != kGroupRows) {
+      state.SkipWithError("a refinement read was not an 8-row patch");
+      break;
+    }
+    benchmark::DoNotOptimize(result);
   }
-  state.SetItemsProcessed(state.iterations() * 8);
+  state.SetItemsProcessed(state.iterations() * kGroupRows);
 }
 BENCHMARK(BM_IncrementalPrepare)->Arg(2000)->Arg(32000);
 

@@ -1,9 +1,10 @@
 // Session walkthrough: the ExplorationSession layer end to end.
 //
 // Simulates the explore-inspect-refine loop of a single analyst: each
-// refinement reuses the engine's shared profile and incremental
-// preparation, and the session's novelty filter keeps already-seen views
-// from crowding out new findings. Finishes by emitting the last result as
+// refinement reuses the engine's shared profile and its cached sketches
+// (an overlapping refinement patches them instead of rescanning), and the
+// session's novelty filter keeps already-seen views from crowding out new
+// findings. Finishes by emitting the last result as
 // JSON — the payload an exploration front-end would consume.
 
 #include <iostream>
@@ -41,10 +42,9 @@ int main() {
       continue;
     }
     std::cout << "  " << r->inside_count << " tuples, " << r->views.size()
-              << " NEW views (strategy: "
-              << (r->strategy == Preparer::Strategy::kIncremental ? "incremental"
-                                                                   : "full scan")
-              << ", " << FormatDouble(r->timings.total_ms(), 3) << " ms)\n";
+              << " NEW views (sketches: "
+              << SketchSourceToString(r->sketch_source) << ", "
+              << FormatDouble(r->timings.total_ms(), 3) << " ms)\n";
     for (const auto& cv : r->views) {
       std::cout << "   - " << cv.explanation.headline << "\n";
     }

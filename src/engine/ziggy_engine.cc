@@ -17,22 +17,6 @@ double ElapsedMs(std::chrono::steady_clock::time_point start) {
 
 }  // namespace
 
-const char* SketchSourceToString(SketchSource source) {
-  switch (source) {
-    case SketchSource::kNone:
-      return "none";
-    case SketchSource::kEngineScan:
-      return "engine-scan";
-    case SketchSource::kCacheExact:
-      return "cache-exact";
-    case SketchSource::kCachePatched:
-      return "cache-patched";
-    case SketchSource::kServerScan:
-      return "server-scan";
-  }
-  return "unknown";
-}
-
 std::string Characterization::ToString(const Schema& schema) const {
   std::ostringstream os;
   os << "Characterized " << inside_count << " selected tuples against "
@@ -103,6 +87,12 @@ Result<Characterization> ZiggyEngine::Characterize(const Selection& selection) {
   const uint64_t fp = selection.Fingerprint();
   const ComponentTable* components = nullptr;
   ComponentTable freshly_built;
+  if (!(cached_build_ == options_.build)) {
+    // Cached component tables were assembled under other build options
+    // (e.g. another min_side_rows); none of them answers this read.
+    ClearCache();
+    cached_build_ = options_.build;
+  }
   if (options_.cache_queries) {
     auto it = component_cache_.find(fp);
     if (it != component_cache_.end()) {
@@ -119,40 +109,31 @@ Result<Characterization> ZiggyEngine::Characterize(const Selection& selection) {
     }
   }
   if (components == nullptr) {
-    bool provided = false;
+    // Providers only handle well-formed selections.
+    ZIGGY_RETURN_NOT_OK(
+        ValidateCharacterizationInput(*table_, *profile_, selection));
+    ProvidedSketches supplied;
     if (sketch_provider_) {
-      // Serving-layer path: sketches come from the shared cache or the
-      // server's cold scan. Validation must run first — providers only
-      // handle well-formed selections.
-      ZIGGY_RETURN_NOT_OK(
-          ValidateCharacterizationInput(*table_, *profile_, selection));
-      std::optional<ProvidedSketches> supplied = sketch_provider_(selection, fp);
-      if (supplied.has_value() && supplied->inside != nullptr) {
-        SelectionSketches outside;
-        outside.InitShapes(*table_, *profile_);
-        outside.DeriveAsComplement(*profile_, *supplied->inside);
-        ZIGGY_ASSIGN_OR_RETURN(
-            freshly_built,
-            BuildComponentsFromSketches(*table_, *profile_, selection,
-                                        *supplied->inside, outside, options_.build));
-        out.sketch_source = supplied->source;
-        out.delta_rows = supplied->delta_rows;
-        provided = true;
+      supplied = sketch_provider_(selection, fp);
+    } else {
+      if (own_sketches_ == nullptr) {
+        own_sketches_ =
+            std::make_unique<SketchCache>(SketchCache::kDefaultBudgetBytes);
       }
+      ProvideSketchesOptions routine;
+      routine.scan_threads = options_.build.num_threads;
+      supplied = ProvideSketches(*table_, *profile_, selection, fp,
+                                 own_sketches_.get(), routine);
     }
-    if (!provided) {
-      // The Preparer is created lazily and recreated when the build options
-      // change between queries; it binds to the shared immutable state.
-      if (preparer_ == nullptr || !(preparer_options_ == options_.build)) {
-        preparer_ = std::make_unique<Preparer>(table_.get(), profile_.get(),
-                                               options_.build);
-        preparer_options_ = options_.build;
-      }
-      ZIGGY_ASSIGN_OR_RETURN(freshly_built, preparer_->Prepare(selection));
-      out.strategy = preparer_->last_strategy();
-      out.delta_rows = preparer_->last_delta_rows();
-      out.sketch_source = SketchSource::kEngineScan;
-    }
+    SelectionSketches outside;
+    outside.InitShapes(*table_, *profile_);
+    outside.DeriveAsComplement(*profile_, *supplied.inside);
+    ZIGGY_ASSIGN_OR_RETURN(
+        freshly_built,
+        BuildComponentsFromSketches(*table_, *profile_, selection,
+                                    *supplied.inside, outside, options_.build));
+    out.sketch_source = supplied.source;
+    out.delta_rows = supplied.delta_rows;
     ++cache_misses_;
     if (options_.cache_queries) {
       components = InsertCacheEntry(fp, selection, std::move(freshly_built));

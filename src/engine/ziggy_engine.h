@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "engine/sketch_cache.h"
 #include "explain/text.h"
 #include "explain/validation.h"
 #include "query/parser.h"
@@ -70,17 +71,6 @@ struct CharacterizedView {
   Explanation explanation;
 };
 
-/// \brief Where a request's inside sketches came from.
-enum class SketchSource {
-  kNone,          ///< component cache hit: no sketches were needed at all
-  kEngineScan,    ///< the engine's own Preparer (full scan or local delta)
-  kCacheExact,    ///< serving-layer cache, exact fingerprint hit
-  kCachePatched,  ///< serving-layer cache, XOR-delta patched near miss
-  kServerScan     ///< serving-layer cold scan
-};
-
-const char* SketchSourceToString(SketchSource source);
-
 /// \brief Full result of characterizing one query.
 struct Characterization {
   std::vector<CharacterizedView> views;  ///< ranked by descending score
@@ -90,34 +80,24 @@ struct Characterization {
   size_t num_candidates = 0;   ///< candidate views generated
   size_t views_dropped = 0;    ///< candidates rejected as not significant
   bool cache_hit = false;      ///< preparation served from the query cache
-  /// Preparation strategy used. Only meaningful when the engine's own
-  /// Preparer ran, i.e. sketch_source == kEngineScan and !cache_hit.
-  Preparer::Strategy strategy = Preparer::Strategy::kFullScan;
-  /// Rows touched by an incremental update (0 otherwise).
+  /// Rows patched for a kCachePatched read (0 otherwise).
   size_t delta_rows = 0;
-  /// Provenance of the inside sketches (serving-layer observability).
+  /// Provenance of the inside sketches.
   SketchSource sketch_source = SketchSource::kNone;
 
   /// Multi-line human-readable report (used by examples and the REPL).
   std::string ToString(const Schema& schema) const;
 };
 
-/// \brief Sketches handed to the engine by an external provider (the
-/// serving layer's shared cache or its cold scan), plus their provenance.
-struct ProvidedSketches {
-  std::shared_ptr<const SelectionSketches> inside;
-  SketchSource source = SketchSource::kServerScan;
-  size_t delta_rows = 0;  ///< rows patched for kCachePatched
-};
-
 /// \brief The query characterization engine.
 class ZiggyEngine {
  public:
-  /// Hook through which a serving layer supplies inside sketches for a
-  /// selection (by fingerprint) instead of the engine scanning locally.
-  /// Returning nullopt (or a null sketch pointer) falls back to the
-  /// engine's own Preparer.
-  using SketchProvider = std::function<std::optional<ProvidedSketches>(
+  /// Hook through which a serving layer supplies a validated selection's
+  /// inside sketches (by fingerprint) from its shared cache. Without one,
+  /// the engine runs the same routine, ProvideSketches, over a private
+  /// SketchCache of SketchCache::kDefaultBudgetBytes, allocated on the
+  /// first read that needs sketches.
+  using SketchProvider = std::function<ProvidedSketches(
       const Selection& selection, uint64_t fingerprint)>;
 
   /// Builds the engine; computes the shared table profile (one-off cost,
@@ -193,19 +173,20 @@ class ZiggyEngine {
   // shared by every query's view search.
   std::shared_ptr<const Dendrogram> dendrogram_;
   ZiggyOptions options_;
-  // Stateful preparation: reuses the previous query's sketches when the
-  // new selection overlaps it (exploration queries usually do).
-  std::unique_ptr<Preparer> preparer_;
-  ComponentBuildOptions preparer_options_;
   SketchProvider sketch_provider_;
+  // Sketches of this engine's earlier selections when no provider is
+  // installed: exact repeats are hits and overlapping refinements patch
+  // (exploration queries usually overlap).
+  std::unique_ptr<SketchCache> own_sketches_;
   // View search's query-independent half (candidates and their column
-  // index), kept like the Preparer: built from dendrogram_ on the first
-  // read, rebuilt when the structural search options change.
+  // index): built from dendrogram_ on the first read, rebuilt when the
+  // structural search options change.
   std::optional<ViewPlan> view_plan_;
   // Component cache: fingerprint -> (selection, table, position in the
   // recency list). The fingerprint can collide, so a hit also compares the
   // stored selection. Bounded by options_.max_cached_queries;
-  // cache_order_ front = MRU.
+  // cache_order_ front = MRU. Every entry was built under cached_build_;
+  // a read under other build options clears the cache first.
   struct CachedComponents {
     Selection selection;
     ComponentTable components;
@@ -220,6 +201,7 @@ class ZiggyEngine {
                                          ComponentTable components);
   std::unordered_map<uint64_t, CachedComponents> component_cache_;
   std::list<uint64_t> cache_order_;
+  ComponentBuildOptions cached_build_;
   size_t cache_hits_ = 0;
   size_t cache_misses_ = 0;
   size_t cache_evictions_ = 0;

@@ -126,66 +126,36 @@ Status ZiggyServer::BindSession(Session* session,
   // The provider captures the state handle: even if the server moves to a
   // newer generation mid-request, this request keeps scanning the
   // generation its selection was evaluated on.
-  ZiggyServer* server = this;
-  std::shared_ptr<const ServingState> held = std::move(state);
+  ProvideSketchesOptions routine;
+  routine.generation = state->generation();
+  routine.patch_near_misses = options_.patch_near_misses;
+  routine.scan_threads = options_.scan_threads;
+  routine.clock =
+      options_.metrics != nullptr ? options_.metrics->clock() : nullptr;
+  routine.lookup_us = sketch_lookup_us_;
+  routine.scan_us = scan_us_;
+  SketchCache* cache = options_.cache_enabled ? &cache_ : nullptr;
   session->engine->set_sketch_provider(
-      [server, held](const Selection& selection,
-                     uint64_t fingerprint) -> std::optional<ProvidedSketches> {
-        return server->ProvideSketches(*held, selection, fingerprint);
+      [this, cache, routine, held = std::move(state)](
+          const Selection& selection, uint64_t fingerprint) {
+        ProvidedSketches out =
+            ProvideSketches(held->table(), *held->profile, selection,
+                            fingerprint, cache, routine);
+        switch (out.source) {
+          case SketchSource::kCacheExact:
+            sketch_exact_hits_.fetch_add(1, std::memory_order_relaxed);
+            break;
+          case SketchSource::kCachePatched:
+            sketch_patched_hits_.fetch_add(1, std::memory_order_relaxed);
+            patched_delta_rows_.fetch_add(out.delta_rows,
+                                          std::memory_order_relaxed);
+            break;
+          default:
+            sketch_misses_.fetch_add(1, std::memory_order_relaxed);
+        }
+        return out;
       });
   return Status::OK();
-}
-
-std::optional<ProvidedSketches> ZiggyServer::ProvideSketches(
-    const ServingState& state, const Selection& selection, uint64_t fingerprint) {
-  obs::Clock* clock =
-      options_.metrics != nullptr ? options_.metrics->clock() : nullptr;
-  ProvidedSketches out;
-  if (options_.cache_enabled) {
-    // Spans the lookup and the patch; a hit returns and a miss falls
-    // through, both before any scan starts.
-    obs::TraceSpan lookup_span("sketch_lookup", clock, sketch_lookup_us_);
-    const size_t budget =
-        options_.patch_near_misses
-            ? SelectionSketches::MaxPatchDelta(selection.Count())
-            : 0;
-    size_t delta = 0;
-    auto base = cache_.Find(selection, fingerprint, state.generation(), budget,
-                            &delta);
-    if (base != nullptr && delta == 0) {
-      sketch_exact_hits_.fetch_add(1, std::memory_order_relaxed);
-      out.inside = base->inside;
-      out.source = SketchSource::kCacheExact;
-      return out;
-    }
-    if (base != nullptr) {
-      // Patch a copy of the cached sketches over the XOR delta — the
-      // Preparer's routine, here applied across sessions.
-      auto patched = std::make_shared<SelectionSketches>(*base->inside);
-      patched->ApplyDelta(state.table(), *state.profile, base->selection,
-                          selection);
-      cache_.Insert(selection, fingerprint, patched, state.generation());
-      sketch_patched_hits_.fetch_add(1, std::memory_order_relaxed);
-      patched_delta_rows_.fetch_add(delta, std::memory_order_relaxed);
-      out.inside = std::move(patched);
-      out.source = SketchSource::kCachePatched;
-      out.delta_rows = delta;
-      return out;
-    }
-  }
-  std::shared_ptr<const SelectionSketches> built;
-  {
-    obs::TraceSpan scan_span("scan", clock, scan_us_);
-    built = std::make_shared<const SelectionSketches>(SelectionSketches::Build(
-        state.table(), *state.profile, selection, options_.scan_threads));
-  }
-  if (options_.cache_enabled) {
-    cache_.Insert(selection, fingerprint, built, state.generation());
-  }
-  sketch_misses_.fetch_add(1, std::memory_order_relaxed);
-  out.inside = std::move(built);
-  out.source = SketchSource::kServerScan;
-  return out;
 }
 
 Result<Characterization> ZiggyServer::Characterize(uint64_t session_id,

@@ -8,11 +8,12 @@
 //
 //   per request   the engine's component cache (exact repeated query)
 //   per server    the SketchCache (same/overlapping selections across
-//                 sessions: one lookup finds the exact entry or the
-//                 nearest patch base; patching shares the Preparer's
-//                 routine and patch-or-scan rule);
-//                 cold misses scan directly, concurrently across sessions,
-//                 each scan column-partitioned on the shared worker pool
+//                 sessions), served by ProvideSketches, the routine a
+//                 stand-alone engine runs over its private cache: one
+//                 lookup finds the exact entry or the nearest patch base
+//                 within the patch-or-scan rule; cold misses scan
+//                 directly, concurrently across sessions, each scan
+//                 column-partitioned on the shared worker pool
 //   per table     the profile/dendrogram snapshot, swapped atomically on
 //                 append; readers keep the generation they started on
 //
@@ -38,9 +39,9 @@
 #include "common/result.h"
 #include "common/sync.h"
 #include "engine/session.h"
-#include "obs/metrics.h"
+#include "engine/sketch_cache.h"
 #include "engine/ziggy_engine.h"
-#include "serve/sketch_cache.h"
+#include "obs/metrics.h"
 #include "storage/snapshot.h"
 
 namespace ziggy {
@@ -51,7 +52,7 @@ struct ServeOptions {
   SessionOptions session;   ///< default novelty policy for new sessions
 
   bool cache_enabled = true;
-  size_t cache_budget_bytes = 64ull << 20;
+  size_t cache_budget_bytes = SketchCache::kDefaultBudgetBytes;
   /// Group byte budget shared with other servers' sketch caches (set by
   /// ServerCatalog so N tables compete for one global ceiling instead of
   /// N private ones). Null for a stand-alone server.
@@ -59,10 +60,10 @@ struct ServeOptions {
 
   /// Reuse an overlapping cached selection by patching the XOR delta
   /// through the scan's block kernels (SelectionSketches::ApplyDelta),
-  /// when it is within SelectionSketches::MaxPatchDelta — the Preparer's
-  /// rule. Patching changes floating-point summation order relative to a
-  /// scan (exact integer statistics are unaffected); disable for
-  /// bit-reproducible replays.
+  /// when it is within SelectionSketches::MaxPatchDelta (see
+  /// ProvideSketches). Patching changes floating-point summation order
+  /// relative to a scan (exact integer statistics are unaffected); disable
+  /// for bit-reproducible replays.
   bool patch_near_misses = true;
 
   /// Threads per cold scan (0 = ThreadsForCells: one per kCellsPerThread
@@ -184,15 +185,12 @@ class ZiggyServer {
   ZiggyServer(ServeOptions options, std::shared_ptr<const ServingState> state);
 
   std::shared_ptr<Session> FindSession(uint64_t session_id) const;
-  /// Rebuilds `session`'s engine against `state` and installs the sketch
-  /// provider. Caller holds the session mutex.
+  /// Rebuilds `session`'s engine against `state` and installs its sketch
+  /// provider: ProvideSketches over the shared cache (null when
+  /// cache_enabled is off) on `state`'s generation, counted in the
+  /// sketch_* counters. Caller holds the session mutex.
   Status BindSession(Session* session, std::shared_ptr<const ServingState> state)
       ZIGGY_REQUIRES(session->mu);
-  /// The SketchProvider body: one cache lookup (exact hit or patch base
-  /// within the patch rule) → copy and patch → cold scan.
-  std::optional<ProvidedSketches> ProvideSketches(const ServingState& state,
-                                                  const Selection& selection,
-                                                  uint64_t fingerprint);
 
   ServeOptions options_;
 

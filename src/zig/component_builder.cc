@@ -365,59 +365,10 @@ Result<ComponentTable> BuildComponents(const Table& table, const TableProfile& p
       SelectionSketches::Build(table, profile, selection, options.num_threads);
 
   SelectionSketches outside;
-  if (options.mode == PreparationMode::kTwoScan) {
-    outside = SelectionSketches::Build(table, profile, selection.Invert(),
-                                       options.num_threads);
-  } else {
-    outside.InitShapes(table, profile);
-    outside.DeriveAsComplement(profile, inside);
-  }
+  outside.InitShapes(table, profile);
+  outside.DeriveAsComplement(profile, inside);
   return BuildComponentsFromSketches(table, profile, selection, inside, outside,
                                      options);
-}
-
-Preparer::Preparer(const Table* table, const TableProfile* profile,
-                   ComponentBuildOptions options)
-    : table_(table), profile_(profile), options_(std::move(options)) {
-  ZIGGY_CHECK(table_ != nullptr && profile_ != nullptr);
-}
-
-void Preparer::Reset() {
-  last_selection_.reset();
-  last_inside_ = SelectionSketches();
-}
-
-Result<ComponentTable> Preparer::Prepare(const Selection& selection) {
-  ZIGGY_RETURN_NOT_OK(ValidateCharacterizationInput(*table_, *profile_, selection));
-  last_delta_rows_ = 0;
-
-  if (options_.mode == PreparationMode::kTwoScan) {
-    last_strategy_ = Strategy::kTwoScan;
-    return BuildComponents(*table_, *profile_, selection, options_);
-  }
-
-  // One patch-or-scan rule for every sketch-reuse path (the server's
-  // sketch cache applies the same one). Both selections were validated
-  // against the same table, so their row counts match.
-  const size_t delta_rows = last_selection_.has_value()
-                                ? selection.HammingDistance(*last_selection_)
-                                : SIZE_MAX;
-  if (delta_rows <= SelectionSketches::MaxPatchDelta(selection.Count())) {
-    last_inside_.ApplyDelta(*table_, *profile_, *last_selection_, selection);
-    last_strategy_ = Strategy::kIncremental;
-    last_delta_rows_ = delta_rows;
-  } else {
-    last_inside_ = SelectionSketches::Build(*table_, *profile_, selection,
-                                            options_.num_threads);
-    last_strategy_ = Strategy::kFullScan;
-  }
-  last_selection_ = selection;
-
-  SelectionSketches outside;
-  outside.InitShapes(*table_, *profile_);
-  outside.DeriveAsComplement(*profile_, last_inside_);
-  return BuildComponentsFromSketches(*table_, *profile_, selection, last_inside_,
-                                     outside, options_);
 }
 
 }  // namespace ziggy

@@ -1,24 +1,20 @@
 // Component builder: Ziggy's Preparation stage (paper §3).
 //
 // Given a table, its shared TableProfile, and a query Selection, computes
-// every Zig-Component (per column and per tracked pair). Three execution
-// strategies exist:
+// every Zig-Component (per column and per tracked pair). One scan over the
+// *selected* rows builds the inside sketches; outside statistics are
+// derived by subtracting them from the profile's global sketches (the full
+// paper's shared-computation optimization). Cost is O(|selection| * M)
+// regardless of table size. The rank-shift component needs no pass of its
+// own: the scan sums each numeric column's cached midranks
+// (TableProfile::Rank2) beside its values, and Mann-Whitney U follows from
+// that exact sum and the two non-NULL counts.
 //
-//  * kSharedSketch (default, the full paper's optimization): one scan over
-//    the *selected* rows builds the inside sketches; outside statistics are
-//    derived by subtracting from the profile's global sketches. Cost is
-//    O(|selection| * M) regardless of table size. The rank-shift component
-//    needs no pass of its own: the scan sums each numeric column's cached
-//    midranks (TableProfile::Rank2) beside its values, and Mann-Whitney U
-//    follows from that exact sum and the two non-NULL counts.
-//  * kTwoScan (baseline): both sides are scanned explicitly. Cost is
-//    O(N * M). Exists to quantify the sharing benefit (bench A1) and as a
-//    numerical cross-check in tests.
-//  * incremental (via Preparer): when consecutive exploration queries
-//    overlap, the cached inside sketches of the previous query are patched
-//    by adding/removing only the rows in the symmetric difference, through
-//    the scan's block kernels (SelectionSketches::ApplyDelta). Cost is
-//    O(|S_prev XOR S_new| * M).
+// Across consecutive exploration queries the engine does not rescan: its
+// one Preparation routine (ProvideSketches, engine/sketch_cache.h) reuses
+// cached inside sketches, patching an overlapping selection's through the
+// scan's block kernels (SelectionSketches::ApplyDelta) at O(|S_prev XOR S|
+// * M), and hands them to BuildComponentsFromSketches.
 //
 // Assembly (BuildComponentsFromSketches) allocates a constant number of
 // blocks per read, whatever the table width: it reads the sketches
@@ -31,7 +27,6 @@
 #define ZIGGY_ZIG_COMPONENT_BUILDER_H_
 
 #include <cstdint>
-#include <optional>
 
 #include "common/result.h"
 #include "storage/selection.h"
@@ -42,15 +37,8 @@
 
 namespace ziggy {
 
-/// \brief How outside-of-selection statistics are obtained.
-enum class PreparationMode {
-  kSharedSketch,  ///< outside = global − inside (one scan)
-  kTwoScan,       ///< outside scanned explicitly (two scans)
-};
-
 /// \brief Options for component construction.
 struct ComponentBuildOptions {
-  PreparationMode mode = PreparationMode::kSharedSketch;
   /// Components are skipped when either side has fewer rows than this
   /// (effect sizes on tiny samples are pure noise).
   int64_t min_side_rows = 3;
@@ -83,8 +71,8 @@ MannWhitneyCounts MannWhitneyFromRankSum(int64_t rank2_sum, int64_t n_in,
 /// \brief Validates a (table, profile, selection) triple for
 /// characterization: matching shapes, and a selection that is neither
 /// empty nor the whole table (Ziggy characterizes a selection *against its
-/// complement*, paper Figure 2). Shared by BuildComponents, the Preparer,
-/// and the serving layer's cached-sketch path.
+/// complement*, paper Figure 2). Shared by BuildComponents and the engine's
+/// cached-sketch path.
 Status ValidateCharacterizationInput(const Table& table, const TableProfile& profile,
                                      const Selection& selection);
 
@@ -100,48 +88,12 @@ Result<ComponentTable> BuildComponents(const Table& table, const TableProfile& p
 /// \brief Core assembly: derives/accepts both sides and emits components.
 /// `selection` supplies only the inside row count and the input
 /// validation; every statistic comes from the two sketches and the
-/// profile. Exposed for the Preparer and for tests.
+/// profile. Exposed for the engine, which supplies cached or patched
+/// inside sketches, and for tests.
 Result<ComponentTable> BuildComponentsFromSketches(
     const Table& table, const TableProfile& profile, const Selection& selection,
     const SelectionSketches& inside, const SelectionSketches& outside,
     const ComponentBuildOptions& options);
-
-/// \brief Stateful preparation helper that exploits the overlap between
-/// consecutive exploration queries (users refine predicates; row sets
-/// change little). Per query it patches the previous query's sketches
-/// (delta update, O(|S_prev XOR S| * M)) when the delta is within
-/// SelectionSketches::MaxPatchDelta (|S| / 2), the rule the serving
-/// layer's sketch cache also applies, and runs a full scan (O(|S| * M))
-/// otherwise.
-class Preparer {
- public:
-  enum class Strategy { kFullScan, kIncremental, kTwoScan };
-
-  /// `table` and `profile` must outlive the Preparer.
-  Preparer(const Table* table, const TableProfile* profile,
-           ComponentBuildOptions options);
-
-  /// Builds the component table for `selection`, reusing cached state when
-  /// profitable.
-  Result<ComponentTable> Prepare(const Selection& selection);
-
-  /// Strategy used by the most recent Prepare call.
-  Strategy last_strategy() const { return last_strategy_; }
-  /// Rows added+removed by the most recent incremental update (0 for full).
-  size_t last_delta_rows() const { return last_delta_rows_; }
-
-  /// Drops the cached state (e.g. after the table changed).
-  void Reset();
-
- private:
-  const Table* table_;
-  const TableProfile* profile_;
-  ComponentBuildOptions options_;
-  std::optional<Selection> last_selection_;
-  SelectionSketches last_inside_;
-  Strategy last_strategy_ = Strategy::kFullScan;
-  size_t last_delta_rows_ = 0;
-};
 
 }  // namespace ziggy
 

@@ -41,10 +41,10 @@
 //    every group's rows ascending, so each group sketch still adds its
 //    values in AddRow's order. A parallel scan cuts its tiles and runs
 //    inside each partition's pair range.
-//  * Signed block patch (ApplyDelta): the one patch routine of every
-//    sketch-reuse path (the Preparer between a user's consecutive
-//    queries, the server's sketch cache across sessions), where
-//    overlapping selections differ in few rows. It decodes `from XOR to`
+//  * Signed block patch (ApplyDelta): the patch step of the one
+//    sketch-reuse routine (ProvideSketches, over a stand-alone engine's
+//    private cache or the server's shared one), where overlapping
+//    selections differ in few rows. It decodes `from XOR to`
 //    block by block into the same workspace, each row with a sign (+1 if
 //    `to` selects it, -1 if not), and runs the added and removed rows
 //    together, ascending, through the scan's kernels in their signed
@@ -137,7 +137,7 @@ class SelectionSketches {
   void ApplyDelta(const Table& table, const TableProfile& profile,
                   const Selection& from, const Selection& to);
 
-  /// The patch-or-scan rule of every sketch-reuse path: sketches of a
+  /// The patch-or-scan rule of ProvideSketches: sketches of a
   /// selection of `selected_rows` rows are patched from a base at most
   /// this many rows away (ApplyDelta), and scanned otherwise. Measured on
   /// one core (bench_components_micro BM_ApplyDeltaWide against a

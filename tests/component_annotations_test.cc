@@ -1,7 +1,7 @@
 // Deferred component annotations: the p-value and range label a
 // ZigComponent evaluates on read must equal, bit for bit, what the eager
 // test functions give on the same sketches. Covered for a cold build, the
-// Preparer's incremental path and a threaded scan.
+// engine's patched preparation (ProvideSketches) and a threaded scan.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 
 #include "common/string_util.h"
 #include "data/synthetic.h"
+#include "engine/sketch_cache.h"
 #include "stats/histogram.h"
 #include "stats/tests.h"
 #include "zig/component_builder.h"
@@ -150,20 +151,31 @@ TEST(DeferredAnnotationsTest, ColdBuildMatchesEagerTests) {
   EXPECT_EQ(kinds.size(), kNumComponentKinds);
 }
 
-TEST(DeferredAnnotationsTest, IncrementalPreparerMatchesEagerTests) {
+TEST(DeferredAnnotationsTest, PatchedPreparationMatchesEagerTests) {
   const Dataset d = Load(MakeCrimeDataset());
   const Table& table = d.ds.table;
   const Selection first = d.ds.planted;
   Selection second = first;
   for (size_t r = 0; r < 40; ++r) second.Set(r * 7, !second.Contains(r * 7));
 
-  Preparer preparer(&table, &d.profile, ComponentBuildOptions{});
-  ASSERT_TRUE(preparer.Prepare(first).ok());
-  const ComponentTable ct = preparer.Prepare(second).ValueOrDie();
-  ASSERT_EQ(preparer.last_strategy(), Preparer::Strategy::kIncremental);
+  SketchCache cache(SketchCache::kDefaultBudgetBytes);
+  ASSERT_EQ(ProvideSketches(table, d.profile, first, first.Fingerprint(),
+                            &cache, ProvideSketchesOptions{})
+                .source,
+            SketchSource::kServerScan);
+  const ProvidedSketches patched =
+      ProvideSketches(table, d.profile, second, second.Fingerprint(), &cache,
+                      ProvideSketchesOptions{});
+  ASSERT_EQ(patched.source, SketchSource::kCachePatched);
+  ASSERT_EQ(patched.delta_rows, 40u);
+  const ComponentTable ct =
+      BuildComponentsFromSketches(table, d.profile, second, *patched.inside,
+                                  Complement(table, d.profile, *patched.inside),
+                                  ComponentBuildOptions{})
+          .ValueOrDie();
 
-  // Replay the Preparer's patch: the previous inside sketches plus the
-  // symmetric difference, in ascending row order.
+  // Replay the patch: the previous inside sketches plus the symmetric
+  // difference, in ascending row order.
   SelectionSketches inside = SelectionSketches::Build(table, d.profile, first);
   for (size_t r = 0; r < table.num_rows(); ++r) {
     if (first.Contains(r) == second.Contains(r)) continue;

@@ -130,24 +130,31 @@ TEST(EdgeCaseTest, DuplicatedColumnValuesClusterTogether) {
   }
 }
 
-TEST(EdgeCaseTest, ChangingBuildOptionsMidSessionRecreatesPreparer) {
+TEST(EdgeCaseTest, ChangingBuildOptionsMidSessionRebuildsCachedComponents) {
   SyntheticDataset ds = MakeBoxOfficeDataset().ValueOrDie();
   ZiggyEngine engine = ZiggyEngine::Create(std::move(ds.table)).ValueOrDie();
-  Characterization r1 = engine.CharacterizeQuery("revenue_index > 1.2").ValueOrDie();
-  // Flip to two-scan: must not reuse the shared-sketch preparer state.
-  engine.mutable_options()->build.mode = PreparationMode::kTwoScan;
-  engine.ClearCache();
-  Characterization r2 = engine.CharacterizeQuery("revenue_index > 1.2").ValueOrDie();
-  EXPECT_EQ(r2.strategy, Preparer::Strategy::kTwoScan);
-  ASSERT_EQ(r1.views.size(), r2.views.size());
+  const std::string query = "revenue_index > 1.2";
+  const Characterization r1 = engine.CharacterizeQuery(query).ValueOrDie();
+  ASSERT_FALSE(r1.views.empty());
+
+  // Neither side has a million rows, so no component survives. The
+  // repeated query must not be answered from the component cache; its
+  // sketches still serve, since they do not depend on the build options.
+  engine.mutable_options()->build.min_side_rows = 1000000;
+  const Characterization r2 = engine.CharacterizeQuery(query).ValueOrDie();
+  EXPECT_FALSE(r2.cache_hit);
+  EXPECT_EQ(r2.sketch_source, SketchSource::kCacheExact);
+  EXPECT_TRUE(r2.views.empty());
+
+  // And back again: the first answer returns.
+  engine.mutable_options()->build.min_side_rows =
+      ComponentBuildOptions{}.min_side_rows;
+  const Characterization r3 = engine.CharacterizeQuery(query).ValueOrDie();
+  EXPECT_FALSE(r3.cache_hit);
+  ASSERT_EQ(r3.views.size(), r1.views.size());
   for (size_t i = 0; i < r1.views.size(); ++i) {
-    EXPECT_EQ(r1.views[i].view.columns, r2.views[i].view.columns);
+    EXPECT_EQ(r3.views[i].view.columns, r1.views[i].view.columns);
   }
-  // And back again.
-  engine.mutable_options()->build.mode = PreparationMode::kSharedSketch;
-  engine.ClearCache();
-  Characterization r3 = engine.CharacterizeQuery("revenue_index > 1.2").ValueOrDie();
-  EXPECT_NE(r3.strategy, Preparer::Strategy::kTwoScan);
 }
 
 TEST(EdgeCaseTest, HugeMagnitudeValuesStayFinite) {

@@ -14,6 +14,7 @@
 #include "engine/ziggy_engine.h"
 #include "query/parser.h"
 #include "serve/ziggy_server.h"
+#include "two_scan_reference.h"
 #include "zig/selection_sketches.h"
 
 namespace ziggy {
@@ -568,26 +569,75 @@ TEST(EngineTest, ServerComponentCacheTotalsSumOverReboundEngines) {
   EXPECT_EQ(st.component_cache_evictions, evictions);
 }
 
-TEST(EngineTest, SharedAndTwoScanModesAgreeOnViews) {
-  SyntheticDataset ds = MakeBoxOfficeDataset().ValueOrDie();
-  Table table_copy = ds.table;
-  ZiggyOptions shared_opts;
-  shared_opts.build.mode = PreparationMode::kSharedSketch;
-  ZiggyOptions naive_opts;
-  naive_opts.build.mode = PreparationMode::kTwoScan;
-  ZiggyEngine shared_engine =
-      ZiggyEngine::Create(std::move(ds.table), shared_opts).ValueOrDie();
-  ZiggyEngine naive_engine =
-      ZiggyEngine::Create(std::move(table_copy), naive_opts).ValueOrDie();
-  Characterization a =
-      shared_engine.CharacterizeQuery("revenue_index > 1.2").ValueOrDie();
-  Characterization b =
-      naive_engine.CharacterizeQuery("revenue_index > 1.2").ValueOrDie();
+TEST(EngineTest, ViewsMatchTwoScanComponents) {
+  // The engine's one-scan preparation against the two-scan reference: the
+  // same view search and validation over the reference's components.
+  ZiggyEngine engine = MakeEngine();
+  const std::string query = "revenue_index > 1.2";
+  const Characterization a = engine.CharacterizeQuery(query).ValueOrDie();
+  const Selection sel =
+      ParseQuery(query).ValueOrDie()->Evaluate(engine.table()).ValueOrDie();
+  const ComponentTable reference =
+      BuildComponentsTwoScan(engine.table(), engine.profile(), sel,
+                             engine.options().build)
+          .ValueOrDie();
+  const ZiggyOptions& opts = engine.options();
+  ViewSearchResult b = ViewPlan::Build(engine.profile(),
+                                       *engine.shared_dendrogram(), opts.search)
+                           .ValueOrDie()
+                           .Search(reference, opts.search);
+  ValidateViews(&b.views, reference, opts.validation);
   ASSERT_EQ(a.views.size(), b.views.size());
   for (size_t i = 0; i < a.views.size(); ++i) {
-    EXPECT_EQ(a.views[i].view.columns, b.views[i].view.columns);
-    EXPECT_NEAR(a.views[i].view.score.total, b.views[i].view.score.total, 1e-9);
+    EXPECT_EQ(a.views[i].view.columns, b.views[i].columns);
+    EXPECT_NEAR(a.views[i].view.score.total, b.views[i].score.total, 1e-9);
   }
+}
+
+// A stand-alone engine and a one-session server replay one refinement
+// chain: both prepare through ProvideSketches, so every read must take the
+// same path (exact hit, patch of the same size, or scan) and render the
+// same report.
+TEST(EngineTest, StandAloneEngineAndServerSessionPrepareAlike) {
+  SyntheticDataset ds = MakeCrimeDataset().ValueOrDie();
+  const std::vector<std::string> chain = {
+      ds.selection_predicate,
+      "violent_crime_rate > 1.0",
+      "violent_crime_rate > 1.1",                     // narrow
+      "violent_crime_rate > 0.9",                     // widen
+      "violent_crime_rate BETWEEN 0.9 AND 2.5",       // narrow from above
+      "violent_crime_rate BETWEEN 1.0 AND 2.6",       // shift
+      "violent_crime_rate BETWEEN 1.05 AND 2.65",     // shift
+      "population_0 > 1",                             // unrelated: scan
+      "violent_crime_rate > 1.0",                     // repeat
+      "violent_crime_rate > 1.0 AND population_0 > -1",
+      ds.selection_predicate,
+  };
+  ZiggyEngine engine = ZiggyEngine::Create(ds.table).ValueOrDie();
+  std::unique_ptr<ZiggyServer> server =
+      ZiggyServer::Create(ds.table).ValueOrDie();
+  SessionOptions session_options;
+  session_options.novelty = SessionOptions::NoveltyPolicy::kOff;
+  const uint64_t session = server->OpenSession(session_options);
+  const Schema& schema = engine.table().schema();
+  std::set<SketchSource> sources;
+  for (const std::string& query : chain) {
+    const Characterization alone = engine.CharacterizeQuery(query).ValueOrDie();
+    const Characterization served =
+        server->Characterize(session, query).ValueOrDie();
+    EXPECT_EQ(SketchSourceToString(alone.sketch_source),
+              SketchSourceToString(served.sketch_source))
+        << query;
+    EXPECT_EQ(alone.delta_rows, served.delta_rows) << query;
+    EXPECT_EQ(RenderCharacterizationReport(alone, schema),
+              RenderCharacterizationReport(served, schema))
+        << query;
+    sources.insert(alone.sketch_source);
+  }
+  // The chain exercises every path.
+  EXPECT_EQ(sources, (std::set<SketchSource>{
+                         SketchSource::kNone, SketchSource::kCachePatched,
+                         SketchSource::kServerScan}));
 }
 
 TEST(EngineTest, ToStringContainsViewsAndTimings) {

@@ -1,6 +1,7 @@
 // Tests for the extended preparation machinery: rank-shift and
 // distribution-shift components, SelectionSketches row add/remove, and the
-// Preparer's incremental (delta) strategy.
+// engine's incremental (delta) preparation: ProvideSketches patching a
+// cached overlapping selection.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +10,9 @@
 
 #include "common/random.h"
 #include "data/synthetic.h"
+#include "engine/sketch_cache.h"
 #include "engine/ziggy_engine.h"
+#include "two_scan_reference.h"
 #include "zig/component_builder.h"
 
 namespace ziggy {
@@ -177,13 +180,10 @@ TEST(DistributionShiftTest, DisabledByOption) {
 
 TEST(NewComponentsTest, SharedEqualsTwoScanStillHolds) {
   Fixture fx = MakeFixture();
-  ComponentBuildOptions shared;
-  ComponentBuildOptions naive;
-  naive.mode = PreparationMode::kTwoScan;
   ComponentTable a =
-      BuildComponents(fx.table, fx.profile, fx.selection, shared).ValueOrDie();
+      BuildComponents(fx.table, fx.profile, fx.selection).ValueOrDie();
   ComponentTable b =
-      BuildComponents(fx.table, fx.profile, fx.selection, naive).ValueOrDie();
+      BuildComponentsTwoScan(fx.table, fx.profile, fx.selection).ValueOrDie();
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_NEAR(a.components()[i].effect.value, b.components()[i].effect.value, 1e-9);
@@ -219,40 +219,80 @@ TEST(SelectionSketchesTest, MemoryUsageReported) {
   EXPECT_GT(s.MemoryUsageBytes(), 0u);
 }
 
-// ----------------------------------------------------------- Preparer ------
+// ------------------------------------------------- one preparation path --
 
-TEST(PreparerTest, FirstQueryIsFullScan) {
-  Fixture fx = MakeFixture();
-  Preparer prep(&fx.table, &fx.profile, ComponentBuildOptions{});
-  ASSERT_TRUE(prep.Prepare(fx.selection).ok());
-  EXPECT_EQ(prep.last_strategy(), Preparer::Strategy::kFullScan);
+// One read through the engine's Preparation routine over `cache`: the
+// components assembled from the provided sketches, and their provenance.
+struct Prepared {
+  ComponentTable components;
+  SketchSource source = SketchSource::kNone;
+  size_t delta_rows = 0;
+};
+
+Prepared Prepare(const Fixture& fx, SketchCache* cache,
+                 const Selection& selection) {
+  const ProvidedSketches provided =
+      ProvideSketches(fx.table, fx.profile, selection, selection.Fingerprint(),
+                      cache, ProvideSketchesOptions{});
+  SelectionSketches outside;
+  outside.InitShapes(fx.table, fx.profile);
+  outside.DeriveAsComplement(fx.profile, *provided.inside);
+  return {BuildComponentsFromSketches(fx.table, fx.profile, selection,
+                                      *provided.inside, outside,
+                                      ComponentBuildOptions{})
+              .ValueOrDie(),
+          provided.source, provided.delta_rows};
 }
 
-TEST(PreparerTest, OverlappingQueryGoesIncremental) {
+ZiggyEngine MakeEngine(const Fixture& fx) {
+  return ZiggyEngine::Create(fx.table).ValueOrDie();
+}
+
+TEST(EnginePreparationTest, FirstReadIsAScan) {
   Fixture fx = MakeFixture();
-  Preparer prep(&fx.table, &fx.profile, ComponentBuildOptions{});
-  ASSERT_TRUE(prep.Prepare(fx.selection).ok());
+  ZiggyEngine engine = MakeEngine(fx);
+  const Characterization r = engine.Characterize(fx.selection).ValueOrDie();
+  EXPECT_EQ(r.sketch_source, SketchSource::kServerScan);
+  EXPECT_EQ(r.delta_rows, 0u);
+}
+
+TEST(EnginePreparationTest, OverlappingReadIsPatched) {
+  Fixture fx = MakeFixture();
+  ZiggyEngine engine = MakeEngine(fx);
+  ASSERT_TRUE(engine.Characterize(fx.selection).ok());
   Selection refined = fx.selection;
   refined.Set(1);  // one extra row
   refined.Set(fx.selection.ToIndices()[0], false);  // one removed
-  ASSERT_TRUE(prep.Prepare(refined).ok());
-  EXPECT_EQ(prep.last_strategy(), Preparer::Strategy::kIncremental);
-  EXPECT_EQ(prep.last_delta_rows(), 2u);
+  const Characterization r = engine.Characterize(refined).ValueOrDie();
+  EXPECT_EQ(r.sketch_source, SketchSource::kCachePatched);
+  EXPECT_EQ(r.delta_rows, 2u);
 }
 
-TEST(PreparerTest, DisjointQueryFallsBackToFullScan) {
+TEST(EnginePreparationTest, ComplementIsScanned) {
   Fixture fx = MakeFixture();
-  Preparer prep(&fx.table, &fx.profile, ComponentBuildOptions{});
-  ASSERT_TRUE(prep.Prepare(fx.selection).ok());
-  // Complement: delta = whole table > |selection|.
-  ASSERT_TRUE(prep.Prepare(fx.selection.Invert()).ok());
-  EXPECT_EQ(prep.last_strategy(), Preparer::Strategy::kFullScan);
+  ZiggyEngine engine = MakeEngine(fx);
+  ASSERT_TRUE(engine.Characterize(fx.selection).ok());
+  // Complement: delta = whole table > |selection| / 2.
+  const Characterization r =
+      engine.Characterize(fx.selection.Invert()).ValueOrDie();
+  EXPECT_EQ(r.sketch_source, SketchSource::kServerScan);
+  EXPECT_EQ(r.delta_rows, 0u);
 }
 
-TEST(PreparerTest, IncrementalMatchesFromScratch) {
+TEST(EnginePreparationTest, RejectsDegenerateSelections) {
   Fixture fx = MakeFixture();
-  Preparer prep(&fx.table, &fx.profile, ComponentBuildOptions{});
-  ASSERT_TRUE(prep.Prepare(fx.selection).ok());
+  ZiggyEngine engine = MakeEngine(fx);
+  EXPECT_TRUE(engine.Characterize(Selection(fx.table.num_rows())).status()
+                  .IsFailedPrecondition());
+  EXPECT_TRUE(engine.Characterize(Selection::All(fx.table.num_rows())).status()
+                  .IsFailedPrecondition());
+}
+
+TEST(EnginePreparationTest, PatchedMatchesFromScratch) {
+  Fixture fx = MakeFixture();
+  SketchCache cache(SketchCache::kDefaultBudgetBytes);
+  ASSERT_EQ(Prepare(fx, &cache, fx.selection).source,
+            SketchSource::kServerScan);
 
   Rng rng(5);
   Selection current = fx.selection;
@@ -267,7 +307,9 @@ TEST(PreparerTest, IncrementalMatchesFromScratch) {
       next.Set(r, rng.Bernoulli(0.5));
     }
     if (next.Count() == 0 || next.Count() == fx.table.num_rows()) continue;
-    ComponentTable incremental = prep.Prepare(next).ValueOrDie();
+    const Prepared patched = Prepare(fx, &cache, next);
+    EXPECT_EQ(patched.source, SketchSource::kCachePatched) << "step " << step;
+    const ComponentTable& incremental = patched.components;
     ComponentTable scratch =
         BuildComponents(fx.table, fx.profile, next).ValueOrDie();
     ASSERT_EQ(incremental.size(), scratch.size()) << "step " << step;
@@ -282,39 +324,6 @@ TEST(PreparerTest, IncrementalMatchesFromScratch) {
   }
 }
 
-TEST(PreparerTest, ResetForcesFullScan) {
-  Fixture fx = MakeFixture();
-  Preparer prep(&fx.table, &fx.profile, ComponentBuildOptions{});
-  ASSERT_TRUE(prep.Prepare(fx.selection).ok());
-  prep.Reset();
-  Selection refined = fx.selection;
-  refined.Set(1);
-  ASSERT_TRUE(prep.Prepare(refined).ok());
-  EXPECT_EQ(prep.last_strategy(), Preparer::Strategy::kFullScan);
-}
-
-TEST(PreparerTest, TwoScanModeNeverIncremental) {
-  Fixture fx = MakeFixture();
-  ComponentBuildOptions opts;
-  opts.mode = PreparationMode::kTwoScan;
-  Preparer prep(&fx.table, &fx.profile, opts);
-  ASSERT_TRUE(prep.Prepare(fx.selection).ok());
-  EXPECT_EQ(prep.last_strategy(), Preparer::Strategy::kTwoScan);
-  Selection refined = fx.selection;
-  refined.Set(1);
-  ASSERT_TRUE(prep.Prepare(refined).ok());
-  EXPECT_EQ(prep.last_strategy(), Preparer::Strategy::kTwoScan);
-}
-
-TEST(PreparerTest, RejectsDegenerateSelections) {
-  Fixture fx = MakeFixture();
-  Preparer prep(&fx.table, &fx.profile, ComponentBuildOptions{});
-  EXPECT_TRUE(prep.Prepare(Selection(fx.table.num_rows())).status()
-                  .IsFailedPrecondition());
-  EXPECT_TRUE(prep.Prepare(Selection::All(fx.table.num_rows())).status()
-                  .IsFailedPrecondition());
-}
-
 // -------------------------------------------------------------- engine ----
 
 TEST(EngineIncrementalTest, RefinementUsesDelta) {
@@ -322,11 +331,11 @@ TEST(EngineIncrementalTest, RefinementUsesDelta) {
   ZiggyEngine engine = ZiggyEngine::Create(std::move(ds.table)).ValueOrDie();
   Characterization r1 =
       engine.CharacterizeQuery("revenue_index > 1.2").ValueOrDie();
-  EXPECT_EQ(r1.strategy, Preparer::Strategy::kFullScan);
+  EXPECT_EQ(r1.sketch_source, SketchSource::kServerScan);
   Characterization r2 =
       engine.CharacterizeQuery("revenue_index > 1.25").ValueOrDie();
   EXPECT_FALSE(r2.cache_hit);
-  EXPECT_EQ(r2.strategy, Preparer::Strategy::kIncremental);
+  EXPECT_EQ(r2.sketch_source, SketchSource::kCachePatched);
   EXPECT_GT(r2.delta_rows, 0u);
   // And the result matches a fresh engine's answer.
   SyntheticDataset ds2 = MakeBoxOfficeDataset().ValueOrDie();
@@ -346,8 +355,8 @@ class IncrementalEquivalence : public ::testing::TestWithParam<int> {};
 TEST_P(IncrementalEquivalence, MatchesScratchAfterKFlips) {
   const int flips = GetParam();
   Fixture fx = MakeFixture(1000 + static_cast<uint64_t>(flips));
-  Preparer prep(&fx.table, &fx.profile, ComponentBuildOptions{});
-  ASSERT_TRUE(prep.Prepare(fx.selection).ok());
+  SketchCache cache(SketchCache::kDefaultBudgetBytes);
+  Prepare(fx, &cache, fx.selection);
   Rng rng(static_cast<uint64_t>(flips));
   Selection next = fx.selection;
   for (int k = 0; k < flips; ++k) {
@@ -356,7 +365,7 @@ TEST_P(IncrementalEquivalence, MatchesScratchAfterKFlips) {
     next.Set(r, !next.Contains(r));
   }
   if (next.Count() == 0 || next.Count() == fx.table.num_rows()) GTEST_SKIP();
-  ComponentTable incremental = prep.Prepare(next).ValueOrDie();
+  const ComponentTable incremental = Prepare(fx, &cache, next).components;
   ComponentTable scratch = BuildComponents(fx.table, fx.profile, next).ValueOrDie();
   ASSERT_EQ(incremental.size(), scratch.size());
   for (size_t i = 0; i < incremental.size(); ++i) {

@@ -20,6 +20,7 @@
 #include "common/parallel.h"
 #include "common/random.h"
 #include "data/synthetic.h"
+#include "two_scan_reference.h"
 #include "zig/component_builder.h"
 #include "zig/profile.h"
 #include "zig/selection_sketches.h"
@@ -294,17 +295,15 @@ TEST(ColumnarAccumulationTest, ComponentTablesEquivalentAcrossThreadCounts) {
   }
 }
 
-TEST(ColumnarAccumulationTest, TwoScanModeUsesColumnarPathAndAgrees) {
+TEST(ColumnarAccumulationTest, TwoScanReferenceUsesColumnarPathAndAgrees) {
   const Fixture fx = MakeFixture(1200, 43);
   const Selection sel = MakeSelection(fx.table.num_rows(), 0.3, 47);
-  ComponentBuildOptions shared;
   ComponentBuildOptions two_scan;
-  two_scan.mode = PreparationMode::kTwoScan;
   two_scan.num_threads = 2;
   const ComponentTable a =
-      BuildComponents(fx.table, fx.profile, sel, shared).ValueOrDie();
+      BuildComponents(fx.table, fx.profile, sel).ValueOrDie();
   const ComponentTable b =
-      BuildComponents(fx.table, fx.profile, sel, two_scan).ValueOrDie();
+      BuildComponentsTwoScan(fx.table, fx.profile, sel, two_scan).ValueOrDie();
   ASSERT_EQ(a.components().size(), b.components().size());
   for (size_t i = 0; i < a.components().size(); ++i) {
     EXPECT_NEAR(a.components()[i].inside_value, b.components()[i].inside_value, 1e-7);

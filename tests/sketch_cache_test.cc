@@ -1,8 +1,8 @@
 // Tests for selection-sketch reuse: SketchCache::Find (the one lookup of
-// the serving layer's sketch cache), the one patch-or-scan rule,
-// SelectionSketches::MaxPatchDelta, as both of its callers — the
-// stand-alone Preparer and ZiggyServer's sketch provider — apply it, and
-// the server's cache flush on append.
+// the sketch cache), the one patch-or-scan rule,
+// SelectionSketches::MaxPatchDelta, as ProvideSketches applies it for a
+// stand-alone engine (private cache) and for ZiggyServer (shared cache),
+// and the server's cache flush on append.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "common/random.h"
-#include "serve/sketch_cache.h"
+#include "engine/sketch_cache.h"
 #include "serve/ziggy_server.h"
 #include "zig/component_builder.h"
 
@@ -158,23 +158,39 @@ TEST(PatchRuleTest, MaxPatchDeltaIsHalfTheSelection) {
 // From `id < 300`, the query `id < 300 + k` is k rows away and selects
 // 300 + k rows: k = 300 is exactly |S| / 2 (patch), k = 301 is |S| / 2 + 1
 // (scan).
-TEST(PatchRuleTest, PreparerPatchesUpToHalfTheSelection) {
+TEST(PatchRuleTest, EnginePatchesUpToHalfTheSelectionAndMatchesAScan) {
   const Table table = MakeIdTable();
-  const TableProfile profile = TableProfile::Compute(table).ValueOrDie();
-  const Selection base = RowsBelow(kBase, kTableRows);
   for (const size_t k : {kBase, kBase + 1}) {
-    Preparer prep(&table, &profile, ComponentBuildOptions{});
-    ASSERT_TRUE(prep.Prepare(base).ok());
-    const Selection wanted = RowsBelow(kBase + k, kTableRows);
-    const ComponentTable prepared = prep.Prepare(wanted).ValueOrDie();
-    if (k == kBase) {
-      EXPECT_EQ(prep.last_strategy(), Preparer::Strategy::kIncremental) << k;
-      EXPECT_EQ(prep.last_delta_rows(), k);
-      ExpectSameComponents(
-          prepared, BuildComponents(table, profile, wanted).ValueOrDie());
-    } else {
-      EXPECT_EQ(prep.last_strategy(), Preparer::Strategy::kFullScan) << k;
-      EXPECT_EQ(prep.last_delta_rows(), 0u);
+    ZiggyEngine engine = ZiggyEngine::Create(table).ValueOrDie();
+    ASSERT_EQ(engine.CharacterizeQuery("id < " + std::to_string(kBase))
+                  .ValueOrDie()
+                  .sketch_source,
+              SketchSource::kServerScan);
+    const std::string query = "id < " + std::to_string(kBase + k);
+    const Characterization second =
+        engine.CharacterizeQuery(query).ValueOrDie();
+    if (k == kBase + 1) {
+      EXPECT_EQ(second.sketch_source, SketchSource::kServerScan) << k;
+      EXPECT_EQ(second.delta_rows, 0u);
+      continue;
+    }
+    ASSERT_EQ(second.sketch_source, SketchSource::kCachePatched) << k;
+    EXPECT_EQ(second.delta_rows, k);
+
+    // Against a fresh engine, whose first read scans.
+    ZiggyEngine fresh = ZiggyEngine::Create(table).ValueOrDie();
+    const Characterization scanned =
+        fresh.CharacterizeQuery(query).ValueOrDie();
+    ASSERT_EQ(scanned.sketch_source, SketchSource::kServerScan);
+    EXPECT_EQ(second.inside_count, scanned.inside_count);
+    EXPECT_EQ(second.num_candidates, scanned.num_candidates);
+    ASSERT_EQ(second.views.size(), scanned.views.size());
+    ASSERT_GT(scanned.views.size(), 0u);
+    for (size_t i = 0; i < scanned.views.size(); ++i) {
+      EXPECT_EQ(second.views[i].view.columns, scanned.views[i].view.columns);
+      EXPECT_NEAR(second.views[i].view.score.total,
+                  scanned.views[i].view.score.total, 1e-7)
+          << i;
     }
   }
 }

@@ -1,6 +1,7 @@
 // Unit tests for the zig core: TableProfile, component builder,
 // ComponentTable, Zig-Dissimilarity. Includes the key shared-computation
-// property: kSharedSketch and kTwoScan preparation agree.
+// property: the shared one-scan preparation agrees with the two-scan
+// reference.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +9,7 @@
 #include <cstring>
 
 #include "common/random.h"
+#include "two_scan_reference.h"
 #include "zig/component_builder.h"
 #include "zig/dissimilarity.h"
 #include "zig/profile.h"
@@ -279,12 +281,9 @@ TEST(ComponentBuilderTest, DetectsPlantedFrequencyShift) {
 TEST(ComponentBuilderTest, SharedSketchEqualsTwoScan) {
   Fixture fx = MakeFixture();
   TableProfile p = TableProfile::Compute(fx.table).ValueOrDie();
-  ComponentBuildOptions shared;
-  shared.mode = PreparationMode::kSharedSketch;
-  ComponentBuildOptions naive;
-  naive.mode = PreparationMode::kTwoScan;
-  ComponentTable a = BuildComponents(fx.table, p, fx.selection, shared).ValueOrDie();
-  ComponentTable b = BuildComponents(fx.table, p, fx.selection, naive).ValueOrDie();
+  ComponentTable a = BuildComponents(fx.table, p, fx.selection).ValueOrDie();
+  ComponentTable b =
+      BuildComponentsTwoScan(fx.table, p, fx.selection).ValueOrDie();
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     const ZigComponent& ca = a.components()[i];
@@ -457,12 +456,8 @@ TEST_P(PreparationEquivalence, AgreesForSelectionFraction) {
   }
   if (sel.Count() == 0 || sel.Count() == fx.table.num_rows()) GTEST_SKIP();
   TableProfile p = TableProfile::Compute(fx.table).ValueOrDie();
-  ComponentBuildOptions shared;
-  shared.mode = PreparationMode::kSharedSketch;
-  ComponentBuildOptions naive;
-  naive.mode = PreparationMode::kTwoScan;
-  ComponentTable a = BuildComponents(fx.table, p, sel, shared).ValueOrDie();
-  ComponentTable b = BuildComponents(fx.table, p, sel, naive).ValueOrDie();
+  ComponentTable a = BuildComponents(fx.table, p, sel).ValueOrDie();
+  ComponentTable b = BuildComponentsTwoScan(fx.table, p, sel).ValueOrDie();
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_NEAR(a.components()[i].effect.value, b.components()[i].effect.value, 1e-6);

@@ -11,7 +11,6 @@
 //         --tightness <t>       MIN_tight in [0,1]         (default 0.4)
 //         --max-views <k>       number of views             (default 10)
 //         --max-view-size <d>   columns per view            (default 4)
-//         --two-scan            disable shared-sketch preparation
 //         --threads <n>         scan/profile threads (default 0: one per
 //                               64 Ki cells, at most one per core)
 //
@@ -95,8 +94,7 @@ int Usage() {
   std::cerr << "usage:\n"
             << "  ziggy_cli profile <data.csv> <profile.bin>\n"
             << "  ziggy_cli views <data.csv> \"<query>\" [--json] [--tightness t]\n"
-            << "            [--max-views k] [--max-view-size d] [--two-scan]\n"
-            << "            [--threads n]\n"
+            << "            [--max-views k] [--max-view-size d] [--threads n]\n"
             << "  ziggy_cli dendrogram <data.csv>\n"
             << "  ziggy_cli demo <boxoffice|crime|oecd>\n"
             << "  ziggy_cli import <data.csv> <store-dir> <name> "
@@ -150,8 +148,6 @@ int RunViews(int argc, char** argv) {
       double v = 0;
       if (!next_double(&v) || v < 1) return Usage();
       options.search.max_view_size = static_cast<size_t>(v);
-    } else if (arg == "--two-scan") {
-      options.build.mode = PreparationMode::kTwoScan;
     } else if (arg == "--threads") {
       double v = 0;
       if (!next_double(&v) || v < 0) return Usage();
