@@ -13,6 +13,7 @@
 #include "data/synthetic.h"
 #include "engine/ziggy_engine.h"
 #include "query/parser.h"
+#include "two_scan_reference.h"
 #include "zig/component_builder.h"
 
 using namespace ziggy;

@@ -12,6 +12,7 @@
 #include "bench_util.h"
 #include "data/synthetic.h"
 #include "query/parser.h"
+#include "two_scan_reference.h"
 #include "zig/component_builder.h"
 
 using namespace ziggy;

@@ -20,6 +20,7 @@
 #include "data/synthetic.h"
 #include "query/parser.h"
 #include "storage/csv.h"
+#include "two_scan_reference.h"
 #include "views/clustering.h"
 #include "views/view_search.h"
 #include "zig/component_builder.h"
@@ -131,7 +132,7 @@ void BM_BuildComponentsTwoScan(benchmark::State& state) {
   TableProfile profile = TableProfile::Compute(ds.table).ValueOrDie();
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        bench::BuildComponentsTwoScan(ds.table, profile, ds.planted)
+        BuildComponentsTwoScan(ds.table, profile, ds.planted)
             .ValueOrDie());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));

@@ -366,7 +366,16 @@ int main(int argc, char** argv) {
   const double p99 = serial.p99_ms;
   const ServeStats serve =
       (*daemon)->catalog().Find("box").ValueOrDie()->stats();
-  const DaemonStats dstats = (*daemon)->stats();
+  // The daemon's counters live in the catalog's metrics registry.
+  obs::MetricsRegistry* metrics = (*daemon)->catalog().metrics();
+  const auto daemon_counter = [metrics](const char* name) {
+    return static_cast<double>(metrics->CounterValue(name));
+  };
+  const double connections_accepted =
+      daemon_counter("ziggy_daemon_connections_accepted_total");
+  const double requests_handled = daemon_counter("ziggy_daemon_requests_total");
+  const double protocol_errors =
+      daemon_counter("ziggy_daemon_protocol_errors_total");
 
   bench::ResultTable out({"clients", "requests", "wall ms", "req/s", "p50 ms",
                           "p99 ms", "transport failures"});
@@ -397,7 +406,6 @@ int main(int argc, char** argv) {
     piped_summary = Summarize(piped.latencies_ms);
     piped_p50 = piped_summary.p50_ms;
     piped_p99 = piped_summary.p99_ms;
-    const DaemonStats after = (*daemon)->stats();
     bench::ResultTable pout({"pipelined conns", "depth", "requests", "wall ms",
                              "req/s", "p50 ms", "p99 ms", "failures"});
     pout.AddRow({std::to_string(pipelined_connections),
@@ -407,9 +415,12 @@ int main(int argc, char** argv) {
                  bench::Fmt(piped_p50), bench::Fmt(piped_p99),
                  std::to_string(piped.failures)});
     pout.Print();
-    std::cout << "daemon: " << after.pipelined_requests
-              << " pipelined requests, " << after.dispatch_batches
-              << " dispatch batches, " << after.reads_throttled
+    std::cout << "daemon: "
+              << metrics->CounterValue("ziggy_daemon_pipelined_requests_total")
+              << " pipelined requests, "
+              << metrics->CounterValue("ziggy_daemon_dispatch_batches_total")
+              << " dispatch batches, "
+              << metrics->CounterValue("ziggy_daemon_reads_throttled_total")
               << " reads throttled\n";
     if (p99_bound_ms > 0 &&
         piped_p99 > static_cast<double>(p99_bound_ms)) {
@@ -441,7 +452,6 @@ int main(int argc, char** argv) {
     // Server-side span breakdown: where request time went (queue wait vs
     // handler execution vs reply flush), from the daemon's own
     // histograms.
-    obs::MetricsRegistry* metrics = (*daemon)->catalog().metrics();
     report.Set(
         "spans",
         bench::JsonValue::Object()
@@ -459,14 +469,10 @@ int main(int argc, char** argv) {
                         static_cast<double>(serve.sketch_misses)));
     report.Set("daemon",
                bench::JsonValue::Object()
-                   .Set("connections_accepted",
-                        static_cast<double>(dstats.connections_accepted))
-                   .Set("requests_handled",
-                        static_cast<double>(dstats.requests_handled))
-                   .Set("protocol_errors",
-                        static_cast<double>(dstats.protocol_errors)));
+                   .Set("connections_accepted", connections_accepted)
+                   .Set("requests_handled", requests_handled)
+                   .Set("protocol_errors", protocol_errors));
     if (pipelined_connections > 0) {
-      const DaemonStats after = (*daemon)->stats();
       report.Set(
           "pipelined",
           bench::JsonValue::Object()
@@ -489,11 +495,14 @@ int main(int argc, char** argv) {
               .Set("daemon",
                    bench::JsonValue::Object()
                        .Set("pipelined_requests",
-                            static_cast<double>(after.pipelined_requests))
+                            daemon_counter(
+                                "ziggy_daemon_pipelined_requests_total"))
                        .Set("dispatch_batches",
-                            static_cast<double>(after.dispatch_batches))
+                            daemon_counter(
+                                "ziggy_daemon_dispatch_batches_total"))
                        .Set("reads_throttled",
-                            static_cast<double>(after.reads_throttled))));
+                            daemon_counter(
+                                "ziggy_daemon_reads_throttled_total"))));
     }
     if (report.WriteFile(json_path)) {
       std::cout << "wrote " << json_path << "\n";

@@ -34,20 +34,6 @@ inline double TimeMs(const std::function<void()>& fn) {
   return std::chrono::duration<double, std::milli>(t1 - t0).count();
 }
 
-/// The two-scan Preparation baseline of the ablations: the outside is
-/// scanned over the complement instead of derived as (global − inside).
-inline Result<ComponentTable> BuildComponentsTwoScan(
-    const Table& table, const TableProfile& profile, const Selection& selection,
-    const ComponentBuildOptions& options = {}) {
-  ZIGGY_RETURN_NOT_OK(ValidateCharacterizationInput(table, profile, selection));
-  const SelectionSketches inside =
-      SelectionSketches::Build(table, profile, selection, options.num_threads);
-  const SelectionSketches outside = SelectionSketches::Build(
-      table, profile, selection.Invert(), options.num_threads);
-  return BuildComponentsFromSketches(table, profile, selection, inside, outside,
-                                     options);
-}
-
 /// Simple aligned-column table writer for paper-style result rows.
 class ResultTable {
  public:

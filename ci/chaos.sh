@@ -112,6 +112,13 @@ done
 }
 grep -q '"retry_after_ms":' "$WORK/health.txt"
 echo "degraded latch tripped: $(cat "$WORK/health.txt")"
+# HEALTH renders from the registry: the latch's gauge reads 1 in METRICS
+# (the fault budget keeps the store failing well past this scrape).
+printf 'metrics json\n' | cli > "$WORK/metrics_degraded.txt"
+grep -q '"ziggy_flusher_degraded":1' "$WORK/metrics_degraded.txt" || {
+  echo "degraded gauge does not read 1 while HEALTH says degraded:"
+  cat "$WORK/metrics_degraded.txt"; exit 1
+}
 
 # Writes are refused with Unavailable (a delivered ERR, not a hangup) ...
 printf 'append mut demo://boxoffice?seed=23\n' | cli > "$WORK/append_degraded.txt"
@@ -134,6 +141,11 @@ done
   echo "degraded mode never auto-cleared:"; cat "$WORK/health2.txt"; exit 1
 }
 echo "auto-healed: $(cat "$WORK/health2.txt")"
+printf 'metrics json\n' | cli > "$WORK/metrics_healed.txt"
+grep -q '"ziggy_flusher_degraded":0' "$WORK/metrics_healed.txt" || {
+  echo "degraded gauge does not read 0 after the heal:"
+  cat "$WORK/metrics_healed.txt"; exit 1
+}
 
 printf 'append mut demo://boxoffice?seed=23\nsave mut\n' | cli > "$WORK/append2.txt"
 grep -q '"appended_rows":900' "$WORK/append2.txt" || {

@@ -53,7 +53,8 @@ fi
 # (counted before it renders). ziggy_daemon_requests_total only counts
 # requests that reached a handler, so it excludes both. The one OPEN is
 # cold (no store attached): one source load, one profile build and one
-# column dendrogram, no store load.
+# column dendrogram, no store load. The catalog's own counters see the
+# one OPEN and the one CLOSE.
 for want in \
   'ziggy_open_csv_parse_us_count 1' \
   'ziggy_open_profile_us_count 1' \
@@ -66,7 +67,9 @@ for want in \
   'ziggy_requests_total{verb="QUIT"} 1' \
   'ziggy_requests_total{verb="METRICS"} 1' \
   'ziggy_daemon_protocol_errors_total 1' \
-  'ziggy_daemon_requests_total 5'; do
+  'ziggy_daemon_requests_total 5' \
+  'ziggy_catalog_tables_opened_total 1' \
+  'ziggy_catalog_tables_closed_total 1'; do
   grep -qF "$want" "$ART/metrics.prom" || {
     echo "metrics.prom missing expected sample: $want"
     cat "$ART/metrics.prom"

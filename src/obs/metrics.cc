@@ -6,6 +6,8 @@
 #include <chrono>
 #include <thread>
 
+#include "common/json_escape.h"
+
 namespace ziggy {
 namespace obs {
 
@@ -33,18 +35,6 @@ class SteadyClock : public Clock {
             .count());
   }
 };
-
-// JSON string escaping for metric names (quotes and backslashes from
-// embedded label syntax). Values are numeric and need no escaping.
-std::string EscapeJsonKey(const std::string& name) {
-  std::string out;
-  out.reserve(name.size() + 2);
-  for (char c : name) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
 
 // Splits `name` into the Prometheus family ("ziggy_request_us") and
 // its label set without braces ("verb=\"OPEN\"", possibly empty).
@@ -203,6 +193,18 @@ Histogram* MetricsRegistry::histogram(const std::string& name) {
   return slot.get();
 }
 
+uint64_t MetricsRegistry::CounterValue(const std::string& name) const {
+  MutexLock lock(mu_);
+  const auto it = counters_.find(name);
+  return it == counters_.end() ? 0 : it->second->value();
+}
+
+int64_t MetricsRegistry::GaugeValue(const std::string& name) const {
+  MutexLock lock(mu_);
+  const auto it = gauges_.find(name);
+  return it == gauges_.end() ? 0 : it->second->value();
+}
+
 std::string MetricsRegistry::RenderJson() const {
   MutexLock lock(mu_);
   std::string out = "{\"counters\":{";
@@ -210,14 +212,14 @@ std::string MetricsRegistry::RenderJson() const {
   for (const auto& [name, counter] : counters_) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + EscapeJsonKey(name) + "\":" + std::to_string(counter->value());
+    out += "\"" + JsonEscape(name) + "\":" + std::to_string(counter->value());
   }
   out += "},\"gauges\":{";
   first = true;
   for (const auto& [name, gauge] : gauges_) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + EscapeJsonKey(name) + "\":" + std::to_string(gauge->value());
+    out += "\"" + JsonEscape(name) + "\":" + std::to_string(gauge->value());
   }
   out += "},\"histograms\":{";
   first = true;
@@ -225,7 +227,7 @@ std::string MetricsRegistry::RenderJson() const {
     if (!first) out += ",";
     first = false;
     const Histogram::Snapshot snap = histogram->TakeSnapshot();
-    out += "\"" + EscapeJsonKey(name) + "\":{";
+    out += "\"" + JsonEscape(name) + "\":{";
     out += "\"count\":" + std::to_string(snap.count);
     out += ",\"sum\":" + std::to_string(snap.sum);
     out += ",\"min\":" + std::to_string(snap.min);

@@ -208,6 +208,11 @@ class MetricsRegistry {
   Gauge* gauge(const std::string& name);
   Histogram* histogram(const std::string& name);
 
+  /// Current value of the named counter / gauge, or 0 when the registry
+  /// holds no such series (a read never creates one).
+  uint64_t CounterValue(const std::string& name) const;
+  int64_t GaugeValue(const std::string& name) const;
+
   /// Single-line JSON object:
   ///   {"counters":{...},"gauges":{...},
   ///    "histograms":{"name":{"count":..,"sum":..,"min":..,"max":..,

@@ -17,6 +17,13 @@ ServerCatalog::ServerCatalog(CatalogOptions options)
                    : std::make_shared<obs::MetricsRegistry>()) {
   store_save_us_ = metrics_->histogram("ziggy_store_save_us");
   store_load_us_ = metrics_->histogram("ziggy_store_load_us");
+  tables_opened_ = metrics_->counter("ziggy_catalog_tables_opened_total");
+  tables_closed_ = metrics_->counter("ziggy_catalog_tables_closed_total");
+  store_opens_ = metrics_->counter("ziggy_store_opens_total");
+  store_saves_ = metrics_->counter("ziggy_store_saves_total");
+  flush_cycles_ = metrics_->counter("ziggy_flusher_cycles_total");
+  flushed_tables_ = metrics_->counter("ziggy_flusher_flushed_tables_total");
+  flush_failures_ = metrics_->counter("ziggy_flusher_failures_total");
   // The OPEN spans are recorded by LoadTableFromSource and
   // ZiggyServer::Create / CreateFromState; registering them here lists
   // all four OPEN spans in METRICS from boot.
@@ -60,7 +67,7 @@ Status ServerCatalog::Publish(const std::string& name,
   tables_.push_back(Served{name, std::move(server), lineage});
   std::sort(tables_.begin(), tables_.end(),
             [](const Served& a, const Served& b) { return a.name < b.name; });
-  ++tables_opened_;
+  tables_opened_->Add();
   return Status::OK();
 }
 
@@ -157,7 +164,7 @@ Result<std::shared_ptr<ZiggyServer>> ServerCatalog::OpenFromStore(
                                    DerivedServeOptions()));
   std::shared_ptr<ZiggyServer> shared = std::move(server);
   ZIGGY_RETURN_NOT_OK(Publish(name, shared, lineage));
-  store_opens_.fetch_add(1, std::memory_order_relaxed);
+  store_opens_->Add();
   return shared;
 }
 
@@ -183,12 +190,16 @@ Result<uint64_t> ServerCatalog::SaveServerToStore(const std::string& name,
                                           state->generation(), *state->profile,
                                           lineage));
   }
-  store_saves_.fetch_add(1, std::memory_order_relaxed);
+  store_saves_->Add();
   return state->generation();
 }
 
 Status ServerCatalog::DegradedError() const {
-  uint64_t retry_after_ms = Health().retry_after_ms;
+  uint64_t retry_after_ms = 0;
+  {
+    MutexLock lock(flush_mu_);
+    retry_after_ms = RetryAfterMs();
+  }
   if (retry_after_ms == 0) retry_after_ms = EffectiveBackoffInitialMs();
   return Status::Unavailable(
       "store degraded (" +
@@ -268,7 +279,7 @@ void ServerCatalog::NoteStoreSuccess(const std::string& name) {
 
 void ServerCatalog::NoteStoreFailure(const std::string& name,
                                      uint64_t generation, bool requeue) {
-  flush_failures_.fetch_add(1, std::memory_order_relaxed);
+  flush_failures_->Add();
   const uint64_t consecutive =
       consecutive_store_failures_.fetch_add(1, std::memory_order_relaxed) + 1;
   if (options_.degraded_after_failures > 0 &&
@@ -304,7 +315,7 @@ size_t ServerCatalog::FlushDirty(std::map<std::string, uint64_t> batch,
                           /*only_if_newer=*/true);
     if (saved.ok()) {
       ++flushed;
-      flushed_tables_.fetch_add(1, std::memory_order_relaxed);
+      flushed_tables_->Add();
       NoteStoreSuccess(name);
     } else {
       NoteStoreFailure(name, generation, requeue_failures);
@@ -362,7 +373,7 @@ void ServerCatalog::FlusherLoop() {
     if (probe) {
       ProbeStore();
     } else {
-      flush_cycles_.fetch_add(1, std::memory_order_relaxed);
+      flush_cycles_->Add();
       FlushDirty(std::move(batch), /*requeue_failures=*/true);
     }
     lock.Lock();
@@ -508,7 +519,7 @@ Status ServerCatalog::Close(const std::string& name) {
       retired_cache_evictions_.fetch_add(cache.evictions,
                                          std::memory_order_relaxed);
       tables_.erase(it);
-      ++tables_closed_;
+      tables_closed_->Add();
       return Status::OK();
     }
   }
@@ -532,84 +543,19 @@ std::vector<CatalogTableInfo> ServerCatalog::List() const {
   return out;
 }
 
-CatalogStats ServerCatalog::stats() const {
-  CatalogStats st;
-  {
-    MutexLock lock(mu_);
-    st.tables = tables_.size();
-    st.tables_opened = tables_opened_;
-    st.tables_closed = tables_closed_;
-  }
-  st.shared_budget_total_bytes = shared_budget_->total_bytes();
-  st.shared_budget_used_bytes = shared_budget_->used_bytes();
-  st.worker_pool_threads = SharedWorkerPool().num_threads();
-  if (store_ != nullptr) {
-    st.store_attached = true;
-    st.store_tables = store_->List().size();
-    st.store_opens = store_opens_.load(std::memory_order_relaxed);
-    st.store_saves = store_saves_.load(std::memory_order_relaxed);
-    const StoreStats store_stats = store_->stats();
-    st.store_full_checkpoints = store_stats.full_checkpoints;
-    st.store_delta_checkpoints = store_stats.delta_checkpoints;
-    st.store_compactions = store_stats.compactions;
-    st.store_checkpoint_bytes = store_stats.checkpoint_bytes;
-    st.store_checkpoint_raw_bytes = store_stats.checkpoint_raw_bytes;
-    st.store_dict_pool_files = store_stats.dict_pool_files;
-    st.store_dict_pool_bytes = store_stats.dict_pool_bytes;
-    st.store_dict_pool_shared_hits = store_stats.dict_pool_shared_hits;
-  }
-  {
-    const uint64_t now_us = metrics_->clock()->NowMicros();
-    MutexLock lock(flush_mu_);
-    st.flusher_active = flusher_.joinable() && !flusher_stop_;
-    st.dirty_tables = dirty_.size();
-    st.flush_backoff_tables = backoff_.size();
-    for (const auto& [name, entry] : dirty_) {  // map order == name order
-      const uint64_t age_ms =
-          now_us > entry.marked_us ? (now_us - entry.marked_us) / 1000 : 0;
-      st.dirty_ages.emplace_back(name, age_ms);
-      st.max_dirty_age_ms = std::max(st.max_dirty_age_ms, age_ms);
-    }
-  }
-  st.flush_cycles = flush_cycles_.load(std::memory_order_relaxed);
-  st.flushed_tables = flushed_tables_.load(std::memory_order_relaxed);
-  st.flush_failures = flush_failures_.load(std::memory_order_relaxed);
-  st.degraded = degraded_.load(std::memory_order_relaxed);
-  st.consecutive_store_failures =
-      consecutive_store_failures_.load(std::memory_order_relaxed);
-  return st;
-}
-
-CatalogHealth ServerCatalog::Health() const {
-  CatalogHealth health;
-  health.degraded = degraded_.load(std::memory_order_relaxed);
-  health.consecutive_failures =
-      consecutive_store_failures_.load(std::memory_order_relaxed);
-  health.tables = num_tables();
+uint64_t ServerCatalog::RetryAfterMs() const {
+  if (!degraded_.load(std::memory_order_relaxed)) return 0;
+  // When is the next save attempt (per-table retry or store probe) due?
+  // Before that, a retried write is guaranteed another Unavailable.
   const auto now = std::chrono::steady_clock::now();
-  const uint64_t now_us = metrics_->clock()->NowMicros();
-  MutexLock lock(flush_mu_);
-  health.dirty_tables = dirty_.size();
-  health.backoff_tables = backoff_.size();
-  for (const auto& [name, entry] : dirty_) {
-    const uint64_t lag_ms =
-        now_us > entry.marked_us ? (now_us - entry.marked_us) / 1000 : 0;
-    health.flush_lag_ms = std::max(health.flush_lag_ms, lag_ms);
+  auto soonest = probe_backoff_.next_attempt;
+  for (const auto& [name, entry] : backoff_) {
+    soonest = std::min(soonest, entry.next_attempt);
   }
-  if (health.degraded) {
-    // When is the next save attempt (per-table retry or store probe) due?
-    // Before that, a retried write is guaranteed another Unavailable.
-    auto soonest = probe_backoff_.next_attempt;
-    for (const auto& [name, entry] : backoff_) {
-      soonest = std::min(soonest, entry.next_attempt);
-    }
-    const auto wait = std::chrono::duration_cast<std::chrono::milliseconds>(
-                          soonest - now)
-                          .count();
-    health.retry_after_ms =
-        wait > 0 ? static_cast<uint64_t>(wait) : EffectiveBackoffInitialMs();
-  }
-  return health;
+  const auto wait =
+      std::chrono::duration_cast<std::chrono::milliseconds>(soonest - now)
+          .count();
+  return wait > 0 ? static_cast<uint64_t>(wait) : EffectiveBackoffInitialMs();
 }
 
 size_t ServerCatalog::num_tables() const {
@@ -634,48 +580,76 @@ ServerCatalog::SketchCacheTotals ServerCatalog::CacheTotals() const {
   return totals;
 }
 
-void ServerCatalog::RefreshMetrics() {
-  metrics_->gauge("ziggy_catalog_tables")
-      ->Set(static_cast<int64_t>(num_tables()));
-  obs::RefreshProcessGauges(metrics_.get());
-  // The registry's counters mirror the cache totals via AdvanceTo: a
-  // racing Close could momentarily make the recomputed total dip (the
-  // retiring server's in-flight counts move between buckets), and
-  // AdvanceTo guarantees the published series still never decreases.
+std::vector<std::pair<std::string, uint64_t>>
+ServerCatalog::RefreshMetrics() {
+  obs::MetricsRegistry* m = metrics_.get();
+  const auto set = [m](const std::string& name, uint64_t value) {
+    m->gauge(name)->Set(static_cast<int64_t>(value));
+  };
+  obs::RefreshProcessGauges(m);
+  set("ziggy_catalog_tables", num_tables());
+  set("ziggy_catalog_shared_budget_total_bytes", shared_budget_->total_bytes());
+  set("ziggy_catalog_shared_budget_used_bytes", shared_budget_->used_bytes());
+  set("ziggy_catalog_worker_pool_threads", SharedWorkerPool().num_threads());
+  StoreStats store;
+  size_t store_tables = 0;
+  if (store_ != nullptr) {
+    store = store_->stats();
+    store_tables = store_->List().size();
+  }
+  set("ziggy_store_attached", store_ != nullptr ? 1 : 0);
+  set("ziggy_store_tables", store_tables);
+  set("ziggy_store_full_checkpoints", store.full_checkpoints);
+  set("ziggy_store_delta_checkpoints", store.delta_checkpoints);
+  set("ziggy_store_compactions", store.compactions);
+  set("ziggy_store_checkpoint_bytes", store.checkpoint_bytes);
+  set("ziggy_store_checkpoint_raw_bytes", store.checkpoint_raw_bytes);
+  set("ziggy_store_dict_pool_files", store.dict_pool_files);
+  set("ziggy_store_dict_pool_bytes", store.dict_pool_bytes);
+  set("ziggy_store_dict_pool_shared_hits", store.dict_pool_shared_hits);
+  // Summed under mu_, so computed before flush_mu_ (the two never nest).
   const SketchCacheTotals totals = CacheTotals();
-  metrics_->counter("ziggy_sketch_cache_hits_total")->AdvanceTo(totals.hits);
-  metrics_->counter("ziggy_sketch_cache_misses_total")
-      ->AdvanceTo(totals.misses);
-  metrics_->counter("ziggy_sketch_cache_insertions_total")
-      ->AdvanceTo(totals.insertions);
-  metrics_->counter("ziggy_sketch_cache_evictions_total")
-      ->AdvanceTo(totals.evictions);
 
-  const uint64_t now_us = metrics_->clock()->NowMicros();
+  const uint64_t now_us = m->clock()->NowMicros();
+  std::vector<std::pair<std::string, uint64_t>> dirty;
   MutexLock lock(flush_mu_);
-  metrics_->gauge("ziggy_flusher_queue_depth")
-      ->Set(static_cast<int64_t>(dirty_.size()));
+  // The registry's counters mirror the cache totals via AdvanceTo: a
+  // racing Close could momentarily make the recomputed total dip, and
+  // AdvanceTo keeps the published series from decreasing. flush_mu_
+  // serializes the carries of concurrent refreshes.
+  m->counter("ziggy_sketch_cache_hits_total")->AdvanceTo(totals.hits);
+  m->counter("ziggy_sketch_cache_misses_total")->AdvanceTo(totals.misses);
+  m->counter("ziggy_sketch_cache_insertions_total")
+      ->AdvanceTo(totals.insertions);
+  m->counter("ziggy_sketch_cache_evictions_total")
+      ->AdvanceTo(totals.evictions);
+  set("ziggy_flusher_active", flusher_.joinable() && !flusher_stop_ ? 1 : 0);
+  set("ziggy_flusher_queue_depth", dirty_.size());
+  set("ziggy_flusher_backoff_tables", backoff_.size());
+  set("ziggy_flusher_degraded", degraded_.load(std::memory_order_relaxed));
+  set("ziggy_flusher_consecutive_failures",
+      consecutive_store_failures_.load(std::memory_order_relaxed));
+  set("ziggy_flusher_retry_after_ms", RetryAfterMs());
   uint64_t max_age_ms = 0;
   std::set<std::string> still_dirty;
-  for (const auto& [name, entry] : dirty_) {
+  for (const auto& [name, entry] : dirty_) {  // map order == name order
     const uint64_t age_ms =
         now_us > entry.marked_us ? (now_us - entry.marked_us) / 1000 : 0;
     max_age_ms = std::max(max_age_ms, age_ms);
-    metrics_->gauge("ziggy_table_dirty_age_ms{table=\"" + name + "\"}")
-        ->Set(static_cast<int64_t>(age_ms));
+    set("ziggy_table_dirty_age_ms{table=\"" + name + "\"}", age_ms);
     still_dirty.insert(name);
+    dirty.emplace_back(name, age_ms);
   }
-  metrics_->gauge("ziggy_flusher_max_dirty_age_ms")
-      ->Set(static_cast<int64_t>(max_age_ms));
+  set("ziggy_flusher_max_dirty_age_ms", max_age_ms);
   // Zero the gauge of any table that flushed clean since the last
   // refresh — a stale age would read as a stuck flusher.
   for (const std::string& name : dirty_gauge_tables_) {
     if (still_dirty.count(name) == 0) {
-      metrics_->gauge("ziggy_table_dirty_age_ms{table=\"" + name + "\"}")
-          ->Set(0);
+      set("ziggy_table_dirty_age_ms{table=\"" + name + "\"}", 0);
     }
   }
   dirty_gauge_tables_ = std::move(still_dirty);
+  return dirty;
 }
 
 }  // namespace ziggy

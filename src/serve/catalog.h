@@ -116,63 +116,6 @@ struct TableSaveResult {
   Status status;
 };
 
-/// \brief Catalog-wide counters.
-struct CatalogStats {
-  size_t tables = 0;
-  uint64_t tables_opened = 0;
-  uint64_t tables_closed = 0;
-  size_t shared_budget_total_bytes = 0;
-  size_t shared_budget_used_bytes = 0;
-  size_t worker_pool_threads = 0;
-  /// \name Durability (zero / false without an attached store).
-  /// @{
-  bool store_attached = false;
-  size_t store_tables = 0;   ///< checkpoints in the store
-  uint64_t store_opens = 0;  ///< tables served from a checkpoint (warm)
-  uint64_t store_saves = 0;  ///< checkpoints written
-  uint64_t store_full_checkpoints = 0;   ///< full base snapshots
-  uint64_t store_delta_checkpoints = 0;  ///< O(delta) segments
-  uint64_t store_compactions = 0;        ///< chain-limit base rewrites
-  uint64_t store_checkpoint_bytes = 0;   ///< table-data bytes written
-  /// What store_checkpoint_bytes would have been in the raw v1 encoding
-  /// (the pair is the store's measured compression ratio).
-  uint64_t store_checkpoint_raw_bytes = 0;
-  uint64_t store_dict_pool_files = 0;  ///< shared dictionary pool gauges
-  uint64_t store_dict_pool_bytes = 0;
-  uint64_t store_dict_pool_shared_hits = 0;
-  /// @}
-  /// \name Background flusher (all zero when flush_interval_ms == 0).
-  /// @{
-  bool flusher_active = false;
-  size_t dirty_tables = 0;        ///< awaiting their next flush
-  uint64_t flush_cycles = 0;      ///< flusher wake-ups that found work
-  uint64_t flushed_tables = 0;    ///< successful background checkpoints
-  uint64_t flush_failures = 0;    ///< failed attempts (retried with backoff)
-  size_t flush_backoff_tables = 0;  ///< tables waiting out a retry delay
-  bool degraded = false;            ///< read-only mode (store failing)
-  uint64_t consecutive_store_failures = 0;
-  /// Age of the oldest dirty mark (0 when nothing is dirty) and one
-  /// (name, age_ms) row per dirty table, in name order — the flusher-lag
-  /// surface ROADMAP direction 4 schedules from.
-  uint64_t max_dirty_age_ms = 0;
-  std::vector<std::pair<std::string, uint64_t>> dirty_ages;
-  /// @}
-};
-
-/// \brief The HEALTH probe's view of the catalog.
-struct CatalogHealth {
-  bool degraded = false;
-  size_t tables = 0;
-  size_t dirty_tables = 0;
-  size_t backoff_tables = 0;
-  uint64_t consecutive_failures = 0;
-  /// Age of the oldest un-flushed dirty mark (0 when nothing is dirty).
-  uint64_t flush_lag_ms = 0;
-  /// While degraded: when the next store probe is due (a client retrying
-  /// a write sooner than this is guaranteed another Unavailable).
-  uint64_t retry_after_ms = 0;
-};
-
 /// \brief Thread-safe name -> ZiggyServer map with shared resources.
 class ServerCatalog {
  public:
@@ -249,9 +192,11 @@ class ServerCatalog {
   /// Every served table, sorted by name (deterministic LIST output).
   std::vector<CatalogTableInfo> List() const;
 
-  CatalogStats stats() const;
-  CatalogHealth Health() const;
   size_t num_tables() const;
+
+  /// True while the catalog is in degraded read-only mode (the store is
+  /// failing; writes are refused with a retry-after hint).
+  bool degraded() const { return degraded_.load(std::memory_order_relaxed); }
 
   const std::shared_ptr<CacheBudget>& shared_budget() const {
     return shared_budget_;
@@ -261,12 +206,14 @@ class ServerCatalog {
   /// catalog's lifetime; shared with every opened server.
   obs::MetricsRegistry* metrics() const { return metrics_.get(); }
 
-  /// Re-computes the registry's catalog-level gauges (table count,
-  /// dirty-queue depth, per-table dirty ages) and the process gauges
-  /// (obs::RefreshProcessGauges), and carries the
-  /// sketch-cache counters forward (see SketchCacheTotals). Called by
-  /// the METRICS verb before rendering; cheap enough to call per poll.
-  void RefreshMetrics();
+  /// The one pass that writes the catalog's control state (tables,
+  /// budget, pool, StoreStats, dirty/backoff maps, degraded latch,
+  /// retry-after, per-table dirty ages) and the process gauges to the
+  /// registry, and carries the sketch-cache counters forward (see
+  /// SketchCacheTotals). STATS, HEALTH and METRICS run it first. Returns
+  /// the (table, age_ms) row of each dirty table, in name order: dirty
+  /// membership cannot be read off a gauge (a fresh mark has age 0).
+  std::vector<std::pair<std::string, uint64_t>> RefreshMetrics();
 
   /// \brief Catalog-lifetime sketch-cache counters: live servers summed
   /// plus every server retired by Close (or replaced by a re-OPEN).
@@ -322,6 +269,10 @@ class ServerCatalog {
   /// success; with no tables at all the mode clears trivially).
   void ProbeStore();
   size_t EffectiveBackoffInitialMs() const;
+  /// While degraded: when the next save attempt (per-table retry or
+  /// store probe) is due, in ms from now — a client retrying a write
+  /// sooner is guaranteed another Unavailable. 0 when not degraded.
+  uint64_t RetryAfterMs() const ZIGGY_REQUIRES(flush_mu_);
   Status DegradedError() const;
 
   CatalogOptions options_;
@@ -329,6 +280,14 @@ class ServerCatalog {
   std::shared_ptr<obs::MetricsRegistry> metrics_;
   obs::Histogram* store_save_us_ = nullptr;
   obs::Histogram* store_load_us_ = nullptr;
+  // Registry counters (their only store), resolved in the constructor.
+  obs::Counter* tables_opened_ = nullptr;
+  obs::Counter* tables_closed_ = nullptr;
+  obs::Counter* store_opens_ = nullptr;
+  obs::Counter* store_saves_ = nullptr;
+  obs::Counter* flush_cycles_ = nullptr;
+  obs::Counter* flushed_tables_ = nullptr;
+  obs::Counter* flush_failures_ = nullptr;
   std::unique_ptr<ZiggyStore> store_;
 
   /// Sketch-cache counters folded in from servers that left the catalog
@@ -344,18 +303,14 @@ class ServerCatalog {
   mutable Mutex mu_{LockRank::kCatalog, "catalog.mu_"};
   std::vector<Served> tables_ ZIGGY_GUARDED_BY(mu_);
   std::set<std::string> persist_tables_ ZIGGY_GUARDED_BY(mu_);
-  uint64_t tables_opened_ ZIGGY_GUARDED_BY(mu_) = 0;
-  uint64_t tables_closed_ ZIGGY_GUARDED_BY(mu_) = 0;
   std::atomic<uint64_t> next_lineage_{1};
-  std::atomic<uint64_t> store_opens_{0};
-  std::atomic<uint64_t> store_saves_{0};
 
   /// \name Flusher state.
   /// @{
   struct DirtyEntry {
     uint64_t generation = 0;
     /// When the table FIRST went dirty (survives generation bumps), so
-    /// Health() can report how far durability is lagging. Read off the
+    /// HEALTH can report how far durability is lagging. Read off the
     /// registry clock, so tests age dirty tables with a FakeClock.
     uint64_t marked_us = 0;
   };
@@ -378,9 +333,6 @@ class ServerCatalog {
   std::set<std::string> dirty_gauge_tables_ ZIGGY_GUARDED_BY(flush_mu_);
   bool flusher_stop_ ZIGGY_GUARDED_BY(flush_mu_) = false;
   std::thread flusher_;
-  std::atomic<uint64_t> flush_cycles_{0};
-  std::atomic<uint64_t> flushed_tables_{0};
-  std::atomic<uint64_t> flush_failures_{0};
   std::atomic<uint64_t> consecutive_store_failures_{0};
   std::atomic<bool> degraded_{false};
   /// @}

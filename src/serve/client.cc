@@ -12,7 +12,7 @@
 #include <thread>
 #include <utility>
 
-#include "engine/json.h"
+#include "common/json_escape.h"
 #include "serve/wire_io.h"
 
 namespace ziggy {

@@ -12,7 +12,6 @@
 #include <chrono>
 #include <cstring>
 #include <optional>
-#include <sstream>
 
 #include "common/logging.h"
 #include "obs/trace.h"
@@ -343,8 +342,6 @@ void ZiggyDaemon::HandleAccept() {
         std::make_shared<Connection>(&catalog_, options_.max_line_bytes);
     connection->fd = fd;
     connection->last_activity = std::chrono::steady_clock::now();
-    connection->handler.set_connection_stats_json(
-        [this] { return ConnectionStatsJson(); });
     connection->handler.set_metrics_refresh([this] { RefreshMetrics(); });
     connection->handler.set_wire_limits(
         WireLimits{options_.max_line_bytes, options_.max_pipeline});
@@ -745,8 +742,8 @@ void ZiggyDaemon::DispatchThread() {
 }
 
 void ZiggyDaemon::RefreshMetrics() {
-  // Cold path: runs once per METRICS request, so registry lookups under
-  // its mutex are fine here.
+  // Cold path: runs once per STATS / HEALTH / METRICS request, so
+  // registry lookups under its mutex are fine here.
   obs::MetricsRegistry* metrics = catalog_.metrics();
   size_t live = 0;
   size_t queued = 0;
@@ -764,43 +761,6 @@ void ZiggyDaemon::RefreshMetrics() {
       ->Set(static_cast<int64_t>(queued));
   // Catalog-level gauges are refreshed by the handler itself (it works
   // the same without a daemon around it), so only daemon state lives here.
-}
-
-std::string ZiggyDaemon::ConnectionStatsJson() const {
-  const DaemonStats st = stats();
-  std::ostringstream os;
-  os << "{\"accepted\":" << st.connections_accepted
-     << ",\"rejected\":" << st.connections_rejected
-     << ",\"timed_out\":" << st.connections_timed_out
-     << ",\"live\":" << st.live_connections
-     << ",\"accept_retries\":" << st.accept_retries
-     << ",\"requests\":" << st.requests_handled
-     << ",\"protocol_errors\":" << st.protocol_errors
-     << ",\"reads_throttled\":" << st.reads_throttled
-     << ",\"pipelined_requests\":" << st.pipelined_requests
-     << ",\"dispatch_batches\":" << st.dispatch_batches << "}";
-  return os.str();
-}
-
-DaemonStats ZiggyDaemon::stats() const {
-  DaemonStats st;
-  st.connections_accepted =
-      connections_accepted_->value();
-  st.connections_rejected =
-      connections_rejected_->value();
-  st.connections_timed_out =
-      connections_timed_out_->value();
-  st.requests_handled = requests_handled_->value();
-  st.protocol_errors = protocol_errors_->value();
-  st.accept_retries = accept_retries_->value();
-  st.reads_throttled = reads_throttled_->value();
-  st.pipelined_requests = pipelined_requests_->value();
-  st.dispatch_batches = dispatch_batches_->value();
-  {
-    MutexLock lock(connections_mu_);
-    st.live_connections = connections_.size();
-  }
-  return st;
 }
 
 }  // namespace ziggy

@@ -96,28 +96,6 @@ struct DaemonOptions {
   CatalogOptions catalog;
 };
 
-/// \brief Daemon counters.
-struct DaemonStats {
-  uint64_t connections_accepted = 0;
-  uint64_t connections_rejected = 0;
-  uint64_t connections_timed_out = 0;
-  uint64_t requests_handled = 0;
-  uint64_t protocol_errors = 0;
-  size_t live_connections = 0;
-  /// Transient accept(2) failures (EMFILE/ENFILE/ENOBUFS/ECONNABORTED)
-  /// survived by sleep-and-retry instead of killing the accept loop.
-  uint64_t accept_retries = 0;
-  /// Times a connection's reading was paused by backpressure (pipeline
-  /// depth or output-buffer bound).
-  uint64_t reads_throttled = 0;
-  /// Requests that arrived while earlier ones from the same connection
-  /// were still queued or executing — i.e. actual pipelining observed.
-  uint64_t pipelined_requests = 0;
-  /// Dispatch runs that executed at least one request (a run drains the
-  /// connection's whole queue, so batches < requests under pipelining).
-  uint64_t dispatch_batches = 0;
-};
-
 /// \brief The serving process: event loop + dispatch pool + catalog.
 class ZiggyDaemon {
  public:
@@ -138,8 +116,9 @@ class ZiggyDaemon {
   /// Idempotent.
   void Stop();
 
+  /// The catalog; its metrics() registry also holds the daemon's
+  /// counters (ziggy_daemon_*), which STATS and HEALTH render.
   ServerCatalog& catalog() { return catalog_; }
-  DaemonStats stats() const;
 
  private:
   /// One decoded framing event, in arrival order: a complete request
@@ -239,9 +218,9 @@ class ZiggyDaemon {
   /// Hands a connection with queued requests to the dispatch pool.
   void ScheduleDispatch(std::shared_ptr<Connection> c);
 
-  std::string ConnectionStatsJson() const;
   /// Updates the registry's daemon-level gauges (live connections,
-  /// dispatch-queue depth); run by the METRICS verb before rendering.
+  /// dispatch-queue depth); run by STATS, HEALTH and METRICS before
+  /// rendering.
   void RefreshMetrics();
   /// Records the flush span for each completed response and emits the
   /// slow-query log line when armed. Called outside the connection lock.
@@ -282,9 +261,9 @@ class ZiggyDaemon {
 
   /// \name Registry-backed instrumentation.
   /// All resolved once from catalog_.metrics() in the constructor (the
-  /// registry owns them; pointers are stable). The counters replace the
-  /// former member atomics — DaemonStats reads them back, so its output
-  /// (and the STATS JSON built from it) is unchanged.
+  /// registry owns them; pointers are stable). The registry is the
+  /// counters' only store: STATS and HEALTH render their `connections`
+  /// object from these series.
   /// @{
   obs::Clock* clock_ = nullptr;
   obs::Counter* connections_accepted_ = nullptr;
@@ -292,9 +271,14 @@ class ZiggyDaemon {
   obs::Counter* connections_timed_out_ = nullptr;
   obs::Counter* requests_handled_ = nullptr;
   obs::Counter* protocol_errors_ = nullptr;
+  /// Transient accept(2) failures survived by sleep-and-retry.
   obs::Counter* accept_retries_ = nullptr;
+  /// Backpressure pauses of a connection's reading.
   obs::Counter* reads_throttled_ = nullptr;
+  /// Requests that arrived while earlier ones from the same connection
+  /// were still queued or executing.
   obs::Counter* pipelined_requests_ = nullptr;
+  /// Dispatch runs that executed at least one request.
   obs::Counter* dispatch_batches_ = nullptr;
   /// Per-verb series, indexed by the Verb enum (VerbTable order).
   std::vector<obs::Counter*> verb_requests_;

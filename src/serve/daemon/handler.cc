@@ -1,7 +1,10 @@
 #include "serve/daemon/handler.h"
 
 #include <array>
+#include <initializer_list>
+#include <span>
 #include <sstream>
+#include <string_view>
 #include <tuple>
 #include <type_traits>
 
@@ -48,43 +51,152 @@ std::string ServeStatsJson(const ServeStats& st) {
   return os.str();
 }
 
-std::string CatalogStatsJson(const CatalogStats& st) {
-  std::ostringstream os;
-  os << "{\"tables\":" << st.tables << ",\"tables_opened\":" << st.tables_opened
-     << ",\"tables_closed\":" << st.tables_closed
-     << ",\"shared_budget_total_bytes\":" << st.shared_budget_total_bytes
-     << ",\"shared_budget_used_bytes\":" << st.shared_budget_used_bytes
-     << ",\"worker_pool_threads\":" << st.worker_pool_threads
-     << ",\"store\":{\"attached\":" << (st.store_attached ? "true" : "false")
-     << ",\"tables\":" << st.store_tables << ",\"opens\":" << st.store_opens
-     << ",\"saves\":" << st.store_saves
-     << ",\"full_checkpoints\":" << st.store_full_checkpoints
-     << ",\"delta_checkpoints\":" << st.store_delta_checkpoints
-     << ",\"compactions\":" << st.store_compactions
-     << ",\"checkpoint_bytes\":" << st.store_checkpoint_bytes
-     << ",\"checkpoint_raw_bytes\":" << st.store_checkpoint_raw_bytes
-     << ",\"dict_pool\":{\"files\":" << st.store_dict_pool_files
-     << ",\"bytes\":" << st.store_dict_pool_bytes
-     << ",\"shared_hits\":" << st.store_dict_pool_shared_hits << "}}"
-     << ",\"flusher\":{\"active\":" << (st.flusher_active ? "true" : "false")
-     << ",\"dirty_tables\":" << st.dirty_tables
-     << ",\"cycles\":" << st.flush_cycles
-     << ",\"flushed_tables\":" << st.flushed_tables
-     << ",\"failures\":" << st.flush_failures
-     << ",\"backoff_tables\":" << st.flush_backoff_tables
-     << ",\"degraded\":" << (st.degraded ? "true" : "false")
-     << ",\"consecutive_failures\":" << st.consecutive_store_failures
-     << ",\"queue_depth\":" << st.dirty_ages.size()
-     << ",\"max_dirty_age_ms\":" << st.max_dirty_age_ms << ",\"dirty\":[";
-  bool first = true;
-  for (const auto& [table, age_ms] : st.dirty_ages) {
-    if (!first) os << ",";
-    first = false;
-    os << "{\"table\":\"" << JsonEscape(table) << "\",\"age_ms\":" << age_ms
-       << "}";
+// How a STATS / HEALTH key reads the registry.
+enum KeySource {
+  kCounter,  // the counter's value
+  kGauge,    // the gauge's value
+  kFlag,     // a 0/1 gauge, as false / true
+  kStatus,   // the degraded gauge, as "ok" / "degraded"
+  kDirty,    // the refresh pass's (table, age_ms) rows, as an array
+};
+
+// One wire key and the series it renders. Dots in `key` nest objects
+// ("store.dict_pool.files" is "files" inside "dict_pool" inside "store");
+// rows are in wire order, and the rows of one object are contiguous.
+struct StatsKey {
+  const char* key;
+  KeySource source;
+  const char* series;
+};
+
+constexpr StatsKey kStatsKeys[] = {
+    {"tables", kGauge, "ziggy_catalog_tables"},
+    {"tables_opened", kCounter, "ziggy_catalog_tables_opened_total"},
+    {"tables_closed", kCounter, "ziggy_catalog_tables_closed_total"},
+    {"shared_budget_total_bytes", kGauge,
+     "ziggy_catalog_shared_budget_total_bytes"},
+    {"shared_budget_used_bytes", kGauge,
+     "ziggy_catalog_shared_budget_used_bytes"},
+    {"worker_pool_threads", kGauge, "ziggy_catalog_worker_pool_threads"},
+    {"store.attached", kFlag, "ziggy_store_attached"},
+    {"store.tables", kGauge, "ziggy_store_tables"},
+    {"store.opens", kCounter, "ziggy_store_opens_total"},
+    {"store.saves", kCounter, "ziggy_store_saves_total"},
+    {"store.full_checkpoints", kGauge, "ziggy_store_full_checkpoints"},
+    {"store.delta_checkpoints", kGauge, "ziggy_store_delta_checkpoints"},
+    {"store.compactions", kGauge, "ziggy_store_compactions"},
+    {"store.checkpoint_bytes", kGauge, "ziggy_store_checkpoint_bytes"},
+    {"store.checkpoint_raw_bytes", kGauge, "ziggy_store_checkpoint_raw_bytes"},
+    {"store.dict_pool.files", kGauge, "ziggy_store_dict_pool_files"},
+    {"store.dict_pool.bytes", kGauge, "ziggy_store_dict_pool_bytes"},
+    {"store.dict_pool.shared_hits", kGauge,
+     "ziggy_store_dict_pool_shared_hits"},
+    {"flusher.active", kFlag, "ziggy_flusher_active"},
+    {"flusher.dirty_tables", kGauge, "ziggy_flusher_queue_depth"},
+    {"flusher.cycles", kCounter, "ziggy_flusher_cycles_total"},
+    {"flusher.flushed_tables", kCounter, "ziggy_flusher_flushed_tables_total"},
+    {"flusher.failures", kCounter, "ziggy_flusher_failures_total"},
+    {"flusher.backoff_tables", kGauge, "ziggy_flusher_backoff_tables"},
+    {"flusher.degraded", kFlag, "ziggy_flusher_degraded"},
+    {"flusher.consecutive_failures", kGauge,
+     "ziggy_flusher_consecutive_failures"},
+    {"flusher.queue_depth", kGauge, "ziggy_flusher_queue_depth"},
+    {"flusher.max_dirty_age_ms", kGauge, "ziggy_flusher_max_dirty_age_ms"},
+    {"flusher.dirty", kDirty, ""},
+};
+
+constexpr StatsKey kHealthKeys[] = {
+    {"status", kStatus, "ziggy_flusher_degraded"},
+    {"tables", kGauge, "ziggy_catalog_tables"},
+    {"dirty_tables", kGauge, "ziggy_flusher_queue_depth"},
+    {"flush_backoff_tables", kGauge, "ziggy_flusher_backoff_tables"},
+    {"consecutive_failures", kGauge, "ziggy_flusher_consecutive_failures"},
+    {"flush_lag_ms", kGauge, "ziggy_flusher_max_dirty_age_ms"},
+    {"retry_after_ms", kGauge, "ziggy_flusher_retry_after_ms"},
+};
+
+// The daemon's connection counters, the last object of STATS and HEALTH
+// (all zeros for a handler driven without a daemon).
+constexpr StatsKey kConnectionKeys[] = {
+    {"connections.accepted", kCounter,
+     "ziggy_daemon_connections_accepted_total"},
+    {"connections.rejected", kCounter,
+     "ziggy_daemon_connections_rejected_total"},
+    {"connections.timed_out", kCounter,
+     "ziggy_daemon_connections_timed_out_total"},
+    {"connections.live", kGauge, "ziggy_daemon_live_connections"},
+    {"connections.accept_retries", kCounter,
+     "ziggy_daemon_accept_retries_total"},
+    {"connections.requests", kCounter, "ziggy_daemon_requests_total"},
+    {"connections.protocol_errors", kCounter,
+     "ziggy_daemon_protocol_errors_total"},
+    {"connections.reads_throttled", kCounter,
+     "ziggy_daemon_reads_throttled_total"},
+    {"connections.pipelined_requests", kCounter,
+     "ziggy_daemon_pipelined_requests_total"},
+    {"connections.dispatch_batches", kCounter,
+     "ziggy_daemon_dispatch_batches_total"},
+};
+
+// Renders the rows of `tables`, in order, as one JSON object read off
+// `metrics` (which the caller has just refreshed).
+std::string RenderStatsJson(
+    std::initializer_list<std::span<const StatsKey>> tables,
+    const obs::MetricsRegistry& metrics,
+    const std::vector<std::pair<std::string, uint64_t>>& dirty) {
+  std::string out = "{";
+  std::vector<std::string_view> open;  // path of the object being written
+  bool comma = false;
+  for (const std::span<const StatsKey> table : tables) {
+    for (const StatsKey& row : table) {
+      std::string_view key = row.key;
+      std::vector<std::string_view> parents;
+      for (size_t dot; (dot = key.find('.')) != std::string_view::npos;
+           key.remove_prefix(dot + 1)) {
+        parents.push_back(key.substr(0, dot));
+      }
+      size_t common = 0;
+      while (common < open.size() && common < parents.size() &&
+             open[common] == parents[common]) {
+        ++common;
+      }
+      for (; open.size() > common; open.pop_back()) out += '}';
+      for (; open.size() < parents.size(); comma = false) {
+        if (comma) out += ',';
+        open.push_back(parents[open.size()]);
+        out.append("\"").append(open.back()).append("\":{");
+      }
+      if (comma) out += ',';
+      comma = true;
+      out.append("\"").append(key).append("\":");
+      switch (row.source) {
+        case kCounter:
+          out += std::to_string(metrics.CounterValue(row.series));
+          break;
+        case kGauge:
+          out += std::to_string(metrics.GaugeValue(row.series));
+          break;
+        case kFlag:
+          out += metrics.GaugeValue(row.series) != 0 ? "true" : "false";
+          break;
+        case kStatus:
+          out += metrics.GaugeValue(row.series) != 0 ? "\"degraded\""
+                                                     : "\"ok\"";
+          break;
+        case kDirty:
+          out += '[';
+          for (size_t i = 0; i < dirty.size(); ++i) {
+            if (i > 0) out += ',';
+            out += "{\"table\":\"" + JsonEscape(dirty[i].first) +
+                   "\",\"age_ms\":" + std::to_string(dirty[i].second) + "}";
+          }
+          out += ']';
+          break;
+      }
+    }
   }
-  os << "]}}";
-  return os.str();
+  out.append(open.size() + 1, '}');
+  return out;
 }
 
 }  // namespace
@@ -277,14 +389,9 @@ WireResponse DaemonHandler::HandleAppend(const WireRequest& request) {
 
 WireResponse DaemonHandler::HandleStats(const WireRequest& request) {
   if (request.args.empty()) {
-    std::string json = CatalogStatsJson(catalog_->stats());
-    if (connection_stats_json_) {
-      // Splice the daemon's connection counters into the catalog object
-      // (drop the closing brace, append the extra key).
-      json.pop_back();
-      json += ",\"connections\":" + connection_stats_json_() + "}";
-    }
-    return WireResponse::Ok(std::move(json));
+    const auto dirty = RefreshMetrics();
+    return WireResponse::Ok(RenderStatsJson(
+        {kStatsKeys, kConnectionKeys}, *catalog_->metrics(), dirty));
   }
   Result<std::shared_ptr<ZiggyServer>> server = catalog_->Find(request.args[0]);
   if (!server.ok()) return WireResponse::Error(server.status());
@@ -350,20 +457,9 @@ WireResponse DaemonHandler::HandlePersist(const WireRequest& request) {
 }
 
 WireResponse DaemonHandler::HandleHealth(const WireRequest&) {
-  const CatalogHealth health = catalog_->Health();
-  std::ostringstream os;
-  os << "{\"status\":\"" << (health.degraded ? "degraded" : "ok")
-     << "\",\"tables\":" << health.tables
-     << ",\"dirty_tables\":" << health.dirty_tables
-     << ",\"flush_backoff_tables\":" << health.backoff_tables
-     << ",\"consecutive_failures\":" << health.consecutive_failures
-     << ",\"flush_lag_ms\":" << health.flush_lag_ms
-     << ",\"retry_after_ms\":" << health.retry_after_ms;
-  if (connection_stats_json_) {
-    os << ",\"connections\":" << connection_stats_json_();
-  }
-  os << "}";
-  return WireResponse::Ok(os.str());
+  const auto dirty = RefreshMetrics();
+  return WireResponse::Ok(RenderStatsJson({kHealthKeys, kConnectionKeys},
+                                          *catalog_->metrics(), dirty));
 }
 
 WireResponse DaemonHandler::HandleHello(const WireRequest&) {
@@ -377,13 +473,11 @@ WireResponse DaemonHandler::HandleHello(const WireRequest&) {
   //                 key and now just says whether checkpoints exist.
   //   degraded    — the flusher's degraded latch is currently set, so
   //                 mutating verbs may be refused with retry_after_ms.
-  const CatalogStats stats = catalog_->stats();
-  const CatalogHealth health = catalog_->Health();
   std::ostringstream os;
   os << "{\"server\":\"ziggy\",\"protocol\":" << kProtocolVersion
      << ",\"features\":{\"pipelining\":true,\"compression\":"
-     << (stats.store_attached ? "true" : "false")
-     << ",\"degraded\":" << (health.degraded ? "true" : "false")
+     << (catalog_->HasStore() ? "true" : "false")
+     << ",\"degraded\":" << (catalog_->degraded() ? "true" : "false")
      << "},\"limits\":{\"max_line_bytes\":" << limits_.max_line_bytes
      << ",\"max_pipeline\":" << limits_.max_pipeline << "},\"verbs\":[";
   bool first = true;
@@ -404,8 +498,7 @@ WireResponse DaemonHandler::HandleMetrics(const WireRequest& request) {
   // Pull-model gauges (catalog tables, dirty ages, daemon connection
   // counts) are materialized right before the snapshot; everything else
   // in the registry is push-model and already current.
-  catalog_->RefreshMetrics();
-  if (metrics_refresh_) metrics_refresh_();
+  RefreshMetrics();
   obs::MetricsRegistry* metrics = catalog_->metrics();
   if (request.args.empty() || EqualsIgnoreCase(request.args[0], "json")) {
     return WireResponse::Ok(metrics->RenderJson());
@@ -420,6 +513,13 @@ WireResponse DaemonHandler::HandleMetrics(const WireRequest& request) {
   return WireResponse::Error(Status::InvalidArgument(
       "METRICS format must be 'json' or 'prometheus', got '" +
       request.args[0] + "'"));
+}
+
+std::vector<std::pair<std::string, uint64_t>> DaemonHandler::RefreshMetrics() {
+  std::vector<std::pair<std::string, uint64_t>> dirty =
+      catalog_->RefreshMetrics();
+  if (metrics_refresh_) metrics_refresh_();
+  return dirty;
 }
 
 WireResponse DaemonHandler::HandleClose(const WireRequest& request) {

@@ -26,6 +26,8 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "serve/catalog.h"
 #include "serve/protocol.h"
@@ -68,22 +70,14 @@ class DaemonHandler {
   /// True once a QUIT verb was handled; the connection should stop reading.
   bool quit_requested() const { return quit_requested_; }
 
-  /// Installs the daemon's connection-counter provider: a callback that
-  /// renders one JSON object (accepted/rejected/live/...). When set, the
-  /// object is embedded as "connections" in STATS and HEALTH replies. The
-  /// handler is socket-free, so daemon-level state arrives this way.
-  void set_connection_stats_json(std::function<std::string()> fn) {
-    connection_stats_json_ = std::move(fn);
-  }
-
   /// Installs the limits HELLO advertises (the daemon passes its
   /// configured max_line_bytes / max_pipeline).
   void set_wire_limits(const WireLimits& limits) { limits_ = limits; }
 
-  /// Installs a hook METRICS runs before rendering, so daemon-level
-  /// gauges (live connections, dispatch-queue depth) are current in the
-  /// snapshot. Catalog gauges are refreshed by the handler itself; this
-  /// covers only state the socket-free handler cannot see.
+  /// Installs a hook STATS, HEALTH and METRICS run before rendering, so
+  /// daemon-level gauges (live connections, dispatch-queue depth) are
+  /// current in the snapshot. Catalog gauges are refreshed by the handler
+  /// itself; this covers only state the socket-free handler cannot see.
   void set_metrics_refresh(std::function<void()> fn) {
     metrics_refresh_ = std::move(fn);
   }
@@ -123,9 +117,12 @@ class DaemonHandler {
 
   WireResponse CharacterizeImpl(const WireRequest& request, bool views_only);
 
+  /// The one refresh pass before a registry read: the catalog's gauges,
+  /// then the daemon's. Returns the catalog's dirty (table, age_ms) rows.
+  std::vector<std::pair<std::string, uint64_t>> RefreshMetrics();
+
   ServerCatalog* catalog_;
   std::map<std::string, BoundSession> sessions_;
-  std::function<std::string()> connection_stats_json_;
   std::function<void()> metrics_refresh_;
   WireLimits limits_;
   bool quit_requested_ = false;

@@ -4,7 +4,7 @@
 #include <cstring>
 
 #include "common/string_util.h"
-#include "engine/json.h"
+#include "common/json_escape.h"
 
 namespace ziggy {
 

@@ -432,14 +432,10 @@ TEST(CatalogMetricsTest, DirtyAgeAndQueueDepthFollowTheFakeClock) {
 
   // The append only marked the table dirty; age it a known amount.
   fake->AdvanceMillis(1234);
-  const CatalogStats stats = catalog.stats();
-  EXPECT_EQ(stats.dirty_tables, 1u);
-  ASSERT_EQ(stats.dirty_ages.size(), 1u);
-  EXPECT_EQ(stats.dirty_ages[0].first, "box");
-  EXPECT_EQ(stats.dirty_ages[0].second, 1234u);
-  EXPECT_EQ(stats.max_dirty_age_ms, 1234u);
-
-  catalog.RefreshMetrics();
+  const auto dirty = catalog.RefreshMetrics();
+  ASSERT_EQ(dirty.size(), 1u);
+  EXPECT_EQ(dirty[0].first, "box");
+  EXPECT_EQ(dirty[0].second, 1234u);
   EXPECT_EQ(registry->gauge("ziggy_flusher_queue_depth")->value(), 1);
   EXPECT_EQ(registry->gauge("ziggy_flusher_max_dirty_age_ms")->value(), 1234);
   EXPECT_EQ(
@@ -449,8 +445,7 @@ TEST(CatalogMetricsTest, DirtyAgeAndQueueDepthFollowTheFakeClock) {
   // Draining the flusher clears the queue; the per-table gauge must be
   // zeroed, not left frozen at its last dirty age.
   catalog.StopFlusher();
-  EXPECT_EQ(catalog.stats().dirty_tables, 0u);
-  catalog.RefreshMetrics();
+  EXPECT_TRUE(catalog.RefreshMetrics().empty());
   EXPECT_EQ(registry->gauge("ziggy_flusher_queue_depth")->value(), 0);
   EXPECT_EQ(registry->gauge("ziggy_flusher_max_dirty_age_ms")->value(), 0);
   EXPECT_EQ(

@@ -49,6 +49,16 @@ ServeOptions GoldenServeOptions() {
   return options;
 }
 
+// Registry reads of the catalog's admin series: counters as they stand,
+// gauges after the refresh pass that writes them.
+uint64_t CounterOf(const ServerCatalog& catalog, const std::string& name) {
+  return catalog.metrics()->CounterValue(name);
+}
+int64_t GaugeOf(ServerCatalog& catalog, const std::string& name) {
+  catalog.RefreshMetrics();
+  return catalog.metrics()->GaugeValue(name);
+}
+
 std::string UniqueDir(const std::string& tag) {
   static int counter = 0;
   return testing::TempDir() + "/ziggy_store_test_" + tag + "_" +
@@ -418,7 +428,8 @@ TEST_F(StoreCorruptionTest, OpenFallsBackToColdSourceWhenCheckpointIsBad) {
   ASSERT_TRUE(reply.ok) << reply.body;
   EXPECT_EQ(reply.body,
             "{\"table\":\"box\",\"rows\":900,\"columns\":12,\"generation\":0}");
-  EXPECT_EQ(catalog.stats().store_opens, 0u);  // the cold path served it
+  // The cold path served it.
+  EXPECT_EQ(CounterOf(catalog, "ziggy_store_opens_total"), 0u);
   EXPECT_EQ(catalog.num_tables(), 1u);
 }
 
@@ -796,11 +807,10 @@ TEST(CatalogStoreTest, OpenFromStoreServesAndCounts) {
   ASSERT_TRUE(warm.ok()) << warm.status();
   EXPECT_EQ((*warm)->state()->table().num_rows(), 900u);
 
-  CatalogStats stats = catalog.stats();
-  EXPECT_TRUE(stats.store_attached);
-  EXPECT_EQ(stats.store_tables, 1u);
-  EXPECT_EQ(stats.store_opens, 1u);
-  EXPECT_EQ(stats.store_saves, 1u);
+  EXPECT_EQ(GaugeOf(catalog, "ziggy_store_attached"), 1);
+  EXPECT_EQ(GaugeOf(catalog, "ziggy_store_tables"), 1);
+  EXPECT_EQ(CounterOf(catalog, "ziggy_store_opens_total"), 1u);
+  EXPECT_EQ(CounterOf(catalog, "ziggy_store_saves_total"), 1u);
   ASSERT_TRUE(RemoveDirectory(dir).ok());
 }
 
@@ -831,7 +841,8 @@ TEST(CatalogStoreTest, AppendCheckpointsWhenPersistIsOn) {
   // only_if_newer: saving the same generation again is a no-op skip.
   EXPECT_EQ(catalog.SaveToStore("box", /*only_if_newer=*/true).ValueOrDie(),
             2u);
-  EXPECT_EQ(catalog.stats().store_saves, 1u);  // still just the append's
+  // Still just the append's.
+  EXPECT_EQ(CounterOf(catalog, "ziggy_store_saves_total"), 1u);
   ASSERT_TRUE(RemoveDirectory(dir).ok());
 }
 
@@ -853,9 +864,8 @@ TEST(CatalogStoreTest, AppendCheckpointsAreDeltasAndWarmBootExtendsChain) {
     EXPECT_TRUE(checkpoint.ok());
     // The catalog handed its lineage through: the append's checkpoint is
     // an O(delta) segment, not a base rewrite.
-    CatalogStats stats = catalog.stats();
-    EXPECT_EQ(stats.store_full_checkpoints, 1u);
-    EXPECT_EQ(stats.store_delta_checkpoints, 1u);
+    EXPECT_EQ(GaugeOf(catalog, "ziggy_store_full_checkpoints"), 1);
+    EXPECT_EQ(GaugeOf(catalog, "ziggy_store_delta_checkpoints"), 1);
     EXPECT_TRUE(PathExists(catalog.store()->DeltaPath("box", 1)));
   }
   {
@@ -876,9 +886,8 @@ TEST(CatalogStoreTest, AppendCheckpointsAreDeltasAndWarmBootExtendsChain) {
     Status checkpoint = Status::OK();
     ASSERT_TRUE(catalog.Append("box", tail.table, &checkpoint).ok());
     EXPECT_TRUE(checkpoint.ok());
-    CatalogStats stats = catalog.stats();
-    EXPECT_EQ(stats.store_full_checkpoints, 0u);
-    EXPECT_EQ(stats.store_delta_checkpoints, 1u);
+    EXPECT_EQ(GaugeOf(catalog, "ziggy_store_full_checkpoints"), 0);
+    EXPECT_EQ(GaugeOf(catalog, "ziggy_store_delta_checkpoints"), 1);
     EXPECT_EQ(catalog.store()->StoredGeneration("box").ValueOrDie(), 2u);
   }
   // But a COLD re-open of the name (new lineage, arbitrary data) must
@@ -897,9 +906,8 @@ TEST(CatalogStoreTest, AppendCheckpointsAreDeltasAndWarmBootExtendsChain) {
     ASSERT_TRUE(catalog.Append("box", tail.table, &checkpoint).ok());
     ASSERT_TRUE(catalog.Append("box", tail.table, &checkpoint).ok());
     EXPECT_TRUE(checkpoint.ok());
-    CatalogStats stats = catalog.stats();
-    EXPECT_EQ(stats.store_delta_checkpoints, 0u);
-    EXPECT_GE(stats.store_full_checkpoints, 1u);
+    EXPECT_EQ(GaugeOf(catalog, "ziggy_store_delta_checkpoints"), 0);
+    EXPECT_GE(GaugeOf(catalog, "ziggy_store_full_checkpoints"), 1);
   }
   ASSERT_TRUE(RemoveDirectory(dir).ok());
 }
@@ -930,7 +938,7 @@ TEST(CatalogStoreTest, StaleCheckpointNeverClobbersNewerStoredGeneration) {
   EXPECT_TRUE(checkpoint.ok());  // skipped, not failed
   // The stored (newer) generation survived; nothing was written.
   EXPECT_EQ(catalog.store()->StoredGeneration("box").ValueOrDie(), 5u);
-  EXPECT_EQ(catalog.stats().store_saves, 0u);
+  EXPECT_EQ(CounterOf(catalog, "ziggy_store_saves_total"), 0u);
   // The explicit only_if_newer save reports the durable generation.
   EXPECT_EQ(catalog.SaveToStore("box", /*only_if_newer=*/true).ValueOrDie(),
             5u);
@@ -991,7 +999,7 @@ TEST(CatalogFlusherTest, FlusherPersistsAppendsOffTheRequestPath) {
   options.flush_interval_ms = 20;
   ServerCatalog catalog(options);
   ASSERT_TRUE(catalog.AttachStore(dir).ok());
-  EXPECT_TRUE(catalog.stats().flusher_active);
+  EXPECT_EQ(GaugeOf(catalog, "ziggy_flusher_active"), 1);
   ASSERT_TRUE(catalog.Open("box", ds.table).ok());
   ASSERT_TRUE(catalog.SaveToStore("box").ok());
   ASSERT_TRUE(catalog.SetPersist("box", true).ok());
@@ -1004,24 +1012,23 @@ TEST(CatalogFlusherTest, FlusherPersistsAppendsOffTheRequestPath) {
   // poll watches the counter, which is bumped after the save completes).
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (catalog.stats().flushed_tables < 1 &&
+  while (CounterOf(catalog, "ziggy_flusher_flushed_tables_total") < 1 &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   EXPECT_EQ(catalog.store()->StoredGeneration("box").ValueOrDie(), 1u);
-  CatalogStats stats = catalog.stats();
-  EXPECT_GE(stats.flushed_tables, 1u);
-  EXPECT_GE(stats.flush_cycles, 1u);
-  EXPECT_EQ(stats.flush_failures, 0u);
+  EXPECT_GE(CounterOf(catalog, "ziggy_flusher_flushed_tables_total"), 1u);
+  EXPECT_GE(CounterOf(catalog, "ziggy_flusher_cycles_total"), 1u);
+  EXPECT_EQ(CounterOf(catalog, "ziggy_flusher_failures_total"), 0u);
   // The background save cut a delta segment, not a base rewrite.
-  EXPECT_EQ(stats.store_delta_checkpoints, 1u);
+  EXPECT_EQ(GaugeOf(catalog, "ziggy_store_delta_checkpoints"), 1);
 
   // StopFlusher drains synchronously: a second append marked dirty just
   // before shutdown is checkpointed, not dropped.
   ASSERT_TRUE(catalog.Append("box", tail.table, &checkpoint).ok());
   catalog.StopFlusher();
   EXPECT_EQ(catalog.store()->StoredGeneration("box").ValueOrDie(), 2u);
-  EXPECT_FALSE(catalog.stats().flusher_active);
+  EXPECT_EQ(GaugeOf(catalog, "ziggy_flusher_active"), 0);
   ASSERT_TRUE(RemoveDirectory(dir).ok());
 }
 
@@ -1043,12 +1050,12 @@ TEST(CatalogFlusherTest, CloseDrainsThePendingFlushFirst) {
   ASSERT_TRUE(catalog.Append("box", tail.table, &checkpoint).ok());
   EXPECT_TRUE(checkpoint.ok());
   EXPECT_FALSE(catalog.StoreHas("box"));  // still only dirty
-  EXPECT_EQ(catalog.stats().dirty_tables, 1u);
+  EXPECT_EQ(GaugeOf(catalog, "ziggy_flusher_queue_depth"), 1);
 
   ASSERT_TRUE(catalog.Close("box").ok());
   // Close flushed the pending generation before unpublishing the name.
   EXPECT_EQ(catalog.store()->StoredGeneration("box").ValueOrDie(), 1u);
-  EXPECT_EQ(catalog.stats().dirty_tables, 0u);
+  EXPECT_EQ(GaugeOf(catalog, "ziggy_flusher_queue_depth"), 0);
   ASSERT_TRUE(RemoveDirectory(dir).ok());
 }
 
@@ -1211,14 +1218,14 @@ TEST(CatalogFlusherTest, FailingStoreBacksOffInsteadOfHotLooping) {
   // Retries keep coming (the table is requeued, never dropped) ...
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(20);
-  while (catalog.stats().flush_failures < 2 &&
+  while (CounterOf(catalog, "ziggy_flusher_failures_total") < 2 &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  CatalogStats stats = catalog.stats();
-  ASSERT_GE(stats.flush_failures, 2u);
-  EXPECT_EQ(stats.flush_backoff_tables, 1u);
-  EXPECT_EQ(stats.dirty_tables, 1u);
+  const uint64_t failures = CounterOf(catalog, "ziggy_flusher_failures_total");
+  ASSERT_GE(failures, 2u);
+  EXPECT_EQ(GaugeOf(catalog, "ziggy_flusher_backoff_tables"), 1);
+  EXPECT_EQ(GaugeOf(catalog, "ziggy_flusher_queue_depth"), 1);
   // ... but at the backoff pace, not the flusher interval: a hot loop at
   // 5ms would have logged ~elapsed/5 failures by now. The bound scales
   // with real elapsed time, so a stalled CI machine cannot trip it.
@@ -1226,8 +1233,7 @@ TEST(CatalogFlusherTest, FailingStoreBacksOffInsteadOfHotLooping) {
       std::chrono::duration_cast<std::chrono::milliseconds>(
           std::chrono::steady_clock::now() - t0)
           .count();
-  EXPECT_LE(stats.flush_failures,
-            2u + static_cast<uint64_t>(elapsed_ms) / 200u)
+  EXPECT_LE(failures, 2u + static_cast<uint64_t>(elapsed_ms) / 200u)
       << "elapsed " << elapsed_ms << "ms";
 
   // Heal: the next backoff retry lands, the entry clears, and the
@@ -1235,14 +1241,13 @@ TEST(CatalogFlusherTest, FailingStoreBacksOffInsteadOfHotLooping) {
   fault.reset();
   const auto heal_deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(20);
-  while (catalog.stats().flushed_tables < 1 &&
+  while (CounterOf(catalog, "ziggy_flusher_flushed_tables_total") < 1 &&
          std::chrono::steady_clock::now() < heal_deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   EXPECT_EQ(catalog.store()->StoredGeneration("box").ValueOrDie(), 1u);
-  stats = catalog.stats();
-  EXPECT_EQ(stats.flush_backoff_tables, 0u);
-  EXPECT_EQ(stats.dirty_tables, 0u);
+  EXPECT_EQ(GaugeOf(catalog, "ziggy_flusher_backoff_tables"), 0);
+  EXPECT_EQ(GaugeOf(catalog, "ziggy_flusher_queue_depth"), 0);
   catalog.StopFlusher();
   ASSERT_TRUE(RemoveDirectory(dir).ok());
 }
@@ -1272,14 +1277,13 @@ TEST(CatalogDegradedTest, TripsAfterKFailuresAndAutoClearsOnHeal) {
   // Three consecutive background failures trip the latch.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(20);
-  while (!catalog.Health().degraded &&
-         std::chrono::steady_clock::now() < deadline) {
+  while (!catalog.degraded() && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  CatalogHealth health = catalog.Health();
-  ASSERT_TRUE(health.degraded);
-  EXPECT_GE(health.consecutive_failures, 3u);
-  EXPECT_GT(health.retry_after_ms, 0u);
+  ASSERT_TRUE(catalog.degraded());
+  EXPECT_EQ(GaugeOf(catalog, "ziggy_flusher_degraded"), 1);
+  EXPECT_GE(GaugeOf(catalog, "ziggy_flusher_consecutive_failures"), 3);
+  EXPECT_GT(GaugeOf(catalog, "ziggy_flusher_retry_after_ms"), 0);
 
   // Degraded = read-only: writes are refused up front (nothing lands in
   // memory that the store could then never converge to), reads keep
@@ -1289,20 +1293,20 @@ TEST(CatalogDegradedTest, TripsAfterKFailuresAndAutoClearsOnHeal) {
   EXPECT_TRUE(catalog.SaveToStore("box").status().IsUnavailable());
   ASSERT_TRUE(catalog.Find("box").ok());
   EXPECT_EQ((*catalog.Find("box"))->state()->generation(), 1u);  // no new gen
-  EXPECT_TRUE(catalog.stats().degraded);
+  EXPECT_EQ(GaugeOf(catalog, "ziggy_flusher_degraded"), 1);
 
   // Heal the store: the flusher's retry of the still-dirty table succeeds
   // and auto-clears the mode — no restart, no operator action.
   fault.reset();
   const auto heal_deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(20);
-  while (catalog.Health().degraded &&
+  while (catalog.degraded() &&
          std::chrono::steady_clock::now() < heal_deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  health = catalog.Health();
-  ASSERT_FALSE(health.degraded);
-  EXPECT_EQ(health.consecutive_failures, 0u);
+  ASSERT_FALSE(catalog.degraded());
+  EXPECT_EQ(GaugeOf(catalog, "ziggy_flusher_degraded"), 0);
+  EXPECT_EQ(GaugeOf(catalog, "ziggy_flusher_consecutive_failures"), 0);
   EXPECT_EQ(catalog.store()->StoredGeneration("box").ValueOrDie(), 1u);
 
   // Writes flow again end to end.

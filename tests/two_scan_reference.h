@@ -1,7 +1,9 @@
 // Two-scan reference for the component tests: both sides are scanned
 // explicitly (the outside over the complement of the selection) instead of
 // deriving the outside as (global profile − inside). Tests compare the
-// engine's one-scan and patched preparations against it.
+// engine's one-scan and patched preparations against it, and the ablation
+// and micro benchmarks use it as their two-scan baseline (CMakeLists.txt
+// puts tests/ on the bench targets' include path).
 
 #ifndef ZIGGY_TESTS_TWO_SCAN_REFERENCE_H_
 #define ZIGGY_TESTS_TWO_SCAN_REFERENCE_H_
