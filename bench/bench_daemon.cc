@@ -73,16 +73,16 @@ LatencySummary Summarize(const std::vector<double>& latencies_ms) {
 
 /// p50/p99 (µs) of one of the daemon's span histograms, straight off the
 /// registry — the server-side queue/execute/flush breakdown behind the
-/// client-side numbers above.
-bench::JsonValue SpanJson(obs::MetricsRegistry* metrics,
-                          const std::string& name) {
+/// client-side numbers above — written as the value of `key`.
+void WriteSpan(obs::MetricsRegistry* metrics, const char* key,
+               const std::string& name, JsonWriter* w) {
   const obs::Histogram::Snapshot snap =
       metrics->histogram(name)->TakeSnapshot();
-  return bench::JsonValue::Object()
-      .Set("count", static_cast<double>(snap.count))
-      .Set("p50_us", static_cast<double>(snap.Percentile(0.50)))
-      .Set("p99_us", static_cast<double>(snap.Percentile(0.99)))
-      .Set("max_us", static_cast<double>(snap.max));
+  w->Key(key).BeginObject();
+  w->Key("count").Uint(snap.count);
+  w->Key("p50_us").Uint(snap.Percentile(0.50));
+  w->Key("p99_us").Uint(snap.Percentile(0.99));
+  w->Key("max_us").Uint(snap.max).EndObject();
 }
 
 /// Lifts the fd limit so the pipelined scenario can open its thousands
@@ -369,12 +369,13 @@ int main(int argc, char** argv) {
   // The daemon's counters live in the catalog's metrics registry.
   obs::MetricsRegistry* metrics = (*daemon)->catalog().metrics();
   const auto daemon_counter = [metrics](const char* name) {
-    return static_cast<double>(metrics->CounterValue(name));
+    return metrics->CounterValue(name);
   };
-  const double connections_accepted =
+  const uint64_t connections_accepted =
       daemon_counter("ziggy_daemon_connections_accepted_total");
-  const double requests_handled = daemon_counter("ziggy_daemon_requests_total");
-  const double protocol_errors =
+  const uint64_t requests_handled =
+      daemon_counter("ziggy_daemon_requests_total");
+  const uint64_t protocol_errors =
       daemon_counter("ziggy_daemon_protocol_errors_total");
 
   bench::ResultTable out({"clients", "requests", "wall ms", "req/s", "p50 ms",
@@ -434,77 +435,64 @@ int main(int argc, char** argv) {
   }
 
   if (!json_path.empty()) {
-    bench::JsonValue report;
-    report.Set("benchmark", "daemon");
-    report.Set("clients", static_cast<double>(num_clients));
-    report.Set("requests_per_client", static_cast<double>(requests_per_client));
-    report.Set("scan_threads", static_cast<double>(threads));
-    report.Set("total_requests", static_cast<double>(total_requests));
-    report.Set("transport_failures", static_cast<double>(total_failures));
-    report.Set("wall_ms", wall_ms);
-    report.Set("requests_per_sec", rps);
-    report.Set("latency_ms",
-               bench::JsonValue::Object()
-                   .Set("p50", p50)
-                   .Set("p99", p99)
-                   .Set("min", serial.min_ms)
-                   .Set("max", serial.max_ms));
+    constexpr int kDigits = bench::kReportDigits;
+    JsonWriter report;
+    report.BeginObject().Key("benchmark").String("daemon");
+    report.Key("clients").Uint(num_clients);
+    report.Key("requests_per_client").Uint(requests_per_client);
+    report.Key("scan_threads").Uint(threads);
+    report.Key("total_requests").Uint(total_requests);
+    report.Key("transport_failures").Uint(total_failures);
+    report.Key("wall_ms").Double(wall_ms, kDigits);
+    report.Key("requests_per_sec").Double(rps, kDigits);
+    report.Key("latency_ms").BeginObject();
+    report.Key("p50").Double(p50, kDigits);
+    report.Key("p99").Double(p99, kDigits);
+    report.Key("min").Double(serial.min_ms, kDigits);
+    report.Key("max").Double(serial.max_ms, kDigits).EndObject();
     // Server-side span breakdown: where request time went (queue wait vs
     // handler execution vs reply flush), from the daemon's own
     // histograms.
-    report.Set(
-        "spans",
-        bench::JsonValue::Object()
-            .Set("queue", SpanJson(metrics, "ziggy_request_queue_us"))
-            .Set("execute", SpanJson(metrics, "ziggy_request_execute_us"))
-            .Set("flush", SpanJson(metrics, "ziggy_request_flush_us")));
-    report.Set("serve",
-               bench::JsonValue::Object()
-                   .Set("requests", static_cast<double>(serve.requests))
-                   .Set("sketch_exact_hits",
-                        static_cast<double>(serve.sketch_exact_hits))
-                   .Set("sketch_patched_hits",
-                        static_cast<double>(serve.sketch_patched_hits))
-                   .Set("sketch_misses",
-                        static_cast<double>(serve.sketch_misses)));
-    report.Set("daemon",
-               bench::JsonValue::Object()
-                   .Set("connections_accepted", connections_accepted)
-                   .Set("requests_handled", requests_handled)
-                   .Set("protocol_errors", protocol_errors));
+    report.Key("spans").BeginObject();
+    WriteSpan(metrics, "queue", "ziggy_request_queue_us", &report);
+    WriteSpan(metrics, "execute", "ziggy_request_execute_us", &report);
+    WriteSpan(metrics, "flush", "ziggy_request_flush_us", &report);
+    report.EndObject();
+    report.Key("serve").BeginObject();
+    report.Key("requests").Uint(serve.requests);
+    report.Key("sketch_exact_hits").Uint(serve.sketch_exact_hits);
+    report.Key("sketch_patched_hits").Uint(serve.sketch_patched_hits);
+    report.Key("sketch_misses").Uint(serve.sketch_misses).EndObject();
+    report.Key("daemon").BeginObject();
+    report.Key("connections_accepted").Uint(connections_accepted);
+    report.Key("requests_handled").Uint(requests_handled);
+    report.Key("protocol_errors").Uint(protocol_errors).EndObject();
     if (pipelined_connections > 0) {
-      report.Set(
-          "pipelined",
-          bench::JsonValue::Object()
-              .Set("connections", static_cast<double>(pipelined_connections))
-              .Set("depth", static_cast<double>(pipeline_depth))
-              .Set("requests_per_connection",
-                   static_cast<double>(pipelined_requests))
-              .Set("total_requests",
-                   static_cast<double>(piped.latencies_ms.size()))
-              .Set("failures", static_cast<double>(piped.failures))
-              .Set("wall_ms", piped.wall_ms)
-              .Set("requests_per_sec", piped_rps)
-              .Set("latency_ms",
-                   bench::JsonValue::Object()
-                       .Set("p50", piped_p50)
-                       .Set("p99", piped_p99)
-                       .Set("bound", static_cast<double>(p99_bound_ms))
-                       .Set("min", piped_summary.min_ms)
-                       .Set("max", piped_summary.max_ms))
-              .Set("daemon",
-                   bench::JsonValue::Object()
-                       .Set("pipelined_requests",
-                            daemon_counter(
-                                "ziggy_daemon_pipelined_requests_total"))
-                       .Set("dispatch_batches",
-                            daemon_counter(
-                                "ziggy_daemon_dispatch_batches_total"))
-                       .Set("reads_throttled",
-                            daemon_counter(
-                                "ziggy_daemon_reads_throttled_total"))));
+      report.Key("pipelined").BeginObject();
+      report.Key("connections").Uint(pipelined_connections);
+      report.Key("depth").Uint(pipeline_depth);
+      report.Key("requests_per_connection").Uint(pipelined_requests);
+      report.Key("total_requests").Uint(piped.latencies_ms.size());
+      report.Key("failures").Uint(piped.failures);
+      report.Key("wall_ms").Double(piped.wall_ms, kDigits);
+      report.Key("requests_per_sec").Double(piped_rps, kDigits);
+      report.Key("latency_ms").BeginObject();
+      report.Key("p50").Double(piped_p50, kDigits);
+      report.Key("p99").Double(piped_p99, kDigits);
+      report.Key("bound").Uint(p99_bound_ms);
+      report.Key("min").Double(piped_summary.min_ms, kDigits);
+      report.Key("max").Double(piped_summary.max_ms, kDigits).EndObject();
+      report.Key("daemon").BeginObject();
+      report.Key("pipelined_requests");
+      report.Uint(daemon_counter("ziggy_daemon_pipelined_requests_total"));
+      report.Key("dispatch_batches");
+      report.Uint(daemon_counter("ziggy_daemon_dispatch_batches_total"));
+      report.Key("reads_throttled");
+      report.Uint(daemon_counter("ziggy_daemon_reads_throttled_total"));
+      report.EndObject().EndObject();
     }
-    if (report.WriteFile(json_path)) {
+    report.EndObject();
+    if (bench::WriteReport(json_path, report)) {
       std::cout << "wrote " << json_path << "\n";
     }
   }

@@ -24,7 +24,7 @@ using namespace ziggy::bench;
 namespace {
 
 void RunDataset(const std::string& name, SyntheticDataset ds, size_t num_queries,
-                JsonValue* report) {
+                JsonWriter* report) {
   Rng rng(99);
   std::vector<std::string> queries = GenerateWorkload(ds.table, num_queries, &rng);
   queries.push_back(ds.selection_predicate);
@@ -73,25 +73,24 @@ void RunDataset(const std::string& name, SyntheticDataset ds, size_t num_queries
   table.Print();
   std::cout << "\n";
 
-  if (report != nullptr) {
-    const double prep_per_query =
-        total.preparation_ms / static_cast<double>(completed);
-    report->Push(JsonValue::Object()
-                     .Set("name", name)
-                     .Set("rows", static_cast<double>(num_rows))
-                     .Set("cols", static_cast<double>(num_cols))
-                     .Set("queries", static_cast<double>(completed))
-                     .Set("profile_ms", profile_ms)
-                     .Set("preparation_ms", total.preparation_ms)
-                     .Set("search_ms", total.search_ms)
-                     .Set("post_processing_ms", total.post_processing_ms)
-                     .Set("preparation_ms_per_query", prep_per_query)
-                     .Set("preparation_rows_per_sec",
-                          RowsPerSec(num_rows, prep_per_query)));
-  }
+  const double prep_per_query =
+      total.preparation_ms / static_cast<double>(completed);
+  JsonWriter& w = *report;
+  w.BeginObject().Key("name").String(name);
+  w.Key("rows").Uint(num_rows);
+  w.Key("cols").Uint(num_cols);
+  w.Key("queries").Uint(completed);
+  w.Key("profile_ms").Double(profile_ms, kReportDigits);
+  w.Key("preparation_ms").Double(total.preparation_ms, kReportDigits);
+  w.Key("search_ms").Double(total.search_ms, kReportDigits);
+  w.Key("post_processing_ms").Double(total.post_processing_ms, kReportDigits);
+  w.Key("preparation_ms_per_query").Double(prep_per_query, kReportDigits);
+  w.Key("preparation_rows_per_sec");
+  w.Double(RowsPerSec(num_rows, prep_per_query), kReportDigits);
+  w.EndObject();
 }
 
-JsonValue RunKernelAB() {
+void RunKernelAB(JsonWriter* report) {
   // 1M-row synthetic workload: the accumulation kernel in isolation, swept
   // over selection densities (sparse selections are gather-latency-bound,
   // dense ones expose the columnar advantage fully).
@@ -112,7 +111,8 @@ JsonValue RunKernelAB() {
             << " cols (best of 3):\n";
   ResultTable table({"density", "row-at-a-time ms", "columnar ms", "2 thr ms",
                      "4 thr ms", "speedup(1t)"});
-  JsonValue points = JsonValue::Array();
+  JsonWriter& w = *report;
+  w.BeginArray();
   for (double density : {0.1, 0.5, 0.9}) {
     Rng rng(3);
     Selection sel(n);
@@ -123,22 +123,15 @@ JsonValue RunKernelAB() {
     table.AddRow({Fmt(density, 1), Fmt(ab.row_at_a_time_ms, 4),
                   Fmt(ab.columnar_ms, 4), Fmt(ab.threaded2_ms, 4),
                   Fmt(ab.threaded4_ms, 4), Fmt(ab.Speedup(), 2)});
-    points.Push(JsonValue::Object()
-                    .Set("rows", static_cast<double>(n))
-                    .Set("cols", static_cast<double>(ds.table.num_columns()))
-                    .Set("selected_fraction", density)
-                    .Set("row_at_a_time_ms", ab.row_at_a_time_ms)
-                    .Set("columnar_ms", ab.columnar_ms)
-                    .Set("threaded2_ms", ab.threaded2_ms)
-                    .Set("threaded4_ms", ab.threaded4_ms)
-                    .Set("row_at_a_time_rows_per_sec",
-                         RowsPerSec(n, ab.row_at_a_time_ms))
-                    .Set("columnar_rows_per_sec", RowsPerSec(n, ab.columnar_ms))
-                    .Set("single_thread_speedup", ab.Speedup()));
+    w.BeginObject().Key("rows").Uint(n);
+    w.Key("cols").Uint(ds.table.num_columns());
+    w.Key("selected_fraction").Double(density, kReportDigits);
+    WriteAccumulation(ab, n, &w);
+    w.EndObject();
   }
+  w.EndArray();
   table.Print();
   std::cout << "\n";
-  return points;
 }
 
 }  // namespace
@@ -146,21 +139,22 @@ JsonValue RunKernelAB() {
 int main(int argc, char** argv) {
   const std::string json_path = JsonPathFromArgs(argc, argv, "BENCH_pipeline.json");
   std::cout << "=== F4: pipeline stage costs (Figure 4 instrumented) ===\n\n";
-  JsonValue datasets = JsonValue::Array();
+  JsonWriter report;
+  report.BeginObject().Key("bench").String("fig4_pipeline");
+  report.Key("datasets").BeginArray();
   RunDataset("Box Office (900 x 12)", MakeBoxOfficeDataset().ValueOrDie(), 16,
-             &datasets);
+             &report);
   RunDataset("US Crime (1994 x 128)", MakeCrimeDataset().ValueOrDie(), 12,
-             &datasets);
-  RunDataset("OECD (6823 x 519)", MakeOecdDataset().ValueOrDie(), 4, &datasets);
-  JsonValue kernel = RunKernelAB();
+             &report);
+  RunDataset("OECD (6823 x 519)", MakeOecdDataset().ValueOrDie(), 4, &report);
+  report.EndArray();
+  report.Key("accumulation_kernel_1m");
+  RunKernelAB(&report);
+  report.EndObject();
   std::cout << "Paper shape: preparation dominates per-query cost; the view "
                "search and post-processing stages are comparatively cheap.\n";
   if (!json_path.empty()) {
-    JsonValue report;
-    report.Set("bench", "fig4_pipeline")
-        .Set("datasets", std::move(datasets))
-        .Set("accumulation_kernel_1m", std::move(kernel));
-    if (report.WriteFile(json_path)) {
+    if (WriteReport(json_path, report)) {
       std::cout << "wrote " << json_path << "\n";
     }
   }

@@ -41,7 +41,8 @@ SyntheticDataset MakeScaled(size_t rows, size_t cols, uint64_t seed) {
   return GenerateSynthetic(spec).ValueOrDie();
 }
 
-void RunPoint(ResultTable* table, JsonValue* points, size_t rows, size_t cols) {
+void RunPoint(ResultTable* table, JsonWriter* points, size_t rows,
+              size_t cols) {
   SyntheticDataset ds = MakeScaled(rows, cols, 7);
   const std::string query = ds.selection_predicate;
   ZiggyOptions opts;
@@ -60,33 +61,27 @@ void RunPoint(ResultTable* table, JsonValue* points, size_t rows, size_t cols) {
   }
   table->AddRow({std::to_string(rows), std::to_string(cols), Fmt(build_ms, 4),
                  Fmt(best, 4)});
-  if (points != nullptr) {
-    points->Push(JsonValue::Object()
-                     .Set("rows", static_cast<double>(rows))
-                     .Set("cols", static_cast<double>(cols))
-                     .Set("profile_ms", build_ms)
-                     .Set("query_ms", best)
-                     .Set("query_rows_per_sec", RowsPerSec(rows, best)));
-  }
+  JsonWriter& w = *points;
+  w.BeginObject().Key("rows").Uint(rows);
+  w.Key("cols").Uint(cols);
+  w.Key("profile_ms").Double(build_ms, kReportDigits);
+  w.Key("query_ms").Double(best, kReportDigits);
+  w.Key("query_rows_per_sec").Double(RowsPerSec(rows, best), kReportDigits);
+  w.EndObject();
 }
 
-JsonValue RunKernelPoint(ResultTable* table, size_t rows) {
+void RunKernelPoint(ResultTable* table, JsonWriter* points, size_t rows) {
   SyntheticDataset ds = MakeScaled(rows, 16, 11);
   TableProfile profile = TableProfile::Compute(ds.table).ValueOrDie();
   const AccumulationAB ab = MeasureAccumulation(ds.table, profile, ds.planted);
   table->AddRow({std::to_string(rows), Fmt(ab.row_at_a_time_ms, 4),
                  Fmt(ab.columnar_ms, 4), Fmt(ab.threaded2_ms, 4),
                  Fmt(ab.threaded4_ms, 4), Fmt(ab.Speedup(), 2)});
-  return JsonValue::Object()
-      .Set("rows", static_cast<double>(rows))
-      .Set("cols", static_cast<double>(ds.table.num_columns()))
-      .Set("row_at_a_time_ms", ab.row_at_a_time_ms)
-      .Set("columnar_ms", ab.columnar_ms)
-      .Set("threaded2_ms", ab.threaded2_ms)
-      .Set("threaded4_ms", ab.threaded4_ms)
-      .Set("row_at_a_time_rows_per_sec", RowsPerSec(rows, ab.row_at_a_time_ms))
-      .Set("columnar_rows_per_sec", RowsPerSec(rows, ab.columnar_ms))
-      .Set("single_thread_speedup", ab.Speedup());
+  JsonWriter& w = *points;
+  w.BeginObject().Key("rows").Uint(rows);
+  w.Key("cols").Uint(ds.table.num_columns());
+  WriteAccumulation(ab, rows, &w);
+  w.EndObject();
 }
 
 }  // namespace
@@ -95,30 +90,36 @@ int main(int argc, char** argv) {
   const std::string json_path = JsonPathFromArgs(argc, argv, "BENCH_scaling.json");
   std::cout << "=== S1: scalability sweeps ===\n\n";
 
+  JsonWriter report;
+  report.BeginObject().Key("bench").String("scaling");
+
   std::cout << "Row sweep (64 columns):\n";
-  JsonValue row_points = JsonValue::Array();
+  report.Key("row_sweep").BeginArray();
   ResultTable rows_table({"rows", "cols", "profile ms", "query ms"});
   for (size_t rows : {1000u, 2000u, 4000u, 8000u, 16000u, 32000u, 64000u}) {
-    RunPoint(&rows_table, &row_points, rows, 64);
+    RunPoint(&rows_table, &report, rows, 64);
   }
+  report.EndArray();
   rows_table.Print();
 
   std::cout << "\nColumn sweep (4000 rows):\n";
-  JsonValue col_points = JsonValue::Array();
+  report.Key("col_sweep").BeginArray();
   ResultTable cols_table({"rows", "cols", "profile ms", "query ms"});
   for (size_t cols : {16u, 32u, 64u, 128u, 256u, 512u}) {
-    RunPoint(&cols_table, &col_points, 4000, cols);
+    RunPoint(&cols_table, &report, 4000, cols);
   }
+  report.EndArray();
   cols_table.Print();
 
   std::cout << "\nAccumulation kernel sweep (16 columns, 10% selected, "
                "best of 3):\n";
-  JsonValue kernel_points = JsonValue::Array();
+  report.Key("accumulation_kernel").BeginArray();
   ResultTable kernel_table({"rows", "row-at-a-time ms", "columnar ms",
                             "2 threads ms", "4 threads ms", "speedup(1t)"});
   for (size_t rows : {250000u, 500000u, 1000000u}) {
-    kernel_points.Push(RunKernelPoint(&kernel_table, rows));
+    RunKernelPoint(&kernel_table, &report, rows);
   }
+  report.EndArray().EndObject();
   kernel_table.Print();
 
   std::cout << "\nPaper shape: query latency grows gently with rows (one scan "
@@ -128,12 +129,7 @@ int main(int argc, char** argv) {
                "scales near-linearly with threads on multi-core hardware.\n";
 
   if (!json_path.empty()) {
-    JsonValue report;
-    report.Set("bench", "scaling")
-        .Set("row_sweep", std::move(row_points))
-        .Set("col_sweep", std::move(col_points))
-        .Set("accumulation_kernel", std::move(kernel_points));
-    if (report.WriteFile(json_path)) {
+    if (WriteReport(json_path, report)) {
       std::cout << "wrote " << json_path << "\n";
     }
   }

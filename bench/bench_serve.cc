@@ -222,51 +222,48 @@ int main(int argc, char** argv) {
   if (failures > 0) std::cout << failures << " request failures\n";
 
   if (!json_path.empty()) {
-    bench::JsonValue root;
-    root.Set("bench", "serve");
-    bench::JsonValue config;
-    config.Set("rows", static_cast<double>(num_rows))
-        .Set("cols", static_cast<double>(num_cols))
-        .Set("sessions", static_cast<double>(kSessions))
-        .Set("distinct_queries", static_cast<double>(workload.size()))
-        .Set("requests_per_phase", static_cast<double>(total_requests));
-    root.Set("config", std::move(config));
+    constexpr int kDigits = bench::kReportDigits;
+    JsonWriter w;
+    w.BeginObject().Key("bench").String("serve");
+    w.Key("config").BeginObject();
+    w.Key("rows").Uint(num_rows);
+    w.Key("cols").Uint(num_cols);
+    w.Key("sessions").Uint(kSessions);
+    w.Key("distinct_queries").Uint(workload.size());
+    w.Key("requests_per_phase").Uint(total_requests).EndObject();
 
-    auto phase = [](double ms, size_t requests, const ServeStats& st) {
-      bench::JsonValue p;
-      p.Set("ms", ms)
-          .Set("requests", static_cast<double>(requests))
-          .Set("requests_per_sec", bench::RowsPerSec(requests, ms))
-          .Set("sketch_exact_hits", static_cast<double>(st.sketch_exact_hits))
-          .Set("sketch_patched_hits", static_cast<double>(st.sketch_patched_hits))
-          .Set("sketch_misses", static_cast<double>(st.sketch_misses))
-          .Set("patched_delta_rows", static_cast<double>(st.patched_delta_rows))
-          .Set("cache_entries", static_cast<double>(st.cache.entries))
-          .Set("cache_evictions", static_cast<double>(st.cache.evictions));
-      return p;
+    auto phase = [&w](const char* key, double ms, size_t requests,
+                      const ServeStats* st) {
+      w.Key(key).BeginObject();
+      w.Key("ms").Double(ms, kDigits);
+      w.Key("requests").Uint(requests);
+      w.Key("requests_per_sec");
+      w.Double(bench::RowsPerSec(requests, ms), kDigits);
+      if (st != nullptr) {
+        w.Key("sketch_exact_hits").Uint(st->sketch_exact_hits);
+        w.Key("sketch_patched_hits").Uint(st->sketch_patched_hits);
+        w.Key("sketch_misses").Uint(st->sketch_misses);
+        w.Key("patched_delta_rows").Uint(st->patched_delta_rows);
+        w.Key("cache_entries").Uint(st->cache.entries);
+        w.Key("cache_evictions").Uint(st->cache.evictions);
+      }
+      w.EndObject();
     };
-    bench::JsonValue a;
-    a.Set("ms", baseline_ms)
-        .Set("requests", static_cast<double>(total_requests))
-        .Set("requests_per_sec", bench::RowsPerSec(total_requests, baseline_ms));
-    root.Set("no_sharing", std::move(a));
-    root.Set("cached_sequential", phase(cached_ms, total_requests, stats_b));
-    root.Set("cached_concurrent", phase(concurrent_ms, total_requests, stats_c));
-    root.Set("refinement_chains",
-             phase(patch_ms, chain.size() * kSessions, stats_d));
-    bench::JsonValue append;
-    append.Set("append_ms", append_ms)
-        .Set("appended_rows", static_cast<double>(tail.num_rows()))
-        .Set("post_append_requests_ms", post_append_ms)
-        .Set("cache_flushes", static_cast<double>(stats_e.cache_flushes))
-        .Set("sketch_exact_hits", static_cast<double>(stats_e.sketch_exact_hits))
-        .Set("sketch_patched_hits",
-             static_cast<double>(stats_e.sketch_patched_hits));
-    root.Set("append", std::move(append));
-    root.Set("speedup_cached_vs_baseline",
-             cached_ms > 0.0 ? baseline_ms / cached_ms : 0.0);
-    root.Set("failures", static_cast<double>(failures));
-    if (root.WriteFile(json_path)) {
+    phase("no_sharing", baseline_ms, total_requests, nullptr);
+    phase("cached_sequential", cached_ms, total_requests, &stats_b);
+    phase("cached_concurrent", concurrent_ms, total_requests, &stats_c);
+    phase("refinement_chains", patch_ms, chain.size() * kSessions, &stats_d);
+    w.Key("append").BeginObject();
+    w.Key("append_ms").Double(append_ms, kDigits);
+    w.Key("appended_rows").Uint(tail.num_rows());
+    w.Key("post_append_requests_ms").Double(post_append_ms, kDigits);
+    w.Key("cache_flushes").Uint(stats_e.cache_flushes);
+    w.Key("sketch_exact_hits").Uint(stats_e.sketch_exact_hits);
+    w.Key("sketch_patched_hits").Uint(stats_e.sketch_patched_hits).EndObject();
+    w.Key("speedup_cached_vs_baseline");
+    w.Double(cached_ms > 0.0 ? baseline_ms / cached_ms : 0.0, kDigits);
+    w.Key("failures").Uint(failures).EndObject();
+    if (bench::WriteReport(json_path, w)) {
       std::cout << "wrote " << json_path << "\n";
     }
   }

@@ -471,59 +471,50 @@ int main(int argc, char** argv) {
   const std::string json_path =
       bench::JsonPathFromArgs(argc, argv, "BENCH_store.json");
   if (!json_path.empty()) {
-    bench::JsonValue report;
-    report.Set("bench", "store");
-    report.Set("threads", static_cast<double>(threads));
-    bench::JsonValue fixtures = bench::JsonValue::Array();
+    constexpr int kDigits = bench::kReportDigits;
+    JsonWriter w;
+    w.BeginObject().Key("bench").String("store");
+    w.Key("threads").Uint(threads);
+    w.Key("fixtures").BeginArray();
     for (const FixtureResult& r : results) {
-      bench::JsonValue f;
-      f.Set("fixture", r.name);
-      f.Set("rows", static_cast<double>(r.rows));
-      f.Set("columns", static_cast<double>(r.columns));
-      f.Set("cold_boot_ms", r.cold_boot_ms);
-      f.Set("warm_boot_ms", r.warm_boot_ms);
-      f.Set("warm_boot_p50_ms", r.warm_boot_p50_ms);
-      f.Set("boot_speedup", r.boot_speedup());
-      f.Set("cold_first_query_ms", r.cold_first_query_ms);
-      f.Set("warm_first_query_ms", r.warm_first_query_ms);
-      f.Set("reports_byte_identical", bench::JsonValue::Bool(r.reports_match));
-      fixtures.Push(std::move(f));
+      w.BeginObject().Key("fixture").String(r.name);
+      w.Key("rows").Uint(r.rows);
+      w.Key("columns").Uint(r.columns);
+      w.Key("cold_boot_ms").Double(r.cold_boot_ms, kDigits);
+      w.Key("warm_boot_ms").Double(r.warm_boot_ms, kDigits);
+      w.Key("warm_boot_p50_ms").Double(r.warm_boot_p50_ms, kDigits);
+      w.Key("boot_speedup").Double(r.boot_speedup(), kDigits);
+      w.Key("cold_first_query_ms").Double(r.cold_first_query_ms, kDigits);
+      w.Key("warm_first_query_ms").Double(r.warm_first_query_ms, kDigits);
+      w.Key("reports_byte_identical").Bool(r.reports_match).EndObject();
     }
-    report.Set("fixtures", std::move(fixtures));
-    report.Set("largest_fixture_speedup_ok",
-               bench::JsonValue::Bool(largest.boot_speedup() >= 5.0));
-    bench::JsonValue io;
-    io.Set("fixture", std::string("crime"));
-    io.Set("batches", static_cast<double>(append_io.batches));
-    io.Set("batch_rows", static_cast<double>(append_io.batch_rows));
-    io.Set("delta_checkpoint_bytes",
-           static_cast<double>(append_io.delta_bytes));
-    io.Set("full_rewrite_bytes", static_cast<double>(append_io.full_bytes));
-    io.Set("io_ratio", append_io.io_ratio());
-    io.Set("delta_checkpoints",
-           static_cast<double>(append_io.delta_checkpoints));
-    io.Set("compactions", static_cast<double>(append_io.compactions));
-    io.Set("replay_byte_identical",
-           bench::JsonValue::Bool(append_io.replay_matches));
-    io.Set("io_ratio_ok", bench::JsonValue::Bool(append_io.io_ratio() >= 5.0));
-    report.Set("append_checkpoint", std::move(io));
-    bench::JsonValue z_list = bench::JsonValue::Array();
+    w.EndArray();
+    w.Key("largest_fixture_speedup_ok").Bool(largest.boot_speedup() >= 5.0);
+    w.Key("append_checkpoint").BeginObject();
+    w.Key("fixture").String("crime");
+    w.Key("batches").Uint(append_io.batches);
+    w.Key("batch_rows").Uint(append_io.batch_rows);
+    w.Key("delta_checkpoint_bytes").Uint(append_io.delta_bytes);
+    w.Key("full_rewrite_bytes").Uint(append_io.full_bytes);
+    w.Key("io_ratio").Double(append_io.io_ratio(), kDigits);
+    w.Key("delta_checkpoints").Uint(append_io.delta_checkpoints);
+    w.Key("compactions").Uint(append_io.compactions);
+    w.Key("replay_byte_identical").Bool(append_io.replay_matches);
+    w.Key("io_ratio_ok").Bool(append_io.io_ratio() >= 5.0).EndObject();
+    w.Key("compression").BeginArray();
     for (const CompressionResult& z : compression) {
-      bench::JsonValue j;
-      j.Set("fixture", z.name);
-      j.Set("rows", static_cast<double>(z.rows));
-      j.Set("columns", static_cast<double>(z.columns));
-      j.Set("plain_bytes", static_cast<double>(z.plain_bytes));
-      j.Set("compressed_bytes", static_cast<double>(z.compressed_bytes));
-      j.Set("dict_pool_bytes", static_cast<double>(z.dict_pool_bytes));
-      j.Set("ratio", z.ratio());
-      j.Set("reports_byte_identical",
-            bench::JsonValue::Bool(z.reports_match));
-      j.Set("ratio_ok", bench::JsonValue::Bool(z.ratio() >= 2.0));
-      z_list.Push(std::move(j));
+      w.BeginObject().Key("fixture").String(z.name);
+      w.Key("rows").Uint(z.rows);
+      w.Key("columns").Uint(z.columns);
+      w.Key("plain_bytes").Uint(z.plain_bytes);
+      w.Key("compressed_bytes").Uint(z.compressed_bytes);
+      w.Key("dict_pool_bytes").Uint(z.dict_pool_bytes);
+      w.Key("ratio").Double(z.ratio(), kDigits);
+      w.Key("reports_byte_identical").Bool(z.reports_match);
+      w.Key("ratio_ok").Bool(z.ratio() >= 2.0).EndObject();
     }
-    report.Set("compression", std::move(z_list));
-    report.WriteFile(json_path);
+    w.EndArray().EndObject();
+    bench::WriteReport(json_path, w);
     std::cout << "\nwrote " << json_path << "\n";
   }
 

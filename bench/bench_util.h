@@ -1,6 +1,7 @@
 // Shared helpers for Ziggy's benchmark harnesses: aligned table printing,
 // wall-clock timing, planted-view recovery metrics, and machine-readable
-// JSON reports (the perf trajectory consumed by CI across PRs).
+// JSON reports written through JsonWriter (the perf trajectory consumed
+// by CI across changes).
 
 #ifndef ZIGGY_BENCH_BENCH_UTIL_H_
 #define ZIGGY_BENCH_BENCH_UTIL_H_
@@ -116,119 +117,22 @@ inline std::string Fmt(double v, int digits = 3) { return FormatDouble(v, digits
 
 // ------------------------------------------------------------ JSON report --
 
-/// Minimal ordered JSON value for bench reports: objects, arrays, numbers,
-/// strings, booleans. Insertion order is preserved so reports diff cleanly
-/// across runs.
-class JsonValue {
- public:
-  JsonValue() : kind_(Kind::kObject) {}
+/// Significant digits of every double in a bench report: full round-trip
+/// precision, because the reports track perf regressions across changes
+/// and shorter output would round them away.
+inline constexpr int kReportDigits = std::numeric_limits<double>::max_digits10;
 
-  static JsonValue Number(double v) { return JsonValue(Kind::kNumber, v, {}); }
-  static JsonValue String(std::string v) {
-    return JsonValue(Kind::kString, 0.0, std::move(v));
+/// Writes a report (one line of JSON) to `path`; returns false (with a
+/// stderr note) on IO failure.
+inline bool WriteReport(const std::string& path, const JsonWriter& report) {
+  std::ofstream out(path);
+  if (!out) {
+    std::cerr << "warning: cannot write bench report to " << path << "\n";
+    return false;
   }
-  static JsonValue Bool(bool v) { return JsonValue(Kind::kBool, v ? 1.0 : 0.0, {}); }
-  static JsonValue Array() { return JsonValue(Kind::kArray, 0.0, {}); }
-  static JsonValue Object() { return JsonValue(Kind::kObject, 0.0, {}); }
-
-  /// Object field setters (chainable).
-  JsonValue& Set(const std::string& key, JsonValue v) {
-    fields_.emplace_back(key, std::make_shared<JsonValue>(std::move(v)));
-    return *this;
-  }
-  JsonValue& Set(const std::string& key, double v) { return Set(key, Number(v)); }
-  JsonValue& Set(const std::string& key, const std::string& v) {
-    return Set(key, String(v));
-  }
-  JsonValue& Set(const std::string& key, const char* v) {
-    return Set(key, String(v));
-  }
-
-  /// Array appender.
-  JsonValue& Push(JsonValue v) {
-    items_.push_back(std::make_shared<JsonValue>(std::move(v)));
-    return *this;
-  }
-
-  void Write(std::ostream& os, int indent = 0) const {
-    const std::string pad(static_cast<size_t>(indent) * 2, ' ');
-    const std::string inner(static_cast<size_t>(indent + 1) * 2, ' ');
-    switch (kind_) {
-      case Kind::kNumber: {
-        // Full round-trip precision: these reports track perf regressions
-        // across PRs, and 6-significant-digit defaults would round them
-        // away. Non-finite values are not representable in JSON.
-        std::ostringstream num;
-        if (!std::isfinite(number_)) {
-          os << "null";
-          break;
-        }
-        num << std::setprecision(std::numeric_limits<double>::max_digits10)
-            << number_;
-        os << num.str();
-        break;
-      }
-      case Kind::kBool:
-        os << (number_ != 0.0 ? "true" : "false");
-        break;
-      case Kind::kString:
-        os << '"' << Escaped(string_) << '"';
-        break;
-      case Kind::kArray:
-        if (items_.empty()) {
-          os << "[]";
-          break;
-        }
-        os << "[\n";
-        for (size_t i = 0; i < items_.size(); ++i) {
-          os << inner;
-          items_[i]->Write(os, indent + 1);
-          os << (i + 1 < items_.size() ? ",\n" : "\n");
-        }
-        os << pad << "]";
-        break;
-      case Kind::kObject:
-        if (fields_.empty()) {
-          os << "{}";
-          break;
-        }
-        os << "{\n";
-        for (size_t i = 0; i < fields_.size(); ++i) {
-          os << inner << '"' << Escaped(fields_[i].first) << "\": ";
-          fields_[i].second->Write(os, indent + 1);
-          os << (i + 1 < fields_.size() ? ",\n" : "\n");
-        }
-        os << pad << "}";
-        break;
-    }
-  }
-
-  /// Writes the report; returns false (with a stderr note) on IO failure.
-  bool WriteFile(const std::string& path) const {
-    std::ofstream out(path);
-    if (!out) {
-      std::cerr << "warning: cannot write bench report to " << path << "\n";
-      return false;
-    }
-    Write(out);
-    out << "\n";
-    return out.good();
-  }
-
- private:
-  enum class Kind { kNumber, kString, kBool, kArray, kObject };
-
-  JsonValue(Kind kind, double number, std::string str)
-      : kind_(kind), number_(number), string_(std::move(str)) {}
-
-  static std::string Escaped(const std::string& s) { return JsonEscape(s); }
-
-  Kind kind_;
-  double number_ = 0.0;
-  std::string string_;
-  std::vector<std::pair<std::string, std::shared_ptr<JsonValue>>> fields_;
-  std::vector<std::shared_ptr<JsonValue>> items_;
-};
+  out << report.str() << "\n";
+  return out.good();
+}
 
 /// Parses the conventional bench CLI: `--json <path>` enables the JSON
 /// report; returns the default path when the flag is given without a value.
@@ -396,6 +300,21 @@ inline AccumulationAB MeasureAccumulation(const Table& table,
 /// Table rows scanned per second for a phase costing `ms`.
 inline double RowsPerSec(size_t rows, double ms) {
   return ms > 0.0 ? static_cast<double>(rows) / (ms / 1000.0) : 0.0;
+}
+
+/// Writes `ab` as fields of the report object being written: the four
+/// timings, both paths' rows/sec over `rows` table rows, and the speedup.
+inline void WriteAccumulation(const AccumulationAB& ab, size_t rows,
+                              JsonWriter* w) {
+  w->Key("row_at_a_time_ms").Double(ab.row_at_a_time_ms, kReportDigits);
+  w->Key("columnar_ms").Double(ab.columnar_ms, kReportDigits);
+  w->Key("threaded2_ms").Double(ab.threaded2_ms, kReportDigits);
+  w->Key("threaded4_ms").Double(ab.threaded4_ms, kReportDigits);
+  w->Key("row_at_a_time_rows_per_sec");
+  w->Double(RowsPerSec(rows, ab.row_at_a_time_ms), kReportDigits);
+  w->Key("columnar_rows_per_sec");
+  w->Double(RowsPerSec(rows, ab.columnar_ms), kReportDigits);
+  w->Key("single_thread_speedup").Double(ab.Speedup(), kReportDigits);
 }
 
 }  // namespace bench

@@ -1,5 +1,7 @@
 #include "common/json_escape.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 
@@ -31,7 +33,7 @@ void AppendEscapedCodePoint(std::string* out, uint32_t code_point) {
 // it and returns the code point, on malformed input consumes one byte and
 // returns U+FFFD (the replacement character) so the escaped output is
 // always valid JSON even for byte garbage (e.g. Latin-1 CSV labels).
-uint32_t DecodeUtf8(const std::string& s, size_t* i) {
+uint32_t DecodeUtf8(std::string_view s, size_t* i) {
   const auto byte = [&](size_t k) -> unsigned {
     return static_cast<unsigned char>(s[k]);
   };
@@ -78,50 +80,55 @@ uint32_t DecodeUtf8(const std::string& s, size_t* i) {
   return code;
 }
 
-}  // namespace
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
+// Appends `s` escaped (JsonEscape's rules) to `out`.
+void AppendEscaped(std::string* out, std::string_view s) {
   for (size_t i = 0; i < s.size();) {
     const unsigned char c = static_cast<unsigned char>(s[i]);
     switch (c) {
       case '"':
-        out += "\\\"";
+        *out += "\\\"";
         ++i;
         continue;
       case '\\':
-        out += "\\\\";
+        *out += "\\\\";
         ++i;
         continue;
       case '\n':
-        out += "\\n";
+        *out += "\\n";
         ++i;
         continue;
       case '\r':
-        out += "\\r";
+        *out += "\\r";
         ++i;
         continue;
       case '\t':
-        out += "\\t";
+        *out += "\\t";
         ++i;
         continue;
       default:
         break;
     }
     if (c < 0x20) {
-      AppendEscapedCodeUnit(&out, c);
+      AppendEscapedCodeUnit(out, c);
       ++i;
     } else if (c < 0x80) {
-      out += static_cast<char>(c);
+      *out += static_cast<char>(c);
       ++i;
     } else {
       // Non-ASCII: escape the decoded code point so replies are pure
       // ASCII regardless of the input's encoding hygiene — non-BMP
       // labels become surrogate pairs, invalid bytes become U+FFFD.
-      AppendEscapedCodePoint(&out, DecodeUtf8(s, &i));
+      AppendEscapedCodePoint(out, DecodeUtf8(s, &i));
     }
   }
+}
+
+}  // namespace
+
+std::string JsonEscape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 8);
+  AppendEscaped(&out, s);
   return out;
 }
 
@@ -207,6 +214,60 @@ Result<std::string> JsonUnescape(std::string_view s) {
     }
   }
   return out;
+}
+
+JsonWriter& JsonWriter::Open(char bracket) {
+  if (comma_) out_ += ',';
+  out_ += bracket;
+  comma_ = false;
+  return *this;
+}
+
+JsonWriter& JsonWriter::Close(char bracket) {
+  out_ += bracket;
+  comma_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::Key(std::string_view key) {
+  String(key);
+  out_ += ':';
+  comma_ = false;
+  return *this;
+}
+
+JsonWriter& JsonWriter::String(std::string_view value) {
+  if (comma_) out_ += ',';
+  out_ += '"';
+  AppendEscaped(&out_, value);
+  out_ += '"';
+  comma_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::Int(int64_t value) {
+  char buf[24];
+  return Raw({buf, std::to_chars(buf, buf + sizeof(buf), value).ptr});
+}
+
+JsonWriter& JsonWriter::Uint(uint64_t value) {
+  char buf[24];
+  return Raw({buf, std::to_chars(buf, buf + sizeof(buf), value).ptr});
+}
+
+JsonWriter& JsonWriter::Double(double value, int significant_digits) {
+  if (!std::isfinite(value)) return Raw("null");
+  char buf[40];
+  const int n =
+      std::snprintf(buf, sizeof(buf), "%.*g", significant_digits, value);
+  return Raw({buf, static_cast<size_t>(n)});
+}
+
+JsonWriter& JsonWriter::Raw(std::string_view json) {
+  if (comma_) out_ += ',';
+  out_ += json;
+  comma_ = true;
+  return *this;
 }
 
 }  // namespace ziggy

@@ -1,70 +1,47 @@
 #include "engine/json.h"
 
-#include <cmath>
-#include <cstdio>
-#include <sstream>
-
 namespace ziggy {
 
 namespace {
 
-// JSON has no NaN/Infinity; map them to null.
-std::string JsonNumber(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.12g", v);
-  return buf;
-}
+// Every double in a characterization body keeps 12 significant digits.
+constexpr int kDigits = 12;
 
 }  // namespace
 
 std::string CharacterizationToJson(const Characterization& result,
                                    const Schema& schema) {
-  std::ostringstream os;
-  os << "{";
-  os << "\"inside_count\":" << result.inside_count;
-  os << ",\"outside_count\":" << result.outside_count;
-  os << ",\"num_candidates\":" << result.num_candidates;
-  os << ",\"views_dropped\":" << result.views_dropped;
-  os << ",\"cache_hit\":" << (result.cache_hit ? "true" : "false");
-  os << ",\"timings_ms\":{"
-     << "\"preparation\":" << JsonNumber(result.timings.preparation_ms)
-     << ",\"view_search\":" << JsonNumber(result.timings.search_ms)
-     << ",\"post_processing\":" << JsonNumber(result.timings.post_processing_ms) << "}";
-  os << ",\"views\":[";
+  JsonWriter w;
+  w.BeginObject().Key("inside_count").Int(result.inside_count);
+  w.Key("outside_count").Int(result.outside_count);
+  w.Key("num_candidates").Uint(result.num_candidates);
+  w.Key("views_dropped").Uint(result.views_dropped);
+  w.Key("cache_hit").Bool(result.cache_hit);
+  w.Key("timings_ms").BeginObject();
+  w.Key("preparation").Double(result.timings.preparation_ms, kDigits);
+  w.Key("view_search").Double(result.timings.search_ms, kDigits);
+  w.Key("post_processing").Double(result.timings.post_processing_ms, kDigits);
+  w.EndObject().Key("views").BeginArray();
   for (size_t i = 0; i < result.views.size(); ++i) {
-    const CharacterizedView& cv = result.views[i];
-    if (i > 0) os << ",";
-    os << "{\"rank\":" << (i + 1);
-    os << ",\"columns\":[";
-    for (size_t j = 0; j < cv.view.columns.size(); ++j) {
-      if (j > 0) os << ",";
-      os << "\"" << JsonEscape(schema.field(cv.view.columns[j]).name) << "\"";
-    }
-    os << "]";
-    os << ",\"score\":" << JsonNumber(cv.view.score.total);
-    os << ",\"score_breakdown\":{";
-    bool first = true;
+    const View& view = result.views[i].view;
+    const Explanation& explanation = result.views[i].explanation;
+    w.BeginObject().Key("rank").Uint(i + 1).Key("columns").BeginArray();
+    for (const size_t c : view.columns) w.String(schema.field(c).name);
+    w.EndArray().Key("score").Double(view.score.total, kDigits);
+    w.Key("score_breakdown").BeginObject();
     for (size_t k = 0; k < kNumComponentKinds; ++k) {
-      if (cv.view.score.count_per_kind[k] == 0) continue;
-      if (!first) os << ",";
-      first = false;
-      os << "\"" << ComponentKindToString(static_cast<ComponentKind>(k))
-         << "\":" << JsonNumber(cv.view.score.per_kind[k]);
+      if (view.score.count_per_kind[k] == 0) continue;
+      w.Key(ComponentKindToString(static_cast<ComponentKind>(k)));
+      w.Double(view.score.per_kind[k], kDigits);
     }
-    os << "}";
-    os << ",\"tightness\":" << JsonNumber(cv.view.tightness);
-    os << ",\"p_value\":" << JsonNumber(cv.view.aggregated_p_value);
-    os << ",\"headline\":\"" << JsonEscape(cv.explanation.headline) << "\"";
-    os << ",\"details\":[";
-    for (size_t j = 0; j < cv.explanation.details.size(); ++j) {
-      if (j > 0) os << ",";
-      os << "\"" << JsonEscape(cv.explanation.details[j]) << "\"";
-    }
-    os << "]}";
+    w.EndObject().Key("tightness").Double(view.tightness, kDigits);
+    w.Key("p_value").Double(view.aggregated_p_value, kDigits);
+    w.Key("headline").String(explanation.headline);
+    w.Key("details").BeginArray();
+    for (const std::string& detail : explanation.details) w.String(detail);
+    w.EndArray().EndObject();
   }
-  os << "]}";
-  return os.str();
+  return w.EndArray().EndObject().Take();
 }
 
 }  // namespace ziggy

@@ -207,38 +207,25 @@ int64_t MetricsRegistry::GaugeValue(const std::string& name) const {
 
 std::string MetricsRegistry::RenderJson() const {
   MutexLock lock(mu_);
-  std::string out = "{\"counters\":{";
-  bool first = true;
+  JsonWriter w;
+  w.BeginObject().Key("counters").BeginObject();
   for (const auto& [name, counter] : counters_) {
-    if (!first) out += ",";
-    first = false;
-    out += "\"" + JsonEscape(name) + "\":" + std::to_string(counter->value());
+    w.Key(name).Uint(counter->value());
   }
-  out += "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, gauge] : gauges_) {
-    if (!first) out += ",";
-    first = false;
-    out += "\"" + JsonEscape(name) + "\":" + std::to_string(gauge->value());
-  }
-  out += "},\"histograms\":{";
-  first = true;
+  w.EndObject().Key("gauges").BeginObject();
+  for (const auto& [name, gauge] : gauges_) w.Key(name).Int(gauge->value());
+  w.EndObject().Key("histograms").BeginObject();
   for (const auto& [name, histogram] : histograms_) {
-    if (!first) out += ",";
-    first = false;
     const Histogram::Snapshot snap = histogram->TakeSnapshot();
-    out += "\"" + JsonEscape(name) + "\":{";
-    out += "\"count\":" + std::to_string(snap.count);
-    out += ",\"sum\":" + std::to_string(snap.sum);
-    out += ",\"min\":" + std::to_string(snap.min);
-    out += ",\"max\":" + std::to_string(snap.max);
-    out += ",\"p50\":" + std::to_string(snap.Percentile(0.50));
-    out += ",\"p90\":" + std::to_string(snap.Percentile(0.90));
-    out += ",\"p99\":" + std::to_string(snap.Percentile(0.99));
-    out += "}";
+    w.Key(name).BeginObject().Key("count").Uint(snap.count);
+    w.Key("sum").Uint(snap.sum);
+    w.Key("min").Uint(snap.min);
+    w.Key("max").Uint(snap.max);
+    w.Key("p50").Uint(snap.Percentile(0.50));
+    w.Key("p90").Uint(snap.Percentile(0.90));
+    w.Key("p99").Uint(snap.Percentile(0.99)).EndObject();
   }
-  out += "}}";
-  return out;
+  return w.EndObject().EndObject().Take();
 }
 
 std::string MetricsRegistry::RenderPrometheus() const {

@@ -66,8 +66,8 @@ struct ManifestEntry {
   std::vector<ManifestDictRef> dict_refs;
 };
 
-/// \brief True iff `name` is safe as a store table name: the serving
-/// catalog's charset ([A-Za-z0-9_.-], 1..256 chars) *minus* the path
+/// \brief True iff `name` is a valid table name, for the store and the
+/// serving catalog alike: [A-Za-z0-9_.-], 1..256 chars, except the path
 /// specials "." and ".." — table names become directory components.
 bool IsValidStoreTableName(const std::string& name);
 

@@ -5,6 +5,7 @@
 
 #include "common/parallel.h"
 #include "obs/trace.h"
+#include "persist/manifest.h"
 
 namespace ziggy {
 
@@ -33,16 +34,6 @@ ServerCatalog::ServerCatalog(CatalogOptions options)
 }
 
 ServerCatalog::~ServerCatalog() { StopFlusher(); }
-
-bool ServerCatalog::IsValidTableName(const std::string& name) {
-  if (name.empty() || name.size() > 256) return false;
-  for (const char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_' || c == '.' || c == '-';
-    if (!ok) return false;
-  }
-  return true;
-}
 
 ServeOptions ServerCatalog::DerivedServeOptions() const {
   ServeOptions serve = options_.serve;
@@ -73,7 +64,7 @@ Status ServerCatalog::Publish(const std::string& name,
 
 Result<std::shared_ptr<ZiggyServer>> ServerCatalog::Open(
     const std::string& name, Table table) {
-  if (!IsValidTableName(name)) {
+  if (!IsValidStoreTableName(name)) {
     return Status::InvalidArgument("invalid table name: \"" + name + "\"");
   }
   {
@@ -142,7 +133,7 @@ bool ServerCatalog::StoreHas(const std::string& name) const {
 Result<std::shared_ptr<ZiggyServer>> ServerCatalog::OpenFromStore(
     const std::string& name) {
   if (store_ == nullptr) return Status::FailedPrecondition("no store attached");
-  if (!IsValidTableName(name)) {
+  if (!IsValidStoreTableName(name)) {
     return Status::InvalidArgument("invalid table name: \"" + name + "\"");
   }
   // The load runs outside the catalog lock, like Open()'s profiling. The

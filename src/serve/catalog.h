@@ -228,9 +228,6 @@ class ServerCatalog {
   };
   SketchCacheTotals CacheTotals() const;
 
-  /// True iff `name` is a well-formed table name ([A-Za-z0-9_.-]+).
-  static bool IsValidTableName(const std::string& name);
-
  private:
   /// One published table: the server plus the lineage id handed to the
   /// store so delta checkpoints are only cut against the snapshot chain

@@ -425,9 +425,7 @@ void ZiggyDaemon::DecodePending(const std::shared_ptr<Connection>& c) {
         pending.oversize = true;
         pending.error = line.status();
       }
-      if (!c->queue.empty() || c->dispatch_active) {
-        pipelined_requests_->Add();
-      }
+      if (!c->queue.empty() || c->executing) pipelined_requests_->Add();
       c->queue.push_back(std::move(pending));
     }
     if (!c->queue.empty() && !c->dispatch_active) {
@@ -641,8 +639,7 @@ void ZiggyDaemon::DispatchThread() {
     // critical section: either the loop's enqueue sees the flag still
     // set (we will find its item in the next iteration) or it sees the
     // flag cleared and schedules a fresh dispatch — never neither.
-    bool handled_any = false;
-    for (;;) {
+    for (bool first = true;; first = false) {
       Pending item;
       {
         MutexLock lock(c->mu);
@@ -656,7 +653,9 @@ void ZiggyDaemon::DispatchThread() {
         }
         item = std::move(c->queue.front());
         c->queue.pop_front();
+        c->executing = true;
       }
+      if (first) dispatch_batches_->Add();
       const bool slow_armed = options_.slow_request_ms > 0;
       const uint64_t start_us = clock_->NowMicros();
       const uint64_t queue_wait_us =
@@ -697,7 +696,6 @@ void ZiggyDaemon::DispatchThread() {
       if (verb != nullptr) {
         verb_us_[static_cast<size_t>(verb->verb)]->Record(exec_us);
       }
-      handled_any = true;
       const bool quit = c->handler.quit_requested();
       std::string wire = LineProtocol::SerializeResponse(response);
       ResponseMark mark;
@@ -715,6 +713,7 @@ void ZiggyDaemon::DispatchThread() {
       }
       {
         MutexLock lock(c->mu);
+        c->executing = false;
         c->outbuf += wire;
         mark.end_offset = c->out_base + c->outbuf.size();
         c->marks.push_back(std::move(mark));
@@ -730,9 +729,6 @@ void ZiggyDaemon::DispatchThread() {
       // batch: the loop coalesces whatever is buffered by flush time, so
       // fast batches still leave as one write.
       NotifyLoop(c);
-    }
-    if (handled_any) {
-      dispatch_batches_->Add();
     }
     // Final notification covers the state change to dispatch_active ==
     // false: the loop may now resume reads, schedule the next batch, or

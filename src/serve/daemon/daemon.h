@@ -176,6 +176,10 @@ class ZiggyDaemon {
     std::deque<ResponseMark> marks ZIGGY_GUARDED_BY(mu);
     /// A pool thread is executing verbs.
     bool dispatch_active ZIGGY_GUARDED_BY(mu) = false;
+    /// The dispatch run has popped a request whose response is not yet in
+    /// outbuf: set by the pop, cleared with the append, so a request a
+    /// client sends after reading the previous reply is not pipelined.
+    bool executing ZIGGY_GUARDED_BY(mu) = false;
     /// Backpressure dropped EPOLLIN.
     bool read_paused ZIGGY_GUARDED_BY(mu) = false;
     /// recv saw EOF; drain then close.
@@ -275,10 +279,11 @@ class ZiggyDaemon {
   obs::Counter* accept_retries_ = nullptr;
   /// Backpressure pauses of a connection's reading.
   obs::Counter* reads_throttled_ = nullptr;
-  /// Requests that arrived while earlier ones from the same connection
-  /// were still queued or executing.
+  /// Requests decoded while earlier ones from the same connection were
+  /// still queued or executing (a blocking client never counts).
   obs::Counter* pipelined_requests_ = nullptr;
-  /// Dispatch runs that executed at least one request.
+  /// Dispatch runs that executed at least one request, counted as a run
+  /// pops its first.
   obs::Counter* dispatch_batches_ = nullptr;
   /// Per-verb series, indexed by the Verb enum (VerbTable order).
   std::vector<obs::Counter*> verb_requests_;

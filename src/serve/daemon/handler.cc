@@ -3,7 +3,6 @@
 #include <array>
 #include <initializer_list>
 #include <span>
-#include <sstream>
 #include <string_view>
 #include <tuple>
 #include <type_traits>
@@ -19,36 +18,31 @@ namespace ziggy {
 
 namespace {
 
-std::string TableInfoJson(const std::string& name, size_t rows, size_t columns,
-                          uint64_t generation) {
-  std::ostringstream os;
-  os << "{\"table\":\"" << JsonEscape(name) << "\",\"rows\":" << rows
-     << ",\"columns\":" << columns << ",\"generation\":" << generation << "}";
-  return os.str();
-}
-
 std::string ServeStatsJson(const ServeStats& st) {
-  std::ostringstream os;
-  os << "{\"generation\":" << st.generation
-     << ",\"sessions_opened\":" << st.sessions_opened
-     << ",\"requests\":" << st.requests << ",\"failures\":" << st.failures
-     << ",\"sketch_exact_hits\":" << st.sketch_exact_hits
-     << ",\"sketch_patched_hits\":" << st.sketch_patched_hits
-     << ",\"sketch_misses\":" << st.sketch_misses
-     << ",\"patched_delta_rows\":" << st.patched_delta_rows
-     << ",\"appends\":" << st.appends
-     << ",\"appended_rows\":" << st.appended_rows
-     << ",\"cache_flushes\":" << st.cache_flushes
-     << ",\"component_cache\":{\"hits\":" << st.component_cache_hits
-     << ",\"misses\":" << st.component_cache_misses
-     << ",\"evictions\":" << st.component_cache_evictions << "}"
-     << ",\"sketch_cache\":{\"hits\":" << st.cache.hits
-     << ",\"misses\":" << st.cache.misses
-     << ",\"insertions\":" << st.cache.insertions
-     << ",\"evictions\":" << st.cache.evictions
-     << ",\"bytes_in_use\":" << st.cache.bytes_in_use
-     << ",\"entries\":" << st.cache.entries << "}}";
-  return os.str();
+  JsonWriter w;
+  w.BeginObject().Key("generation").Uint(st.generation);
+  w.Key("sessions_opened").Uint(st.sessions_opened);
+  w.Key("requests").Uint(st.requests);
+  w.Key("failures").Uint(st.failures);
+  w.Key("sketch_exact_hits").Uint(st.sketch_exact_hits);
+  w.Key("sketch_patched_hits").Uint(st.sketch_patched_hits);
+  w.Key("sketch_misses").Uint(st.sketch_misses);
+  w.Key("patched_delta_rows").Uint(st.patched_delta_rows);
+  w.Key("appends").Uint(st.appends);
+  w.Key("appended_rows").Uint(st.appended_rows);
+  w.Key("cache_flushes").Uint(st.cache_flushes);
+  w.Key("component_cache").BeginObject();
+  w.Key("hits").Uint(st.component_cache_hits);
+  w.Key("misses").Uint(st.component_cache_misses);
+  w.Key("evictions").Uint(st.component_cache_evictions).EndObject();
+  w.Key("sketch_cache").BeginObject();
+  w.Key("hits").Uint(st.cache.hits);
+  w.Key("misses").Uint(st.cache.misses);
+  w.Key("insertions").Uint(st.cache.insertions);
+  w.Key("evictions").Uint(st.cache.evictions);
+  w.Key("bytes_in_use").Uint(st.cache.bytes_in_use);
+  w.Key("entries").Uint(st.cache.entries).EndObject();
+  return w.EndObject().Take();
 }
 
 // How a STATS / HEALTH key reads the registry.
@@ -144,9 +138,9 @@ std::string RenderStatsJson(
     std::initializer_list<std::span<const StatsKey>> tables,
     const obs::MetricsRegistry& metrics,
     const std::vector<std::pair<std::string, uint64_t>>& dirty) {
-  std::string out = "{";
+  JsonWriter w;
+  w.BeginObject();
   std::vector<std::string_view> open;  // path of the object being written
-  bool comma = false;
   for (const std::span<const StatsKey> table : tables) {
     for (const StatsKey& row : table) {
       std::string_view key = row.key;
@@ -160,43 +154,38 @@ std::string RenderStatsJson(
              open[common] == parents[common]) {
         ++common;
       }
-      for (; open.size() > common; open.pop_back()) out += '}';
-      for (; open.size() < parents.size(); comma = false) {
-        if (comma) out += ',';
+      for (; open.size() > common; open.pop_back()) w.EndObject();
+      while (open.size() < parents.size()) {
         open.push_back(parents[open.size()]);
-        out.append("\"").append(open.back()).append("\":{");
+        w.Key(open.back()).BeginObject();
       }
-      if (comma) out += ',';
-      comma = true;
-      out.append("\"").append(key).append("\":");
+      w.Key(key);
       switch (row.source) {
         case kCounter:
-          out += std::to_string(metrics.CounterValue(row.series));
+          w.Uint(metrics.CounterValue(row.series));
           break;
         case kGauge:
-          out += std::to_string(metrics.GaugeValue(row.series));
+          w.Int(metrics.GaugeValue(row.series));
           break;
         case kFlag:
-          out += metrics.GaugeValue(row.series) != 0 ? "true" : "false";
+          w.Bool(metrics.GaugeValue(row.series) != 0);
           break;
         case kStatus:
-          out += metrics.GaugeValue(row.series) != 0 ? "\"degraded\""
-                                                     : "\"ok\"";
+          w.String(metrics.GaugeValue(row.series) != 0 ? "degraded" : "ok");
           break;
         case kDirty:
-          out += '[';
-          for (size_t i = 0; i < dirty.size(); ++i) {
-            if (i > 0) out += ',';
-            out += "{\"table\":\"" + JsonEscape(dirty[i].first) +
-                   "\",\"age_ms\":" + std::to_string(dirty[i].second) + "}";
+          w.BeginArray();
+          for (const auto& [name, age_ms] : dirty) {
+            w.BeginObject().Key("table").String(name);
+            w.Key("age_ms").Uint(age_ms).EndObject();
           }
-          out += ']';
+          w.EndArray();
           break;
       }
     }
   }
-  out.append(open.size() + 1, '}');
-  return out;
+  for (; !open.empty(); open.pop_back()) w.EndObject();
+  return w.EndObject().Take();
 }
 
 }  // namespace
@@ -315,25 +304,25 @@ WireResponse DaemonHandler::HandleOpen(const WireRequest& request) {
   }
   if (!server.ok()) return WireResponse::Error(server.status());
   const auto state = (*server)->state();
-  return WireResponse::Ok(TableInfoJson(name, state->table().num_rows(),
-                                        state->table().num_columns(),
-                                        state->generation()));
+  JsonWriter w;
+  w.BeginObject().Key("table").String(name);
+  w.Key("rows").Uint(state->table().num_rows());
+  w.Key("columns").Uint(state->table().num_columns());
+  w.Key("generation").Uint(state->generation());
+  return WireResponse::Ok(w.EndObject().Take());
 }
 
 WireResponse DaemonHandler::HandleList(const WireRequest&) {
-  std::ostringstream os;
-  os << "{\"tables\":[";
-  bool first = true;
+  JsonWriter w;
+  w.BeginObject().Key("tables").BeginArray();
   for (const CatalogTableInfo& info : catalog_->List()) {
-    if (!first) os << ",";
-    first = false;
-    os << "{\"name\":\"" << JsonEscape(info.name)
-       << "\",\"rows\":" << info.num_rows << ",\"columns\":" << info.num_columns
-       << ",\"generation\":" << info.generation
-       << ",\"sessions\":" << info.num_sessions << "}";
+    w.BeginObject().Key("name").String(info.name);
+    w.Key("rows").Uint(info.num_rows);
+    w.Key("columns").Uint(info.num_columns);
+    w.Key("generation").Uint(info.generation);
+    w.Key("sessions").Uint(info.num_sessions).EndObject();
   }
-  os << "]}";
-  return WireResponse::Ok(os.str());
+  return WireResponse::Ok(w.EndArray().EndObject().Take());
 }
 
 WireResponse DaemonHandler::HandleCharacterize(const WireRequest& request) {
@@ -354,15 +343,15 @@ WireResponse DaemonHandler::CharacterizeImpl(const WireRequest& request,
       bound->server->Characterize(bound->session_id, query);
   if (!result.ok()) return WireResponse::Error(result.status());
   const Schema& schema = bound->server->state()->table().schema();
+  JsonWriter w;
   if (views_only) {
     return WireResponse::Ok(
-        "\"" + JsonEscape(RenderCharacterizationReport(*result, schema)) + "\"");
+        w.String(RenderCharacterizationReport(*result, schema)).Take());
   }
-  std::ostringstream os;
-  os << "{\"table\":\"" << JsonEscape(table) << "\",\"sketches\":\""
-     << SketchSourceToString(result->sketch_source)
-     << "\",\"result\":" << CharacterizationToJson(*result, schema) << "}";
-  return WireResponse::Ok(os.str());
+  w.BeginObject().Key("table").String(table);
+  w.Key("sketches").String(SketchSourceToString(result->sketch_source));
+  w.Key("result").Raw(CharacterizationToJson(*result, schema));
+  return WireResponse::Ok(w.EndObject().Take());
 }
 
 WireResponse DaemonHandler::HandleAppend(const WireRequest& request) {
@@ -376,15 +365,12 @@ WireResponse DaemonHandler::HandleAppend(const WireRequest& request) {
   Status checkpoint = Status::OK();
   Result<uint64_t> generation = catalog_->Append(name, *rows, &checkpoint);
   if (!generation.ok()) return WireResponse::Error(generation.status());
-  std::ostringstream os;
-  os << "{\"table\":\"" << JsonEscape(name) << "\",\"appended_rows\":" << appended
-     << ",\"generation\":" << *generation;
-  if (!checkpoint.ok()) {
-    os << ",\"checkpoint_error\":\"" << JsonEscape(checkpoint.ToString())
-       << "\"";
-  }
-  os << "}";
-  return WireResponse::Ok(os.str());
+  JsonWriter w;
+  w.BeginObject().Key("table").String(name);
+  w.Key("appended_rows").Uint(appended);
+  w.Key("generation").Uint(*generation);
+  if (!checkpoint.ok()) w.Key("checkpoint_error").String(checkpoint.ToString());
+  return WireResponse::Ok(w.EndObject().Take());
 }
 
 WireResponse DaemonHandler::HandleStats(const WireRequest& request) {
@@ -416,28 +402,24 @@ WireResponse DaemonHandler::HandleSave(const WireRequest& request) {
   // Successes and failures are reported per table ("errors" only present
   // when some save failed), so one broken table no longer hides that the
   // others were checkpointed.
-  std::ostringstream os;
-  os << "{\"saved\":[";
-  bool first = true;
+  JsonWriter w;
+  w.BeginObject().Key("saved").BeginArray();
   for (const TableSaveResult& r : results) {
     if (!r.status.ok()) continue;
-    if (!first) os << ",";
-    first = false;
-    os << "{\"table\":\"" << JsonEscape(r.name)
-       << "\",\"generation\":" << r.generation << "}";
+    w.BeginObject().Key("table").String(r.name);
+    w.Key("generation").Uint(r.generation).EndObject();
   }
-  os << "]";
+  w.EndArray();
   bool any_error = false;
   for (const TableSaveResult& r : results) {
     if (r.status.ok()) continue;
-    os << (any_error ? "," : ",\"errors\":[");
+    if (!any_error) w.Key("errors").BeginArray();
     any_error = true;
-    os << "{\"table\":\"" << JsonEscape(r.name) << "\",\"error\":\""
-       << JsonEscape(r.status.ToString()) << "\"}";
+    w.BeginObject().Key("table").String(r.name);
+    w.Key("error").String(r.status.ToString()).EndObject();
   }
-  if (any_error) os << "]";
-  os << "}";
-  return WireResponse::Ok(os.str());
+  if (any_error) w.EndArray();
+  return WireResponse::Ok(w.EndObject().Take());
 }
 
 WireResponse DaemonHandler::HandlePersist(const WireRequest& request) {
@@ -452,8 +434,9 @@ WireResponse DaemonHandler::HandlePersist(const WireRequest& request) {
   }
   Status st = catalog_->SetPersist(name, on);
   if (!st.ok()) return WireResponse::Error(st);
-  return WireResponse::Ok("{\"table\":\"" + JsonEscape(name) +
-                          "\",\"persist\":" + (on ? "true" : "false") + "}");
+  JsonWriter w;
+  w.BeginObject().Key("table").String(name).Key("persist").Bool(on);
+  return WireResponse::Ok(w.EndObject().Take());
 }
 
 WireResponse DaemonHandler::HandleHealth(const WireRequest&) {
@@ -473,25 +456,25 @@ WireResponse DaemonHandler::HandleHello(const WireRequest&) {
   //                 key and now just says whether checkpoints exist.
   //   degraded    — the flusher's degraded latch is currently set, so
   //                 mutating verbs may be refused with retry_after_ms.
-  std::ostringstream os;
-  os << "{\"server\":\"ziggy\",\"protocol\":" << kProtocolVersion
-     << ",\"features\":{\"pipelining\":true,\"compression\":"
-     << (catalog_->HasStore() ? "true" : "false")
-     << ",\"degraded\":" << (catalog_->degraded() ? "true" : "false")
-     << "},\"limits\":{\"max_line_bytes\":" << limits_.max_line_bytes
-     << ",\"max_pipeline\":" << limits_.max_pipeline << "},\"verbs\":[";
-  bool first = true;
-  for (const VerbInfo& info : VerbTable()) {
-    os << (first ? "\"" : ",\"") << info.name << "\"";
-    first = false;
-  }
-  os << "]}";
-  return WireResponse::Ok(os.str());
+  JsonWriter w;
+  w.BeginObject().Key("server").String("ziggy");
+  w.Key("protocol").Int(kProtocolVersion);
+  w.Key("features").BeginObject().Key("pipelining").Bool(true);
+  w.Key("compression").Bool(catalog_->HasStore());
+  w.Key("degraded").Bool(catalog_->degraded()).EndObject();
+  w.Key("limits").BeginObject();
+  w.Key("max_line_bytes").Uint(limits_.max_line_bytes);
+  w.Key("max_pipeline").Uint(limits_.max_pipeline).EndObject();
+  w.Key("verbs").BeginArray();
+  for (const VerbInfo& info : VerbTable()) w.String(info.name);
+  return WireResponse::Ok(w.EndArray().EndObject().Take());
 }
 
 WireResponse DaemonHandler::HandleQuit(const WireRequest&) {
   quit_requested_ = true;
-  return WireResponse::Ok("{\"bye\":true}");
+  JsonWriter w;
+  w.BeginObject().Key("bye").Bool(true).EndObject();
+  return WireResponse::Ok(w.Take());
 }
 
 WireResponse DaemonHandler::HandleMetrics(const WireRequest& request) {
@@ -507,8 +490,8 @@ WireResponse DaemonHandler::HandleMetrics(const WireRequest& request) {
       EqualsIgnoreCase(request.args[0], "prom")) {
     // The exposition text is multi-line; the line protocol carries it as
     // one JSON string (clients unescape it, same as VIEWS reports).
-    return WireResponse::Ok(
-        "\"" + JsonEscape(metrics->RenderPrometheus()) + "\"");
+    JsonWriter w;
+    return WireResponse::Ok(w.String(metrics->RenderPrometheus()).Take());
   }
   return WireResponse::Error(Status::InvalidArgument(
       "METRICS format must be 'json' or 'prometheus', got '" +
@@ -531,8 +514,9 @@ WireResponse DaemonHandler::HandleClose(const WireRequest& request) {
   }
   Status st = catalog_->Close(name);
   if (!st.ok()) return WireResponse::Error(st);
-  return WireResponse::Ok("{\"table\":\"" + JsonEscape(name) +
-                          "\",\"closed\":true}");
+  JsonWriter w;
+  w.BeginObject().Key("table").String(name).Key("closed").Bool(true);
+  return WireResponse::Ok(w.EndObject().Take());
 }
 
 }  // namespace ziggy

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
@@ -261,6 +263,73 @@ TEST(JsonEscapeTest, InvalidUtf8BecomesReplacementCharacter) {
   EXPECT_EQ(JsonEscape("\xc0\xaf"), "\\ufffd\\ufffd");   // overlong '/'
   EXPECT_EQ(JsonEscape("\xed\xa0\x80"),                  // encoded surrogate
             "\\ufffd\\ufffd\\ufffd");
+}
+
+TEST(JsonWriterTest, NestsAndPlacesCommas) {
+  JsonWriter w;
+  w.BeginObject();
+  w.Key("a").Uint(1);
+  w.Key("b").BeginArray().Int(-2).Bool(true).Bool(false).EndArray();
+  w.Key("c").BeginObject();
+  w.Key("d").BeginArray().BeginObject().Key("e").String("f").EndObject();
+  w.BeginArray().EndArray().EndArray();
+  w.EndObject();
+  w.Key("g").String("");
+  w.EndObject();
+  EXPECT_EQ(w.str(),
+            "{\"a\":1,\"b\":[-2,true,false],"
+            "\"c\":{\"d\":[{\"e\":\"f\"},[]]},\"g\":\"\"}");
+}
+
+TEST(JsonWriterTest, EmptyContainersAndBareValues) {
+  EXPECT_EQ(JsonWriter().BeginObject().EndObject().str(), "{}");
+  EXPECT_EQ(JsonWriter().BeginArray().EndArray().str(), "[]");
+  JsonWriter nested;
+  nested.BeginObject();
+  nested.Key("o").BeginObject().EndObject();
+  nested.Key("a").BeginArray().EndArray();
+  nested.EndObject();
+  EXPECT_EQ(nested.str(), "{\"o\":{},\"a\":[]}");
+  EXPECT_EQ(JsonWriter().String("x").str(), "\"x\"");
+  EXPECT_EQ(JsonWriter().Uint(UINT64_MAX).str(), "18446744073709551615");
+  EXPECT_EQ(JsonWriter().Int(INT64_MIN).str(), "-9223372036854775808");
+  JsonWriter taken;
+  taken.BeginArray().Uint(7).EndArray();
+  EXPECT_EQ(taken.Take(), "[7]");
+}
+
+TEST(JsonWriterTest, EscapesKeysAndStrings) {
+  JsonWriter w;
+  w.BeginObject();
+  w.Key("k\"\n").String("caf\xc3\xa9 \xf0\x9f\x98\x80\t\\");
+  w.EndObject();
+  EXPECT_EQ(w.str(),
+            "{\"k\\\"\\n\":\"caf\\u00e9 \\ud83d\\ude00\\t\\\\\"}");
+}
+
+TEST(JsonWriterTest, DoublesKeepTheirDigitsAndNonFiniteIsNull) {
+  JsonWriter w;
+  w.BeginArray();
+  w.Double(1.0 / 3.0, 12).Double(1.0 / 3.0, 17).Double(0.1, 17);
+  w.Double(2.0, 12).Double(1e-20, 12).Double(-0.0, 12);
+  w.Double(std::nan(""), 12).Double(HUGE_VAL, 12).Double(-HUGE_VAL, 17);
+  w.Uint(3);
+  w.EndArray();
+  EXPECT_EQ(w.str(),
+            "[0.333333333333,0.33333333333333331,0.10000000000000001,2,1e-20,"
+            "-0,null,null,null,3]");
+}
+
+// Splices an already-rendered value in place, with its comma.
+TEST(JsonWriterTest, RawSplicesARenderedValue) {
+  JsonWriter w;
+  w.BeginObject();
+  w.Key("t").String("box");
+  w.Key("result").Raw("{\"n\":[1,2]}");
+  w.Key("after").Bool(true);
+  w.EndObject();
+  EXPECT_EQ(w.str(),
+            "{\"t\":\"box\",\"result\":{\"n\":[1,2]},\"after\":true}");
 }
 
 TEST(JsonRenderTest, ContainsAllSections) {

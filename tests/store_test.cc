@@ -174,6 +174,7 @@ TEST(ManifestTest, StoreNameRejectsPathSpecials) {
   EXPECT_FALSE(IsValidStoreTableName(".."));
   EXPECT_FALSE(IsValidStoreTableName("a/b"));
   EXPECT_FALSE(IsValidStoreTableName("has space"));
+  EXPECT_FALSE(IsValidStoreTableName("semi;colon"));
 }
 
 // -------------------------------------------------------------- store ----
@@ -956,32 +957,38 @@ TEST(CatalogStoreTest, SaveAllContinuesPastFailuresAndReportsEach) {
   options.serve = GoldenServeOptions();
   ServerCatalog catalog(options);
   ASSERT_TRUE(catalog.AttachStore(dir).ok());
-  // "." is a valid *catalog* name but an invalid *store* name (path
-  // special), so its save fails — and it sorts before "box", so the old
-  // stop-at-first-failure loop would have left "box" unsaved.
-  ASSERT_TRUE(catalog.Open(".", ds.table).ok());
+  // "a" sorts before "box", and a disk fault fails its save: the first
+  // fire only makes the dictionary pool inline a dictionary, the second
+  // fails the table file. The old stop-at-first-failure loop would have
+  // left "box" unsaved.
+  ASSERT_TRUE(catalog.Open("a", ds.table).ok());
   ASSERT_TRUE(catalog.Open("box", ds.table).ok());
-
-  Result<std::vector<TableSaveResult>> results = catalog.SaveAllToStore();
-  ASSERT_TRUE(results.ok());
-  ASSERT_EQ(results->size(), 2u);
-  EXPECT_EQ((*results)[0].name, ".");
-  EXPECT_TRUE((*results)[0].status.IsInvalidArgument());
-  EXPECT_EQ((*results)[1].name, "box");
-  EXPECT_TRUE((*results)[1].status.ok()) << (*results)[1].status;
-  EXPECT_EQ((*results)[1].generation, 0u);
+  {
+    ScopedFault fault("store.write:n1*2#ENOSPC");
+    ASSERT_TRUE(fault.status().ok());
+    Result<std::vector<TableSaveResult>> results = catalog.SaveAllToStore();
+    ASSERT_TRUE(results.ok());
+    ASSERT_EQ(results->size(), 2u);
+    EXPECT_EQ((*results)[0].name, "a");
+    EXPECT_TRUE((*results)[0].status.IsIOError()) << (*results)[0].status;
+    EXPECT_EQ((*results)[1].name, "box");
+    EXPECT_TRUE((*results)[1].status.ok()) << (*results)[1].status;
+    EXPECT_EQ((*results)[1].generation, 0u);
+  }
   EXPECT_TRUE(catalog.StoreHas("box"));
-  EXPECT_FALSE(catalog.StoreHas("."));
+  EXPECT_FALSE(catalog.StoreHas("a"));
 
-  // The wire verb surfaces both the success and the per-table error.
+  // The wire verb surfaces both the success and the per-table error. The
+  // dictionary is pooled by now, so one fire fails "a"'s table file.
   DaemonHandler handler(&catalog);
-  WireResponse reply =
-      handler.Handle(*LineProtocol::ParseRequest("SAVE"));
+  ScopedFault fault("store.write:n1*1#ENOSPC");
+  ASSERT_TRUE(fault.status().ok());
+  WireResponse reply = handler.Handle(*LineProtocol::ParseRequest("SAVE"));
   ASSERT_TRUE(reply.ok) << reply.body;
   EXPECT_NE(reply.body.find("\"saved\":[{\"table\":\"box\",\"generation\":0}]"),
             std::string::npos)
       << reply.body;
-  EXPECT_NE(reply.body.find("\"errors\":[{\"table\":\".\""),
+  EXPECT_NE(reply.body.find("\"errors\":[{\"table\":\"a\""),
             std::string::npos)
       << reply.body;
   ASSERT_TRUE(RemoveDirectory(dir).ok());
