@@ -74,10 +74,8 @@ int main() {
   }
   {
     // The engine's own preparation time (sketch lookup, patch or scan, and
-    // assembly); its component cache is off so every query prepares.
-    ZiggyOptions options;
-    options.cache_queries = false;
-    ZiggyEngine engine = ZiggyEngine::Create(table, options).ValueOrDie();
+    // assembly); every query prepares.
+    ZiggyEngine engine = ZiggyEngine::Create(table).ValueOrDie();
     size_t patched_queries = 0;
     size_t delta_total = 0;
     double ms = 0.0;

@@ -348,18 +348,16 @@ void BM_PredicateEval(benchmark::State& state) {
 BENCHMARK(BM_PredicateEval)->Arg(2000)->Arg(32000);
 
 // A stand-alone engine's refinement read: 8 rows away from its previous
-// selection, patched from that one's cached sketches. The component cache
-// is off, and the walk never repeats a selection (a repeat would be an
-// exact sketch-cache hit): it toggles 8-row groups in Gray-code order, so
-// every step flips one group and step i's selection is the planted one
-// XOR the groups set in gray(i), distinct for every i < 2^kGroups.
+// selection, patched from that one's cached sketches. The walk never
+// repeats a selection (a repeat would be an exact sketch-cache hit): it
+// toggles 8-row groups in Gray-code order, so every step flips one group
+// and step i's selection is the planted one XOR the groups set in
+// gray(i), distinct for every i < 2^kGroups.
 void BM_IncrementalPrepare(benchmark::State& state) {
   constexpr size_t kGroupRows = 8;
   constexpr size_t kGroups = 20;
   SyntheticDataset ds = MakeBenchDataset(static_cast<size_t>(state.range(0)), 64);
-  ZiggyOptions options;
-  options.cache_queries = false;
-  ZiggyEngine engine = ZiggyEngine::Create(ds.table, options).ValueOrDie();
+  ZiggyEngine engine = ZiggyEngine::Create(ds.table).ValueOrDie();
   Selection selection = ds.planted;
   engine.Characterize(selection).ValueOrDie();
   uint64_t step = 0;

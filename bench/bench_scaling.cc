@@ -45,12 +45,10 @@ void RunPoint(ResultTable* table, JsonWriter* points, size_t rows,
               size_t cols) {
   SyntheticDataset ds = MakeScaled(rows, cols, 7);
   const std::string query = ds.selection_predicate;
-  ZiggyOptions opts;
-  opts.cache_queries = false;
   std::optional<ZiggyEngine> engine;
-  const double build_ms =
-      TimeMs([&] { engine.emplace(ZiggyEngine::Create(std::move(ds.table), opts)
-                                      .ValueOrDie()); });
+  const double build_ms = TimeMs([&] {
+    engine.emplace(ZiggyEngine::Create(std::move(ds.table)).ValueOrDie());
+  });
   // Median-of-3 query latency.
   double best = 1e18;
   for (int i = 0; i < 3; ++i) {

@@ -49,9 +49,6 @@ ServeOptions BaseOptions() {
   ServeOptions options;
   options.engine.search.min_tightness = 0.3;
   options.engine.search.max_views = 8;
-  // Per-session component caches would absorb the repeats we want the
-  // *shared* sketch cache to serve; keep them on anyway (realistic), the
-  // sessions never repeat their own queries in this harness.
   return options;
 }
 
@@ -127,7 +124,6 @@ int main(int argc, char** argv) {
   // ---- A: no sharing -------------------------------------------------------
   ServeOptions cold = BaseOptions();
   cold.cache_enabled = false;
-  cold.engine.cache_queries = false;
   Result<std::unique_ptr<ZiggyServer>> server_a =
       ZiggyServer::Create(ds->table, cold);
   if (!server_a.ok()) {

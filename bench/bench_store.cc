@@ -43,6 +43,10 @@
 //
 // Usage: bench_store [--threads n] [--enforce-speedup] [--json [path]]
 
+#include <stdlib.h>
+
+#include <cerrno>
+#include <cstring>
 #include <filesystem>
 #include <iostream>
 #include <sstream>
@@ -355,10 +359,18 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::string work_dir =
-      (std::filesystem::temp_directory_path() / "ziggy_bench_store").string();
+  // A fresh directory per run, removed at exit, so concurrent runs do not
+  // share (and wipe) one store.
+  std::string work_dir =
+      (std::filesystem::temp_directory_path() / "ziggy_bench_store.XXXXXX")
+          .string();
+  if (mkdtemp(work_dir.data()) == nullptr) {
+    std::cerr << "bench_store: cannot create a work directory under "
+              << std::filesystem::temp_directory_path() << ": "
+              << std::strerror(errno) << "\n";
+    return 1;
+  }
   std::error_code ec;
-  std::filesystem::create_directories(work_dir, ec);
 
   std::vector<FixtureResult> results;
   results.push_back(RunFixture(

@@ -72,9 +72,11 @@ int main() {
   std::cout << r3.inside_count << " cities selected; views:\n";
   Show(engine, r3, 5);
 
-  std::cout << "\n== Step 4: the second query reused the shared profile ==\n";
-  std::cout << "cache stats: " << engine.cache_hits() << " hits, "
-            << engine.cache_misses() << " misses; profile memory "
+  std::cout << "\n== Step 4: every query reused the shared profile ==\n";
+  std::cout << "sketches: step 1 " << SketchSourceToString(r1.sketch_source)
+            << ", step 2 " << SketchSourceToString(r2.sketch_source)
+            << ", step 3 " << SketchSourceToString(r3.sketch_source)
+            << "; profile memory "
             << engine.profile().MemoryUsageBytes() / 1024 << " KiB\n";
   return 0;
 }

@@ -16,7 +16,6 @@ std::string CharacterizationToJson(const Characterization& result,
   w.Key("outside_count").Int(result.outside_count);
   w.Key("num_candidates").Uint(result.num_candidates);
   w.Key("views_dropped").Uint(result.views_dropped);
-  w.Key("cache_hit").Bool(result.cache_hit);
   w.Key("timings_ms").BeginObject();
   w.Key("preparation").Double(result.timings.preparation_ms, kDigits);
   w.Key("view_search").Double(result.timings.search_ms, kDigits);

@@ -6,7 +6,8 @@
 //    suppressed when it reappears unchanged, so every iteration of the
 //    explore-inspect-refine loop surfaces something *new* ("the users can
 //    interpret these explanations as hints for further exploration"), and
-//  * session statistics (cache behaviour, per-stage time totals).
+//  * session statistics (query counts, per-stage time totals, novelty
+//    outcomes).
 //
 // The novelty logic lives in NoveltyTracker, a small free-standing class,
 // because two session types need it: the library's ExplorationSession
@@ -117,7 +118,8 @@ class ExplorationSession {
   ZiggyEngine& engine() { return engine_; }
   const ZiggyEngine& engine() const { return engine_; }
 
-  /// Forgets shown-view state and history (engine caches are kept).
+  /// Forgets shown-view state and history (the engine's sketch cache is
+  /// kept).
   void Reset();
 
  private:

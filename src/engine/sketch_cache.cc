@@ -18,8 +18,6 @@ size_t EntryBytes(const Selection& selection,
 
 const char* SketchSourceToString(SketchSource source) {
   switch (source) {
-    case SketchSource::kNone:
-      return "none";
     case SketchSource::kCacheExact:
       return "cache-exact";
     case SketchSource::kCachePatched:

@@ -38,7 +38,6 @@ namespace ziggy {
 
 /// \brief Where a request's inside sketches came from.
 enum class SketchSource {
-  kNone,          ///< component cache hit: no sketches were needed at all
   kCacheExact,    ///< sketch cache, exact fingerprint hit
   kCachePatched,  ///< sketch cache, XOR-delta patched near miss
   kServerScan     ///< cold scan of the selected rows

@@ -3,7 +3,6 @@
 #include <chrono>
 #include <sstream>
 
-#include "common/logging.h"
 #include "common/string_util.h"
 
 namespace ziggy {
@@ -77,73 +76,42 @@ Result<Characterization> ZiggyEngine::CharacterizeQuery(const std::string& query
 }
 
 Result<Characterization> ZiggyEngine::Characterize(const Selection& selection) {
-  if (selection.num_rows() != table_->num_rows()) {
-    return Status::InvalidArgument("selection does not match table row count");
-  }
   Characterization out;
 
   // ---- Stage 1: Preparation ------------------------------------------------
+  // Sketches come from the cache (exact hit or patched near miss) or a cold
+  // scan; the components are rebuilt from them on every read, so a change
+  // of build options applies to the next read, repeat or not.
   auto t0 = std::chrono::steady_clock::now();
+  // Providers only handle well-formed selections.
+  ZIGGY_RETURN_NOT_OK(
+      ValidateCharacterizationInput(*table_, *profile_, selection));
   const uint64_t fp = selection.Fingerprint();
-  const ComponentTable* components = nullptr;
-  ComponentTable freshly_built;
-  if (!(cached_build_ == options_.build)) {
-    // Cached component tables were assembled under other build options
-    // (e.g. another min_side_rows); none of them answers this read.
-    ClearCache();
-    cached_build_ = options_.build;
-  }
-  if (options_.cache_queries) {
-    auto it = component_cache_.find(fp);
-    if (it != component_cache_.end()) {
-      if (it->second.selection == selection) {
-        components = TouchCacheEntry(it);
-        out.cache_hit = true;
-        ++cache_hits_;
-      } else {
-        // Fingerprint collision: another selection holds this key. Drop
-        // it so the fresh build below takes its slot.
-        cache_order_.erase(it->second.order);
-        component_cache_.erase(it);
-      }
+  ProvidedSketches supplied;
+  if (sketch_provider_) {
+    supplied = sketch_provider_(selection, fp);
+  } else {
+    if (own_sketches_ == nullptr) {
+      own_sketches_ =
+          std::make_unique<SketchCache>(SketchCache::kDefaultBudgetBytes);
     }
+    ProvideSketchesOptions routine;
+    routine.scan_threads = options_.build.num_threads;
+    supplied = ProvideSketches(*table_, *profile_, selection, fp,
+                               own_sketches_.get(), routine);
   }
-  if (components == nullptr) {
-    // Providers only handle well-formed selections.
-    ZIGGY_RETURN_NOT_OK(
-        ValidateCharacterizationInput(*table_, *profile_, selection));
-    ProvidedSketches supplied;
-    if (sketch_provider_) {
-      supplied = sketch_provider_(selection, fp);
-    } else {
-      if (own_sketches_ == nullptr) {
-        own_sketches_ =
-            std::make_unique<SketchCache>(SketchCache::kDefaultBudgetBytes);
-      }
-      ProvideSketchesOptions routine;
-      routine.scan_threads = options_.build.num_threads;
-      supplied = ProvideSketches(*table_, *profile_, selection, fp,
-                                 own_sketches_.get(), routine);
-    }
-    SelectionSketches outside;
-    outside.InitShapes(*table_, *profile_);
-    outside.DeriveAsComplement(*profile_, *supplied.inside);
-    ZIGGY_ASSIGN_OR_RETURN(
-        freshly_built,
-        BuildComponentsFromSketches(*table_, *profile_, selection,
-                                    *supplied.inside, outside, options_.build));
-    out.sketch_source = supplied.source;
-    out.delta_rows = supplied.delta_rows;
-    ++cache_misses_;
-    if (options_.cache_queries) {
-      components = InsertCacheEntry(fp, selection, std::move(freshly_built));
-    } else {
-      components = &freshly_built;
-    }
-  }
+  SelectionSketches outside;
+  outside.InitShapes(*table_, *profile_);
+  outside.DeriveAsComplement(*profile_, *supplied.inside);
+  ZIGGY_ASSIGN_OR_RETURN(
+      const ComponentTable components,
+      BuildComponentsFromSketches(*table_, *profile_, selection,
+                                  *supplied.inside, outside, options_.build));
+  out.sketch_source = supplied.source;
+  out.delta_rows = supplied.delta_rows;
   out.timings.preparation_ms = ElapsedMs(t0);
-  out.inside_count = components->inside_count();
-  out.outside_count = components->outside_count();
+  out.inside_count = components.inside_count();
+  out.outside_count = components.outside_count();
 
   // ---- Stage 2: View search --------------------------------------------------
   t0 = std::chrono::steady_clock::now();
@@ -151,48 +119,22 @@ Result<Characterization> ZiggyEngine::Characterize(const Selection& selection) {
     ZIGGY_ASSIGN_OR_RETURN(
         view_plan_, ViewPlan::Build(*profile_, *dendrogram_, options_.search));
   }
-  ViewSearchResult search = view_plan_->Search(*components, options_.search);
+  ViewSearchResult search = view_plan_->Search(components, options_.search);
   out.timings.search_ms = ElapsedMs(t0);
   out.num_candidates = search.num_candidates;
 
   // ---- Stage 3: Post-processing ----------------------------------------------
   t0 = std::chrono::steady_clock::now();
-  out.views_dropped = ValidateViews(&search.views, *components, options_.validation);
+  out.views_dropped = ValidateViews(&search.views, components, options_.validation);
   out.views.reserve(search.views.size());
   for (View& v : search.views) {
     CharacterizedView cv;
-    cv.explanation = ExplainView(v, *components, table_->schema(), options_.explain);
+    cv.explanation = ExplainView(v, components, table_->schema(), options_.explain);
     cv.view = std::move(v);
     out.views.push_back(std::move(cv));
   }
   out.timings.post_processing_ms = ElapsedMs(t0);
   return out;
-}
-
-const ComponentTable* ZiggyEngine::TouchCacheEntry(
-    std::unordered_map<uint64_t, CachedComponents>::iterator it) {
-  cache_order_.splice(cache_order_.begin(), cache_order_, it->second.order);
-  return &it->second.components;
-}
-
-const ComponentTable* ZiggyEngine::InsertCacheEntry(uint64_t fingerprint,
-                                                    const Selection& selection,
-                                                    ComponentTable components) {
-  // Only reached on a confirmed miss (Characterize looked the fingerprint
-  // up under the same lock and evicted any colliding entry), so this is
-  // always a fresh insertion.
-  cache_order_.push_front(fingerprint);
-  auto [it, inserted] = component_cache_.emplace(
-      fingerprint,
-      CachedComponents{selection, std::move(components), cache_order_.begin()});
-  ZIGGY_DCHECK(inserted);
-  const size_t cap = options_.max_cached_queries;
-  while (cap > 0 && component_cache_.size() > cap) {
-    component_cache_.erase(cache_order_.back());
-    cache_order_.pop_back();
-    ++cache_evictions_;
-  }
-  return &it->second.components;
 }
 
 std::string ZiggyEngine::DendrogramAscii() const {

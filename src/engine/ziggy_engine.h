@@ -19,11 +19,9 @@
 #define ZIGGY_ENGINE_ZIGGY_ENGINE_H_
 
 #include <functional>
-#include <list>
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -47,13 +45,6 @@ struct ZiggyOptions {
   ViewSearchOptions search;
   ValidationOptions validation;
   ExplainOptions explain;
-  /// Reuse component tables across textually different but row-identical
-  /// queries (keyed by selection fingerprint).
-  bool cache_queries = true;
-  /// Entry cap of the per-engine component cache (LRU eviction past it;
-  /// 0 = unbounded). Long-lived serving sessions previously grew this
-  /// cache without bound — one component table per distinct selection.
-  size_t max_cached_queries = 64;
 };
 
 /// \brief Wall-clock cost of each pipeline stage, in milliseconds.
@@ -79,11 +70,10 @@ struct Characterization {
   int64_t outside_count = 0;
   size_t num_candidates = 0;   ///< candidate views generated
   size_t views_dropped = 0;    ///< candidates rejected as not significant
-  bool cache_hit = false;      ///< preparation served from the query cache
   /// Rows patched for a kCachePatched read (0 otherwise).
   size_t delta_rows = 0;
   /// Provenance of the inside sketches.
-  SketchSource sketch_source = SketchSource::kNone;
+  SketchSource sketch_source = SketchSource::kServerScan;
 
   /// Multi-line human-readable report (used by examples and the REPL).
   std::string ToString(const Schema& schema) const;
@@ -146,18 +136,6 @@ class ZiggyEngine {
   /// help setting the parameter MIN_tight".
   std::string DendrogramAscii() const;
 
-  /// \name Query-cache statistics.
-  /// @{
-  size_t cache_hits() const { return cache_hits_; }
-  size_t cache_misses() const { return cache_misses_; }
-  size_t cache_evictions() const { return cache_evictions_; }
-  size_t cache_entries() const { return component_cache_.size(); }
-  void ClearCache() {
-    component_cache_.clear();
-    cache_order_.clear();
-  }
-  /// @}
-
  private:
   ZiggyEngine(std::shared_ptr<const Table> table,
               std::shared_ptr<const TableProfile> profile,
@@ -182,29 +160,6 @@ class ZiggyEngine {
   // index): built from dendrogram_ on the first read, rebuilt when the
   // structural search options change.
   std::optional<ViewPlan> view_plan_;
-  // Component cache: fingerprint -> (selection, table, position in the
-  // recency list). The fingerprint can collide, so a hit also compares the
-  // stored selection. Bounded by options_.max_cached_queries;
-  // cache_order_ front = MRU. Every entry was built under cached_build_;
-  // a read under other build options clears the cache first.
-  struct CachedComponents {
-    Selection selection;
-    ComponentTable components;
-    std::list<uint64_t>::iterator order;
-  };
-  /// Promotes `it` to MRU and returns its component table; inserts evict
-  /// the LRU entry past the cap.
-  const ComponentTable* TouchCacheEntry(
-      std::unordered_map<uint64_t, CachedComponents>::iterator it);
-  const ComponentTable* InsertCacheEntry(uint64_t fingerprint,
-                                         const Selection& selection,
-                                         ComponentTable components);
-  std::unordered_map<uint64_t, CachedComponents> component_cache_;
-  std::list<uint64_t> cache_order_;
-  ComponentBuildOptions cached_build_;
-  size_t cache_hits_ = 0;
-  size_t cache_misses_ = 0;
-  size_t cache_evictions_ = 0;
 };
 
 }  // namespace ziggy

@@ -31,10 +31,6 @@ std::string ServeStatsJson(const ServeStats& st) {
   w.Key("appends").Uint(st.appends);
   w.Key("appended_rows").Uint(st.appended_rows);
   w.Key("cache_flushes").Uint(st.cache_flushes);
-  w.Key("component_cache").BeginObject();
-  w.Key("hits").Uint(st.component_cache_hits);
-  w.Key("misses").Uint(st.component_cache_misses);
-  w.Key("evictions").Uint(st.component_cache_evictions).EndObject();
   w.Key("sketch_cache").BeginObject();
   w.Key("hits").Uint(st.cache.hits);
   w.Key("misses").Uint(st.cache.misses);

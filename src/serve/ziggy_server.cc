@@ -174,19 +174,8 @@ Result<Characterization> ZiggyServer::Characterize(uint64_t session_id,
     ZIGGY_RETURN_NOT_OK(BindSession(session, current));
   }
 
-  // The engine's cache counters are cumulative over its lifetime; count
-  // only this call's share.
-  ZiggyEngine& engine = *session->engine;
-  const size_t hits = engine.cache_hits();
-  const size_t misses = engine.cache_misses();
-  const size_t evictions = engine.cache_evictions();
-  Result<Characterization> result = engine.CharacterizeQuery(query_text);
-  component_cache_hits_.fetch_add(engine.cache_hits() - hits,
-                                  std::memory_order_relaxed);
-  component_cache_misses_.fetch_add(engine.cache_misses() - misses,
-                                    std::memory_order_relaxed);
-  component_cache_evictions_.fetch_add(engine.cache_evictions() - evictions,
-                                       std::memory_order_relaxed);
+  Result<Characterization> result =
+      session->engine->CharacterizeQuery(query_text);
   ++session->stats.queries_run;
   if (!result.ok()) {
     ++session->stats.queries_failed;
@@ -268,12 +257,6 @@ ServeStats ZiggyServer::stats() const {
   st.appended_rows = appended_rows_.load(std::memory_order_relaxed);
   st.cache_flushes = cache_flushes_.load(std::memory_order_relaxed);
   st.sessions_opened = sessions_opened_.load(std::memory_order_relaxed);
-  st.component_cache_hits =
-      component_cache_hits_.load(std::memory_order_relaxed);
-  st.component_cache_misses =
-      component_cache_misses_.load(std::memory_order_relaxed);
-  st.component_cache_evictions =
-      component_cache_evictions_.load(std::memory_order_relaxed);
   st.generation = state()->generation();
   st.cache = cache_.stats();
   return st;

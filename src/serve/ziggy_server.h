@@ -3,17 +3,18 @@
 // One server owns one logical table and everything derived from it — the
 // TableProfile, the column dendrogram, and a shared cache of accumulated
 // SelectionSketches — and multiplexes any number of exploration sessions
-// over that state concurrently. The design is three nested layers of
+// over that state concurrently. The design is two nested layers of
 // sharing:
 //
-//   per request   the engine's component cache (exact repeated query)
 //   per server    the SketchCache (same/overlapping selections across
 //                 sessions), served by ProvideSketches, the routine a
 //                 stand-alone engine runs over its private cache: one
 //                 lookup finds the exact entry or the nearest patch base
 //                 within the patch-or-scan rule; cold misses scan
 //                 directly, concurrently across sessions, each scan
-//                 column-partitioned on the shared worker pool
+//                 column-partitioned on the shared worker pool; a
+//                 repeated query is an exact hit, and its components are
+//                 rebuilt from the cached sketches
 //   per table     the profile/dendrogram snapshot, swapped atomically on
 //                 append; readers keep the generation they started on
 //
@@ -92,12 +93,6 @@ struct ServeStats {
   uint64_t cache_flushes = 0;
   uint64_t sessions_opened = 0;
   uint64_t generation = 0;
-  /// Per-session engine component caches, aggregated across every session
-  /// that served a request (the caches themselves are per-session; the
-  /// entry cap in ZiggyOptions::max_cached_queries bounds each one).
-  uint64_t component_cache_hits = 0;
-  uint64_t component_cache_misses = 0;
-  uint64_t component_cache_evictions = 0;
   CacheStats cache;
 };
 
@@ -221,9 +216,6 @@ class ZiggyServer {
   std::atomic<uint64_t> appended_rows_{0};
   std::atomic<uint64_t> cache_flushes_{0};
   std::atomic<uint64_t> sessions_opened_{0};
-  std::atomic<uint64_t> component_cache_hits_{0};
-  std::atomic<uint64_t> component_cache_misses_{0};
-  std::atomic<uint64_t> component_cache_evictions_{0};
 };
 
 }  // namespace ziggy

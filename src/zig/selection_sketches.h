@@ -198,7 +198,7 @@ class SelectionSketches {
   /// @}
 
   /// Heap footprint: the capacity of every buffer the sketch owns (used to
-  /// budget the engine's query cache and the server's sketch cache).
+  /// budget the sketch cache).
   size_t MemoryUsageBytes() const;
 
   /// Exact equality of every accumulated statistic (the bitwise

@@ -368,7 +368,7 @@ TEST(DaemonHandlerTest, VerbSemantics) {
 
   WireResponse stats = call("STATS box");
   ASSERT_TRUE(stats.ok);
-  EXPECT_NE(stats.body.find("\"component_cache\""), std::string::npos);
+  EXPECT_NE(stats.body.find("\"sketch_cache\""), std::string::npos);
   WireResponse catalog_stats = call("STATS");
   ASSERT_TRUE(catalog_stats.ok);
   EXPECT_NE(catalog_stats.body.find("\"worker_pool_threads\""),
@@ -580,7 +580,7 @@ TEST(DaemonHandlerTest, ReplyBodiesArePinnedByteForByte) {
   EXPECT_EQ(
       CharacterizationToJson(built, schema),
       "{\"inside_count\":90,\"outside_count\":810,\"num_candidates\":8,"
-      "\"views_dropped\":1,\"cache_hit\":false,\"timings_ms\":{"
+      "\"views_dropped\":1,\"timings_ms\":{"
       "\"preparation\":1.5,\"view_search\":0.333333333333,"
       "\"post_processing\":0},\"views\":[{\"rank\":1,\"columns\":["
       "\"quote\\\"d\",\"gr\\u00f6\\u00dfe\"],\"score\":0.25,"
@@ -630,7 +630,7 @@ TEST(DaemonHandlerTest, ReplyBodiesArePinnedByteForByte) {
       characterize,
       "{\"table\":\"box\",\"sketches\":\"server-scan\",\"result\":{"
       "\"inside_count\":90,\"outside_count\":810,\"num_candidates\":8,"
-      "\"views_dropped\":0,\"cache_hit\":false,\"timings_ms\":{},"
+      "\"views_dropped\":0,\"timings_ms\":{},"
       "\"views\":[{\"rank\":1,\"columns\":[\"cat_0\"],\"score\":1,"
       "\"score_breakdown\":{\"frequency-shift\":1},\"tightness\":1,"
       "\"p_value\":3.51986835631e-37,\"headline\":\"On the column cat_0, "
@@ -684,7 +684,6 @@ TEST(DaemonHandlerTest, ReplyBodiesArePinnedByteForByte) {
             "\"failures\":0,\"sketch_exact_hits\":0,\"sketch_patched_hits\":0,"
             "\"sketch_misses\":1,\"patched_delta_rows\":0,\"appends\":1,"
             "\"appended_rows\":900,\"cache_flushes\":1,"
-            "\"component_cache\":{\"hits\":0,\"misses\":1,\"evictions\":0},"
             "\"sketch_cache\":{\"hits\":0,\"misses\":1,\"insertions\":1,"
             "\"evictions\":0,\"bytes_in_use\":0,\"entries\":0}}");
   EXPECT_EQ(call("CLOSE crime"), "{\"table\":\"crime\",\"closed\":true}");
@@ -1246,7 +1245,6 @@ TEST_F(DaemonTcpTest, AdminRepliesKeepTheirKeysInOrder) {
             "\"failures\":0,\"sketch_exact_hits\":0,\"sketch_patched_hits\":0,"
             "\"sketch_misses\":1,\"patched_delta_rows\":0,\"appends\":1,"
             "\"appended_rows\":900,\"cache_flushes\":1,"
-            "\"component_cache\":{\"hits\":0,\"misses\":1,\"evictions\":0},"
             "\"sketch_cache\":{\"hits\":0,\"misses\":1,\"insertions\":1,"
             "\"evictions\":0,\"bytes_in_use\":0,\"entries\":0}}");
 
@@ -1410,7 +1408,7 @@ TEST_F(DaemonTcpTest, PipelinedRequestsAnswerStrictlyInOrder) {
       << list->body;
   auto stats = client.WaitResponse();
   ASSERT_TRUE(stats.ok());
-  EXPECT_NE(stats->body.find("\"component_cache\""), std::string::npos);
+  EXPECT_NE(stats->body.find("\"sketch_cache\""), std::string::npos);
   auto health = client.WaitResponse();
   ASSERT_TRUE(health.ok());
   EXPECT_NE(health->body.find("\"status\":\"ok\""), std::string::npos);

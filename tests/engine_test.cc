@@ -10,6 +10,7 @@
 
 #include "common/random.h"
 #include "data/synthetic.h"
+#include "engine/json.h"
 #include "engine/report.h"
 #include "engine/ziggy_engine.h"
 #include "query/parser.h"
@@ -189,89 +190,72 @@ TEST(EngineTest, TimingsArePopulated) {
               1e-9);
 }
 
+// The characterization body without its wall-clock timings, the one field
+// a repeat may change.
+std::string JsonWithoutTimings(Characterization result, const Schema& schema) {
+  result.timings = StageTimings{};
+  return CharacterizationToJson(result, schema);
+}
+
+// A repeated selection, whether typed the same or differently, is an exact
+// sketch-cache hit: its components are rebuilt from the cached sketches,
+// and it renders byte for byte as the first answer did.
+void ExpectRepeatsAreExactHits(
+    const std::function<Characterization(const std::string&)>& characterize,
+    const Schema& schema) {
+  const Characterization first = characterize("revenue_index > 1.2");
+  EXPECT_EQ(first.sketch_source, SketchSource::kServerScan);
+  for (const std::string query :
+       {"revenue_index > 1.2", "NOT revenue_index <= 1.2"}) {
+    const Characterization again = characterize(query);
+    EXPECT_EQ(again.sketch_source, SketchSource::kCacheExact) << query;
+    EXPECT_EQ(again.delta_rows, 0u) << query;
+    EXPECT_EQ(RenderCharacterizationReport(again, schema),
+              RenderCharacterizationReport(first, schema))
+        << query;
+    EXPECT_EQ(JsonWithoutTimings(again, schema),
+              JsonWithoutTimings(first, schema))
+        << query;
+  }
+}
+
 TEST(EngineTest, QueryCacheHitsOnRepeatedSelection) {
   ZiggyEngine engine = MakeEngine();
-  ASSERT_TRUE(engine.CharacterizeQuery("revenue_index > 1.2").ok());
-  EXPECT_EQ(engine.cache_hits(), 0u);
-  EXPECT_EQ(engine.cache_misses(), 1u);
-  Characterization r2 = engine.CharacterizeQuery("revenue_index > 1.2").ValueOrDie();
-  EXPECT_TRUE(r2.cache_hit);
-  EXPECT_EQ(engine.cache_hits(), 1u);
-  // Textually different query with identical row set also hits.
-  Characterization r3 =
-      engine.CharacterizeQuery("NOT revenue_index <= 1.2").ValueOrDie();
-  EXPECT_TRUE(r3.cache_hit);
+  ExpectRepeatsAreExactHits(
+      [&](const std::string& query) {
+        return engine.CharacterizeQuery(query).ValueOrDie();
+      },
+      engine.table().schema());
 }
 
-TEST(EngineTest, ComponentCacheEntryCapEvictsLru) {
-  SyntheticDataset ds = MakeBoxOfficeDataset().ValueOrDie();
-  ZiggyOptions opts;
-  opts.max_cached_queries = 2;
-  ZiggyEngine engine = ZiggyEngine::Create(std::move(ds.table), opts).ValueOrDie();
-
-  const std::string q1 = "revenue_index > 1.0";
-  const std::string q2 = "revenue_index > 1.2";
-  const std::string q3 = "revenue_index > 1.4";
-  ASSERT_TRUE(engine.CharacterizeQuery(q1).ok());
-  ASSERT_TRUE(engine.CharacterizeQuery(q2).ok());
-  EXPECT_EQ(engine.cache_entries(), 2u);
-  EXPECT_EQ(engine.cache_evictions(), 0u);
-
-  // Touch q1 so q2 becomes the LRU victim of the next insertion.
-  ASSERT_TRUE(engine.CharacterizeQuery(q1).ok());
-  EXPECT_EQ(engine.cache_hits(), 1u);
-  ASSERT_TRUE(engine.CharacterizeQuery(q3).ok());
-  EXPECT_EQ(engine.cache_entries(), 2u);
-  EXPECT_EQ(engine.cache_evictions(), 1u);
-
-  // q1 survived (recency), q2 was evicted, and the evicted query still
-  // answers correctly (a fresh miss, not an error).
-  ASSERT_TRUE(engine.CharacterizeQuery(q1).ok());
-  EXPECT_EQ(engine.cache_hits(), 2u);
-  Characterization again = engine.CharacterizeQuery(q2).ValueOrDie();
-  EXPECT_FALSE(again.cache_hit);
-  EXPECT_EQ(engine.cache_evictions(), 2u);  // q3 displaced in turn
-}
-
-TEST(EngineTest, ComponentCacheUnboundedWhenCapIsZero) {
-  SyntheticDataset ds = MakeBoxOfficeDataset().ValueOrDie();
-  ZiggyOptions opts;
-  opts.max_cached_queries = 0;
-  ZiggyEngine engine = ZiggyEngine::Create(std::move(ds.table), opts).ValueOrDie();
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(
-        engine.CharacterizeQuery("revenue_index > 1." + std::to_string(i)).ok());
-  }
-  EXPECT_EQ(engine.cache_entries(), 5u);
-  EXPECT_EQ(engine.cache_evictions(), 0u);
-}
-
-TEST(EngineTest, CacheCanBeDisabledAndCleared) {
-  ZiggyOptions opts;
-  opts.cache_queries = false;
-  ZiggyEngine engine = MakeEngine(opts);
-  ASSERT_TRUE(engine.CharacterizeQuery("revenue_index > 1.2").ok());
-  Characterization r2 = engine.CharacterizeQuery("revenue_index > 1.2").ValueOrDie();
-  EXPECT_FALSE(r2.cache_hit);
-  EXPECT_EQ(engine.cache_hits(), 0u);
-
-  ZiggyEngine cached = MakeEngine();
-  ASSERT_TRUE(cached.CharacterizeQuery("revenue_index > 1.2").ok());
-  cached.ClearCache();
-  Characterization r3 = cached.CharacterizeQuery("revenue_index > 1.2").ValueOrDie();
-  EXPECT_FALSE(r3.cache_hit);
-}
-
+// The same on a server session, whose repeats hit the shared cache; the
+// repeats also match a fresh engine's cold answer.
 TEST(EngineTest, CachedResultsMatchUncached) {
-  ZiggyEngine engine = MakeEngine();
-  Characterization a = engine.CharacterizeQuery("revenue_index > 1.2").ValueOrDie();
-  Characterization b = engine.CharacterizeQuery("revenue_index > 1.2").ValueOrDie();
-  ASSERT_EQ(a.views.size(), b.views.size());
-  for (size_t i = 0; i < a.views.size(); ++i) {
-    EXPECT_EQ(a.views[i].view.columns, b.views[i].view.columns);
-    EXPECT_DOUBLE_EQ(a.views[i].view.score.total, b.views[i].view.score.total);
-    EXPECT_EQ(a.views[i].explanation.headline, b.views[i].explanation.headline);
-  }
+  SyntheticDataset ds = MakeBoxOfficeDataset().ValueOrDie();
+  std::unique_ptr<ZiggyServer> server =
+      ZiggyServer::Create(ds.table).ValueOrDie();
+  SessionOptions session_options;
+  session_options.novelty = SessionOptions::NoveltyPolicy::kOff;
+  const uint64_t session = server->OpenSession(session_options);
+  const Schema& schema = ds.table.schema();
+  ExpectRepeatsAreExactHits(
+      [&](const std::string& query) {
+        return server->Characterize(session, query).ValueOrDie();
+      },
+      schema);
+  EXPECT_EQ(server->stats().sketch_exact_hits, 2u);
+
+  ZiggyEngine fresh = ZiggyEngine::Create(ds.table).ValueOrDie();
+  const Characterization cold =
+      fresh.CharacterizeQuery("NOT revenue_index <= 1.2").ValueOrDie();
+  ASSERT_EQ(cold.sketch_source, SketchSource::kServerScan);
+  const Characterization served =
+      server->Characterize(session, "revenue_index > 1.2").ValueOrDie();
+  ASSERT_EQ(served.sketch_source, SketchSource::kCacheExact);
+  EXPECT_EQ(RenderCharacterizationReport(served, schema),
+            RenderCharacterizationReport(cold, schema));
+  EXPECT_EQ(JsonWithoutTimings(served, schema),
+            JsonWithoutTimings(cold, schema));
 }
 
 TEST(EngineTest, OptionsTunableBetweenQueries) {
@@ -287,7 +271,7 @@ TEST(EngineTest, OptionsTunableBetweenQueries) {
 TEST(EngineTest, SearchOptionsMovedBetweenQueriesMatchFreshEngine) {
   // The engine keeps its view plan across queries; moving the structural
   // search options must rebuild it. The same selection each time keeps the
-  // component table a cache hit, so only the search stage differs.
+  // sketches an exact hit, so only the search stage differs.
   SyntheticDataset ds = MakeBoxOfficeDataset().ValueOrDie();
   const std::string query = ds.selection_predicate;
   ZiggyEngine engine = ZiggyEngine::Create(ds.table).ValueOrDie();
@@ -431,7 +415,6 @@ TEST(EngineTest, ServerColdReadAfterNullIntroducingAppendMatchesFreshEngine) {
 TEST(EngineTest, ServerCachedSketchesMatchRowByRowReference) {
   SyntheticDataset ds = MakeBoxOfficeDataset().ValueOrDie();
   ServeOptions options;
-  options.engine.cache_queries = false;  // repeats reach the sketch cache
   options.session.novelty = SessionOptions::NoveltyPolicy::kOff;
   std::unique_ptr<ZiggyServer> server =
       ZiggyServer::Create(ds.table, options).ValueOrDie();
@@ -524,51 +507,6 @@ TEST(EngineTest, ServerCachedSketchesMatchRowByRowReference) {
   }
 }
 
-// STATS' component_cache totals count each engine's lookups once: the
-// session's engine is replaced when an append moves the generation, and
-// the totals must be the sum over the old and the new engine.
-TEST(EngineTest, ServerComponentCacheTotalsSumOverReboundEngines) {
-  SyntheticDataset ds = MakeBoxOfficeDataset().ValueOrDie();
-  ServeOptions options;
-  options.engine.max_cached_queries = 1;  // the second query evicts the first
-  std::unique_ptr<ZiggyServer> server =
-      ZiggyServer::Create(ds.table, options).ValueOrDie();
-  const uint64_t session = server->OpenSession();
-  const std::string query = ds.selection_predicate;
-  const std::string other = "revenue_index > 1.2";
-
-  // The same calls on stand-alone engines over each generation.
-  size_t hits = 0, misses = 0, evictions = 0;
-  auto replay = [&](const std::vector<std::string>& queries) {
-    const auto state = server->state();
-    ZiggyEngine engine =
-        ZiggyEngine::CreateShared(state->snapshot.shared_table(),
-                                  state->profile, state->dendrogram,
-                                  options.engine)
-            .ValueOrDie();
-    for (const std::string& q : queries) {
-      ASSERT_TRUE(server->Characterize(session, q).ok()) << q;
-      ASSERT_TRUE(engine.CharacterizeQuery(q).ok()) << q;
-    }
-    hits += engine.cache_hits();
-    misses += engine.cache_misses();
-    evictions += engine.cache_evictions();
-  };
-  replay({query, query});
-  Rng rng(9);
-  ASSERT_TRUE(server->Append(ds.table.SampleRows(60, &rng)).ok());
-  replay({query, query, other});
-
-  EXPECT_EQ(hits, 2u);
-  EXPECT_EQ(misses, 3u);
-  EXPECT_EQ(evictions, 1u);
-  const ServeStats st = server->stats();
-  EXPECT_EQ(st.generation, 1u);
-  EXPECT_EQ(st.component_cache_hits, hits);
-  EXPECT_EQ(st.component_cache_misses, misses);
-  EXPECT_EQ(st.component_cache_evictions, evictions);
-}
-
 TEST(EngineTest, ViewsMatchTwoScanComponents) {
   // The engine's one-scan preparation against the two-scan reference: the
   // same view search and validation over the reference's components.
@@ -636,7 +574,8 @@ TEST(EngineTest, StandAloneEngineAndServerSessionPrepareAlike) {
   }
   // The chain exercises every path.
   EXPECT_EQ(sources, (std::set<SketchSource>{
-                         SketchSource::kNone, SketchSource::kCachePatched,
+                         SketchSource::kCacheExact,
+                         SketchSource::kCachePatched,
                          SketchSource::kServerScan}));
 }
 

